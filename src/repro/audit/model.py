@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.errors import TrailOrderError
 from repro.policy.model import AccessRequest, ObjectRef
@@ -123,9 +124,14 @@ class AuditTrail:
     matching how a log table with a sequence column behaves).  ``strict``
     construction instead *rejects* out-of-order input — useful to assert
     that a store returned what it promised.
+
+    A trail never changes after construction, so its per-case index
+    (:meth:`by_case`) is built in one pass the first time a projection
+    asks for it and then shared by every later one.
     """
 
     def __init__(self, entries: Iterable[LogEntry] = (), strict: bool = False):
+        self._by_case: Optional[dict[str, AuditTrail]] = None
         items = list(entries)
         if strict:
             for earlier, later in zip(items, items[1:]):
@@ -157,9 +163,26 @@ class AuditTrail:
         return list(self._entries)
 
     # -- projections --------------------------------------------------------
+    def by_case(self) -> Mapping[str, "AuditTrail"]:
+        """Every case's sub-trail, keyed in first-appearance order.
+
+        Built in one pass over the entries on first use and cached: the
+        projections of Definition 5 cost O(entries) for the whole trail,
+        not O(entries) per case.
+        """
+        if self._by_case is None:
+            grouped: dict[str, list[LogEntry]] = {}
+            for entry in self._entries:
+                grouped.setdefault(entry.case, []).append(entry)
+            self._by_case = {
+                case: AuditTrail(items) for case, items in grouped.items()
+            }
+        return MappingProxyType(self._by_case)
+
     def for_case(self, case: str) -> "AuditTrail":
         """The sub-trail of one process instance — what Algorithm 1 replays."""
-        return AuditTrail(e for e in self._entries if e.case == case)
+        sub = self.by_case().get(case)
+        return sub if sub is not None else AuditTrail()
 
     def for_user(self, user: str) -> "AuditTrail":
         return AuditTrail(e for e in self._entries if e.user == user)
@@ -175,10 +198,7 @@ class AuditTrail:
 
     def cases(self) -> list[str]:
         """The distinct cases, in first-appearance order."""
-        seen: dict[str, None] = {}
-        for entry in self._entries:
-            seen.setdefault(entry.case, None)
-        return list(seen)
+        return list(self.by_case())
 
     def cases_touching(self, obj: ObjectRef) -> list[str]:
         """The cases in which *obj* (or a descendant) was accessed."""

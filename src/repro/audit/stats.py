@@ -88,8 +88,7 @@ class BehaviourModel:
             self._keys.add(key)
             self._population.observe(key)
             self._per_user.setdefault(entry.user, _Frequencies()).observe(key)
-        for case in trail.cases():
-            case_trail = trail.for_case(case)
+        for case_trail in trail.by_case().values():
             self._first_tasks.observe(case_trail[0].task)
             self._lengths.observe(_length_bucket(len(case_trail)))
         self._fitted = True
@@ -145,8 +144,7 @@ class BehaviourModel:
         """
         self._require_fitted()
         ranking: list[tuple[str, float]] = []
-        for case in trail.cases():
-            case_trail = trail.for_case(case)
+        for case, case_trail in trail.by_case().items():
             score = self.case_surprise(case_trail)
             if include_entries and len(case_trail):
                 mean_entry = sum(

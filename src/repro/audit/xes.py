@@ -61,10 +61,10 @@ def export_xes(trail: AuditTrail, log_name: str = "audit-trail") -> str:
         {"xes.version": "1.0", "xes.features": "nested-attributes"},
     )
     _string(log, "concept:name", log_name)
-    for case in trail.cases():
+    for case, case_trail in trail.by_case().items():
         trace = ET.SubElement(log, "trace")
         _string(trace, "concept:name", case)
-        for entry in trail.for_case(case):
+        for entry in case_trail:
             event = ET.SubElement(trace, "event")
             _string(event, "concept:name", entry.task)
             _string(event, "org:resource", entry.user)

@@ -158,21 +158,24 @@ class ControlPlane:
         raise _ApiError(404, f"no such endpoint: {method} {path}")
 
     # -- verdict queries -------------------------------------------------
-    def _records(self) -> dict[str, dict]:
+    def _records(self, digests: bool = True) -> dict[str, dict]:
         """Per-case records: live from the shards, or a cached replay.
 
         The live read races ingest by construction (that is the point
-        of a control plane); monitor dictionaries may grow mid-
-        iteration, which CPython surfaces as a RuntimeError — retry,
-        the next snapshot is just as good.
+        of a control plane); the router's shard table may shrink mid-
+        iteration when a dead shard is reassigned, which CPython
+        surfaces as a RuntimeError — retry, the next snapshot is just as
+        good.  ``digests=False`` lets a live read skip the per-case
+        replay digest (standalone records carry it regardless: they come
+        from one cached replay).
         """
         if self.router is not None:
             for _ in range(16):
                 try:
-                    return self.router.results()
+                    return self.router.results(digests=digests)
                 except RuntimeError:
                     continue
-            return self.router.results()
+            return self.router.results(digests=digests)
         if self.config is None:
             raise _ApiError(
                 400,
@@ -194,7 +197,7 @@ class ControlPlane:
         return records
 
     def _tenants(self) -> tuple[int, dict, dict]:
-        records = self._records()
+        records = self._records(digests=False)
         quarantined = self._quarantined_kinds()
         per_purpose: dict[Optional[str], dict] = {}
         for record in records.values():
@@ -235,7 +238,9 @@ class ControlPlane:
         return 200, {"tenants": tenants}, {}
 
     def _verdicts(self, query: dict) -> tuple[int, dict, dict]:
-        records = self._records()
+        # Filter digest-free records; only the returned page pays for
+        # its digests.
+        records = self._records(digests=False)
         purpose = query.get("purpose")
         outcome = query.get("outcome")
         window = self._time_window_cases(query)
@@ -259,6 +264,8 @@ class ControlPlane:
                 break
         more = len(selected) > limit
         page = selected[:limit]
+        if self.router is not None:
+            page = [self.router.case_record(record["case"]) for record in page]
         payload: dict = {"verdicts": page, "count": len(page)}
         if more and page:
             payload["next_after_case"] = page[-1]["case"]

@@ -444,27 +444,37 @@ class OnlineMonitor:
             return None
         return monitored.session.result()
 
+    # The readers below may run on another thread than the one calling
+    # observe() (the service's /healthz and control API read a live
+    # shard).  Each iterates a one-shot snapshot of the case table:
+    # iterating the live dict while observe() inserts a new case raises
+    # "dictionary changed size during iteration".  list() over keys or
+    # values copies without allocating per item, so no other thread runs
+    # mid-copy; over items() it would allocate a tuple per case, and a
+    # garbage collection there can hand the interpreter to the writer.
     def cases(self) -> list[str]:
         """Every case under observation, in first-seen order."""
         return list(self._cases)
 
     def open_cases(self) -> list[str]:
         return [
-            c for c, m in self._cases.items() if m.state is CaseState.OPEN
+            m.case
+            for m in list(self._cases.values())
+            if m.state is CaseState.OPEN
         ]
 
     def infringing_cases(self) -> list[str]:
         return [
-            c
-            for c, m in self._cases.items()
+            m.case
+            for m in list(self._cases.values())
             if m.state in (CaseState.INFRINGING, CaseState.TIMED_OUT)
         ]
 
     def failed_cases(self) -> list[str]:
         """Cases whose monitoring was contained (UNDECIDABLE / FAILED)."""
         return [
-            c
-            for c, m in self._cases.items()
+            m.case
+            for m in list(self._cases.values())
             if m.state in (CaseState.UNDECIDABLE, CaseState.FAILED)
         ]
 
@@ -474,7 +484,9 @@ class OnlineMonitor:
 
     def statistics(self) -> dict[str, int]:
         counts = {state.value: 0 for state in CaseState}
-        for monitored in self._cases.values():
+        entries = 0
+        for monitored in list(self._cases.values()):
             counts[monitored.state.value] += 1
-        counts["entries"] = sum(m.entry_count for m in self._cases.values())
+            entries += monitored.entry_count
+        counts["entries"] = entries
         return counts

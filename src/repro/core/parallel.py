@@ -526,7 +526,7 @@ def audit_cases_parallel(
     # half of the distributed tracing story.
     root_ctx = TraceContext.new() if tracer.enabled else None
     audit_started_unix = time.time() if tracer.enabled else 0.0
-    jobs = {case: trail.for_case(case).entries for case in trail.cases()}
+    jobs = {case: sub.entries for case, sub in trail.by_case().items()}
     documents = {
         purpose: process_to_dict(registry.process_for(purpose))
         for purpose in registry.purposes()

@@ -36,9 +36,27 @@ from repro.cows.terms import (
 
 _NIL = Nil()
 
+_NORMAL_CACHE: dict[Term, Term] = {}
+
 
 def normalize(term: Term) -> Term:
-    """Return the canonical form of *term* (idempotent)."""
+    """Return the canonical form of *term* (idempotent, memoized).
+
+    Each canonical form is also recorded as its own normal form, so
+    equal states come back as one shared instance: re-normalizing a
+    state is a dictionary hit, and the LTS, WeakNext and compiled
+    automata built on top compare and keep one object per state.
+    """
+    cached = _NORMAL_CACHE.get(term)
+    if cached is not None:
+        return cached
+    normal = _normalize(term)
+    normal = _NORMAL_CACHE.setdefault(normal, normal)
+    _NORMAL_CACHE[term] = normal
+    return normal
+
+
+def _normalize(term: Term) -> Term:
     if isinstance(term, (Nil, Invoke, Kill)):
         return term
     if isinstance(term, Request):

@@ -121,8 +121,8 @@ class ChainPolicy:
         """What the matcher would do *if* it had case separation — the
         information Algorithm 1 gets for free from Definition 4 logs."""
         return {
-            case: self.check_greedy(trail.for_case(case))
-            for case in trail.cases()
+            case: self.check_greedy(case_trail)
+            for case, case_trail in trail.by_case().items()
         }
 
 

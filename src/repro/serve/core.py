@@ -1481,34 +1481,27 @@ class ShardRouter:
                     states[case] = state
         return states
 
-    def case_digest(self, case: str) -> Optional[str]:
-        """The case's canonical verdict digest (None without a session)."""
-        monitor = self._shards[self._ring.shard_for(case)].monitor
-        result = monitor.case_result(case)
-        return canonical_digest(result) if result is not None else None
+    def results(self, digests: bool = True) -> dict[str, dict]:
+        """Per-case final word: state, purpose, digest, failure kind.
 
-    def results(self) -> dict[str, dict]:
-        """Per-case final word: state, purpose, digest, failure kind."""
+        ``digests=False`` leaves the ``digest`` field out: no replay
+        result is built, so a console can afford it on every refresh and
+        complete only the records it shows with :meth:`case_record`.
+        """
         out: dict[str, dict] = {}
         for shard in self._shards.values():
-            monitor = shard.monitor
-            for case in monitor.cases():
-                state = monitor.case_state(case)
-                kind = monitor.case_failure_kind(case)
-                result = monitor.case_result(case)
-                out[case] = {
-                    "case": case,
-                    "state": str(state) if state is not None else None,
-                    "purpose": monitor.case_purpose(case),
-                    "digest": (
-                        canonical_digest(result)
-                        if result is not None
-                        else None
-                    ),
-                    "failure_kind": kind.value if kind is not None else None,
-                    "shard": shard.shard_name,
-                }
+            for case in shard.monitor.cases():
+                out[case] = _case_record(shard, case, digest=digests)
         return out
+
+    def case_record(self, case: str) -> dict:
+        """One case's :meth:`results` record, read now from its shard.
+
+        A case the shard does not hold (never seen, or between a
+        requeue's reset and replay) reads as all-``None`` fields.
+        """
+        shard = self._shards[self._ring.shard_for(case)]
+        return _case_record(shard, case, digest=True)
 
     def refresh_shard_gauges(self) -> dict[str, dict]:
         """Per-shard load detail; also updates the shard gauges.
@@ -1605,3 +1598,27 @@ class ShardRouter:
         self._tel.events.emit(
             CASE_QUARANTINED, case=case, kind=kind.value, detail=detail
         )
+
+
+def _case_record(shard: _Shard, case: str, digest: bool) -> dict:
+    """A case's ``results`` record, read off its shard's monitor.
+
+    The ``digest`` field is the one costly part (a replay result plus
+    canonical JSON); ``digest=False`` leaves it out.
+    """
+    monitor = shard.monitor
+    state = monitor.case_state(case)
+    kind = monitor.case_failure_kind(case)
+    record: dict = {
+        "case": case,
+        "state": str(state) if state is not None else None,
+        "purpose": monitor.case_purpose(case),
+    }
+    if digest:
+        result = monitor.case_result(case)
+        record["digest"] = (
+            canonical_digest(result) if result is not None else None
+        )
+    record["failure_kind"] = kind.value if kind is not None else None
+    record["shard"] = shard.shard_name
+    return record

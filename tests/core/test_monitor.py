@@ -1,5 +1,8 @@
 """Tests for the online (streaming) purpose-control monitor."""
 
+import sys
+import threading
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
@@ -293,3 +296,45 @@ class TestServeFacingSurface:
         assert monitor.case_purpose("CT-1") == "clinicaltrial"
         assert monitor.case_purpose("nope") is None
         assert monitor.case_result("nope") is None
+
+
+class TestReadersRaceObserve:
+    """The service reads a live monitor (``/healthz``, the ``status`` op,
+    the control API) from other threads while its shard thread keeps
+    observing new cases; no reader may trip over the growing case table.
+    """
+
+    def test_readers_survive_thousands_of_new_cases(self, monitor):
+        opening = paper_audit_trail().for_case("HT-1")[0]
+        entries = [replace(opening, case=f"HT-{n}") for n in range(4000)]
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def read() -> None:
+            try:
+                while not done.is_set():
+                    monitor.statistics()
+                    monitor.open_cases()
+                    monitor.infringing_cases()
+                    monitor.failed_cases()
+            except BaseException as error:  # pragma: no cover - the bug
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=read) for _ in range(3)]
+        for reader in readers:
+            reader.start()
+        try:
+            for entry in entries:
+                monitor.observe(entry)
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert not errors, errors[0]
+        stats = monitor.statistics()
+        assert stats["entries"] == len(entries)
+        assert stats[CaseState.OPEN.value] == len(entries)

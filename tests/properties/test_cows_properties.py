@@ -1,7 +1,11 @@
 """Property-based tests for the COWS substrate: normalization laws,
 semantics invariants and parser round-trips."""
 
+from contextlib import contextmanager
+
 from hypothesis import given, settings, strategies as st
+
+from repro.cows import congruence
 
 from repro.cows import (
     Choice,
@@ -86,6 +90,55 @@ class TestNormalizationLaws:
     @settings(max_examples=100)
     def test_nil_is_parallel_identity(self, term):
         assert normalize(Parallel((term, Nil()))) == normalize(term)
+
+
+class _NoMemo(dict):
+    """A normal-form memo that never remembers anything."""
+
+    def get(self, key, default=None):
+        return default
+
+    def setdefault(self, key, default=None):
+        return default
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@contextmanager
+def _uncached():
+    """Run :func:`normalize` as a plain recursive function."""
+    saved = congruence._NORMAL_CACHE
+    congruence._NORMAL_CACHE = _NoMemo()
+    try:
+        yield
+    finally:
+        congruence._NORMAL_CACHE = saved
+
+
+class TestNormalFormMemo:
+    @given(terms())
+    @settings(max_examples=200)
+    def test_memoized_equals_uncached_reference(self, term):
+        with _uncached():
+            reference = normalize(term)
+        memoized = normalize(term)
+        assert memoized == reference
+        assert str(memoized) == str(reference)
+        assert normalize(term) is memoized
+
+    @given(terms())
+    @settings(max_examples=200)
+    def test_canonical_forms_are_their_own_normal_form(self, term):
+        canonical = normalize(term)
+        assert normalize(canonical) is canonical
+
+    @given(terms(), terms())
+    @settings(max_examples=100)
+    def test_equal_normal_forms_share_one_instance(self, left, right):
+        assert normalize(Parallel((left, right))) is normalize(
+            Parallel((right, left))
+        )
 
 
 class TestSemanticsInvariants:
