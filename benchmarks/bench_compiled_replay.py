@@ -2,7 +2,7 @@
 
 The purpose-automaton compiler (:mod:`repro.compile`, PR: compiled
 replay) claims that once the automaton is warm, replaying a case is one
-dict lookup per entry — and that this beats the interpreted Algorithm 1
+table cell read per entry — and that this beats the interpreted Algorithm 1
 by a wide margin on the hospital-scale workload of Section 1/E11.  This
 experiment measures both claims and records the tables CI and
 EXPERIMENTS.md quote:
@@ -23,6 +23,8 @@ from repro.compile import (
     AutomatonCache,
     PurposeAutomaton,
     compile_automaton,
+    decode_table,
+    encode_table,
     fingerprint_encoded,
 )
 from repro.core import ComplianceChecker
@@ -95,7 +97,7 @@ class TestColdVsWarm:
             # disk tier: artifact round trip, then replay without any
             # engine work (the automaton already covers the workload)
             load_started = time.perf_counter()
-            clone = PurposeAutomaton.from_document(automaton.to_document())
+            clone = decode_table(encode_table(automaton))
             load_s = time.perf_counter() - load_started
             disk_checker = ComplianceChecker(day.encoded, role_hierarchy())
             disk_checker.attach_automaton(clone)
@@ -108,7 +110,7 @@ class TestColdVsWarm:
                 "E16: cold vs warm compiled replay "
                 f"({day.case_count} cases, {len(day.trail)} entries)"
             )
-            table.row("automaton_states", automaton.state_count)
+            table.row("automaton_states", automaton.n_states)
             table.row("automaton_transitions", automaton.transition_count)
             table.row("cold_pass_s", f"{cold_s:.4f}")
             table.row("warm_pass_s", f"{warm_s:.4f}")
@@ -148,7 +150,7 @@ class TestCompiledVsInterpreted:
                 "interpreted_entries_per_s", f"{entries / interpreted_s:.0f}"
             )
             table.row("compiled_entries_per_s", f"{entries / compiled_s:.0f}")
-            table.row("automaton_states", automaton.state_count)
+            table.row("automaton_states", automaton.n_states)
             # the CI gate: compiled replay must never be slower, and on
             # this workload it must clear the acceptance floor
             assert speedup > 1.0, "compiled replay slower than interpreted"
@@ -205,7 +207,7 @@ class TestEagerCompile:
             automaton = compile_automaton(checker)
             elapsed = time.perf_counter() - started
             table.comment("E16: eager `repro compile` of the Fig. 1 process")
-            table.row("states", automaton.state_count)
+            table.row("states", automaton.n_states)
             table.row("transitions", automaton.transition_count)
             table.row("compile_s", f"{elapsed:.3f}")
 

@@ -52,26 +52,13 @@ def _workload():
     return hospital_day(n_cases=N_CASES, violation_rate=0.1, seed=42)
 
 
-def _measure_round(
-    entries,
-    shards: int,
-    wal_dir: str | None = None,
-    table: bool | None = None,
-) -> dict:
-    """One timed pass: submit every entry, wait for quiescence.
-
-    ``table=None`` follows the service default (the dense-table tier is
-    on whenever ``compiled`` is); ``False`` pins replay to the lazy-DFA
-    tier, which is what the ``compiled_table`` A/B section compares
-    against.
-    """
+def _measure_round(entries, shards: int, wal_dir: str | None = None) -> dict:
+    """One timed pass: submit every entry, wait for quiescence."""
     telemetry = Telemetry.create()
     router = ShardRouter(
         process_registry(),
         hierarchy=role_hierarchy(),
-        config=ServeConfig(
-            shards=shards, compiled=True, wal_dir=wal_dir, table=table
-        ),
+        config=ServeConfig(shards=shards, compiled=True, wal_dir=wal_dir),
         telemetry=telemetry,
     )
     router.start()  # warm-up (encode + compile) is not measured
@@ -121,15 +108,6 @@ def measure(entries) -> dict:
             sample = _measure_round(entries, SHARD_COUNTS[-1], wal_dir=wal_dir)
         if wal_round is None or sample["entries_per_s"] > wal_round["entries_per_s"]:
             wal_round = sample
-    # The replay-tier A/B at the top shard count: the per-shards rounds
-    # above already run with the dense table on (the compiled default);
-    # this pins the tier off so the gate can hold the table's edge over
-    # lazy-DFA replay, measured in the same run on the same host.
-    lazy_round: dict | None = None
-    for _ in range(ROUNDS):
-        sample = _measure_round(entries, SHARD_COUNTS[-1], table=False)
-        if lazy_round is None or sample["entries_per_s"] > lazy_round["entries_per_s"]:
-            lazy_round = sample
     return {
         "benchmark": "serve_throughput",
         "workload": {"cases": N_CASES, "entries": len(entries)},
@@ -137,13 +115,6 @@ def measure(entries) -> dict:
         "entries_per_s": top["entries_per_s"],
         "p99_latency_s": top["p99_latency_s"],
         "shards": per_shards,
-        "compiled_table": {
-            "table_entries_per_s": round(top["entries_per_s"], 9),
-            "lazy_entries_per_s": round(lazy_round["entries_per_s"], 9),
-            "speedup_vs_lazy": round(
-                top["entries_per_s"] / lazy_round["entries_per_s"], 6
-            ),
-        },
         "wal": {
             "entries_per_s": round(wal_round["entries_per_s"], 9),
             "p99_latency_s": round(wal_round["p99_latency_s"], 9),
@@ -195,7 +166,6 @@ def test_serve_throughput_report():
     # the whole point of publishing per-shard numbers.
     assert set(result["shards"]) == {str(n) for n in SHARD_COUNTS}
     assert result["wal"]["entries_per_s"] > 0
-    assert result["compiled_table"]["speedup_vs_lazy"] > 0
     write_report(result)
 
 

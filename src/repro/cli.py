@@ -450,7 +450,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     from repro.compile import (
         AutomatonCache,
         compile_automaton,
-        compile_table,
         fingerprint_encoded,
     )
 
@@ -463,14 +462,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         try:
             encoded = registry.encoded_for(purpose)
             fingerprint = fingerprint_encoded(encoded, hierarchy=hierarchy)
-            automaton = cache.load(purpose, fingerprint)
-            if automaton is not None and not args.force:
-                print(
-                    f"{purpose}: up to date "
-                    f"({automaton.state_count} state(s), "
-                    f"{automaton.transition_count} transition(s), "
-                    f"fingerprint {fingerprint[:12]})"
-                )
+            automaton = (
+                None if args.force else cache.load(purpose, fingerprint)
+            )
+            if automaton is not None:
+                status = "up to date"
             else:
                 checker = ComplianceChecker(
                     encoded, hierarchy=hierarchy, telemetry=telemetry
@@ -481,28 +477,13 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                     max_states=args.max_states,
                     telemetry=telemetry,
                 )
-                path = cache.save(automaton)
-                print(
-                    f"{purpose}: compiled {automaton.state_count} state(s), "
-                    f"{automaton.transition_count} transition(s), "
-                    f"fingerprint {fingerprint[:12]} -> {path}"
-                )
-            if args.table:
-                existing = (
-                    None if args.force
-                    else cache.load_table(purpose, fingerprint)
-                )
-                if existing is not None:
-                    existing.close()
-                    print(f"{purpose}: table up to date")
-                    continue
-                table = compile_table(automaton, telemetry=telemetry)
-                table_file = cache.save_table(table)
-                print(
-                    f"{purpose}: table {table.n_states} state(s) x "
-                    f"{table.n_symbols} symbol(s), pool {len(table.pool)}, "
-                    f"coverage {table.coverage:.2f} -> {table_file}"
-                )
+                status = f"compiled -> {cache.save(automaton)}"
+            print(
+                f"{purpose}: {status} ({automaton.n_states} state(s) x "
+                f"{automaton.n_symbols} symbol(s), "
+                f"{automaton.transition_count} transition(s), "
+                f"pool {len(automaton.pool)}, fingerprint {fingerprint[:12]})"
+            )
         except ReproError as error:
             failures += 1
             print(f"{purpose}: FAILED ({error})", file=sys.stderr)
@@ -979,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compile_cmd.add_argument(
         "--automaton-dir", required=True, metavar="DIR",
-        help="directory receiving the .automaton.json artifacts",
+        help="directory receiving the .table.bin artifacts",
     )
     compile_cmd.add_argument(
         "--role", action="append", metavar="CHILD:PARENT",
@@ -994,10 +975,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--force", action="store_true",
         help="recompile even when a valid artifact exists",
     )
+    # Accepted and ignored (every artifact is a dense table); scripts
+    # such as perfbench/workloads.py still pass it.
     compile_cmd.add_argument(
-        "--table", action="store_true",
-        help="also flatten each automaton into a dense binary transition "
-        "table (.table.bin) for mmap-backed replay",
+        "--table", action="store_true", help=argparse.SUPPRESS
     )
     _add_telemetry_args(compile_cmd)
     compile_cmd.set_defaults(handler=_cmd_compile)

@@ -3,28 +3,27 @@
 Algorithm 1's frontier-set replay is a lazy subset construction over
 observable labels, so it compiles: this package determinizes a
 well-founded process's observable LTS into a **purpose automaton** —
-integer states for deduplicated configuration frontiers, transitions
-keyed by canonical entry keys, each carrying the precomputed step
-record.  A warm replay is one dict lookup per log entry, the automaton
-is shared across cases, workers, and (via on-disk artifacts) runs.
+integer states for deduplicated configuration frontiers, a dense
+``state x symbol`` table of precomputed step records over canonical
+entry keys.  A warm replay is two indexings per log entry; the table
+grows in place on a miss, and is shared across cases, workers, and
+(via on-disk artifacts) runs.
 
 Layers:
 
 * :mod:`repro.compile.fingerprint` — content hashes keying and
   invalidating every cached artifact;
-* :mod:`repro.compile.automaton` — the lazy subset-construction DFA
-  (with ``max_states`` guard) plus the eager :func:`compile_automaton`;
+* :mod:`repro.compile.automaton` — the growable dense table (with
+  ``max_states`` guard) plus the eager :func:`compile_automaton`;
 * :mod:`repro.compile.replay` — :class:`CompiledSession` /
   :class:`CompiledChecker`, the drop-in replay surface with interpreted
   fallback;
-* :mod:`repro.compile.table` — the automaton flattened into dense
-  ``state × symbol`` integer arrays with a hash-once symbol interner,
-  a batch stepper, and an mmap-backed binary artifact — the fastest
-  replay tier, falling through to the lazy DFA on any uncovered cell;
-* :mod:`repro.compile.artifact` — versioned, atomic JSON persistence
-  and the :class:`AutomatonCache` directory abstraction;
+* :mod:`repro.compile.table` — the RPTB artifact, the automaton's one
+  on-disk format (versioned, checksummed, atomically written);
+* :mod:`repro.compile.artifact` — the :class:`AutomatonCache` directory
+  abstraction;
 * :mod:`repro.compile.checkpoint` — revision-gated incremental saves
-  during long batch audits.
+  during long audits.
 
 Design, artifact format, and invalidation rules: ``docs/compilation.md``.
 """
@@ -33,17 +32,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.compile.artifact import (
-    FORMAT_NAME,
-    FORMAT_VERSION,
-    AutomatonCache,
-    artifact_path,
-    load_artifact,
-    save_artifact,
-)
+from repro.compile.artifact import AutomatonCache
 from repro.compile.automaton import (
     ERR_KEY,
     REJECTED_STATE,
+    UNKNOWN,
     EntryKeyer,
     PurposeAutomaton,
     Transition,
@@ -65,10 +58,8 @@ from repro.compile.replay import (
 from repro.compile.table import (
     TABLE_FORMAT_NAME,
     TABLE_FORMAT_VERSION,
-    UNKNOWN,
-    UNKNOWN_SYMBOL,
-    TransitionTable,
-    compile_table,
+    decode_table,
+    encode_table,
     load_table,
     save_table,
     table_path,
@@ -86,19 +77,14 @@ def warm_checker(
     cache: Optional[AutomatonCache] = None,
     max_states: int = 50_000,
     telemetry=None,
-    table: bool = True,
 ) -> PurposeAutomaton:
     """Attach a (cached, else fresh) automaton to *checker*; returns it.
 
     This is the auditor/monitor entry point: compute the checker's
-    fingerprint, try the artifact cache, fall back to a fresh lazy
+    fingerprint, try the artifact cache, fall back to a fresh growing
     automaton on miss or invalid artifact, and bind it so
-    ``checker.session()`` serves compiled replays from now on.  With
-    ``table=True`` a cached dense table artifact (the mmap-backed
-    fastest tier, see :mod:`repro.compile.table`) is attached on top
-    when present and intact; a corrupt or misaligned table is reported
-    and skipped — replay simply runs on the lazy tier.  Never raises on
-    a bad artifact (it is reported and recompiled).
+    ``checker.session()`` serves compiled replays from now on.  Never
+    raises on a bad artifact (it is reported and recompiled).
     """
     observables = checker.observables
     fingerprint = fingerprint_encoded(
@@ -120,20 +106,6 @@ def warm_checker(
                 )
                 cache.report_invalid(path, reported)
             else:
-                if table:
-                    cached_table = cache.load_table(
-                        checker.purpose, fingerprint
-                    )
-                    if cached_table is not None:
-                        try:
-                            automaton.attach_table(cached_table)
-                        except ArtifactError as error:
-                            cache.report_invalid(
-                                cache.table_path_for(
-                                    checker.purpose, fingerprint
-                                ),
-                                error,
-                            )
                 return automaton
     automaton = PurposeAutomaton(
         fingerprint=fingerprint,
@@ -150,8 +122,6 @@ def warm_checker(
 __all__ = [
     "ERR_KEY",
     "FINGERPRINT_VERSION",
-    "FORMAT_NAME",
-    "FORMAT_VERSION",
     "REJECTED_STATE",
     "ArtifactError",
     "AutomatonCache",
@@ -167,20 +137,16 @@ __all__ = [
     "TABLE_FORMAT_NAME",
     "TABLE_FORMAT_VERSION",
     "Transition",
-    "TransitionTable",
     "UNKNOWN",
-    "UNKNOWN_SYMBOL",
-    "artifact_path",
     "compile_automaton",
-    "compile_table",
-    "load_table",
-    "save_table",
-    "table_path",
+    "decode_table",
+    "encode_table",
     "fingerprint_encoded",
     "fingerprint_process",
     "frontier_key",
-    "load_artifact",
-    "save_artifact",
+    "load_table",
+    "save_table",
+    "table_path",
     "term_digest",
     "warm_checker",
 ]

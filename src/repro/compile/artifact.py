@@ -1,161 +1,27 @@
-"""Versioned on-disk persistence of purpose automata.
+"""The automaton artifact cache: one RPTB file per purpose and fingerprint.
 
-An artifact is one JSON file per ``(purpose, fingerprint)`` pair:
-
-.. code-block:: text
-
-    {
-      "format": "repro-purpose-automaton",
-      "version": 1,
-      "fingerprint": "<sha256 of process + hierarchy + options>",
-      "purpose": "...",
-      "automaton": { ... PurposeAutomaton.to_document() ... },
-      "eof": true
-    }
-
-``eof`` is written last, so a torn write that happens to parse as JSON
-is still detectably truncated.  Writes are atomic (temp file +
-``os.replace``, the PR-2 crash-safety convention): a crash mid-save
-leaves the previous artifact intact.
-
-Loading is defensive by contract: *every* defect — missing file aside —
-raises :class:`~repro.errors.ArtifactError` with a machine-readable
-``reason``, and :class:`AutomatonCache` turns that into a
-``compile.artifact_invalid`` event plus a transparent recompile.  An
+:class:`AutomatonCache` maps ``(purpose, fingerprint)`` to its
+``.table.bin`` artifact (format: :mod:`repro.compile.table`).  Loading
+is defensive by contract: every defect — a missing file aside — is
+reported as a ``compile.artifact_invalid`` event plus an
+``automaton_artifacts_invalid_total{reason}`` increment and treated as
+a cache miss, so callers start a fresh automaton transparently.  An
 invalid artifact must never fail an audit.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import re
-import tempfile
 from pathlib import Path
 from typing import Optional
 
 from repro.compile.automaton import PurposeAutomaton
+from repro.compile.table import load_table, save_table, table_path
 from repro.errors import ArtifactError
 from repro.obs import ARTIFACT_INVALID, NULL_TELEMETRY, Telemetry
 
-FORMAT_NAME = "repro-purpose-automaton"
-
-#: Bump on any change to the artifact layout (the automaton document
-#: schema or this envelope).  Readers reject other versions.
-FORMAT_VERSION = 1
-
-
-def _slug(purpose: str) -> str:
-    """A filesystem-safe rendering of a purpose name."""
-    cleaned = re.sub(r"[^A-Za-z0-9._-]+", "-", purpose).strip("-")
-    return cleaned or "purpose"
-
-
-def artifact_path(directory: Path, purpose: str, fingerprint: str) -> Path:
-    """The canonical artifact location for ``(purpose, fingerprint)``."""
-    return directory / f"{_slug(purpose)}-{fingerprint[:16]}.automaton.json"
-
-
-def save_artifact(automaton: PurposeAutomaton, path: Path) -> Path:
-    """Atomically persist *automaton* at *path*; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    envelope = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "fingerprint": automaton.fingerprint,
-        "purpose": automaton.purpose,
-        "automaton": automaton.to_document(),
-        "eof": True,
-    }
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=str(path.parent)
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(envelope, handle, separators=(",", ":"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def load_artifact(
-    path: Path,
-    expected_fingerprint: Optional[str] = None,
-    telemetry: Telemetry | None = None,
-) -> PurposeAutomaton:
-    """Load and validate one artifact file.
-
-    Raises :class:`~repro.errors.ArtifactError` with ``reason`` one of
-    ``missing``, ``unreadable``, ``malformed``, ``truncated``,
-    ``format``, ``version``, ``fingerprint``, ``state_mismatch``.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ArtifactError(f"no artifact at {path}", reason="missing")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ArtifactError(
-            f"artifact {path} unreadable: {exc}", reason="unreadable"
-        ) from exc
-    try:
-        envelope = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(
-            f"artifact {path} is not valid JSON (truncated write?): {exc}",
-            reason="truncated",
-        ) from exc
-    if not isinstance(envelope, dict):
-        raise ArtifactError(
-            f"artifact {path} is not a JSON object", reason="malformed"
-        )
-    if envelope.get("format") != FORMAT_NAME:
-        raise ArtifactError(
-            f"artifact {path} has format {envelope.get('format')!r}, "
-            f"expected {FORMAT_NAME!r}",
-            reason="format",
-        )
-    if envelope.get("version") != FORMAT_VERSION:
-        raise ArtifactError(
-            f"artifact {path} has version {envelope.get('version')!r}, "
-            f"this reader supports {FORMAT_VERSION}",
-            reason="version",
-        )
-    if envelope.get("eof") is not True:
-        raise ArtifactError(
-            f"artifact {path} is missing its end-of-file marker "
-            "(truncated write?)",
-            reason="truncated",
-        )
-    fingerprint = envelope.get("fingerprint")
-    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-        raise ArtifactError(
-            f"artifact {path} was compiled for fingerprint "
-            f"{str(fingerprint)[:12]}…, the process now fingerprints to "
-            f"{expected_fingerprint[:12]}…",
-            reason="fingerprint",
-        )
-    document = envelope.get("automaton")
-    if not isinstance(document, dict):
-        raise ArtifactError(
-            f"artifact {path} carries no automaton document",
-            reason="malformed",
-        )
-    automaton = PurposeAutomaton.from_document(document, telemetry=telemetry)
-    if automaton.fingerprint != fingerprint:
-        raise ArtifactError(
-            f"artifact {path}: envelope and document fingerprints disagree",
-            reason="fingerprint",
-        )
-    return automaton
+#: The RPTB reader and writer under the names perfbench/wrappers.py times.
+load_artifact = load_table
+save_artifact = save_table
 
 
 class AutomatonCache:
@@ -175,11 +41,6 @@ class AutomatonCache:
         return self._directory
 
     def path_for(self, purpose: str, fingerprint: str) -> Path:
-        return artifact_path(self._directory, purpose, fingerprint)
-
-    def table_path_for(self, purpose: str, fingerprint: str) -> Path:
-        from repro.compile.table import table_path
-
         return table_path(self._directory, purpose, fingerprint)
 
     def load(
@@ -188,7 +49,7 @@ class AutomatonCache:
         """The cached automaton, or ``None`` (miss or invalid artifact)."""
         path = self.path_for(purpose, fingerprint)
         try:
-            return load_artifact(
+            return load_table(
                 path, expected_fingerprint=fingerprint, telemetry=self._tel
             )
         except ArtifactError as error:
@@ -197,33 +58,9 @@ class AutomatonCache:
             return None
 
     def save(self, automaton: PurposeAutomaton) -> Path:
-        return save_artifact(
+        return save_table(
             automaton,
             self.path_for(automaton.purpose, automaton.fingerprint),
-        )
-
-    def load_table(self, purpose: str, fingerprint: str):
-        """The cached dense table, or ``None`` (miss or invalid artifact).
-
-        Same contract as :meth:`load`: corruption — including a flipped
-        bit in the mmap'd cell region, caught by the checksum — is
-        reported and treated as a miss, never raised into an audit.
-        """
-        from repro.compile.table import load_table
-
-        path = self.table_path_for(purpose, fingerprint)
-        try:
-            return load_table(path, expected_fingerprint=fingerprint)
-        except ArtifactError as error:
-            if error.reason != "missing":
-                self.report_invalid(path, error)
-            return None
-
-    def save_table(self, table) -> Path:
-        from repro.compile.table import save_table
-
-        return save_table(
-            table, self.table_path_for(table.purpose, table.fingerprint)
         )
 
     def report_invalid(self, path: Path, error: ArtifactError) -> None:

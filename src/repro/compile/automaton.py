@@ -1,4 +1,4 @@
-"""The purpose automaton: lazy subset construction over observable labels.
+"""The purpose automaton: lazy subset construction into a dense table.
 
 Algorithm 1's frontier-set replay *is* a subset construction: each step
 maps a deduplicated set of ``(state, active)`` configurations to the
@@ -12,30 +12,34 @@ drive the very same step whenever they agree on
   ``r . q`` WeakNext transitions match (line 10).
 
 So the automaton's alphabet is not raw log entries but canonical **entry
-keys** (:meth:`PurposeAutomaton.entry_key`), and its states are integer
+keys** (:meth:`EntryKeyer.key`), and its states are integer
 ids for frontiers, interned by content digest.  Order matters: the
 interpreted replay's step record (event ordering, frontier ordering)
 depends on configuration iteration order, and compiled replay promises
 bit-identical steps — so the state key preserves frontier order (see
 :func:`repro.compile.fingerprint.frontier_key`).
 
-States are built **lazily** through the existing
-:class:`~repro.core.weaknext.WeakNextEngine` on first demand and
-memoized forever; each transition stores the precomputed step summary
-(outcome, simulated events, target size) so a warm replay is a dict
-lookup per entry.  A ``max_states`` guard mirrors
-``FrontierExplosionError`` one level up — past it, replay falls back to
-the interpreted engine.
+Transitions live in one **dense table**: an ``int32`` cell array,
+``cells[sid * n_symbols + sym]``, whose columns are the interned entry
+keys and whose values index a pool of deduplicated :class:`Transition`
+records (target, outcome, simulated events, frontier size).  A warm
+replay step is two list/array indexings.  The table grows in place:
+an :data:`UNKNOWN` cell runs one WeakNext step through the existing
+:class:`~repro.core.weaknext.WeakNextEngine` and writes the cell, a new
+frontier appends a row, a key never seen before appends a column.  A
+``max_states`` guard mirrors ``FrontierExplosionError`` one level up —
+past it, replay falls back to the interpreted engine.
 
 Every state remembers its **witness path** (the entry-key sequence that
 discovered it), which is how a disk-loaded automaton re-materializes
-configurations on demand: no COWS terms are persisted, only digests.
+configurations on demand: no COWS terms are persisted, only digests
+(the artifact format is :mod:`repro.compile.table`).
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -61,6 +65,9 @@ from repro.policy.hierarchy import RoleHierarchy
 
 #: The transition target meaning "no configuration can simulate the entry".
 REJECTED_STATE = -1
+
+#: Cell value meaning "this transition has not been derived yet".
+UNKNOWN = -1
 
 #: The entry key of every failed entry (only ``sys.Err`` can simulate it).
 ERR_KEY = "e"
@@ -136,37 +143,24 @@ class Transition:
 
 
 class _State:
-    """One interned frontier (internal)."""
+    """One interned frontier's metadata (internal)."""
 
-    __slots__ = (
-        "sid",
-        "key",
-        "size",
-        "may_continue",
-        "active",
-        "path",
-        "transitions",
-        "configs",
-    )
+    __slots__ = ("key", "size", "may_continue", "active", "path", "configs")
 
     def __init__(
         self,
-        sid: int,
         key: str,
         size: int,
         may_continue: bool,
         active: tuple[tuple[tuple[str, str], ...], ...],
         path: tuple[str, ...],
-        transitions: Optional[dict[str, Transition]] = None,
         configs: Optional[tuple[Configuration, ...]] = None,
     ):
-        self.sid = sid
         self.key = key
         self.size = size
         self.may_continue = may_continue
         self.active = active  # sorted (role, task) pairs, per configuration
         self.path = path  # entry-key witness path from the initial state
-        self.transitions = transitions if transitions is not None else {}
         self.configs = configs
 
 
@@ -180,15 +174,20 @@ class PurposeAutomaton:
     The automaton is usable in three modes:
 
     * **bound** — a :class:`WeakNextEngine` plus initial configuration
-      are attached (:meth:`bind`); missing transitions are derived on
-      demand and memoized;
+      are attached (:meth:`bind`); unknown cells are derived on demand
+      and written in place;
     * **lazily bound** — an :attr:`engine source <set_engine_source>` is
       attached instead; the COWS backend is built only on the first
-      transition miss (this is how parallel workers avoid re-encoding
-      the BPMN when the shipped automaton already covers the trail);
-    * **pure disk** — neither; a transition miss raises
+      unknown cell (this is how parallel workers avoid re-encoding the
+      BPMN when the shipped automaton already covers the trail);
+    * **pure disk** — neither; an unknown cell raises
       :class:`~repro.errors.AutomatonUnavailableError` and the caller
       falls back to interpreted replay.
+
+    ``cells``, ``pool``, ``symbols`` and ``n_symbols`` are the dense
+    table, read directly by compiled replay; only this class writes
+    them.  Growth is single-threaded: every shard or worker owns its
+    automaton.
     """
 
     def __init__(
@@ -206,35 +205,33 @@ class PurposeAutomaton:
         self._max_states = max_states
         self._states: list[_State] = []
         self._by_key: dict[str, int] = {}
-        self._transition_count = 0
+        #: The column alphabet: interned entry keys, in column order.
+        self.symbols: list[str] = []
+        self.n_symbols = 0
+        self._symbol_ids: dict[str, int] = {}
+        #: ``(task, role) -> column`` — each pair is keyed at most once.
+        self._entry_symbols: dict[tuple[str, str], int] = {}
+        #: Row-major ``n_states x n_symbols`` pool indices or UNKNOWN.
+        self.cells = array("i")
+        #: The deduplicated transitions the cells index.
+        self.pool: list[Transition] = []
+        self._pool_index: dict[Transition, int] = {}
         self._engine: Optional[WeakNextEngine] = None
         self._engine_source: Optional[EngineSource] = None
         #: Monotonic edit counter; bumps on every new state or transition.
         #: Checkpointing compares it against the last persisted revision.
         self.revision = 0
-        #: ``memory`` for freshly built automata, ``disk`` after
-        #: :meth:`from_document` — the hit-counter tier label.
-        self.tier = "memory"
-        #: The attached dense transition table
-        #: (:class:`~repro.compile.table.TransitionTable`), or ``None``.
-        #: Replay consults it before the memoized transition dicts.
-        self.table = None
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._tel = tel
         self._m_states = tel.registry.counter(
             "automaton_states_total", "purpose-automaton states materialized"
         )
-        self._m_hits = tel.registry.counter(
-            "automaton_hits_total",
-            "compiled transitions served, by automaton tier",
-        )
         self._m_misses = tel.registry.counter(
             "automaton_misses_total",
-            "transition misses that required a WeakNext derivation",
+            "replay steps that found an UNKNOWN cell and derived it",
         )
         self._m_build = tel.registry.histogram(
             "automaton_build_seconds",
-            "wall time spent deriving missing automaton transitions",
+            "wall time spent deriving unknown automaton table cells",
         )
 
     # -- identity --------------------------------------------------------
@@ -255,15 +252,45 @@ class PurposeAutomaton:
         return self._max_states
 
     @property
-    def state_count(self) -> int:
+    def n_states(self) -> int:
         return len(self._states)
 
     @property
     def transition_count(self) -> int:
-        return self._transition_count
+        """Cells holding a derived transition (not UNKNOWN)."""
+        return len(self.cells) - self.cells.count(UNKNOWN)
 
-    def entry_key(self, entry: LogEntry) -> str:
-        return self._keyer.key(entry)
+    # -- the column alphabet ---------------------------------------------
+    def intern(self, key: str) -> int:
+        """The column of entry key *key*, appending one if it is new."""
+        sym = self._symbol_ids.get(key)
+        if sym is None:
+            sym = self.n_symbols
+            if sym:
+                old, cells = self.cells, array("i")
+                for row in range(0, len(old), sym):
+                    cells.extend(old[row:row + sym])
+                    cells.append(UNKNOWN)
+            else:
+                cells = array("i", [UNKNOWN]) * len(self._states)
+            self.cells = cells
+            self.symbols.append(key)
+            self._symbol_ids[key] = sym
+            self.n_symbols = sym + 1
+        return sym
+
+    def entry_symbol(self, task: str, role: str) -> int:
+        """The column a successful ``(task, role)`` entry drives.
+
+        The canonical key is built and hashed once per distinct pair;
+        later entries cost one tuple-keyed dict probe.
+        """
+        pair = (task, role)
+        sym = self._entry_symbols.get(pair)
+        if sym is None:
+            sym = self.intern(self._keyer.task_key(task, role))
+            self._entry_symbols[pair] = sym
+        return sym
 
     # -- binding to the COWS backend ------------------------------------
     def bind(self, engine: WeakNextEngine, initial: Configuration) -> None:
@@ -290,7 +317,7 @@ class PurposeAutomaton:
             self._intern((initial,), path=())
 
     def set_engine_source(self, source: Optional[EngineSource]) -> None:
-        """Attach a lazy engine factory (invoked on first transition miss)."""
+        """Attach a lazy engine factory (invoked on the first unknown cell)."""
         self._engine_source = source
 
     @property
@@ -335,20 +362,38 @@ class PurposeAutomaton:
                 states=len(self._states),
             )
         sid = len(self._states)
-        state = _State(
-            sid=sid,
-            key=key,
-            size=len(configs),
-            may_continue=any(conf.next for conf in configs),
-            active=tuple(tuple(sorted(conf.active)) for conf in configs),
-            path=path,
-            configs=configs,
+        self._states.append(
+            _State(
+                key=key,
+                size=len(configs),
+                may_continue=any(conf.next for conf in configs),
+                active=tuple(tuple(sorted(conf.active)) for conf in configs),
+                path=path,
+                configs=configs,
+            )
         )
-        self._states.append(state)
         self._by_key[key] = sid
+        self.cells.extend(array("i", [UNKNOWN]) * self.n_symbols)
         self.revision += 1
         self._m_states.inc()
         return sid
+
+    def _load(
+        self,
+        states: list[_State],
+        symbols: list[str],
+        pool: list[Transition],
+        cells: array,
+    ) -> None:
+        """Install a decoded table (the artifact reader's entry point)."""
+        self._states = states
+        self._by_key = {state.key: sid for sid, state in enumerate(states)}
+        self.symbols = symbols
+        self.n_symbols = len(symbols)
+        self._symbol_ids = {key: sym for sym, key in enumerate(symbols)}
+        self.pool = pool
+        self._pool_index = {t: index for index, t in enumerate(pool)}
+        self.cells = cells
 
     def initial(self) -> int:
         """The initial state id (0), materializing it if necessary."""
@@ -356,81 +401,43 @@ class PurposeAutomaton:
             self._require_engine()
         return 0
 
-    def states_digest(self, limit: Optional[int] = None) -> str:
-        """SHA-256 over the first *limit* state keys, in id order.
-
-        Two automata agreeing on this digest assign the same ids to the
-        same frontiers for those states — the alignment contract a
-        dense transition table's integer cells depend on.
-        """
-        states = self._states if limit is None else self._states[:limit]
-        hasher = hashlib.sha256()
-        for state in states:
-            hasher.update(state.key.encode("utf-8"))
-            hasher.update(b"\n")
-        return hasher.hexdigest()
-
-    def attach_table(self, table) -> None:
-        """Attach a dense table as this automaton's fastest replay tier.
-
-        The table must carry this automaton's fingerprint and hash to
-        the same states digest over its covered prefix — cells are raw
-        state ids, so any misalignment would silently corrupt verdicts.
-        Both defects raise :class:`~repro.errors.ArtifactError`.
-        """
-        if table.fingerprint != self._fingerprint:
-            raise ArtifactError(
-                f"table fingerprint {table.fingerprint[:12]}… does not "
-                f"match automaton {self._fingerprint[:12]}…",
-                reason="fingerprint",
-            )
-        if table.n_states > len(self._states) or (
-            table.states_digest != self.states_digest(table.n_states)
-        ):
-            raise ArtifactError(
-                f"table for {self._purpose!r} covers {table.n_states} "
-                "states that do not align with this automaton's",
-                reason="state_mismatch",
-            )
-        table.bind_keyer(self._keyer)
-        self.table = table
-
     # -- the compiled step function --------------------------------------
-    def lookup(self, sid: int, key: str) -> Optional[Transition]:
-        """The memoized transition, counting hit/miss telemetry."""
-        transition = self._states[sid].transitions.get(key)
-        if transition is None:
-            self._m_misses.inc()
-        else:
-            self._m_hits.inc(tier=self.tier)
-        return transition
-
     def extend(self, sid: int, key: str) -> Transition:
-        """Derive, memoize, and return the missing transition ``sid --key-->``.
+        """Derive the unknown cell ``sid --key-->`` and write it in place.
 
-        Raises :class:`~repro.errors.AutomatonUnavailableError` when no
-        engine is available and
-        :class:`~repro.errors.AutomatonExplosionError` when the target
-        frontier would exceed ``max_states`` — both of which compiled
-        replay turns into an interpreted fallback.
+        Counted as a miss (``automaton_misses_total``).  Raises
+        :class:`~repro.errors.AutomatonUnavailableError` when no engine
+        is available and :class:`~repro.errors.AutomatonExplosionError`
+        when the target frontier would exceed ``max_states`` — both of
+        which compiled replay turns into an interpreted fallback.
         """
+        self._m_misses.inc()
+        return self._derive(sid, key)
+
+    def _derive(self, sid: int, key: str) -> Transition:
         started = time.perf_counter()
         self._require_engine()
-        state = self._states[sid]
+        sym = self.intern(key)
         configs = self.materialize(sid)
         next_frontier, outcomes, events = self._apply(configs, key)
         if not next_frontier:
             transition = Transition(REJECTED_STATE, "rejected", (), 0)
         else:
-            target = self._intern(tuple(next_frontier), state.path + (key,))
+            target = self._intern(
+                tuple(next_frontier), self._states[sid].path + (key,)
+            )
             transition = Transition(
                 target,
                 _summarize_outcomes(outcomes),
                 tuple(events),
                 len(next_frontier),
             )
-        state.transitions[key] = transition
-        self._transition_count += 1
+        index = self._pool_index.get(transition)
+        if index is None:
+            index = len(self.pool)
+            self.pool.append(transition)
+            self._pool_index[transition] = index
+        self.cells[sid * self.n_symbols + sym] = index
         self.revision += 1
         self._m_build.observe(time.perf_counter() - started)
         return transition
@@ -522,106 +529,6 @@ class PurposeAutomaton:
             frozenset(pairs) for pairs in self._states[sid].active
         )
 
-    def configurations_of(self, sid: int) -> tuple[Configuration, ...]:
-        """Like :meth:`materialize` (may need the engine)."""
-        return self.materialize(sid)
-
-    def classify(self, sid: int) -> str:
-        """``may-continue`` or ``accepting`` (rejection has no state —
-        transitions to :data:`REJECTED_STATE` instead)."""
-        return "may-continue" if self._states[sid].may_continue else "accepting"
-
-    # -- persistence ------------------------------------------------------
-    def to_document(self) -> dict:
-        """A plain-JSON rendering (no COWS terms; witness paths instead)."""
-        return {
-            "purpose": self._purpose,
-            "fingerprint": self._fingerprint,
-            "roles": sorted(self._keyer.roles),
-            "hierarchy": self._keyer.hierarchy.to_parent_map(),
-            "max_states": self._max_states,
-            "states": [
-                {
-                    "key": state.key,
-                    "size": state.size,
-                    "may_continue": state.may_continue,
-                    "active": [
-                        [[role, task] for role, task in pairs]
-                        for pairs in state.active
-                    ],
-                    "path": list(state.path),
-                    "transitions": {
-                        key: {
-                            "to": t.target,
-                            "outcome": t.outcome,
-                            "events": list(t.events),
-                            "size": t.size,
-                        }
-                        for key, t in state.transitions.items()
-                    },
-                }
-                for state in self._states
-            ],
-        }
-
-    @classmethod
-    def from_document(
-        cls,
-        document: dict,
-        telemetry: Telemetry | None = None,
-        tier: str = "disk",
-    ) -> "PurposeAutomaton":
-        """Rebuild from :meth:`to_document` output.
-
-        Malformed documents raise :class:`~repro.errors.ArtifactError`
-        so loaders can recompile transparently.
-        """
-        try:
-            hierarchy = RoleHierarchy.from_parent_map(document["hierarchy"])
-            automaton = cls(
-                fingerprint=document["fingerprint"],
-                purpose=document["purpose"],
-                roles=document["roles"],
-                hierarchy=hierarchy,
-                max_states=int(document["max_states"]),
-                telemetry=telemetry,
-            )
-            automaton.tier = tier
-            for raw in document["states"]:
-                sid = len(automaton._states)
-                state = _State(
-                    sid=sid,
-                    key=raw["key"],
-                    size=int(raw["size"]),
-                    may_continue=bool(raw["may_continue"]),
-                    active=tuple(
-                        tuple((role, task) for role, task in pairs)
-                        for pairs in raw["active"]
-                    ),
-                    path=tuple(raw["path"]),
-                    transitions={
-                        key: Transition(
-                            target=int(t["to"]),
-                            outcome=t["outcome"],
-                            events=tuple(t["events"]),
-                            size=int(t["size"]),
-                        )
-                        for key, t in raw["transitions"].items()
-                    },
-                )
-                automaton._states.append(state)
-                automaton._by_key[state.key] = sid
-                automaton._transition_count += len(state.transitions)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ArtifactError(
-                f"malformed automaton document: {exc!r}", reason="malformed"
-            ) from exc
-        if not automaton._states:
-            raise ArtifactError(
-                "automaton document has no states", reason="malformed"
-            )
-        return automaton
-
 
 def compile_automaton(
     checker,
@@ -640,8 +547,8 @@ def compile_automaton(
     the initial state, leaving everything to lazy demand.
 
     If the alphabet closure exceeds *max_states*, the partially built
-    automaton is returned (it stays correct — missing transitions are
-    derived lazily at replay time).
+    automaton is returned (it stays correct — unknown cells are derived
+    lazily at replay time).
     """
     from repro.compile.fingerprint import fingerprint_encoded
 
@@ -678,15 +585,20 @@ def compile_automaton(
             }
             | {ERR_KEY}
         )
+        # Columns first, so the BFS below never relayouts the table.
+        columns = [automaton.intern(key) for key in alphabet]
         queue = [automaton.initial()]
         visited = {queue[0]}
         try:
             while queue:
                 sid = queue.pop()
-                for key in alphabet:
-                    transition = automaton._states[sid].transitions.get(key)
-                    if transition is None:
-                        transition = automaton.extend(sid, key)
+                for key, sym in zip(alphabet, columns):
+                    index = automaton.cells[sid * automaton.n_symbols + sym]
+                    transition = (
+                        automaton.pool[index]
+                        if index >= 0
+                        else automaton._derive(sid, key)
+                    )
                     target = transition.target
                     if target != REJECTED_STATE and target not in visited:
                         visited.add(target)
@@ -697,8 +609,10 @@ def compile_automaton(
         tel.events.emit(
             AUTOMATON_COMPILED,
             purpose=checker.purpose,
-            states=automaton.state_count,
+            states=automaton.n_states,
             transitions=automaton.transition_count,
+            symbols=automaton.n_symbols,
+            pool=len(automaton.pool),
             duration_s=round(time.perf_counter() - started, 6),
         )
     return automaton

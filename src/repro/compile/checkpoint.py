@@ -9,10 +9,10 @@ checkpoints the automaton *during* the audit, not only at the end.
 monotonic ``revision`` counter on every new state or transition, and
 ``maybe_save`` persists only when enough growth accumulated (or enough
 time passed) since the last checkpoint — so a warm automaton serving
-pure cache hits costs one integer comparison per case.  Each save is a
-full atomic artifact write (:func:`repro.compile.artifact.save_artifact`:
-temp file + ``os.replace``), so a crash mid-checkpoint leaves the
-previous checkpoint intact — the PR-2 resilience convention.
+pure table hits costs one integer comparison per case.  Each save is a
+full atomic RPTB rewrite (:func:`repro.compile.table.save_table`: temp
+file + fsync + ``os.replace``), so a crash mid-checkpoint leaves the
+previous checkpoint intact.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from repro.compile.artifact import save_artifact
 from repro.compile.automaton import PurposeAutomaton
+from repro.compile.table import save_table
 from repro.obs import AUTOMATON_CHECKPOINT, NULL_TELEMETRY, Telemetry
 
 
@@ -83,7 +83,7 @@ class CheckpointWriter:
                 return None
             if time.monotonic() - self._last_save < self._min_interval_s:
                 return None
-        path = save_artifact(self._automaton, self._path)
+        path = save_table(self._automaton, self._path)
         self._saved_revision = self._automaton.revision
         self._last_save = time.monotonic()
         self._m_checkpoints.inc()
@@ -91,7 +91,7 @@ class CheckpointWriter:
             self._tel.events.emit(
                 AUTOMATON_CHECKPOINT,
                 purpose=self._automaton.purpose,
-                states=self._automaton.state_count,
+                states=self._automaton.n_states,
                 transitions=self._automaton.transition_count,
                 path=str(path),
             )

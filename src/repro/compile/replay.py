@@ -5,23 +5,22 @@
 ``result`` / ``steps`` surface, same telemetry, same
 ``FrontierExplosionError`` contract — but a warm entry costs integer
 indexing instead of a frontier scan over COWS configurations.  Replay
-descends a three-tier ladder, cheapest first:
+descends a two-rung ladder, cheapest first:
 
-1. **dense table** (:mod:`repro.compile.table`, when attached) — the
-   entry's ``(task, role)`` pair resolves through the hash-once symbol
-   interner and two array indexings; unknown symbols or uncovered
-   cells fall through;
-2. **lazy DFA** — the automaton's memoized transition dicts, extending
-   through the WeakNext engine on a miss;
-3. **interpreted** — a full :class:`ComplianceSession`, entered only
-   when the automaton cannot serve the step at all.
+1. **dense table** — the entry's ``(task, role)`` pair resolves to a
+   column through the automaton's hash-once symbol interner, then one
+   cell read and one pool index; an UNKNOWN cell runs one WeakNext step
+   that writes the cell in place (:meth:`PurposeAutomaton.extend`);
+2. **interpreted** — a full :class:`ComplianceSession`, entered only
+   when the automaton cannot derive the step at all.
 
-Every step any tier records is bit-identical to the interpreted one
-(table cells and transition dicts both memoize the interpreted step
-function, see :mod:`repro.compile.automaton`), which the differential
-suites in ``tests/properties`` and ``tests/serve`` enforce.
+Every step the table records is bit-identical to the interpreted one
+(cells memoize the interpreted step function, see
+:mod:`repro.compile.automaton`), which the differential suites in
+``tests/properties`` and ``tests/serve`` enforce; the interpreted
+engine stays the oracle.
 
-When the automaton cannot serve a step — a transition miss on a
+When the automaton cannot derive a step — an unknown cell on a
 pure-disk automaton, or the ``max_states`` guard tripping — the session
 falls back transparently: it builds an interpreted session, re-feeds
 the entries seen so far (deterministic, so the replayed prefix is
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.audit.model import AuditTrail, LogEntry
-from repro.compile.automaton import REJECTED_STATE, PurposeAutomaton
+from repro.compile.automaton import ERR_KEY, REJECTED_STATE, PurposeAutomaton
 from repro.core.compliance import (
     REJECTED,
     ComplianceChecker,
@@ -93,7 +92,6 @@ class CompiledSession:
     ):
         self._automaton = automaton
         self._sid = automaton.initial()
-        self._table = automaton.table
         self._table_hits = 0
         self._max_frontier = max_frontier
         self._fallback = fallback
@@ -122,8 +120,8 @@ class CompiledSession:
         )
         self._m_table_hits = tel.registry.counter(
             "automaton_table_hits_total",
-            "replay steps served by the dense transition-table tier "
-            "(flushed in batches at verdict/fallback time)",
+            "replay steps served by a dense-table cell without a "
+            "derivation (flushed in batches at verdict/fallback time)",
         )
         # NullEventLogger.emit is a no-op; skipping the call (and its
         # kwargs build) per entry is behavior-preserving.
@@ -178,33 +176,27 @@ class CompiledSession:
             self._outcome_series(REJECTED).inc()
             return False
         started = time.perf_counter() if self._tel.enabled else 0.0
-        previous_size = self._automaton.state_size(self._sid)
+        automaton = self._automaton
+        previous_size = automaton.state_size(self._sid)
 
-        transition = None
-        table = self._table
-        if table is not None and self._sid < table.n_states:
-            # The dense tier: symbol id from the hash-once interner,
-            # then two array/list indexings — no string build, no dict
-            # probe.  UNKNOWN cells (or out-of-alphabet keys) fall
-            # through to the lazy-DFA tier below.
-            sym = (
-                table.err_symbol
-                if entry.failed
-                else table.entry_symbol(entry.task, entry.role)
-            )
-            if sym >= 0:
-                pooled = table.cells[self._sid * table.n_symbols + sym]
-                if pooled >= 0:
-                    transition = table.pool[pooled]
-                    self._table_hits += 1
-        if transition is None:
-            key = self._automaton.entry_key(entry)
-            transition = self._automaton.lookup(self._sid, key)
-            if transition is None:
-                try:
-                    transition = self._automaton.extend(self._sid, key)
-                except (AutomatonUnavailableError, AutomatonExplosionError):
-                    return self._fall_back(entry)
+        # One tuple-keyed probe for the column, then one cell read and
+        # one pool index — no entry key string is built per entry.
+        sym = (
+            automaton.intern(ERR_KEY)
+            if entry.failed
+            else automaton.entry_symbol(entry.task, entry.role)
+        )
+        pooled = automaton.cells[self._sid * automaton.n_symbols + sym]
+        if pooled >= 0:
+            transition = automaton.pool[pooled]
+            self._table_hits += 1
+        else:
+            try:
+                transition = automaton.extend(
+                    self._sid, automaton.symbols[sym]
+                )
+            except (AutomatonUnavailableError, AutomatonExplosionError):
+                return self._fall_back(entry)
 
         if transition.target == REJECTED_STATE:
             self._failed = (index, entry)

@@ -1,375 +1,114 @@
-"""Dense transition tables: the automaton flattened into integer arrays.
+"""The RPTB artifact: the purpose automaton's one on-disk format.
 
-The purpose automaton (:mod:`repro.compile.automaton`) memoizes replay
-as dict-of-dict transitions — one Python dict probe per entry, plus an
-:class:`~repro.compile.automaton.EntryKeyer` string build for every
-``(task, role)`` pair a case presents.  This module compiles that
-structure one step further, into the shape ROADMAP item 2 calls for:
+A purpose automaton (:mod:`repro.compile.automaton`) is a dense
+transition table plus per-state metadata, and this module persists
+exactly that, one file per ``(purpose, fingerprint)``:
 
-* a **dense ``state × symbol`` cell matrix** of ``int32`` pool indices
-  (``array('i')``; zero-copy over ``mmap`` when disk-loaded), where the
-  *symbols* are the automaton's interned entry keys and every cell
-  resolves to a shared :class:`~repro.compile.automaton.Transition`
-  carrying the full precomputed step record (target, outcome, simulated
-  events, frontier size) — so a warm replay step is two array/list
-  indexing operations and **zero hashing**;
-* a **symbol interner** mapping ``(task, role)`` pairs (and the error
-  key) straight to symbol ids, so the serve wire path hashes each
-  distinct pair exactly once per table lifetime instead of once per
-  entry;
-* a **may-continue bitset** over states (the accept/sink
-  classification, one bit per state) for batch post-processing without
-  touching per-state Python objects;
-* a **batch stepper** (:meth:`TransitionTable.step_batch`) advancing
-  many live cases through the same table per call — numpy-vectorized
-  when numpy is importable, plain ``array`` arithmetic otherwise;
-* a **versioned binary artifact** (magic ``RPTB`` + canonical-JSON
-  header + raw little-endian cell region) persisted next to the JSON
-  automaton artifact and loaded via ``mmap`` so warm start is O(1) in
-  table size.  The header carries a SHA-256 of the cell region: a
-  bit-flip anywhere in the mmap'd table is detected at load time and
-  rejected (:class:`~repro.errors.ArtifactError` ``reason="tamper"``),
-  never silently replayed.
+* magic ``RPTB``, a ``uint32`` format version and a ``uint32`` header
+  length, all little-endian;
+* a canonical-JSON header (sorted keys, space-padded to 4-byte
+  alignment): identity (``fingerprint``, ``purpose``, ``roles``,
+  ``hierarchy``, ``max_states``), the column alphabet (``symbols``),
+  the deduplicated transition ``pool``, and one record per state —
+  ``[key, size, may_continue, active, path]`` — so a loaded automaton
+  can re-materialize any frontier from its witness path;
+* the cell region: ``n_states x n_symbols`` little-endian ``int32``
+  pool indices (``-1`` for cells not derived yet).
 
-Cells the automaton had not memoized at compile time hold
-:data:`UNKNOWN` — replay falls through to the lazy-DFA tier (and from
-there to interpreted replay), so a table is *always* a sound prefix
-accelerator: it can only serve transitions the automaton derived, and
-anything else takes the slow path to the identical verdict.  The
-tier-differential suite (``tests/properties/test_compiled_equivalence``,
-``tests/serve/test_differential``) holds all three tiers byte-identical.
+The header records a SHA-256 of the cell region, so a flipped bit is
+rejected at load time (``reason="tamper"``), never replayed.  Writes
+are atomic (temp file + fsync + ``os.replace``), so a crash mid-save
+leaves the previous artifact intact.  Every defect raises
+:class:`~repro.errors.ArtifactError` with a machine-readable
+``reason``; :class:`~repro.compile.artifact.AutomatonCache` turns that
+into a ``compile.artifact_invalid`` event and a fresh automaton — an
+invalid artifact never fails an audit.
 
-State-id alignment is load-bearing: cell values are automaton state
-ids.  A table therefore binds only to an automaton whose first
-``n_states`` states hash to the same :meth:`states digest
-<repro.compile.automaton.PurposeAutomaton.states_digest>` recorded at
-compile time — a fingerprint-colliding but structurally different
-automaton is rejected (``reason="state_mismatch"``) before a single
-cell is trusted.
+:func:`decode_table` is the one validating reader: files go through it
+via :func:`load_table`, and parallel workers receive the encoded bytes
+(:func:`encode_table`) and decode them the same way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
+import re
 import sys
 import tempfile
 from array import array
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.compile.automaton import (
-    ERR_KEY,
     REJECTED_STATE,
-    EntryKeyer,
+    UNKNOWN,
     PurposeAutomaton,
     Transition,
+    _State,
+    compile_automaton,
 )
-from repro.errors import ArtifactError
+from repro.errors import ArtifactError, PolicyError
 from repro.policy.hierarchy import RoleHierarchy
-
-#: Cell value meaning "the automaton had not memoized this transition
-#: when the table was compiled" — replay consults the lazy tier.
-UNKNOWN = -1
-
-#: Symbol id meaning "this entry key is not in the interned alphabet".
-UNKNOWN_SYMBOL = -1
 
 #: The binary artifact's magic number (first four bytes on disk).
 TABLE_MAGIC = b"RPTB"
 
 #: Bump on any change to the binary layout or header schema.
 TABLE_FORMAT_NAME = "repro-transition-table"
-TABLE_FORMAT_VERSION = 1
+TABLE_FORMAT_VERSION = 2
 
 _HEADER_FIXED = 12  # magic(4) + version(4) + header_len(4), little-endian
 
-try:  # numpy accelerates step_batch; everything works without it
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is present in CI
-    _np = None
+#: Eager compilation now builds the table itself; the name stays because
+#: perfbench/wrappers.py times it.
+compile_table = compile_automaton
 
 
-def _cells_to_le_bytes(cells: array) -> bytes:
-    """The cell array as little-endian ``int32`` bytes (the disk order)."""
-    if sys.byteorder == "little":
-        return cells.tobytes()
-    swapped = array("i", cells)
-    swapped.byteswap()
-    return swapped.tobytes()
+def _slug(purpose: str) -> str:
+    """A filesystem-safe rendering of a purpose name."""
+    cleaned = re.sub(r"[^A-Za-z0-9._-]+", "-", purpose).strip("-")
+    return cleaned or "purpose"
 
 
-class TransitionTable:
-    """One purpose automaton's transitions as a dense integer matrix.
-
-    ``cells[sid * n_symbols + sym]`` is an index into :attr:`pool` (a
-    tuple of deduplicated :class:`Transition` records), or
-    :data:`UNKNOWN`.  Instances are immutable after construction and
-    safe to share across shard threads: the hot-path state (``cells``,
-    ``pool``, the symbol interner) is only ever read after build, and
-    the ``(task, role)`` cache is a dict whose entries are idempotent
-    to recompute, so a benign race re-derives the same value.
-    """
-
-    def __init__(
-        self,
-        fingerprint: str,
-        purpose: str,
-        symbols: Sequence[str],
-        pool: Sequence[Transition],
-        cells: "array | memoryview",
-        n_states: int,
-        states_digest: str,
-        may_continue_bits: bytes,
-        keyer: Optional[EntryKeyer] = None,
-        source: str = "memory",
-        _mmap: Optional[mmap.mmap] = None,
-    ):
-        self.fingerprint = fingerprint
-        self.purpose = purpose
-        self.symbols = tuple(symbols)
-        self.pool = tuple(pool)
-        self.cells = cells
-        self.n_states = n_states
-        self.n_symbols = len(self.symbols)
-        self.states_digest = states_digest
-        self.may_continue_bits = may_continue_bits
-        #: ``memory`` when compiled in-process, ``mmap`` when disk-loaded.
-        self.source = source
-        self._mmap = _mmap
-        self._symbol_ids = {key: i for i, key in enumerate(self.symbols)}
-        self.err_symbol = self._symbol_ids.get(ERR_KEY, UNKNOWN_SYMBOL)
-        self._keyer = keyer
-        #: ``(task, role) -> symbol id`` — the hash-once interning cache.
-        self._entry_symbols: dict[tuple[str, str], int] = {}
-        # Both cell backings (in-memory array, mmap memoryview cast on a
-        # little-endian platform) expose native int32 via the buffer
-        # protocol, so numpy can wrap them zero-copy for step_batch.
-        self._np_cells = None
-        if _np is not None and self.n_states * self.n_symbols:
-            self._np_cells = _np.frombuffer(cells, dtype=_np.int32)
-
-    # -- symbol interning --------------------------------------------------
-    def bind_keyer(self, keyer: EntryKeyer) -> None:
-        """Share the automaton's keyer (and its matched-role caches)."""
-        self._keyer = keyer
-
-    def symbol_id(self, key: str) -> int:
-        """The symbol id of a canonical entry key, or UNKNOWN_SYMBOL."""
-        return self._symbol_ids.get(key, UNKNOWN_SYMBOL)
-
-    def entry_symbol(self, task: str, role: str) -> int:
-        """Intern one ``(task, role)`` pair; hashes the key at most once.
-
-        Returns :data:`UNKNOWN_SYMBOL` (and caches the miss) when the
-        pair's canonical key is outside the compiled alphabet — replay
-        then takes the lazy tier, which can extend the automaton.
-        """
-        pair = (task, role)
-        sym = self._entry_symbols.get(pair)
-        if sym is None:
-            if self._keyer is None:
-                raise ArtifactError(
-                    f"transition table for {self.purpose!r} has no entry "
-                    "keyer bound",
-                    reason="malformed",
-                )
-            key = self._keyer.task_key(task, role)
-            sym = self._symbol_ids.get(key, UNKNOWN_SYMBOL)
-            self._entry_symbols[pair] = sym
-        return sym
-
-    # -- stepping ----------------------------------------------------------
-    def step(self, sid: int, sym: int) -> Optional[Transition]:
-        """The pooled transition for ``(sid, sym)``, or ``None`` (unknown)."""
-        if sym < 0 or sid < 0 or sid >= self.n_states:
-            return None
-        index = self.cells[sid * self.n_symbols + sym]
-        if index < 0:
-            return None
-        return self.pool[index]
-
-    def step_batch(
-        self, sids: Sequence[int], syms: Sequence[int]
-    ) -> list[Optional[Transition]]:
-        """Advance many cases at once: one pooled transition per pair.
-
-        Pairs whose state or symbol the table does not cover come back
-        as ``None`` (the caller routes those cases to the lazy tier).
-        Vectorized through numpy when available; the fallback is a
-        plain loop over the same arrays.
-        """
-        n_symbols = self.n_symbols
-        pool = self.pool
-        if self._np_cells is not None and len(sids) >= 8:
-            sid_arr = _np.asarray(sids, dtype=_np.int64)
-            sym_arr = _np.asarray(syms, dtype=_np.int64)
-            valid = (
-                (sym_arr >= 0)
-                & (sid_arr >= 0)
-                & (sid_arr < self.n_states)
-            )
-            flat = _np.where(valid, sid_arr * n_symbols + sym_arr, 0)
-            indices = _np.where(valid, self._np_cells[flat], UNKNOWN)
-            return [
-                pool[index] if index >= 0 else None
-                for index in indices.tolist()
-            ]
-        out: list[Optional[Transition]] = []
-        cells = self.cells
-        for sid, sym in zip(sids, syms):
-            if sym < 0 or sid < 0 or sid >= self.n_states:
-                out.append(None)
-                continue
-            index = cells[sid * n_symbols + sym]
-            out.append(pool[index] if index >= 0 else None)
-        return out
-
-    def state_may_continue(self, sid: int) -> bool:
-        """Bit *sid* of the accept/sink bitset."""
-        return bool(self.may_continue_bits[sid >> 3] & (1 << (sid & 7)))
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of cells holding a real transition (not UNKNOWN)."""
-        total = self.n_states * self.n_symbols
-        if total == 0:
-            return 0.0
-        known = sum(1 for value in self.cells if value >= 0)
-        return known / total
-
-    def close(self) -> None:
-        """Release the mmap (if any); the table is unusable afterwards."""
-        if self._mmap is not None:
-            if isinstance(self.cells, memoryview):
-                self.cells.release()
-            self._np_cells = None
-            self._mmap.close()
-            self._mmap = None
-
-
-def compile_table(
-    automaton: PurposeAutomaton, telemetry=None
-) -> TransitionTable:
-    """Flatten *automaton*'s memoized transitions into a dense table.
-
-    Pure data reshaping — no engine, no COWS terms: every transition the
-    automaton has derived so far becomes a cell; everything else is
-    :data:`UNKNOWN`.  The alphabet is the sorted set of entry keys any
-    state transitions on (eagerly compiled automata cover the canonical
-    alphabet; lazy ones cover what replay has seen).
-
-    With a :class:`~repro.obs.Telemetry` bundle, emits
-    ``automaton.table_compiled`` and records the table shape under
-    ``automaton_table_states``/``_symbols``/``_pool_size`` gauges.
-    """
-    import time as _time
-
-    started = _time.perf_counter()
-    states = automaton._states
-    alphabet = sorted({key for s in states for key in s.transitions})
-    symbol_ids = {key: i for i, key in enumerate(alphabet)}
-    n_states = len(states)
-    n_symbols = len(alphabet)
-    cells = array("i", [UNKNOWN]) * (n_states * n_symbols)
-    pool: list[Transition] = []
-    pool_index: dict[Transition, int] = {}
-    for state in states:
-        base = state.sid * n_symbols
-        for key, transition in state.transitions.items():
-            index = pool_index.get(transition)
-            if index is None:
-                index = len(pool)
-                pool.append(transition)
-                pool_index[transition] = index
-            cells[base + symbol_ids[key]] = index
-    bits = bytearray((n_states + 7) // 8)
-    for state in states:
-        if state.may_continue:
-            bits[state.sid >> 3] |= 1 << (state.sid & 7)
-    if telemetry is not None and telemetry.enabled:
-        duration = _time.perf_counter() - started
-        labels = {"purpose": automaton.purpose}
-        telemetry.registry.gauge(
-            "automaton_table_states",
-            "States covered by the dense transition table",
-        ).set(n_states, **labels)
-        telemetry.registry.gauge(
-            "automaton_table_symbols",
-            "Interned entry keys in the table alphabet",
-        ).set(n_symbols, **labels)
-        telemetry.registry.gauge(
-            "automaton_table_pool_size",
-            "Deduplicated transitions shared by table cells",
-        ).set(len(pool), **labels)
-        telemetry.events.emit(
-            "automaton.table_compiled",
-            purpose=automaton.purpose,
-            states=n_states,
-            symbols=n_symbols,
-            pool=len(pool),
-            duration_s=round(duration, 6),
-        )
-    return TransitionTable(
-        fingerprint=automaton.fingerprint,
-        purpose=automaton.purpose,
-        symbols=alphabet,
-        pool=pool,
-        cells=cells,
-        n_states=n_states,
-        states_digest=automaton.states_digest(n_states),
-        may_continue_bits=bytes(bits),
-        keyer=automaton.keyer,
-        source="memory",
-    )
-
-
-# -- persistence -------------------------------------------------------------
-
-
-def table_path(directory: Path, purpose: str, fingerprint: str) -> Path:
-    """The canonical table location for ``(purpose, fingerprint)``."""
-    from repro.compile.artifact import _slug
-
+def table_path(
+    directory: "str | Path", purpose: str, fingerprint: str
+) -> Path:
+    """The canonical artifact location for ``(purpose, fingerprint)``."""
     return Path(directory) / f"{_slug(purpose)}-{fingerprint[:16]}.table.bin"
 
 
-def save_table(table: TransitionTable, path: Path) -> Path:
-    """Atomically persist *table* at *path*; returns the path.
-
-    Layout: ``RPTB`` magic, ``uint32`` format version, ``uint32`` header
-    length, canonical-JSON header (space-padded to 4-byte alignment),
-    then the raw cell region as little-endian ``int32``.  The header
-    records a SHA-256 of the cell region, so loads detect any flipped
-    bit; ``eof`` is the last header field written, so a torn write is
-    detectably truncated even if it parses.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    cells_bytes = (
-        _cells_to_le_bytes(table.cells)
-        if isinstance(table.cells, array)
-        else bytes(table.cells)
-    )
-    keyer = table._keyer
+def encode_table(automaton: PurposeAutomaton) -> bytes:
+    """The RPTB bytes of *automaton* (see the module docstring)."""
+    cells = automaton.cells
+    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
+        cells = array("i", cells)
+        cells.byteswap()
+    cells_bytes = cells.tobytes()
+    keyer = automaton.keyer
     header = {
         "format": TABLE_FORMAT_NAME,
-        "fingerprint": table.fingerprint,
-        "purpose": table.purpose,
-        "n_states": table.n_states,
-        "n_symbols": table.n_symbols,
-        "symbols": list(table.symbols),
+        "fingerprint": automaton.fingerprint,
+        "purpose": automaton.purpose,
+        "roles": sorted(keyer.roles),
+        "hierarchy": keyer.hierarchy.to_parent_map(),
+        "max_states": automaton.max_states,
+        "symbols": list(automaton.symbols),
         "pool": [
-            [t.target, t.outcome, list(t.events), t.size] for t in table.pool
+            [t.target, t.outcome, list(t.events), t.size]
+            for t in automaton.pool
         ],
-        "states_digest": table.states_digest,
-        "may_continue": table.may_continue_bits.hex(),
-        "roles": sorted(keyer.roles) if keyer is not None else [],
-        "hierarchy": (
-            keyer.hierarchy.to_parent_map() if keyer is not None else {}
-        ),
+        "states": [
+            [
+                state.key,
+                state.size,
+                state.may_continue,
+                [[list(pair) for pair in pairs] for pairs in state.active],
+                list(state.path),
+            ]
+            for state in automaton._states
+        ],
         "byteorder": "little",
         "cells_bytes": len(cells_bytes),
         "table_sha256": hashlib.sha256(cells_bytes).hexdigest(),
@@ -378,18 +117,29 @@ def save_table(table: TransitionTable, path: Path) -> Path:
     header_bytes = json.dumps(
         header, separators=(",", ":"), sort_keys=True
     ).encode("utf-8")
-    pad = (-len(header_bytes)) % 4
-    header_bytes += b" " * pad
+    header_bytes += b" " * ((-len(header_bytes)) % 4)
+    return b"".join(
+        (
+            TABLE_MAGIC,
+            TABLE_FORMAT_VERSION.to_bytes(4, "little"),
+            len(header_bytes).to_bytes(4, "little"),
+            header_bytes,
+            cells_bytes,
+        )
+    )
+
+
+def save_table(automaton: PurposeAutomaton, path: "str | Path") -> Path:
+    """Atomically persist *automaton* at *path*; returns the path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    data = encode_table(automaton)
     fd, tmp_name = tempfile.mkstemp(
         prefix=path.name + ".", suffix=".tmp", dir=str(path.parent)
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(TABLE_MAGIC)
-            handle.write(TABLE_FORMAT_VERSION.to_bytes(4, "little"))
-            handle.write(len(header_bytes).to_bytes(4, "little"))
-            handle.write(header_bytes)
-            handle.write(cells_bytes)
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -403,88 +153,84 @@ def save_table(table: TransitionTable, path: Path) -> Path:
 
 
 def load_table(
-    path: Path, expected_fingerprint: Optional[str] = None
-) -> TransitionTable:
-    """mmap-load and validate one binary table artifact.
+    path: "str | Path",
+    expected_fingerprint: Optional[str] = None,
+    telemetry=None,
+) -> PurposeAutomaton:
+    """Read and validate one artifact file (see :func:`decode_table`).
 
-    O(1) in table size apart from the tamper checksum (one linear
-    SHA-256 pass over the cell region, no parsing, no object building).
-    Raises :class:`~repro.errors.ArtifactError` with ``reason`` one of
-    ``missing``, ``unreadable``, ``format``, ``version``, ``truncated``,
-    ``malformed``, ``fingerprint``, ``tamper``.
+    Adds the file-level reasons ``missing`` and ``unreadable``.
     """
     path = Path(path)
     try:
-        handle = open(path, "rb")
+        data = path.read_bytes()
     except FileNotFoundError:
         raise ArtifactError(f"no table artifact at {path}", reason="missing")
     except OSError as exc:
         raise ArtifactError(
             f"table artifact {path} unreadable: {exc}", reason="unreadable"
         ) from exc
-    try:
-        try:
-            mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError) as exc:  # empty or unmappable file
-            raise ArtifactError(
-                f"table artifact {path} is empty or unmappable: {exc}",
-                reason="truncated",
-            ) from exc
-    finally:
-        handle.close()
-    try:
-        return _decode_table(mm, path, expected_fingerprint)
-    except BaseException:
-        mm.close()
-        raise
+    return decode_table(
+        data, expected_fingerprint, telemetry, source=str(path)
+    )
 
 
-def _decode_table(
-    mm: mmap.mmap, path: Path, expected_fingerprint: Optional[str]
-) -> TransitionTable:
-    if len(mm) < _HEADER_FIXED:
+def decode_table(
+    data: bytes,
+    expected_fingerprint: Optional[str] = None,
+    telemetry=None,
+    source: str = "<bytes>",
+) -> PurposeAutomaton:
+    """Validate RPTB *data* and rebuild the automaton it holds.
+
+    Raises :class:`~repro.errors.ArtifactError` with ``reason`` one of
+    ``format``, ``version``, ``truncated``, ``malformed``,
+    ``fingerprint``, ``tamper``.  The result has no engine bound; the
+    caller binds one (:meth:`PurposeAutomaton.bind`), which rejects a
+    fingerprint-preserving mismatch as ``state_mismatch``.
+    """
+    if len(data) < _HEADER_FIXED:
         raise ArtifactError(
-            f"table artifact {path} is shorter than its fixed header",
+            f"table artifact {source} is shorter than its fixed header",
             reason="truncated",
         )
-    if mm[:4] != TABLE_MAGIC:
+    if data[:4] != TABLE_MAGIC:
         raise ArtifactError(
-            f"table artifact {path} has magic {bytes(mm[:4])!r}, "
+            f"table artifact {source} has magic {bytes(data[:4])!r}, "
             f"expected {TABLE_MAGIC!r}",
             reason="format",
         )
-    version = int.from_bytes(mm[4:8], "little")
+    version = int.from_bytes(data[4:8], "little")
     if version != TABLE_FORMAT_VERSION:
         raise ArtifactError(
-            f"table artifact {path} has version {version}, this reader "
+            f"table artifact {source} has version {version}, this reader "
             f"supports {TABLE_FORMAT_VERSION}",
             reason="version",
         )
-    header_len = int.from_bytes(mm[8:12], "little")
-    cells_start = _HEADER_FIXED + header_len
-    if cells_start > len(mm):
+    cells_start = _HEADER_FIXED + int.from_bytes(data[8:12], "little")
+    if cells_start > len(data):
         raise ArtifactError(
-            f"table artifact {path} declares a {header_len}-byte header "
-            f"but holds {len(mm) - _HEADER_FIXED}",
+            f"table artifact {source} declares a header longer than "
+            "the file",
             reason="truncated",
         )
     try:
-        header = json.loads(mm[_HEADER_FIXED:cells_start].decode("utf-8"))
+        header = json.loads(data[_HEADER_FIXED:cells_start].decode("utf-8"))
         if not isinstance(header, dict):
             raise ValueError("header is not a JSON object")
     except (ValueError, UnicodeDecodeError) as exc:
         raise ArtifactError(
-            f"table artifact {path} header does not parse: {exc}",
+            f"table artifact {source} header does not parse: {exc}",
             reason="malformed",
         ) from exc
     if header.get("format") != TABLE_FORMAT_NAME:
         raise ArtifactError(
-            f"table artifact {path} has format {header.get('format')!r}",
+            f"table artifact {source} has format {header.get('format')!r}",
             reason="format",
         )
     if header.get("eof") is not True:
         raise ArtifactError(
-            f"table artifact {path} is missing its end-of-header marker",
+            f"table artifact {source} is missing its end-of-header marker",
             reason="truncated",
         )
     fingerprint = header.get("fingerprint")
@@ -493,81 +239,84 @@ def _decode_table(
         and fingerprint != expected_fingerprint
     ):
         raise ArtifactError(
-            f"table artifact {path} was compiled for fingerprint "
+            f"table artifact {source} was compiled for fingerprint "
             f"{str(fingerprint)[:12]}…, expected "
             f"{expected_fingerprint[:12]}…",
             reason="fingerprint",
         )
     try:
-        n_states = int(header["n_states"])
-        n_symbols = int(header["n_symbols"])
-        symbols = [str(s) for s in header["symbols"]]
-        pool = tuple(
+        symbols = [str(key) for key in header["symbols"]]
+        pool = [
             Transition(int(t), str(o), tuple(str(e) for e in ev), int(sz))
             for t, o, ev, sz in header["pool"]
-        )
-        states_digest = str(header["states_digest"])
-        may_continue = bytes.fromhex(header["may_continue"])
+        ]
+        states = [
+            _State(
+                key=str(key),
+                size=int(size),
+                may_continue=bool(may_continue),
+                active=tuple(
+                    tuple((str(role), str(task)) for role, task in pairs)
+                    for pairs in active
+                ),
+                path=tuple(str(step) for step in path),
+            )
+            for key, size, may_continue, active, path in header["states"]
+        ]
         cells_bytes = int(header["cells_bytes"])
         table_sha = str(header["table_sha256"])
-        roles = [str(r) for r in header["roles"]]
-        hierarchy = RoleHierarchy.from_parent_map(header["hierarchy"])
+        automaton = PurposeAutomaton(
+            fingerprint=str(fingerprint),
+            purpose=str(header["purpose"]),
+            roles=[str(role) for role in header["roles"]],
+            hierarchy=RoleHierarchy.from_parent_map(header["hierarchy"]),
+            max_states=int(header["max_states"]),
+            telemetry=telemetry,
+        )
         if header.get("byteorder") != "little":
             raise ValueError(f"byteorder {header.get('byteorder')!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (
+        KeyError, TypeError, ValueError, AttributeError, PolicyError
+    ) as exc:
         raise ArtifactError(
-            f"table artifact {path} header is malformed: {exc!r}",
+            f"table artifact {source} header is malformed: {exc!r}",
             reason="malformed",
         ) from exc
-    if len(symbols) != n_symbols or cells_bytes != n_states * n_symbols * 4:
+    n_states, n_symbols = len(states), len(symbols)
+    if cells_start + cells_bytes != len(data):
         raise ArtifactError(
-            f"table artifact {path} header is self-inconsistent",
-            reason="malformed",
-        )
-    if cells_start + cells_bytes != len(mm):
-        raise ArtifactError(
-            f"table artifact {path} holds {len(mm) - cells_start} cell "
+            f"table artifact {source} holds {len(data) - cells_start} cell "
             f"bytes, header declares {cells_bytes}",
             reason="truncated",
         )
-    region = memoryview(mm)[cells_start:]
+    region = data[cells_start:]
     if hashlib.sha256(region).hexdigest() != table_sha:
-        region.release()
         raise ArtifactError(
-            f"table artifact {path} cell region does not match its "
+            f"table artifact {source} cell region does not match its "
             "checksum (bit rot or tampering)",
             reason="tamper",
         )
-    out_of_range = n_states if n_states > 0 else 0
-    for t in pool:
-        if t.target >= out_of_range and t.target != REJECTED_STATE:
-            region.release()
-            raise ArtifactError(
-                f"table artifact {path} pool targets state {t.target} "
-                f"of {n_states}",
-                reason="malformed",
-            )
-    if sys.byteorder == "little" and array("i").itemsize == 4:
-        cells: "array | memoryview" = region.cast("i")
-        mm_ref: Optional[mmap.mmap] = mm
-    else:  # pragma: no cover - big-endian fallback copies
-        copied = array("i")
-        copied.frombytes(bytes(region))
-        copied.byteswap()
-        cells = copied
-        region.release()
-        mm.close()
-        mm_ref = None
-    return TransitionTable(
-        fingerprint=str(fingerprint),
-        purpose=str(header.get("purpose", "")),
-        symbols=symbols,
-        pool=pool,
-        cells=cells,
-        n_states=n_states,
-        states_digest=states_digest,
-        may_continue_bits=may_continue,
-        keyer=EntryKeyer(roles, hierarchy),
-        source="mmap",
-        _mmap=mm_ref,
-    )
+    known = set(symbols)
+    if (
+        not states
+        or cells_bytes != n_states * n_symbols * 4
+        or len(known) != n_symbols
+        or len({state.key for state in states}) != n_states
+        or any(not known.issuperset(state.path) for state in states)
+        or any(not REJECTED_STATE <= t.target < n_states for t in pool)
+    ):
+        raise ArtifactError(
+            f"table artifact {source} is self-inconsistent",
+            reason="malformed",
+        )
+    cells = array("i")
+    cells.frombytes(region)
+    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
+        cells.byteswap()
+    if cells and not UNKNOWN <= min(cells) <= max(cells) < len(pool):
+        raise ArtifactError(
+            f"table artifact {source} has a cell outside its pool",
+            reason="malformed",
+        )
+    automaton._load(states, symbols, pool, cells)
+    return automaton

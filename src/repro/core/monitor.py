@@ -101,7 +101,6 @@ class OnlineMonitor:
         compiled: "bool | None" = None,
         automaton_dir: "str | None" = None,
         automaton_max_states: int = 50_000,
-        table: bool = True,
         checker_wrapper=None,
     ):
         """``temporal`` maps purpose names to their temporal constraints;
@@ -110,12 +109,9 @@ class OnlineMonitor:
 
         ``compiled=True`` replays each case over a purpose automaton
         (``docs/compilation.md``), making the per-event cost of a warm
-        monitor an O(1) dict lookup; ``automaton_dir`` persists the
-        automata (implies ``compiled``) and :meth:`sweep` doubles as the
-        checkpoint tick.  ``table`` (the default) additionally attaches
-        a cached dense transition table when the automaton directory
-        holds one — the mmap-backed fastest tier; ``table=False`` pins
-        compiled replay to the lazy DFA.
+        monitor one dense-table cell read; ``automaton_dir`` persists
+        the automata (implies ``compiled``) and :meth:`sweep` doubles as
+        the checkpoint tick.
 
         ``checker_wrapper`` is the ``(checker, purpose) -> checker``
         middleware seam shared with the batch auditor — the hook
@@ -125,7 +121,6 @@ class OnlineMonitor:
         self._temporal = dict(temporal or {})
         self._compiled = compiled if compiled is not None else automaton_dir is not None
         self._automaton_max_states = automaton_max_states
-        self._table = table
         self._checker_wrapper = checker_wrapper
         self._checkpoints: list = []
         self._checkers: dict[str, ComplianceChecker] = {}
@@ -155,8 +150,8 @@ class OnlineMonitor:
         """Build and warm every registered purpose's checker up front.
 
         A monitor serving a live stream should pay checker setup —
-        encoding, the JSON automaton artifact parse, the table mmap —
-        at startup, not on the first entry of each purpose mid-stream.
+        encoding, the automaton artifact load — at startup, not on the
+        first entry of each purpose mid-stream.
         A purpose whose setup fails is skipped: the same failure
         reproduces at observe time, where per-case containment charges
         it to the case instead of the monitor.
@@ -184,7 +179,6 @@ class OnlineMonitor:
                     cache=self._automaton_cache,
                     max_states=self._automaton_max_states,
                     telemetry=self._tel,
-                    table=self._table,
                 )
                 if self._automaton_cache is not None:
                     self._checkpoints.append(

@@ -96,10 +96,10 @@ class _WorkerState:
         collect_stats: bool,
         case_timeout_s: Optional[float],
         checker_wrapper: Optional[CheckerWrapper],
-        automaton_documents: Optional[dict[str, dict]] = None,
+        automaton_artifacts: Optional[dict[str, bytes]] = None,
     ):
         self.documents = process_documents
-        self.automata = automaton_documents or {}
+        self.automata = automaton_artifacts or {}
         self.prefixes = dict(prefixes)
         self.hierarchy = (
             RoleHierarchy.from_parent_map(hierarchy_map)
@@ -121,7 +121,7 @@ class _WorkerState:
         process — are cached and re-raised per case instead of killing
         worker startup.
 
-        When the parent shipped a compiled automaton document for the
+        When the parent shipped a compiled automaton artifact for the
         purpose, the checker is a
         :class:`~repro.compile.replay.CompiledChecker` facade: the BPMN
         is *not* re-encoded here — the interpreted backend is built
@@ -143,24 +143,12 @@ class _WorkerState:
         return cached
 
     def _build_checker(self, purpose: str):
-        document = self.automata.get(purpose)
-        if document is not None:
+        artifact = self.automata.get(purpose)
+        if artifact is not None:
             try:
-                from repro.compile import (
-                    CompiledChecker,
-                    PurposeAutomaton,
-                    compile_table,
-                )
+                from repro.compile import CompiledChecker, decode_table
 
-                automaton = PurposeAutomaton.from_document(document)
-                try:
-                    # Flatten the shipped document into the dense tier:
-                    # pure data reshaping (no engine), and the table is
-                    # id-aligned by construction since it comes from
-                    # this very automaton.
-                    automaton.attach_table(compile_table(automaton))
-                except Exception:
-                    pass  # lazy tier still serves every covered trail
+                automaton = decode_table(artifact)
                 return CompiledChecker(
                     automaton,
                     checker_factory=lambda: self._build_interpreted(purpose),
@@ -415,18 +403,20 @@ def _compile_for_workers(
     automaton_dir: Optional[str],
     automaton_max_states: int,
     telemetry: Telemetry,
-) -> dict[str, dict]:
+) -> dict[str, bytes]:
     """Compile (or load) each purpose's automaton once, in the parent.
 
-    The result maps purpose -> plain automaton document, picklable into
-    worker initargs.  Every failure is contained per purpose: the BPMN
-    of a non-well-founded process used to fail lazily inside workers,
-    and still does — pre-compilation must not turn it into a batch-wide
-    startup crash.
+    The result maps purpose -> RPTB artifact bytes, picklable into
+    worker initargs and decoded there by the same validating reader
+    that loads artifact files.  Every failure is contained per purpose:
+    the BPMN of a non-well-founded process used to fail lazily inside
+    workers, and still does — pre-compilation must not turn it into a
+    batch-wide startup crash.
     """
     from repro.compile import (
         AutomatonCache,
         compile_automaton,
+        encode_table,
         fingerprint_encoded,
     )
 
@@ -435,7 +425,7 @@ def _compile_for_workers(
         if automaton_dir is not None
         else None
     )
-    shipped: dict[str, dict] = {}
+    shipped: dict[str, bytes] = {}
     for purpose in registry.purposes():
         try:
             encoded = registry.encoded_for(purpose)
@@ -458,7 +448,7 @@ def _compile_for_workers(
                 )
                 if cache is not None:
                     cache.save(automaton)
-            shipped[purpose] = automaton.to_document()
+            shipped[purpose] = encode_table(automaton)
         except Exception:
             continue
     return shipped
@@ -511,8 +501,8 @@ def audit_cases_parallel(
 
     ``compiled=True`` (or any ``automaton_dir``) pre-compiles each
     purpose's automaton **once in the parent** — loading it from the
-    artifact directory when a valid one exists — and ships the plain
-    document to every worker, so workers replay warm without
+    artifact directory when a valid one exists — and ships its artifact
+    bytes to every worker, so workers replay warm without
     re-encoding the BPMN or re-exploring WeakNext (see
     ``docs/compilation.md``).  A purpose whose compilation fails keeps
     the lazy per-case containment workers always had.
@@ -538,9 +528,9 @@ def audit_cases_parallel(
         if prefix is not None
     }
     hierarchy_map = hierarchy.to_parent_map() if hierarchy is not None else None
-    automaton_documents = None
+    automaton_artifacts = None
     if compiled or automaton_dir is not None:
-        automaton_documents = _compile_for_workers(
+        automaton_artifacts = _compile_for_workers(
             registry,
             hierarchy,
             max_silent_states,
@@ -556,7 +546,7 @@ def audit_cases_parallel(
         tel.enabled,
         case_timeout_s,
         checker_wrapper,
-        automaton_documents,
+        automaton_artifacts,
     )
     if workers <= 1 or len(jobs) <= 1:
         # Serial path: per-call state, so nothing leaks between audits.

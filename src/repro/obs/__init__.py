@@ -53,7 +53,6 @@ from repro.obs.log import (
     ARTIFACT_INVALID,
     AUTOMATON_CHECKPOINT,
     AUTOMATON_COMPILED,
-    AUTOMATON_TABLE_COMPILED,
     CASE_AUDITED,
     CASE_FAILED,
     CASE_QUARANTINED,
@@ -164,7 +163,6 @@ __all__ = [
     "ARTIFACT_INVALID",
     "AUTOMATON_CHECKPOINT",
     "AUTOMATON_COMPILED",
-    "AUTOMATON_TABLE_COMPILED",
     "CASE_AUDITED",
     "CASE_FAILED",
     "CASE_QUARANTINED",

@@ -30,13 +30,11 @@ event               emitted when
                     went to the dead-letter collection (fields: source,
                     position, reason)
 ``automaton.compiled``  a purpose automaton was (re)compiled (fields:
-                    purpose, states, transitions, duration_s)
+                    purpose, states, transitions, symbols, pool,
+                    duration_s)
 ``automaton.checkpoint``  newly materialized automaton states were
                     persisted mid-audit (fields: purpose, states,
                     transitions, path)
-``automaton.table_compiled``  an automaton was flattened into a dense
-                    transition table (fields: purpose, states, symbols,
-                    pool, duration_s)
 ``compile.artifact_invalid``  a persisted automaton artifact was
                     rejected (version/fingerprint mismatch, truncation)
                     and will be recompiled transparently (fields: path,
@@ -107,7 +105,6 @@ WORKER_LOST = "worker.lost"
 ENTRY_QUARANTINED = "entry.quarantined"
 AUTOMATON_COMPILED = "automaton.compiled"
 AUTOMATON_CHECKPOINT = "automaton.checkpoint"
-AUTOMATON_TABLE_COMPILED = "automaton.table_compiled"
 ARTIFACT_INVALID = "compile.artifact_invalid"
 LINT_RUN = "lint.run"
 PREFLIGHT_UNSOUND = "lint.preflight_unsound"
@@ -141,7 +138,6 @@ EVENT_VOCABULARY = frozenset(
         ENTRY_QUARANTINED,
         AUTOMATON_COMPILED,
         AUTOMATON_CHECKPOINT,
-        AUTOMATON_TABLE_COMPILED,
         ARTIFACT_INVALID,
         LINT_RUN,
         PREFLIGHT_UNSOUND,

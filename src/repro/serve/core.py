@@ -143,10 +143,6 @@ class ServeConfig:
     compiled: Optional[bool] = None
     automaton_dir: Optional[str] = None
     automaton_max_states: int = 50_000
-    # Dense transition-table replay tier (docs/compilation.md).  None
-    # follows ``compiled``; False pins replay to the lazy-DFA tier
-    # (the tier-differential suite exercises all three).
-    table: Optional[bool] = None
     # -- crash safety (docs/robustness.md) --
     wal_dir: Optional[str] = None  # per-shard write-ahead ingest logs
     wal_segment_max_bytes: int = 4 << 20
@@ -760,7 +756,7 @@ class ShardRouter:
             shard.start()
         for shard in self._shards.values():
             # Block until every monitor loaded its artifacts: the first
-            # streamed entry must hit warm state, never a JSON parse.
+            # streamed entry must hit warm state, never an artifact load.
             shard.warmed.wait(timeout=60)
         if self.config.store_path is not None:
             self._writer = _StoreWriter(self.config.store_path, self)
@@ -773,16 +769,6 @@ class ShardRouter:
         self._accepting = True
 
     def _new_monitor(self) -> OnlineMonitor:
-        table = self.config.table
-        if table is None:
-            # The table tier follows compiled serving, which is active
-            # whenever ``compiled`` is set *or* an automaton directory
-            # is configured (the same condition ``start`` warms under —
-            # the CLI's --automaton-dir implies compiled replay).
-            table = (
-                bool(self.config.compiled)
-                or self._automaton_dir_resolved is not None
-            )
         return OnlineMonitor(
             self._registry,
             hierarchy=self._hierarchy,
@@ -791,7 +777,6 @@ class ShardRouter:
             compiled=self.config.compiled,
             automaton_dir=self._automaton_dir_resolved,
             automaton_max_states=self.config.automaton_max_states,
-            table=table,
             checker_wrapper=self._checker_wrapper,
         )
 
@@ -801,22 +786,12 @@ class ShardRouter:
         A daemon serves its stream from warm state: the BFS over the
         canonical alphabet happens once here, at startup, so N shards
         all load the same fully-materialized artifact and per-entry
-        replay is a transition-table lookup — not a lazy WeakNext
-        exploration racing the live stream.
+        replay is a dense-table cell read — not a WeakNext exploration
+        racing the live stream.
         """
-        from repro.compile import (
-            AutomatonCache,
-            compile_automaton,
-            compile_table,
-        )
+        from repro.compile import AutomatonCache, compile_automaton
         from repro.core.compliance import ComplianceChecker
 
-        # Reached only when compiled serving is active (``start`` gates
-        # on compiled-or-automaton-dir), so an unset ``table`` means on;
-        # only an explicit ``table=False`` pins the lazy-DFA tier.
-        want_table = self.config.table
-        if want_table is None:
-            want_table = True
         cache = AutomatonCache(automaton_dir, telemetry=self._tel)
         for purpose in sorted(self._registry.purposes()):
             try:
@@ -831,12 +806,6 @@ class ShardRouter:
                     telemetry=self._tel,
                 )
                 cache.save(automaton)
-                if want_table:
-                    # Flatten once; every shard then mmaps the same
-                    # dense artifact through warm_checker.
-                    cache.save_table(
-                        compile_table(automaton, telemetry=self._tel)
-                    )
             except Exception:
                 # A purpose that defeats compilation (or Algorithm 1
                 # itself) is contained per case at observe time, exactly

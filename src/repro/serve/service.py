@@ -272,7 +272,17 @@ class AuditService:
         conn.pump_task = asyncio.create_task(conn.pump())
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Longer than the StreamReader limit.  The reader
+                    # dropped what it buffered, so the stream cannot be
+                    # resynchronised: answer, count, close.
+                    self._m_protocol_errors.inc()
+                    conn.send(
+                        {"event": EV_ERROR, "detail": "request line too long"}
+                    )
+                    break
                 if not line:
                     break
                 if not line.endswith(b"\n"):
@@ -524,21 +534,29 @@ class AuditService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await reader.readline()
             content_length = 0
-            while True:  # headers: only Content-Length matters to us
-                header = await reader.readline()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = header.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    try:
-                        content_length = int(value.strip())
-                    except ValueError:
-                        content_length = 0
-            parts = request.decode("latin-1").split()
+            try:
+                request = await reader.readline()
+                while True:  # headers: only Content-Length matters to us
+                    header = await reader.readline()
+                    if header in (b"\r\n", b"\n", b""):
+                        break
+                    name, _, value = header.decode("latin-1").partition(":")
+                    if name.strip().lower() == "content-length":
+                        try:
+                            content_length = int(value.strip())
+                        except ValueError:
+                            content_length = 0
+            except ValueError:  # a line longer than the StreamReader limit
+                self._m_protocol_errors.inc()
+                request = None
+            parts = request.decode("latin-1").split() if request else []
             extra = ""
-            if len(parts) < 2:
+            if request is None:
+                status, ctype = "400 Bad Request", self._JSON
+                body = b'{"error": "request line or header too long"}\n'
+                method = "GET"
+            elif len(parts) < 2:
                 status, ctype = "400 Bad Request", self._JSON
                 body = b'{"error": "malformed request line"}\n'
                 method = "GET"

@@ -371,59 +371,28 @@ def corrupt_store_row(store, seq: int, status: str = "not-a-status") -> None:
 
 
 def corrupt_artifact(path, mode: str = "truncate") -> None:
-    """Damage a saved purpose-automaton artifact in a chosen way.
+    """Damage a saved ``RPTB`` automaton artifact in a chosen way.
 
-    The artifact loader (:func:`repro.compile.load_artifact`) must treat
-    every corruption as a cache miss — log ``compile.artifact_invalid``
-    and recompile — never as an audit failure.  Modes:
+    The artifact reader (:func:`repro.compile.load_table`) must reject
+    every corruption with a reason, and the cache must treat it as a
+    miss — log ``compile.artifact_invalid`` and start a fresh automaton
+    — never as an audit failure.  Modes (and the reason each yields):
 
-    * ``truncate`` — cut the file mid-document (simulates a crash during
-      a non-atomic copy; the trailing ``"eof"`` marker is lost);
-    * ``garbage`` — overwrite with bytes that are not JSON at all;
-    * ``version`` — bump the envelope's format version past the reader's;
-    * ``fingerprint`` — rewrite the envelope fingerprint so it no longer
-      matches the process the auditor is about to replay;
-    * ``empty`` — leave a zero-byte file behind.
-
-    Binary transition tables (``*.table.bin``, loaded by
-    :func:`repro.compile.load_table`) take the same mode names plus
-    ``bitflip`` — flip one bit inside the mmap'd cell region, which the
-    loader must reject via its SHA-256 checksum (``reason="tamper"``).
-    ``version`` bumps the ``uint32`` after the ``RPTB`` magic;
-    ``fingerprint`` rewrites the header's fingerprint field in place
-    (same length, so the layout stays valid and only the identity check
-    fires).
+    * ``truncate`` — drop the tail of the cell region, as a crash during
+      a non-atomic copy would (``truncated``);
+    * ``garbage`` — overwrite with bytes that are no artifact at all
+      (``format``);
+    * ``empty`` — leave a zero-byte file behind (``truncated``);
+    * ``version`` — bump the ``uint32`` after the magic past the
+      reader's version (``version``);
+    * ``bitflip`` — flip one bit inside the cell region, caught by the
+      header's SHA-256 (``tamper``);
+    * ``fingerprint`` — rewrite the header's fingerprint in place, same
+      length, so only the identity check fires (``fingerprint``).
     """
-    import json
     from pathlib import Path
 
     target = Path(path)
-    if target.name.endswith(".table.bin"):
-        _corrupt_table(target, mode)
-        return
-    if mode == "truncate":
-        data = target.read_bytes()
-        target.write_bytes(data[: max(1, len(data) // 2)])
-    elif mode == "garbage":
-        target.write_bytes(b"\x00not json\xff")
-    elif mode == "empty":
-        target.write_bytes(b"")
-    elif mode in ("version", "fingerprint"):
-        envelope = json.loads(target.read_text(encoding="utf-8"))
-        if mode == "version":
-            envelope["version"] = envelope.get("version", 1) + 999
-        else:
-            flipped = "0" * 64
-            envelope["fingerprint"] = flipped
-            if isinstance(envelope.get("automaton"), dict):
-                envelope["automaton"]["fingerprint"] = flipped
-        target.write_text(json.dumps(envelope), encoding="utf-8")
-    else:
-        raise ValueError(f"unknown corruption mode: {mode!r}")
-
-
-def _corrupt_table(target, mode: str) -> None:
-    """Damage a binary ``RPTB`` transition-table artifact."""
     data = bytearray(target.read_bytes())
     header_end = 12
     if len(data) >= 12:
@@ -443,12 +412,12 @@ def _corrupt_table(target, mode: str) -> None:
     elif mode == "bitflip":
         if len(data) <= header_end:
             raise ValueError("table has no cell region to flip")
-        data[-1] ^= 0x40  # one bit, deep in the mmap'd cell region
+        data[-1] ^= 0x40  # one bit, deep in the cell region
         target.write_bytes(bytes(data))
     elif mode == "fingerprint":
-        import json as _json
+        import json
 
-        header = _json.loads(data[12:header_end].decode("utf-8"))
+        header = json.loads(data[12:header_end].decode("utf-8"))
         original = header["fingerprint"]
         replacement = ("0" if original[:1] != "0" else "1") * len(original)
         blob = bytes(data).replace(

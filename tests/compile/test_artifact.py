@@ -1,4 +1,4 @@
-"""Tests for artifact persistence, validation, and the cache directory."""
+"""Tests for the artifact cache and the RPTB bytes every reader shares."""
 
 import json
 
@@ -6,14 +6,17 @@ import pytest
 
 from repro.bpmn import encode
 from repro.compile import (
-    FORMAT_NAME,
-    FORMAT_VERSION,
+    TABLE_FORMAT_NAME,
+    TABLE_FORMAT_VERSION,
     AutomatonCache,
-    artifact_path,
     compile_automaton,
-    load_artifact,
-    save_artifact,
+    decode_table,
+    encode_table,
+    load_table,
+    save_table,
+    table_path,
 )
+from repro.compile.table import TABLE_MAGIC
 from repro.core import ComplianceChecker
 from repro.errors import ArtifactError
 from repro.obs import MetricsRegistry, Telemetry
@@ -30,8 +33,8 @@ def automaton():
 
 @pytest.fixture
 def saved(automaton, tmp_path):
-    path = artifact_path(tmp_path, automaton.purpose, automaton.fingerprint)
-    save_artifact(automaton, path)
+    path = table_path(tmp_path, automaton.purpose, automaton.fingerprint)
+    save_table(automaton, path)
     return path
 
 
@@ -41,45 +44,54 @@ def telemetry_with_log():
     return Telemetry.create(registry=registry, events=log.events), log, registry
 
 
+def header_of(data: bytes) -> dict:
+    length = int.from_bytes(data[8:12], "little")
+    return json.loads(data[12:12 + length])
+
+
 class TestSaveLoad:
     def test_round_trip(self, automaton, saved):
-        loaded = load_artifact(
-            saved, expected_fingerprint=automaton.fingerprint
-        )
-        assert loaded.tier == "disk"
-        assert loaded.state_count == automaton.state_count
+        loaded = load_table(saved, expected_fingerprint=automaton.fingerprint)
+        assert loaded.n_states == automaton.n_states
         assert loaded.transition_count == automaton.transition_count
 
-    def test_envelope_shape(self, saved):
-        envelope = json.loads(saved.read_text())
-        assert envelope["format"] == FORMAT_NAME
-        assert envelope["version"] == FORMAT_VERSION
-        assert list(envelope)[-1] == "eof" and envelope["eof"] is True
+    def test_envelope_shape(self, automaton, saved):
+        data = saved.read_bytes()
+        assert data[:4] == TABLE_MAGIC
+        assert int.from_bytes(data[4:8], "little") == TABLE_FORMAT_VERSION
+        header = header_of(data)
+        assert header["format"] == TABLE_FORMAT_NAME
+        assert header["eof"] is True
+        assert list(header) == sorted(header)  # canonical JSON
+        assert len(header["states"]) == automaton.n_states
+        key, size, may_continue, active, path = header["states"][0]
+        assert path == [] and size == 1 and may_continue is True
+        assert header["cells_bytes"] == len(automaton.cells) * 4
 
     def test_path_is_keyed_by_purpose_and_fingerprint(
         self, automaton, tmp_path
     ):
-        path = artifact_path(
-            tmp_path, automaton.purpose, automaton.fingerprint
-        )
+        cache = AutomatonCache(tmp_path)
+        path = cache.path_for(automaton.purpose, automaton.fingerprint)
         assert automaton.fingerprint[:16] in path.name
-        assert path.suffix == ".json"
+        assert path.suffix == ".bin"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArtifactError) as excinfo:
-            load_artifact(tmp_path / "nope.json")
+            load_table(tmp_path / "nope.table.bin")
         assert excinfo.value.reason == "missing"
 
 
 class TestCorruptionModes:
-    """Every corruption must be detected with the right reason — the
-    cache turns each into a transparent recompile, never a crash."""
+    """The bytes decoder parallel workers use rejects every corruption
+    with the same reason the file reader reports — the cache turns each
+    into a transparent recompile, never a crash."""
 
     @pytest.mark.parametrize(
         "mode,reason",
         [
             ("truncate", "truncated"),
-            ("garbage", "unreadable"),
+            ("garbage", "format"),
             ("empty", "truncated"),
             ("version", "version"),
             ("fingerprint", "fingerprint"),
@@ -88,15 +100,19 @@ class TestCorruptionModes:
     def test_detected_with_reason(self, automaton, saved, mode, reason):
         corrupt_artifact(saved, mode)
         with pytest.raises(ArtifactError) as excinfo:
-            load_artifact(saved, expected_fingerprint=automaton.fingerprint)
+            decode_table(
+                saved.read_bytes(), expected_fingerprint=automaton.fingerprint
+            )
         assert excinfo.value.reason == reason
 
-    def test_wrong_format_name(self, automaton, saved):
-        envelope = json.loads(saved.read_text())
-        envelope["format"] = "something-else"
-        saved.write_text(json.dumps(envelope))
+    def test_wrong_format_name(self, automaton):
+        data = encode_table(automaton)
+        length = int.from_bytes(data[8:12], "little")
+        header = data[12:12 + length].replace(
+            TABLE_FORMAT_NAME.encode(), b"x" * len(TABLE_FORMAT_NAME), 1
+        )
         with pytest.raises(ArtifactError) as excinfo:
-            load_artifact(saved)
+            decode_table(data[:12] + header + data[12 + length:])
         assert excinfo.value.reason == "format"
 
     def test_unknown_mode_rejected(self, saved):
@@ -111,7 +127,10 @@ class TestAutomatonCache:
         cache.save(automaton)
         loaded = cache.load(automaton.purpose, automaton.fingerprint)
         assert loaded is not None
-        assert loaded.state_count == automaton.state_count
+        assert loaded.n_states == automaton.n_states
+        assert [p.name for p in tmp_path.iterdir()] == [
+            cache.path_for(automaton.purpose, automaton.fingerprint).name
+        ]
 
     def test_invalid_artifact_is_a_miss_with_event(self, automaton, tmp_path):
         tel, log, registry = telemetry_with_log()

@@ -8,7 +8,7 @@ from repro.compile import (
     CheckpointWriter,
     PurposeAutomaton,
     fingerprint_encoded,
-    load_artifact,
+    load_table,
 )
 from repro.core import ComplianceChecker
 from repro.obs import MetricsRegistry, Telemetry
@@ -49,38 +49,38 @@ def grow(checker, n_tasks=4):
 class TestThresholds:
     def test_no_growth_is_always_a_noop(self, tmp_path):
         _, automaton = compiled_checker()
-        writer = CheckpointWriter(automaton, tmp_path / "a.json")
+        writer = CheckpointWriter(automaton, tmp_path / "a.table.bin")
         assert writer.pending_growth == 0
         assert writer.maybe_save() is None
         assert writer.maybe_save(force=True) is None
-        assert not (tmp_path / "a.json").exists()
+        assert not (tmp_path / "a.table.bin").exists()
 
     def test_growth_below_threshold_waits(self, tmp_path):
         checker, automaton = compiled_checker()
         writer = CheckpointWriter(
-            automaton, tmp_path / "a.json", min_growth=10_000
+            automaton, tmp_path / "a.table.bin", min_growth=10_000
         )
         grow(checker)
         assert writer.pending_growth > 0
         assert writer.maybe_save() is None
-        assert not (tmp_path / "a.json").exists()
+        assert not (tmp_path / "a.table.bin").exists()
 
     def test_force_flushes_any_growth(self, tmp_path):
         checker, automaton = compiled_checker()
         writer = CheckpointWriter(
-            automaton, tmp_path / "a.json", min_growth=10_000
+            automaton, tmp_path / "a.table.bin", min_growth=10_000
         )
         grow(checker)
         path = writer.maybe_save(force=True)
         assert path is not None
-        loaded = load_artifact(path, expected_fingerprint=automaton.fingerprint)
-        assert loaded.state_count == automaton.state_count
+        loaded = load_table(path, expected_fingerprint=automaton.fingerprint)
+        assert loaded.n_states == automaton.n_states
 
     def test_interval_rate_limits(self, tmp_path):
         checker, automaton = compiled_checker()
         writer = CheckpointWriter(
             automaton,
-            tmp_path / "a.json",
+            tmp_path / "a.table.bin",
             min_growth=1,
             min_interval_s=3600.0,
         )
@@ -90,7 +90,7 @@ class TestThresholds:
     def test_zero_interval_saves_on_growth(self, tmp_path):
         checker, automaton = compiled_checker()
         writer = CheckpointWriter(
-            automaton, tmp_path / "a.json", min_growth=1, min_interval_s=0.0
+            automaton, tmp_path / "a.table.bin", min_growth=1, min_interval_s=0.0
         )
         grow(checker)
         assert writer.maybe_save() is not None
@@ -99,22 +99,22 @@ class TestThresholds:
 class TestIncrementality:
     def test_second_checkpoint_extends_the_first(self, tmp_path):
         checker, automaton = compiled_checker()
-        writer = CheckpointWriter(automaton, tmp_path / "a.json")
+        writer = CheckpointWriter(automaton, tmp_path / "a.table.bin")
         grow(checker)
         first = writer.maybe_save(force=True)
-        first_states = load_artifact(first).state_count
+        first_states = load_table(first).n_states
         assert writer.pending_growth == 0
 
         # a violating trail reaches a new (rejection-adjacent) prefix
         assert not checker.check([entry("T1", 0), entry("T3", 1)]).compliant
         if writer.pending_growth > 0:
             second = writer.maybe_save(force=True)
-            assert load_artifact(second).state_count >= first_states
+            assert load_table(second).n_states >= first_states
 
     def test_close_is_force_flush(self, tmp_path):
         checker, automaton = compiled_checker()
         writer = CheckpointWriter(
-            automaton, tmp_path / "a.json", min_growth=10_000
+            automaton, tmp_path / "a.table.bin", min_growth=10_000
         )
         grow(checker)
         assert writer.close() is not None
@@ -128,11 +128,11 @@ class TestTelemetry:
         tel = Telemetry.create(registry=registry, events=log.events)
         checker, automaton = compiled_checker()
         writer = CheckpointWriter(
-            automaton, tmp_path / "a.json", telemetry=tel
+            automaton, tmp_path / "a.table.bin", telemetry=tel
         )
         grow(checker)
         writer.maybe_save(force=True)
         assert registry.counter("automaton_checkpoints_total").value() == 1.0
         events = log.named(AUTOMATON_CHECKPOINT)
         assert len(events) == 1
-        assert events[0]["states"] == automaton.state_count
+        assert events[0]["states"] == automaton.n_states

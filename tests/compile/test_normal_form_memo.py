@@ -2,23 +2,16 @@
 
 :func:`repro.cows.congruence.normalize` memoizes term -> canonical form
 for the life of the process, so what a build finds in the memo depends
-on what ran before it.  Compiled artifacts must not: the automaton
-documents and RPTB table bytes are the same whether every build starts
-from an empty memo or a warm one.  And a warm table-tier service never
-normalizes at all — its replay is array lookups, so serving a stream
-leaves the memo exactly as start-up left it.
+on what ran before it.  Compiled artifacts must not: the RPTB
+artifact bytes are the same whether every build starts from an empty
+memo or a warm one.  And a warm table-tier service never normalizes at
+all — its replay is array lookups, so serving a stream leaves the memo
+exactly as start-up left it.
 """
-
-import json
 
 import pytest
 
-from repro.compile import (
-    compile_automaton,
-    compile_table,
-    save_table,
-    table_path,
-)
+from repro.compile import compile_automaton, save_table, table_path
 from repro.core import ComplianceChecker
 from repro.cows import congruence
 from repro.obs import MetricsRegistry, Telemetry
@@ -59,7 +52,7 @@ PROCESSES = {
 
 
 def _build(name, directory, clear_memo):
-    """Every purpose's automaton document and table bytes."""
+    """Every purpose's artifact bytes."""
     registry, hierarchy = PROCESSES[name]()
     built = {}
     for purpose in sorted(registry.purposes()):
@@ -70,13 +63,9 @@ def _build(name, directory, clear_memo):
         )
         automaton = compile_automaton(checker)
         path = save_table(
-            compile_table(automaton),
-            table_path(directory, purpose, automaton.fingerprint),
+            automaton, table_path(directory, purpose, automaton.fingerprint)
         )
-        built[purpose] = (
-            json.dumps(automaton.to_document(), sort_keys=True),
-            path.read_bytes(),
-        )
+        built[purpose] = path.read_bytes()
     return built
 
 
@@ -86,8 +75,7 @@ def test_artifacts_do_not_depend_on_the_memo(name, tmp_path):
     warm = _build(name, tmp_path / "warm", clear_memo=False)
     assert cold.keys() == warm.keys() and cold
     for purpose in cold:
-        assert cold[purpose][0] == warm[purpose][0], purpose
-        assert cold[purpose][1] == warm[purpose][1], purpose
+        assert cold[purpose] == warm[purpose], purpose
 
 
 def test_warm_table_tier_serving_never_grows_the_memo(tmp_path):

@@ -3,7 +3,7 @@
 The satellite guarantee under test: with compiled replay enabled, the
 BPMN of each purpose is encoded **at most once per audit** — in the
 parent, during pre-compilation.  Workers warmed from the shipped
-automaton document never re-encode; the interpreted backend is built
+automaton artifact never re-encode; the interpreted backend is built
 lazily only when a case needs a transition the artifact does not cover.
 """
 
@@ -50,7 +50,7 @@ def encode_counter(monkeypatch):
     return calls
 
 
-def worker_state_for(registry, automaton_documents, hierarchy=None):
+def worker_state_for(registry, automaton_artifacts, hierarchy=None):
     from repro.bpmn.serialize import process_to_dict
 
     documents = {
@@ -71,7 +71,7 @@ def worker_state_for(registry, automaton_documents, hierarchy=None):
         False,
         None,
         None,
-        automaton_documents,
+        automaton_artifacts,
     )
 
 
@@ -87,7 +87,7 @@ class TestEncodeAtMostOncePerAudit:
 
     def test_warmed_workers_never_reencode(self, encode_counter):
         """Replaying the paper's full trail through a worker warmed from
-        the shipped documents adds zero encode calls."""
+        the shipped artifacts adds zero encode calls."""
         registry = process_registry()
         hierarchy = role_hierarchy()
         trail = paper_audit_trail()
@@ -149,7 +149,7 @@ class TestParallelCompiledVerdicts:
             hierarchy=hierarchy,
             automaton_dir=str(tmp_path),
         )
-        artifacts = sorted(tmp_path.glob("*.automaton.json"))
+        artifacts = sorted(tmp_path.glob("*.table.bin"))
         assert len(artifacts) == len(registry.purposes())
         second = audit_cases_parallel(
             registry,

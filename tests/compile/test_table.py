@@ -1,11 +1,11 @@
-"""Tests for the dense transition-table tier (:mod:`repro.compile.table`).
+"""Tests for the dense transition table and its RPTB artifact.
 
-The table is the fastest rung of the replay ladder — two array lookups
-per entry, zero hashing — and it earns that position only because these
-tests hold it to the exact behavior of the tiers beneath it: every cell
-serves the same :class:`Transition` the automaton memoized, every
-artifact round-trips bit-for-bit, and every corruption mode is rejected
-at load time with the right reason and degrades to lazy replay instead
+The table is the automaton's only transition store — two indexings per
+warm entry — and it earns that position only because these tests hold
+it to the exact behavior of the interpreted engine: every cell serves
+the same :class:`Transition` a fresh derivation would, every artifact
+round-trips bit-for-bit, and every corruption mode is rejected at load
+time with the right reason and degrades to a fresh automaton instead
 of failing an audit.
 """
 
@@ -14,13 +14,13 @@ import pytest
 from repro.bpmn import encode
 from repro.compile import (
     TABLE_FORMAT_VERSION,
-    UNKNOWN_SYMBOL,
+    UNKNOWN,
     AutomatonCache,
     CompiledChecker,
     PurposeAutomaton,
     compile_automaton,
-    compile_table,
-    fingerprint_encoded,
+    decode_table,
+    encode_table,
     load_table,
     save_table,
     table_path,
@@ -31,7 +31,7 @@ from repro.errors import ArtifactError
 from repro.obs import MetricsRegistry, Telemetry
 from repro.obs.log import (
     ARTIFACT_INVALID,
-    AUTOMATON_TABLE_COMPILED,
+    AUTOMATON_COMPILED,
     MemoryEventLog,
 )
 from repro.scenarios import hospital_day, role_hierarchy, sequential_process
@@ -45,14 +45,9 @@ def automaton():
 
 
 @pytest.fixture
-def table(automaton):
-    return compile_table(automaton)
-
-
-@pytest.fixture
-def saved(table, tmp_path):
-    path = table_path(tmp_path, table.purpose, table.fingerprint)
-    save_table(table, path)
+def saved(automaton, tmp_path):
+    path = table_path(tmp_path, automaton.purpose, automaton.fingerprint)
+    save_table(automaton, path)
     return path
 
 
@@ -62,109 +57,122 @@ def telemetry_with_log():
     return Telemetry.create(registry=registry, events=log.events), log, registry
 
 
+def fresh_twin(automaton):
+    """A growing automaton over the same process, engine bound."""
+    checker = ComplianceChecker(encode(sequential_process(3)))
+    fresh = PurposeAutomaton(
+        fingerprint=automaton.fingerprint,
+        purpose=automaton.purpose,
+        roles=automaton.keyer.roles,
+    )
+    checker.attach_automaton(fresh)
+    return fresh
+
+
 class TestCompile:
-    def test_shape_covers_the_automaton(self, automaton, table):
-        assert table.n_states == automaton.state_count
-        assert table.n_symbols == len(table.symbols)
-        assert len(table.cells) == table.n_states * table.n_symbols
-        assert table.source == "memory"
-        # Eagerly compiled automata memoize every canonical-alphabet
-        # transition, so the flattened table is fully covered.
-        assert table.coverage == 1.0
+    def test_shape_covers_the_automaton(self, automaton):
+        assert automaton.n_symbols == len(automaton.symbols)
+        assert len(automaton.cells) == (
+            automaton.n_states * automaton.n_symbols
+        )
+        # Eagerly compiled automata derive every canonical-alphabet
+        # cell, so the table is fully covered.
+        assert UNKNOWN not in automaton.cells
+        assert automaton.transition_count == len(automaton.cells)
 
-    def test_cells_agree_with_the_lazy_tier(self, automaton, table):
-        for sid in range(automaton.state_count):
-            for sym, key in enumerate(table.symbols):
-                assert table.step(sid, sym) == automaton.lookup(sid, key)
+    def test_cells_agree_with_the_lazy_tier(self, automaton):
+        """Every eagerly derived cell equals what a fresh, growing
+        automaton derives on demand for the same witness path."""
+        fresh = fresh_twin(automaton)
+        for sid in range(automaton.n_states):
+            path = automaton._states[sid].path
+            cursor = fresh.initial()
+            for key in path:
+                cursor = fresh.extend(cursor, key).target
+            for sym, key in enumerate(automaton.symbols):
+                eager = automaton.pool[
+                    automaton.cells[sid * automaton.n_symbols + sym]
+                ]
+                lazy = fresh.extend(cursor, key)
+                assert (lazy.outcome, lazy.events, lazy.size) == (
+                    eager.outcome, eager.events, eager.size
+                ), (sid, key)
+                assert (lazy.target < 0) == (eager.target < 0)
 
-    def test_pool_is_deduplicated(self, automaton, table):
-        assert len(table.pool) == len(set(table.pool))
-        assert len(table.pool) <= automaton.transition_count
+    def test_pool_is_deduplicated(self, automaton):
+        assert len(automaton.pool) == len(set(automaton.pool))
+        assert len(automaton.pool) <= automaton.transition_count
 
-    def test_may_continue_bitset(self, automaton, table):
-        for sid in range(automaton.state_count):
-            assert table.state_may_continue(sid) == (
-                automaton.state_may_continue(sid)
-            )
-
-    def test_step_rejects_out_of_range(self, table):
-        assert table.step(0, UNKNOWN_SYMBOL) is None
-        assert table.step(-1, 0) is None
-        assert table.step(table.n_states, 0) is None
-
-    def test_step_batch_matches_step(self, table):
-        sids, syms = [], []
-        for sid in range(-1, table.n_states + 1):
-            for sym in range(-1, table.n_symbols):
-                sids.append(sid)
-                syms.append(sym)
-        batched = table.step_batch(sids, syms)
-        assert len(batched) >= 8  # exercises the vectorized path
-        for sid, sym, got in zip(sids, syms, batched):
-            assert got == table.step(sid, sym), (sid, sym)
-        # The short-input path (plain loop) must agree too.
-        assert table.step_batch(sids[:3], syms[:3]) == batched[:3]
-
-    def test_entry_symbol_interns_each_pair_once(self, automaton, table):
-        state = automaton._states[0]
-        key = next(k for k in state.transitions if "\x1f" in k)
-        task = key.split("\x1f")[1]
+    def test_entry_symbol_interns_each_pair_once(self, automaton):
+        task = next(
+            key.split("\x1f")[1] for key in automaton.symbols if "\x1f" in key
+        )
         role = next(iter(automaton.keyer.roles))
-        first = table.entry_symbol(task, role)
-        assert table.entry_symbol(task, role) == first
-        assert table.entry_symbol("NoSuchTask", role) == UNKNOWN_SYMBOL
-        # Misses are cached as well — the negative result is interned.
-        assert ("NoSuchTask", role) in table._entry_symbols
+        first = automaton.entry_symbol(task, role)
+        assert automaton.entry_symbol(task, role) == first
+        assert automaton.symbols[first] == automaton.keyer.task_key(task, role)
+        # A pair outside the alphabet appends one UNKNOWN column and is
+        # interned like any other.
+        columns = automaton.n_symbols
+        alien = automaton.entry_symbol("NoSuchTask", role)
+        assert alien == columns and automaton.n_symbols == columns + 1
+        assert automaton.entry_symbol("NoSuchTask", role) == alien
+        assert ("NoSuchTask", role) in automaton._entry_symbols
+        assert len(automaton.cells) == automaton.n_states * (columns + 1)
+        assert all(
+            automaton.cells[sid * automaton.n_symbols + alien] == UNKNOWN
+            for sid in range(automaton.n_states)
+        )
 
-    def test_compile_emits_telemetry(self, automaton):
+    def test_compile_emits_telemetry(self):
         telemetry, log, registry = telemetry_with_log()
-        table = compile_table(automaton, telemetry=telemetry)
-        events = log.named(AUTOMATON_TABLE_COMPILED)
+        checker = ComplianceChecker(encode(sequential_process(3)))
+        automaton = compile_automaton(checker, telemetry=telemetry)
+        events = log.named(AUTOMATON_COMPILED)
         assert len(events) == 1
-        assert events[0]["states"] == table.n_states
-        assert events[0]["symbols"] == table.n_symbols
-        assert events[0]["pool"] == len(table.pool)
-        gauge = registry.gauge("automaton_table_states")
-        assert gauge.value(purpose=automaton.purpose) == table.n_states
+        assert events[0]["states"] == automaton.n_states
+        assert events[0]["symbols"] == automaton.n_symbols
+        assert events[0]["pool"] == len(automaton.pool)
+        counter = registry.counter("automaton_states_total")
+        assert counter.value() == automaton.n_states
 
 
 class TestRoundTrip:
-    def test_path_is_keyed_by_purpose_and_fingerprint(self, table, tmp_path):
-        path = table_path(tmp_path, table.purpose, table.fingerprint)
-        assert table.fingerprint[:16] in path.name
+    def test_path_is_keyed_by_purpose_and_fingerprint(self, automaton, tmp_path):
+        path = table_path(tmp_path, automaton.purpose, automaton.fingerprint)
+        assert automaton.fingerprint[:16] in path.name
         assert path.name.endswith(".table.bin")
 
-    def test_mmap_load_is_bit_identical(self, table, saved):
-        loaded = load_table(saved, expected_fingerprint=table.fingerprint)
-        try:
-            assert loaded.source == "mmap"
-            assert loaded.fingerprint == table.fingerprint
-            assert loaded.purpose == table.purpose
-            assert loaded.symbols == table.symbols
-            assert loaded.pool == table.pool
-            assert loaded.n_states == table.n_states
-            assert loaded.states_digest == table.states_digest
-            assert loaded.may_continue_bits == table.may_continue_bits
-            assert list(loaded.cells) == list(table.cells)
-        finally:
-            loaded.close()
+    def test_load_is_bit_identical(self, automaton, saved):
+        loaded = load_table(saved, expected_fingerprint=automaton.fingerprint)
+        assert loaded.fingerprint == automaton.fingerprint
+        assert loaded.purpose == automaton.purpose
+        assert loaded.symbols == automaton.symbols
+        assert loaded.pool == automaton.pool
+        assert list(loaded.cells) == list(automaton.cells)
+        assert loaded.transition_count == automaton.transition_count
+        for sid in range(automaton.n_states):
+            ours, theirs = automaton._states[sid], loaded._states[sid]
+            assert (theirs.key, theirs.size, theirs.may_continue) == (
+                ours.key, ours.size, ours.may_continue
+            )
+            assert (theirs.active, theirs.path) == (ours.active, ours.path)
+        assert encode_table(loaded) == saved.read_bytes()
 
     def test_loaded_table_keys_entries_without_the_automaton(
-        self, automaton, table, saved
+        self, automaton, saved
     ):
         """The artifact carries roles + hierarchy, so a loaded table can
-        intern ``(task, role)`` pairs before any automaton binds it."""
+        intern ``(task, role)`` pairs before any engine is bound."""
         loaded = load_table(saved)
-        try:
-            state = automaton._states[0]
-            key = next(k for k in state.transitions if "\x1f" in k)
-            task = key.split("\x1f")[1]
-            role = next(iter(automaton.keyer.roles))
-            assert loaded.entry_symbol(task, role) == table.entry_symbol(
-                task, role
-            )
-        finally:
-            loaded.close()
+        assert not loaded.bound
+        task = next(
+            key.split("\x1f")[1] for key in automaton.symbols if "\x1f" in key
+        )
+        role = next(iter(automaton.keyer.roles))
+        assert loaded.entry_symbol(task, role) == automaton.entry_symbol(
+            task, role
+        )
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArtifactError) as excinfo:
@@ -192,10 +200,10 @@ class TestCorruptionModes:
     ]
 
     @pytest.mark.parametrize("mode,reason", MODES)
-    def test_load_rejects_with_reason(self, table, saved, mode, reason):
+    def test_load_rejects_with_reason(self, automaton, saved, mode, reason):
         corrupt_artifact(saved, mode)
         with pytest.raises(ArtifactError) as excinfo:
-            load_table(saved, expected_fingerprint=table.fingerprint)
+            load_table(saved, expected_fingerprint=automaton.fingerprint)
         assert excinfo.value.reason == reason
 
     @pytest.mark.parametrize("mode,reason", MODES)
@@ -204,14 +212,8 @@ class TestCorruptionModes:
     ):
         telemetry, log, registry = telemetry_with_log()
         cache = AutomatonCache(tmp_path, telemetry=telemetry)
-        cache.save_table(compile_table(automaton))
-        corrupt_artifact(
-            cache.table_path_for(automaton.purpose, automaton.fingerprint),
-            mode,
-        )
-        assert cache.load_table(
-            automaton.purpose, automaton.fingerprint
-        ) is None
+        corrupt_artifact(cache.save(automaton), mode)
+        assert cache.load(automaton.purpose, automaton.fingerprint) is None
         events = log.named(ARTIFACT_INVALID)
         assert len(events) == 1
         assert events[0]["reason"] == reason
@@ -220,22 +222,16 @@ class TestCorruptionModes:
 
     @pytest.mark.parametrize("mode", [m for m, _ in MODES])
     def test_audit_survives_on_the_lazy_tier(self, mode, tmp_path):
-        """warm_checker with a rotten table: the automaton still attaches
-        and replay falls back to lazy-DFA with identical verdicts."""
+        """warm_checker with a rotten artifact: a fresh growing automaton
+        attaches instead and replay stays byte-identical."""
         workload = hospital_day(n_cases=4, violation_rate=0.3, seed=11)
         hierarchy = role_hierarchy()
         cache = AutomatonCache(tmp_path)
         donor = ComplianceChecker(workload.encoded, hierarchy=hierarchy)
-        automaton = compile_automaton(donor)
-        cache.save(automaton)
-        cache.save_table(compile_table(automaton))
-        corrupt_artifact(
-            cache.table_path_for(automaton.purpose, automaton.fingerprint),
-            mode,
-        )
+        corrupt_artifact(cache.save(compile_automaton(donor)), mode)
         checker = ComplianceChecker(workload.encoded, hierarchy=hierarchy)
         warmed = warm_checker(checker, cache=cache)
-        assert warmed.table is None  # the corrupt table was skipped
+        assert warmed.n_states == 1  # fresh: only the initial state
         interpreted = ComplianceChecker(workload.encoded, hierarchy=hierarchy)
         for case in workload.trail.cases():
             case_trail = workload.trail.for_case(case)
@@ -245,34 +241,78 @@ class TestCorruptionModes:
 
 
 class TestStateAlignment:
-    def test_attach_requires_matching_fingerprint(self, automaton, table):
-        other = ComplianceChecker(encode(sequential_process(4)))
-        stranger = compile_automaton(other)
-        with pytest.raises(ArtifactError) as excinfo:
-            stranger.attach_table(table)
-        assert excinfo.value.reason == "fingerprint"
+    """Cells index the pool and pool targets index the states: the
+    decoder checks both before a single cell is trusted."""
 
-    def test_attach_rejects_misaligned_states(self, automaton, table):
-        """Same fingerprint, different state numbering: a fresh lazy
-        automaton has only the initial state, so the table's id space
-        cannot be trusted against it."""
-        fresh = PurposeAutomaton(
-            fingerprint=automaton.fingerprint,
-            purpose=automaton.purpose,
-            roles=automaton.keyer.roles,
-        )
+    def test_out_of_range_cell_is_malformed(self, automaton):
+        """A cell indexing past the pool is rejected even when the
+        checksum was recomputed to match it."""
+        automaton.cells[0] = len(automaton.pool)
         with pytest.raises(ArtifactError) as excinfo:
-            fresh.attach_table(table)
-        assert excinfo.value.reason == "state_mismatch"
-
-    def test_attach_tolerates_automaton_growth(self, automaton, table):
-        """A table stays valid while the automaton grows beyond it: the
-        digest covers only the table's id prefix."""
-        automaton.attach_table(table)
-        assert automaton.table is table
+            decode_table(encode_table(automaton))
+        assert excinfo.value.reason == "malformed"
 
     def test_version_constant_guards_the_layout(self):
-        assert TABLE_FORMAT_VERSION == 1
+        assert TABLE_FORMAT_VERSION == 2
+
+
+class TestGrowth:
+    def test_growth_round_trip(self, tmp_path):
+        """A disk-loaded partial automaton grows a new state and a new
+        column, checkpoints, and reloads to replay byte-identically
+        with zero misses."""
+        workload = hospital_day(n_cases=8, violation_rate=0.5, seed=21)
+        hierarchy = role_hierarchy()
+
+        def factory():
+            return ComplianceChecker(workload.encoded, hierarchy=hierarchy)
+
+        cases = sorted(workload.trail.cases())
+        trails = {case: list(workload.trail.for_case(case)) for case in cases}
+        # Grow a partial automaton on the first case only, persist it.
+        seed_checker = factory()
+        partial = warm_checker(seed_checker)
+        seed_checker.check(trails[cases[0]])
+        path = save_table(
+            partial, table_path(tmp_path, partial.purpose, partial.fingerprint)
+        )
+        states, columns = partial.n_states, partial.n_symbols
+
+        # Reload it and extend it with everything else, plus an entry
+        # outside the alphabet (a new column).
+        from dataclasses import replace
+
+        alien = replace(trails[cases[1]][0], task="NotInAnyProcess")
+        trails[cases[1]] = [trails[cases[1]][0], alien]
+        grown = load_table(path, expected_fingerprint=partial.fingerprint)
+        grown_checker = factory()
+        grown_checker.attach_automaton(grown)
+        first = {
+            case: canonical_digest(grown_checker.check(trail))
+            for case, trail in trails.items()
+        }
+        assert grown.n_states > states and grown.n_symbols > columns
+        save_table(grown, path)
+
+        # The reload replays everything from the table alone.
+        registry = MetricsRegistry()
+        telemetry = Telemetry.create(registry=registry)
+        reloaded = load_table(
+            path, expected_fingerprint=partial.fingerprint, telemetry=telemetry
+        )
+        replay = CompiledChecker(reloaded, telemetry=telemetry)
+        interpreted = factory()
+        stepped = 0  # entries up to and including a case's failure
+        for case, trail in trails.items():
+            result = replay.check(trail)
+            assert canonical_digest(result) == first[case] == (
+                canonical_digest(interpreted.check(trail))
+            ), case
+            stepped += (
+                len(trail) if result.compliant else result.failed_index + 1
+            )
+        assert registry.counter("automaton_misses_total").value() == 0
+        assert registry.counter("automaton_table_hits_total").value() == stepped
 
 
 class TestReplayThroughTheTable:
@@ -285,18 +325,14 @@ class TestReplayThroughTheTable:
 
         automaton = compile_automaton(factory())
         saved = save_table(
-            compile_table(automaton),
+            automaton,
             table_path(tmp_path, automaton.purpose, automaton.fingerprint),
         )
         loaded = load_table(saved, expected_fingerprint=automaton.fingerprint)
-        automaton.attach_table(loaded)
-        compiled = CompiledChecker(automaton, checker_factory=factory)
+        compiled = CompiledChecker(loaded, checker_factory=factory)
         interpreted = factory()
-        try:
-            for case in workload.trail.cases():
-                case_trail = workload.trail.for_case(case)
-                assert canonical_digest(compiled.check(case_trail)) == (
-                    canonical_digest(interpreted.check(case_trail))
-                ), case
-        finally:
-            loaded.close()
+        for case in workload.trail.cases():
+            case_trail = workload.trail.for_case(case)
+            assert canonical_digest(compiled.check(case_trail)) == (
+                canonical_digest(interpreted.check(case_trail))
+            ), case

@@ -13,6 +13,7 @@ import pytest
 
 from repro.audit.store import AuditStore
 from repro.control import ControlPlane
+from repro.core.auditor import PurposeControlAuditor
 from repro.obs import MemoryEventLog, MetricsRegistry, Telemetry
 from repro.scenarios import (
     paper_audit_trail,
@@ -21,7 +22,12 @@ from repro.scenarios import (
 )
 from repro.serve import AuditStreamClient, ServeConfig
 from repro.serve.core import RequeueResult
-from repro.testing import FaultInjector, FaultPlan, reset_fault_counters
+from repro.testing import (
+    FaultInjector,
+    FaultPlan,
+    canonical_digest,
+    reset_fault_counters,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -63,6 +69,11 @@ class TestRequeue:
         plane = ControlPlane(router=handle.router, telemetry=telemetry)
         trail = list(paper_audit_trail())
         victim = trail[0].case
+        # The victim's own later entries wait until the requeue has
+        # replayed: landing first, they would let the replay run the
+        # case to completion, and the test would race its own stream.
+        others = [entry for entry in trail[1:] if entry.case != victim]
+        held_back = [entry for entry in trail[1:] if entry.case == victim]
 
         with AuditStreamClient(handle.host, handle.port) as client:
             client.recv_until("hello")
@@ -72,7 +83,7 @@ class TestRequeue:
                 handle.router.quarantined_cases().get(victim) is not None
             )
 
-            # Requeue while the rest of the stream pours in concurrently.
+            # Requeue while every other case pours in concurrently.
             pump_errors = []
 
             def pump():
@@ -81,7 +92,7 @@ class TestRequeue:
                         handle.host, handle.port
                     ) as second:
                         second.recv_until("hello")
-                        second.send_trail(trail[1:])
+                        second.send_trail(others)
                         second.sync()
                 except Exception as error:  # pragma: no cover
                     pump_errors.append(error)
@@ -92,6 +103,7 @@ class TestRequeue:
                 "POST", f"/api/v1/quarantine/{victim}/requeue", {}, None
             )
             pumper.join(timeout=30)
+            client.send_trail(held_back)
             client.sync()
             served = client.results()
 
@@ -101,9 +113,16 @@ class TestRequeue:
         # The injected fault fired once; the replay is clean, so the
         # case resumes as a live, compliant-so-far case.
         assert payload["state"] == "open"
-        assert payload["replayed_entries"] >= 1
+        assert payload["replayed_entries"] == 1
         assert victim not in handle.router.quarantined_cases()
         assert served[victim]["state"] in ("open", "completed")
+        # The resumed case then finishes exactly as a batch audit does.
+        batch = PurposeControlAuditor(
+            process_registry(), hierarchy=role_hierarchy()
+        ).audit(paper_audit_trail())
+        assert served[victim]["digest"] == canonical_digest(
+            batch.cases[victim].replay
+        )
         # Live ingest was never poisoned: the burst of violation cases
         # streamed during the requeue all carry verdicts.
         assert served["HT-10"]["state"] == "infringing"

@@ -6,7 +6,6 @@ from repro.obs.log import (
     ARTIFACT_INVALID,
     AUTOMATON_CHECKPOINT,
     AUTOMATON_COMPILED,
-    AUTOMATON_TABLE_COMPILED,
     CASE_AUDITED,
     CASE_FAILED,
     CASE_QUARANTINED,
@@ -47,7 +46,6 @@ class TestVocabulary:
             ARTIFACT_INVALID,
             AUTOMATON_CHECKPOINT,
             AUTOMATON_COMPILED,
-            AUTOMATON_TABLE_COMPILED,
             CASE_AUDITED,
             CASE_FAILED,
             CASE_QUARANTINED,

@@ -5,8 +5,9 @@ deduplicated step function; these tests pin the contract that doing so
 is invisible — same verdict, same failure point, same per-step records,
 same resumability — across the paper's appendix examples, both worked
 scenarios (healthcare and insurance), and randomized generator trails,
-in every automaton tier (fresh in-memory, document round-trip, and
-explosion-induced interpreted fallback).
+for every way a table comes to be (fresh and growing, eagerly compiled,
+decoded from its RPTB artifact) and for explosion-induced interpreted
+fallback.
 """
 
 from datetime import datetime, timedelta
@@ -20,6 +21,8 @@ from repro.compile import (
     CompiledChecker,
     PurposeAutomaton,
     compile_automaton,
+    decode_table,
+    encode_table,
     fingerprint_encoded,
 )
 from repro.core import ComplianceChecker
@@ -182,8 +185,7 @@ class TestDiskTier:
             donor = ComplianceChecker(
                 registry.encoded_for(purpose), hierarchy=hierarchy
             )
-            document = compile_automaton(donor).to_document()
-            loaded = PurposeAutomaton.from_document(document)
+            loaded = decode_table(encode_table(compile_automaton(donor)))
 
             def factory(purpose=purpose):
                 return ComplianceChecker(
@@ -261,36 +263,39 @@ class TestGuardParity:
 
 
 class TestTableTier:
-    """The dense-table tier against both tiers beneath it.
+    """Three table rungs against the interpreted oracle.
 
     Property: for arbitrary generated trails — including mid-case
     truncation and entries whose ``(task, role)`` pair is outside the
-    compiled alphabet — the table tier, the lazy-DFA tier, and
-    interpreted replay produce byte-identical canonical verdict digests.
+    compiled alphabet — a fresh growing table, an eagerly compiled
+    table, and a table decoded from its RPTB artifact produce canonical
+    verdict digests byte-identical to interpreted replay.
     """
 
     @staticmethod
-    def three_tiers(workload, hierarchy):
-        from repro.compile import compile_table
-
+    def rungs(workload, hierarchy):
         def factory():
             return ComplianceChecker(workload.encoded, hierarchy=hierarchy)
 
-        eager = compile_automaton(factory())
-        eager.attach_table(compile_table(eager))
-        table_checker = CompiledChecker(eager, checker_factory=factory)
-        lazy = ComplianceChecker(workload.encoded, hierarchy=hierarchy)
-        lazy.attach_automaton(
+        growing = factory()
+        growing.attach_automaton(
             PurposeAutomaton(
                 fingerprint=fingerprint_encoded(
                     workload.encoded, hierarchy=hierarchy
                 ),
-                purpose=lazy.purpose,
+                purpose=growing.purpose,
                 roles=workload.encoded.roles,
                 hierarchy=hierarchy,
             )
         )
-        return factory(), lazy, table_checker
+        eager = compile_automaton(factory())
+        decoded = decode_table(encode_table(eager))
+        return {
+            "interpreted": factory(),
+            "growing": growing,
+            "eager": CompiledChecker(eager, checker_factory=factory),
+            "decoded": CompiledChecker(decoded, checker_factory=factory),
+        }
 
     @given(
         n_cases=st.integers(min_value=1, max_value=4),
@@ -305,14 +310,12 @@ class TestTableTier:
     ):
         from dataclasses import replace
 
-        from repro.scenarios import hospital_day
         from repro.testing import canonical_digest
 
         workload = hospital_day(
             n_cases=n_cases, violation_rate=rate, seed=seed
         )
-        hierarchy = role_hierarchy()
-        interpreted, lazy, tabled = self.three_tiers(workload, hierarchy)
+        rungs = self.rungs(workload, role_hierarchy())
         for case in workload.trail.cases():
             entries = list(workload.trail.for_case(case))
             if cut < 1.0:
@@ -332,42 +335,7 @@ class TestTableTier:
                     ),
                 )
             digests = {
-                tier: canonical_digest(checker.check(entries))
-                for tier, checker in (
-                    ("interpreted", interpreted),
-                    ("lazy", lazy),
-                    ("table", tabled),
-                )
+                rung: canonical_digest(checker.check(entries))
+                for rung, checker in rungs.items()
             }
             assert len(set(digests.values())) == 1, (case, digests)
-
-    def test_mmap_loaded_table_is_the_same_tier(self, tmp_path):
-        """The property holds with the table mmap-loaded from disk, not
-        just freshly compiled — the artifact round-trip changes nothing."""
-        from repro.compile import compile_table, load_table, save_table, table_path
-        from repro.scenarios import hospital_day
-        from repro.testing import canonical_digest
-
-        workload = hospital_day(n_cases=5, violation_rate=0.5, seed=99)
-        hierarchy = role_hierarchy()
-
-        def factory():
-            return ComplianceChecker(workload.encoded, hierarchy=hierarchy)
-
-        eager = compile_automaton(factory())
-        path = save_table(
-            compile_table(eager),
-            table_path(tmp_path, eager.purpose, eager.fingerprint),
-        )
-        loaded = load_table(path, expected_fingerprint=eager.fingerprint)
-        eager.attach_table(loaded)
-        tabled = CompiledChecker(eager, checker_factory=factory)
-        interpreted = factory()
-        try:
-            for case in workload.trail.cases():
-                case_trail = workload.trail.for_case(case)
-                assert canonical_digest(tabled.check(case_trail)) == (
-                    canonical_digest(interpreted.check(case_trail))
-                ), case
-        finally:
-            loaded.close()

@@ -109,13 +109,10 @@ def batch_digests():
 
 
 #: The replay ladder as served configurations: ``compiled`` picks the
-#: automaton path at all, ``table`` pins the dense-table tier on or off
-#: (``None`` would follow ``compiled``; the matrix pins it explicitly so
-#: each rung is exercised regardless of defaults).
+#: dense-table path, which falls back to interpreted replay per case.
 TIERS = {
     "interpreted": dict(compiled=False),
-    "lazy-dfa": dict(compiled=True, table=False),
-    "table": dict(compiled=True, table=True),
+    "table": dict(compiled=True),
 }
 
 
@@ -193,9 +190,8 @@ class TestXesIngestion:
 
 class TestAutomatonDirImpliesTableTier:
     """The CLI passes ``automaton_dir`` without setting ``compiled`` —
-    an unset ``table`` must still resolve to the dense tier (the wiring
-    once resolved it off ``compiled`` alone, so ``repro serve
-    --automaton-dir`` silently served from the lazy DFA)."""
+    that alone must serve from the dense table (``repro serve
+    --automaton-dir`` once silently served from a slower tier)."""
 
     def test_table_tier_engages_from_automaton_dir_alone(self, tmp_path):
         from repro.obs import MetricsRegistry, Telemetry

@@ -309,7 +309,6 @@ class TestRecoverThroughTableTier:
             config=_config(
                 tmp_path,
                 compiled=True,
-                table=True,
                 automaton_dir=str(tmp_path / "automata"),
             ),
             telemetry=telemetry if telemetry is not None else NULL_TELEMETRY,
@@ -341,7 +340,7 @@ class TestRecoverThroughTableTier:
 
     def test_recovery_survives_a_corrupt_table_artifact(self, tmp_path):
         """A table that rots while the service is down must cost only
-        the fast tier: recovery completes on lazy replay, digests
+        its warm start: recovery regrows a fresh table, digests
         unchanged."""
         from pathlib import Path
 

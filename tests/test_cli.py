@@ -600,3 +600,75 @@ class TestValidateSilentCycles:
         assert "silent cycle: " in out
         assert "NOT WELL-FOUNDED" in out
         assert "Algorithm 1 inapplicable" in out
+
+
+class TestCompiledArtifacts:
+    """``repro compile`` and a cold ``repro audit`` leave one RPTB table
+    per purpose, and a warm audit then replays from it alone."""
+
+    ROLES = [
+        "--role", "GP:Physician",
+        "--role", "Cardiologist:Physician",
+        "--role", "Radiologist:Physician",
+    ]
+
+    def _audit(self, ht_json, ct_json, trail_xes, directory, metrics):
+        return main([
+            "audit",
+            "--process", f"HT:{ht_json}",
+            "--process", f"CT:{ct_json}",
+            "--trail", trail_xes,
+            *self.ROLES,
+            "--automaton-dir", str(directory),
+            "--metrics", str(metrics),
+        ])
+
+    def test_compile_writes_one_table_per_purpose(
+        self, ht_json, ct_json, tmp_path, capsys
+    ):
+        automata = tmp_path / "automata"
+        for _ in range(2):  # the rerun finds both up to date
+            # --table is accepted and ignored (every artifact is a table).
+            assert main([
+                "compile", "--process", f"HT:{ht_json}",
+                "--process", f"CT:{ct_json}", *self.ROLES,
+                "--automaton-dir", str(automata), "--table",
+            ]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("compiled ->") == 2
+        assert out.count("up to date") == 2
+        names = sorted(path.name for path in automata.iterdir())
+        assert len(names) == 2
+        assert all(name.endswith(".table.bin") for name in names)
+
+    def test_warm_audit_after_a_cold_one_never_misses(
+        self, ht_json, ct_json, trail_xes, tmp_path, capsys
+    ):
+        import json
+
+        automata = tmp_path / "automata"
+        cold_metrics = tmp_path / "cold.json"
+        warm_metrics = tmp_path / "warm.json"
+        assert self._audit(
+            ht_json, ct_json, trail_xes, automata, cold_metrics
+        ) == EXIT_INFRINGEMENT
+        names = sorted(path.name for path in automata.iterdir())
+        assert len(names) == 2
+        assert all(name.endswith(".table.bin") for name in names)
+        cold_out = capsys.readouterr().out
+        assert self._audit(
+            ht_json, ct_json, trail_xes, automata, warm_metrics
+        ) == EXIT_INFRINGEMENT
+        assert capsys.readouterr().out == cold_out
+
+        def total(path, name):
+            values = json.loads(path.read_text()).get(name, {}).get("values", [])
+            return sum(value["value"] for value in values)
+
+        # Every step the cold audit derived is a warm table hit.
+        assert total(cold_metrics, "automaton_misses_total") > 0
+        assert total(warm_metrics, "automaton_misses_total") == 0
+        assert total(warm_metrics, "automaton_table_hits_total") == (
+            total(cold_metrics, "automaton_table_hits_total")
+            + total(cold_metrics, "automaton_misses_total")
+        )

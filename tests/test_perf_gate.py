@@ -86,33 +86,6 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             gate.evaluate(broken, report)
 
-    def test_table_tier_slower_than_lazy_fails(self, gate, report):
-        # The dense table exists to be the fast tier; dropping >15%
-        # below lazy-DFA replay means the tier itself regressed.
-        current = dict(
-            report,
-            compiled_table={
-                "table_entries_per_s": 8_000.0,
-                "lazy_entries_per_s": 10_000.0,
-                "speedup_vs_lazy": 0.8,
-            },
-        )
-        ok, messages = gate.evaluate(current, report, threshold=0.15)
-        assert not ok
-        assert any("table tier" in m and "REGRESSION" in m for m in messages)
-
-    def test_table_tier_faster_than_lazy_passes(self, gate, report):
-        current = dict(
-            report,
-            compiled_table={
-                "table_entries_per_s": 12_000.0,
-                "lazy_entries_per_s": 10_000.0,
-                "speedup_vs_lazy": 1.2,
-            },
-        )
-        ok, _ = gate.evaluate(current, report, threshold=0.15)
-        assert ok
-
     def test_wal_tax_is_anchored_on_the_baseline(self, gate, report):
         # A fixed append cost looks relatively worse every time the
         # plain path speeds up; the gate must compare against the

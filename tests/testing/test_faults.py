@@ -205,7 +205,8 @@ class TestArtifactCorruptor:
         return set(auditor.audit(trail).infringing_cases)
 
     @pytest.mark.parametrize(
-        "mode", ["truncate", "garbage", "version", "fingerprint", "empty"]
+        "mode",
+        ["truncate", "garbage", "version", "fingerprint", "empty", "bitflip"],
     )
     def test_corrupted_artifact_never_fails_the_audit(self, tmp_path, mode):
         registry = self._registry()
@@ -219,7 +220,7 @@ class TestArtifactCorruptor:
             registry, automaton_dir=str(tmp_path)
         )
         assert self._flagged(first, trail) == baseline
-        artifacts = sorted(tmp_path.glob("*.automaton.json"))
+        artifacts = sorted(tmp_path.glob("*.table.bin"))
         assert len(artifacts) == 1
 
         corrupt_artifact(artifacts[0], mode)
@@ -233,11 +234,11 @@ class TestArtifactCorruptor:
         invalid = log.named(ARTIFACT_INVALID)
         assert len(invalid) == 1
         assert invalid[0]["reason"] in (
-            "truncated", "unreadable", "version", "fingerprint"
+            "truncated", "format", "version", "fingerprint", "tamper"
         )
 
         # the recompile healed the cache: a third run loads it cleanly
-        from repro.compile import load_artifact
+        from repro.compile import load_table
 
         third_log = MemoryEventLog()
         third = PurposeControlAuditor(
@@ -249,4 +250,4 @@ class TestArtifactCorruptor:
         )
         assert self._flagged(third, trail) == baseline
         assert third_log.named(ARTIFACT_INVALID) == []
-        load_artifact(sorted(tmp_path.glob("*.automaton.json"))[0])
+        load_table(sorted(tmp_path.glob("*.table.bin"))[0])
