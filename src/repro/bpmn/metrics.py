@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-import networkx as nx
-
 from repro.bpmn.model import ElementType, Process
 from repro.bpmn.validate import flow_graph
 
@@ -69,6 +67,8 @@ def measure(process: Process, max_cycles: int = MAX_CYCLES) -> ProcessMetrics:
     bound, flagged by ``cycles_capped``) so metrics never hang on
     cycle-dense graphs.
     """
+    import networkx as nx  # cycle enumeration; kept off the audit path
+
     graph = flow_graph(process)
     gateways = process.elements_of_type(
         ElementType.EXCLUSIVE_GATEWAY,
@@ -111,6 +111,8 @@ def measure(process: Process, max_cycles: int = MAX_CYCLES) -> ProcessMetrics:
 
 def _depth(process: Process, graph: "nx.DiGraph") -> int:
     """Longest acyclic path (in edges) from any start event."""
+    import networkx as nx
+
     condensed = nx.condensation(graph)
     member_of = condensed.graph["mapping"]
     weights: dict[int, int] = {

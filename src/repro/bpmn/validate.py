@@ -14,7 +14,7 @@ diagram describing the process").
 
 from __future__ import annotations
 
-import networkx as nx
+from collections import deque
 
 from repro.bpmn.model import Element, ElementType, Process
 from repro.errors import NotWellFoundedError, ProcessValidationError
@@ -202,25 +202,44 @@ def _inclusive_problems(process: Process) -> list[str]:
 
 
 def _reachability_problems(process: Process) -> list[str]:
-    graph = flow_graph(process)
-    reachable: set[str] = set()
-    for start in process.start_events:
-        reachable.add(start.element_id)
-        reachable.update(nx.descendants(graph, start.element_id))
+    successors: dict[str, list[str]] = {}
+    for source, target in _flow_edges(process):
+        successors.setdefault(source, []).append(target)
+    reachable = {start.element_id for start in process.start_events}
+    frontier = deque(reachable)
+    while frontier:
+        for target in successors.get(frontier.popleft(), ()):
+            if target not in reachable:
+                reachable.add(target)
+                frontier.append(target)
     unreachable = sorted(set(process.elements) - reachable)
     return [f"element {eid!r} is unreachable from any start event" for eid in unreachable]
 
 
+def _flow_edges(process: Process) -> dict[tuple[str, str], str]:
+    """Every ``(source, target)`` link of :func:`flow_graph` with its kind.
+
+    A pair joined by links of several kinds keeps the last one added,
+    as the graph's edge attribute does.
+    """
+    edges: dict[tuple[str, str], str] = {}
+    for flow in process.flows:
+        edges[flow.source, flow.target] = "sequence"
+    for error_flow in process.error_flows:
+        edges[error_flow.source, error_flow.target] = "error"
+    for thrower, catcher in process.message_links():
+        edges[thrower.element_id, catcher.element_id] = "message"
+    return edges
+
+
 def flow_graph(process: Process) -> "nx.DiGraph":
     """The directed graph of token movement: sequence, error and message links."""
+    import networkx as nx  # only cycle enumeration and metrics need it
+
     graph = nx.DiGraph()
     graph.add_nodes_from(process.elements)
-    for flow in process.flows:
-        graph.add_edge(flow.source, flow.target, kind="sequence")
-    for error_flow in process.error_flows:
-        graph.add_edge(error_flow.source, error_flow.target, kind="error")
-    for thrower, catcher in process.message_links():
-        graph.add_edge(thrower.element_id, catcher.element_id, kind="message")
+    for (source, target), kind in _flow_edges(process).items():
+        graph.add_edge(source, target, kind=kind)
     return graph
 
 
@@ -254,6 +273,10 @@ def non_well_founded_cycles(process: Process) -> list[list[str]]:
     tasks — the common case in loop-heavy processes, where full
     enumeration is exponential.
     """
+    if not _has_silent_cycle(process):
+        return []
+    import networkx as nx
+
     graph = flow_graph(process)
     silent = nx.DiGraph()
     silent.add_nodes_from(
@@ -275,6 +298,43 @@ def non_well_founded_cycles(process: Process) -> list[list[str]]:
         for cycle in nx.simple_cycles(silent.subgraph(component)):
             offending.append(list(cycle))
     return offending
+
+
+def _has_silent_cycle(process: Process) -> bool:
+    """Whether the silent subgraph has any cycle (self-loops included).
+
+    An iterative three-colour DFS: the quick answer for the common,
+    well-founded case, so enumerating the cycles (networkx) is only
+    paid for processes that have some.
+    """
+    silent: dict[str, list[str]] = {}
+    for (source, target), kind in _flow_edges(process).items():
+        if kind == "error" or any(
+            process.elements[eid].element_type is ElementType.TASK
+            for eid in (source, target)
+        ):
+            continue
+        silent.setdefault(source, []).append(target)
+    finished: set[str] = set()
+    for root in silent:
+        if root in finished:
+            continue
+        on_path = {root}
+        stack = [(root, iter(silent[root]))]
+        while stack:
+            node, successors = stack[-1]
+            for successor in successors:
+                if successor in on_path:
+                    return True
+                if successor not in finished:
+                    on_path.add(successor)
+                    stack.append((successor, iter(silent.get(successor, ()))))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(node)
+                finished.add(node)
+    return False
 
 
 def is_well_founded(process: Process) -> bool:

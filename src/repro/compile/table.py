@@ -4,8 +4,10 @@ A purpose automaton (:mod:`repro.compile.automaton`) is a dense
 transition table plus per-state metadata, and this module persists
 exactly that, one file per ``(purpose, fingerprint)``:
 
-* magic ``RPTB``, a ``uint32`` format version and a ``uint32`` header
-  length, all little-endian;
+* a fixed 52-byte prefix, little-endian: magic ``RPTB``, a ``uint32``
+  format version, a ``uint32`` header length, a ``uint64`` cell-region
+  length, and the SHA-256 of everything after the prefix (header and
+  cells);
 * a canonical-JSON header (sorted keys, space-padded to 4-byte
   alignment): identity (``fingerprint``, ``purpose``, ``roles``,
   ``hierarchy``, ``max_states``), the column alphabet (``symbols``),
@@ -15,10 +17,11 @@ exactly that, one file per ``(purpose, fingerprint)``:
 * the cell region: ``n_states x n_symbols`` little-endian ``int32``
   pool indices (``-1`` for cells not derived yet).
 
-The header records a SHA-256 of the cell region, so a flipped bit is
-rejected at load time (``reason="tamper"``), never replayed.  Writes
-are atomic (temp file + fsync + ``os.replace``), so a crash mid-save
-leaves the previous artifact intact.  Every defect raises
+The checksum is verified before the header is parsed, so a flipped
+byte anywhere after the prefix — a cell, a pool event string, a
+witness path — is rejected at load time (``reason="tamper"``), never
+replayed.  Writes are atomic (temp file + fsync + ``os.replace``), so
+a crash mid-save leaves the previous artifact intact.  Every defect raises
 :class:`~repro.errors.ArtifactError` with a machine-readable
 ``reason``; :class:`~repro.compile.artifact.AutomatonCache` turns that
 into a ``compile.artifact_invalid`` event and a fresh automaton — an
@@ -35,6 +38,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 import sys
 import tempfile
 from array import array
@@ -57,9 +61,11 @@ TABLE_MAGIC = b"RPTB"
 
 #: Bump on any change to the binary layout or header schema.
 TABLE_FORMAT_NAME = "repro-transition-table"
-TABLE_FORMAT_VERSION = 2
+TABLE_FORMAT_VERSION = 3
 
-_HEADER_FIXED = 12  # magic(4) + version(4) + header_len(4), little-endian
+#: The fixed prefix: magic, version, header length, cell-region length,
+#: SHA-256 of header + cells.
+TABLE_PREFIX = struct.Struct("<4sIIQ32s")
 
 #: Eager compilation now builds the table itself; the name stays because
 #: perfbench/wrappers.py times it.
@@ -110,23 +116,22 @@ def encode_table(automaton: PurposeAutomaton) -> bytes:
             for state in automaton._states
         ],
         "byteorder": "little",
-        "cells_bytes": len(cells_bytes),
-        "table_sha256": hashlib.sha256(cells_bytes).hexdigest(),
         "eof": True,
     }
     header_bytes = json.dumps(
         header, separators=(",", ":"), sort_keys=True
     ).encode("utf-8")
     header_bytes += b" " * ((-len(header_bytes)) % 4)
-    return b"".join(
-        (
-            TABLE_MAGIC,
-            TABLE_FORMAT_VERSION.to_bytes(4, "little"),
-            len(header_bytes).to_bytes(4, "little"),
-            header_bytes,
-            cells_bytes,
-        )
+    checksum = hashlib.sha256(header_bytes)
+    checksum.update(cells_bytes)
+    prefix = TABLE_PREFIX.pack(
+        TABLE_MAGIC,
+        TABLE_FORMAT_VERSION,
+        len(header_bytes),
+        len(cells_bytes),
+        checksum.digest(),
     )
+    return b"".join((prefix, header_bytes, cells_bytes))
 
 
 def save_table(automaton: PurposeAutomaton, path: "str | Path") -> Path:
@@ -189,7 +194,7 @@ def decode_table(
     caller binds one (:meth:`PurposeAutomaton.bind`), which rejects a
     fingerprint-preserving mismatch as ``state_mismatch``.
     """
-    if len(data) < _HEADER_FIXED:
+    if len(data) < 8:  # magic + version: what every RPTB version shares
         raise ArtifactError(
             f"table artifact {source} is shorter than its fixed header",
             reason="truncated",
@@ -207,15 +212,31 @@ def decode_table(
             f"supports {TABLE_FORMAT_VERSION}",
             reason="version",
         )
-    cells_start = _HEADER_FIXED + int.from_bytes(data[8:12], "little")
-    if cells_start > len(data):
+    if len(data) < TABLE_PREFIX.size:
         raise ArtifactError(
-            f"table artifact {source} declares a header longer than "
-            "the file",
+            f"table artifact {source} is shorter than its fixed header",
             reason="truncated",
         )
+    _, _, header_len, cells_bytes, checksum = TABLE_PREFIX.unpack_from(data)
+    cells_start = TABLE_PREFIX.size + header_len
+    if cells_start + cells_bytes != len(data):
+        raise ArtifactError(
+            f"table artifact {source} holds {len(data) - TABLE_PREFIX.size} "
+            f"bytes after its prefix, the prefix declares "
+            f"{header_len + cells_bytes}",
+            reason="truncated",
+        )
+    body = memoryview(data)[TABLE_PREFIX.size:]
+    if hashlib.sha256(body).digest() != checksum:
+        raise ArtifactError(
+            f"table artifact {source} does not match its checksum (bit "
+            "rot or tampering)",
+            reason="tamper",
+        )
     try:
-        header = json.loads(data[_HEADER_FIXED:cells_start].decode("utf-8"))
+        header = json.loads(
+            data[TABLE_PREFIX.size:cells_start].decode("utf-8")
+        )
         if not isinstance(header, dict):
             raise ValueError("header is not a JSON object")
     except (ValueError, UnicodeDecodeError) as exc:
@@ -263,8 +284,6 @@ def decode_table(
             )
             for key, size, may_continue, active, path in header["states"]
         ]
-        cells_bytes = int(header["cells_bytes"])
-        table_sha = str(header["table_sha256"])
         automaton = PurposeAutomaton(
             fingerprint=str(fingerprint),
             purpose=str(header["purpose"]),
@@ -283,19 +302,6 @@ def decode_table(
             reason="malformed",
         ) from exc
     n_states, n_symbols = len(states), len(symbols)
-    if cells_start + cells_bytes != len(data):
-        raise ArtifactError(
-            f"table artifact {source} holds {len(data) - cells_start} cell "
-            f"bytes, header declares {cells_bytes}",
-            reason="truncated",
-        )
-    region = data[cells_start:]
-    if hashlib.sha256(region).hexdigest() != table_sha:
-        raise ArtifactError(
-            f"table artifact {source} cell region does not match its "
-            "checksum (bit rot or tampering)",
-            reason="tamper",
-        )
     known = set(symbols)
     if (
         not states
@@ -310,7 +316,7 @@ def decode_table(
             reason="malformed",
         )
     cells = array("i")
-    cells.frombytes(region)
+    cells.frombytes(data[cells_start:])
     if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
         cells.byteswap()
     if cells and not UNKNOWN <= min(cells) <= max(cells) < len(pool):

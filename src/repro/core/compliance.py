@@ -52,9 +52,10 @@ ERROR_TRANSITION = "error"
 REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplayStep:
-    """The audit record of replaying one log entry."""
+    """The audit record of replaying one log entry (one per entry a
+    monitor retains, hence the slots)."""
 
     index: int
     entry: LogEntry

@@ -17,6 +17,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from repro.errors import PolicyError
@@ -29,6 +30,10 @@ EXECUTE = "execute"
 
 #: The wildcard subject of statements like ``[.]EPR`` — any data subject.
 ANY_SUBJECT = "*"
+
+#: Distinct object texts :meth:`ObjectRef.parse` remembers (least
+#: recently used evicted first).
+PARSE_MEMO_SIZE = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,21 +55,15 @@ class ObjectRef:
         if any(not part for part in self.path):
             raise PolicyError("object path components must be non-empty")
 
-    @classmethod
-    def parse(cls, text: str) -> "ObjectRef":
-        """Parse ``[Jane]EPR/Clinical``, ``[.]EPR``, ``[*]EPR`` or ``A/B``."""
-        subject: Optional[str] = None
-        rest = text.strip()
-        if rest.startswith("["):
-            end = rest.find("]")
-            if end < 0:
-                raise PolicyError(f"unterminated subject tag in {text!r}")
-            tag = rest[1:end].strip()
-            subject = ANY_SUBJECT if tag in (".", "*", "") else tag
-            rest = rest[end + 1 :]
-        if not rest:
-            raise PolicyError(f"object reference {text!r} has no path")
-        return cls(subject, tuple(part for part in rest.split("/") if part))
+    @staticmethod
+    def parse(text: str) -> "ObjectRef":
+        """Parse ``[Jane]EPR/Clinical``, ``[.]EPR``, ``[*]EPR`` or ``A/B``.
+
+        Equal texts share one instance (references are frozen), so the
+        wire decoder, the XES importer and store reads keep one copy of
+        each distinct object however many entries carry it.
+        """
+        return _parse_memo(text)
 
     def __str__(self) -> str:
         path = "/".join(self.path)
@@ -88,6 +87,27 @@ class ObjectRef:
 
     def with_subject(self, subject: str) -> "ObjectRef":
         return ObjectRef(subject, self.path)
+
+
+def _parse_object(text: str) -> ObjectRef:
+    """:meth:`ObjectRef.parse` without the memo."""
+    subject: Optional[str] = None
+    rest = text.strip()
+    if rest.startswith("["):
+        end = rest.find("]")
+        if end < 0:
+            raise PolicyError(f"unterminated subject tag in {text!r}")
+        tag = rest[1:end].strip()
+        subject = ANY_SUBJECT if tag in (".", "*", "") else tag
+        rest = rest[end + 1 :]
+    if not rest:
+        raise PolicyError(f"object reference {text!r} has no path")
+    return ObjectRef(subject, tuple(part for part in rest.split("/") if part))
+
+
+# Bounded: a stream of distinct objects evicts, it never grows the memo.
+# Failed parses raise out of the call and are not remembered.
+_parse_memo = lru_cache(maxsize=PARSE_MEMO_SIZE)(_parse_object)
 
 
 @dataclass(frozen=True, slots=True)

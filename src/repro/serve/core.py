@@ -70,7 +70,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.audit.model import LogEntry
 from repro.audit.store import AuditStore
@@ -1450,18 +1450,46 @@ class ShardRouter:
                     states[case] = state
         return states
 
+    def iter_results(
+        self, cases: Optional[Iterable] = None, digests: bool = True
+    ) -> Iterator[dict]:
+        """Per-case records, each read from its shard as it is yielded.
+
+        Without *cases*: every observed case, shard by shard in
+        first-seen order.  With *cases*: the requested ids in request
+        order, duplicates collapsed, ids no shard holds (non-strings
+        included) dropped.  A consumer that writes each record out
+        before pulling the next holds one at a time — the streamed
+        ``results`` reply and the drain-time ``final`` events do.
+        """
+        shards = list(self._shards.values())  # a reassignment may shrink it
+        if cases is None:
+            for shard in shards:
+                for case in shard.monitor.cases():
+                    yield _case_record(shard, case, digest=digests)
+            return
+        seen: set[str] = set()
+        for case in cases:
+            if not isinstance(case, str) or case in seen:
+                continue
+            seen.add(case)
+            for shard in shards:
+                if shard.monitor.case_state(case) is not None:
+                    yield _case_record(shard, case, digest=digests)
+                    break
+
     def results(self, digests: bool = True) -> dict[str, dict]:
         """Per-case final word: state, purpose, digest, failure kind.
 
+        :meth:`iter_results` collected into a dict keyed by case id.
         ``digests=False`` leaves the ``digest`` field out: no replay
         result is built, so a console can afford it on every refresh and
         complete only the records it shows with :meth:`case_record`.
         """
-        out: dict[str, dict] = {}
-        for shard in self._shards.values():
-            for case in shard.monitor.cases():
-                out[case] = _case_record(shard, case, digest=digests)
-        return out
+        return {
+            record["case"]: record
+            for record in self.iter_results(digests=digests)
+        }
 
     def case_record(self, case: str) -> dict:
         """One case's :meth:`results` record, read now from its shard.

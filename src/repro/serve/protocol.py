@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 from datetime import datetime
 from sys import intern
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.audit.model import LogEntry, Status, parse_timestamp
 from repro.errors import ReproError
@@ -86,11 +86,39 @@ class ProtocolError(ReproError):
     """A request line the service could not decode or dispatch."""
 
 
+#: The one JSON encoder of server messages (compact, like the wire).
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
+
+#: ``"case":record`` pairs per chunk of a streamed ``results`` reply.
+RESULTS_CHUNK = 64
+
+
 def encode_message(message: dict) -> bytes:
     """One protocol message as a ``\\n``-terminated JSON-line."""
-    return (
-        json.dumps(message, separators=(",", ":"), default=str) + "\n"
-    ).encode("utf-8")
+    return (_ENCODER.encode(message) + "\n").encode("utf-8")
+
+
+def encode_results(records: Iterable[dict]) -> Iterator[bytes]:
+    """The ``results`` event as byte chunks of :data:`RESULTS_CHUNK` records.
+
+    Joined, the chunks equal :func:`encode_message` of
+    ``{"event": "results", "cases": {record["case"]: record, ...}}``.
+    Records are pulled as chunks are, so a writer that sends each chunk
+    before asking for the next holds one chunk of the reply at a time.
+    """
+    encode = _ENCODER.encode
+    parts = ['{"event":%s,"cases":{' % encode(EV_RESULTS)]
+    count = 0
+    for record in records:
+        if count:
+            parts.append(",")
+        parts += (encode(record["case"]), ":", encode(record))
+        count += 1
+        if count % RESULTS_CHUNK == 0:
+            yield "".join(parts).encode("utf-8")
+            parts = []
+    parts.append("}}\n")
+    yield "".join(parts).encode("utf-8")
 
 
 def decode_message(line: "bytes | str") -> dict:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import json
 from datetime import datetime
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.audit.xes import XesError, import_xes
 from repro.errors import ReproError
@@ -46,7 +46,6 @@ from repro.serve.protocol import (
     EV_ERROR,
     EV_FINAL,
     EV_HELLO,
-    EV_RESULTS,
     EV_STATUS,
     EV_SYNCED,
     OP_BYE,
@@ -59,6 +58,7 @@ from repro.serve.protocol import (
     ProtocolError,
     decode_message,
     encode_message,
+    encode_results,
     entry_from_message,
     entry_seq,
 )
@@ -70,7 +70,9 @@ class _Connection:
     ``post`` is the thread-safe face shard threads see; ``send`` is the
     loop-side fast path.  After ``close`` both become no-ops — verdicts
     for a disconnected client are simply dropped (the store and the
-    ``results`` op are the durable record).
+    ``results`` op are the durable record).  ``stream`` queues a reply
+    written chunk by chunk; whatever is queued behind it waits, so no
+    event ever splits its line.
     """
 
     def __init__(
@@ -78,7 +80,9 @@ class _Connection:
     ):
         self._loop = loop
         self._writer = writer
-        self._outbox: "asyncio.Queue[Optional[dict]]" = asyncio.Queue()
+        #: messages, ``(chunks, done)`` streamed replies, and the close
+        #: sentinel ``None``
+        self._outbox: asyncio.Queue = asyncio.Queue()
         self._closed = False
         self.entries_sent = 0
         self.cases: set[str] = set()
@@ -97,20 +101,61 @@ class _Connection:
         except RuntimeError:  # pragma: no cover - loop already closed
             pass
 
+    async def stream(self, chunks: Iterator[bytes]) -> None:
+        """Queue a reply of *chunks*; return once it is written or the
+        connection is gone (raises if producing a chunk failed)."""
+        if self._closed:
+            return
+        done = self._loop.create_future()
+        self._outbox.put_nowait((chunks, done))
+        await done
+
     async def pump(self) -> None:
-        while True:
-            message = await self._outbox.get()
-            if message is None:
-                # The close sentinel — everything queued before it has
-                # been written, so a `bye` response is never dropped by
-                # the close racing the pump.
-                return
-            self._writer.write(encode_message(message))
-            try:
-                await self._writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                self._closed = True
-                return
+        reply: Optional[asyncio.Future] = None
+        try:
+            while True:
+                item = await self._outbox.get()
+                if item is None:
+                    # The close sentinel — everything queued before it has
+                    # been written, so a `bye` response is never dropped by
+                    # the close racing the pump.
+                    return
+                if not isinstance(item, tuple):
+                    self._writer.write(encode_message(item))
+                    await self._writer.drain()
+                    continue
+                chunks, reply = item
+                try:
+                    for chunk in chunks:
+                        self._writer.write(chunk)
+                        await self._writer.drain()
+                        # drain() returns at once below the high-water
+                        # mark: yield anyway, one chunk per loop turn.
+                        await asyncio.sleep(0)
+                except (ConnectionResetError, BrokenPipeError):
+                    raise
+                except Exception as error:
+                    # The reply's line is torn: the reader re-raises the
+                    # error and its handler closes the connection.
+                    self._closed = True
+                    if not reply.done():
+                        reply.set_exception(error)
+                    return
+                if not reply.done():
+                    reply.set_result(None)
+        except (ConnectionResetError, BrokenPipeError):
+            self._closed = True
+        finally:
+            # Release every reader still waiting on a reply that will
+            # not be written now.
+            pending = [reply]
+            while not self._outbox.empty():
+                item = self._outbox.get_nowait()
+                if isinstance(item, tuple):
+                    pending.append(item[1])
+            for done in pending:
+                if done is not None and not done.done():
+                    done.set_result(None)
 
     def close(self) -> None:
         self._closed = True
@@ -174,6 +219,12 @@ class AuditService:
         so clients never race a half-rebuilt monitor.
         """
         self._loop = asyncio.get_running_loop()
+        # The loop's socket reads allocate 256 KiB buffers.  glibc maps
+        # any block above its mmap threshold (128 KiB until a larger
+        # mapped block has been freed) afresh, so every read would map,
+        # fault in and unmap its buffer.  Freeing one 1 MiB block lifts
+        # the threshold past that for the life of the process.
+        bytes(1 << 20)
         self.router.start()
         if recover:
             from repro.serve.recovery import recover as run_recovery
@@ -229,12 +280,11 @@ class AuditService:
             report = await asyncio.get_running_loop().run_in_executor(
                 None, self.router.drain
             )
-            results = self.router.results()
             for conn in list(self._connections):
-                for case in sorted(conn.cases):
-                    final = results.get(case)
-                    if final is not None:
-                        conn.send({"event": EV_FINAL, **final})
+                # Only the cases this client touched, one record at a
+                # time; with nobody connected no record is built at all.
+                for final in self.router.iter_results(sorted(conn.cases)):
+                    conn.send({"event": EV_FINAL, **final})
                 conn.send({"event": EV_BYE, "reason": "drained"})
                 conn.close()
             # Reap every client handler before the loop can go away: a
@@ -426,7 +476,15 @@ class AuditService:
         return True
 
     async def _send_results(self, conn: _Connection, message: dict) -> None:
-        """The ``results`` op: barrier, then the per-case final word."""
+        """The ``results`` op: barrier, then the per-case final word.
+
+        The reply streams: records are built chunk by chunk as the
+        connection's pump writes them, so memory holds one chunk, not
+        the whole reply.  This returns when the reply is written, and
+        the reader only then takes this connection's next line: the
+        reply covers every entry sent before ``results`` and none sent
+        after.
+        """
         assert self._loop is not None
         settled: asyncio.Future = self._loop.create_future()
         self.router.barrier(
@@ -435,13 +493,11 @@ class AuditService:
             )
         )
         await settled
-        results = self.router.results()
         wanted = message.get("cases")
-        if isinstance(wanted, list):
-            results = {
-                case: results[case] for case in wanted if case in results
-            }
-        conn.send({"event": EV_RESULTS, "cases": results})
+        records = self.router.iter_results(
+            wanted if isinstance(wanted, list) else None
+        )
+        await conn.stream(encode_results(records))
 
     # -- the HTTP endpoint ---------------------------------------------------
     #: ``application/json`` always carries its charset and JSON

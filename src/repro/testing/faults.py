@@ -386,20 +386,27 @@ def corrupt_artifact(path, mode: str = "truncate") -> None:
     * ``version`` — bump the ``uint32`` after the magic past the
       reader's version (``version``);
     * ``bitflip`` — flip one bit inside the cell region, caught by the
-      header's SHA-256 (``tamper``);
+      prefix's SHA-256 (``tamper``);
+    * ``pool`` — swap the case of one letter inside a pool event string
+      in the header, which stays valid JSON (``tamper``);
     * ``fingerprint`` — rewrite the header's fingerprint in place, same
-      length, so only the identity check fires (``fingerprint``).
+      length, and re-seal the checksum, so only the identity check fires
+      (``fingerprint``).
     """
+    import hashlib
+    import json
     from pathlib import Path
+
+    from repro.compile.table import TABLE_PREFIX
 
     target = Path(path)
     data = bytearray(target.read_bytes())
-    header_end = 12
-    if len(data) >= 12:
-        header_end = 12 + int.from_bytes(data[8:12], "little")
+    header_start = header_end = TABLE_PREFIX.size
+    if len(data) >= TABLE_PREFIX.size:
+        header_end += int.from_bytes(data[8:12], "little")
     if mode == "truncate":
         # Drop the tail of the cell region (or half the file when the
-        # header alone fills it) — the declared cells_bytes no longer fit.
+        # header alone fills it) — the declared cell length no longer fits.
         cut = max(12, (header_end + len(data)) // 2)
         target.write_bytes(bytes(data[: min(cut, len(data) - 1)]))
     elif mode == "garbage":
@@ -414,15 +421,32 @@ def corrupt_artifact(path, mode: str = "truncate") -> None:
             raise ValueError("table has no cell region to flip")
         data[-1] ^= 0x40  # one bit, deep in the cell region
         target.write_bytes(bytes(data))
+    elif mode == "pool":
+        header = json.loads(data[header_start:header_end].decode("utf-8"))
+        event = next(
+            (e for _, _, events, _ in header["pool"] for e in events), None
+        )
+        if event is None:
+            raise ValueError("table pool holds no event string to flip")
+        pool_at = data.index(b'"pool":', header_start)
+        at = data.index(json.dumps(event).encode("utf-8"), pool_at) + 1
+        while not chr(data[at]).isalpha():
+            at += 1
+        data[at] ^= 0x20  # swap the letter's case
+        target.write_bytes(bytes(data))
     elif mode == "fingerprint":
-        import json
-
-        header = json.loads(data[12:header_end].decode("utf-8"))
+        header = json.loads(data[header_start:header_end].decode("utf-8"))
         original = header["fingerprint"]
         replacement = ("0" if original[:1] != "0" else "1") * len(original)
-        blob = bytes(data).replace(
-            original.encode("utf-8"), replacement.encode("utf-8"), 1
+        data = bytearray(
+            bytes(data).replace(
+                original.encode("utf-8"), replacement.encode("utf-8"), 1
+            )
         )
-        target.write_bytes(blob)
+        # Re-seal: the checksum is the prefix's last 32 bytes.
+        data[header_start - 32:header_start] = hashlib.sha256(
+            data[header_start:]
+        ).digest()
+        target.write_bytes(bytes(data))
     else:
         raise ValueError(f"unknown corruption mode: {mode!r}")

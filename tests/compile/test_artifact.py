@@ -1,5 +1,6 @@
 """Tests for the artifact cache and the RPTB bytes every reader shares."""
 
+import hashlib
 import json
 
 import pytest
@@ -16,7 +17,7 @@ from repro.compile import (
     save_table,
     table_path,
 )
-from repro.compile.table import TABLE_MAGIC
+from repro.compile.table import TABLE_MAGIC, TABLE_PREFIX
 from repro.core import ComplianceChecker
 from repro.errors import ArtifactError
 from repro.obs import MetricsRegistry, Telemetry
@@ -44,9 +45,46 @@ def telemetry_with_log():
     return Telemetry.create(registry=registry, events=log.events), log, registry
 
 
+def split(data: bytes) -> tuple[bytes, bytes]:
+    """An RPTB file's ``(header bytes, cell bytes)``."""
+    length = TABLE_PREFIX.unpack_from(data)[2]
+    start = TABLE_PREFIX.size
+    return data[start:start + length], data[start + length:]
+
+
 def header_of(data: bytes) -> dict:
-    length = int.from_bytes(data[8:12], "little")
-    return json.loads(data[12:12 + length])
+    return json.loads(split(data)[0])
+
+
+def seal(header: bytes, cells: bytes) -> bytes:
+    """A v3 file around *header* and *cells*, its checksum recomputed."""
+    return TABLE_PREFIX.pack(
+        TABLE_MAGIC,
+        TABLE_FORMAT_VERSION,
+        len(header),
+        len(cells),
+        hashlib.sha256(header + cells).digest(),
+    ) + header + cells
+
+
+def as_version_2(data: bytes) -> bytes:
+    """The same automaton in the RPTB v2 layout: a 12-byte prefix, and
+    a checksum of the cells alone inside the header."""
+    header, cells = split(data)
+    document = dict(
+        json.loads(header),
+        cells_bytes=len(cells),
+        table_sha256=hashlib.sha256(cells).hexdigest(),
+    )
+    body = json.dumps(document, separators=(",", ":"), sort_keys=True).encode()
+    body += b" " * ((-len(body)) % 4)
+    return b"".join((
+        TABLE_MAGIC,
+        (2).to_bytes(4, "little"),
+        len(body).to_bytes(4, "little"),
+        body,
+        cells,
+    ))
 
 
 class TestSaveLoad:
@@ -66,7 +104,10 @@ class TestSaveLoad:
         assert len(header["states"]) == automaton.n_states
         key, size, may_continue, active, path = header["states"][0]
         assert path == [] and size == 1 and may_continue is True
-        assert header["cells_bytes"] == len(automaton.cells) * 4
+        _, _, length, cells, checksum = TABLE_PREFIX.unpack_from(data)
+        assert cells == len(automaton.cells) * 4
+        assert checksum == hashlib.sha256(data[TABLE_PREFIX.size:]).digest()
+        assert len(data) == TABLE_PREFIX.size + length + cells
 
     def test_path_is_keyed_by_purpose_and_fingerprint(
         self, automaton, tmp_path
@@ -94,6 +135,8 @@ class TestCorruptionModes:
             ("garbage", "format"),
             ("empty", "truncated"),
             ("version", "version"),
+            ("bitflip", "tamper"),
+            ("pool", "tamper"),
             ("fingerprint", "fingerprint"),
         ],
     )
@@ -106,14 +149,29 @@ class TestCorruptionModes:
         assert excinfo.value.reason == reason
 
     def test_wrong_format_name(self, automaton):
-        data = encode_table(automaton)
-        length = int.from_bytes(data[8:12], "little")
-        header = data[12:12 + length].replace(
+        header, cells = split(encode_table(automaton))
+        header = header.replace(
             TABLE_FORMAT_NAME.encode(), b"x" * len(TABLE_FORMAT_NAME), 1
         )
         with pytest.raises(ArtifactError) as excinfo:
-            decode_table(data[:12] + header + data[12 + length:])
+            decode_table(seal(header, cells))
         assert excinfo.value.reason == "format"
+
+    def test_any_byte_after_the_prefix_is_covered(self, automaton):
+        """The checksum spans header and cells: a flipped byte anywhere
+        after the prefix reads as tamper before the header is parsed."""
+        data = encode_table(automaton)
+        for at in range(TABLE_PREFIX.size, len(data), 97):
+            flipped = bytearray(data)
+            flipped[at] ^= 0x01
+            with pytest.raises(ArtifactError) as excinfo:
+                decode_table(bytes(flipped))
+            assert excinfo.value.reason == "tamper", at
+
+    def test_version_2_file_is_refused(self, automaton):
+        with pytest.raises(ArtifactError) as excinfo:
+            decode_table(as_version_2(encode_table(automaton)))
+        assert excinfo.value.reason == "version"
 
     def test_unknown_mode_rejected(self, saved):
         with pytest.raises(ValueError):
@@ -131,6 +189,18 @@ class TestAutomatonCache:
         assert [p.name for p in tmp_path.iterdir()] == [
             cache.path_for(automaton.purpose, automaton.fingerprint).name
         ]
+
+    def test_version_2_artifact_is_recompiled(self, automaton, tmp_path):
+        tel, log, _ = telemetry_with_log()
+        cache = AutomatonCache(tmp_path, telemetry=tel)
+        path = cache.save(automaton)
+        path.write_bytes(as_version_2(path.read_bytes()))
+        assert cache.load(automaton.purpose, automaton.fingerprint) is None
+        assert [e["reason"] for e in log.named(ARTIFACT_INVALID)] == [
+            "version"
+        ]
+        cache.save(automaton)
+        assert cache.load(automaton.purpose, automaton.fingerprint) is not None
 
     def test_invalid_artifact_is_a_miss_with_event(self, automaton, tmp_path):
         tel, log, registry = telemetry_with_log()

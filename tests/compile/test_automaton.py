@@ -23,6 +23,7 @@ from repro.obs import MetricsRegistry, Telemetry
 from repro.policy.hierarchy import RoleHierarchy
 from repro.scenarios import sequential_process
 from repro.testing import assert_equivalent_verdicts
+from tests.compile.test_artifact import seal, split
 
 
 def entry(task, minute=0, role="Staff", status=Status.SUCCESS, case="C-1"):
@@ -232,9 +233,8 @@ class TestDocumentRoundTrip:
 
     def test_malformed_document_raises_artifact_error(self):
         automaton = compile_automaton(fresh_checker())
-        data = encode_table(automaton)
-        length = int.from_bytes(data[8:12], "little")
-        header = json.loads(data[12:12 + length])
+        raw, cells = split(encode_table(automaton))
+        header = json.loads(raw)
         for broken in (
             {"format": header["format"], "eof": True},  # no table at all
             dict(header, states=[]),  # no initial state
@@ -243,8 +243,5 @@ class TestDocumentRoundTrip:
             body = json.dumps(broken, sort_keys=True).encode()
             body += b" " * ((-len(body)) % 4)
             with pytest.raises(ArtifactError) as excinfo:
-                decode_table(
-                    data[:8] + len(body).to_bytes(4, "little") + body
-                    + data[12 + length:]
-                )
+                decode_table(seal(body, cells))
             assert excinfo.value.reason == "malformed"

@@ -196,6 +196,7 @@ class TestCorruptionModes:
         ("empty", "truncated"),
         ("version", "version"),
         ("bitflip", "tamper"),
+        ("pool", "tamper"),
         ("fingerprint", "fingerprint"),
     ]
 
@@ -253,7 +254,7 @@ class TestStateAlignment:
         assert excinfo.value.reason == "malformed"
 
     def test_version_constant_guards_the_layout(self):
-        assert TABLE_FORMAT_VERSION == 2
+        assert TABLE_FORMAT_VERSION == 3
 
 
 class TestGrowth:

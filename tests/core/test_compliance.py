@@ -264,3 +264,56 @@ class TestSessionApi:
         checker = checker_for(sequential_process(2))
         assert bool(checker.check([entries("T1")]))
         assert not bool(checker.check([entries("T2")]))
+
+
+class TestReplayStepRecord:
+    """Monitors retain one :class:`ReplayStep` per entry: slotted, still
+    picklable (parallel workers ship results), digests unchanged."""
+
+    @staticmethod
+    def _paper_report():
+        from repro.core.auditor import PurposeControlAuditor
+        from repro.scenarios import paper_audit_trail, process_registry
+
+        return PurposeControlAuditor(
+            process_registry(), hierarchy=role_hierarchy()
+        ).audit(paper_audit_trail())
+
+    def test_steps_carry_no_instance_dict(self, entries):
+        checker = checker_for(sequential_process(2))
+        result = checker.check(AuditTrail([entries("T1"), entries("T2")]))
+        assert result.steps
+        assert not hasattr(result.steps[0], "__dict__")
+
+    def test_results_pickle_with_equal_verdict_digests(self):
+        import pickle
+
+        from repro.testing.differential import verdict_digest
+
+        report = self._paper_report()
+        for result in report.cases.values():
+            if result.replay is None:
+                continue
+            loaded = pickle.loads(pickle.dumps(result.replay))
+            assert verdict_digest(loaded) == verdict_digest(result.replay)
+            assert loaded.steps == result.replay.steps
+
+    def test_paper_digests_are_pinned(self):
+        """The canonical digests of the paper's audit, hashed: any change
+        to what a replay step records shows here."""
+        import hashlib
+
+        from repro.testing import canonical_digest
+
+        report = self._paper_report()
+        pinned = hashlib.sha256()
+        for case in sorted(report.cases):
+            replay = report.cases[case].replay
+            if replay is not None:
+                pinned.update(
+                    case.encode() + b"\0"
+                    + canonical_digest(replay).encode() + b"\n"
+                )
+        assert pinned.hexdigest() == (
+            "1effe456b397eb177003c36639ba98bae266476b25aa7af71724551a84bf783f"
+        )

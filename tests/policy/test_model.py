@@ -1,6 +1,8 @@
 """Tests for object references (>=O), statements, directories and consents."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PolicyError
 from repro.policy import (
@@ -170,3 +172,44 @@ class TestConsentRegistry:
         registry.grant("Bob", "clinicaltrial")
         registry.grant("Alice", "marketing")
         assert registry.consenting_subjects("clinicaltrial") == {"Alice", "Bob"}
+
+
+class TestObjectRefMemo:
+    """Parsing goes through a bounded memo: equal texts share one frozen
+    instance, so every entry naming the same object holds one copy."""
+
+    @staticmethod
+    def _uncached(text):
+        from repro.policy.model import _parse_object
+
+        return _parse_object(text)
+
+    @given(
+        st.one_of(
+            st.text(alphabet="[]./*JaneEPR ", max_size=14),
+            st.builds(
+                "[{}]{}".format,
+                st.text(alphabet="Ja.* ", max_size=3),
+                st.text(alphabet="EPR/Cl", max_size=9),
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_memoized_parse_equals_uncached_parse(self, text):
+        try:
+            expected = self._uncached(text)
+        except PolicyError:
+            for _ in range(2):  # a failure is never remembered
+                with pytest.raises(PolicyError):
+                    ObjectRef.parse(text)
+            return
+        first = ObjectRef.parse(text)
+        assert first == expected
+        assert str(first) == str(expected)
+        again = "".join(list(text))  # equal text, another str object
+        assert ObjectRef.parse(again) is first
+
+    def test_memo_is_bounded(self):
+        from repro.policy.model import PARSE_MEMO_SIZE, _parse_memo
+
+        assert _parse_memo.cache_info().maxsize == PARSE_MEMO_SIZE == 1 << 16

@@ -672,3 +672,42 @@ class TestCompiledArtifacts:
             total(cold_metrics, "automaton_table_hits_total")
             + total(cold_metrics, "automaton_misses_total")
         )
+
+    @pytest.mark.parametrize("rot", ["pool", "version-2"])
+    def test_rotten_artifact_never_changes_the_report(
+        self, ht_json, ct_json, trail_xes, tmp_path, capsys, rot
+    ):
+        """A flipped pool event string reads as tamper, a v2 file as
+        version; either way the audit recompiles and reports the same."""
+        import json
+
+        from repro.testing import corrupt_artifact
+        from tests.compile.test_artifact import as_version_2
+
+        automata = tmp_path / "automata"
+        assert self._audit(
+            ht_json, ct_json, trail_xes, automata, tmp_path / "cold.json"
+        ) == EXIT_INFRINGEMENT
+        cold_out = capsys.readouterr().out
+        for path in automata.iterdir():
+            if rot == "pool":
+                corrupt_artifact(path, "pool")
+            else:
+                path.write_bytes(as_version_2(path.read_bytes()))
+        for run in ("rotten", "healed"):
+            metrics = tmp_path / f"{run}.json"
+            assert self._audit(
+                ht_json, ct_json, trail_xes, automata, metrics
+            ) == EXIT_INFRINGEMENT
+            assert capsys.readouterr().out == cold_out
+            invalid = json.loads(metrics.read_text()).get(
+                "automaton_artifacts_invalid_total", {}
+            ).get("values", [])
+            reasons = {
+                value["labels"]["reason"]: value["value"] for value in invalid
+            }
+            if run == "rotten":
+                reason = "tamper" if rot == "pool" else "version"
+                assert reasons == {reason: 2}
+            else:
+                assert not any(reasons.values())

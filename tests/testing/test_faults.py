@@ -206,7 +206,10 @@ class TestArtifactCorruptor:
 
     @pytest.mark.parametrize(
         "mode",
-        ["truncate", "garbage", "version", "fingerprint", "empty", "bitflip"],
+        [
+            "truncate", "garbage", "version", "fingerprint", "empty",
+            "bitflip", "pool",
+        ],
     )
     def test_corrupted_artifact_never_fails_the_audit(self, tmp_path, mode):
         registry = self._registry()
