@@ -4,9 +4,10 @@
 allowing for massive parallelization."  What can be *verified* on any
 machine is the independence: verdicts are identical however the cases
 are partitioned, and a partition's cost is the sum of its own cases
-only.  Wall-clock speedup additionally needs multiple cores; on a
-single-core host (like this CI box) the multiprocessing path only adds
-overhead, which the table reports honestly.
+only.  ``PurposeControlAuditor(workers=N)`` runs the same auditor in
+every pool worker.  Wall-clock speedup additionally needs multiple
+cores; on a single-core host (like this CI box) the multiprocessing
+path only adds overhead, which the table reports honestly.
 """
 
 import os
@@ -14,9 +15,13 @@ import time
 
 import pytest
 
-from repro.core import ComplianceChecker
-from repro.core.parallel import audit_cases_parallel, verdicts_from_outcomes
+from repro.core import ComplianceChecker, PurposeControlAuditor
 from repro.scenarios import hospital_day, process_registry, role_hierarchy
+
+
+def verdicts(registry, trail, workers):
+    report = PurposeControlAuditor(registry, workers=workers).audit(trail)
+    return {case: result.compliant for case, result in report.cases.items()}
 
 
 @pytest.fixture(scope="module")
@@ -28,11 +33,9 @@ class TestIndependence:
     def test_partitions_agree_with_serial(self, benchmark, workload):
         def run():
             registry = process_registry()
-            serial = audit_cases_parallel(registry, workload.trail, workers=1)
-            parallel = audit_cases_parallel(registry, workload.trail, workers=2)
             assert (
-                verdicts_from_outcomes(serial)
-                == verdicts_from_outcomes(parallel)
+                verdicts(registry, workload.trail, workers=1)
+                == verdicts(registry, workload.trail, workers=2)
                 == workload.ground_truth
             )
 
@@ -84,10 +87,9 @@ class TestThroughput:
             table.row("workers", "seconds", "correct")
             for workers in (1, 2):
                 started = time.perf_counter()
-                outcomes = audit_cases_parallel(registry, workload.trail, workers=workers)
-                verdicts = verdicts_from_outcomes(outcomes)
+                found = verdicts(registry, workload.trail, workers=workers)
                 elapsed = time.perf_counter() - started
-                table.row(workers, f"{elapsed:.2f}", verdicts == workload.ground_truth)
-                assert verdicts == workload.ground_truth
+                table.row(workers, f"{elapsed:.2f}", found == workload.ground_truth)
+                assert found == workload.ground_truth
 
         benchmark.pedantic(run, rounds=1, iterations=1)

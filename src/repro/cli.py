@@ -78,7 +78,7 @@ from repro.bpmn.serialize import loads as load_process
 from repro.bpmn.validate import non_well_founded_cycles, structural_problems
 from repro.core.auditor import PurposeControlAuditor
 from repro.core.compliance import ComplianceChecker
-from repro.core.resilience import Quarantine
+from repro.core.resilience import Quarantine, RetryPolicy
 from repro.cows.pretty import pretty
 from repro.errors import ReproError
 from repro.obs import (
@@ -381,55 +381,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_INFRINGEMENT
 
 
-def _print_parallel_outcomes(outcomes, quarantine) -> bool:
-    """Print the outcome summary of a parallel audit; True if all clean."""
-    from repro.core.resilience import OutcomeKind
-
-    counts: dict[str, int] = {}
-    for outcome in outcomes.values():
-        counts[outcome.kind.value] = counts.get(outcome.kind.value, 0) + 1
-    ordered = ", ".join(
-        f"{counts[kind.value]} {kind.value}"
-        for kind in OutcomeKind
-        if counts.get(kind.value)
-    )
-    print(f"Parallel audit: {len(outcomes)} case(s) — {ordered or 'empty'}")
-    clean = True
-    for outcome in outcomes.values():
-        if outcome.kind is not OutcomeKind.COMPLIANT:
-            clean = False
-            print(f"  {outcome}")
-    if quarantine is not None and quarantine:
-        clean = False
-        print(quarantine.summary())
-    return clean
-
-
 def _cmd_audit(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ReproError("--workers must be a positive process count")
+    if args.retries < 0:
+        raise ReproError("--retries must be zero or more")
+    if args.case_timeout is not None and args.case_timeout <= 0:
+        raise ReproError("--case-timeout must be a positive number of seconds")
     registry = _load_registry(args.process)
     telemetry = _telemetry_from_args(args)
     quarantine = (
         Quarantine(telemetry) if args.on_error == "quarantine" else None
     )
     trail = _load_trail(args.trail, quarantine=quarantine)
-    if args.workers > 1:
-        from repro.core.parallel import audit_cases_parallel
-        from repro.core.resilience import RetryPolicy
-
-        outcomes = audit_cases_parallel(
-            registry,
-            trail,
-            workers=args.workers,
-            hierarchy=_load_hierarchy(args.role),
-            telemetry=telemetry,
-            retry_policy=RetryPolicy(max_attempts=args.retries + 1),
-            case_timeout_s=args.case_timeout,
-            compiled=args.compiled,
-            automaton_dir=args.automaton_dir,
-        )
-        clean = _print_parallel_outcomes(outcomes, quarantine)
-        _emit_telemetry(args, telemetry)
-        return EXIT_OK if clean else EXIT_INFRINGEMENT
     auditor = PurposeControlAuditor(
         registry,
         hierarchy=_load_hierarchy(args.role),
@@ -438,6 +402,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         case_timeout_s=args.case_timeout,
         compiled=args.compiled or None,
         automaton_dir=args.automaton_dir,
+        workers=args.workers,
+        retry_policy=RetryPolicy(max_attempts=args.retries + 1),
     )
     report = auditor.audit(trail, quarantine=quarantine)
     print(report.summary())
@@ -447,46 +413,33 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     """Eagerly compile every registered purpose into a persisted automaton."""
-    from repro.compile import (
-        AutomatonCache,
-        compile_automaton,
-        fingerprint_encoded,
-    )
+    from repro.compile import AutomatonCache, precompile
 
     registry = _load_registry(args.process)
-    hierarchy = _load_hierarchy(args.role)
     telemetry = _telemetry_from_args(args)
-    cache = AutomatonCache(args.automaton_dir, telemetry=telemetry)
+    outcomes = precompile(
+        registry,
+        AutomatonCache(args.automaton_dir, telemetry=telemetry),
+        hierarchy=_load_hierarchy(args.role),
+        max_states=args.max_states,
+        force=args.force,
+        telemetry=telemetry,
+    )
     failures = 0
-    for purpose in sorted(registry.purposes()):
-        try:
-            encoded = registry.encoded_for(purpose)
-            fingerprint = fingerprint_encoded(encoded, hierarchy=hierarchy)
-            automaton = (
-                None if args.force else cache.load(purpose, fingerprint)
-            )
-            if automaton is not None:
-                status = "up to date"
-            else:
-                checker = ComplianceChecker(
-                    encoded, hierarchy=hierarchy, telemetry=telemetry
-                )
-                automaton = compile_automaton(
-                    checker,
-                    fingerprint=fingerprint,
-                    max_states=args.max_states,
-                    telemetry=telemetry,
-                )
-                status = f"compiled -> {cache.save(automaton)}"
-            print(
-                f"{purpose}: {status} ({automaton.n_states} state(s) x "
-                f"{automaton.n_symbols} symbol(s), "
-                f"{automaton.transition_count} transition(s), "
-                f"pool {len(automaton.pool)}, fingerprint {fingerprint[:12]})"
-            )
-        except ReproError as error:
+    for purpose, outcome in outcomes.items():
+        if isinstance(outcome, Exception):
             failures += 1
-            print(f"{purpose}: FAILED ({error})", file=sys.stderr)
+            print(f"{purpose}: FAILED ({outcome})", file=sys.stderr)
+            continue
+        automaton, saved = outcome
+        status = "up to date" if saved is None else f"compiled -> {saved}"
+        print(
+            f"{purpose}: {status} ({automaton.n_states} state(s) x "
+            f"{automaton.n_symbols} symbol(s), "
+            f"{automaton.transition_count} transition(s), "
+            f"pool {len(automaton.pool)}, "
+            f"fingerprint {automaton.fingerprint[:12]})"
+        )
     _emit_telemetry(args, telemetry)
     return EXIT_BAD_INPUT if failures else EXIT_OK
 

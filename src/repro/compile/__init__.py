@@ -15,9 +15,8 @@ Layers:
   invalidating every cached artifact;
 * :mod:`repro.compile.automaton` — the growable dense table (with
   ``max_states`` guard) plus the eager :func:`compile_automaton`;
-* :mod:`repro.compile.replay` — :class:`CompiledSession` /
-  :class:`CompiledChecker`, the drop-in replay surface with interpreted
-  fallback;
+* :mod:`repro.compile.replay` — :class:`CompiledSession`, the drop-in
+  replay surface with interpreted fallback;
 * :mod:`repro.compile.table` — the RPTB artifact, the automaton's one
   on-disk format (versioned, checksummed, atomically written);
 * :mod:`repro.compile.artifact` — the :class:`AutomatonCache` directory
@@ -25,11 +24,17 @@ Layers:
 * :mod:`repro.compile.checkpoint` — revision-gated incremental saves
   during long audits.
 
+Two entry points tie the layers together: :func:`build_checker` makes
+the warmed checkers of the batch auditor and the online monitor, and
+:func:`precompile` is the one eager compile-into-the-cache step of
+``repro compile``, the parallel auditor and ``repro serve``.
+
 Design, artifact format, and invalidation rules: ``docs/compilation.md``.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Optional
 
 from repro.compile.artifact import AutomatonCache
@@ -50,11 +55,7 @@ from repro.compile.fingerprint import (
     frontier_key,
     term_digest,
 )
-from repro.compile.replay import (
-    CompiledChecker,
-    CompiledResult,
-    CompiledSession,
-)
+from repro.compile.replay import CompiledResult, CompiledSession
 from repro.compile.table import (
     TABLE_FORMAT_NAME,
     TABLE_FORMAT_VERSION,
@@ -70,6 +71,7 @@ from repro.errors import (
     AutomatonUnavailableError,
     CompileError,
 )
+from repro.core.compliance import ComplianceChecker
 
 
 def warm_checker(
@@ -119,6 +121,93 @@ def warm_checker(
     return automaton
 
 
+def build_checker(
+    registry,
+    purpose: str,
+    hierarchy=None,
+    max_silent_states: int = 50_000,
+    compiled: bool = False,
+    cache: Optional[AutomatonCache] = None,
+    max_states: int = 50_000,
+    wrapper=None,
+    telemetry=None,
+) -> tuple[ComplianceChecker, Optional[CheckpointWriter]]:
+    """Build the replay checker of one purpose, as auditor and monitor do.
+
+    Encodes through the registry's memo, warms the checker with an
+    automaton when *compiled* (:func:`warm_checker`), and applies the
+    ``(checker, purpose) -> checker`` *wrapper*.  Returns the checker
+    and the :class:`CheckpointWriter` persisting its automaton into
+    *cache* — ``None`` unless compiled with a cache configured.
+    """
+    checker = ComplianceChecker(
+        registry.encoded_for(purpose),
+        hierarchy=hierarchy,
+        max_silent_states=max_silent_states,
+        telemetry=telemetry,
+    )
+    writer = None
+    if compiled:
+        automaton = warm_checker(
+            checker, cache=cache, max_states=max_states, telemetry=telemetry
+        )
+        if cache is not None:
+            writer = CheckpointWriter(
+                automaton,
+                cache.path_for(automaton.purpose, automaton.fingerprint),
+                telemetry=telemetry,
+            )
+    if wrapper is not None:
+        checker = wrapper(checker, purpose)
+    return checker, writer
+
+
+def precompile(
+    registry,
+    cache: AutomatonCache,
+    hierarchy=None,
+    max_silent_states: int = 50_000,
+    max_states: int = 50_000,
+    force: bool = False,
+    telemetry=None,
+) -> dict[str, tuple[PurposeAutomaton, Optional[Path]] | Exception]:
+    """Eagerly compile every registered purpose into *cache*.
+
+    Maps each purpose, in sorted order, to its automaton and the path
+    it was saved to — ``None`` when a valid artifact already in the
+    cache was loaded instead (never with *force*).  A purpose whose
+    compile fails — say, a non-well-founded process the encoder
+    rejects — maps to the exception instead of raising it: that
+    purpose is contained per case at replay time, and every other
+    purpose still gets its artifact.
+    """
+    outcomes: dict[str, tuple[PurposeAutomaton, Optional[Path]] | Exception] = {}
+    for purpose in sorted(registry.purposes()):
+        try:
+            encoded = registry.encoded_for(purpose)
+            fingerprint = fingerprint_encoded(encoded, hierarchy=hierarchy)
+            automaton = None if force else cache.load(purpose, fingerprint)
+            saved = None
+            if automaton is None:
+                checker = ComplianceChecker(
+                    encoded,
+                    hierarchy=hierarchy,
+                    max_silent_states=max_silent_states,
+                    telemetry=telemetry,
+                )
+                automaton = compile_automaton(
+                    checker,
+                    fingerprint=fingerprint,
+                    max_states=max_states,
+                    telemetry=telemetry,
+                )
+                saved = cache.save(automaton)
+            outcomes[purpose] = (automaton, saved)
+        except Exception as error:
+            outcomes[purpose] = error
+    return outcomes
+
+
 __all__ = [
     "ERR_KEY",
     "FINGERPRINT_VERSION",
@@ -129,7 +218,6 @@ __all__ = [
     "AutomatonUnavailableError",
     "CheckpointWriter",
     "CompileError",
-    "CompiledChecker",
     "CompiledResult",
     "CompiledSession",
     "EntryKeyer",
@@ -138,6 +226,7 @@ __all__ = [
     "TABLE_FORMAT_VERSION",
     "Transition",
     "UNKNOWN",
+    "build_checker",
     "compile_automaton",
     "decode_table",
     "encode_table",
@@ -145,6 +234,7 @@ __all__ = [
     "fingerprint_process",
     "frontier_key",
     "load_table",
+    "precompile",
     "save_table",
     "table_path",
     "term_digest",

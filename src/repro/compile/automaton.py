@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.audit.model import LogEntry
 from repro.compile.fingerprint import frontier_key, term_digest
@@ -164,25 +164,19 @@ class _State:
         self.configs = configs
 
 
-#: A callable producing the COWS backend on demand: ``(engine, initial)``.
-EngineSource = Callable[[], tuple[WeakNextEngine, Configuration]]
-
-
 class PurposeAutomaton:
     """The compiled observable LTS of one purpose's process.
 
-    The automaton is usable in three modes:
+    The automaton is usable in two modes:
 
     * **bound** — a :class:`WeakNextEngine` plus initial configuration
       are attached (:meth:`bind`); unknown cells are derived on demand
       and written in place;
-    * **lazily bound** — an :attr:`engine source <set_engine_source>` is
-      attached instead; the COWS backend is built only on the first
-      unknown cell (this is how parallel workers avoid re-encoding the
-      BPMN when the shipped automaton already covers the trail);
-    * **pure disk** — neither; an unknown cell raises
-      :class:`~repro.errors.AutomatonUnavailableError` and the caller
-      falls back to interpreted replay.
+    * **pure disk** — freshly decoded from an artifact and not bound;
+      an unknown cell raises
+      :class:`~repro.errors.AutomatonUnavailableError`.  Replay binds
+      it first (:meth:`ComplianceChecker.attach_automaton
+      <repro.core.compliance.ComplianceChecker.attach_automaton>`).
 
     ``cells``, ``pool``, ``symbols`` and ``n_symbols`` are the dense
     table, read directly by compiled replay; only this class writes
@@ -217,7 +211,6 @@ class PurposeAutomaton:
         self.pool: list[Transition] = []
         self._pool_index: dict[Transition, int] = {}
         self._engine: Optional[WeakNextEngine] = None
-        self._engine_source: Optional[EngineSource] = None
         #: Monotonic edit counter; bumps on every new state or transition.
         #: Checkpointing compares it against the last persisted revision.
         self.revision = 0
@@ -316,23 +309,15 @@ class PurposeAutomaton:
         if not self._states:
             self._intern((initial,), path=())
 
-    def set_engine_source(self, source: Optional[EngineSource]) -> None:
-        """Attach a lazy engine factory (invoked on the first unknown cell)."""
-        self._engine_source = source
-
     @property
     def bound(self) -> bool:
         return self._engine is not None
 
     def _require_engine(self) -> WeakNextEngine:
         if self._engine is None:
-            if self._engine_source is None:
-                raise AutomatonUnavailableError(
-                    f"automaton for {self._purpose!r} has no engine attached"
-                    " and no engine source to build one"
-                )
-            engine, initial = self._engine_source()
-            self.bind(engine, initial)
+            raise AutomatonUnavailableError(
+                f"automaton for {self._purpose!r} has no engine attached"
+            )
         return self._engine
 
     # -- state interning -------------------------------------------------
@@ -407,9 +392,9 @@ class PurposeAutomaton:
 
         Counted as a miss (``automaton_misses_total``).  Raises
         :class:`~repro.errors.AutomatonUnavailableError` when no engine
-        is available and :class:`~repro.errors.AutomatonExplosionError`
-        when the target frontier would exceed ``max_states`` — both of
-        which compiled replay turns into an interpreted fallback.
+        is attached, and :class:`~repro.errors.AutomatonExplosionError`
+        when the target frontier would exceed ``max_states`` — which
+        compiled replay turns into an interpreted fallback.
         """
         self._m_misses.inc()
         return self._derive(sid, key)
@@ -535,7 +520,6 @@ def compile_automaton(
     fingerprint: Optional[str] = None,
     max_states: int = 50_000,
     telemetry: Telemetry | None = None,
-    exhaustive: bool = True,
 ) -> PurposeAutomaton:
     """Eagerly compile a checker's process into a purpose automaton.
 
@@ -543,8 +527,7 @@ def compile_automaton(
     **canonical alphabet** — the distinct entry keys the process can
     ever be driven with: one per (task, matched-role-set) combination
     drawn from the process's tasks and the roles mentioned by process
-    or hierarchy, plus the error key.  ``exhaustive=False`` interns only
-    the initial state, leaving everything to lazy demand.
+    or hierarchy, plus the error key.
 
     If the alphabet closure exceeds *max_states*, the partially built
     automaton is returned (it stays correct — unknown cells are derived
@@ -570,41 +553,40 @@ def compile_automaton(
         telemetry=tel,
     )
     checker.attach_automaton(automaton)
-    if exhaustive:
-        keyer = automaton.keyer
-        universe = set(checker.encoded.roles) | {
-            role
-            for role in observables.hierarchy.roles()
-            if keyer.matched_roles(role)
+    keyer = automaton.keyer
+    universe = set(checker.encoded.roles) | {
+        role
+        for role in observables.hierarchy.roles()
+        if keyer.matched_roles(role)
+    }
+    alphabet = sorted(
+        {
+            keyer.task_key(task, role)
+            for task in checker.encoded.tasks
+            for role in universe
         }
-        alphabet = sorted(
-            {
-                keyer.task_key(task, role)
-                for task in checker.encoded.tasks
-                for role in universe
-            }
-            | {ERR_KEY}
-        )
-        # Columns first, so the BFS below never relayouts the table.
-        columns = [automaton.intern(key) for key in alphabet]
-        queue = [automaton.initial()]
-        visited = {queue[0]}
-        try:
-            while queue:
-                sid = queue.pop()
-                for key, sym in zip(alphabet, columns):
-                    index = automaton.cells[sid * automaton.n_symbols + sym]
-                    transition = (
-                        automaton.pool[index]
-                        if index >= 0
-                        else automaton._derive(sid, key)
-                    )
-                    target = transition.target
-                    if target != REJECTED_STATE and target not in visited:
-                        visited.add(target)
-                        queue.append(target)
-        except AutomatonExplosionError:
-            pass  # partial automata are fine: replay extends them lazily
+        | {ERR_KEY}
+    )
+    # Columns first, so the BFS below never relayouts the table.
+    columns = [automaton.intern(key) for key in alphabet]
+    queue = [automaton.initial()]
+    visited = {queue[0]}
+    try:
+        while queue:
+            sid = queue.pop()
+            for key, sym in zip(alphabet, columns):
+                index = automaton.cells[sid * automaton.n_symbols + sym]
+                transition = (
+                    automaton.pool[index]
+                    if index >= 0
+                    else automaton._derive(sid, key)
+                )
+                target = transition.target
+                if target != REJECTED_STATE and target not in visited:
+                    visited.add(target)
+                    queue.append(target)
+    except AutomatonExplosionError:
+        pass  # partial automata are fine: replay extends them lazily
     if tel.enabled:
         tel.events.emit(
             AUTOMATON_COMPILED,

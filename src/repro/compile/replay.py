@@ -20,42 +20,36 @@ Every step the table records is bit-identical to the interpreted one
 ``tests/properties`` and ``tests/serve`` enforce; the interpreted
 engine stays the oracle.
 
-When the automaton cannot derive a step — an unknown cell on a
-pure-disk automaton, or the ``max_states`` guard tripping — the session
-falls back transparently: it builds an interpreted session, re-feeds
+When the automaton cannot derive a step — the ``max_states`` guard
+tripping — the session falls back transparently: it builds an interpreted session, re-feeds
 the entries seen so far (deterministic, so the replayed prefix is
 identical), and delegates from then on.  The fallback is counted
 (``automaton_fallbacks_total``) and re-counts the prefix's
 ``replay_entries_total`` increments — visible, rare, and preferable to
 losing the case.
 
-:class:`CompiledChecker` is the checker-shaped facade parallel workers
-use: it carries a (possibly disk-loaded) automaton plus a *factory* for
-the real checker, so the BPMN is re-encoded only if a case actually
-needs a transition the artifact does not cover.
+:meth:`ComplianceChecker.session
+<repro.core.compliance.ComplianceChecker.session>` returns one once an
+automaton is attached to the checker.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from repro.audit.model import AuditTrail, LogEntry
+from repro.audit.model import LogEntry
 from repro.compile.automaton import ERR_KEY, REJECTED_STATE, PurposeAutomaton
 from repro.core.compliance import (
     REJECTED,
-    ComplianceChecker,
     ComplianceResult,
     ComplianceSession,
     FrontierExplosionError,
     ReplayStep,
 )
 from repro.core.configuration import Configuration
-from repro.errors import (
-    AutomatonExplosionError,
-    AutomatonUnavailableError,
-)
+from repro.errors import AutomatonExplosionError
 from repro.obs import ENTRY_REPLAYED, FRONTIER_GROWN, NULL_TELEMETRY, Telemetry
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS
 
@@ -86,9 +80,9 @@ class CompiledSession:
     def __init__(
         self,
         automaton: PurposeAutomaton,
+        fallback: Callable[[], ComplianceSession],
         max_frontier: int = 10_000,
         telemetry: Telemetry | None = None,
-        fallback: Optional[Callable[[], ComplianceSession]] = None,
     ):
         self._automaton = automaton
         self._sid = automaton.initial()
@@ -195,7 +189,7 @@ class CompiledSession:
                 transition = automaton.extend(
                     self._sid, automaton.symbols[sym]
                 )
-            except (AutomatonUnavailableError, AutomatonExplosionError):
+            except AutomatonExplosionError:
                 return self._fall_back(entry)
 
         if transition.target == REJECTED_STATE:
@@ -230,11 +224,6 @@ class CompiledSession:
         prefix this session already served, so the visible step record
         is seamless.
         """
-        if self._fallback is None:
-            raise AutomatonUnavailableError(
-                f"automaton for {self._automaton.purpose!r} cannot serve "
-                "this trail and no interpreted fallback is configured"
-            )
         self._flush_table_hits()
         self._m_fallbacks.inc()
         delegate = self._fallback()
@@ -318,80 +307,3 @@ class CompiledSession:
             ),
         )
 
-
-class CompiledChecker:
-    """A checker-shaped facade replaying through a purpose automaton.
-
-    Construction is cheap: no BPMN encoding, no COWS term, no WeakNext
-    engine.  The *checker_factory* is invoked lazily — once — if (and
-    only if) a replay needs a transition the automaton does not hold,
-    which is how parallel workers warmed from a shipped artifact avoid
-    re-encoding the process entirely on covered trails.
-    """
-
-    def __init__(
-        self,
-        automaton: PurposeAutomaton,
-        checker_factory: Optional[Callable[[], ComplianceChecker]] = None,
-        max_frontier: int = 10_000,
-        telemetry: Telemetry | None = None,
-    ):
-        self._automaton = automaton
-        self._factory = checker_factory
-        self._real: Optional[ComplianceChecker] = None
-        self._max_frontier = max_frontier
-        self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
-        if checker_factory is not None:
-            automaton.set_engine_source(self._engine_source)
-
-    @property
-    def automaton(self) -> PurposeAutomaton:
-        return self._automaton
-
-    @property
-    def purpose(self) -> str:
-        return self._automaton.purpose
-
-    def _real_checker(self) -> ComplianceChecker:
-        if self._real is None:
-            if self._factory is None:
-                raise AutomatonUnavailableError(
-                    f"no checker factory for purpose {self.purpose!r}"
-                )
-            self._real = self._factory()
-        return self._real
-
-    def _engine_source(self):
-        checker = self._real_checker()
-        return checker.engine, checker.initial_configuration
-
-    def _interpreted_session(self) -> ComplianceSession:
-        return self._real_checker().interpreted_session()
-
-    @property
-    def encoded(self):
-        """The encoded process (forces the real checker — avoid on hot paths)."""
-        return self._real_checker().encoded
-
-    @property
-    def engine(self):
-        """The WeakNext engine (forces the real checker — avoid on hot paths)."""
-        return self._real_checker().engine
-
-    def session(self) -> CompiledSession:
-        return CompiledSession(
-            self._automaton,
-            max_frontier=self._max_frontier,
-            telemetry=self._tel,
-            fallback=(
-                self._interpreted_session if self._factory is not None else None
-            ),
-        )
-
-    def check(self, trail: AuditTrail | Iterable[LogEntry]) -> ComplianceResult:
-        """Run (compiled) Algorithm 1 on a (case-projected) trail."""
-        session = self.session()
-        with self._tel.tracer.span("replay", purpose=self.purpose):
-            for entry in trail:
-                session.feed(entry)
-        return session.result()

@@ -28,8 +28,8 @@ into a ``compile.artifact_invalid`` event and a fresh automaton — an
 invalid artifact never fails an audit.
 
 :func:`decode_table` is the one validating reader: files go through it
-via :func:`load_table`, and parallel workers receive the encoded bytes
-(:func:`encode_table`) and decode them the same way.
+via :func:`load_table`, and bytes in memory (:func:`encode_table`)
+decode the same way.
 """
 
 from __future__ import annotations

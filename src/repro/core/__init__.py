@@ -7,9 +7,10 @@
 * :mod:`repro.core.auditor` — the end-to-end auditor (policy + replay);
 * :mod:`repro.core.naive` — the infeasible trace-enumeration baseline (§1);
 * :mod:`repro.core.severity` — infringement severity metrics (§7);
-* :mod:`repro.core.resilience` — fault containment: rich per-case
-  outcomes, retry policies, per-case budgets, quarantine;
-* :mod:`repro.core.parallel` — fault-isolated parallel auditing (§7).
+* :mod:`repro.core.resilience` — fault containment: the per-case
+  outcome taxonomy, retry policies, per-case budgets, quarantine;
+* :mod:`repro.core.parallel` — the process pool behind the auditor's
+  ``workers=N`` (§7).
 """
 
 from repro.core.auditor import (
@@ -35,13 +36,7 @@ from repro.core.configuration import Configuration
 from repro.core.explain import DeviationKind, Explanation, explain
 from repro.core.monitor import CaseState, MonitoredCase, OnlineMonitor
 from repro.core.naive import NaiveChecker, NaiveResult, Verdict
-from repro.core.parallel import (
-    CaseVerdict,
-    audit_cases_parallel,
-    verdicts_from_outcomes,
-)
 from repro.core.resilience import (
-    CaseOutcome,
     OutcomeKind,
     Quarantine,
     QuarantinedEntry,
@@ -83,12 +78,8 @@ __all__ = [
     "TemporalConstraints",
     "TemporalViolation",
     "TemporalViolationKind",
-    "audit_cases_parallel",
     "classify_failure",
     "replay_with_deadline",
-    "verdicts_from_outcomes",
-    "CaseOutcome",
-    "CaseVerdict",
     "OutcomeKind",
     "Quarantine",
     "QuarantinedEntry",

@@ -14,12 +14,14 @@ Two properties of the paper's Section 7 are visible in the API:
   audits the *cases* that touched an object; a case verdict is computed
   once and reused for every object, because Algorithm 1 does not depend
   on the object under investigation;
-* **per-case independence** — cases are audited in isolation, so callers
-  can parallelize freely (benchmark E10).
+* **per-case independence** — cases are audited in isolation, so
+  ``workers=N`` hands them to a process pool whose workers each run
+  this same auditor (:mod:`repro.core.parallel`, benchmark E10).
 """
 
 from __future__ import annotations
 
+import tempfile
 import time
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -32,6 +34,7 @@ from repro.core.resilience import (
     OutcomeKind,
     Quarantine,
     QuarantinedEntry,
+    RetryPolicy,
     classify_failure,
     replay_with_deadline,
 )
@@ -235,6 +238,8 @@ class PurposeControlAuditor:
         automaton_dir: "str | None" = None,
         automaton_max_states: int = 50_000,
         preflight: bool = False,
+        workers: int = 1,
+        retry_policy: RetryPolicy | None = None,
     ):
         """``temporal`` maps purpose names to their temporal constraints;
         ``now`` is the audit time used to time out still-open cases
@@ -266,9 +271,28 @@ class PurposeControlAuditor:
         persists automata as artifacts (warm across runs, checkpointed
         incrementally during the audit) and implies ``compiled`` unless
         explicitly disabled.  Invalid artifacts are reported and
-        recompiled — they never fail the audit."""
+        recompiled — they never fail the audit.
+
+        Parallel audit (``docs/robustness.md``): ``workers > 1`` hands
+        each case of :meth:`audit` to a process pool whose workers each
+        run an auditor built from these same arguments, and assembles
+        the report the serial loop would.  ``retry_policy`` (default: 3
+        attempts with exponential backoff) re-dispatches cases lost to
+        a dead worker; a case out of attempts is audited in this
+        process."""
         if on_error not in ("fail", "skip", "quarantine"):
             raise ValueError(f"on_error must be fail/skip/quarantine, got {on_error!r}")
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
+        # Everything but the telemetry and the pool settings: what a
+        # pool worker needs to rebuild this auditor.
+        self._options = {
+            name: value
+            for name, value in locals().items()
+            if name not in ("self", "telemetry", "workers", "retry_policy")
+        }
+        self._workers = workers
+        self._retry_policy = retry_policy or RetryPolicy()
         self._registry = registry
         self._hierarchy = hierarchy
         self._pdp = pdp
@@ -314,39 +338,23 @@ class PurposeControlAuditor:
         """The (shared, WeakNext-cached) checker of one purpose's process."""
         checker = self._checkers.get(purpose)
         if checker is None:
-            checker = ComplianceChecker(
-                self._registry.encoded_for(purpose),
+            from repro.compile import build_checker
+
+            checker, writer = build_checker(
+                self._registry,
+                purpose,
                 hierarchy=self._hierarchy,
                 max_silent_states=self._max_silent_states,
+                compiled=self._compiled,
+                cache=self._automaton_cache,
+                max_states=self._automaton_max_states,
+                wrapper=self._checker_wrapper,
                 telemetry=self._tel,
             )
-            if self._compiled:
-                self._warm(checker)
-            if self._checker_wrapper is not None:
-                checker = self._checker_wrapper(checker, purpose)
+            if writer is not None:
+                self._checkpoints.append(writer)
             self._checkers[purpose] = checker
         return checker
-
-    def _warm(self, checker: ComplianceChecker) -> None:
-        """Attach a (cached, else fresh) automaton; arm checkpointing."""
-        from repro.compile import CheckpointWriter, warm_checker
-
-        automaton = warm_checker(
-            checker,
-            cache=self._automaton_cache,
-            max_states=self._automaton_max_states,
-            telemetry=self._tel,
-        )
-        if self._automaton_cache is not None:
-            self._checkpoints.append(
-                CheckpointWriter(
-                    automaton,
-                    self._automaton_cache.path_for(
-                        automaton.purpose, automaton.fingerprint
-                    ),
-                    telemetry=self._tel,
-                )
-            )
 
     def checkpoint_automata(self, force: bool = False) -> None:
         """Persist newly materialized automaton states (no-op unless an
@@ -553,21 +561,63 @@ class PurposeControlAuditor:
         attached to the report so the audit's output accounts for every
         raw record, replayed or not.
         """
-        report = AuditReport()
-        try:
-            with self._tel.tracer.span("audit", entries=len(trail)):
-                for case in trail.cases():
-                    report.cases[case] = self.audit_case(
-                        case, trail.for_case(case)
-                    )
-                    if self._checkpoints:
-                        self.checkpoint_automata()
-        finally:
-            if self._checkpoints:
-                self.checkpoint_automata(force=True)
+        if self._workers > 1 and len(trail.cases()) > 1:
+            report = self._audit_in_pool(trail)
+        else:
+            report = AuditReport()
+            try:
+                with self._tel.tracer.span("audit", entries=len(trail)):
+                    for case in trail.cases():
+                        report.cases[case] = self.audit_case(
+                            case, trail.for_case(case)
+                        )
+                        if self._checkpoints:
+                            self.checkpoint_automata()
+            finally:
+                if self._checkpoints:
+                    self.checkpoint_automata(force=True)
         if quarantine is not None:
             report.quarantined = list(quarantine)
         return report
+
+    def _audit_in_pool(self, trail: AuditTrail) -> AuditReport:
+        """Audit *trail* across ``workers`` processes.
+
+        Compiled, every purpose is first compiled into the artifact
+        directory (a temporary one without ``automaton_dir``), so each
+        worker warms from the artifacts and — inheriting the registry's
+        encodings — never re-encodes a BPMN.
+        """
+        from repro.core.parallel import audit_in_pool
+
+        options = dict(self._options)
+        temporary = None
+        try:
+            if self._compiled:
+                from repro.compile import AutomatonCache, precompile
+
+                cache = self._automaton_cache
+                if cache is None:
+                    temporary = tempfile.TemporaryDirectory(
+                        prefix="repro-audit-automata-"
+                    )
+                    cache = AutomatonCache(temporary.name, telemetry=self._tel)
+                    options["automaton_dir"] = temporary.name
+                precompile(
+                    self._registry,
+                    cache,
+                    hierarchy=self._hierarchy,
+                    max_silent_states=self._max_silent_states,
+                    max_states=self._automaton_max_states,
+                    telemetry=self._tel,
+                )
+            cases = audit_in_pool(
+                options, trail, self._workers, self._retry_policy, self._tel
+            )
+        finally:
+            if temporary is not None:
+                temporary.cleanup()
+        return AuditReport(cases=cases)
 
     def audit_object(self, trail: AuditTrail, obj: ObjectRef) -> AuditReport:
         """Audit every case in which *obj* (or a descendant) was accessed.

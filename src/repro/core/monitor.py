@@ -166,32 +166,20 @@ class OnlineMonitor:
     def _checker_for(self, purpose: str) -> ComplianceChecker:
         checker = self._checkers.get(purpose)
         if checker is None:
-            checker = ComplianceChecker(
-                self._registry.encoded_for(purpose),
+            from repro.compile import build_checker
+
+            checker, writer = build_checker(
+                self._registry,
+                purpose,
                 hierarchy=self._hierarchy,
+                compiled=self._compiled,
+                cache=self._automaton_cache,
+                max_states=self._automaton_max_states,
+                wrapper=self._checker_wrapper,
                 telemetry=self._tel,
             )
-            if self._compiled:
-                from repro.compile import CheckpointWriter, warm_checker
-
-                automaton = warm_checker(
-                    checker,
-                    cache=self._automaton_cache,
-                    max_states=self._automaton_max_states,
-                    telemetry=self._tel,
-                )
-                if self._automaton_cache is not None:
-                    self._checkpoints.append(
-                        CheckpointWriter(
-                            automaton,
-                            self._automaton_cache.path_for(
-                                automaton.purpose, automaton.fingerprint
-                            ),
-                            telemetry=self._tel,
-                        )
-                    )
-            if self._checker_wrapper is not None:
-                checker = self._checker_wrapper(checker, purpose)
+            if writer is not None:
+                self._checkpoints.append(writer)
             self._checkers[purpose] = checker
         return checker
 

@@ -8,14 +8,14 @@ treat the monitor as a component that must keep running in the presence
 of bad histories (De Masellis et al.; Kiesel & Grünewald) — this module
 brings the same discipline to the a-posteriori audit:
 
-* :class:`OutcomeKind` / :class:`CaseOutcome` — the rich per-case
-  verdict that replaces the old tri-state ``CaseVerdict``: every case of
-  a batch audit ends in exactly one of six outcomes, and failures carry
-  the captured exception message and retry count instead of aborting the
-  run;
+* :class:`OutcomeKind` — the six ways a case can end, carried on
+  :attr:`CaseAuditResult.outcome <repro.core.auditor.CaseAuditResult>`:
+  every case of a batch audit ends in exactly one of them, and failures
+  carry the captured exception message and retry count instead of
+  aborting the run;
 * :func:`classify_failure` — the single mapping from exception to
-  outcome, shared by the serial auditor, the parallel workers, and the
-  online monitor so all three paths agree on what UNDECIDABLE means;
+  outcome, shared by the batch auditor and the online monitor so both
+  agree on what UNDECIDABLE means;
 * :class:`RetryPolicy` — bounded attempts with exponential backoff for
   jobs lost to dead workers;
 * :func:`replay_with_deadline` — Algorithm 1 under a per-case
@@ -76,64 +76,11 @@ class OutcomeKind(Enum):
         return self.value
 
 
-#: Kinds that mean "the audit ran to a verdict" (the paper's outcomes).
-DECIDED_KINDS = frozenset(
-    {OutcomeKind.COMPLIANT, OutcomeKind.INVALID_EXECUTION, OutcomeKind.UNKNOWN_PURPOSE}
-)
-
-
-@dataclass
-class CaseOutcome:
-    """The rich per-case verdict of a resilient batch audit.
-
-    Replaces the tri-state ``CaseVerdict``: ``verdict`` recovers the old
-    ``True``/``False``/``None`` view, while failures keep the captured
-    exception message (``error``/``error_type``), the retry count, and —
-    for UNDECIDABLE cases — how many silent states were explored before
-    the bound tripped.
-    """
-
-    case: str
-    kind: OutcomeKind
-    purpose: Optional[str] = None
-    failed_index: Optional[int] = None
-    error: Optional[str] = None
-    error_type: Optional[str] = None
-    states_explored: Optional[int] = None
-    retries: int = 0
-    duration_s: float = 0.0
-    worker_pid: Optional[int] = None
-
-    @property
-    def verdict(self) -> Optional[bool]:
-        """The legacy tri-state view: True / False / None (anything else)."""
-        if self.kind is OutcomeKind.COMPLIANT:
-            return True
-        if self.kind is OutcomeKind.INVALID_EXECUTION:
-            return False
-        return None
-
-    @property
-    def ok(self) -> bool:
-        return self.kind is OutcomeKind.COMPLIANT
-
-    @property
-    def decided(self) -> bool:
-        """Whether the audit reached one of the paper's verdicts."""
-        return self.kind in DECIDED_KINDS
-
-    def __str__(self) -> str:
-        detail = f" ({self.error})" if self.error else ""
-        retried = f" after {self.retries} retr{'y' if self.retries == 1 else 'ies'}" \
-            if self.retries else ""
-        return f"{self.case} [{self.purpose}]: {self.kind}{retried}{detail}"
-
-
 def classify_failure(error: BaseException) -> OutcomeKind:
     """Map an exception escaping one case's replay to its outcome kind.
 
-    Shared by the serial auditor, the parallel workers, and the online
-    monitor so every path files the same failure under the same kind.
+    Shared by the batch auditor and the online monitor so every path
+    files the same failure under the same kind.
     """
     if isinstance(error, NotFinitelyObservableError):
         return OutcomeKind.UNDECIDABLE
@@ -145,28 +92,6 @@ def classify_failure(error: BaseException) -> OutcomeKind:
     if isinstance(error, CaseTimeoutError):
         return OutcomeKind.TIMEOUT
     return OutcomeKind.ERROR
-
-
-def outcome_from_failure(
-    case: str,
-    error: BaseException,
-    purpose: Optional[str] = None,
-    retries: int = 0,
-    duration_s: float = 0.0,
-    worker_pid: Optional[int] = None,
-) -> CaseOutcome:
-    """A :class:`CaseOutcome` capturing one contained exception."""
-    return CaseOutcome(
-        case=case,
-        kind=classify_failure(error),
-        purpose=purpose,
-        error=str(error),
-        error_type=type(error).__name__,
-        states_explored=getattr(error, "states_explored", None),
-        retries=retries,
-        duration_s=duration_s,
-        worker_pid=worker_pid,
-    )
 
 
 @dataclass(frozen=True)

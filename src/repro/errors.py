@@ -119,14 +119,6 @@ class CaseTimeoutError(ReproError):
         self.elapsed_s = elapsed_s
 
 
-class WorkerLostError(ReproError):
-    """A parallel-audit worker process died before returning a result."""
-
-    def __init__(self, message: str, attempts: int = 0):
-        super().__init__(message)
-        self.attempts = attempts
-
-
 class CompileError(ReproError):
     """Base class for errors raised by the purpose-automaton compiler."""
 

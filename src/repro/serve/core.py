@@ -722,14 +722,10 @@ class ShardRouter:
         """Warm shared state and start the shard + writer threads."""
         if self._shards:
             raise ReproError("the router is already started")
-        # Encode every registered purpose once, up front, on the shared
-        # registry — the N monitors then hit the memoized encoding (and,
-        # compiled, the shared on-disk automaton cache) instead of each
-        # re-encoding the BPMN.
-        for purpose in self._registry.purposes():
-            self._registry.encoded_for(purpose)
         automaton_dir = self.config.automaton_dir
         if self.config.compiled or automaton_dir is not None:
+            from repro.compile import AutomatonCache, precompile
+
             if automaton_dir is None:
                 # Compiled serving always warms shards through an
                 # AutomatonCache; without a configured directory the
@@ -738,7 +734,29 @@ class ShardRouter:
                     prefix="repro-serve-automata-"
                 )
                 automaton_dir = self._tmp_automata.name
-            self._precompile_automata(automaton_dir)
+            # A daemon serves its stream from warm state: every purpose is
+            # encoded and compiled once, here, on the shared registry, so
+            # the N shards load the same fully explored table instead of
+            # racing the live stream through WeakNext.  A purpose that
+            # defeats compilation is contained per case at observe time.
+            precompile(
+                self._registry,
+                AutomatonCache(automaton_dir, telemetry=self._tel),
+                hierarchy=self._hierarchy,
+                max_states=self.config.automaton_max_states,
+                force=True,
+                telemetry=self._tel,
+            )
+        else:
+            # Encode every registered purpose once, up front, so the N
+            # monitors hit the memoized encoding instead of each
+            # re-encoding the BPMN.  A purpose whose encoding fails is
+            # contained per case at observe time, like in batch audits.
+            for purpose in self._registry.purposes():
+                try:
+                    self._registry.encoded_for(purpose)
+                except Exception:
+                    continue
         self._automaton_dir_resolved = automaton_dir
         if self.config.wal_dir is not None:
             for name in self._ring.shards:
@@ -779,39 +797,6 @@ class ShardRouter:
             automaton_max_states=self.config.automaton_max_states,
             checker_wrapper=self._checker_wrapper,
         )
-
-    def _precompile_automata(self, automaton_dir: str) -> None:
-        """Eagerly compile every purpose's automaton into the cache.
-
-        A daemon serves its stream from warm state: the BFS over the
-        canonical alphabet happens once here, at startup, so N shards
-        all load the same fully-materialized artifact and per-entry
-        replay is a dense-table cell read — not a WeakNext exploration
-        racing the live stream.
-        """
-        from repro.compile import AutomatonCache, compile_automaton
-        from repro.core.compliance import ComplianceChecker
-
-        cache = AutomatonCache(automaton_dir, telemetry=self._tel)
-        for purpose in sorted(self._registry.purposes()):
-            try:
-                checker = ComplianceChecker(
-                    self._registry.encoded_for(purpose),
-                    hierarchy=self._hierarchy,
-                    telemetry=self._tel,
-                )
-                automaton = compile_automaton(
-                    checker,
-                    max_states=self.config.automaton_max_states,
-                    telemetry=self._tel,
-                )
-                cache.save(automaton)
-            except Exception:
-                # A purpose that defeats compilation (or Algorithm 1
-                # itself) is contained per case at observe time, exactly
-                # like in batch audits — it must not keep the service
-                # from starting for every other purpose.
-                continue
 
     # -- ingest ------------------------------------------------------------
     def submit(

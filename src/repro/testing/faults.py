@@ -1,19 +1,20 @@
 """Deterministic fault injection for the audit pipeline.
 
-The resilience layer (:mod:`repro.core.resilience`,
-:mod:`repro.core.parallel`) promises that a batch audit completes with a
-verdict for every case no matter what individual cases do to their
-workers.  That promise is only worth something if it is *tested* against
-the failure modes it claims to survive — this module supplies those
-failure modes, reproducibly:
+The resilience layer (:mod:`repro.core.resilience`, and the process
+pool of :mod:`repro.core.parallel`) promises that a batch audit
+completes with a verdict for every case no matter what individual cases
+do to their workers.  That promise is only worth something if it is
+*tested* against the failure modes it claims to survive — this module
+supplies those failure modes, reproducibly:
 
 * :class:`FaultPlan` + :class:`FaultInjector` — a picklable
   ``checker_wrapper`` (the middleware seam of
-  :func:`repro.core.parallel.audit_cases_parallel` and
-  :class:`repro.core.auditor.PurposeControlAuditor`) that makes the
-  checker **crash its process** (``os._exit``) on the Nth case it
-  starts, **raise** an :class:`InjectedFaultError`, or **sleep** per fed
-  entry to trip the per-case wall-clock budget;
+  :class:`repro.core.auditor.PurposeControlAuditor`, which a parallel
+  audit hands to every pool worker's auditor, and of
+  :class:`repro.core.monitor.OnlineMonitor`) that makes the checker
+  **crash its process** (``os._exit``) on the Nth case it starts,
+  **raise** an :class:`InjectedFaultError`, or **sleep** per fed entry
+  to trip the per-case wall-clock budget;
 * :func:`corrupt_xes_event` / :func:`corrupt_store_row` — entry
   corruptors that poison exactly one record at an ingestion boundary,
   for quarantine tests;
@@ -193,8 +194,9 @@ class FaultInjector:
     purposes in :class:`FaultyChecker`.
 
     ``purposes=None`` targets every purpose.  Pass an instance as
-    ``checker_wrapper=`` to :func:`~repro.core.parallel.audit_cases_parallel`
-    or :class:`~repro.core.auditor.PurposeControlAuditor`.
+    ``checker_wrapper=`` to :class:`~repro.core.auditor.PurposeControlAuditor`
+    (with ``workers=N``, every pool worker gets it) or
+    :class:`~repro.core.monitor.OnlineMonitor`.
     """
 
     plan: FaultPlan = field(default_factory=FaultPlan)

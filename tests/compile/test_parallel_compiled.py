@@ -1,122 +1,108 @@
-"""Tests for shipping compiled automata to parallel workers.
+"""Tests for compiled replay under ``PurposeControlAuditor(workers=N)``.
 
-The satellite guarantee under test: with compiled replay enabled, the
-BPMN of each purpose is encoded **at most once per audit** — in the
-parent, during pre-compilation.  Workers warmed from the shipped
-automaton artifact never re-encode; the interpreted backend is built
-lazily only when a case needs a transition the artifact does not cover.
+The guarantee under test: with compiled replay enabled, the BPMN of
+each purpose is encoded **at most once per audit** — in the parent,
+while it precompiles every purpose into the artifact directory.  Forked
+workers inherit the registry's encodings and warm their checkers from
+the artifacts, so they never re-encode.
 """
 
 import importlib
+import os
 
 import pytest
 
 import repro.policy.registry as registry_module
-
-# ``from repro.bpmn.encode import encode`` in the package __init__ shadows
-# the submodule attribute, so resolve the module itself explicitly.
-encode_module = importlib.import_module("repro.bpmn.encode")
-from repro.core.parallel import (
-    _WorkerState,
-    _audit_case_guarded,
-    _compile_for_workers,
-    audit_cases_parallel,
-)
-from repro.obs import NULL_TELEMETRY
+from repro.compile import AutomatonCache, precompile
+from repro.core import PurposeControlAuditor
+from repro.errors import NotWellFoundedError
 from repro.policy.registry import ProcessRegistry
 from repro.scenarios import (
     paper_audit_trail,
     process_registry,
     role_hierarchy,
 )
+from repro.testing import canonical_digest
+from tests.core.test_resilience import non_well_founded_process
+
+# ``from repro.bpmn.encode import encode`` in the package __init__ shadows
+# the submodule attribute, so resolve the module itself explicitly.
+encode_module = importlib.import_module("repro.bpmn.encode")
 
 
 @pytest.fixture
-def encode_counter(monkeypatch):
-    """Count every BPMN encoding, wherever it is invoked from.
+def encode_log(monkeypatch, tmp_path):
+    """Record every BPMN encoding as ``(pid, purpose)``, in any process.
 
     ``repro.policy.registry`` binds ``encode`` at import time, so both
-    the module attribute and the registry's reference must be patched.
+    the module attribute and the registry's reference are patched;
+    forked pool workers inherit the patch and append to the same file.
     """
-    calls = []
+    log = tmp_path / "encodes.log"
     real_encode = encode_module.encode
 
     def counting_encode(process, *args, **kwargs):
-        calls.append(process.purpose)
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {process.purpose}\n")
         return real_encode(process, *args, **kwargs)
 
     monkeypatch.setattr(encode_module, "encode", counting_encode)
     monkeypatch.setattr(registry_module, "encode", counting_encode)
-    return calls
+
+    def read() -> list[tuple[int, str]]:
+        if not log.exists():
+            return []
+        return [
+            (int(pid), purpose)
+            for pid, purpose in (line.split() for line in log.read_text().splitlines())
+        ]
+
+    return read
 
 
-def worker_state_for(registry, automaton_artifacts, hierarchy=None):
-    from repro.bpmn.serialize import process_to_dict
-
-    documents = {
-        purpose: process_to_dict(registry.process_for(purpose))
-        for purpose in registry.purposes()
+def digests(report):
+    return {
+        case: canonical_digest(result.replay)
+        for case, result in report.cases.items()
+        if result.replay is not None
     }
-    prefixes = {
-        prefix: purpose
-        for purpose in registry.purposes()
-        for prefix in [registry.case_prefix_of(purpose)]
-        if prefix is not None
-    }
-    return _WorkerState(
-        documents,
-        prefixes,
-        hierarchy.to_parent_map() if hierarchy is not None else None,
-        50_000,
-        False,
-        None,
-        None,
-        automaton_artifacts,
-    )
 
 
 class TestEncodeAtMostOncePerAudit:
-    def test_precompile_encodes_each_purpose_once(self, encode_counter):
+    def test_precompile_encodes_each_purpose_once(self, encode_log, tmp_path):
         registry = process_registry()
-        hierarchy = role_hierarchy()
-        shipped = _compile_for_workers(
-            registry, hierarchy, 50_000, None, 50_000, NULL_TELEMETRY
+        outcomes = precompile(
+            registry,
+            AutomatonCache(tmp_path / "automata"),
+            hierarchy=role_hierarchy(),
         )
-        assert set(shipped) == set(registry.purposes())
-        assert sorted(encode_counter) == sorted(registry.purposes())
+        assert sorted(outcomes) == sorted(registry.purposes())
+        assert all(isinstance(o, tuple) for o in outcomes.values())
+        assert sorted(p for _, p in encode_log()) == sorted(registry.purposes())
 
-    def test_warmed_workers_never_reencode(self, encode_counter):
-        """Replaying the paper's full trail through a worker warmed from
-        the shipped artifacts adds zero encode calls."""
+    def test_warmed_workers_never_reencode(self, encode_log):
+        """A compiled pool audit of the paper's full trail encodes each
+        purpose exactly once, in the parent."""
         registry = process_registry()
-        hierarchy = role_hierarchy()
-        trail = paper_audit_trail()
-        shipped = _compile_for_workers(
-            registry, hierarchy, 50_000, None, 50_000, NULL_TELEMETRY
-        )
-        encodes_after_precompile = len(encode_counter)
-        assert encodes_after_precompile == len(registry.purposes())
+        report = PurposeControlAuditor(
+            registry, hierarchy=role_hierarchy(), compiled=True, workers=2
+        ).audit(paper_audit_trail())
+        assert all(r.error is None for r in report.cases.values())
+        encodes = encode_log()
+        assert sorted(p for _, p in encodes) == sorted(registry.purposes())
+        assert {pid for pid, _ in encodes} == {os.getpid()}
 
-        state = worker_state_for(registry, shipped, hierarchy)
-        results = {
-            case: _audit_case_guarded(
-                state, case, trail.for_case(case).entries
-            )
-            for case in trail.cases()
-        }
-        assert all(r["error"] is None for r in results.values())
-        assert len(encode_counter) == encodes_after_precompile
-
-    def test_unwarmed_worker_encodes_on_demand(self, encode_counter):
-        """Without shipped automata a worker builds the interpreted
-        checker — exactly one encode per purpose it actually touches."""
+    def test_unwarmed_worker_encodes_on_demand(self, encode_log):
+        """Interpreted, a worker encodes a purpose the first time one of
+        its cases needs it — at most once per worker and purpose."""
         registry = process_registry()
-        trail = paper_audit_trail()
-        state = worker_state_for(registry, None, role_hierarchy())
-        for case in trail.cases():
-            _audit_case_guarded(state, case, trail.for_case(case).entries)
-        assert sorted(set(encode_counter)) == sorted(registry.purposes())
-        assert len(encode_counter) == len(set(encode_counter))
+        PurposeControlAuditor(
+            registry, hierarchy=role_hierarchy(), workers=2
+        ).audit(paper_audit_trail())
+        encodes = encode_log()
+        assert {p for _, p in encodes} == set(registry.purposes())
+        assert len(encodes) == len(set(encodes))
+        assert os.getpid() not in {pid for pid, _ in encodes}
 
 
 class TestParallelCompiledVerdicts:
@@ -124,47 +110,41 @@ class TestParallelCompiledVerdicts:
         registry = process_registry()
         hierarchy = role_hierarchy()
         trail = paper_audit_trail()
-        plain = audit_cases_parallel(
-            registry, trail, workers=2, hierarchy=hierarchy
-        )
-        compiled = audit_cases_parallel(
-            registry, trail, workers=2, hierarchy=hierarchy, compiled=True
-        )
-        assert {c: o.verdict for c, o in plain.items()} == {
-            c: o.verdict for c, o in compiled.items()
-        }
-        assert {c: o.failed_index for c, o in plain.items()} == {
-            c: o.failed_index for c, o in compiled.items()
-        }
+        plain = PurposeControlAuditor(
+            registry, hierarchy=hierarchy, workers=2
+        ).audit(trail)
+        compiled = PurposeControlAuditor(
+            registry, hierarchy=hierarchy, compiled=True, workers=2
+        ).audit(trail)
+        assert plain.summary() == compiled.summary()
+        assert digests(plain) == digests(compiled)
 
     def test_artifact_dir_round_trip(self, tmp_path):
-        """Second parallel run loads the artifacts the first one wrote."""
+        """The second pool audit loads the artifacts the first one wrote."""
         registry = process_registry()
-        hierarchy = role_hierarchy()
         trail = paper_audit_trail()
-        first = audit_cases_parallel(
-            registry,
-            trail,
-            workers=2,
-            hierarchy=hierarchy,
-            automaton_dir=str(tmp_path),
-        )
+
+        def run():
+            return PurposeControlAuditor(
+                registry,
+                hierarchy=role_hierarchy(),
+                automaton_dir=str(tmp_path),
+                workers=2,
+            ).audit(trail)
+
+        first = run()
         artifacts = sorted(tmp_path.glob("*.table.bin"))
         assert len(artifacts) == len(registry.purposes())
-        second = audit_cases_parallel(
-            registry,
-            trail,
-            workers=2,
-            hierarchy=hierarchy,
-            automaton_dir=str(tmp_path),
-        )
-        assert {c: o.verdict for c, o in first.items()} == {
-            c: o.verdict for c, o in second.items()
-        }
+        written = {path: path.stat().st_mtime_ns for path in artifacts}
+        second = run()
+        assert {
+            path: path.stat().st_mtime_ns for path in artifacts
+        } == written
+        assert digests(first) == digests(second)
 
-    def test_poisoned_purpose_does_not_break_precompile(self, encode_counter):
-        """A purpose whose compilation fails keeps its lazy containment;
-        the others still ship automata."""
+    def test_poisoned_purpose_does_not_break_precompile(self, tmp_path):
+        """A purpose whose compile fails is returned in its place; the
+        others still get their artifacts."""
         registry = process_registry()
 
         class ExplodingRegistry(ProcessRegistry):
@@ -179,8 +159,11 @@ class TestParallelCompiledVerdicts:
                 registry.process_for(purpose),
                 registry.case_prefix_of(purpose),
             )
-        shipped = _compile_for_workers(
-            exploding, None, 50_000, None, 50_000, NULL_TELEMETRY
-        )
-        assert "treatment" not in shipped
-        assert set(shipped) == set(registry.purposes()) - {"treatment"}
+        exploding.register(non_well_founded_process(), "NW")
+        outcomes = precompile(exploding, AutomatonCache(tmp_path))
+        assert isinstance(outcomes["treatment"], RuntimeError)
+        assert isinstance(outcomes["sick"], NotWellFoundedError)
+        assert isinstance(outcomes["clinicaltrial"], tuple)
+        assert [p.name.split("-")[0] for p in tmp_path.glob("*.table.bin")] == [
+            "clinicaltrial"
+        ]

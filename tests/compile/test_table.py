@@ -16,7 +16,6 @@ from repro.compile import (
     TABLE_FORMAT_VERSION,
     UNKNOWN,
     AutomatonCache,
-    CompiledChecker,
     PurposeAutomaton,
     compile_automaton,
     decode_table,
@@ -301,7 +300,9 @@ class TestGrowth:
         reloaded = load_table(
             path, expected_fingerprint=partial.fingerprint, telemetry=telemetry
         )
-        replay = CompiledChecker(reloaded, telemetry=telemetry)
+        replay = ComplianceChecker(
+            workload.encoded, hierarchy=hierarchy, telemetry=telemetry
+        ).attach_automaton(reloaded)
         interpreted = factory()
         stepped = 0  # entries up to and including a case's failure
         for case, trail in trails.items():
@@ -330,7 +331,7 @@ class TestReplayThroughTheTable:
             table_path(tmp_path, automaton.purpose, automaton.fingerprint),
         )
         loaded = load_table(saved, expected_fingerprint=automaton.fingerprint)
-        compiled = CompiledChecker(loaded, checker_factory=factory)
+        compiled = factory().attach_automaton(loaded)
         interpreted = factory()
         for case in workload.trail.cases():
             case_trail = workload.trail.for_case(case)

@@ -1,7 +1,7 @@
-"""Tests for the fault-containment layer: rich outcomes, retry policy,
-per-case budgets, serial/parallel failure isolation, and the acceptance
-scenario of the robustness milestone (a poisoned batch still completes
-with a verdict for every case)."""
+"""Tests for the fault-containment layer: the outcome taxonomy, retry
+policy, per-case budgets, serial/parallel failure isolation, and the
+acceptance scenario of the robustness milestone (a poisoned batch still
+completes with a verdict for every case)."""
 
 from datetime import datetime, timedelta
 
@@ -9,10 +9,13 @@ import pytest
 
 from repro.audit import AuditTrail, LogEntry, Status
 from repro.bpmn import ProcessBuilder
-from repro.core import InfringementKind, PurposeControlAuditor
-from repro.core.parallel import audit_cases_parallel, verdicts_from_outcomes
+from repro.core import (
+    CaseAuditResult,
+    Infringement,
+    InfringementKind,
+    PurposeControlAuditor,
+)
 from repro.core.resilience import (
-    CaseOutcome,
     OutcomeKind,
     Quarantine,
     RetryPolicy,
@@ -29,7 +32,12 @@ from repro.errors import (
 from repro.obs import Telemetry
 from repro.policy.registry import ProcessRegistry
 from repro.scenarios import sequential_process
-from repro.testing import FaultInjector, FaultPlan, InjectedFaultError
+from repro.testing import (
+    FaultInjector,
+    FaultPlan,
+    InjectedFaultError,
+    canonical_digest,
+)
 
 
 def non_well_founded_process(purpose="sick"):
@@ -134,15 +142,14 @@ class TestClassification:
         assert classify_failure(error) is kind
 
     def test_outcome_verdict_projection(self):
-        assert CaseOutcome("c", OutcomeKind.COMPLIANT).verdict is True
-        assert CaseOutcome("c", OutcomeKind.INVALID_EXECUTION).verdict is False
-        for kind in (
-            OutcomeKind.UNKNOWN_PURPOSE,
-            OutcomeKind.UNDECIDABLE,
-            OutcomeKind.ERROR,
-            OutcomeKind.TIMEOUT,
-        ):
-            assert CaseOutcome("c", kind).verdict is None
+        """The outcome taxonomy lives on ``CaseAuditResult.outcome``; its
+        last three kinds are the audit failing, not the data use."""
+        for kind in OutcomeKind:
+            result = CaseAuditResult("c", None, None, outcome=kind)
+            assert result.failed is (
+                kind
+                in (OutcomeKind.UNDECIDABLE, OutcomeKind.ERROR, OutcomeKind.TIMEOUT)
+            ), kind
 
 
 class TestReplayWithDeadline:
@@ -279,67 +286,47 @@ class TestParallelResilience:
             plan=FaultPlan(name="crash-3rd", crash_on_case=3),
             purposes=("seq-2",),
         )
-        outcomes = audit_cases_parallel(
+        report = PurposeControlAuditor(
             mixed_registry,
-            trail,
             workers=2,
             checker_wrapper=injector,
             retry_policy=RetryPolicy(max_attempts=4, backoff_s=0.01),
-        )
-        assert set(outcomes) == set(trail.cases())
+        ).audit(trail)
+        assert list(report.cases) == trail.cases()
         # healthy verdicts identical to the serial, fault-free audit
-        baseline = audit_cases_parallel(mixed_registry, trail, workers=1)
+        baseline = PurposeControlAuditor(mixed_registry).audit(trail)
         for case in trail.cases():
             if case.startswith("OK"):
-                assert outcomes[case].verdict == baseline[case].verdict, case
-        assert outcomes["NW-1"].kind is OutcomeKind.UNDECIDABLE
+                assert (
+                    report.cases[case].outcome is baseline.cases[case].outcome
+                ), case
+        assert report.cases["NW-1"].outcome is OutcomeKind.UNDECIDABLE
         # at least one case was re-dispatched after the crash
-        assert any(o.retries > 0 for o in outcomes.values())
+        assert any(r.retries > 0 for r in report.cases.values())
+        assert "retries=" in report.summary()
 
     def test_repeated_crashes_fall_back_to_serial(self, mixed_registry):
         # crash on the FIRST case of every worker: no pool ever finishes
         # a job, so every case exhausts its attempts and the parent
-        # replays it serially (the plan only crashes in workers).
+        # audits it serially (the plan only crashes in workers).
         trail = mixed_trail(n_healthy=2)
         injector = FaultInjector(
             plan=FaultPlan(name="crash-always", crash_on_case=1),
             purposes=("seq-2", "sick"),
         )
-        outcomes = audit_cases_parallel(
+        report = PurposeControlAuditor(
             mixed_registry,
-            trail,
             workers=2,
             checker_wrapper=injector,
             retry_policy=RetryPolicy(max_attempts=2, backoff_s=0.01),
-            serial_fallback=True,
-        )
-        assert set(outcomes) == set(trail.cases())
-        assert outcomes["OK-2"].kind is OutcomeKind.COMPLIANT
-        assert outcomes["OK-1"].kind is OutcomeKind.INVALID_EXECUTION
-        assert outcomes["NW-1"].kind is OutcomeKind.UNDECIDABLE
-
-    def test_exhausted_attempts_without_fallback_is_error(self, mixed_registry):
-        trail = mixed_trail(n_healthy=2)
-        injector = FaultInjector(
-            plan=FaultPlan(name="crash-nofb", crash_on_case=1),
-            purposes=("seq-2", "sick"),
-        )
-        outcomes = audit_cases_parallel(
-            mixed_registry,
-            trail,
-            workers=2,
-            checker_wrapper=injector,
-            retry_policy=RetryPolicy(max_attempts=2, backoff_s=0.01),
-            serial_fallback=False,
-        )
-        assert set(outcomes) == set(trail.cases())
-        lost = [
-            o for o in outcomes.values()
-            if o.error_type == "WorkerLostError"
-        ]
-        assert lost
-        assert all(o.kind is OutcomeKind.ERROR for o in lost)
-        assert all(o.retries > 0 for o in lost)
+        ).audit(trail)
+        assert list(report.cases) == trail.cases()
+        assert report.cases["OK-2"].outcome is OutcomeKind.COMPLIANT
+        assert report.cases["OK-1"].outcome is OutcomeKind.INVALID_EXECUTION
+        assert report.cases["NW-1"].outcome is OutcomeKind.UNDECIDABLE
+        # the seq-2 cases were lost to a crash on each of their 2 attempts
+        assert report.cases["OK-1"].retries == 2
+        assert report.cases["OK-2"].retries == 2
 
     def test_crash_telemetry_counters(self, mixed_registry):
         trail = mixed_trail(n_healthy=2)
@@ -348,22 +335,86 @@ class TestParallelResilience:
             purposes=("seq-2", "sick"),
         )
         telemetry = Telemetry.create()
-        outcomes = audit_cases_parallel(
+        report = PurposeControlAuditor(
             mixed_registry,
-            trail,
             workers=2,
             checker_wrapper=injector,
             retry_policy=RetryPolicy(max_attempts=2, backoff_s=0.01),
             telemetry=telemetry,
-        )
+        ).audit(trail)
         reg = telemetry.registry
         assert reg.counter("case_retries_total").total > 0
         assert reg.counter("audit_errors_total").value(kind="undecidable") == 1
-        assert reg.counter("cases_audited_total").total == len(outcomes)
+        assert reg.counter("cases_audited_total").total == len(report.cases)
+
+    def test_counters_equal_the_serial_run(self, mixed_registry):
+        trail = mixed_trail(n_healthy=6)
+        serial, pooled = Telemetry.create(), Telemetry.create()
+        PurposeControlAuditor(mixed_registry, telemetry=serial).audit(trail)
+        PurposeControlAuditor(
+            mixed_registry, telemetry=pooled, workers=2
+        ).audit(trail)
+        for name in (
+            "cases_audited_total",
+            "infringements_total",
+            "audit_errors_total",
+            "replay_entries_total",
+        ):
+            assert (
+                pooled.registry.counter(name).samples()
+                == serial.registry.counter(name).samples()
+            ), name
+
+
+class TestOnErrorInWorkers:
+    """``on_error`` means in a pool what it means serially."""
+
+    def injector(self, name):
+        return FaultInjector(
+            plan=FaultPlan(name=name, raise_on_case=1), purposes=("seq-2",)
+        )
+
+    def test_fail_mode_raises(self, mixed_registry):
+        auditor = PurposeControlAuditor(
+            mixed_registry,
+            workers=2,
+            checker_wrapper=self.injector("pool-fail"),
+        )
+        with pytest.raises(InjectedFaultError):
+            auditor.audit(mixed_trail())
+
+    def test_skip_mode_yields_the_serial_finding(self, mixed_registry):
+        trail = mixed_trail()
+        report = PurposeControlAuditor(
+            mixed_registry,
+            workers=2,
+            checker_wrapper=self.injector("pool-skip"),
+            on_error="skip",
+        ).audit(trail)
+        baseline = PurposeControlAuditor(mixed_registry).audit(trail)
+        assert list(report.cases) == trail.cases()
+        errored = [
+            r for r in report.cases.values() if r.outcome is OutcomeKind.ERROR
+        ]
+        # each worker faults on the first seq-2 case it starts
+        assert 1 <= len(errored) <= 2
+        for result in errored:
+            assert result.purpose == "seq-2"
+            assert result.error_type == "InjectedFaultError"
+            assert result.infringements == [
+                Infringement(
+                    InfringementKind.AUDIT_ERROR,
+                    result.case,
+                    f"audit did not complete: {result.error}",
+                )
+            ]
+        for case, result in report.cases.items():
+            if result.outcome is not OutcomeKind.ERROR:
+                assert result.outcome is baseline.cases[case].outcome, case
 
 
 class TestSerialPathIsolation:
-    """Satellite: back-to-back serial audits must not share worker state."""
+    """Back-to-back audits must not share worker state."""
 
     def test_back_to_back_audits_use_their_own_registry(self):
         registry_a = ProcessRegistry()
@@ -376,28 +427,33 @@ class TestSerialPathIsolation:
         registry_b = ProcessRegistry()
         registry_b.register(builder.build(), "P")
 
-        trail_a = AuditTrail([entry("P-1", "T1", 0), entry("P-1", "T2", 1)])
-        trail_b = AuditTrail([entry("P-1", "A1", 0), entry("P-1", "A2", 1)])
+        def trail(first, second):
+            return AuditTrail(
+                [entry(case, task, minute)
+                 for case in ("P-1", "P-2")
+                 for minute, task in enumerate((first, second))]
+            )
 
-        first = audit_cases_parallel(registry_a, trail_a, workers=1)
-        assert first["P-1"].kind is OutcomeKind.COMPLIANT
-        # were checkers cached across calls, P-1 would replay against
-        # registry A's process and come back INVALID_EXECUTION here:
-        second = audit_cases_parallel(registry_b, trail_b, workers=1)
-        assert second["P-1"].kind is OutcomeKind.COMPLIANT
-        assert second["P-1"].purpose == "alt"
+        first = PurposeControlAuditor(registry_a, workers=2).audit(
+            trail("T1", "T2")
+        )
+        assert first.cases["P-1"].outcome is OutcomeKind.COMPLIANT
+        # were worker auditors reused across pools, P-1 would replay
+        # against registry A's process and come back INVALID_EXECUTION:
+        second = PurposeControlAuditor(registry_b, workers=2).audit(
+            trail("A1", "A2")
+        )
+        assert second.cases["P-1"].outcome is OutcomeKind.COMPLIANT
+        assert second.cases["P-1"].purpose == "alt"
 
-    def test_parallel_globals_untouched_by_serial_path(self):
+    def test_parallel_globals_untouched_by_serial_path(self, mixed_registry):
         import repro.core.parallel as parallel_module
 
-        registry = ProcessRegistry()
-        registry.register(sequential_process(2), "P")
-        audit_cases_parallel(
-            registry,
-            AuditTrail([entry("P-1", "T1", 0)]),
-            workers=1,
-        )
-        assert parallel_module._WORKER_STATE is None
+        trail = mixed_trail(n_healthy=2)
+        PurposeControlAuditor(mixed_registry, workers=1).audit(trail)
+        PurposeControlAuditor(mixed_registry, workers=2).audit(trail)
+        # the worker auditor is set in workers only, never in the parent
+        assert parallel_module._WORKER_AUDITOR is None
 
 
 class TestAcceptanceScenario:
@@ -426,25 +482,22 @@ class TestAcceptanceScenario:
             plan=FaultPlan(name="acceptance", crash_on_case=3),
             purposes=("seq-2",),
         )
-        outcomes = audit_cases_parallel(
+        report = PurposeControlAuditor(
             mixed_registry,
-            loaded,
             workers=2,
             checker_wrapper=injector,
             retry_policy=RetryPolicy(max_attempts=4, backoff_s=0.01),
-        )
-        # completes with an outcome for every case
-        assert set(outcomes) == set(loaded.cases())
-        assert outcomes["NW-1"].kind is OutcomeKind.UNDECIDABLE
+        ).audit(loaded, quarantine=quarantine)
+        # completes with a result for every case, the dead letter listed
+        assert list(report.cases) == loaded.cases()
+        assert report.quarantined == quarantine.entries
+        assert report.cases["NW-1"].outcome is OutcomeKind.UNDECIDABLE
         # healthy verdicts byte-identical to the serial auditor's
-        serial_auditor = PurposeControlAuditor(mixed_registry)
-        serial_baseline = audit_cases_parallel(mixed_registry, loaded, workers=1)
+        serial = PurposeControlAuditor(mixed_registry).audit(loaded)
         for case in loaded.cases():
             if not case.startswith("OK"):
                 continue
-            result = serial_auditor.audit_case(case, loaded.for_case(case))
-            assert outcomes[case].verdict is result.compliant, case
-            assert (
-                outcomes[case].failed_index
-                == serial_baseline[case].failed_index
+            assert report.cases[case].outcome is serial.cases[case].outcome
+            assert canonical_digest(report.cases[case].replay) == (
+                canonical_digest(serial.cases[case].replay)
             ), case

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro.audit import LogEntry, Status
 from repro.bpmn import encode
 from repro.compile import (
-    CompiledChecker,
     PurposeAutomaton,
     compile_automaton,
     decode_table,
@@ -192,7 +191,7 @@ class TestDiskTier:
                     registry.encoded_for(purpose), hierarchy=hierarchy
                 )
 
-            compiled = CompiledChecker(loaded, checker_factory=factory)
+            compiled = factory().attach_automaton(loaded)
             interpreted = factory()
             for case in trail.cases():
                 if by_prefix[case.partition("-")[0]] != purpose:
@@ -288,13 +287,13 @@ class TestTableTier:
                 hierarchy=hierarchy,
             )
         )
-        eager = compile_automaton(factory())
-        decoded = decode_table(encode_table(eager))
+        eager = factory()
+        decoded = decode_table(encode_table(compile_automaton(eager)))
         return {
             "interpreted": factory(),
             "growing": growing,
-            "eager": CompiledChecker(eager, checker_factory=factory),
-            "decoded": CompiledChecker(decoded, checker_factory=factory),
+            "eager": eager,
+            "decoded": factory().attach_automaton(decoded),
         }
 
     @given(

@@ -244,3 +244,45 @@ class TestSlowStuckCase:
             ).value(kind="timeout")
             == 1
         )
+
+
+class TestNonWellFoundedPurpose:
+    """A registered purpose outside the decidable fragment (a task-less
+    gateway cycle) is contained per case at observe time; it must not
+    keep the router from starting for every other purpose."""
+
+    @pytest.mark.parametrize(
+        "compiled", [False, True], ids=["interpreted", "compiled"]
+    )
+    def test_router_starts_and_contains_the_case(self, compiled):
+        from repro.policy.registry import ProcessRegistry
+        from repro.scenarios import sequential_process
+        from repro.serve import ShardRouter
+        from tests.core.test_resilience import (
+            mixed_trail,
+            non_well_founded_process,
+        )
+
+        registry = ProcessRegistry()
+        registry.register(sequential_process(2), "OK")
+        registry.register(non_well_founded_process(), "NW")
+        trail = mixed_trail()
+        router = ShardRouter(
+            registry, config=ServeConfig(shards=2, compiled=compiled)
+        )
+        router.start()
+        try:
+            for entry in trail:
+                assert router.submit(entry, block=True).accepted
+            assert router.wait_idle(timeout=30)
+            served = router.results()
+        finally:
+            router.drain()
+        report = PurposeControlAuditor(registry).audit(trail)
+        for case, result in report.cases.items():
+            if case.startswith("OK"):
+                assert served[case]["digest"] == canonical_digest(
+                    result.replay
+                ), case
+        assert served["NW-1"]["failure_kind"] == "undecidable"
+        assert served["NW-1"]["state"] == "undecidable"

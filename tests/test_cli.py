@@ -436,16 +436,43 @@ class TestAuditResilienceFlags:
     def test_parallel_audit_via_workers_flag(
         self, ht_json, ct_json, trail_xes, capsys
     ):
-        code = main([
+        args = [
             "audit", "--process", f"HT:{ht_json}",
             "--process", f"CT:{ct_json}", "--trail", trail_xes,
             "--role", "Cardiologist:Physician",
-            "--workers", "2", "--retries", "1",
-        ])
+        ]
+        serial_code = main(args)
+        serial_out = capsys.readouterr().out
+        code = main([*args, "--workers", "2", "--retries", "1"])
         out = capsys.readouterr().out
+        # one report format, whichever mode
+        assert (code, out) == (serial_code, serial_out)
         assert code == EXIT_INFRINGEMENT
-        assert "Parallel audit" in out
         assert "invalid-execution" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "2", "--retries", "-1"],
+            ["--retries", "-1"],
+            ["--case-timeout", "0"],
+            ["--case-timeout", "-1"],
+            ["--workers", "0"],
+            ["--workers", "-3"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_out_of_range_numbers_are_bad_input(
+        self, ht_json, trail_xes, capsys, flags
+    ):
+        code = main([
+            "audit", "--process", f"HT:{ht_json}", "--trail", trail_xes,
+            *flags,
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT
+        assert flags[-2] in captured.err
+        assert "audited" not in captured.out
 
     def test_quarantine_mode_surfaces_dead_letters(
         self, ht_json, tmp_path, capsys
@@ -672,6 +699,45 @@ class TestCompiledArtifacts:
             total(cold_metrics, "automaton_table_hits_total")
             + total(cold_metrics, "automaton_misses_total")
         )
+
+    @pytest.mark.parametrize("mode", ["interpreted", "cold", "warm"])
+    @pytest.mark.parametrize("day", ["paper", "hospital-day"])
+    def test_workers_print_the_serial_report(
+        self, ht_json, ct_json, tmp_path, capsys, day, mode
+    ):
+        """``--workers 2`` prints exactly what the serial audit prints:
+        interpreted, and compiled with and without artifacts already in
+        the directory."""
+        from repro.scenarios import hospital_day
+
+        trail = (
+            paper_audit_trail()
+            if day == "paper"
+            else hospital_day(n_cases=30, violation_rate=0.4, seed=4).trail
+        )
+        trail_xes = tmp_path / "trail.xes"
+        trail_xes.write_text(export_xes(trail))
+        audit = [
+            "audit", "--process", f"HT:{ht_json}",
+            "--process", f"CT:{ct_json}", "--trail", str(trail_xes),
+            *self.ROLES,
+        ]
+        serial_code = main(audit)
+        serial_out = capsys.readouterr().out
+        assert serial_code == EXIT_INFRINGEMENT
+        automata = tmp_path / "automata"
+        if mode == "warm":
+            assert main([
+                "compile", "--process", f"HT:{ht_json}",
+                "--process", f"CT:{ct_json}", *self.ROLES,
+                "--automaton-dir", str(automata),
+            ]) == EXIT_OK
+            capsys.readouterr()
+        compiled = [] if mode == "interpreted" else [
+            "--automaton-dir", str(automata)
+        ]
+        code = main([*audit, *compiled, "--workers", "2"])
+        assert (code, capsys.readouterr().out) == (serial_code, serial_out)
 
     @pytest.mark.parametrize("rot", ["pool", "version-2"])
     def test_rotten_artifact_never_changes_the_report(

@@ -67,6 +67,24 @@ def test_serve_audit_and_compile_never_import_networkx():
     assert completed.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_the_process_pool_out():
+    """``repro audit --workers N`` imports its pool on first use only."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli; print('concurrent.futures' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
+
+
 def test_networkx_is_a_declared_dependency():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
