@@ -35,8 +35,7 @@ def main():
 
     print("streaming the Fig. 4 log into the monitor ...\n")
     for entry in paper_audit_trail():
-        alerts = monitor.observe(entry)
-        for alert in alerts:
+        for alert in monitor.observe(entry).raised:
             stamp = entry.timestamp.strftime("%Y-%m-%d %H:%M")
             print(f"ALERT {stamp}  {alert}")
 

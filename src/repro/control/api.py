@@ -44,7 +44,7 @@ from repro.control.reaudit import (
     full_reaudit,
     incremental_reaudit,
 )
-from repro.errors import ConfigError, ReproError, UnknownPurposeError
+from repro.errors import ConfigError, ReproError
 from repro.obs import (
     CONTROL_DISMISS,
     CONTROL_REAUDIT,
@@ -86,9 +86,8 @@ class ControlPlane:
         self._m_reaudit_cases = tel.registry.counter(
             "reaudit_cases_total", "cases touched by re-audit runs, by mode"
         )
-        # Standalone verdicts replay the store once and cache by store
-        # length — a grown store invalidates the cache.
-        self._offline_cache: Optional[tuple[int, dict[str, dict]]] = None
+        # (store length, (records, findings)) of the standalone replay.
+        self._offline_cache: Optional[tuple[int, tuple]] = None
 
     # -- dispatch --------------------------------------------------------
     def handle(
@@ -176,6 +175,12 @@ class ControlPlane:
                 except RuntimeError:
                     continue
             return self.router.results(digests=digests)
+        return self._offline()[0]
+
+    def _offline(self) -> tuple[dict[str, dict], dict[str, list[dict]]]:
+        """Standalone per-case records and findings, from one replay of
+        the store, cached by store length — a grown store invalidates
+        the cache."""
         if self.config is None:
             raise _ApiError(
                 400,
@@ -183,7 +188,7 @@ class ControlPlane:
                 "(--config) to replay the store with",
             )
         assert self._store_path is not None
-        from repro.control.reaudit import _replay
+        from repro.control.reaudit import _replay, records_of
 
         with AuditStore(self._store_path) as store:
             length = len(store)
@@ -192,9 +197,16 @@ class ControlPlane:
                 and self._offline_cache[0] == length
             ):
                 return self._offline_cache[1]
-            records = _replay(self.config, store)
-        self._offline_cache = (length, records)
-        return records
+            monitor = _replay(self.config, store)
+        replayed = (
+            records_of(monitor),
+            {
+                case: [f.as_dict() for f in monitor.case_findings(case)]
+                for case in monitor.cases()
+            },
+        )
+        self._offline_cache = (length, replayed)
+        return replayed
 
     def _tenants(self) -> tuple[int, dict, dict]:
         records = self._records(digests=False)
@@ -293,42 +305,16 @@ class ControlPlane:
         if record is None:
             raise _ApiError(404, f"unknown case {case!r}")
         payload = dict(record)
-        payload["findings"] = self._findings(case)
         if self.router is not None:
+            payload["findings"] = self.router.case_findings(case)
             ctx = self.router.case_trace(case)
             payload["trace"] = ctx.trace_id if ctx is not None else None
             payload["quarantined"] = case in self.router.quarantined_cases()
         else:
+            payload["findings"] = self._offline()[1].get(case, [])
             payload["quarantined"] = case in self._quarantined_kinds()
         payload["control_log"] = self._control_records(case)
         return 200, payload, {}
-
-    def _findings(self, case: str) -> list[dict]:
-        """The case's infringement findings (live: from its monitor)."""
-        if self.router is not None:
-            for shard in self.router._shards.values():
-                if case in shard.monitor.cases():
-                    return [
-                        {"kind": i.kind.value, "detail": i.detail}
-                        for i in shard.monitor.infringements
-                        if i.case == case
-                    ]
-            return []
-        if self.config is None or self._store_path is None:
-            return []
-        from repro.core.monitor import OnlineMonitor
-
-        monitor = OnlineMonitor(
-            self.config.registry(), hierarchy=self.config.hierarchy
-        )
-        with AuditStore(self._store_path) as store:
-            for entry in store.query(case=case):
-                monitor.observe(entry)
-        return [
-            {"kind": i.kind.value, "detail": i.detail}
-            for i in monitor.infringements
-            if i.case == case
-        ]
 
     def _trail(self, case: str, query: dict) -> tuple[int, dict, dict]:
         if self._store_path is None:
@@ -630,10 +616,3 @@ def _retry_after(seconds: float) -> str:
     text = f"{seconds:.3f}".rstrip("0").rstrip(".")
     return text or "0"
 
-
-def case_purpose_of(registry, case: str) -> Optional[str]:
-    """Registry lookup that answers None instead of raising."""
-    try:
-        return registry.purpose_of_case(case)
-    except UnknownPurposeError:
-        return None

@@ -30,7 +30,6 @@ from repro.audit.store import AuditStore
 from repro.control.config import AuditConfig
 from repro.core.monitor import OnlineMonitor
 from repro.errors import UnknownPurposeError
-from repro.testing.differential import canonical_digest
 
 #: Store rows are streamed in pages of this many entries, so a
 #: million-entry store is never materialized (the keyset-pagination
@@ -44,8 +43,9 @@ LEDGER_VERSION = 1
 class ReauditLedger:
     """What one re-audit concluded, keyed for the next incremental run.
 
-    ``records`` maps each case id to its final word — the
-    :meth:`~repro.serve.core.ShardRouter.results` shape minus the
+    ``records`` maps each case id to its final word — the engine's
+    :meth:`~repro.core.monitor.OnlineMonitor.case_record`, which the
+    :meth:`~repro.serve.core.ShardRouter.results` records tag with a
     ``shard`` key (shard placement is an implementation detail two runs
     need not share).  ``fingerprints`` are the per-tenant content
     hashes the verdicts were computed under; the next incremental run
@@ -131,13 +131,13 @@ def _replay(
     store: AuditStore,
     cases: Optional[set[str]] = None,
     telemetry=None,
-) -> dict[str, dict]:
-    """Replay store entries through a fresh monitor; per-case records.
+) -> OnlineMonitor:
+    """Replay store entries through a fresh engine, and return it.
 
     ``cases=None`` replays everything; a set restricts the replay to
     those cases (the incremental path).  Entries stream through in
-    store order via keyset pagination — the monitor sees exactly the
-    sequence the service observed live, so the records are
+    store order via keyset pagination — the engine sees exactly the
+    sequence the service observed live, so its records are
     byte-identical to the streaming run's
     (``tests/serve``' differential suites established that equivalence
     for the monitor itself).
@@ -162,21 +162,12 @@ def _replay(
                 continue
             monitor.observe(entry)
     monitor.checkpoint(force=True)
-    records: dict[str, dict] = {}
-    for case in monitor.cases():
-        state = monitor.case_state(case)
-        kind = monitor.case_failure_kind(case)
-        result = monitor.case_result(case)
-        records[case] = {
-            "case": case,
-            "state": str(state) if state is not None else None,
-            "purpose": monitor.case_purpose(case),
-            "digest": (
-                canonical_digest(result) if result is not None else None
-            ),
-            "failure_kind": kind.value if kind is not None else None,
-        }
-    return records
+    return monitor
+
+
+def records_of(monitor: OnlineMonitor) -> dict[str, dict]:
+    """Every replayed case's record, keyed by case id."""
+    return {case: monitor.case_record(case) for case in monitor.cases()}
 
 
 def full_reaudit(
@@ -188,7 +179,7 @@ def full_reaudit(
     """Cold re-audit: every case in the store, from scratch."""
     fingerprints = config.tenant_fingerprints()
     with AuditStore(store_path) as store:
-        records = _replay(config, store, telemetry=telemetry)
+        records = records_of(_replay(config, store, telemetry=telemetry))
     ledger = ReauditLedger(
         config_fingerprint=config.fingerprint(),
         fingerprints=fingerprints,
@@ -273,7 +264,9 @@ def incremental_reaudit(
             else:
                 replay.add(case)
         records = (
-            _replay(config, store, cases=replay, telemetry=telemetry)
+            records_of(
+                _replay(config, store, cases=replay, telemetry=telemetry)
+            )
             if replay
             else {}
         )

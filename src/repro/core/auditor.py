@@ -25,17 +25,21 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from datetime import datetime
-from enum import Enum
 from typing import Optional
 
-from repro.audit.model import AuditTrail, LogEntry
-from repro.core.compliance import ComplianceChecker, ComplianceResult
+from repro.audit.model import AuditTrail
+from repro.core.compliance import ComplianceResult
+from repro.core.monitor import (
+    Infringement,
+    InfringementKind,
+    OnlineMonitor,
+    invalid_execution,
+)
 from repro.core.resilience import (
     OutcomeKind,
     Quarantine,
     QuarantinedEntry,
     RetryPolicy,
-    classify_failure,
     replay_with_deadline,
 )
 from repro.core.severity import SeverityAssessment, SeverityModel
@@ -45,11 +49,9 @@ from repro.errors import (
     EncodingError,
     NotFinitelyObservableError,
     ProcessValidationError,
-    UnknownPurposeError,
 )
 from repro.obs import (
     CASE_AUDITED,
-    CASE_FAILED,
     INFRINGEMENT_RAISED,
     NULL_TELEMETRY,
     PREFLIGHT_UNSOUND,
@@ -59,58 +61,6 @@ from repro.policy.engine import PolicyDecisionPoint
 from repro.policy.hierarchy import RoleHierarchy
 from repro.policy.model import ObjectRef
 from repro.policy.registry import ProcessRegistry
-
-
-class InfringementKind(Enum):
-    """Why an audited case raised a flag."""
-
-    #: The case's trail is not a valid execution of the claimed purpose's
-    #: process — the re-purposing detection of Section 4.
-    INVALID_EXECUTION = "invalid-execution"
-    #: An entry's implied access request is denied by the policy (Def. 3).
-    UNAUTHORIZED_ACCESS = "unauthorized-access"
-    #: The case id does not resolve to any registered purpose.
-    UNKNOWN_PURPOSE = "unknown-purpose"
-    #: A temporal constraint of the purpose was violated (Section 4's
-    #: maximum-duration remark; see :mod:`repro.core.temporal`).
-    TEMPORAL_VIOLATION = "temporal-violation"
-    #: Algorithm 1 could not decide the case: the purpose's process is
-    #: non-well-founded or not finitely observable (Section 5).  Not a
-    #: privacy violation — a flag that the case needs manual review.
-    UNDECIDABLE = "undecidable"
-    #: The case's replay exceeded its wall-clock budget.
-    TIMEOUT = "timeout"
-    #: An unexpected exception was contained to the case (``--on-error
-    #: skip``/``quarantine``).  Like UNDECIDABLE, an audit-quality flag,
-    #: not a detected misuse of data.
-    AUDIT_ERROR = "audit-error"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-@dataclass(frozen=True)
-class Infringement:
-    """One detected privacy infringement."""
-
-    kind: InfringementKind
-    case: str
-    detail: str
-    entry: Optional[LogEntry] = None
-
-    def __str__(self) -> str:
-        return f"[{self.kind}] case {self.case}: {self.detail}"
-
-
-#: Infringement kinds that flag an *audit failure* rather than a
-#: detected misuse of data (the resilience layer's findings).
-FAILURE_KINDS = frozenset(
-    {
-        InfringementKind.UNDECIDABLE,
-        InfringementKind.TIMEOUT,
-        InfringementKind.AUDIT_ERROR,
-    }
-)
 
 
 @dataclass
@@ -186,12 +136,6 @@ class AuditReport:
         """Cases whose audit was contained (UNDECIDABLE / ERROR / TIMEOUT)."""
         return [case for case, result in self.cases.items() if result.failed]
 
-    def outcome_counts(self) -> dict[str, int]:
-        counts = {kind.value: 0 for kind in OutcomeKind}
-        for result in self.cases.values():
-            counts[result.outcome.value] += 1
-        return counts
-
     def summary(self) -> str:
         lines = [
             f"audited {len(self.cases)} case(s); "
@@ -216,6 +160,16 @@ class AuditReport:
             for record in self.quarantined:
                 lines.append(f"  {record}")
         return "\n".join(lines)
+
+
+#: Failures contained to their case whatever ``on_error`` says: the
+#: purpose defeats Algorithm 1, or the case blew its budget.
+_ALWAYS_CONTAINED = (
+    NotFinitelyObservableError,
+    ProcessValidationError,
+    EncodingError,
+    CaseTimeoutError,
+)
 
 
 class PurposeControlAuditor:
@@ -302,20 +256,11 @@ class PurposeControlAuditor:
         self._now = now
         self._on_error = on_error
         self._case_timeout_s = case_timeout_s
-        self._checker_wrapper = checker_wrapper
-        self._compiled = compiled if compiled is not None else automaton_dir is not None
         self._automaton_max_states = automaton_max_states
         self._preflight = preflight
         self._preflight_cache: dict[str, tuple[str, ...]] = {}
-        self._checkers: dict[str, ComplianceChecker] = {}
-        self._checkpoints: list = []
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._tel = tel
-        self._automaton_cache = None
-        if automaton_dir is not None:
-            from repro.compile import AutomatonCache
-
-            self._automaton_cache = AutomatonCache(automaton_dir, telemetry=tel)
         self._m_cases = tel.registry.counter(
             "cases_audited_total", "process instances audited"
         )
@@ -325,42 +270,24 @@ class PurposeControlAuditor:
         self._m_case_seconds = tel.registry.histogram(
             "audit_case_seconds", "wall time per audited case"
         )
-        self._m_errors = tel.registry.counter(
-            "audit_errors_total", "contained per-case audit failures, by kind"
+        #: The case engine: purpose resolution, the checker cache and
+        #: its automaton checkpoints, and failure containment.  Batch
+        #: replays whole trails with ``replay_with_deadline`` and never
+        #: tracks a case in it.
+        self.engine = OnlineMonitor(
+            registry,
+            hierarchy=hierarchy,
+            telemetry=tel,
+            compiled=compiled,
+            automaton_dir=automaton_dir,
+            automaton_max_states=automaton_max_states,
+            checker_wrapper=checker_wrapper,
+            max_silent_states=max_silent_states,
         )
         self._m_preflight = tel.registry.counter(
             "preflight_unsound_total",
             "purposes whose processes failed the static preflight",
         )
-
-    # -- checker cache -----------------------------------------------------
-    def checker_for(self, purpose: str) -> ComplianceChecker:
-        """The (shared, WeakNext-cached) checker of one purpose's process."""
-        checker = self._checkers.get(purpose)
-        if checker is None:
-            from repro.compile import build_checker
-
-            checker, writer = build_checker(
-                self._registry,
-                purpose,
-                hierarchy=self._hierarchy,
-                max_silent_states=self._max_silent_states,
-                compiled=self._compiled,
-                cache=self._automaton_cache,
-                max_states=self._automaton_max_states,
-                wrapper=self._checker_wrapper,
-                telemetry=self._tel,
-            )
-            if writer is not None:
-                self._checkpoints.append(writer)
-            self._checkers[purpose] = checker
-        return checker
-
-    def checkpoint_automata(self, force: bool = False) -> None:
-        """Persist newly materialized automaton states (no-op unless an
-        ``automaton_dir`` was configured)."""
-        for writer in self._checkpoints:
-            writer.maybe_save(force=force)
 
     # -- auditing ------------------------------------------------------------
     def audit_case(self, case: str, case_trail: AuditTrail) -> CaseAuditResult:
@@ -374,17 +301,22 @@ class PurposeControlAuditor:
         with self._tel.tracer.span("audit_case", case=case):
             try:
                 result = self._audit_case(case, case_trail)
-            except (
-                NotFinitelyObservableError,
-                ProcessValidationError,
-                EncodingError,
-                CaseTimeoutError,
-            ) as error:
-                result = self._failure_result(case, error)
             except Exception as error:
-                if self._on_error == "fail":
+                if self._on_error == "fail" and not isinstance(
+                    error, _ALWAYS_CONTAINED
+                ):
                     raise
-                result = self._failure_result(case, error)
+                kind, finding = self.engine.failure_finding(case, error)
+                result = CaseAuditResult(
+                    case=case,
+                    purpose=self.engine.resolve(case)[0],
+                    replay=None,
+                    infringements=[finding],
+                    outcome=kind,
+                    error=str(error),
+                    error_type=type(error).__name__,
+                    states_explored=getattr(error, "states_explored", None),
+                )
         self._m_cases.inc()
         for infringement in result.infringements:
             self._m_infringements.inc(kind=str(infringement.kind))
@@ -408,43 +340,6 @@ class PurposeControlAuditor:
             )
         return result
 
-    def _failure_result(
-        self, case: str, error: BaseException
-    ) -> CaseAuditResult:
-        """Contain one case's failed audit as a result (never a crash)."""
-        kind = classify_failure(error)
-        states = getattr(error, "states_explored", None)
-        try:
-            purpose: Optional[str] = self._registry.purpose_of_case(case)
-        except UnknownPurposeError:
-            purpose = None
-        finding_kind = {
-            OutcomeKind.UNDECIDABLE: InfringementKind.UNDECIDABLE,
-            OutcomeKind.TIMEOUT: InfringementKind.TIMEOUT,
-        }.get(kind, InfringementKind.AUDIT_ERROR)
-        detail = f"audit did not complete: {error}"
-        if states is not None:
-            detail += f" (states explored: {states})"
-        self._m_errors.inc(kind=kind.value)
-        self._tel.events.emit(
-            CASE_FAILED,
-            case=case,
-            kind=kind.value,
-            error=str(error),
-            error_type=type(error).__name__,
-            retries=0,
-        )
-        return CaseAuditResult(
-            case=case,
-            purpose=purpose,
-            replay=None,
-            infringements=[Infringement(finding_kind, case, detail)],
-            outcome=kind,
-            error=str(error),
-            error_type=type(error).__name__,
-            states_explored=states,
-        )
-
     def _preflight_codes(self, purpose: str) -> tuple[str, ...]:
         """The error-severity lint codes of *purpose*'s process (cached)."""
         cached = self._preflight_cache.get(purpose)
@@ -467,16 +362,13 @@ class PurposeControlAuditor:
         return cached
 
     def _audit_case(self, case: str, case_trail: AuditTrail) -> CaseAuditResult:
-        try:
-            purpose = self._registry.purpose_of_case(case)
-        except UnknownPurposeError as error:
+        purpose, unknown = self.engine.resolve(case)
+        if unknown is not None:
             return CaseAuditResult(
                 case=case,
                 purpose=None,
                 replay=None,
-                infringements=[
-                    Infringement(InfringementKind.UNKNOWN_PURPOSE, case, str(error))
-                ],
+                infringements=[unknown],
                 outcome=OutcomeKind.UNKNOWN_PURPOSE,
             )
 
@@ -504,20 +396,12 @@ class PurposeControlAuditor:
             infringements.extend(self._policy_infringements(case, case_trail))
 
         replay = replay_with_deadline(
-            self.checker_for(purpose), case_trail, self._case_timeout_s
+            self.engine.checker_for(purpose), case_trail, self._case_timeout_s
         )
         if not replay.compliant:
-            entry = replay.failed_entry
-            detail = (
-                f"trail is not a valid execution of the {purpose!r} process; "
-                f"entry {replay.failed_index} "
-                f"({entry.role}.{entry.task} [{entry.status}]) cannot be simulated"
-                if entry is not None
-                else f"trail is not a valid execution of the {purpose!r} process"
-            )
             infringements.append(
-                Infringement(
-                    InfringementKind.INVALID_EXECUTION, case, detail, entry
+                invalid_execution(
+                    case, purpose, replay.failed_index, replay.failed_entry
                 )
             )
 
@@ -571,11 +455,9 @@ class PurposeControlAuditor:
                         report.cases[case] = self.audit_case(
                             case, trail.for_case(case)
                         )
-                        if self._checkpoints:
-                            self.checkpoint_automata()
+                        self.engine.checkpoint()
             finally:
-                if self._checkpoints:
-                    self.checkpoint_automata(force=True)
+                self.engine.checkpoint(force=True)
         if quarantine is not None:
             report.quarantined = list(quarantine)
         return report
@@ -593,10 +475,10 @@ class PurposeControlAuditor:
         options = dict(self._options)
         temporary = None
         try:
-            if self._compiled:
+            if self.engine.compiled:
                 from repro.compile import AutomatonCache, precompile
 
-                cache = self._automaton_cache
+                cache = self.engine.automaton_cache
                 if cache is None:
                     temporary = tempfile.TemporaryDirectory(
                         prefix="repro-audit-automata-"

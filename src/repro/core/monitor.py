@@ -1,4 +1,4 @@
-"""Online purpose-control monitoring.
+"""The per-case engine: online purpose-control monitoring.
 
 Section 4: "the analysis of the audit trail may lead the computation to
 a state for which further activities are still possible.  In this case
@@ -9,6 +9,14 @@ log shipper would deliver them), each case keeps its incremental
 :class:`~repro.core.compliance.ComplianceSession`, and infringements are
 raised the moment the offending entry arrives — not at the next batch
 audit.
+
+Algorithm 1 is one procedure whether a trail arrives whole or entry by
+entry, and cases are independent (Section 7), so the monitor is also the
+one case engine every mode drives: it resolves a case's purpose, builds
+and caches its checker, replays and meters it, contains its failures,
+keeps its findings, requeues it and writes its record.  The batch
+auditor, the serve daemon's shards, re-audit and the control plane all
+call it (``docs/robustness.md``).
 
 Temporal constraints (:mod:`repro.core.temporal`) integrate through
 :meth:`OnlineMonitor.sweep`: invoked periodically with the current time,
@@ -23,10 +31,9 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.audit.model import LogEntry
-from repro.core.auditor import Infringement, InfringementKind
 from repro.core.compliance import (
     ComplianceChecker,
     ComplianceResult,
@@ -34,7 +41,7 @@ from repro.core.compliance import (
 )
 from repro.core.resilience import OutcomeKind, classify_failure
 from repro.core.temporal import TemporalConstraints, TemporalViolation
-from repro.errors import UnknownPurposeError
+from repro.errors import CaseTimeoutError, UnknownPurposeError
 from repro.obs import (
     CASE_FAILED,
     INFRINGEMENT_RAISED,
@@ -44,6 +51,81 @@ from repro.obs import (
 )
 from repro.policy.hierarchy import RoleHierarchy
 from repro.policy.registry import ProcessRegistry
+
+
+class InfringementKind(Enum):
+    """Why an audited case raised a flag."""
+
+    #: The case's trail is not a valid execution of the claimed purpose's
+    #: process — the re-purposing detection of Section 4.
+    INVALID_EXECUTION = "invalid-execution"
+    #: An entry's implied access request is denied by the policy (Def. 3).
+    UNAUTHORIZED_ACCESS = "unauthorized-access"
+    #: The case id does not resolve to any registered purpose.
+    UNKNOWN_PURPOSE = "unknown-purpose"
+    #: A temporal constraint of the purpose was violated (Section 4's
+    #: maximum-duration remark; see :mod:`repro.core.temporal`).
+    TEMPORAL_VIOLATION = "temporal-violation"
+    #: Algorithm 1 could not decide the case: the purpose's process is
+    #: non-well-founded or not finitely observable (Section 5).  Not a
+    #: privacy violation — a flag that the case needs manual review.
+    UNDECIDABLE = "undecidable"
+    #: The case's replay exceeded its wall-clock budget.
+    TIMEOUT = "timeout"
+    #: An unexpected exception was contained to the case (``--on-error
+    #: skip``/``quarantine``).  Like UNDECIDABLE, an audit-quality flag,
+    #: not a detected misuse of data.
+    AUDIT_ERROR = "audit-error"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+@dataclass(frozen=True)
+class Infringement:
+    """One detected privacy infringement."""
+
+    kind: InfringementKind
+    case: str
+    detail: str
+    entry: Optional[LogEntry] = None
+
+    def __str__(self) -> str:
+        return f"[{self.kind}] case {self.case}: {self.detail}"
+
+    def as_dict(self) -> dict:
+        """The finding as the wire and the control API carry it."""
+        return {"kind": self.kind.value, "detail": self.detail}
+
+
+#: Infringement kinds that flag an *audit failure* rather than a
+#: detected misuse of data (the containment routine's findings).
+FAILURE_KINDS = frozenset(
+    {
+        InfringementKind.UNDECIDABLE,
+        InfringementKind.TIMEOUT,
+        InfringementKind.AUDIT_ERROR,
+    }
+)
+
+_FAILURE_FINDINGS = {
+    OutcomeKind.UNDECIDABLE: InfringementKind.UNDECIDABLE,
+    OutcomeKind.TIMEOUT: InfringementKind.TIMEOUT,
+}
+
+
+def invalid_execution(
+    case: str, purpose: str, index: int, entry: LogEntry
+) -> Infringement:
+    """The finding for a trail rejected at its *index*-th entry."""
+    return Infringement(
+        InfringementKind.INVALID_EXECUTION,
+        case,
+        f"trail is not a valid execution of the {purpose!r} process; "
+        f"entry {index} ({entry.role}.{entry.task} [{entry.status}]) "
+        "cannot be simulated",
+        entry,
+    )
 
 
 class CaseState(Enum):
@@ -60,18 +142,16 @@ class CaseState(Enum):
         return self.value
 
 
-#: States in which further entries are short-circuited (reported once).
-_TERMINAL_STATES = frozenset(
-    {
-        CaseState.INFRINGING,
-        CaseState.TIMED_OUT,
-        CaseState.UNDECIDABLE,
-        CaseState.FAILED,
-    }
-)
+#: Settled states: every state but OPEN.  A COMPLETED case still replays
+#: a later entry (and infringes on it); the others report once and
+#: absorb the rest of their trail silently.
+TERMINAL_STATES = frozenset(CaseState) - {CaseState.OPEN}
+
+#: The states a contained failure leaves a case in.
+_CONTAINED = frozenset({CaseState.UNDECIDABLE, CaseState.FAILED})
 
 
-@dataclass
+@dataclass(slots=True)
 class MonitoredCase:
     """Book-keeping for one case under observation."""
 
@@ -80,13 +160,18 @@ class MonitoredCase:
     session: Optional[ComplianceSession]
     state: CaseState = CaseState.OPEN
     entries: list[LogEntry] = field(default_factory=list)
-    first_seen: Optional[datetime] = None
-    last_seen: Optional[datetime] = None
     failure_kind: Optional[OutcomeKind] = None
+    findings: tuple[Infringement, ...] = ()
+    #: Processing seconds charged against the case's budget.
+    spent_s: float = 0.0
 
-    @property
-    def entry_count(self) -> int:
-        return len(self.entries)
+
+class Observation(NamedTuple):
+    """What one :meth:`OnlineMonitor.observe` call did to its case."""
+
+    previous: Optional[CaseState]  # None: the entry opened the case
+    state: CaseState
+    raised: tuple[Infringement, ...]
 
 
 class OnlineMonitor:
@@ -102,6 +187,8 @@ class OnlineMonitor:
         automaton_dir: "str | None" = None,
         automaton_max_states: int = 50_000,
         checker_wrapper=None,
+        max_silent_states: int = 50_000,
+        case_timeout_s: "float | None" = None,
     ):
         """``temporal`` maps purpose names to their temporal constraints;
         ``telemetry`` (default: disabled) instruments the monitor and its
@@ -111,7 +198,13 @@ class OnlineMonitor:
         (``docs/compilation.md``), making the per-event cost of a warm
         monitor one dense-table cell read; ``automaton_dir`` persists
         the automata (implies ``compiled``) and :meth:`sweep` doubles as
-        the checkpoint tick.
+        the checkpoint tick.  ``max_silent_states`` bounds one entry's
+        WeakNext exploration (Section 5).
+
+        ``case_timeout_s`` is each case's processing budget: every
+        entry's replay time is charged to its case, except the entry
+        that opens it (one-off warm-up, not the case's fault), and a
+        case over budget is contained as TIMEOUT.
 
         ``checker_wrapper`` is the ``(checker, purpose) -> checker``
         middleware seam shared with the batch auditor — the hook
@@ -119,32 +212,30 @@ class OnlineMonitor:
         self._registry = registry
         self._hierarchy = hierarchy
         self._temporal = dict(temporal or {})
-        self._compiled = compiled if compiled is not None else automaton_dir is not None
+        self.compiled = compiled if compiled is not None else automaton_dir is not None
         self._automaton_max_states = automaton_max_states
+        self._max_silent_states = max_silent_states
+        self._case_timeout_s = case_timeout_s
         self._checker_wrapper = checker_wrapper
         self._checkpoints: list = []
         self._checkers: dict[str, ComplianceChecker] = {}
         self._cases: dict[str, MonitoredCase] = {}
-        self._infringements: list[Infringement] = []
+        self._open = 0  # cases in the OPEN state
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._tel = tel
-        self._automaton_cache = None
+        self.automaton_cache = None
         if automaton_dir is not None:
             from repro.compile import AutomatonCache
 
-            self._automaton_cache = AutomatonCache(automaton_dir, telemetry=tel)
-        self._m_entries = tel.registry.counter(
-            "monitor_entries_total", "log entries observed by the monitor"
-        ).series()
-        self._m_cases = tel.registry.gauge(
-            "monitor_cases", "cases under observation, by state"
-        )
-        self._m_sweep_seconds = tel.registry.histogram(
-            "monitor_sweep_seconds", "wall time per temporal sweep"
-        )
+            self.automaton_cache = AutomatonCache(automaton_dir, telemetry=tel)
         self._m_errors = tel.registry.counter(
             "audit_errors_total", "contained per-case audit failures, by kind"
         )
+        # The stream's instruments are registered with the first tracked
+        # case (:meth:`_track`): a batch audit drives its cases through
+        # this engine without tracking any, and its metrics name none.
+        self._m_entries = None
+        self._m_cases = None
 
     def prewarm(self) -> None:
         """Build and warm every registered purpose's checker up front.
@@ -158,12 +249,23 @@ class OnlineMonitor:
         """
         for purpose in sorted(self._registry.purposes()):
             try:
-                self._checker_for(purpose)
+                self.checker_for(purpose)
             except Exception:
                 continue
 
-    # -- internals --------------------------------------------------------
-    def _checker_for(self, purpose: str) -> ComplianceChecker:
+    # -- the per-case building blocks (batch audit uses these too) --------
+    def resolve(self, case: str) -> tuple[Optional[str], Optional[Infringement]]:
+        """The purpose *case* claims, or ``None`` and the unknown-purpose
+        finding."""
+        try:
+            return self._registry.purpose_of_case(case), None
+        except UnknownPurposeError as error:
+            return None, Infringement(
+                InfringementKind.UNKNOWN_PURPOSE, case, str(error)
+            )
+
+    def checker_for(self, purpose: str) -> ComplianceChecker:
+        """The (shared, WeakNext-cached) checker of one purpose's process."""
         checker = self._checkers.get(purpose)
         if checker is None:
             from repro.compile import build_checker
@@ -172,8 +274,9 @@ class OnlineMonitor:
                 self._registry,
                 purpose,
                 hierarchy=self._hierarchy,
-                compiled=self._compiled,
-                cache=self._automaton_cache,
+                max_silent_states=self._max_silent_states,
+                compiled=self.compiled,
+                cache=self.automaton_cache,
                 max_states=self._automaton_max_states,
                 wrapper=self._checker_wrapper,
                 telemetry=self._tel,
@@ -183,41 +286,25 @@ class OnlineMonitor:
             self._checkers[purpose] = checker
         return checker
 
-    def _transition(self, monitored: MonitoredCase, state: CaseState) -> None:
-        """Move a case to *state*, keeping the per-state gauges current."""
-        if monitored.state is not state:
-            self._m_cases.dec(state=monitored.state.value)
-            monitored.state = state
-            self._m_cases.inc(state=state.value)
+    def failure_finding(
+        self, case: str, error: BaseException
+    ) -> tuple[OutcomeKind, Infringement]:
+        """Contain a failed replay of *case*: classify *error*, word its
+        finding, count it and announce it.
 
-    def _contain_failure(
-        self, case: str, purpose: Optional[str], error: BaseException
-    ) -> tuple[MonitoredCase, Infringement]:
-        """File a contained per-case failure; the monitor keeps running."""
+        The one containment routine.  The batch auditor files the finding
+        on the case's result; :meth:`contain` files it on a tracked case.
+        """
         kind = classify_failure(error)
-        state = (
-            CaseState.UNDECIDABLE
-            if kind is OutcomeKind.UNDECIDABLE
-            else CaseState.FAILED
-        )
-        finding_kind = {
-            OutcomeKind.UNDECIDABLE: InfringementKind.UNDECIDABLE,
-            OutcomeKind.TIMEOUT: InfringementKind.TIMEOUT,
-        }.get(kind, InfringementKind.AUDIT_ERROR)
-        monitored = self._cases.get(case)
-        if monitored is None:
-            monitored = MonitoredCase(case, purpose, None, state)
-            self._cases[case] = monitored
-            self._m_cases.inc(state=state.value)
-        else:
-            self._transition(monitored, state)
-        monitored.failure_kind = kind
-        detail = f"monitoring did not complete: {error}"
+        detail = f"audit did not complete: {error}"
         states = getattr(error, "states_explored", None)
         if states is not None:
             detail += f" (states explored: {states})"
-        infringement = Infringement(finding_kind, case, detail)
-        self._infringements.append(infringement)
+        finding = Infringement(
+            _FAILURE_FINDINGS.get(kind, InfringementKind.AUDIT_ERROR),
+            case,
+            detail,
+        )
         self._m_errors.inc(kind=kind.value)
         self._tel.events.emit(
             CASE_FAILED,
@@ -227,99 +314,139 @@ class OnlineMonitor:
             error_type=type(error).__name__,
             retries=0,
         )
-        return monitored, infringement
+        return kind, finding
+
+    # -- internals --------------------------------------------------------
+    def _track(
+        self, case: str, purpose: Optional[str], state: CaseState
+    ) -> MonitoredCase:
+        """Start book-keeping for *case* in *state*."""
+        if self._m_cases is None:
+            registry = self._tel.registry
+            self._m_entries = registry.counter(
+                "monitor_entries_total", "log entries observed by the monitor"
+            ).series()
+            self._m_cases = registry.gauge(
+                "monitor_cases", "cases under observation, by state"
+            )
+        monitored = MonitoredCase(case, purpose, None, state)
+        self._cases[case] = monitored
+        self._m_cases.inc(state=state.value)
+        if state is CaseState.OPEN:
+            self._open += 1
+        return monitored
+
+    def _transition(self, monitored: MonitoredCase, state: CaseState) -> None:
+        """Move a case to *state*, keeping the open count and the
+        per-state gauges current."""
+        previous = monitored.state
+        if previous is not state:
+            self._m_cases.dec(state=previous.value)
+            monitored.state = state
+            self._m_cases.inc(state=state.value)
+            if previous is CaseState.OPEN:
+                self._open -= 1
+            elif state is CaseState.OPEN:
+                self._open += 1
+
+    def _raise(self, monitored: MonitoredCase, finding: Infringement) -> None:
+        monitored.findings += (finding,)
+        self._tel.events.emit(
+            INFRINGEMENT_RAISED,
+            case=monitored.case,
+            kind=finding.kind.value,
+            detail=finding.detail,
+        )
 
     def _open_case(self, case: str) -> MonitoredCase:
-        try:
-            purpose = self._registry.purpose_of_case(case)
-        except UnknownPurposeError as error:
-            monitored = MonitoredCase(case, None, None, CaseState.INFRINGING)
-            self._cases[case] = monitored
-            self._m_cases.inc(state=CaseState.INFRINGING.value)
-            self._infringements.append(
-                Infringement(InfringementKind.UNKNOWN_PURPOSE, case, str(error))
-            )
-            self._tel.events.emit(
-                INFRINGEMENT_RAISED,
-                case=case,
-                kind=InfringementKind.UNKNOWN_PURPOSE.value,
-                detail=str(error),
-            )
+        purpose, unknown = self.resolve(case)
+        if unknown is not None:
+            monitored = self._track(case, None, CaseState.INFRINGING)
+            self._raise(monitored, unknown)
             return monitored
+        monitored = self._track(case, purpose, CaseState.OPEN)
         try:
-            session = self._checker_for(purpose).session()
+            monitored.session = self.checker_for(purpose).session()
         except Exception as error:
             # e.g. a non-well-founded process in the registry: contain it
             # to this case instead of killing the stream.
-            monitored, _ = self._contain_failure(case, purpose, error)
-            return monitored
-        monitored = MonitoredCase(case, purpose, session)
-        self._cases[case] = monitored
-        self._m_cases.inc(state=CaseState.OPEN.value)
+            self.contain(case, error)
         return monitored
 
-    # -- the streaming API -----------------------------------------------
-    def observe(self, entry: LogEntry) -> list[Infringement]:
-        """Feed one log entry; returns the infringements it triggered."""
-        self._m_entries.inc()
-        monitored = self._cases.get(entry.case)
-        raised: list[Infringement] = []
-        if monitored is None:
-            monitored = self._open_case(entry.case)
-            if monitored.purpose is None or monitored.session is None:
-                # unknown purpose, or a failure contained at case open:
-                # the finding was just recorded — hand it to the caller.
-                monitored.entries.append(entry)
-                return [self._infringements[-1]]
-        monitored.entries.append(entry)
-        monitored.first_seen = monitored.first_seen or entry.timestamp
-        monitored.last_seen = entry.timestamp
-
-        if monitored.state in _TERMINAL_STATES:
+    def _replay(
+        self, monitored: MonitoredCase, entry: LogEntry
+    ) -> tuple[Infringement, ...]:
+        """Feed *entry* to its case's session; the findings it raised."""
+        session = monitored.session
+        state = monitored.state
+        if state is not CaseState.OPEN and state is not CaseState.COMPLETED:
             # Already reported; don't spam per entry.  INFRINGING and
             # TIMED_OUT sessions still absorb the entry as a rejected
             # step so the replay accounting (and :meth:`case_result`)
             # stays byte-identical to a batch replay of the full trail.
-            if monitored.session is not None and monitored.state in (
-                CaseState.INFRINGING,
-                CaseState.TIMED_OUT,
+            if session is not None and (
+                state is CaseState.INFRINGING or state is CaseState.TIMED_OUT
             ):
                 try:
-                    monitored.session.feed(entry)
+                    session.feed(entry)
                 except Exception:  # pragma: no cover - belt and braces
                     pass
-            return []
-        assert monitored.session is not None
+            return ()
         try:
-            still_ok = monitored.session.feed(entry)
+            still_ok = session.feed(entry)
         except Exception as error:
-            _, infringement = self._contain_failure(
-                entry.case, monitored.purpose, error
-            )
-            return [infringement]
+            return (self.contain(monitored.case, error),)
         if not still_ok:
             self._transition(monitored, CaseState.INFRINGING)
-            infringement = Infringement(
-                InfringementKind.INVALID_EXECUTION,
-                entry.case,
-                f"entry for task {entry.task} by {entry.user} "
-                f"({entry.role}) is not part of a valid "
-                f"{monitored.purpose!r} execution",
+            finding = invalid_execution(
+                monitored.case,
+                monitored.purpose,
+                len(monitored.entries) - 1,
                 entry,
             )
-            self._infringements.append(infringement)
-            raised.append(infringement)
-            self._tel.events.emit(
-                INFRINGEMENT_RAISED,
-                case=entry.case,
-                kind=InfringementKind.INVALID_EXECUTION.value,
-                detail=infringement.detail,
-            )
-        elif not monitored.session.may_continue:
-            self._transition(monitored, CaseState.COMPLETED)
+            self._raise(monitored, finding)
+            return (finding,)
+        self._transition(
+            monitored,
+            CaseState.OPEN if session.may_continue else CaseState.COMPLETED,
+        )
+        return ()
+
+    # -- the streaming API -----------------------------------------------
+    def observe(self, entry: LogEntry) -> Observation:
+        """Feed one log entry; returns the case's previous and new state
+        and the infringements the entry raised."""
+        case = entry.case
+        monitored = self._cases.get(case)
+        if monitored is None:
+            monitored = self._open_case(case)
+            previous = None
         else:
-            self._transition(monitored, CaseState.OPEN)
-        return raised
+            previous = monitored.state
+        self._m_entries.inc()
+        monitored.entries.append(entry)
+        if previous is None and monitored.session is None:
+            # unknown purpose, or a failure contained at case open: the
+            # finding was just filed — hand it to the caller.
+            return Observation(None, monitored.state, monitored.findings)
+        budget = self._case_timeout_s
+        if budget is None or previous is None:
+            raised = self._replay(monitored, entry)
+        else:
+            started = time.perf_counter()
+            raised = self._replay(monitored, entry)
+            if monitored.state not in _CONTAINED:
+                monitored.spent_s += time.perf_counter() - started
+                if monitored.spent_s > budget:
+                    # Over budget: take the case out of rotation so it
+                    # cannot slow its stream again.
+                    error = CaseTimeoutError(
+                        f"case {case!r} exceeded its processing budget",
+                        budget_s=budget,
+                        elapsed_s=monitored.spent_s,
+                    )
+                    raised += (self.contain(case, error),)
+        return Observation(previous, monitored.state, raised)
 
     def sweep(self, now: datetime) -> list[TemporalViolation]:
         """Time out open cases against their purpose's temporal policy.
@@ -351,7 +478,9 @@ class OnlineMonitor:
         self.checkpoint()
         if self._tel.enabled:
             duration = time.perf_counter() - started
-            self._m_sweep_seconds.observe(duration)
+            self._tel.registry.histogram(
+                "monitor_sweep_seconds", "wall time per temporal sweep"
+            ).observe(duration)
             self._tel.events.emit(
                 MONITOR_SWEEP,
                 checked=checked,
@@ -362,36 +491,55 @@ class OnlineMonitor:
         return raised
 
     def contain(self, case: str, error: BaseException) -> Infringement:
-        """Publicly contain *error* to *case* (quarantine the case).
+        """Contain *error* to *case* (quarantine the case).
 
-        The streaming audit service uses this to take a stuck or
-        misbehaving case out of rotation — e.g. one that blew its
-        per-entry wall-clock budget — without touching the rest of the
-        stream.  The case transitions to a terminal state, the failure
-        is classified exactly like an in-replay exception
-        (:func:`~repro.core.resilience.classify_failure`), and the
-        returned infringement is the finding that was filed.
+        The case transitions to UNDECIDABLE or FAILED and keeps the
+        finding :meth:`failure_finding` words; the monitor keeps running.
+        The streaming audit service also calls this to take a case out
+        of rotation — the poison suspect of a crashed shard.  Returns
+        the finding that was filed.
         """
-        _, infringement = self._contain_failure(
-            case, self.case_purpose(case), error
+        kind, finding = self.failure_finding(case, error)
+        state = (
+            CaseState.UNDECIDABLE
+            if kind is OutcomeKind.UNDECIDABLE
+            else CaseState.FAILED
         )
-        return infringement
+        monitored = self._cases.get(case)
+        if monitored is None:
+            monitored = self._track(case, None, state)
+        else:
+            self._transition(monitored, state)
+        monitored.failure_kind = kind
+        monitored.findings += (finding,)
+        return finding
 
-    def reset_case(self, case: str) -> list[LogEntry]:
-        """Forget a case entirely, returning its observed entry history.
+    def requeue(
+        self, case: str
+    ) -> tuple[Optional[CaseState], int, Optional[OutcomeKind]]:
+        """Replay *case* from scratch: the control plane's *requeue*.
 
-        The control plane's quarantine *requeue* is built on this: pop
-        the case's state (keeping the per-state gauge honest), then
-        re-:meth:`observe` the returned entries through a fresh session —
-        a from-scratch replay of exactly what was seen, so a transient
-        failure (a crashed checker, a blown budget) gets a second,
-        deterministic chance.  Unknown cases return an empty history.
+        The case's state, findings and budget meter are forgotten, then
+        its observed history is re-:meth:`observe`-d through a fresh
+        session under a fresh meter — so a transient failure (a crashed
+        checker) gets a second, deterministic chance, and a reproducible
+        one (a process that defeats Algorithm 1, a case that blows its
+        budget again) is contained again.  Returns the case's new state,
+        the number of entries replayed and its failure kind; an unknown
+        case replays nothing and returns ``(None, 0, None)``.
         """
         monitored = self._cases.pop(case, None)
         if monitored is None:
-            return []
+            return None, 0, None
         self._m_cases.dec(state=monitored.state.value)
-        return list(monitored.entries)
+        if monitored.state is CaseState.OPEN:
+            self._open -= 1
+        for entry in monitored.entries:
+            self.observe(entry)
+        replayed = self._cases.get(case)
+        if replayed is None:
+            return None, 0, None
+        return replayed.state, len(monitored.entries), replayed.failure_kind
 
     def checkpoint(self, force: bool = False) -> None:
         """Persist newly materialized automaton states (no-op without an
@@ -414,6 +562,11 @@ class OnlineMonitor:
         monitored = self._cases.get(case)
         return monitored.failure_kind if monitored else None
 
+    def case_findings(self, case: str) -> tuple[Infringement, ...]:
+        """The findings *case* raised since it was (re)opened."""
+        monitored = self._cases.get(case)
+        return monitored.findings if monitored else ()
+
     def case_result(self, case: str) -> Optional[ComplianceResult]:
         """The case's incremental replay result so far.
 
@@ -425,6 +578,33 @@ class OnlineMonitor:
         if monitored is None or monitored.session is None:
             return None
         return monitored.session.result()
+
+    def case_record(self, case: str, digest: bool = True) -> dict:
+        """The case's final word: ``{case, state, purpose, digest,
+        failure_kind}``.
+
+        One shape serves the serve daemon's ``results`` reply and drain
+        events and the re-audit ledger.  The ``digest`` (the canonical
+        JSON of :meth:`case_result`) is the one costly field;
+        ``digest=False`` leaves it out.  A case this engine does not
+        hold reads as all-``None`` fields.
+        """
+        monitored = self._cases.get(case)
+        record: dict = {
+            "case": case,
+            "state": monitored.state.value if monitored else None,
+            "purpose": monitored.purpose if monitored else None,
+        }
+        if digest:
+            from repro.testing.differential import canonical_digest
+
+            result = self.case_result(case)
+            record["digest"] = (
+                canonical_digest(result) if result is not None else None
+            )
+        kind = monitored.failure_kind if monitored else None
+        record["failure_kind"] = kind.value if kind is not None else None
+        return record
 
     # The readers below may run on another thread than the one calling
     # observe() (the service's /healthz and control API read a live
@@ -445,6 +625,12 @@ class OnlineMonitor:
             if m.state is CaseState.OPEN
         ]
 
+    @property
+    def open_count(self) -> int:
+        """How many cases are OPEN (``len(open_cases())``, kept as cases
+        change state)."""
+        return self._open
+
     def infringing_cases(self) -> list[str]:
         return [
             m.case
@@ -455,20 +641,23 @@ class OnlineMonitor:
     def failed_cases(self) -> list[str]:
         """Cases whose monitoring was contained (UNDECIDABLE / FAILED)."""
         return [
-            m.case
-            for m in list(self._cases.values())
-            if m.state in (CaseState.UNDECIDABLE, CaseState.FAILED)
+            m.case for m in list(self._cases.values()) if m.state in _CONTAINED
         ]
 
     @property
     def infringements(self) -> list[Infringement]:
-        return list(self._infringements)
+        """Every case's findings, case by case in first-seen order."""
+        return [
+            finding
+            for monitored in list(self._cases.values())
+            for finding in monitored.findings
+        ]
 
     def statistics(self) -> dict[str, int]:
         counts = {state.value: 0 for state in CaseState}
         entries = 0
         for monitored in list(self._cases.values()):
             counts[monitored.state.value] += 1
-            entries += monitored.entry_count
+            entries += len(monitored.entries)
         counts["entries"] = entries
         return counts

@@ -14,8 +14,9 @@ brings the same discipline to the a-posteriori audit:
   carry the captured exception message and retry count instead of
   aborting the run;
 * :func:`classify_failure` — the single mapping from exception to
-  outcome, shared by the batch auditor and the online monitor so both
-  agree on what UNDECIDABLE means;
+  outcome, applied by the case engine's one containment routine
+  (:meth:`~repro.core.monitor.OnlineMonitor.failure_finding`) for batch
+  audit and the stream alike;
 * :class:`RetryPolicy` — bounded attempts with exponential backoff for
   jobs lost to dead workers;
 * :func:`replay_with_deadline` — Algorithm 1 under a per-case
@@ -79,8 +80,8 @@ class OutcomeKind(Enum):
 def classify_failure(error: BaseException) -> OutcomeKind:
     """Map an exception escaping one case's replay to its outcome kind.
 
-    Shared by the batch auditor and the online monitor so every path
-    files the same failure under the same kind.
+    The case engine's containment routine applies it for every mode, so
+    every path files the same failure under the same kind.
     """
     if isinstance(error, NotFinitelyObservableError):
         return OutcomeKind.UNDECIDABLE

@@ -46,12 +46,12 @@ Responsibilities:
   (``seq``); :meth:`submit` dedupes re-sent entries by per-case
   high-water mark, so a client that reconnects and replays its
   unacknowledged tail never double-counts an entry;
-* **per-case backpressure** — each shard tracks cumulative processing
-  time per case; a case that exceeds ``case_timeout_s`` is contained
-  via :meth:`OnlineMonitor.contain` with a
-  :class:`~repro.errors.CaseTimeoutError` (→ ``OutcomeKind.TIMEOUT``)
-  and quarantined, so a stuck case never stalls its shard's queue for
-  long — the stream stays live;
+* **per-case backpressure** — each shard's engine
+  (:class:`~repro.core.monitor.OnlineMonitor`) meters cumulative
+  processing time per case; a case that exceeds ``case_timeout_s`` is
+  contained as ``OutcomeKind.TIMEOUT`` and the shard quarantines it, so
+  a stuck case never stalls its shard's queue for long — the stream
+  stays live;
 * **supervision** — with ``supervise=True`` (requires the WAL) a
   :class:`~repro.serve.supervisor.ShardSupervisor` watches heartbeats:
   a dead or hung shard is replaced and its cases replayed from the
@@ -74,10 +74,15 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from repro.audit.model import LogEntry
 from repro.audit.store import AuditStore
-from repro.core.monitor import CaseState, OnlineMonitor
+from repro.core.monitor import (
+    FAILURE_KINDS,
+    TERMINAL_STATES,
+    CaseState,
+    OnlineMonitor,
+)
 from repro.core.resilience import OutcomeKind, Quarantine, RestartBudget
 from repro.core.temporal import TemporalConstraints
-from repro.errors import CaseTimeoutError, MalformedEntryError, ReproError
+from repro.errors import MalformedEntryError, ReproError
 from repro.obs import (
     CASE_QUARANTINED,
     NULL_TELEMETRY,
@@ -97,23 +102,12 @@ from repro.policy.registry import ProcessRegistry
 from repro.serve.protocol import EV_VERDICT
 from repro.serve.sharding import ConsistentHashRing
 from repro.serve.wal import WalError, WalWriter
-from repro.testing.differential import canonical_digest
 
 #: A callback receiving protocol-shaped server events for one client.
 #: Called from shard threads — implementations must be thread-safe
 #: (the asyncio service marshals onto the loop; tests append to lists
 #: under the GIL).
 Subscriber = Callable[[dict], None]
-
-_TERMINAL = frozenset(
-    {
-        CaseState.COMPLETED,
-        CaseState.INFRINGING,
-        CaseState.TIMED_OUT,
-        CaseState.UNDECIDABLE,
-        CaseState.FAILED,
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -125,16 +119,23 @@ class ServeConfig:
     ``flush_max_batch`` and once on drain, so a router used without the
     asyncio wrapper still persists everything.
 
+    ``case_timeout_s`` is each case's cumulative processing budget.  The
+    case's engine (:class:`~repro.core.monitor.OnlineMonitor`) meters
+    it: every entry but the one that opens the case is charged, a
+    requeue replays under a fresh meter, and a case over budget is
+    contained as ``timeout`` and quarantined.
+
     ``busy_watermark``/``shed_watermark`` are absolute queue depths;
     ``None`` derives them as 75% / 95% of ``queue_capacity``.  They only
     gate non-blocking submissions (the service's path) — library callers
     block instead.  ``supervise=True`` requires ``wal_dir``: a restarted
     shard replays its cases from the store + WAL, which only covers
-    every accepted entry when the WAL is on.
+    every accepted entry when the WAL is on.  The hash ring and the WAL
+    segments keep their own defaults (:class:`ConsistentHashRing`,
+    :class:`~repro.serve.wal.WalWriter`).
     """
 
     shards: int = 4
-    replicas: int = 64  # virtual nodes per shard on the hash ring
     store_path: Optional[str] = None
     flush_interval_s: float = 0.5
     flush_max_batch: int = 256
@@ -145,8 +146,6 @@ class ServeConfig:
     automaton_max_states: int = 50_000
     # -- crash safety (docs/robustness.md) --
     wal_dir: Optional[str] = None  # per-shard write-ahead ingest logs
-    wal_segment_max_bytes: int = 4 << 20
-    wal_fsync_batch: int = 256
     # -- backpressure --
     busy_watermark: Optional[int] = None  # depth triggering `busy`
     shed_watermark: Optional[int] = None  # depth triggering shedding
@@ -184,9 +183,10 @@ class Admission:
 class RequeueResult:
     """What :meth:`ShardRouter.requeue_case` decided about one case.
 
-    ``accepted`` means the owning shard replayed the case's full entry
-    history through a fresh session; ``state`` and ``replayed_entries``
-    describe where the replay landed.  ``busy`` mirrors entry admission:
+    ``accepted`` means the owning shard replays the case's full entry
+    history through a fresh session under a fresh budget meter;
+    ``state`` and ``replayed_entries`` describe where the replay landed
+    (empty when the caller stopped waiting first).  ``busy`` mirrors entry admission:
     the shard's queue was over its busy watermark, retry after
     ``retry_after_s``.  A refusal (unknown / not-quarantined case, or a
     draining router) sets ``reason``.
@@ -237,10 +237,13 @@ class _Barrier:
 class _Shard(threading.Thread):
     """One worker thread owning one :class:`OnlineMonitor`.
 
-    ``rebuild`` is the supervised-restart path: a replacement shard
-    processes those items (replayed history from the store + WAL)
-    before touching its queue, so a barrier posted after the restart
-    only fires once the rebuilt state is current.
+    The thread's own duties are the queue, the heartbeat, trace spans,
+    the ingest histogram, the router's quarantine note and the verdict
+    event; every per-case decision is the engine's.  ``rebuild`` is the
+    supervised-restart path: a replacement shard processes those items
+    (replayed history from the store + WAL) before touching its queue,
+    so a barrier posted after the restart only fires once the rebuilt
+    state is current.
     """
 
     def __init__(
@@ -258,16 +261,11 @@ class _Shard(threading.Thread):
         )
         self._router = router
         self._rebuild = rebuild or []
-        self._spent: dict[str, float] = {}  # case -> processing seconds
         self.entries_observed = 0
         #: Set once the monitor's checkers are warm (artifacts loaded);
         #: the router's ``start`` blocks on it so the first streamed
         #: entry never pays artifact-parse latency.
         self.warmed = threading.Event()
-        # Cases this shard has opened and not yet settled.  Mutated only
-        # by this thread; other threads read len() (GIL-atomic) for the
-        # in-flight gauge.
-        self._open_cases: set[str] = set()
         # -- supervision surface (read cross-thread; GIL-atomic) --
         self.last_beat = time.monotonic()  # refreshed each item / idle tick
         self.current_case: Optional[str] = None  # set while processing
@@ -342,7 +340,13 @@ class _Shard(threading.Thread):
     @property
     def inflight_cases(self) -> int:
         """Open (non-terminal) cases currently owned by this shard."""
-        return len(self._open_cases)
+        return self.monitor.open_count
+
+    def record(self, case: str, digest: bool = True) -> dict:
+        """The engine's record of *case*, tagged with this shard."""
+        record = self.monitor.case_record(case, digest=digest)
+        record["shard"] = self.shard_name
+        return record
 
     def _requeue(
         self, case: str, done: threading.Event, holder: dict
@@ -353,32 +357,23 @@ class _Shard(threading.Thread):
         live entries exactly like any other item: the history replayed
         is everything observed up to this point in the queue, and any
         entry admitted later lands after the fresh session exists.  The
-        cumulative-budget meter is reset — the requeue *is* the second
-        chance.  ``holder`` carries the outcome back to the waiting
-        control plane; ``done`` always fires (``finally``), so an API
-        call never hangs on a replay that blows up.
+        engine replays under a fresh budget meter; a failure that
+        reproduces goes back into quarantine.  ``holder`` carries the
+        outcome back to the waiting control plane; ``done`` always fires
+        (``finally``), so an API call never hangs on a replay that blows
+        up.
         """
         try:
-            monitor = self.monitor
-            self._spent.pop(case, None)
-            entries = monitor.reset_case(case)
-            for entry in entries:
-                monitor.observe(entry)
-            state = monitor.case_state(case)
-            if state in _TERMINAL:
-                self._open_cases.discard(case)
-            elif state is not None:
-                self._open_cases.add(case)
-            kind = monitor.case_failure_kind(case)
+            state, replayed, kind = self.monitor.requeue(case)
             if kind is not None:
-                # The failure reproduced deterministically: back into
-                # quarantine it goes (the requeue popped it out).
                 self._router._note_quarantined(
                     case, kind, "failure reproduced on requeue"
                 )
             holder["state"] = str(state) if state is not None else None
-            holder["replayed"] = len(entries)
-            holder["requarantined"] = kind is not None
+            holder["replayed"] = replayed
+            self._router._m_requeues.inc(
+                outcome="requarantined" if kind is not None else "replayed"
+            )
         finally:
             done.set()
 
@@ -396,7 +391,6 @@ class _Shard(threading.Thread):
         case = entry.case
         self.current_case = case
         tracer = self._router._tel.tracer
-        before = monitor.case_state(case)
         replay_span_id = ""
         started = time.perf_counter()
         if ctx is not None and tracer.enabled:
@@ -406,10 +400,10 @@ class _Shard(threading.Thread):
             with tracer.span(
                 "serve.replay", parent=ctx, case=case, shard=self.shard_name
             ) as span:
-                raised = monitor.observe(entry)
+                previous, state, raised = monitor.observe(entry)
                 replay_span_id = span.span_id
         else:
-            raised = monitor.observe(entry)
+            previous, state, raised = monitor.observe(entry)
         elapsed = time.perf_counter() - started
         if self.abandoned:
             # Replaced while observing (a hang verdict): drop every
@@ -424,39 +418,16 @@ class _Shard(threading.Thread):
         else:
             self._router._m_ingest_fast.observe(elapsed)
 
-        budget = self._router.config.case_timeout_s
-        after = monitor.case_state(case)
-        if (
-            budget is not None
-            and before is not None  # opening an unseen case pays one-off
-            # warm-up (encoding, closure priming) that is not the case's
-            # fault — the budget meters steady-state replay time.
-            and after not in (CaseState.UNDECIDABLE, CaseState.FAILED)
-        ):
-            spent = self._spent.get(case, 0.0) + elapsed
-            self._spent[case] = spent
-            if spent > budget:
-                # The case blew its cumulative processing budget: take
-                # it out of rotation so it cannot slow this shard again.
-                error = CaseTimeoutError(
-                    f"case {case!r} exceeded its processing budget",
-                    budget_s=budget,
-                    elapsed_s=spent,
-                )
-                raised = list(raised) + [monitor.contain(case, error)]
-                after = monitor.case_state(case)
-
-        if after in _TERMINAL:
-            self._open_cases.discard(case)
-        elif after is not None:
-            self._open_cases.add(case)
-
-        kind = monitor.case_failure_kind(case)
-        if kind is not None:
+        if raised and raised[-1].kind in FAILURE_KINDS:
+            # The engine contained the case: take it out of rotation.
             self._router._note_quarantined(
-                case, kind, raised[-1].detail if raised else ""
+                case, monitor.case_failure_kind(case), raised[-1].detail
             )
-        if ctx is not None and after in _TERMINAL and before not in _TERMINAL:
+        if (
+            ctx is not None
+            and state in TERMINAL_STATES
+            and previous not in TERMINAL_STATES
+        ):
             # The case settled: close its trace with an instant span.
             tracer.record_span(
                 "serve.verdict",
@@ -464,21 +435,18 @@ class _Shard(threading.Thread):
                 0.0,
                 parent=ctx,
                 case=case,
-                state=str(after),
+                state=str(state),
                 shard=self.shard_name,
             )
-        if subscriber is not None and (before is not after or raised):
+        if subscriber is not None and (previous is not state or raised):
             event = {
                 "event": EV_VERDICT,
                 "case": case,
-                "state": str(after) if after is not None else None,
-                "previous": str(before) if before is not None else None,
+                "state": str(state),
+                "previous": str(previous) if previous is not None else None,
                 "purpose": monitor.case_purpose(case),
                 "shard": self.shard_name,
-                "infringements": [
-                    {"kind": i.kind.value, "detail": i.detail}
-                    for i in raised
-                ],
+                "infringements": [finding.as_dict() for finding in raised],
             }
             if ctx is not None:
                 event["trace"] = ctx.trace_id
@@ -613,7 +581,7 @@ class ShardRouter:
         self.dead_letters = Quarantine(telemetry=tel)
 
         names = [f"shard-{i}" for i in range(self.config.shards)]
-        self._ring = ConsistentHashRing(names, replicas=self.config.replicas)
+        self._ring = ConsistentHashRing(names)
         self._shards: dict[str, _Shard] = {}
         self._writer: Optional[_StoreWriter] = None
         self._wals: dict[str, WalWriter] = {}
@@ -761,11 +729,7 @@ class ShardRouter:
         if self.config.wal_dir is not None:
             for name in self._ring.shards:
                 self._wals[name] = WalWriter(
-                    self.config.wal_dir,
-                    name,
-                    segment_max_bytes=self.config.wal_segment_max_bytes,
-                    fsync_batch=self.config.wal_fsync_batch,
-                    fault_hook=self._wal_fault_hook,
+                    self.config.wal_dir, name, fault_hook=self._wal_fault_hook
                 )
         for name in self._ring.shards:
             shard = _Shard(name, self._new_monitor(), self)
@@ -796,6 +760,7 @@ class ShardRouter:
             automaton_dir=self._automaton_dir_resolved,
             automaton_max_states=self.config.automaton_max_states,
             checker_wrapper=self._checker_wrapper,
+            case_timeout_s=self.config.case_timeout_s,
         )
 
     # -- ingest ------------------------------------------------------------
@@ -1291,7 +1256,8 @@ class ShardRouter:
             self._tmp_automata.cleanup()
             self._tmp_automata = None
         final = {
-            case: str(state) for case, state in self.case_states().items()
+            record["case"]: record["state"]
+            for record in self.iter_results(digests=False)
         }
         self._drain_report = DrainReport(
             entries_received=self._received,
@@ -1328,9 +1294,6 @@ class ShardRouter:
     def shard_names(self) -> tuple[str, ...]:
         return tuple(self._shards)
 
-    def shard_of(self, case: str) -> str:
-        return self._ring.shard_for(case)
-
     def case_sequence(self, case: str) -> int:
         """Accepted entries of *case* so far (the dedup high-water mark)."""
         with self._ingest_lock:
@@ -1357,7 +1320,8 @@ class ShardRouter:
         shard over its busy watermark answers ``busy`` with the usual
         ``retry_after_s`` hint.  Blocks up to *wait_s* for the replay's
         outcome; on timeout the requeue still completes on the shard —
-        only the synchronous answer is partial.
+        only the synchronous answer is partial.  The shard counts
+        ``serve_requeues_total{outcome}`` when the replay finishes.
         """
         done = threading.Event()
         holder: dict = {}
@@ -1394,9 +1358,6 @@ class ShardRouter:
                 self._quarantined.pop(case, None)
             shard.queue.put_nowait(("requeue", case, done, holder))
         done.wait(wait_s)
-        self._m_requeues.inc(
-            outcome="requarantined" if holder.get("requarantined") else "replayed"
-        )
         return RequeueResult(
             case,
             accepted=True,
@@ -1420,21 +1381,6 @@ class ShardRouter:
             self._m_dismissals.inc()
         return kind
 
-    def case_states(self) -> dict[str, CaseState]:
-        """Every observed case's current state (all shards merged).
-
-        Only quiescent-safe: call after a barrier (or drain) if other
-        threads may still be feeding the shards.
-        """
-        states: dict[str, CaseState] = {}
-        for shard in self._shards.values():
-            monitor = shard.monitor
-            for case in monitor.cases():
-                state = monitor.case_state(case)
-                if state is not None:
-                    states[case] = state
-        return states
-
     def iter_results(
         self, cases: Optional[Iterable] = None, digests: bool = True
     ) -> Iterator[dict]:
@@ -1451,7 +1397,7 @@ class ShardRouter:
         if cases is None:
             for shard in shards:
                 for case in shard.monitor.cases():
-                    yield _case_record(shard, case, digest=digests)
+                    yield shard.record(case, digest=digests)
             return
         seen: set[str] = set()
         for case in cases:
@@ -1460,7 +1406,7 @@ class ShardRouter:
             seen.add(case)
             for shard in shards:
                 if shard.monitor.case_state(case) is not None:
-                    yield _case_record(shard, case, digest=digests)
+                    yield shard.record(case, digest=digests)
                     break
 
     def results(self, digests: bool = True) -> dict[str, dict]:
@@ -1482,8 +1428,13 @@ class ShardRouter:
         A case the shard does not hold (never seen, or between a
         requeue's reset and replay) reads as all-``None`` fields.
         """
-        shard = self._shards[self._ring.shard_for(case)]
-        return _case_record(shard, case, digest=True)
+        return self._shards[self._ring.shard_for(case)].record(case)
+
+    def case_findings(self, case: str) -> list[dict]:
+        """One case's findings since it was (re)opened, read now from its
+        owning shard's engine (``[]`` for a case it does not hold)."""
+        monitor = self._shards[self._ring.shard_for(case)].monitor
+        return [finding.as_dict() for finding in monitor.case_findings(case)]
 
     def refresh_shard_gauges(self) -> dict[str, dict]:
         """Per-shard load detail; also updates the shard gauges.
@@ -1580,27 +1531,3 @@ class ShardRouter:
         self._tel.events.emit(
             CASE_QUARANTINED, case=case, kind=kind.value, detail=detail
         )
-
-
-def _case_record(shard: _Shard, case: str, digest: bool) -> dict:
-    """A case's ``results`` record, read off its shard's monitor.
-
-    The ``digest`` field is the one costly part (a replay result plus
-    canonical JSON); ``digest=False`` leaves it out.
-    """
-    monitor = shard.monitor
-    state = monitor.case_state(case)
-    kind = monitor.case_failure_kind(case)
-    record: dict = {
-        "case": case,
-        "state": str(state) if state is not None else None,
-        "purpose": monitor.case_purpose(case),
-    }
-    if digest:
-        result = monitor.case_result(case)
-        record["digest"] = (
-            canonical_digest(result) if result is not None else None
-        )
-    record["failure_kind"] = kind.value if kind is not None else None
-    record["shard"] = shard.shard_name
-    return record

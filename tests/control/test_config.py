@@ -101,6 +101,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(document)
 
+    @pytest.mark.parametrize(
+        "field", ["replicas", "wal_segment_max_bytes", "wal_fsync_batch"]
+    )
+    def test_dropped_serve_fields_are_unknown_budget_keys(self, field):
+        # The hash ring and the WAL keep their own defaults; these are
+        # not ServeConfig fields.
+        with pytest.raises(ConfigError, match="unknown budget keys"):
+            parse_config(
+                {"tenants": [{"prefix": "HT"}], "budgets": {field: 1}}
+            )
+
     def test_duplicate_purpose_and_prefix_refuse(self, tmp_path):
         write_scenario_config(tmp_path, "healthcare")
         base = {"prefix": "HT", "process": "ht.json"}

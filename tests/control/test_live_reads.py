@@ -9,7 +9,6 @@ every case the daemon holds.  Neither may change what is returned.
 
 import pytest
 
-import repro.serve.core
 import repro.testing.differential
 from repro.control import ControlPlane
 from repro.scenarios import paper_audit_trail, process_registry, role_hierarchy
@@ -33,7 +32,8 @@ def router():
 
 @pytest.fixture
 def digest_calls(monkeypatch):
-    """Count every canonical-digest computation from here on."""
+    """Count every canonical-digest computation from here on (the
+    engine's record builder imports the function when it needs it)."""
     calls = []
     real = repro.testing.differential.canonical_digest
 
@@ -41,8 +41,7 @@ def digest_calls(monkeypatch):
         calls.append(result)
         return real(result)
 
-    for module in (repro.serve.core, repro.testing.differential):
-        monkeypatch.setattr(module, "canonical_digest", counting)
+    monkeypatch.setattr(repro.testing.differential, "canonical_digest", counting)
     return calls
 
 

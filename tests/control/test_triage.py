@@ -142,6 +142,68 @@ class TestRequeue:
             == 1
         )
 
+    def test_requeue_forgets_the_old_findings(self, serve_factory, tmp_path):
+        telemetry, _ = _telemetry()
+        handle = _crashing_service(serve_factory, tmp_path, telemetry)
+        plane = ControlPlane(router=handle.router, telemetry=telemetry)
+        victim = paper_audit_trail()[0]
+        with AuditStreamClient(handle.host, handle.port) as client:
+            client.recv_until("hello")
+            client.send_entry(victim)
+            client.sync()
+        _, before, _ = plane.handle(
+            "GET", f"/api/v1/cases/{victim.case}", {}, None
+        )
+        assert [f["kind"] for f in before["findings"]] == ["audit-error"]
+
+        status, _, _ = plane.handle(
+            "POST", f"/api/v1/quarantine/{victim.case}/requeue", {}, None
+        )
+        assert status == 200
+        _, after, _ = plane.handle(
+            "GET", f"/api/v1/cases/{victim.case}", {}, None
+        )
+        # The injected fault fired once: the replay is clean, and the
+        # case lists the findings of that replay only — none.
+        assert after["state"] == "open"
+        assert after["quarantined"] is False
+        assert after["findings"] == []
+
+    def test_requeued_undecidable_case_keeps_one_finding(self):
+        from repro.policy.registry import ProcessRegistry
+        from repro.scenarios import sequential_process
+        from repro.serve import ShardRouter
+        from tests.core.test_resilience import (
+            mixed_trail,
+            non_well_founded_process,
+        )
+
+        registry = ProcessRegistry()
+        registry.register(sequential_process(2), "OK")
+        registry.register(non_well_founded_process(), "NW")
+        router = ShardRouter(registry, config=ServeConfig(shards=2))
+        router.start()
+        try:
+            for entry in mixed_trail():
+                assert router.submit(entry, block=True).accepted
+            assert router.wait_idle(timeout=30)
+            plane = ControlPlane(router=router)
+            for _ in range(3):
+                status, payload, _ = plane.handle(
+                    "POST", "/api/v1/quarantine/NW-1/requeue", {}, None
+                )
+                assert status == 200 and payload["state"] == "undecidable"
+                status, payload, _ = plane.handle(
+                    "GET", "/api/v1/cases/NW-1", {}, None
+                )
+                assert status == 200
+                assert payload["quarantined"] is True
+                assert [f["kind"] for f in payload["findings"]] == [
+                    "undecidable"
+                ]
+        finally:
+            router.drain()
+
     def test_requeue_of_unquarantined_case_is_409(
         self, serve_factory, tmp_path
     ):

@@ -142,9 +142,24 @@ class TestObjectCentricAudit:
 
 class TestCheckerSharing:
     def test_checker_cached_per_purpose(self, auditor):
-        assert auditor.checker_for("treatment") is auditor.checker_for("treatment")
+        engine = auditor.engine
+        assert engine.checker_for("treatment") is engine.checker_for("treatment")
 
     def test_checkers_differ_across_purposes(self, auditor):
-        assert auditor.checker_for("treatment") is not auditor.checker_for(
+        engine = auditor.engine
+        assert engine.checker_for("treatment") is not engine.checker_for(
             "clinicaltrial"
         )
+
+    def test_batch_audit_tracks_no_case_in_the_engine(self, registry):
+        from repro.obs import Telemetry
+
+        telemetry = Telemetry.create()
+        auditor = PurposeControlAuditor(
+            registry, hierarchy=role_hierarchy(), telemetry=telemetry
+        )
+        auditor.audit(paper_audit_trail())
+        assert auditor.engine.cases() == []
+        names = {instrument.name for instrument in telemetry.registry.collect()}
+        assert "audit_errors_total" in names
+        assert not [name for name in names if name.startswith("monitor_")]

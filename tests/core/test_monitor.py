@@ -35,7 +35,7 @@ class TestStreamingPaperTrail:
         trail = paper_audit_trail()
         raised = []
         for entry in trail:
-            raised.extend((entry, i) for i in monitor.observe(entry))
+            raised.extend((entry, i) for i in monitor.observe(entry).raised)
         # The first infringement fires exactly on Bob's first harvest read.
         first_entry, first_infringement = raised[0]
         assert first_entry.case == "HT-10"
@@ -43,15 +43,15 @@ class TestStreamingPaperTrail:
 
     def test_compliant_entries_raise_nothing(self, monitor):
         for entry in paper_audit_trail().for_case("HT-1"):
-            assert monitor.observe(entry) == []
+            assert monitor.observe(entry).raised == ()
 
     def test_infringing_case_reported_once(self, monitor):
         trail = list(paper_audit_trail().for_case("HT-11"))
         extra = trail[0].shifted(timedelta(minutes=5))
-        first = monitor.observe(trail[0])
-        second = monitor.observe(extra)
+        first = monitor.observe(trail[0]).raised
+        second = monitor.observe(extra).raised
         assert len(first) == 1
-        assert second == []  # same case, already reported
+        assert second == ()  # same case, already reported
         assert len(monitor.infringements) == 1
 
     def test_statistics(self, monitor):
@@ -68,7 +68,7 @@ class TestUnknownPurpose:
         from dataclasses import replace
 
         alien = replace(entry, case="ZZ-1")
-        raised = monitor.observe(alien)
+        raised = monitor.observe(alien).raised
         assert len(raised) == 1
         assert monitor.case_state("ZZ-1") is CaseState.INFRINGING
 
@@ -121,7 +121,7 @@ class TestCaseLifecycle:
         # frontier may still allow more T94 rounds from an earlier branch,
         # so accept OPEN or COMPLETED but require compliance.
         for entry in paper_audit_trail().for_case("CT-1"):
-            assert monitor.observe(entry) == []
+            assert monitor.observe(entry).raised == ()
         assert monitor.case_state("CT-1") in (
             CaseState.OPEN, CaseState.COMPLETED,
         )
@@ -162,15 +162,15 @@ class TestFailureContainment:
         from repro.core import InfringementKind
 
         monitor = OnlineMonitor(self.sick_registry())
-        raised = monitor.observe(self.entry("NW-1", "T"))
+        raised = monitor.observe(self.entry("NW-1", "T")).raised
         assert len(raised) == 1
         assert raised[0].kind is InfringementKind.UNDECIDABLE
         assert monitor.case_state("NW-1") is CaseState.UNDECIDABLE
         assert monitor.failed_cases() == ["NW-1"]
         # reported once: further entries for the sick case are silent
-        assert monitor.observe(self.entry("NW-1", "T", minute=1)) == []
+        assert monitor.observe(self.entry("NW-1", "T", minute=1)).raised == ()
         # ...and healthy cases keep streaming normally
-        assert monitor.observe(self.entry("OK-1", "T1", minute=2)) == []
+        assert monitor.observe(self.entry("OK-1", "T1", minute=2)).raised == ()
         assert monitor.case_state("OK-1") is CaseState.OPEN
 
     def test_feed_exception_contained_as_failed(self):
@@ -184,14 +184,14 @@ class TestFailureContainment:
                 raise RuntimeError("checker blew up")
 
         monitor._cases["OK-1"].session = ExplodingSession()
-        raised = monitor.observe(self.entry("OK-1", "T2", minute=1))
+        raised = monitor.observe(self.entry("OK-1", "T2", minute=1)).raised
         assert len(raised) == 1
         assert raised[0].kind is InfringementKind.AUDIT_ERROR
         assert "checker blew up" in raised[0].detail
         assert monitor.case_state("OK-1") is CaseState.FAILED
         assert monitor.failed_cases() == ["OK-1"]
         # terminal: nothing more from this case
-        assert monitor.observe(self.entry("OK-1", "T2", minute=2)) == []
+        assert monitor.observe(self.entry("OK-1", "T2", minute=2)).raised == ()
 
     def test_contained_failures_counted_by_kind(self):
         from repro.obs import Telemetry
@@ -208,6 +208,71 @@ class TestFailureContainment:
         monitor.observe(self.entry("NW-1", "T"))
         assert monitor.infringing_cases() == []
         assert monitor.statistics()["undecidable"] == 1
+
+    def test_contained_finding_words_as_the_batch_report(self):
+        from repro.audit import AuditTrail
+        from repro.core.auditor import PurposeControlAuditor
+
+        entry = self.entry("NW-1", "T")
+        monitor = OnlineMonitor(self.sick_registry())
+        monitor.observe(entry)
+        report = PurposeControlAuditor(self.sick_registry()).audit(
+            AuditTrail([entry])
+        )
+        assert list(monitor.case_findings("NW-1")) == (
+            report.cases["NW-1"].infringements
+        )
+        assert monitor.case_findings("NW-1")[0].detail.startswith(
+            "audit did not complete: "
+        )
+
+
+class TestCaseBudget:
+    """The engine meters each case's processing time (``case_timeout_s``):
+    every entry but the opening one is charged, a case over budget is
+    contained as TIMEOUT, and a requeue replays under a fresh meter."""
+
+    def slow_monitor(self):
+        from repro.testing import FaultInjector, FaultPlan
+
+        return OnlineMonitor(
+            process_registry(),
+            hierarchy=role_hierarchy(),
+            case_timeout_s=0.15,
+            checker_wrapper=FaultInjector(
+                FaultPlan(slow_s=0.1, only_in_workers=False),
+                purposes=("clinicaltrial",),
+            ),
+        )
+
+    def test_case_over_budget_is_contained_at_its_third_entry(self):
+        from repro.core import InfringementKind
+        from repro.core.resilience import OutcomeKind
+
+        monitor = self.slow_monitor()
+        raised = [
+            monitor.observe(entry).raised
+            for entry in paper_audit_trail().for_case("CT-1")
+        ]
+        # 0.1 s per entry: the opening entry is free, the second brings
+        # the meter to 0.1 s, the third to 0.2 s > 0.15 s.
+        assert raised[:2] == [(), ()]
+        assert [f.kind for f in raised[2]] == [InfringementKind.TIMEOUT]
+        assert raised[3:] == [(), (), ()]
+        assert monitor.case_state("CT-1") is CaseState.FAILED
+        assert monitor.case_failure_kind("CT-1") is OutcomeKind.TIMEOUT
+
+    def test_requeue_replays_under_a_fresh_meter(self):
+        from repro.core.resilience import OutcomeKind
+
+        monitor = self.slow_monitor()
+        for entry in paper_audit_trail().for_case("CT-1"):
+            monitor.observe(entry)
+        assert monitor.requeue("CT-1") == (
+            CaseState.FAILED, 6, OutcomeKind.TIMEOUT,
+        )
+        assert len(monitor.case_findings("CT-1")) == 1
+        assert monitor.requeue("HT-404") == (None, 0, None)
 
 
 class TestServeFacingSurface:
@@ -234,6 +299,18 @@ class TestServeFacingSurface:
             assert canonical_digest(streamed) == canonical_digest(
                 result.replay
             ), case
+
+    def test_findings_word_as_the_batch_report(self, monitor):
+        from repro.core.auditor import PurposeControlAuditor
+
+        trail = paper_audit_trail()
+        for entry in trail:
+            monitor.observe(entry)
+        report = PurposeControlAuditor(
+            process_registry(), hierarchy=role_hierarchy()
+        ).audit(trail)
+        for case, result in report.cases.items():
+            assert list(monitor.case_findings(case)) == result.infringements
 
     def test_terminal_cases_still_account_entries(self, monitor):
         trail = paper_audit_trail()

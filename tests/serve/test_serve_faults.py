@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.control import ControlPlane
 from repro.core.auditor import PurposeControlAuditor
 from repro.core.resilience import OutcomeKind
 from repro.obs import MemoryEventLog, MetricsRegistry, Telemetry
@@ -24,7 +25,7 @@ from repro.scenarios import (
     process_registry,
     role_hierarchy,
 )
-from repro.serve import AuditStreamClient, ServeConfig
+from repro.serve import AuditStreamClient, ServeConfig, ShardRouter
 from repro.testing import (
     FaultInjector,
     FaultPlan,
@@ -245,6 +246,69 @@ class TestSlowStuckCase:
             == 1
         )
 
+    @staticmethod
+    def _slow_trial_router(telemetry):
+        """One shard, a 0.5 s budget, 0.4 s per clinical-trial entry:
+        CT-1 (6 entries) is contained after its third entry (the
+        opening entry is not charged)."""
+        injector = FaultInjector(
+            FaultPlan(slow_s=0.4, only_in_workers=False),
+            purposes=("clinicaltrial",),
+        )
+        router = ShardRouter(
+            process_registry(),
+            hierarchy=role_hierarchy(),
+            config=ServeConfig(shards=1, case_timeout_s=0.5),
+            telemetry=telemetry,
+            checker_wrapper=injector,
+        )
+        router.start()
+        for entry in paper_audit_trail():
+            assert router.submit(entry, block=True).accepted
+        assert router.wait_idle(timeout=60)
+        assert router.quarantined_cases().get("CT-1") is OutcomeKind.TIMEOUT
+        return router
+
+    def test_requeue_replays_under_a_fresh_budget(self):
+        telemetry, _ = _telemetry()
+        router = self._slow_trial_router(telemetry)
+        try:
+            result = router.requeue_case("CT-1", wait_s=60)
+            plane = ControlPlane(router=router, telemetry=telemetry)
+            status, payload, _ = plane.handle(
+                "GET", "/api/v1/cases/CT-1", {}, None
+            )
+        finally:
+            router.drain()
+        # The replay is metered like the live run: the case blows its
+        # budget again and goes back into quarantine, with one finding.
+        assert result.accepted and result.replayed_entries == 6
+        assert result.state == "failed"
+        assert router.quarantined_cases().get("CT-1") is OutcomeKind.TIMEOUT
+        assert status == 200
+        assert payload["state"] == "failed"
+        assert payload["failure_kind"] == "timeout"
+        assert payload["quarantined"] is True
+        assert [f["kind"] for f in payload["findings"]] == ["timeout"]
+        requeues = telemetry.registry.counter("serve_requeues_total")
+        assert requeues.value(outcome="requarantined") == 1
+        assert requeues.value(outcome="replayed") == 0
+
+    def test_requeue_outcome_is_counted_when_the_replay_finishes(self):
+        telemetry, _ = _telemetry()
+        router = self._slow_trial_router(telemetry)
+        requeues = telemetry.registry.counter("serve_requeues_total")
+        try:
+            # The replay takes over a second; stop waiting long before.
+            result = router.requeue_case("CT-1", wait_s=0.01)
+            assert result.accepted and result.state is None
+            assert requeues.total == 0
+            assert router.wait_idle(timeout=60)
+        finally:
+            router.drain()
+        assert requeues.value(outcome="requarantined") == 1
+        assert requeues.value(outcome="replayed") == 0
+
 
 class TestNonWellFoundedPurpose:
     """A registered purpose outside the decidable fragment (a task-less
@@ -257,7 +321,6 @@ class TestNonWellFoundedPurpose:
     def test_router_starts_and_contains_the_case(self, compiled):
         from repro.policy.registry import ProcessRegistry
         from repro.scenarios import sequential_process
-        from repro.serve import ShardRouter
         from tests.core.test_resilience import (
             mixed_trail,
             non_well_founded_process,

@@ -19,8 +19,8 @@ from dataclasses import replace
 
 import pytest
 
-import repro.serve.core as serve_core
 import repro.serve.service as serve_service
+import repro.testing.differential as differential
 from repro.scenarios import (
     hospital_day,
     paper_audit_trail,
@@ -287,7 +287,7 @@ class TestDrainFinals:
             calls.append(result)
             return canonical_digest(result)
 
-        monkeypatch.setattr(serve_core, "canonical_digest", counting)
+        monkeypatch.setattr(differential, "canonical_digest", counting)
         running.drain()
         assert calls == []
 
