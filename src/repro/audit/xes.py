@@ -25,21 +25,35 @@ event purpose:status    status          (this library's extension)
 
 Events missing the purpose-control extension import with defaults
 (action ``"execute"``, no object, success) so plain task-level XES logs
-remain replayable by Algorithm 1.
+remain replayable by Algorithm 1.  Elements may carry the standard's
+namespace (``xmlns="http://www.xes-standard.org/"``, as OpenXES and
+ProM write them) or none.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from datetime import datetime
-from typing import TYPE_CHECKING
+from sys import intern
+from typing import IO, TYPE_CHECKING, Iterator
 
 from repro.audit.model import AuditTrail, LogEntry, Status
-from repro.errors import AuditError
+from repro.errors import AuditError, PolicyError
 from repro.policy.model import ObjectRef
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.resilience import Quarantine
+
+_XES_NAMESPACE = "{http://www.xes-standard.org/}"
+_LOG = frozenset({"log", _XES_NAMESPACE + "log"})
+_TRACE = frozenset({"trace", _XES_NAMESPACE + "trace"})
+_EVENT = frozenset({"event", _XES_NAMESPACE + "event"})
+
+# Bytes (or characters) handed to the parser at a time.  Every element
+# one chunk completes is built before the first of them is decoded, and
+# elements take about twelve times the bytes of their XML, so 8 KiB of
+# XES builds about 100 kB of them, however large the document.
+_CHUNK_SIZE = 8 * 1024
 
 
 class XesError(AuditError):
@@ -109,58 +123,132 @@ def _event_entry(case: str, attributes: dict[str, str]) -> LogEntry:
     try:
         obj = ObjectRef.parse(raw_object) if raw_object else None
         status = Status(attributes.get("purpose:status", "success"))
-    except ValueError as error:
+    except (ValueError, PolicyError) as error:
         raise XesError(
             f"bad purpose-extension attribute in trace {case!r}: {error}"
         ) from error
+    # Interned as the wire decoder interns them: equal values share one
+    # string, and the replay tier's dicts keyed by them compare by pointer.
     return LogEntry(
-        user=attributes.get("org:resource", "unknown"),
-        role=attributes.get("org:role", "unknown"),
-        action=attributes.get("purpose:action", "execute"),
+        user=intern(attributes.get("org:resource", "unknown")),
+        role=intern(attributes.get("org:role", "unknown")),
+        action=intern(attributes.get("purpose:action", "execute")),
         obj=obj,
-        task=task,
+        task=intern(task),
         case=case,
         timestamp=timestamp,
         status=status,
     )
 
 
+def _chunks(stream: str | IO[bytes]) -> Iterator[str | bytes]:
+    if isinstance(stream, str):
+        for start in range(0, len(stream), _CHUNK_SIZE):
+            yield stream[start : start + _CHUNK_SIZE]
+    else:
+        while chunk := stream.read(_CHUNK_SIZE):
+            yield chunk
+
+
+def _events(stream: str | IO[bytes]) -> Iterator[tuple[str, ET.Element]]:
+    """The parser's start and end events, one chunk of *stream* at a time."""
+    parser = ET.XMLPullParser(events=("start", "end"))
+    for chunk in _chunks(stream):
+        parser.feed(chunk)
+        yield from parser.read_events()
+    parser.close()
+    # Expat may hold a token that spans chunks back until the final
+    # parse inside close(), and with it the end of the last trace.
+    yield from parser.read_events()
+
+
+def _outermost_traces(stream: str | IO[bytes]) -> Iterator[ET.Element]:
+    """Each ``<trace>`` no other trace encloses, complete, in document order.
+
+    The document is parsed one chunk at a time.  A trace is cleared once
+    the caller resumes, and every finished child of the root is dropped,
+    so the tree never holds more than the open root child.  Raises
+    :class:`XesError` for broken XML, an encoding the parser cannot read
+    or a root other than ``<log>``.
+    """
+    root = None
+    depth = open_traces = 0
+    try:
+        for kind, element in _events(stream):
+            if kind == "start":
+                if root is None:
+                    if element.tag not in _LOG:
+                        raise XesError(
+                            "expected a <log> root element, "
+                            f"found <{element.tag}>"
+                        )
+                    root = element
+                depth += 1
+                if element.tag in _TRACE:
+                    open_traces += 1
+                continue
+            depth -= 1
+            if element.tag in _TRACE:
+                open_traces -= 1
+                if not open_traces:
+                    yield element
+                    element.clear()
+            if depth == 1:
+                del root[:]
+    except (ET.ParseError, LookupError, ValueError) as error:
+        # LookupError and ValueError: a declared encoding that is unknown
+        # or multi-byte, which the parser refuses before any element.
+        raise XesError(f"invalid XML: {error}") from error
+
+
 def import_xes(
-    document: str, quarantine: "Quarantine | None" = None
+    source: str | IO[bytes], quarantine: "Quarantine | None" = None
 ) -> AuditTrail:
     """Parse an XES document into an :class:`AuditTrail`.
+
+    *source* is document text (a ``str``) or a binary file object whose
+    bytes are decoded as the XML declaration says (UTF-8 without one).
+    The document is read incrementally: each trace's events become
+    entries when the trace's end tag arrives, and the trace's elements
+    are then freed.
 
     Raises :class:`XesError` for malformed documents or events missing
     the mandatory attributes (task name, timestamp) or carrying invalid
     purpose-extension values.  With a *quarantine*, per-event failures
     are diverted to the dead-letter collection instead (one corrupt
     event costs one event, not the import); only document-level errors
-    (broken XML, wrong root) still raise.
-    """
-    try:
-        root = ET.fromstring(document)
-    except ET.ParseError as error:
-        raise XesError(f"invalid XML: {error}") from error
-    if root.tag != "log":
-        raise XesError(f"expected a <log> root element, found <{root.tag}>")
+    (broken XML, wrong root) still raise.  Dead letters are held until
+    the whole document has parsed, so a document that raises adds
+    nothing to *quarantine*.
 
+    A trace nested inside another is not XES.  Each trace still takes
+    every ``<event>`` below it, and traces are taken outer before inner,
+    so an inner trace's events are imported twice, once under each case.
+    """
     entries: list[LogEntry] = []
-    event_index = 0
-    for trace_index, trace in enumerate(root.iter("trace")):
-        trace_attributes = _attributes(trace)
-        case = trace_attributes.get("concept:name", f"trace-{trace_index}")
-        for event in trace.iter("event"):
-            attributes = _attributes(event)
-            try:
-                entries.append(_event_entry(case, attributes))
-            except XesError as error:
-                if quarantine is None:
-                    raise
-                quarantine.add(
-                    source="xes",
-                    position=event_index,
-                    reason=str(error),
-                    raw=repr(attributes),
-                )
-            event_index += 1
+    dead_letters: list[tuple[int, str, str]] = []
+    trace_index = event_index = 0
+    for outermost in _outermost_traces(source):
+        for trace in outermost.iter():
+            if trace.tag not in _TRACE:
+                continue
+            case = intern(
+                _attributes(trace).get("concept:name", f"trace-{trace_index}")
+            )
+            trace_index += 1
+            for event in trace.iter():
+                if event.tag not in _EVENT:
+                    continue
+                attributes = _attributes(event)
+                try:
+                    entries.append(_event_entry(case, attributes))
+                except XesError as error:
+                    if quarantine is None:
+                        raise
+                    dead_letters.append(
+                        (event_index, str(error), repr(attributes))
+                    )
+                event_index += 1
+    for position, reason, raw in dead_letters:
+        quarantine.add(source="xes", position=position, reason=reason, raw=raw)
     return AuditTrail(entries)

@@ -86,11 +86,19 @@ def _q(tag: str) -> str:
 # import
 
 
-def process_from_bpmn_xml(document: str, validated: bool = True) -> Process:
-    """Parse a BPMN 2.0 XML document into a :class:`Process`."""
+def process_from_bpmn_xml(
+    document: str | bytes, validated: bool = True
+) -> Process:
+    """Parse a BPMN 2.0 XML document into a :class:`Process`.
+
+    Bytes are decoded as the document's XML declaration says (UTF-8
+    without one); text is taken as it is.
+    """
     try:
         root = ET.fromstring(document)
-    except ET.ParseError as error:
+    except (ET.ParseError, LookupError, ValueError) as error:
+        # LookupError and ValueError: a declared encoding that is unknown
+        # or multi-byte, which the parser refuses.
         raise ProcessValidationError(f"invalid BPMN XML: {error}") from error
     if _local(root.tag) != "definitions":
         raise ProcessValidationError(

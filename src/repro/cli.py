@@ -113,8 +113,9 @@ def _read_process(path_text: str):
     if path.suffix in (".bpmn", ".xml"):
         from repro.bpmn.xml import process_from_bpmn_xml
 
-        return process_from_bpmn_xml(path.read_text(), validated=False)
-    return load_process(path.read_text(), validated=False)
+        # Bytes: the document's XML declaration names its encoding.
+        return process_from_bpmn_xml(path.read_bytes(), validated=False)
+    return load_process(path.read_text(encoding="utf-8"), validated=False)
 
 
 def _load_registry(specs: Sequence[str]) -> ProcessRegistry:
@@ -177,7 +178,8 @@ def _load_trail(
                     )
                 return trail
             return store.query(quarantine=quarantine)
-    return import_xes(path.read_text(), quarantine=quarantine)
+    with path.open("rb") as trail_file:
+        return import_xes(trail_file, quarantine=quarantine)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +239,7 @@ def _write_output(destination: str, text: str, default_stream) -> None:
         default_stream.write(text if text.endswith("\n") else text + "\n")
     else:
         Path(destination).write_text(
-            text if text.endswith("\n") else text + "\n"
+            text if text.endswith("\n") else text + "\n", encoding="utf-8"
         )
 
 
@@ -268,13 +270,7 @@ def _emit_telemetry(args: argparse.Namespace, telemetry: Telemetry) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    path = Path(args.process_file)
-    if path.suffix in (".bpmn", ".xml"):
-        from repro.bpmn.xml import process_from_bpmn_xml
-
-        process = process_from_bpmn_xml(path.read_text(), validated=False)
-    else:
-        process = load_process(path.read_text(), validated=False)
+    process = _read_process(args.process_file)
     problems = structural_problems(process)
     for problem in problems:
         print(f"problem: {problem}")
@@ -309,7 +305,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         policy_path = Path(args.policy)
         if not policy_path.exists():
             raise ReproError(f"policy file not found: {policy_path}")
-        policy = parse_policy(policy_path.read_text())
+        policy = parse_policy(policy_path.read_text(encoding="utf-8"))
     if args.budget < 1:
         raise ReproError("--budget must be a positive state count")
     telemetry = _telemetry_from_args(args)
@@ -491,7 +487,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.out == "-":
         print(document)
     else:
-        Path(args.out).write_text(document)
+        Path(args.out).write_text(document, encoding="utf-8")
         print(f"wrote {len(trail)} entries ({args.cases} case(s) per purpose) "
               f"to {args.out}")
     _emit_telemetry(args, telemetry)

@@ -133,6 +133,12 @@ class TestErrors:
         with pytest.raises(ProcessValidationError):
             process_from_bpmn_xml("<foo/>")
 
+    @pytest.mark.parametrize("encoding", ["no-such-codec", "shift_jis"])
+    def test_undecodable_declared_encoding(self, encoding):
+        document = f"<?xml version='1.0' encoding='{encoding}'?><definitions/>"
+        with pytest.raises(ProcessValidationError, match="invalid BPMN XML"):
+            process_from_bpmn_xml(document.encode("ascii"))
+
     def test_no_process(self):
         with pytest.raises(ProcessValidationError):
             process_from_bpmn_xml(

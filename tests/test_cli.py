@@ -1,7 +1,14 @@
 """Tests for the ``repro`` command-line interface."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.audit import AuditTrail
 from repro.bpmn import dumps
 from repro.audit.xes import export_xes
 from repro.cli import EXIT_BAD_INPUT, EXIT_INFRINGEMENT, EXIT_OK, main
@@ -167,6 +174,88 @@ class TestGenerate:
             "audit", "--process", f"HT:{ht_json}", "--trail", str(out),
         ])
         assert code == EXIT_OK
+
+
+class TestFileEncodings:
+    """Trail and BPMN files are parsed as bytes, so their XML declaration
+    names the encoding; JSON, policy and written files are UTF-8."""
+
+    COMMANDS = {"audit": [], "check": ["--case", "HT-1"], "stats": []}
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_declared_latin1_trail_imports(self, command, ht_json, tmp_path):
+        trail = AuditTrail(
+            dataclasses.replace(entry, user="José")
+            for entry in paper_audit_trail().for_case("HT-1")
+        )
+        document = export_xes(trail).replace(
+            "encoding='utf-8'", "encoding='ISO-8859-1'", 1
+        )
+        path = tmp_path / "latin1.xes"
+        path.write_bytes(document.encode("latin-1"))
+        code = main([
+            command, "--process", f"HT:{ht_json}", "--trail", str(path),
+            *self.COMMANDS[command],
+        ])
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_undecodable_byte_is_bad_input(
+        self, command, ht_json, trail_xes, capsys
+    ):
+        path = Path(trail_xes)
+        path.write_bytes(
+            path.read_bytes().replace(b"<trace>", b"<trace>\xff", 1)
+        )
+        code = main([
+            command, "--process", f"HT:{ht_json}", "--trail", trail_xes,
+            *self.COMMANDS[command],
+        ])
+        assert code == EXIT_BAD_INPUT
+        assert (
+            "error: invalid XML: not well-formed (invalid token)"
+            in capsys.readouterr().err
+        )
+
+    def test_an_ascii_locale_changes_nothing(self, tmp_path):
+        from repro.bpmn import process_to_bpmn_xml
+        from repro.bpmn.serialize import loads
+
+        document = dumps(healthcare_treatment_process()).replace(
+            '"GP"', '"Médico"'
+        )
+        process_json = tmp_path / "treatment.json"
+        process_json.write_bytes(document.encode("utf-8"))
+        process_bpmn = tmp_path / "treatment.bpmn"
+        process_bpmn.write_bytes(
+            process_to_bpmn_xml(loads(document)).encode("utf-8")
+        )
+        trail = tmp_path / "trail.xes"
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+            LC_ALL="C",
+            PYTHONCOERCECLOCALE="0",
+            PYTHONUTF8="0",
+        )
+
+        def repro(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "repro.cli", *args],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+
+        generated = repro(
+            "generate", "--process", f"HT:{process_json}", "--cases", "3",
+            "--out", str(trail),
+        )
+        assert generated.returncode == EXIT_OK, generated.stderr
+        assert "Médico".encode("utf-8") in trail.read_bytes()
+        for process in (process_json, process_bpmn):
+            audited = repro(
+                "audit", "--process", f"HT:{process}", "--trail", str(trail)
+            )
+            assert audited.returncode == EXIT_OK, audited.stderr
 
 
 class TestBpmnXmlInput:
