@@ -49,7 +49,7 @@ a JSON-lines TCP endpoint fanning entries out over ``--shards`` online
 monitors, persisting the stream to ``--store`` in batched transactions,
 with ``/healthz`` and ``/metrics`` on ``--http-port``.  SIGTERM (or
 SIGINT) drains gracefully: intake stops, shards finish, the store is
-flushed and integrity-checked, automata are checkpointed.
+flushed and integrity-checked.
 
 Static verification (``docs/analysis.md``): ``repro lint`` runs the
 diagnostics engine (structural PC1xx, soundness PC2xx, policy PC3xx,
@@ -568,12 +568,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         hang_timeout_s=args.hang_timeout,
         max_shard_restarts=args.max_shard_restarts,
     )
-    if audit_config is not None:
-        # Config budgets win over flag defaults; explicit flags the
-        # config does not set still apply.
-        config = audit_config.serve_config(**flags)
-    else:
-        config = ServeConfig(**flags)
+    try:
+        if audit_config is not None:
+            # Config budgets win over flag defaults; explicit flags the
+            # config does not set still apply.
+            config = audit_config.serve_config(**flags)
+        else:
+            config = ServeConfig(**flags)
+    except ValueError as error:
+        raise ReproError(str(error)) from error
     router = ShardRouter(
         registry, hierarchy=hierarchy, config=config, telemetry=telemetry
     )
@@ -1058,8 +1061,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_compilation.add_argument(
         "--automaton-dir", metavar="DIR", default=None,
-        help="load/persist compiled automata in DIR (implies --compiled); "
-        "drain checkpoints them",
+        help="compile every purpose into DIR at boot and serve from it "
+        "(implies --compiled)",
     )
     _add_telemetry_args(serve)
     serve.set_defaults(handler=_cmd_serve)

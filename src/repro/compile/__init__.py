@@ -20,14 +20,14 @@ Layers:
 * :mod:`repro.compile.table` — the RPTB artifact, the automaton's one
   on-disk format (versioned, checksummed, atomically written);
 * :mod:`repro.compile.artifact` — the :class:`AutomatonCache` directory
-  abstraction;
-* :mod:`repro.compile.checkpoint` — revision-gated incremental saves
-  during long audits.
+  abstraction, whose ``save`` is the one artifact writer.
 
 Two entry points tie the layers together: :func:`build_checker` makes
-the warmed checkers of the batch auditor and the online monitor, and
-:func:`precompile` is the one eager compile-into-the-cache step of
-``repro compile``, the parallel auditor and ``repro serve``.
+the warmed checkers of the case engine, and :func:`precompile` is the
+one eager compile-into-the-cache step of ``repro compile``, the
+parallel auditor and ``repro serve``.  Besides :func:`precompile`, only
+the end of a batch replay writes an artifact: the engine saves what its
+replays grew (:meth:`repro.core.monitor.OnlineMonitor.save_automata`).
 
 Design, artifact format, and invalidation rules: ``docs/compilation.md``.
 """
@@ -47,9 +47,9 @@ from repro.compile.automaton import (
     Transition,
     compile_automaton,
 )
-from repro.compile.checkpoint import CheckpointWriter
 from repro.compile.fingerprint import (
     FINGERPRINT_VERSION,
+    artifact_key,
     fingerprint_encoded,
     fingerprint_process,
     frontier_key,
@@ -72,28 +72,24 @@ from repro.errors import (
     CompileError,
 )
 from repro.core.compliance import ComplianceChecker
+from repro.core.observables import Observables
 
 
 def warm_checker(
     checker,
     cache: Optional[AutomatonCache] = None,
-    max_states: int = 50_000,
     telemetry=None,
 ) -> PurposeAutomaton:
     """Attach a (cached, else fresh) automaton to *checker*; returns it.
 
-    This is the auditor/monitor entry point: compute the checker's
-    fingerprint, try the artifact cache, fall back to a fresh growing
+    This is the case engine's entry point: compute the checker's
+    artifact key, try the artifact cache, fall back to a fresh growing
     automaton on miss or invalid artifact, and bind it so
     ``checker.session()`` serves compiled replays from now on.  Never
     raises on a bad artifact (it is reported and recompiled).
     """
     observables = checker.observables
-    fingerprint = fingerprint_encoded(
-        checker.encoded,
-        hierarchy=observables.hierarchy,
-        silent_tasks=observables.silent_tasks,
-    )
+    fingerprint = artifact_key(checker.encoded, observables)
     if cache is not None:
         automaton = cache.load(checker.purpose, fingerprint)
         if automaton is not None:
@@ -114,7 +110,6 @@ def warm_checker(
         purpose=checker.purpose,
         roles=checker.encoded.roles,
         hierarchy=observables.hierarchy,
-        max_states=max_states,
         telemetry=telemetry,
     )
     checker.attach_automaton(automaton)
@@ -128,17 +123,12 @@ def build_checker(
     max_silent_states: int = 50_000,
     compiled: bool = False,
     cache: Optional[AutomatonCache] = None,
-    max_states: int = 50_000,
-    wrapper=None,
     telemetry=None,
-) -> tuple[ComplianceChecker, Optional[CheckpointWriter]]:
-    """Build the replay checker of one purpose, as auditor and monitor do.
+) -> ComplianceChecker:
+    """Build the replay checker of one purpose, as the case engine does.
 
-    Encodes through the registry's memo, warms the checker with an
-    automaton when *compiled* (:func:`warm_checker`), and applies the
-    ``(checker, purpose) -> checker`` *wrapper*.  Returns the checker
-    and the :class:`CheckpointWriter` persisting its automaton into
-    *cache* — ``None`` unless compiled with a cache configured.
+    Encodes through the registry's memo and, when *compiled*, warms the
+    checker with an automaton from *cache* (:func:`warm_checker`).
     """
     checker = ComplianceChecker(
         registry.encoded_for(purpose),
@@ -146,20 +136,9 @@ def build_checker(
         max_silent_states=max_silent_states,
         telemetry=telemetry,
     )
-    writer = None
     if compiled:
-        automaton = warm_checker(
-            checker, cache=cache, max_states=max_states, telemetry=telemetry
-        )
-        if cache is not None:
-            writer = CheckpointWriter(
-                automaton,
-                cache.path_for(automaton.purpose, automaton.fingerprint),
-                telemetry=telemetry,
-            )
-    if wrapper is not None:
-        checker = wrapper(checker, purpose)
-    return checker, writer
+        warm_checker(checker, cache=cache, telemetry=telemetry)
+    return checker
 
 
 def precompile(
@@ -185,7 +164,9 @@ def precompile(
     for purpose in sorted(registry.purposes()):
         try:
             encoded = registry.encoded_for(purpose)
-            fingerprint = fingerprint_encoded(encoded, hierarchy=hierarchy)
+            fingerprint = artifact_key(
+                encoded, Observables.from_encoded(encoded, hierarchy)
+            )
             automaton = None if force else cache.load(purpose, fingerprint)
             saved = None
             if automaton is None:
@@ -216,7 +197,6 @@ __all__ = [
     "AutomatonCache",
     "AutomatonExplosionError",
     "AutomatonUnavailableError",
-    "CheckpointWriter",
     "CompileError",
     "CompiledResult",
     "CompiledSession",
@@ -226,6 +206,7 @@ __all__ = [
     "TABLE_FORMAT_VERSION",
     "Transition",
     "UNKNOWN",
+    "artifact_key",
     "build_checker",
     "compile_automaton",
     "decode_table",

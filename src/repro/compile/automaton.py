@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.audit.model import LogEntry
-from repro.compile.fingerprint import frontier_key, term_digest
+from repro.compile.fingerprint import artifact_key, frontier_key, term_digest
 from repro.core.compliance import (
     ABSORBED,
     ERROR_TRANSITION,
@@ -212,7 +212,7 @@ class PurposeAutomaton:
         self._pool_index: dict[Transition, int] = {}
         self._engine: Optional[WeakNextEngine] = None
         #: Monotonic edit counter; bumps on every new state or transition.
-        #: Checkpointing compares it against the last persisted revision.
+        #: The end of a batch replay saves the automaton only if it moved.
         self.revision = 0
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._m_states = tel.registry.counter(
@@ -533,17 +533,11 @@ def compile_automaton(
     automaton is returned (it stays correct — unknown cells are derived
     lazily at replay time).
     """
-    from repro.compile.fingerprint import fingerprint_encoded
-
     started = time.perf_counter()
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     observables = checker.observables
     if fingerprint is None:
-        fingerprint = fingerprint_encoded(
-            checker.encoded,
-            hierarchy=observables.hierarchy,
-            silent_tasks=observables.silent_tasks,
-        )
+        fingerprint = artifact_key(checker.encoded, observables)
     automaton = PurposeAutomaton(
         fingerprint=fingerprint,
         purpose=checker.purpose,

@@ -70,6 +70,14 @@ def fingerprint_encoded(
     )
 
 
+def artifact_key(encoded: EncodedProcess, observables) -> str:
+    """The one artifact key: *encoded* under the hierarchy and silent
+    tasks of the replay's :class:`~repro.core.observables.Observables`."""
+    return fingerprint_encoded(
+        encoded, observables.hierarchy, observables.silent_tasks
+    )
+
+
 def term_digest(term: object) -> str:
     """A stable digest of one COWS term (by its canonical textual form).
 

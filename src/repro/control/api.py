@@ -58,6 +58,9 @@ API_VERSION = "v1"
 DEFAULT_PAGE = 100
 MAX_PAGE = 1000
 
+#: The longest a requeue may wait for the replay's outcome, in seconds.
+MAX_WAIT_S = 60.0
+
 
 class ControlPlane:
     """The operator API over a live router and/or an audit store."""
@@ -300,9 +303,11 @@ class ControlPlane:
 
     # -- drill-down ------------------------------------------------------
     def _case(self, case: str) -> tuple[int, dict, dict]:
-        records = self._records()
-        record = records.get(case)
-        if record is None:
+        if self.router is not None:
+            record = self.router.case_record(case)  # only this digest
+        else:
+            record = self._offline()[0].get(case)
+        if record is None or record["state"] is None:
             raise _ApiError(404, f"unknown case {case!r}")
         payload = dict(record)
         if self.router is not None:
@@ -378,7 +383,7 @@ class ControlPlane:
 
     def _quarantine(self) -> tuple[int, dict, dict]:
         kinds = self._quarantined_kinds()
-        records = self._records()
+        records = self._records(digests=False)
         cases = [
             {
                 "case": case,
@@ -405,7 +410,7 @@ class ControlPlane:
                 "requeue needs a live service (this control plane is "
                 "standalone over a store file)",
             )
-        wait_s = float(query.get("wait_s", 5.0))
+        wait_s = _wait_param(query)
         result = self.router.requeue_case(case, wait_s=wait_s)
         self._tel.events.emit(
             CONTROL_REQUEUE,
@@ -597,6 +602,17 @@ def _int_param(query: dict, name: str, default: int) -> int:
         return int(raw)
     except ValueError as error:
         raise _ApiError(400, f"{name} must be an integer") from error
+
+
+def _wait_param(query: dict) -> float:
+    """A requeue's ``wait_s``: finite seconds in 0..MAX_WAIT_S (5 if unset)."""
+    try:
+        wait_s = float(query.get("wait_s", 5.0))
+    except ValueError:
+        wait_s = -1.0
+    if not 0 <= wait_s <= MAX_WAIT_S:  # nan fails too
+        raise _ApiError(400, f"wait_s must be seconds in 0..{MAX_WAIT_S:g}")
+    return wait_s
 
 
 def _ts_param(query: dict, name: str) -> Optional[datetime]:

@@ -305,6 +305,10 @@ def parse_config(
             f"unknown budget keys {sorted(bad_budgets)}; "
             "budgets must name ServeConfig fields"
         )
+    try:
+        ServeConfig(**budgets)
+    except (TypeError, ValueError) as error:
+        raise ConfigError(f"invalid budget: {error}") from error
 
     raw_tenants = document.get("tenants")
     if raw_tenants is None:

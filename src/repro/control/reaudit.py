@@ -149,7 +149,6 @@ def _replay(
         telemetry=telemetry,
         compiled=serve.compiled,
         automaton_dir=serve.automaton_dir,
-        automaton_max_states=serve.automaton_max_states,
     )
     cursor = 0
     while True:
@@ -161,7 +160,7 @@ def _replay(
             if cases is not None and entry.case not in cases:
                 continue
             monitor.observe(entry)
-    monitor.checkpoint(force=True)
+    monitor.save_automata()
     return monitor
 
 

@@ -190,7 +190,6 @@ class PurposeControlAuditor:
         checker_wrapper=None,
         compiled: "bool | None" = None,
         automaton_dir: "str | None" = None,
-        automaton_max_states: int = 50_000,
         preflight: bool = False,
         workers: int = 1,
         retry_policy: RetryPolicy | None = None,
@@ -222,10 +221,10 @@ class PurposeControlAuditor:
         Compiled replay (``docs/compilation.md``): ``compiled=True``
         attaches a purpose automaton to every checker so cases replay
         through memoized transitions; ``automaton_dir`` additionally
-        persists automata as artifacts (warm across runs, checkpointed
-        incrementally during the audit) and implies ``compiled`` unless
-        explicitly disabled.  Invalid artifacts are reported and
-        recompiled — they never fail the audit.
+        persists automata as artifacts (warm across runs: a serial
+        :meth:`audit` writes back what it grew when it ends) and implies
+        ``compiled`` unless explicitly disabled.  Invalid artifacts are
+        reported and recompiled — they never fail the audit.
 
         Parallel audit (``docs/robustness.md``): ``workers > 1`` hands
         each case of :meth:`audit` to a process pool whose workers each
@@ -256,7 +255,6 @@ class PurposeControlAuditor:
         self._now = now
         self._on_error = on_error
         self._case_timeout_s = case_timeout_s
-        self._automaton_max_states = automaton_max_states
         self._preflight = preflight
         self._preflight_cache: dict[str, tuple[str, ...]] = {}
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -271,7 +269,7 @@ class PurposeControlAuditor:
             "audit_case_seconds", "wall time per audited case"
         )
         #: The case engine: purpose resolution, the checker cache and
-        #: its automaton checkpoints, and failure containment.  Batch
+        #: its automaton artifacts, and failure containment.  Batch
         #: replays whole trails with ``replay_with_deadline`` and never
         #: tracks a case in it.
         self.engine = OnlineMonitor(
@@ -280,7 +278,6 @@ class PurposeControlAuditor:
             telemetry=tel,
             compiled=compiled,
             automaton_dir=automaton_dir,
-            automaton_max_states=automaton_max_states,
             checker_wrapper=checker_wrapper,
             max_silent_states=max_silent_states,
         )
@@ -455,9 +452,8 @@ class PurposeControlAuditor:
                         report.cases[case] = self.audit_case(
                             case, trail.for_case(case)
                         )
-                        self.engine.checkpoint()
             finally:
-                self.engine.checkpoint(force=True)
+                self.engine.save_automata()
         if quarantine is not None:
             report.quarantined = list(quarantine)
         return report
@@ -490,7 +486,6 @@ class PurposeControlAuditor:
                     cache,
                     hierarchy=self._hierarchy,
                     max_silent_states=self._max_silent_states,
-                    max_states=self._automaton_max_states,
                     telemetry=self._tel,
                 )
             cases = audit_in_pool(

@@ -43,6 +43,7 @@ from repro.core.resilience import OutcomeKind, classify_failure
 from repro.core.temporal import TemporalConstraints, TemporalViolation
 from repro.errors import CaseTimeoutError, UnknownPurposeError
 from repro.obs import (
+    AUTOMATON_CHECKPOINT,
     CASE_FAILED,
     INFRINGEMENT_RAISED,
     MONITOR_SWEEP,
@@ -185,7 +186,6 @@ class OnlineMonitor:
         telemetry: Telemetry | None = None,
         compiled: "bool | None" = None,
         automaton_dir: "str | None" = None,
-        automaton_max_states: int = 50_000,
         checker_wrapper=None,
         max_silent_states: int = 50_000,
         case_timeout_s: "float | None" = None,
@@ -196,10 +196,11 @@ class OnlineMonitor:
 
         ``compiled=True`` replays each case over a purpose automaton
         (``docs/compilation.md``), making the per-event cost of a warm
-        monitor one dense-table cell read; ``automaton_dir`` persists
-        the automata (implies ``compiled``) and :meth:`sweep` doubles as
-        the checkpoint tick.  ``max_silent_states`` bounds one entry's
-        WeakNext exploration (Section 5).
+        monitor one dense-table cell read; ``automaton_dir`` warms the
+        automata from artifacts there (implies ``compiled``), and
+        :meth:`save_automata` writes back what replays grew.
+        ``max_silent_states`` bounds one entry's WeakNext exploration
+        (Section 5).
 
         ``case_timeout_s`` is each case's processing budget: every
         entry's replay time is charged to its case, except the entry
@@ -213,12 +214,13 @@ class OnlineMonitor:
         self._hierarchy = hierarchy
         self._temporal = dict(temporal or {})
         self.compiled = compiled if compiled is not None else automaton_dir is not None
-        self._automaton_max_states = automaton_max_states
         self._max_silent_states = max_silent_states
         self._case_timeout_s = case_timeout_s
         self._checker_wrapper = checker_wrapper
-        self._checkpoints: list = []
         self._checkers: dict[str, ComplianceChecker] = {}
+        #: purpose -> (automaton warmed from the cache, its revision when
+        #: loaded or last saved).
+        self._warmed: dict[str, tuple] = {}
         self._cases: dict[str, MonitoredCase] = {}
         self._open = 0  # cases in the OPEN state
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -270,19 +272,24 @@ class OnlineMonitor:
         if checker is None:
             from repro.compile import build_checker
 
-            checker, writer = build_checker(
+            checker = build_checker(
                 self._registry,
                 purpose,
                 hierarchy=self._hierarchy,
                 max_silent_states=self._max_silent_states,
                 compiled=self.compiled,
                 cache=self.automaton_cache,
-                max_states=self._automaton_max_states,
-                wrapper=self._checker_wrapper,
                 telemetry=self._tel,
             )
-            if writer is not None:
-                self._checkpoints.append(writer)
+            automaton = checker.automaton
+            if automaton is not None and self.automaton_cache is not None:
+                self._warmed[purpose] = (automaton, automaton.revision)
+                self._m_checkpoints = self._tel.registry.counter(
+                    "automaton_checkpoints_total",
+                    "automaton artifacts written at the end of a batch replay",
+                )
+            if self._checker_wrapper is not None:
+                checker = self._checker_wrapper(checker, purpose)
             self._checkers[purpose] = checker
         return checker
 
@@ -475,7 +482,6 @@ class OnlineMonitor:
             if violations:
                 self._transition(monitored, CaseState.TIMED_OUT)
                 raised.extend(violations)
-        self.checkpoint()
         if self._tel.enabled:
             duration = time.perf_counter() - started
             self._tel.registry.histogram(
@@ -541,12 +547,25 @@ class OnlineMonitor:
             return None, 0, None
         return replayed.state, len(monitored.entries), replayed.failure_kind
 
-    def checkpoint(self, force: bool = False) -> None:
-        """Persist newly materialized automaton states (no-op without an
-        ``automaton_dir``).  :meth:`sweep` calls this on every tick; a
-        draining service calls it once more with ``force=True``."""
-        for writer in self._checkpoints:
-            writer.maybe_save(force=force)
+    def save_automata(self) -> None:
+        """Write back each automaton warmed from ``automaton_dir`` that
+        grew since it was loaded or last saved: the end of a batch replay
+        calls this once, so the next run starts warm
+        (``docs/compilation.md``, *Saving*)."""
+        for purpose, (automaton, saved) in self._warmed.items():
+            if automaton.revision == saved:
+                continue
+            path = self.automaton_cache.save(automaton)
+            self._warmed[purpose] = (automaton, automaton.revision)
+            self._m_checkpoints.inc()
+            if self._tel.enabled:
+                self._tel.events.emit(
+                    AUTOMATON_CHECKPOINT,
+                    purpose=automaton.purpose,
+                    states=automaton.n_states,
+                    transitions=automaton.transition_count,
+                    path=str(path),
+                )
 
     # -- inspection ---------------------------------------------------------
     def case_state(self, case: str) -> Optional[CaseState]:

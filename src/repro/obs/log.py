@@ -32,9 +32,9 @@ event               emitted when
 ``automaton.compiled``  a purpose automaton was (re)compiled (fields:
                     purpose, states, transitions, symbols, pool,
                     duration_s)
-``automaton.checkpoint``  newly materialized automaton states were
-                    persisted mid-audit (fields: purpose, states,
-                    transitions, path)
+``automaton.checkpoint``  a batch replay grew an automaton and wrote it
+                    back to its artifact when it ended (fields: purpose,
+                    states, transitions, path)
 ``compile.artifact_invalid``  a persisted automaton artifact was
                     rejected (version/fingerprint mismatch, truncation)
                     and will be recompiled transparently (fields: path,
@@ -51,8 +51,8 @@ event               emitted when
                     streaming service (fields: peer, phase, entries)
 ``serve.flush``     buffered entries were flushed to the audit store in
                     one batch (fields: entries, duration_s)
-``serve.drained``   the service drained: shards idle, store flushed,
-                    automata checkpointed (fields: entries, cases)
+``serve.drained``   the service drained: shards idle, store flushed
+                    (fields: entries, cases)
 ``case.quarantined``  the streaming service took one case out of
                     rotation (fields: case, kind, detail)
 ``serve.wal_commit``  buffered write-ahead-log records were fsynced — the

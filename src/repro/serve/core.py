@@ -59,7 +59,8 @@ Responsibilities:
   as the poison suspect; past ``max_shard_restarts`` the shard is
   removed from the ring and its cases re-homed to the survivors;
 * **drain** — stop intake, let every shard finish its queue, flush the
-  store, checkpoint automata, and report final per-case verdicts.
+  store, and report final per-case verdicts.  Drain writes no automaton
+  artifact: the next boot recompiles every purpose.
 """
 
 from __future__ import annotations
@@ -133,6 +134,9 @@ class ServeConfig:
     every accepted entry when the WAL is on.  The hash ring and the WAL
     segments keep their own defaults (:class:`ConsistentHashRing`,
     :class:`~repro.serve.wal.WalWriter`).
+
+    Construction refuses numbers no daemon can run with (``ValueError``),
+    wherever they came from: flags, config budgets or library callers.
     """
 
     shards: int = 4
@@ -143,7 +147,6 @@ class ServeConfig:
     queue_capacity: int = 10_000  # per-shard; submit blocks when full
     compiled: Optional[bool] = None
     automaton_dir: Optional[str] = None
-    automaton_max_states: int = 50_000
     # -- crash safety (docs/robustness.md) --
     wal_dir: Optional[str] = None  # per-shard write-ahead ingest logs
     # -- backpressure --
@@ -155,6 +158,24 @@ class ServeConfig:
     heartbeat_interval_s: float = 0.25
     hang_timeout_s: Optional[float] = None  # None: hangs are not policed
     max_shard_restarts: int = 2
+
+    def __post_init__(self) -> None:
+        # Every test is False for NaN, so NaN is refused too.
+        for names, wording, valid in (
+            (("shards", "queue_capacity", "flush_max_batch"), "at least 1",
+             lambda value: value >= 1),
+            (("flush_interval_s", "heartbeat_interval_s"), "positive",
+             lambda value: value > 0),
+            (("case_timeout_s", "hang_timeout_s"), "positive when set",
+             lambda value: value is None or value > 0),
+            (("max_shard_restarts", "retry_after_s"), "zero or more",
+             lambda value: value >= 0),
+        ):
+            for name in names:
+                if not valid(getattr(self, name)):
+                    raise ValueError(
+                        f"{name} must be {wording}, got {getattr(self, name)!r}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -550,8 +571,6 @@ class ShardRouter:
         wal_fault_hook: Optional[Callable[[str], None]] = None,
     ):
         self.config = config or ServeConfig()
-        if self.config.shards < 1:
-            raise ValueError("need at least one shard")
         if self.config.supervise and self.config.wal_dir is None:
             raise ValueError(
                 "supervise=True requires wal_dir: a restarted shard "
@@ -711,7 +730,6 @@ class ShardRouter:
                 self._registry,
                 AutomatonCache(automaton_dir, telemetry=self._tel),
                 hierarchy=self._hierarchy,
-                max_states=self.config.automaton_max_states,
                 force=True,
                 telemetry=self._tel,
             )
@@ -758,7 +776,6 @@ class ShardRouter:
             telemetry=self._tel,
             compiled=self.config.compiled,
             automaton_dir=self._automaton_dir_resolved,
-            automaton_max_states=self.config.automaton_max_states,
             checker_wrapper=self._checker_wrapper,
             case_timeout_s=self.config.case_timeout_s,
         )
@@ -1003,7 +1020,7 @@ class ShardRouter:
         return done.wait(timeout)
 
     def sweep(self, now: datetime) -> None:
-        """Post a temporal sweep (and checkpoint tick) to every shard."""
+        """Post a temporal sweep to every shard."""
         with self._ingest_lock:
             for shard in self._shards.values():
                 shard.queue.put(("sweep", now))
@@ -1224,7 +1241,7 @@ class ShardRouter:
 
     # -- drain -------------------------------------------------------------
     def drain(self) -> DrainReport:
-        """Stop intake, finish all queued work, flush, checkpoint.
+        """Stop intake, finish all queued work, flush.
 
         Idempotent; after it returns the shard threads have exited and
         monitor state may be read from any thread.
@@ -1250,8 +1267,6 @@ class ShardRouter:
                 # the WAL has nothing left to recover.
                 wal.reset()
             wal.close()
-        for shard in self._shards.values():
-            shard.monitor.checkpoint(force=True)
         if self._tmp_automata is not None:
             self._tmp_automata.cleanup()
             self._tmp_automata = None

@@ -15,9 +15,8 @@ with the network surface:
   every ``flush_interval_s``, plus optional temporal sweeps;
 * **graceful drain**: on SIGTERM (wired by the CLI) the service stops
   accepting input, lets every shard finish, flushes and
-  integrity-checks the store, checkpoints automata, then sends each
-  connected client the ``final`` verdict of every case it touched and
-  a ``bye``.
+  integrity-checks the store, then sends each connected client the
+  ``final`` verdict of every case it touched and a ``bye``.
 
 Thread/loop topology: the event loop owns all sockets; shard threads
 call back via ``loop.call_soon_threadsafe`` into per-connection outbox
@@ -431,10 +430,14 @@ class AuditService:
                     raise ProtocolError(f"bad XES document: {error}") from error
                 traceparent = message.get("traceparent")
                 for entry in trail:
+                    # In order, each admitted as an `entry` op would be;
+                    # a refused entry waits out its retry hint here, so a
+                    # full shard queue never blocks the loop.
+                    while not self.router.submit(
+                        entry, conn.post, traceparent=traceparent, block=False
+                    ).accepted:
+                        await asyncio.sleep(self.router.config.retry_after_s)
                     conn.cases.add(entry.case)
-                    self.router.submit(
-                        entry, conn.post, traceparent=traceparent
-                    )
                     conn.entries_sent += 1
             elif op == OP_SYNC:
                 token = message.get("id")

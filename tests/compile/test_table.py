@@ -259,7 +259,7 @@ class TestStateAlignment:
 class TestGrowth:
     def test_growth_round_trip(self, tmp_path):
         """A disk-loaded partial automaton grows a new state and a new
-        column, checkpoints, and reloads to replay byte-identically
+        column, is saved again, and reloads to replay byte-identically
         with zero misses."""
         workload = hospital_day(n_cases=8, violation_rate=0.5, seed=21)
         hierarchy = role_hierarchy()

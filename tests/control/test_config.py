@@ -102,14 +102,41 @@ class TestParsing:
             parse_config(document)
 
     @pytest.mark.parametrize(
-        "field", ["replicas", "wal_segment_max_bytes", "wal_fsync_batch"]
+        "field",
+        [
+            "replicas",
+            "wal_segment_max_bytes",
+            "wal_fsync_batch",
+            "automaton_max_states",
+        ],
     )
     def test_dropped_serve_fields_are_unknown_budget_keys(self, field):
-        # The hash ring and the WAL keep their own defaults; these are
-        # not ServeConfig fields.
+        # The hash ring, the WAL and fresh automata keep their own
+        # defaults; these are not ServeConfig fields.
         with pytest.raises(ConfigError, match="unknown budget keys"):
             parse_config(
                 {"tenants": [{"prefix": "HT"}], "budgets": {field: 1}}
+            )
+
+    @pytest.mark.parametrize(
+        "budget, value",
+        [
+            ("shards", 0),
+            ("queue_capacity", 0),
+            ("flush_max_batch", 0),
+            ("flush_interval_s", 0),
+            ("flush_interval_s", -1),
+            ("heartbeat_interval_s", 0),
+            ("case_timeout_s", -1),
+            ("hang_timeout_s", 0),
+            ("max_shard_restarts", -1),
+            ("retry_after_s", -0.5),
+        ],
+    )
+    def test_out_of_range_budgets_are_refused_at_load(self, budget, value):
+        with pytest.raises(ConfigError, match=f"invalid budget: {budget} "):
+            parse_config(
+                {"tenants": [{"prefix": "HT"}], "budgets": {budget: value}}
             )
 
     def test_duplicate_purpose_and_prefix_refuse(self, tmp_path):

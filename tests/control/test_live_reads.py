@@ -2,9 +2,10 @@
 
 A case's canonical digest needs its replay result rendered as canonical
 JSON — the expensive part of a verdict record.  ``/api/v1/tenants``
-only counts purposes and states, so it must never compute one, and
+only counts purposes and states, so it must never compute one;
 ``/api/v1/verdicts`` computes them for the page it returns, not for
-every case the daemon holds.  Neither may change what is returned.
+every case the daemon holds; a case read computes only that case's, and
+the quarantine list none.  None of them may change what is returned.
 """
 
 import pytest
@@ -13,19 +14,39 @@ import repro.testing.differential
 from repro.control import ControlPlane
 from repro.scenarios import paper_audit_trail, process_registry, role_hierarchy
 from repro.serve import ServeConfig, ShardRouter
+from repro.testing import FaultInjector, FaultPlan
 
 
-@pytest.fixture
-def router():
+def _stream_paper_trail(checker_wrapper=None, **config):
     router = ShardRouter(
         process_registry(),
         hierarchy=role_hierarchy(),
-        config=ServeConfig(shards=2),
+        config=ServeConfig(shards=2, **config),
+        checker_wrapper=checker_wrapper,
     )
     router.start()
     for entry in paper_audit_trail():
         assert router.submit(entry, block=True).accepted
     assert router.wait_idle(timeout=30)
+    return router
+
+
+@pytest.fixture
+def router():
+    router = _stream_paper_trail()
+    yield router
+    router.drain()
+
+
+@pytest.fixture
+def quarantining_router():
+    """The paper trail with CT-1 over its processing budget: its third
+    entry times it out, so it is quarantined with a replay (and so a
+    digest) to show; the seven treatment cases are not."""
+    router = _stream_paper_trail(
+        FaultInjector(FaultPlan(slow_s=0.6), purposes=("clinicaltrial",)),
+        case_timeout_s=1.0,
+    )
     yield router
     router.drain()
 
@@ -79,3 +100,51 @@ def test_digest_free_results_only_drop_the_digest(router):
             key: value for key, value in record.items() if key != "digest"
         }
         assert router.case_record(case) == record
+
+
+def test_a_case_read_digests_only_that_case(router, digest_calls):
+    full = router.results()
+    digest_calls.clear()
+    plane = ControlPlane(router=router)
+    status, payload, _ = plane.handle("GET", "/api/v1/cases/HT-1", {}, None)
+    assert status == 200
+    assert len(digest_calls) == 1
+    assert {key: payload[key] for key in full["HT-1"]} == full["HT-1"]
+    status, _, _ = plane.handle("GET", "/api/v1/cases/HT-404", {}, None)
+    assert status == 404
+
+
+def test_quarantine_list_never_computes_a_digest(
+    quarantining_router, digest_calls
+):
+    [case] = quarantining_router.quarantined_cases()
+    record = quarantining_router.case_record(case)
+    digest_calls.clear()
+    status, payload, _ = ControlPlane(router=quarantining_router).handle(
+        "GET", "/api/v1/quarantine", {}, None
+    )
+    assert status == 200
+    assert digest_calls == []
+    assert payload["quarantined"] == [
+        {
+            "case": case,
+            "kind": "timeout",
+            "purpose": record["purpose"],
+            "state": record["state"],
+        }
+    ]
+
+
+def test_a_quarantined_case_read_digests_only_that_case(
+    quarantining_router, digest_calls
+):
+    [case] = quarantining_router.quarantined_cases()
+    record = quarantining_router.case_record(case)
+    digest_calls.clear()
+    status, payload, _ = ControlPlane(router=quarantining_router).handle(
+        "GET", f"/api/v1/quarantine/{case}", {}, None
+    )
+    assert status == 200
+    assert len(digest_calls) == 1
+    assert payload["kind"] == "timeout"
+    assert {key: payload[key] for key in record} == record

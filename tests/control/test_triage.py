@@ -216,6 +216,53 @@ class TestRequeue:
         assert status == 409
         assert payload["accepted"] is False
 
+    @pytest.mark.parametrize("wait_s", ["1e300", "inf", "nan", "-1", "abc"])
+    def test_out_of_range_wait_is_refused_before_the_case_is_touched(
+        self, serve_factory, tmp_path, wait_s
+    ):
+        telemetry, _ = _telemetry()
+        handle = _crashing_service(serve_factory, tmp_path, telemetry)
+        plane = ControlPlane(router=handle.router, telemetry=telemetry)
+        victim = paper_audit_trail()[0]
+        with AuditStreamClient(handle.host, handle.port) as client:
+            client.recv_until("hello")
+            client.send_entry(victim)
+            client.sync()
+        assert victim.case in handle.router.quarantined_cases()
+        status, payload, _ = plane.handle(
+            "POST",
+            f"/api/v1/quarantine/{victim.case}/requeue",
+            {"wait_s": wait_s},
+            None,
+        )
+        assert status == 400
+        assert "wait_s" in payload["error"]
+        assert victim.case in handle.router.quarantined_cases()
+        with AuditStore(str(tmp_path / "audit.db")) as store:
+            assert store.control_records() == []
+
+    def test_a_wait_in_range_is_answered_and_recorded(
+        self, serve_factory, tmp_path
+    ):
+        telemetry, _ = _telemetry()
+        handle = _crashing_service(serve_factory, tmp_path, telemetry)
+        plane = ControlPlane(router=handle.router, telemetry=telemetry)
+        victim = paper_audit_trail()[0]
+        with AuditStreamClient(handle.host, handle.port) as client:
+            client.recv_until("hello")
+            client.send_entry(victim)
+            client.sync()
+        status, payload, _ = plane.handle(
+            "POST",
+            f"/api/v1/quarantine/{victim.case}/requeue",
+            {"wait_s": "60"},
+            None,
+        )
+        assert status == 200 and payload["state"] == "open"
+        with AuditStore(str(tmp_path / "audit.db")) as store:
+            actions = store.control_records(case=victim.case)
+        assert [a["action"] for a in actions] == ["requeue"]
+
     def test_busy_shard_maps_to_503_with_retry_after(
         self, serve_factory, tmp_path, monkeypatch
     ):

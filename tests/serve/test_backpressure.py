@@ -9,18 +9,25 @@ double-counted.
 """
 
 import random
+import threading
 import time
 from collections import deque
 
 import pytest
 
+from repro.audit.xes import export_xes
 from repro.core.auditor import PurposeControlAuditor
 from repro.scenarios import (
     paper_audit_trail,
     process_registry,
     role_hierarchy,
 )
-from repro.serve import ResilientAuditClient, ServeConfig, ShardRouter
+from repro.serve import (
+    AuditStreamClient,
+    ResilientAuditClient,
+    ServeConfig,
+    ShardRouter,
+)
 from repro.testing import FaultInjector, FaultPlan, canonical_digest
 
 
@@ -47,6 +54,33 @@ def _slow(slow_s: float) -> FaultInjector:
     return FaultInjector(
         plan=FaultPlan(name=f"slow-{slow_s}", slow_s=slow_s)
     )
+
+
+class _HeldSession:
+    """A session whose every feed waits for *gate* to open."""
+
+    def __init__(self, session, gate: threading.Event):
+        self._session = session
+        self._gate = gate
+
+    def feed(self, entry):
+        assert self._gate.wait(timeout=60)
+        return self._session.feed(entry)
+
+    def __getattr__(self, name):
+        return getattr(self._session, name)
+
+
+class _HeldChecker:
+    def __init__(self, checker, gate: threading.Event):
+        self._checker = checker
+        self._gate = gate
+
+    def session(self):
+        return _HeldSession(self._checker.session(), self._gate)
+
+    def __getattr__(self, name):
+        return getattr(self._checker, name)
 
 
 def _router(**config) -> ShardRouter:
@@ -146,6 +180,24 @@ class TestAdmissionControl:
                 ),
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shards", 0),
+            ("queue_capacity", 0),
+            ("flush_max_batch", 0),
+            ("flush_interval_s", float("nan")),
+            ("heartbeat_interval_s", 0.0),
+            ("case_timeout_s", 0.0),
+            ("hang_timeout_s", -1.0),
+            ("max_shard_restarts", -1),
+            ("retry_after_s", -0.05),
+        ],
+    )
+    def test_out_of_range_config_is_a_value_error(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            ServeConfig(**{field: value})
+
 
 class TestOverloadOverTheWire:
     def test_burst_converges_through_busy_retries(self, serve_factory):
@@ -185,6 +237,53 @@ class TestOverloadOverTheWire:
         assert _digests(handle.router) == _batch_digests()
         drained = handle.drain()
         assert drained.store_intact in (True, None)
+
+    def test_xes_document_waits_out_a_full_queue_off_the_loop(
+        self, serve_factory
+    ):
+        gate = threading.Event()
+        trail = paper_audit_trail()
+        handle = serve_factory(
+            process_registry(),
+            hierarchy=role_hierarchy(),
+            config=ServeConfig(shards=1, queue_capacity=4, retry_after_s=0.01),
+            checker_wrapper=lambda checker, purpose: _HeldChecker(checker, gate),
+        )
+        try:
+            with AuditStreamClient(handle.host, handle.port) as shipper:
+                shipper.recv_until("hello")
+                # 28 entries for a held shard whose queue takes 4.
+                shipper.send_xes(export_xes(trail))
+                deadline = time.monotonic() + 30
+                while handle.router.refresh_shard_gauges()["shard-0"][
+                    "queue_depth"
+                ] < 3:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                # The document is parked on its retries; every other
+                # connection is still served.
+                with AuditStreamClient(
+                    handle.host, handle.port, timeout=5.0
+                ) as probe:
+                    probe.recv_until("hello")
+                    assert probe.status()["entries_received"] < len(trail)
+                gate.set()
+                assert shipper.sync()["received"] == len(trail)
+                assert {v["case"] for v in shipper.verdicts()} == set(
+                    trail.cases()
+                )
+                assert {
+                    case: record["digest"]
+                    for case, record in shipper.results().items()
+                } == _batch_digests()
+                status = handle.router.statistics()
+                assert status["entries_received"] == len(trail)
+                # Refusals are counted as the `entry` op's are.
+                refused = status["backpressure"]
+                assert refused["busy"] + refused["shed"] > 0
+                assert status["dead_letters"] == 0
+        finally:
+            gate.set()
 
     def test_duplicate_resends_are_acked_not_reprocessed(
         self, serve_factory

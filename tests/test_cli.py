@@ -623,6 +623,42 @@ def defective_json(tmp_path):
     return str(path)
 
 
+class TestServeNumbers:
+    """Out-of-range ``repro serve`` numbers are bad input, refused before
+    a daemon starts (a stand-in router fails the test if one would)."""
+
+    @pytest.fixture(autouse=True)
+    def no_daemon(self, monkeypatch):
+        import repro.serve
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a daemon was started")
+
+        monkeypatch.setattr(repro.serve, "ShardRouter", refuse)
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--shards", "0"], "shards"),
+            (["--queue-capacity", "0"], "queue_capacity"),
+            (["--max-shard-restarts", "-1"], "max_shard_restarts"),
+            (["--flush-interval", "0"], "flush_interval_s"),
+            (["--flush-interval", "-1"], "flush_interval_s"),
+            (["--flush-interval", "nan"], "flush_interval_s"),
+            (["--flush-batch", "0"], "flush_max_batch"),
+            (["--case-timeout", "-1"], "case_timeout_s"),
+            (["--hang-timeout", "0"], "hang_timeout_s"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+    )
+    def test_out_of_range_numbers_are_bad_input(self, capsys, flags, field):
+        code = main(["serve", "--scenario", "paper", "--port", "0", *flags])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT
+        assert captured.err.startswith(f"error: {field} must be ")
+        assert captured.out == ""
+
+
 class TestLint:
     def test_clean_process_exits_ok(self, ht_json, capsys):
         assert main(["lint", ht_json]) == EXIT_OK
