@@ -64,7 +64,8 @@ def _measure_round(entries, shards: int, wal_dir: str | None = None) -> dict:
     router.start()  # warm-up (encode + compile) is not measured
     started = time.perf_counter()
     for entry in entries:
-        router.submit(entry)
+        admission = router.submit(entry)
+        assert admission.accepted, admission.reason
     assert router.wait_idle(timeout=120)
     elapsed = time.perf_counter() - started
     router.drain()

@@ -405,6 +405,14 @@ class AuditStore:
             for row in rows
         ]
 
+    def dismissed_cases(self) -> set[str]:
+        """Cases an operator dismissed from quarantine: final, so the
+        live router and a standalone control plane both hide them."""
+        rows = self._connection.execute(
+            "SELECT DISTINCT case_id FROM control_log WHERE action = 'dismiss'"
+        ).fetchall()
+        return {row[0] for row in rows}
+
     def _last_control_hash(self) -> str:
         row = self._connection.execute(
             "SELECT hash FROM control_log ORDER BY seq DESC LIMIT 1"

@@ -1023,8 +1023,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--queue-capacity", type=int, default=10_000, metavar="N",
-        help="bounded per-shard queue depth; busy/shed watermarks "
-        "derive from it (default: 10000)",
+        help="bounded per-shard queue depth; entries are refused busy "
+        "from three quarters of it (default: 10000)",
     )
     serve_robustness = serve.add_argument_group(
         "crash safety (docs/robustness.md)"

@@ -369,11 +369,8 @@ class ControlPlane:
                 case: kind.value
                 for case, kind in self.router.quarantined_cases().items()
             }
-        dismissed = {
-            record["case"]
-            for record in self._control_records(None)
-            if record["action"] == "dismiss"
-        }
+        with AuditStore(self._store_path) as store:
+            dismissed = store.dismissed_cases()
         return {
             case: record["failure_kind"]
             for case, record in self._records().items()

@@ -513,7 +513,9 @@ class OnlineMonitor:
         )
         monitored = self._cases.get(case)
         if monitored is None:
-            monitored = self._track(case, None, state)
+            # An untracked case (a restarted shard's poison suspect)
+            # still belongs to the purpose it claims.
+            monitored = self._track(case, self.resolve(case)[0], state)
         else:
             self._transition(monitored, state)
         monitored.failure_kind = kind

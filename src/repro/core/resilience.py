@@ -164,12 +164,6 @@ class RestartBudget:
         self.counts[key] = self.counts.get(key, 0) + 1
         return self.counts[key] <= self.max_restarts
 
-    def count(self, key: str) -> int:
-        return self.counts.get(key, 0)
-
-    def exhausted(self, key: str) -> bool:
-        return self.counts.get(key, 0) > self.max_restarts
-
 
 def replay_with_deadline(
     checker: "ComplianceChecker",

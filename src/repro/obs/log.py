@@ -70,7 +70,7 @@ event               emitted when
 ``serve.shard_reassigned``  a shard exhausted its restart budget and its
                     cases were re-homed through the consistent-hash ring
                     (fields: shard, reason, cases)
-``serve.overload``  a shard's admission level changed (ok/busy/shed);
+``serve.overload``  a shard's admission level changed (ok/busy);
                     emitted on transitions only (fields: shard, level,
                     previous, queue_depth)
 ==================  =====================================================

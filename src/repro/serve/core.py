@@ -36,11 +36,11 @@ Responsibilities:
   ``append_many`` transactions by a dedicated writer thread (SQLite
   connections are single-threaded);
 * **bounded backpressure** — per-shard queues are bounded
-  (``queue_capacity``); library callers block (TCP push-back once the
-  service's socket buffers fill behind them), while the service
-  submits with ``block=False`` and turns the busy/shed watermarks into
-  explicit ``busy``/``retry_after`` wire responses and admission-
-  controlled shedding.  Rejected entries are *not* WAL-appended and
+  (``queue_capacity``) and nothing a client causes ever blocks on one:
+  :meth:`submit` refuses an entry ``busy`` once its shard's queue
+  reaches the watermark (three quarters of the capacity), and the room
+  above it is kept for control items, whose :meth:`barrier` posts to
+  every shard or to none.  Refused entries are *not* WAL-appended and
   *not* acked — overload never silently drops an accepted entry;
 * **idempotent resume** — clients may number each case's entries
   (``seq``); :meth:`submit` dedupes re-sent entries by per-case
@@ -65,12 +65,12 @@ Responsibilities:
 
 from __future__ import annotations
 
+import os
 import queue
 import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from datetime import datetime
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.audit.model import LogEntry
@@ -82,7 +82,6 @@ from repro.core.monitor import (
     OnlineMonitor,
 )
 from repro.core.resilience import OutcomeKind, Quarantine, RestartBudget
-from repro.core.temporal import TemporalConstraints
 from repro.errors import MalformedEntryError, ReproError
 from repro.obs import (
     CASE_QUARANTINED,
@@ -110,6 +109,11 @@ from repro.serve.wal import WalError, WalWriter
 #: under the GIL).
 Subscriber = Callable[[dict], None]
 
+#: Seconds a refused submission waits before it is sent again: the hint
+#: carried by ``busy`` refusals, the requeue ``503`` and the service's
+#: own retries of ``xes`` entries and barriers.
+RETRY_AFTER_S = 0.05
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -126,14 +130,13 @@ class ServeConfig:
     requeue replays under a fresh meter, and a case over budget is
     contained as ``timeout`` and quarantined.
 
-    ``busy_watermark``/``shed_watermark`` are absolute queue depths;
-    ``None`` derives them as 75% / 95% of ``queue_capacity``.  They only
-    gate non-blocking submissions (the service's path) — library callers
-    block instead.  ``supervise=True`` requires ``wal_dir``: a restarted
-    shard replays its cases from the store + WAL, which only covers
-    every accepted entry when the WAL is on.  The hash ring and the WAL
-    segments keep their own defaults (:class:`ConsistentHashRing`,
-    :class:`~repro.serve.wal.WalWriter`).
+    ``queue_capacity`` bounds each shard's queue: entries are refused
+    ``busy`` from three quarters of it, and the rest is kept for control
+    items (barriers, requeues).  ``supervise=True`` requires
+    ``wal_dir``: a restarted shard replays its cases from the store +
+    WAL, which only covers every accepted entry when the WAL is on.  The
+    hash ring and the WAL segments keep their own defaults
+    (:class:`ConsistentHashRing`, :class:`~repro.serve.wal.WalWriter`).
 
     Construction refuses numbers no daemon can run with (``ValueError``),
     wherever they came from: flags, config budgets or library callers.
@@ -144,15 +147,11 @@ class ServeConfig:
     flush_interval_s: float = 0.5
     flush_max_batch: int = 256
     case_timeout_s: Optional[float] = None  # cumulative per-case budget
-    queue_capacity: int = 10_000  # per-shard; submit blocks when full
+    queue_capacity: int = 10_000  # per-shard; entries refused from 3/4
     compiled: Optional[bool] = None
     automaton_dir: Optional[str] = None
     # -- crash safety (docs/robustness.md) --
     wal_dir: Optional[str] = None  # per-shard write-ahead ingest logs
-    # -- backpressure --
-    busy_watermark: Optional[int] = None  # depth triggering `busy`
-    shed_watermark: Optional[int] = None  # depth triggering shedding
-    retry_after_s: float = 0.05  # hint sent with busy/shed responses
     # -- supervision --
     supervise: bool = False
     heartbeat_interval_s: float = 0.25
@@ -168,7 +167,7 @@ class ServeConfig:
              lambda value: value > 0),
             (("case_timeout_s", "hang_timeout_s"), "positive when set",
              lambda value: value is None or value > 0),
-            (("max_shard_restarts", "retry_after_s"), "zero or more",
+            (("max_shard_restarts",), "zero or more",
              lambda value: value >= 0),
         ):
             for name in names:
@@ -184,9 +183,10 @@ class Admission:
 
     Exactly one of these holds per call: ``accepted`` (the entry is in
     the WAL — if configured — and routed), ``duplicate`` (an idempotent
-    re-send, already accepted earlier), or ``busy``/``shed`` (the entry
-    was refused under overload and must be re-sent; ``retry_after_s`` is
-    the server's back-off hint).  ``shed`` implies ``busy``.
+    re-send, already accepted earlier), or ``busy`` (the entry was
+    refused — its shard's queue at the watermark, or a sequence gap —
+    and must be re-sent; ``retry_after_s`` is the server's back-off
+    hint).
     """
 
     accepted: bool
@@ -195,7 +195,6 @@ class Admission:
     wal_seq: int = 0  # 0 when the WAL is disabled
     duplicate: bool = False
     busy: bool = False
-    shed: bool = False
     retry_after_s: float = 0.0
     reason: str = ""
 
@@ -292,7 +291,6 @@ class _Shard(threading.Thread):
         self.current_case: Optional[str] = None  # set while processing
         self.stopped = False  # exited via an intentional ("stop",)
         self.abandoned = False  # replaced by the supervisor; go inert
-        self.crash_error: Optional[BaseException] = None
 
     def run(self) -> None:
         interval = self._router.config.heartbeat_interval_s
@@ -315,13 +313,13 @@ class _Shard(threading.Thread):
                         return
                 finally:
                     self.queue.task_done()
-        except BaseException as error:  # noqa: BLE001 - the crash path
+        except BaseException:  # noqa: BLE001 - the crash path
             # A BaseException escaping the monitor (an injected
             # ShardKill, a real interpreter-level failure) kills this
-            # shard.  Record it and die quietly: ``current_case`` stays
-            # set, so the supervisor can quarantine the poison suspect
-            # and rebuild everything else from the store + WAL.
-            self.crash_error = error
+            # shard.  Die quietly: ``current_case`` stays set, so the
+            # supervisor can quarantine the poison suspect and rebuild
+            # everything else from the store + WAL.
+            pass
 
     def _handle(self, item: tuple) -> bool:
         """Process one work item; False stops the thread."""
@@ -335,8 +333,6 @@ class _Shard(threading.Thread):
                 self._observe(item[1], item[2], item[3])
             elif kind == "barrier":
                 item[1].arrive()
-            elif kind == "sweep":
-                self.monitor.sweep(item[1])
             elif kind == "contain":
                 # The supervisor's poison-case verdict: the entry in
                 # flight when a shard died is charged to its case.
@@ -565,7 +561,6 @@ class ShardRouter:
         registry: ProcessRegistry,
         hierarchy: Optional[RoleHierarchy] = None,
         config: Optional[ServeConfig] = None,
-        temporal: Optional[dict[str, TemporalConstraints]] = None,
         telemetry: Optional[Telemetry] = None,
         checker_wrapper=None,
         wal_fault_hook: Optional[Callable[[str], None]] = None,
@@ -576,23 +571,11 @@ class ShardRouter:
                 "supervise=True requires wal_dir: a restarted shard "
                 "replays its cases from the store + write-ahead log"
             )
-        capacity = self.config.queue_capacity
-        busy_wm = self.config.busy_watermark
-        shed_wm = self.config.shed_watermark
-        self._busy_wm = (
-            busy_wm if busy_wm is not None else max(1, (capacity * 3) // 4)
-        )
-        self._shed_wm = min(
-            shed_wm if shed_wm is not None else max(2, (capacity * 19) // 20),
-            capacity,
-        )
-        if not 0 < self._busy_wm <= self._shed_wm:
-            raise ValueError(
-                "busy_watermark must be positive and <= shed_watermark"
-            )
+        # Entries are admitted below this depth; the room above it up to
+        # queue_capacity is kept for barriers and requeues.
+        self._busy_wm = max(1, (self.config.queue_capacity * 3) // 4)
         self._registry = registry
         self._hierarchy = hierarchy
-        self._temporal = temporal
         self._checker_wrapper = checker_wrapper
         self._wal_fault_hook = wal_fault_hook
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -613,14 +596,16 @@ class ShardRouter:
         self._ingest_lock = threading.Lock()
         self._case_seq: dict[str, int] = {}  # case -> accepted entries
         self._quarantined: dict[str, OutcomeKind] = {}
+        #: Cases an operator dismissed; never filed again (start() seeds
+        #: it from the durable store's control log).
+        self._dismissed: set[str] = set()
         self._quarantined_lock = threading.Lock()
         self._accepting = False
         self._drained = False
         self._received = 0
         self._busy_total = 0
-        self._shed_total = 0
         self._duplicate_total = 0
-        self._overload: dict[str, str] = {}  # shard -> ok | busy | shed
+        self._overload: dict[str, str] = {}  # shard -> ok | busy
         self._restart_budget = RestartBudget(self.config.max_shard_restarts)
         self._reassigned: list[str] = []  # shards removed from the ring
         self._supervisor = None  # set by start() when supervising
@@ -663,10 +648,6 @@ class ShardRouter:
         self._m_busy = tel.registry.counter(
             "serve_busy_total",
             "entries refused with a busy/retry_after response",
-        )
-        self._m_shed = tel.registry.counter(
-            "serve_shed_total",
-            "entries shed by admission control under overload",
         )
         self._m_duplicates = tel.registry.counter(
             "serve_duplicate_entries_total",
@@ -744,6 +725,12 @@ class ShardRouter:
                 except Exception:
                     continue
         self._automaton_dir_resolved = automaton_dir
+        store_path = self._durable_store_path()
+        if store_path is not None and os.path.exists(store_path):
+            # A dismissal outlives the process: the containments that
+            # recovery and restarts replay do not file the case again.
+            with AuditStore(store_path) as store:
+                self._dismissed = store.dismissed_cases()
         if self.config.wal_dir is not None:
             for name in self._ring.shards:
                 self._wals[name] = WalWriter(
@@ -772,7 +759,6 @@ class ShardRouter:
         return OnlineMonitor(
             self._registry,
             hierarchy=self._hierarchy,
-            temporal=self._temporal,
             telemetry=self._tel,
             compiled=self.config.compiled,
             automaton_dir=self._automaton_dir_resolved,
@@ -787,9 +773,8 @@ class ShardRouter:
         subscriber: Optional[Subscriber] = None,
         traceparent: Optional[str] = None,
         seq: Optional[int] = None,
-        block: bool = True,
     ) -> Admission:
-        """Admit one entry and route it to its shard.
+        """Admit one entry and route it to its shard; never blocks.
 
         With a WAL configured, the entry is framed into its shard's log
         *before* this method reports it accepted — an entry that cannot
@@ -799,14 +784,13 @@ class ShardRouter:
         acknowledged as a ``duplicate`` without being re-processed; one
         *beyond* the next expected number is refused ``busy`` (the
         sender must deliver the gap first — it happens naturally when
-        some of a burst's entries were shed).
+        some of a burst's entries were refused).
 
-        ``block=True`` (the library default) blocks when the target
-        shard's queue is full — TCP push-back once the service's socket
-        buffers fill behind it.  ``block=False`` (the service's path)
-        instead refuses with ``busy`` at the busy watermark and ``shed``
-        at the shed watermark, so overload degrades into explicit
-        retry-later responses instead of unbounded queueing.
+        An entry whose shard's queue is at the watermark (three quarters
+        of ``queue_capacity``) is refused ``busy`` with the
+        :data:`RETRY_AFTER_S` hint, so overload degrades into explicit
+        retry-later responses instead of unbounded queueing; a caller
+        that must deliver every entry re-sends after the hint.
 
         With tracing enabled, ``traceparent`` (a W3C header value, e.g.
         from the wire protocol's optional field) becomes the remote
@@ -816,8 +800,8 @@ class ShardRouter:
         if not self._accepting:
             raise ReproError("the service is draining; entry rejected")
         if self._tel.tracer.enabled:
-            return self._submit_traced(entry, subscriber, traceparent, seq, block)
-        return self._admit(entry, subscriber, None, seq, block)
+            return self._submit_traced(entry, subscriber, traceparent, seq)
+        return self._admit(entry, subscriber, None, seq)
 
     def _submit_traced(
         self,
@@ -825,7 +809,6 @@ class ShardRouter:
         subscriber: Optional[Subscriber],
         traceparent: Optional[str],
         seq: Optional[int],
-        block: bool,
     ) -> Admission:
         """The traced ingest path: same admission, wrapped in a span."""
         tracer = self._tel.tracer
@@ -842,7 +825,7 @@ class ShardRouter:
             if root is None:
                 with self._trace_lock:
                     root = self._case_traces.setdefault(case, span.context)
-            admission = self._admit(entry, subscriber, root, seq, block)
+            admission = self._admit(entry, subscriber, root, seq)
             span.attrs["shard"] = admission.shard
             if not admission.accepted:
                 span.attrs["admitted"] = False
@@ -857,10 +840,8 @@ class ShardRouter:
         subscriber: Optional[Subscriber],
         ctx: Optional[TraceContext],
         seq: Optional[int],
-        block: bool,
     ) -> Admission:
         case = entry.case
-        item = ("entry", entry, subscriber, ctx)
         with self._ingest_lock:
             count = self._case_seq.get(case, 0)
             name = self._ring.shard_for(case)
@@ -879,8 +860,8 @@ class ShardRouter:
                     )
                 if seq != count + 1:
                     # A gap: earlier entries of the case were refused
-                    # (shed) or lost.  Refuse this one too — the sender
-                    # must redeliver in order.
+                    # or lost.  Refuse this one too — the sender must
+                    # redeliver in order.
                     self._busy_total += 1
                     self._m_busy.inc()
                     return Admission(
@@ -888,42 +869,29 @@ class ShardRouter:
                         shard=name,
                         case_seq=seq,
                         busy=True,
-                        retry_after_s=self.config.retry_after_s,
+                        retry_after_s=RETRY_AFTER_S,
                         reason=(
                             f"sequence gap for case {case!r}: expected "
                             f"{count + 1}, got {seq}"
                         ),
                     )
             shard = self._shards[name]
+            # Admission control, before the WAL append (the acceptance
+            # point).  Every put happens under this lock, so the depth
+            # can only shrink before the put below: it has room.
             depth = shard.queue.qsize()
-            if not block:
-                # Admission control: only submitters enqueue, and they
-                # all hold this lock, so the depth can only shrink
-                # between this check and the put below.
-                if depth >= self._shed_wm:
-                    self._shed_total += 1
-                    self._m_shed.inc()
-                    self._set_overload(name, "shed", depth)
-                    return Admission(
-                        accepted=False,
-                        shard=name,
-                        busy=True,
-                        shed=True,
-                        retry_after_s=self.config.retry_after_s,
-                        reason=f"shard {name} over its shed watermark",
-                    )
-                if depth >= self._busy_wm:
-                    self._busy_total += 1
-                    self._m_busy.inc()
-                    self._set_overload(name, "busy", depth)
-                    return Admission(
-                        accepted=False,
-                        shard=name,
-                        busy=True,
-                        retry_after_s=self.config.retry_after_s,
-                        reason=f"shard {name} over its busy watermark",
-                    )
-                self._set_overload(name, "ok", depth)
+            if depth >= self._busy_wm:
+                self._busy_total += 1
+                self._m_busy.inc()
+                self._set_overload(name, "busy", depth)
+                return Admission(
+                    accepted=False,
+                    shard=name,
+                    busy=True,
+                    retry_after_s=RETRY_AFTER_S,
+                    reason=f"shard {name} over its busy watermark",
+                )
+            self._set_overload(name, "ok", depth)
             case_seq = count + 1
             wal_seq = 0
             wal = self._wals.get(name)
@@ -947,39 +915,12 @@ class ShardRouter:
                 with self._pending_lock:
                     self._pending.append((entry, name, wal_seq))
                     full = len(self._pending) >= self.config.flush_max_batch
-            delivered = True
-            try:
-                shard.queue.put_nowait(item)
-            except queue.Full:
-                delivered = False
+            shard.queue.put_nowait(("entry", entry, subscriber, ctx))
         if full:
             self.flush()
-        if not delivered:
-            self._deliver_blocking(case, shard, item)
         return Admission(
             accepted=True, shard=name, case_seq=case_seq, wal_seq=wal_seq
         )
-
-    def _deliver_blocking(
-        self, case: str, target: _Shard, item: tuple
-    ) -> None:
-        """Deliver an already-accepted entry to a full shard queue.
-
-        Runs outside the admission lock so intake of other shards (and
-        supervised restarts) proceed.  If the target shard is replaced
-        or the case re-homed while we wait, delivery is dropped: the
-        entry is in the WAL the replacement replayed from, and a second
-        delivery would double-count it.
-        """
-        while True:
-            current = self._shards.get(self._ring.shard_for(case))
-            if current is not target:
-                return
-            try:
-                target.queue.put(item, timeout=0.05)
-                return
-            except queue.Full:
-                continue
 
     def _set_overload(self, shard: str, level: str, depth: int) -> None:
         """Track a shard's admission level; emit transitions only."""
@@ -1000,30 +941,41 @@ class ShardRouter:
         with self._trace_lock:
             return self._case_traces.get(case)
 
-    def barrier(self, callback: Callable[[], None]) -> None:
-        """Invoke *callback* once all work submitted so far is processed.
+    def barrier(self, callback: Callable[[], None]) -> bool:
+        """Post a latch that invokes *callback* once all work submitted
+        so far is processed; never blocks.
 
-        Serialized against supervised restarts: a barrier lands either
-        before a restart (its latch is honored while draining the old
-        shard's queue) or after (posted to the replacement, firing only
-        once the rebuilt state is current) — never astride one.
+        The latch goes to every shard or to none: when some shard's
+        queue is full, nothing is posted and this returns False — the
+        caller retries after :data:`RETRY_AFTER_S`.  Serialized against
+        supervised restarts: a barrier lands either before a restart
+        (its latch is honored while draining the old shard's queue) or
+        after (posted to the replacement, firing only once the rebuilt
+        state is current) — never astride one.
         """
         with self._ingest_lock:
+            capacity = self.config.queue_capacity
+            if any(
+                shard.queue.qsize() >= capacity
+                for shard in self._shards.values()
+            ):
+                return False
             latch = _Barrier(len(self._shards), callback)
             for shard in self._shards.values():
-                shard.queue.put(("barrier", latch))
+                shard.queue.put_nowait(("barrier", latch))
+        return True
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until every shard has drained its queue (test helper)."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         done = threading.Event()
-        self.barrier(done.set)
-        return done.wait(timeout)
-
-    def sweep(self, now: datetime) -> None:
-        """Post a temporal sweep to every shard."""
-        with self._ingest_lock:
-            for shard in self._shards.values():
-                shard.queue.put(("sweep", now))
+        while not self.barrier(done.set):
+            if deadline is not None and time.monotonic() >= deadline:
+                return False
+            time.sleep(RETRY_AFTER_S)
+        if deadline is None:
+            return done.wait()
+        return done.wait(max(0.0, deadline - time.monotonic()))
 
     def flush(self) -> None:
         """Hand the buffered entries to the store writer (async commit)."""
@@ -1362,7 +1314,7 @@ class ShardRouter:
                     case,
                     accepted=False,
                     busy=True,
-                    retry_after_s=self.config.retry_after_s,
+                    retry_after_s=RETRY_AFTER_S,
                     reason=f"shard {name} over its busy watermark",
                     shard=name,
                 )
@@ -1388,10 +1340,12 @@ class ShardRouter:
         ``None`` if it was not quarantined.  The monitor's terminal
         state is untouched — dismissal is triage bookkeeping, not an
         acquittal; the control plane records it durably in the store's
-        control log.
+        control log.  A dismissed case is never filed again.
         """
         with self._quarantined_lock:
             kind = self._quarantined.pop(case, None)
+            if kind is not None:
+                self._dismissed.add(case)
         if kind is not None:
             self._m_dismissals.inc()
         return kind
@@ -1507,10 +1461,8 @@ class ShardRouter:
             "shard_detail": self.refresh_shard_gauges(),
             "backpressure": {
                 "busy": self._busy_total,
-                "shed": self._shed_total,
                 "duplicates": self._duplicate_total,
                 "busy_watermark": self._busy_wm,
-                "shed_watermark": self._shed_wm,
                 "levels": dict(self._overload),
             },
             "wal": {
@@ -1537,9 +1489,10 @@ class ShardRouter:
     def _note_quarantined(
         self, case: str, kind: OutcomeKind, detail: str
     ) -> None:
-        """Record (once) that *case* was taken out of rotation."""
+        """Record (once) that *case* was taken out of rotation, unless an
+        operator dismissed it."""
         with self._quarantined_lock:
-            if case in self._quarantined:
+            if case in self._quarantined or case in self._dismissed:
                 return
             self._quarantined[case] = kind
         self._m_quarantined.inc(kind=kind.value)

@@ -38,9 +38,8 @@ Server → client events: ``hello``, ``verdict`` (a per-case state
 transition, streamed as it happens), ``error`` (a rejected input line —
 the stream stays live), ``busy`` (the entry was *refused under
 backpressure* — unlike ``error`` it is retryable and carries
-``retry_after_s``, plus ``shed: true`` when admission control dropped
-it outright and ``duplicate: true`` when the refusal is really an ack
-of an already-accepted re-send), ``synced``, ``status``, ``results``,
+``retry_after_s``, or ``duplicate: true`` when the refusal is really an
+ack of an already-accepted re-send), ``synced``, ``status``, ``results``,
 ``final`` (drain-time last word on a case), ``bye``.
 """
 

@@ -12,7 +12,7 @@ with the network surface:
   text format from the telemetry registry), and ``/metrics.json`` (the
   JSON snapshot ``repro top`` samples);
 * a **flush timer** committing buffered entries to the audit store
-  every ``flush_interval_s``, plus optional temporal sweeps;
+  every ``flush_interval_s``;
 * **graceful drain**: on SIGTERM (wired by the CLI) the service stops
   accepting input, lets every shard finish, flushes and
   integrity-checks the store, then sends each connected client the
@@ -20,14 +20,17 @@ with the network surface:
 
 Thread/loop topology: the event loop owns all sockets; shard threads
 call back via ``loop.call_soon_threadsafe`` into per-connection outbox
-queues, so writers are only ever touched from the loop.
+queues, so writers are only ever touched from the loop.  Nothing on the
+loop blocks on a shard queue: a refused entry is answered ``busy``, and
+a refused ``xes`` entry or barrier waits out
+:data:`~repro.serve.core.RETRY_AFTER_S` with ``asyncio.sleep``, so only
+its own connection waits.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from datetime import datetime
 from typing import Iterator, Optional
 
 from repro.audit.xes import XesError, import_xes
@@ -38,7 +41,7 @@ from repro.obs import (
     to_json,
     to_prometheus,
 )
-from repro.serve.core import DrainReport, ShardRouter
+from repro.serve.core import RETRY_AFTER_S, DrainReport, ShardRouter
 from repro.serve.protocol import (
     EV_BUSY,
     EV_BYE,
@@ -251,7 +254,6 @@ class AuditService:
 
     async def _tick(self) -> None:
         interval = self.router.config.flush_interval_s
-        sweep_due = self.router._temporal is not None
         while True:
             await asyncio.sleep(interval)
             self.router.flush()
@@ -261,8 +263,6 @@ class AuditService:
                 await asyncio.get_running_loop().run_in_executor(
                     None, self.router.wal_commit
                 )
-            if sweep_due:
-                self.router.sweep(datetime.now())
 
     async def drain(self) -> DrainReport:
         """Graceful shutdown; safe to call more than once."""
@@ -394,10 +394,6 @@ class AuditService:
                     conn.post,
                     traceparent=message.get("traceparent"),
                     seq=seq,
-                    # Never block the event loop: overload becomes an
-                    # explicit busy/shed wire response, not a stalled
-                    # reader starving every other connection.
-                    block=False,
                 )
                 if admission.accepted:
                     conn.cases.add(entry.case)
@@ -417,8 +413,6 @@ class AuditService:
                         conn.cases.add(entry.case)
                     else:
                         response["retry_after_s"] = admission.retry_after_s
-                        if admission.shed:
-                            response["shed"] = True
                     conn.send(response)
             elif op == OP_XES:
                 document = message.get("document")
@@ -434,9 +428,9 @@ class AuditService:
                     # a refused entry waits out its retry hint here, so a
                     # full shard queue never blocks the loop.
                     while not self.router.submit(
-                        entry, conn.post, traceparent=traceparent, block=False
+                        entry, conn.post, traceparent=traceparent
                     ).accepted:
-                        await asyncio.sleep(self.router.config.retry_after_s)
+                        await asyncio.sleep(RETRY_AFTER_S)
                     conn.cases.add(entry.case)
                     conn.entries_sent += 1
             elif op == OP_SYNC:
@@ -454,7 +448,10 @@ class AuditService:
                         {"event": EV_SYNCED, "id": token, "received": received}
                     )
 
-                self.router.barrier(synced)
+                # A full shard queue refuses the barrier; wait it out
+                # here, off the loop's other connections.
+                while not self.router.barrier(synced):
+                    await asyncio.sleep(RETRY_AFTER_S)
             elif op == OP_STATUS:
                 conn.send(
                     {"event": EV_STATUS, **self.router.statistics()}
@@ -490,11 +487,12 @@ class AuditService:
         """
         assert self._loop is not None
         settled: asyncio.Future = self._loop.create_future()
-        self.router.barrier(
+        while not self.router.barrier(
             lambda: self._loop.call_soon_threadsafe(
                 lambda: settled.done() or settled.set_result(None)
             )
-        )
+        ):
+            await asyncio.sleep(RETRY_AFTER_S)
         await settled
         wanted = message.get("cases")
         records = self.router.iter_results(

@@ -277,8 +277,8 @@ class ShardKillInjector:
     ``after_entries`` entries of the case feed normally first, so the
     shard dies with real in-flight state — the interesting recovery
     scenario.  Pass as ``checker_wrapper=`` to the
-    :class:`~repro.serve.core.ShardRouter` (interpreted replay; the
-    compiled path does not route through checker sessions).
+    :class:`~repro.serve.core.ShardRouter`; interpreted and compiled
+    shards alike replay through the wrapped checker's sessions.
     """
 
     case: str

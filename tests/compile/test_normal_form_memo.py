@@ -91,7 +91,7 @@ def test_warm_table_tier_serving_never_grows_the_memo(tmp_path):
     try:
         warmed = len(congruence._NORMAL_CACHE)
         for entry in trail:
-            assert router.submit(entry, block=True).accepted
+            assert router.submit(entry).accepted
         assert router.wait_idle(timeout=30)
         router.results()
         assert len(congruence._NORMAL_CACHE) == warmed

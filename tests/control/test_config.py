@@ -108,11 +108,16 @@ class TestParsing:
             "wal_segment_max_bytes",
             "wal_fsync_batch",
             "automaton_max_states",
+            "busy_watermark",
+            "shed_watermark",
+            "retry_after_s",
         ],
     )
     def test_dropped_serve_fields_are_unknown_budget_keys(self, field):
         # The hash ring, the WAL and fresh automata keep their own
-        # defaults; these are not ServeConfig fields.
+        # defaults, admission derives its watermark from queue_capacity
+        # and the retry hint is a constant; these are not ServeConfig
+        # fields.
         with pytest.raises(ConfigError, match="unknown budget keys"):
             parse_config(
                 {"tenants": [{"prefix": "HT"}], "budgets": {field: 1}}
@@ -130,7 +135,6 @@ class TestParsing:
             ("case_timeout_s", -1),
             ("hang_timeout_s", 0),
             ("max_shard_restarts", -1),
-            ("retry_after_s", -0.5),
         ],
     )
     def test_out_of_range_budgets_are_refused_at_load(self, budget, value):

@@ -26,7 +26,7 @@ def _stream_paper_trail(checker_wrapper=None, **config):
     )
     router.start()
     for entry in paper_audit_trail():
-        assert router.submit(entry, block=True).accepted
+        assert router.submit(entry).accepted
     assert router.wait_idle(timeout=30)
     return router
 

@@ -8,26 +8,42 @@ hash-chained operator record next to the audit trail.
 """
 
 import threading
+import time
 
 import pytest
 
 from repro.audit.store import AuditStore
 from repro.control import ControlPlane
 from repro.core.auditor import PurposeControlAuditor
-from repro.obs import MemoryEventLog, MetricsRegistry, Telemetry
+from repro.obs import (
+    CASE_QUARANTINED,
+    MemoryEventLog,
+    MetricsRegistry,
+    Telemetry,
+)
+from repro.policy.registry import ProcessRegistry
 from repro.scenarios import (
     paper_audit_trail,
     process_registry,
     role_hierarchy,
+    sequential_process,
 )
-from repro.serve import AuditStreamClient, ServeConfig
+from repro.serve import (
+    AuditStreamClient,
+    ConsistentHashRing,
+    ServeConfig,
+    ShardRouter,
+    recover,
+)
 from repro.serve.core import RequeueResult
 from repro.testing import (
     FaultInjector,
     FaultPlan,
+    ShardKillInjector,
     canonical_digest,
     reset_fault_counters,
 )
+from tests.core.test_resilience import mixed_trail, non_well_founded_process
 
 
 @pytest.fixture(autouse=True)
@@ -40,6 +56,43 @@ def _fresh_fault_counters():
 def _telemetry():
     log = MemoryEventLog()
     return Telemetry.create(registry=MetricsRegistry(), events=log.events), log
+
+
+def _mixed_router(tmp_path, telemetry=None, checker_wrapper=None, **config):
+    """Two shards over a store and a WAL, serving a sequential ``OK``
+    purpose and the non-well-founded ``NW`` purpose, whose case ``NW-1``
+    is contained as undecidable."""
+    registry = ProcessRegistry()
+    registry.register(sequential_process(2), "OK")
+    registry.register(non_well_founded_process(), "NW")
+    router = ShardRouter(
+        registry,
+        config=ServeConfig(
+            shards=2,
+            store_path=str(tmp_path / "audit.db"),
+            wal_dir=str(tmp_path / "wal"),
+            **config,
+        ),
+        telemetry=telemetry,
+        checker_wrapper=checker_wrapper,
+    )
+    router.start()
+    return router
+
+
+def _dismiss(router, case: str) -> None:
+    status, _, _ = ControlPlane(router=router).handle(
+        "POST", f"/api/v1/quarantine/{case}/dismiss", {}, None
+    )
+    assert status == 200
+
+
+def _listed(router) -> list[str]:
+    status, payload, _ = ControlPlane(router=router).handle(
+        "GET", "/api/v1/quarantine", {}, None
+    )
+    assert status == 200
+    return [record["case"] for record in payload["quarantined"]]
 
 
 def _crashing_service(serve_factory, tmp_path, telemetry):
@@ -170,14 +223,6 @@ class TestRequeue:
         assert after["findings"] == []
 
     def test_requeued_undecidable_case_keeps_one_finding(self):
-        from repro.policy.registry import ProcessRegistry
-        from repro.scenarios import sequential_process
-        from repro.serve import ShardRouter
-        from tests.core.test_resilience import (
-            mixed_trail,
-            non_well_founded_process,
-        )
-
         registry = ProcessRegistry()
         registry.register(sequential_process(2), "OK")
         registry.register(non_well_founded_process(), "NW")
@@ -185,7 +230,7 @@ class TestRequeue:
         router.start()
         try:
             for entry in mixed_trail():
-                assert router.submit(entry, block=True).accepted
+                assert router.submit(entry).accepted
             assert router.wait_idle(timeout=30)
             plane = ControlPlane(router=router)
             for _ in range(3):
@@ -327,3 +372,71 @@ class TestDismiss:
         assert (
             telemetry.registry.counter("serve_dismissals_total").total == 1
         )
+
+    def test_dismissal_survives_recover(self, tmp_path):
+        first = _mixed_router(tmp_path)
+        for entry in mixed_trail():
+            assert first.submit(entry).accepted
+        assert first.wait_idle(timeout=30)
+        assert _listed(first) == ["NW-1"]
+        _dismiss(first, "NW-1")
+        first.drain()
+
+        telemetry, log = _telemetry()
+        second = _mixed_router(tmp_path, telemetry=telemetry)
+        try:
+            recover(second)
+            assert second.wait_idle(timeout=30)
+            # The replay contains the case again, and files it nowhere.
+            assert second.case_record("NW-1")["state"] == "undecidable"
+            assert _listed(second) == []
+            assert log.named(CASE_QUARANTINED) == []
+            assert (
+                telemetry.registry.counter(
+                    "serve_quarantined_cases_total"
+                ).total
+                == 0
+            )
+        finally:
+            second.drain()
+
+    def test_dismissal_survives_a_supervised_restart(self, tmp_path):
+        trail = list(mixed_trail())
+        ring = ConsistentHashRing(["shard-0", "shard-1"])
+        # Kill the shard that owns NW-1, on a case of its own.
+        suspect = next(
+            entry.case
+            for entry in trail
+            if entry.case != "NW-1"
+            and ring.shard_for(entry.case) == ring.shard_for("NW-1")
+        )
+        telemetry, log = _telemetry()
+        router = _mixed_router(
+            tmp_path,
+            telemetry=telemetry,
+            checker_wrapper=ShardKillInjector(suspect),
+            supervise=True,
+            heartbeat_interval_s=0.05,
+        )
+        try:
+            for entry in trail:
+                if entry.case != suspect:
+                    assert router.submit(entry).accepted
+            assert router.wait_idle(timeout=30)
+            _dismiss(router, "NW-1")
+            killer = next(entry for entry in trail if entry.case == suspect)
+            assert router.submit(killer).accepted
+            deadline = time.monotonic() + 15
+            while not router.statistics()["supervisor"]["restarts"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            assert router.wait_idle(timeout=30)
+            # The replacement replayed NW-1 and contained it again; only
+            # the poison suspect is filed.
+            assert router.case_record("NW-1")["state"] == "undecidable"
+            assert _listed(router) == [suspect]
+            assert [
+                event["case"] for event in log.named(CASE_QUARANTINED)
+            ] == ["NW-1", suspect]
+        finally:
+            router.drain()

@@ -70,7 +70,7 @@ class TestStreamEquivalence:
         router.start()
         try:
             for entry in stream:
-                router.submit(entry)
+                assert router.submit(entry).accepted
             assert router.wait_idle(timeout=60)
             streamed = router.results()
         finally:
@@ -122,7 +122,7 @@ class TestStreamEquivalence:
             router.start()
             try:
                 for entry in stream:
-                    router.submit(entry)
+                    assert router.submit(entry).accepted
                 assert router.wait_idle(timeout=60)
                 outcomes.append(
                     {

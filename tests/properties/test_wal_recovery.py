@@ -172,7 +172,7 @@ class TestCrashRecoveryProperties:
             root = Path(tmp)
             router = _router(root, shards)
             for entry in stream:
-                router.submit(entry)
+                assert router.submit(entry).accepted
             assert router.wait_idle(timeout=60)
             _crash(router)
 

@@ -71,7 +71,6 @@ def serve_factory():
         config: "ServeConfig | None" = None,
         telemetry=None,
         checker_wrapper=None,
-        temporal=None,
         http: bool = False,
         control=None,
     ) -> RunningService:
@@ -81,7 +80,6 @@ def serve_factory():
             config=config or ServeConfig(shards=3),
             telemetry=telemetry,
             checker_wrapper=checker_wrapper,
-            temporal=temporal,
         )
         if control == "mount":
             # Convenience: build a ControlPlane over the router itself.

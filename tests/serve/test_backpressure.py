@@ -1,8 +1,9 @@
-"""Bounded queues, busy/shed admission control, and client retry.
+"""Bounded queues, busy admission control, and client retry.
 
-Overload must degrade explicitly: the library path blocks (TCP
-push-back), the service path refuses with ``busy``/``retry_after``
-below capacity and sheds above it, and a well-behaved shipper
+Overload must degrade explicitly: an entry is refused with
+``busy``/``retry_after`` once its shard's queue reaches the watermark
+(three quarters of ``queue_capacity``), a barrier that finds a queue
+full waits off the event loop, and a well-behaved shipper
 (:class:`~repro.serve.client.ResilientAuditClient`) converges to the
 exact uninterrupted verdicts anyway — no accepted entry lost, none
 double-counted.
@@ -24,10 +25,12 @@ from repro.scenarios import (
 )
 from repro.serve import (
     AuditStreamClient,
+    ConsistentHashRing,
     ResilientAuditClient,
     ServeConfig,
     ShardRouter,
 )
+from repro.serve.core import RETRY_AFTER_S
 from repro.testing import FaultInjector, FaultPlan, canonical_digest
 
 
@@ -83,6 +86,21 @@ class _HeldChecker:
         return getattr(self._checker, name)
 
 
+def _held(gate: threading.Event):
+    """A checker wrapper whose sessions wait for *gate* on every feed."""
+    return lambda checker, purpose: _HeldChecker(checker, gate)
+
+
+def _await_held(router, *shards: str) -> None:
+    """Wait until each of *shards* (default: the one shard) has opened a
+    case and waits on its gate, its queue empty again."""
+    deadline = time.monotonic() + 30
+    for shard in shards or ("shard-0",):
+        while router.refresh_shard_gauges()[shard]["inflight_cases"] < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+
+
 def _router(**config) -> ShardRouter:
     defaults = dict(shards=1, queue_capacity=4)
     defaults.update(config)
@@ -99,16 +117,16 @@ def _router(**config) -> ShardRouter:
 class TestAdmissionControl:
     def test_nonblocking_submit_refuses_busy_under_load(self):
         trail = list(paper_audit_trail())
-        router = _router(busy_watermark=2, shed_watermark=3)
+        router = _router()  # queue_capacity 4: the watermark is 3
         pending = deque(trail)
         busy_seen = 0
         while pending:
             entry = pending.popleft()
-            admission = router.submit(entry, block=False)
+            admission = router.submit(entry)
             if admission.accepted:
                 continue
             assert admission.busy
-            assert admission.retry_after_s > 0
+            assert admission.retry_after_s == RETRY_AFTER_S
             assert "watermark" in admission.reason
             busy_seen += 1
             # Per-case order must survive the retry: put it back at the
@@ -122,36 +140,50 @@ class TestAdmissionControl:
         assert _digests(router) == _batch_digests()
         stats = router.statistics()["backpressure"]
         assert stats["busy"] == busy_seen
-        assert stats["busy_watermark"] == 2
+        assert stats["busy_watermark"] == 3
+        assert set(stats) == {"busy", "duplicates", "busy_watermark", "levels"}
         router.drain()
 
-    def test_shed_watermark_refuses_above_busy(self):
-        trail = list(paper_audit_trail())
-        router = _router(
-            queue_capacity=8, busy_watermark=2, shed_watermark=4
+    def test_barrier_posts_to_every_shard_or_none(self):
+        gate = threading.Event()
+        router = ShardRouter(
+            process_registry(),
+            hierarchy=role_hierarchy(),
+            config=ServeConfig(shards=2, queue_capacity=4),
+            checker_wrapper=_held(gate),
         )
-        # Blocking submitters (the library path) are allowed past the
-        # watermarks; use them to pile the queue above the shed line...
-        for entry in trail[:6]:
-            router.submit(entry, block=True)
-        # ...so the service path's next entry is shed outright.
-        admission = router.submit(trail[6], block=False)
-        assert not admission.accepted
-        assert admission.shed and admission.busy
-        assert router.statistics()["backpressure"]["shed"] >= 1
-        assert router.wait_idle(timeout=60)
-        router.drain()
-
-    def test_blocking_submit_never_refuses(self):
-        trail = list(paper_audit_trail())
-        router = _router(busy_watermark=1, shed_watermark=2)
-        for entry in trail:
-            assert router.submit(entry, block=True).accepted
-        assert router.wait_idle(timeout=60)
-        assert _digests(router) == _batch_digests()
-        stats = router.statistics()["backpressure"]
-        assert stats["busy"] == 0 and stats["shed"] == 0
-        router.drain()
+        router.start()
+        try:
+            ring = ConsistentHashRing(router.shard_names)
+            owned = {
+                name: [
+                    entry
+                    for entry in paper_audit_trail()
+                    if ring.shard_for(entry.case) == name
+                ]
+                for name in router.shard_names
+            }
+            for name in router.shard_names:
+                assert router.submit(owned[name][0]).accepted
+            _await_held(router, *router.shard_names)
+            for entry in owned["shard-1"][1:4]:
+                assert router.submit(entry).accepted
+            fired: list[int] = []
+            # Three entries and one latch fill shard-1's queue...
+            assert router.barrier(lambda: fired.append(1))
+            # ...so the next barrier is refused whole: shard-0, which
+            # has room, gets no latch either.
+            assert not router.barrier(lambda: fired.append(2))
+            depths = router.refresh_shard_gauges()
+            assert depths["shard-0"]["queue_depth"] == 1
+            assert depths["shard-1"]["queue_depth"] == 4
+            assert not router.wait_idle(timeout=0.2)
+            gate.set()
+            assert router.wait_idle(timeout=60)
+            assert fired == [1]
+        finally:
+            gate.set()
+            router.drain()
 
     def test_sequence_gap_is_refused_not_fatal(self):
         trail = list(paper_audit_trail())
@@ -162,23 +194,12 @@ class TestAdmissionControl:
         assert router.submit(entries[0], seq=1).accepted
         skipped = router.submit(entries[1], seq=3)
         assert not skipped.accepted
-        assert skipped.busy and not skipped.shed
+        assert skipped.busy
+        assert skipped.retry_after_s == RETRY_AFTER_S
         assert "sequence gap" in skipped.reason
         # Delivering the gap first unblocks the stream.
         assert router.submit(entries[1], seq=2).accepted
         router.drain()
-
-    def test_watermark_validation(self):
-        with pytest.raises(ValueError):
-            ShardRouter(
-                process_registry(),
-                config=ServeConfig(
-                    shards=1,
-                    queue_capacity=4,
-                    busy_watermark=3,
-                    shed_watermark=2,
-                ),
-            )
 
     @pytest.mark.parametrize(
         "field, value",
@@ -191,7 +212,6 @@ class TestAdmissionControl:
             ("case_timeout_s", 0.0),
             ("hang_timeout_s", -1.0),
             ("max_shard_restarts", -1),
-            ("retry_after_s", -0.05),
         ],
     )
     def test_out_of_range_config_is_a_value_error(self, field, value):
@@ -205,13 +225,8 @@ class TestOverloadOverTheWire:
         handle = serve_factory(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(
-                shards=1,
-                queue_capacity=3,
-                busy_watermark=1,
-                shed_watermark=3,
-                retry_after_s=0.02,
-            ),
+            # queue_capacity 3: entries are refused from a depth of 2.
+            config=ServeConfig(shards=1, queue_capacity=3),
             checker_wrapper=_slow(0.02),
         )
         shipper = ResilientAuditClient(
@@ -246,8 +261,8 @@ class TestOverloadOverTheWire:
         handle = serve_factory(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(shards=1, queue_capacity=4, retry_after_s=0.01),
-            checker_wrapper=lambda checker, purpose: _HeldChecker(checker, gate),
+            config=ServeConfig(shards=1, queue_capacity=4),
+            checker_wrapper=_held(gate),
         )
         try:
             with AuditStreamClient(handle.host, handle.port) as shipper:
@@ -279,9 +294,88 @@ class TestOverloadOverTheWire:
                 status = handle.router.statistics()
                 assert status["entries_received"] == len(trail)
                 # Refusals are counted as the `entry` op's are.
-                refused = status["backpressure"]
-                assert refused["busy"] + refused["shed"] > 0
+                assert status["backpressure"]["busy"] > 0
                 assert status["dead_letters"] == 0
+        finally:
+            gate.set()
+
+    def test_sync_on_a_full_queue_waits_off_the_loop(self, serve_factory):
+        gate = threading.Event()
+        entries = list(paper_audit_trail())[:7]
+        handle = serve_factory(
+            process_registry(),
+            hierarchy=role_hierarchy(),
+            config=ServeConfig(shards=1, queue_capacity=4),
+            checker_wrapper=_held(gate),
+        )
+        try:
+            with AuditStreamClient(handle.host, handle.port) as shipper:
+                shipper.recv_until("hello")
+                shipper.send_entry(entries[0])
+                _await_held(handle.router)
+                # Three more entries reach the watermark; the last three
+                # are refused.  The first sync fills the queue, so the
+                # second finds it full.
+                shipper.send_trail(entries[1:])
+                for token in range(1, 5):
+                    shipper.send({"op": "sync", "id": token})
+                deadline = time.monotonic() + 30
+                while handle.router.refresh_shard_gauges()["shard-0"][
+                    "queue_depth"
+                ] < 4:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                # The refused barrier waits out its retries; every other
+                # connection is still served.
+                with AuditStreamClient(
+                    handle.host, handle.port, timeout=1.0
+                ) as probe:
+                    probe.recv_until("hello")
+                    assert probe.status()["entries_received"] == 4
+                gate.set()
+                events: list[dict] = []
+                while sum(e["event"] == "synced" for e in events) < 4:
+                    events.append(shipper.recv_event())
+                refused = [e for e in events if e["event"] == "busy"]
+                assert [e["case"] for e in refused] == [
+                    entry.case for entry in entries[4:]
+                ]
+                synced = [e for e in events if e["event"] == "synced"]
+                assert [e["id"] for e in synced] == [1, 2, 3, 4]
+                assert {e["received"] for e in synced} == {4}
+        finally:
+            gate.set()
+
+    @pytest.mark.parametrize("capacity", [4, 20])
+    def test_refused_entry_has_no_shed_key(self, serve_factory, capacity):
+        gate = threading.Event()
+        watermark = max(1, capacity * 3 // 4)
+        # One entry held by the shard, a watermark's worth queued behind
+        # it, and three refused.
+        entries = list(paper_audit_trail())[: watermark + 4]
+        handle = serve_factory(
+            process_registry(),
+            hierarchy=role_hierarchy(),
+            config=ServeConfig(shards=1, queue_capacity=capacity),
+            checker_wrapper=_held(gate),
+        )
+        try:
+            with AuditStreamClient(handle.host, handle.port) as shipper:
+                shipper.recv_until("hello")
+                shipper.send_entry(entries[0])
+                _await_held(handle.router)
+                shipper.send_trail(entries[1:])
+                shipper.status()
+                refused = [
+                    e for e in shipper.events_seen if e["event"] == "busy"
+                ]
+                assert len(refused) == 3
+                for response in refused:
+                    assert set(response) == {
+                        "event", "case", "reason", "retry_after_s"
+                    }
+                    assert response["retry_after_s"] == RETRY_AFTER_S
+                    assert "busy watermark" in response["reason"]
         finally:
             gate.set()
 

@@ -210,7 +210,7 @@ class TestAutomatonDirImpliesTableTier:
         router.start()
         try:
             for entry in trail:
-                assert router.submit(entry, block=True).accepted
+                assert router.submit(entry).accepted
             assert router.wait_idle(timeout=30)
             served = {
                 case: info["digest"]

@@ -107,11 +107,11 @@ class TestRecoverEndToEnd:
         half = len(trail) // 2
         first = _router(tmp_path)
         for entry in trail[:half]:
-            first.submit(entry)
+            assert first.submit(entry).accepted
         first.flush()
         assert first._writer_sync(timeout=30)
         for entry in trail[half:]:
-            first.submit(entry)
+            assert first.submit(entry).accepted
         assert first.wait_idle(timeout=30)
         _crash(first)
 
@@ -139,7 +139,7 @@ class TestRecoverEndToEnd:
         trail = list(paper_audit_trail())
         first = _router(tmp_path)
         for entry in trail:
-            first.submit(entry)
+            assert first.submit(entry).accepted
         assert first.wait_idle(timeout=30)
         _crash(first)
 
@@ -166,7 +166,7 @@ class TestRecoverEndToEnd:
         trail = list(paper_audit_trail())
         first = _router(tmp_path)  # 3 shards
         for entry in trail:
-            first.submit(entry)
+            assert first.submit(entry).accepted
         assert first.wait_idle(timeout=30)
         _crash(first)
 
@@ -187,7 +187,7 @@ class TestRecoverEndToEnd:
         trail = list(paper_audit_trail())
         first = _router(tmp_path, shards=1)
         for entry in trail:
-            first.submit(entry)
+            assert first.submit(entry).accepted
         assert first.wait_idle(timeout=30)
         _crash(first)
         from repro.serve.wal import segment_paths
@@ -221,7 +221,7 @@ class TestRecoverGuards:
         trail = list(paper_audit_trail())
         first = _router(tmp_path)
         for entry in trail:
-            first.submit(entry)
+            assert first.submit(entry).accepted
         first.flush()
         assert first._writer_sync(timeout=30)
         assert first.wait_idle(timeout=30)
@@ -240,7 +240,7 @@ class TestRecoverGuards:
         trail = list(paper_audit_trail())
         first = _router(tmp_path, shards=1)
         for entry in trail:
-            first.submit(entry)
+            assert first.submit(entry).accepted
         assert first.wait_idle(timeout=30)
         _crash(first)
 

@@ -264,7 +264,7 @@ class TestSlowStuckCase:
         )
         router.start()
         for entry in paper_audit_trail():
-            assert router.submit(entry, block=True).accepted
+            assert router.submit(entry).accepted
         assert router.wait_idle(timeout=60)
         assert router.quarantined_cases().get("CT-1") is OutcomeKind.TIMEOUT
         return router
@@ -336,7 +336,7 @@ class TestNonWellFoundedPurpose:
         router.start()
         try:
             for entry in trail:
-                assert router.submit(entry, block=True).accepted
+                assert router.submit(entry).accepted
             assert router.wait_idle(timeout=30)
             served = router.results()
         finally:

@@ -48,7 +48,7 @@ def _boot(serve_factory, shards: int = 3):
 def _ingest(running, entries) -> None:
     """Feed entries straight to the router (no client sees verdicts)."""
     for entry in entries:
-        running.router.submit(entry)
+        assert running.router.submit(entry).accepted
     assert running.router.wait_idle(timeout=60)
 
 

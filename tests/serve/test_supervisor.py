@@ -7,8 +7,10 @@ verdict byte-identical to an undisturbed run.  Past the restart budget
 the shard is excised from the consistent-hash ring instead of
 crash-looping.
 
-Interpreted replay throughout: the kill/stall seams live in the checker
-session layer, which the compiled path does not route through.
+The kill/stall seams live in the checker session layer, which the
+interpreted and the compiled daemon both route through (the engine
+wraps whichever checker it warmed), so every scenario runs on both:
+each ``Compiled`` subclass repeats its class with ``compiled=True``.
 """
 
 import threading
@@ -141,6 +143,8 @@ class _StallOnce:
 
 
 class TestCrashRestart:
+    compiled = None
+
     def test_killed_shard_restarts_and_other_cases_are_unharmed(
         self, tmp_path
     ):
@@ -150,9 +154,10 @@ class TestCrashRestart:
             tmp_path,
             ShardKillInjector(victim, after_entries=1),
             telemetry=telemetry,
+            compiled=self.compiled,
         )
         for entry in paper_audit_trail():
-            router.submit(entry)
+            assert router.submit(entry).accepted
         _await_supervision(router)
         assert router.wait_idle(timeout=30)
 
@@ -164,6 +169,11 @@ class TestCrashRestart:
         assert stats["quarantined_cases"] == 1
         results = router.results()
         assert results[victim]["digest"] is None
+        # The replacement never saw the suspect, yet files it under the
+        # purpose its case id claims.
+        assert router.case_record(victim)["purpose"] == (
+            process_registry().purpose_of_case(victim)
+        )
         # Every *other* case is byte-identical to an undisturbed audit.
         assert _digests(router, exclude={victim}) == _batch_digests(
             exclude={victim}
@@ -183,9 +193,10 @@ class TestCrashRestart:
             ShardKillInjector(victim, after_entries=1),
             telemetry=telemetry,
             max_shard_restarts=0,
+            compiled=self.compiled,
         )
         for entry in paper_audit_trail():
-            router.submit(entry)
+            assert router.submit(entry).accepted
         _await_supervision(router)
         assert router.wait_idle(timeout=30)
 
@@ -202,6 +213,8 @@ class TestCrashRestart:
 
 
 class TestHangDetection:
+    compiled = None
+
     def test_hung_shard_is_detected_and_replaced(self, tmp_path):
         victim = _victim_case()
         telemetry, log = _telemetry()
@@ -210,9 +223,10 @@ class TestHangDetection:
             _StallOnce(victim, stall_s=3.0),
             telemetry=telemetry,
             hang_timeout_s=0.3,
+            compiled=self.compiled,
         )
         for entry in paper_audit_trail():
-            router.submit(entry)
+            assert router.submit(entry).accepted
         _await_supervision(router)
         assert router.wait_idle(timeout=30)
 
@@ -227,3 +241,11 @@ class TestHangDetection:
         # The stalled thread eventually wakes, sees it was abandoned,
         # and exits without corrupting the replacement's state.
         router.drain()
+
+
+class TestCrashRestartCompiled(TestCrashRestart):
+    compiled = True
+
+
+class TestHangDetectionCompiled(TestHangDetection):
+    compiled = True

@@ -47,7 +47,7 @@ with tempfile.TemporaryDirectory() as directory:
     )
     router.start()
     for entry in paper_audit_trail():
-        router.submit(entry)
+        assert router.submit(entry).accepted
     router.drain()
     assert len(router.results()) == 8
 print("networkx" in sys.modules)
