@@ -23,7 +23,7 @@ import json
 import sqlite3
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.audit.model import AuditTrail, LogEntry, Status
 from repro.errors import AuditError, IntegrityError, MalformedEntryError
@@ -309,14 +309,31 @@ class AuditStore:
 
         The returned sequence numbers are the keyset cursor: pass the
         last one back as ``after_seq`` to fetch the next page.  Used by
-        the control-plane trail endpoints and the incremental re-audit
-        replay loop, which must never hold a full store in memory.
+        the control-plane trail endpoints and :meth:`iter_entries`,
+        which must never hold a full store in memory.
         """
         rows = self._select_rows(case=case, after_seq=after_seq, limit=limit)
         return [
             (int(row[0]), _entry_from_row(row[1:], position=int(row[0])))
             for row in rows
         ]
+
+    def iter_entries(self, page: int = 512) -> Iterator[LogEntry]:
+        """Every entry in log (``seq``) order, read *page* rows at a time.
+
+        The order the entries were appended in — for the streaming
+        service, acceptance order — where :meth:`query`'s trail re-sorts
+        by timestamp.  Replays that must see what the service saw live
+        (re-audit, the service's resume and shard restarts) read this.
+        """
+        cursor = 0
+        while True:
+            rows = self.entries_with_seq(after_seq=cursor, limit=page)
+            if not rows:
+                return
+            cursor = rows[-1][0]
+            for _, entry in rows:
+                yield entry
 
     def cases(self, prefix: Optional[str] = None) -> list[str]:
         """Distinct case ids in first-seen order.

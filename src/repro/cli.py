@@ -548,12 +548,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tenants=sorted(t.purpose for t in audit_config.tenants),
             preflight=not args.no_preflight,
         )
-    if args.recover and args.wal_dir is None:
-        raise ReproError("--recover needs --wal-dir (the log to replay)")
-    if args.supervise and args.wal_dir is None:
-        raise ReproError(
-            "--supervise needs --wal-dir (restarts replay from the WAL)"
-        )
     flags = dict(
         shards=args.shards,
         store_path=args.store,
@@ -564,7 +558,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         compiled=True if args.compiled else None,
         automaton_dir=args.automaton_dir,
         wal_dir=args.wal_dir,
-        supervise=args.supervise,
         hang_timeout_s=args.hang_timeout,
         max_shard_restarts=args.max_shard_restarts,
     )
@@ -575,11 +568,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             config = audit_config.serve_config(**flags)
         else:
             config = ServeConfig(**flags)
+        router = ShardRouter(
+            registry, hierarchy=hierarchy, config=config, telemetry=telemetry
+        )
     except ValueError as error:
         raise ReproError(str(error)) from error
-    router = ShardRouter(
-        registry, hierarchy=hierarchy, config=config, telemetry=telemetry
-    )
     control = None
     if args.http_port >= 0:
         from repro.control import ControlPlane
@@ -600,10 +593,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         stop = asyncio.Event()
         for signum in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(signum, stop.set)
-        await service.start(recover=args.recover)
-        if args.recover and router.recovery_report is not None:
-            # The recovery outcome, parseable, before "listening" — a
-            # wrapper that waits for the port only proceeds once the
+        await service.start()
+        if router.recovery_report is not None:
+            # What the WAL router resumed, parseable, before "listening"
+            # — a wrapper that waits for the port only proceeds once the
             # rebuilt state is known good.
             print(
                 _json.dumps(
@@ -1032,22 +1025,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve_robustness.add_argument(
         "--wal-dir", metavar="DIR", default=None,
         help="per-shard write-ahead ingest log: every accepted entry "
-        "is CRC-framed here before it is acknowledged",
-    )
-    serve_robustness.add_argument(
-        "--recover", action="store_true",
-        help="rebuild in-flight state from the store + WAL delta "
-        "before listening (after a crash; needs --wal-dir)",
-    )
-    serve_robustness.add_argument(
-        "--supervise", action="store_true",
-        help="watch shard heartbeats; restart crashed/hung shards "
-        "from durable history (needs --wal-dir)",
+        "is CRC-framed here before it is acknowledged; a daemon with "
+        "one resumes the store + WAL before listening and restarts "
+        "crashed shards from them",
     )
     serve_robustness.add_argument(
         "--hang-timeout", type=float, default=None, metavar="SECONDS",
-        help="a supervised shard silent this long mid-case is treated "
-        "as hung and replaced (default: hangs are not policed)",
+        help="a shard silent this long mid-case is treated as hung and "
+        "replaced (needs --wal-dir; default: hangs are not policed)",
     )
     serve_robustness.add_argument(
         "--max-shard-restarts", type=int, default=2, metavar="N",

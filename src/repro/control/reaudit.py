@@ -31,11 +31,6 @@ from repro.control.config import AuditConfig
 from repro.core.monitor import OnlineMonitor
 from repro.errors import UnknownPurposeError
 
-#: Store rows are streamed in pages of this many entries, so a
-#: million-entry store is never materialized (the keyset-pagination
-#: satellite in action).
-REPLAY_PAGE = 512
-
 LEDGER_VERSION = 1
 
 
@@ -136,8 +131,9 @@ def _replay(
 
     ``cases=None`` replays everything; a set restricts the replay to
     those cases (the incremental path).  Entries stream through in
-    store order via keyset pagination — the engine sees exactly the
-    sequence the service observed live, so its records are
+    store order a page at a time (:meth:`AuditStore.iter_entries`), so
+    a million-entry store is never materialized and the engine sees
+    exactly the sequence the service observed live: its records are
     byte-identical to the streaming run's
     (``tests/serve``' differential suites established that equivalence
     for the monitor itself).
@@ -150,15 +146,8 @@ def _replay(
         compiled=serve.compiled,
         automaton_dir=serve.automaton_dir,
     )
-    cursor = 0
-    while True:
-        page = store.entries_with_seq(after_seq=cursor, limit=REPLAY_PAGE)
-        if not page:
-            break
-        cursor = page[-1][0]
-        for _, entry in page:
-            if cases is not None and entry.case not in cases:
-                continue
+    for entry in store.iter_entries():
+        if cases is None or entry.case in cases:
             monitor.observe(entry)
     monitor.save_automata()
     return monitor

@@ -60,10 +60,11 @@ event               emitted when
                     records)
 ``serve.wal_retired``  WAL segments wholly covered by a committed store
                     flush were deleted (fields: shard, upto, segments)
-``serve.recovered``  a restarted service rebuilt in-flight state from the
-                    store + WAL delta (fields: store_entries, wal_records,
-                    replayed, duplicates, cases, torn_segments,
-                    duration_s)
+``serve.recovered``  a service with a WAL resumed in-flight state from
+                    the store + WAL delta at start; only when there was
+                    something to replay (fields: store_entries,
+                    wal_records, replayed, duplicates, cases,
+                    torn_segments, store_intact, duration_s)
 ``serve.shard_restarted``  the supervisor replaced a crashed or hung
                     shard, replaying its cases from durable history
                     (fields: shard, reason, victim, cases, entries)

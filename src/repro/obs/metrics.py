@@ -11,10 +11,7 @@ paths honest:
   ask for telemetry pay only an attribute load and an empty call;
 * **label sets are kwargs** — ``counter.inc(kind="invalid-execution")``
   keeps one time series per distinct label set, like
-  ``infringements_total{kind="invalid-execution"}``;
-* **mergeable** — :meth:`MetricsRegistry.merge` folds a snapshot from a
-  worker process back into the parent registry, which is how
-  :mod:`repro.core.parallel` reports per-worker counters.
+  ``infringements_total{kind="invalid-execution"}``.
 
 Quantiles (p50/p95) are estimated from the histogram buckets the way
 Prometheus' ``histogram_quantile`` does — linear interpolation inside
@@ -108,11 +105,6 @@ class Counter:
         with self._lock:
             return dict(self._values)
 
-    def _merge(self, samples: dict[LabelKey, float]) -> None:
-        with self._lock:
-            for key, value in samples.items():
-                self._values[key] = self._values.get(key, 0.0) + value
-
 
 class Gauge:
     """A value that can go up and down (e.g. currently open cases)."""
@@ -143,11 +135,6 @@ class Gauge:
     def samples(self) -> dict[LabelKey, float]:
         with self._lock:
             return dict(self._values)
-
-    def _merge(self, samples: dict[LabelKey, float]) -> None:
-        # Gauges from workers are point-in-time; last write wins.
-        with self._lock:
-            self._values.update(samples)
 
 
 class _HistogramSeries:
@@ -316,27 +303,6 @@ class Histogram:
                 for key, series in self._series.items()
             }
 
-    def _merge(self, samples: dict[LabelKey, dict]) -> None:
-        with self._lock:
-            for key, data in samples.items():
-                series = self._series_for(key)
-                incoming = data["buckets"]
-                if len(incoming) != len(series.bucket_counts):
-                    raise ValueError(
-                        f"histogram {self.name}: bucket layout mismatch on merge"
-                    )
-                for i, n in enumerate(incoming):
-                    series.bucket_counts[i] += n
-                series.count += data["count"]
-                series.sum += data["sum"]
-                if data["max"] > series.max:
-                    series.max = data["max"]
-                for index, exemplar in (data.get("exemplars") or {}).items():
-                    index = int(index)
-                    held = series.exemplars.get(index)
-                    if held is None or exemplar.get("ts", 0) >= held.get("ts", 0):
-                        series.exemplars[index] = dict(exemplar)
-
 
 class _BoundHistogram:
     """One pre-bound label set of a :class:`Histogram` (see
@@ -423,56 +389,6 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Optional[Counter | Gauge | Histogram]:
         return self._instruments.get(name)
-
-    # -- worker merging ----------------------------------------------------
-    def snapshot(self) -> dict:
-        """A picklable dump of every instrument (for worker hand-back)."""
-        dump: dict = {}
-        for instrument in self.collect():
-            entry: dict = {
-                "kind": instrument.kind,
-                "help": instrument.help,
-                "samples": {
-                    "|".join(f"{k}={v}" for k, v in key): value
-                    for key, value in instrument.samples().items()
-                },
-            }
-            if isinstance(instrument, Histogram):
-                entry["buckets"] = list(instrument.buckets)
-            dump[instrument.name] = entry
-        return dump
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a worker process) into this
-        registry: counters and histograms add, gauges take the last value."""
-        for name, entry in snapshot.items():
-            samples = {
-                _parse_label_key(text): value
-                for text, value in entry["samples"].items()
-            }
-            kind = entry["kind"]
-            if kind == "counter":
-                self.counter(name, entry.get("help", ""))._merge(samples)
-            elif kind == "gauge":
-                self.gauge(name, entry.get("help", ""))._merge(samples)
-            elif kind == "histogram":
-                self.histogram(
-                    name,
-                    entry.get("help", ""),
-                    buckets=entry.get("buckets", DEFAULT_TIME_BUCKETS),
-                )._merge(samples)
-            else:  # pragma: no cover - future-proofing
-                raise ValueError(f"unknown instrument kind {kind!r}")
-
-
-def _parse_label_key(text: str) -> LabelKey:
-    if not text:
-        return ()
-    pairs = []
-    for part in text.split("|"):
-        name, _, value = part.partition("=")
-        pairs.append((name, value))
-    return tuple(sorted(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +515,6 @@ class NullRegistry:
 
     def get(self, name: str) -> None:
         return None
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def merge(self, snapshot: dict) -> None:
-        pass
 
 
 NULL_REGISTRY = NullRegistry()

@@ -20,9 +20,10 @@ Layers (bottom up):
   engine (shard threads, store writer, WAL, admission control,
   quarantine, drain);
 * :mod:`repro.serve.recovery` — crash recovery: store + WAL delta →
-  byte-identical in-flight state;
+  per-case histories, which a router with a WAL resumes at start and
+  a restarted shard replays, byte-identically;
 * :mod:`repro.serve.supervisor` — heartbeat-based shard crash/hang
-  detection and bounded restart;
+  detection and bounded restart, on whenever the WAL is;
 * :mod:`repro.serve.service` — :class:`AuditService`, the asyncio TCP
   + HTTP front end;
 * :mod:`repro.serve.client` — :class:`AuditStreamClient`, a blocking
@@ -41,7 +42,7 @@ from repro.serve.protocol import (
     entry_from_message,
     entry_to_message,
 )
-from repro.serve.recovery import RecoveryReport, collect_case_histories, recover
+from repro.serve.recovery import RecoveryReport, collect_case_histories
 from repro.serve.service import AuditService
 from repro.serve.sharding import ConsistentHashRing
 from repro.serve.supervisor import ShardSupervisor
@@ -78,6 +79,5 @@ __all__ = [
     "entry_from_message",
     "entry_to_message",
     "read_wal",
-    "recover",
     "segment_paths",
 ]

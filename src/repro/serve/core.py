@@ -29,8 +29,8 @@ Responsibilities:
   *before* :meth:`submit` accepts it; WAL segments are retired only
   once the batched store flush covering them commits, so after a
   ``kill -9`` the store + WAL delta is exactly the set of accepted
-  entries and :func:`repro.serve.recovery.recover` rebuilds in-flight
-  state byte-identically;
+  entries, and :meth:`start` resumes it byte-identically before it
+  accepts anything;
 * **durable ingest** — every accepted entry is buffered and flushed to
   an :class:`~repro.audit.store.AuditStore` in batched
   ``append_many`` transactions by a dedicated writer thread (SQLite
@@ -52,7 +52,7 @@ Responsibilities:
   contained as ``OutcomeKind.TIMEOUT`` and the shard quarantines it, so
   a stuck case never stalls its shard's queue for long — the stream
   stays live;
-* **supervision** — with ``supervise=True`` (requires the WAL) a
+* **supervision** — whenever the WAL is on, a
   :class:`~repro.serve.supervisor.ShardSupervisor` watches heartbeats:
   a dead or hung shard is replaced and its cases replayed from the
   store + WAL; the entry being processed at crash time is quarantined
@@ -89,6 +89,7 @@ from repro.obs import (
     SERVE_DRAINED,
     SERVE_FLUSH,
     SERVE_OVERLOAD,
+    SERVE_RECOVERED,
     SERVE_SHARD_REASSIGNED,
     SERVE_SHARD_RESTARTED,
     SERVE_WAL_COMMIT,
@@ -100,8 +101,14 @@ from repro.obs import (
 from repro.policy.hierarchy import RoleHierarchy
 from repro.policy.registry import ProcessRegistry
 from repro.serve.protocol import EV_VERDICT
+from repro.serve.recovery import (
+    CaseHistory,
+    HistoryScan,
+    RecoveryReport,
+    collect_case_histories,
+)
 from repro.serve.sharding import ConsistentHashRing
-from repro.serve.wal import WalError, WalWriter
+from repro.serve.wal import WalError, WalWriter, segment_paths
 
 #: A callback receiving protocol-shaped server events for one client.
 #: Called from shard threads — implementations must be thread-safe
@@ -132,10 +139,11 @@ class ServeConfig:
 
     ``queue_capacity`` bounds each shard's queue: entries are refused
     ``busy`` from three quarters of it, and the rest is kept for control
-    items (barriers, requeues).  ``supervise=True`` requires
-    ``wal_dir``: a restarted shard replays its cases from the store +
-    WAL, which only covers every accepted entry when the WAL is on.  The
-    hash ring and the WAL segments keep their own defaults
+    items (barriers, requeues).  ``wal_dir`` is the one crash-safety
+    switch: a router with it resumes the store + WAL at start and
+    supervises its shards, whose restarts replay from that record (a
+    router refuses ``hang_timeout_s`` without it: nothing would police
+    it).  The hash ring and the WAL segments keep their own defaults
     (:class:`ConsistentHashRing`, :class:`~repro.serve.wal.WalWriter`).
 
     Construction refuses numbers no daemon can run with (``ValueError``),
@@ -150,10 +158,8 @@ class ServeConfig:
     queue_capacity: int = 10_000  # per-shard; entries refused from 3/4
     compiled: Optional[bool] = None
     automaton_dir: Optional[str] = None
-    # -- crash safety (docs/robustness.md) --
+    # -- crash safety and supervision (docs/robustness.md) --
     wal_dir: Optional[str] = None  # per-shard write-ahead ingest logs
-    # -- supervision --
-    supervise: bool = False
     heartbeat_interval_s: float = 0.25
     hang_timeout_s: Optional[float] = None  # None: hangs are not policed
     max_shard_restarts: int = 2
@@ -254,16 +260,21 @@ class _Barrier:
             self._callback()
 
 
+def _replay_items(history: CaseHistory) -> list[tuple]:
+    """One case's durable history as a shard's ``rebuild`` items."""
+    return [("entry", entry, None, None) for entry in history.entries]
+
+
 class _Shard(threading.Thread):
     """One worker thread owning one :class:`OnlineMonitor`.
 
     The thread's own duties are the queue, the heartbeat, trace spans,
     the ingest histogram, the router's quarantine note and the verdict
-    event; every per-case decision is the engine's.  ``rebuild`` is the
-    supervised-restart path: a replacement shard processes those items
-    (replayed history from the store + WAL) before touching its queue,
-    so a barrier posted after the restart only fires once the rebuilt
-    state is current.
+    event; every per-case decision is the engine's.  ``rebuild`` is how
+    durable history (the store + WAL) goes back into a shard, at the
+    router's start-up resume and on a supervised restart alike: the
+    shard processes those items before touching its queue, so a barrier
+    posted after them only fires once the rebuilt state is current.
     """
 
     def __init__(
@@ -271,7 +282,7 @@ class _Shard(threading.Thread):
         name: str,
         monitor: OnlineMonitor,
         router: "ShardRouter",
-        rebuild: Optional[list[tuple]] = None,
+        rebuild: list[tuple],
     ):
         super().__init__(name=f"repro-serve-{name}", daemon=True)
         self.shard_name = name
@@ -280,7 +291,7 @@ class _Shard(threading.Thread):
             maxsize=router.config.queue_capacity
         )
         self._router = router
-        self._rebuild = rebuild or []
+        self._rebuild = rebuild
         self.entries_observed = 0
         #: Set once the monitor's checkers are warm (artifacts loaded);
         #: the router's ``start`` blocks on it so the first streamed
@@ -566,10 +577,10 @@ class ShardRouter:
         wal_fault_hook: Optional[Callable[[str], None]] = None,
     ):
         self.config = config or ServeConfig()
-        if self.config.supervise and self.config.wal_dir is None:
+        if self.config.hang_timeout_s and self.config.wal_dir is None:
             raise ValueError(
-                "supervise=True requires wal_dir: a restarted shard "
-                "replays its cases from the store + write-ahead log"
+                "hang_timeout_s needs wal_dir: only a router with a "
+                "write-ahead log supervises its shards"
             )
         # Entries are admitted below this depth; the room above it up to
         # queue_capacity is kept for barriers and requeues.
@@ -608,8 +619,8 @@ class ShardRouter:
         self._overload: dict[str, str] = {}  # shard -> ok | busy
         self._restart_budget = RestartBudget(self.config.max_shard_restarts)
         self._reassigned: list[str] = []  # shards removed from the ring
-        self._supervisor = None  # set by start() when supervising
-        #: Set by :func:`repro.serve.recovery.recover`.
+        self._supervisor = None  # set by start() when the WAL is on
+        #: Set by :meth:`start` when it resumed a durable record.
         self.recovery_report = None
         self._tmp_automata: Optional[tempfile.TemporaryDirectory] = None
         self._automaton_dir_resolved: Optional[str] = None
@@ -687,7 +698,16 @@ class ShardRouter:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Warm shared state and start the shard + writer threads."""
+        """Warm shared state, resume the durable record, start the threads.
+
+        With a ``wal_dir`` this returns only once everything the store
+        and the write-ahead log hold is replayed: each case's history
+        goes to its shard as the ``rebuild`` list a supervised restart
+        uses, the per-case sequence marks are restored, and the WAL
+        delta is committed to the store.  A tampered store is refused
+        before any thread starts.  The shard supervisor runs whenever
+        the WAL is on, the replay included.
+        """
         if self._shards:
             raise ReproError("the router is already started")
         automaton_dir = self.config.automaton_dir
@@ -725,19 +745,42 @@ class ShardRouter:
                 except Exception:
                     continue
         self._automaton_dir_resolved = automaton_dir
+        started = time.perf_counter()
         store_path = self._durable_store_path()
         if store_path is not None and os.path.exists(store_path):
             # A dismissal outlives the process: the containments that
-            # recovery and restarts replay do not file the case again.
+            # the resume and restarts replay do not file the case again.
             with AuditStore(store_path) as store:
                 self._dismissed = store.dismissed_cases()
+                if self.config.wal_dir is not None and not store.is_intact():
+                    raise ReproError(
+                        f"audit store {store_path} failed its hash-chain "
+                        f"check; refusing to resume on top of a tampered "
+                        f"record"
+                    )
+        rebuild: dict[str, list] = {name: [] for name in self._ring.shards}
         if self.config.wal_dir is not None:
             for name in self._ring.shards:
                 self._wals[name] = WalWriter(
                     self.config.wal_dir, name, fault_hook=self._wal_fault_hook
                 )
+            # Each case's history goes to its shard to rebuild; only the
+            # WAL delta is staged for the store, never the stored prefix.
+            histories, scan = collect_case_histories(
+                store_path, self.config.wal_dir
+            )
+            for case, history in histories.items():
+                name = self._ring.shard_for(case)
+                items = _replay_items(history)
+                rebuild[name].extend(items)
+                self._case_seq[case] = len(items)
+                self._received += len(history.wal_entries)
+                if self.config.store_path is not None:
+                    self._pending.extend(
+                        (entry, name, 0) for entry in history.wal_entries
+                    )
         for name in self._ring.shards:
-            shard = _Shard(name, self._new_monitor(), self)
+            shard = _Shard(name, self._new_monitor(), self, rebuild[name])
             self._shards[name] = shard
             self._overload[name] = "ok"
             shard.start()
@@ -748,12 +791,67 @@ class ShardRouter:
         if self.config.store_path is not None:
             self._writer = _StoreWriter(self.config.store_path, self)
             self._writer.start()
-        if self.config.supervise:
+        # Accepting before the replay ends: the supervisor restarts no
+        # shard of a router that is not.
+        self._accepting = True
+        if self.config.wal_dir is not None:
             from repro.serve.supervisor import ShardSupervisor
 
             self._supervisor = ShardSupervisor(self)
             self._supervisor.start()
-        self._accepting = True
+            self._finish_resume(histories, scan, started)
+
+    def _finish_resume(
+        self, histories: dict, scan: HistoryScan, started: float
+    ) -> None:
+        """Once the shards have replayed, commit the WAL delta, start
+        each WAL afresh and publish the report — unless nothing was
+        resumed.  If the store writer dies first, the WAL (the only
+        durable copy of the delta) is kept, and the router stops and
+        raises."""
+        if not (scan.store_entries or scan.wal_records):
+            return
+        self.wait_idle()
+        store_path = self._durable_store_path()
+        # Under the admission lock, as a supervised restart reads the
+        # store + WAL: it never sees a WAL half reset.
+        with self._ingest_lock:
+            self.flush()
+            committed = self._writer_sync()
+            if committed and store_path is not None:
+                # The store owns everything now: each live shard's WAL
+                # restarts empty, and an old topology's segments go.
+                for wal in self._wals.values():
+                    wal.reset()
+                for path in segment_paths(self.config.wal_dir):
+                    if path.name.rsplit("-", 1)[0] not in self._wals:
+                        path.unlink(missing_ok=True)
+        if not committed:
+            self.drain()
+            raise ReproError(
+                "the audit store writer died before the resumed "
+                "write-ahead log delta was committed; the log is kept "
+                "for the next start"
+            )
+        delta = sum(len(history.wal_entries) for history in histories.values())
+        for source, count in (("store", scan.store_entries), ("wal", delta)):
+            if count:
+                self._m_recovered.inc(count, source=source)
+        report = RecoveryReport(
+            store_entries=scan.store_entries,
+            wal_records=scan.wal_records,
+            replayed=scan.store_entries + delta,
+            duplicates=scan.wal_duplicates,
+            cases=len(histories),
+            # A torn tail on the crashed run's final segments was cut
+            # when this router's writers adopted them: still a tear.
+            torn_segments=scan.torn_segments
+            or any(wal.tears_repaired for wal in self._wals.values()),
+            store_intact=True if store_path is not None else None,
+            duration_s=time.perf_counter() - started,
+        )
+        self.recovery_report = report
+        self._tel.events.emit(SERVE_RECOVERED, **report.to_dict())
 
     def _new_monitor(self) -> OnlineMonitor:
         return OnlineMonitor(
@@ -978,32 +1076,36 @@ class ShardRouter:
         return done.wait(max(0.0, deadline - time.monotonic()))
 
     def flush(self) -> None:
-        """Hand the buffered entries to the store writer (async commit)."""
+        """Hand the buffered entries to the store writer (async commit).
+
+        Batches reach the writer in the order they leave the buffer, so
+        the store keeps acceptance order however many threads flush.
+        """
         if self._writer is None:
             return
         with self._pending_lock:
             pending, self._pending = self._pending, []
-        if not pending:
-            return
-        batch = [entry for entry, _, _ in pending]
-        # Per-shard WAL retirement floors: once this batch commits, every
-        # WAL record at or below its shard's floor is in the store.
-        floors: dict[str, int] = {}
-        for _, name, wal_seq in pending:
-            if wal_seq:
-                floors[name] = max(floors.get(name, 0), wal_seq)
-        contexts: tuple[TraceContext, ...] = ()
-        if self._tel.tracer.enabled:
-            # The distinct case traces this flush persists entries of —
-            # the writer parents (one) or links (many) its flush span.
-            seen: dict[str, TraceContext] = {}
-            with self._trace_lock:
-                for entry in batch:
-                    ctx = self._case_traces.get(entry.case)
-                    if ctx is not None:
-                        seen.setdefault(ctx.trace_id, ctx)
-            contexts = tuple(seen.values())
-        self._writer.queue.put(("batch", batch, contexts, floors))
+            if not pending:
+                return
+            batch = [entry for entry, _, _ in pending]
+            # Per-shard WAL retirement floors: once this batch commits,
+            # every WAL record at or below its shard's floor is stored.
+            floors: dict[str, int] = {}
+            for _, name, wal_seq in pending:
+                if wal_seq:
+                    floors[name] = max(floors.get(name, 0), wal_seq)
+            contexts: tuple[TraceContext, ...] = ()
+            if self._tel.tracer.enabled:
+                # The distinct case traces this flush persists entries
+                # of — the writer parents (one) or links (many) its span.
+                seen: dict[str, TraceContext] = {}
+                with self._trace_lock:
+                    for entry in batch:
+                        ctx = self._case_traces.get(entry.case)
+                        if ctx is not None:
+                            seen.setdefault(ctx.trace_id, ctx)
+                contexts = tuple(seen.values())
+            self._writer.queue.put(("batch", batch, contexts, floors))
 
     def wal_commit(self) -> int:
         """Fsync every shard's WAL buffer (the ``sync`` durability ack).
@@ -1048,44 +1150,21 @@ class ShardRouter:
                     SERVE_WAL_RETIRED, shard=name, upto=seq, segments=removed
                 )
 
-    def _writer_sync(self, timeout: Optional[float] = None) -> bool:
-        """Block until every store batch queued so far has committed."""
-        if self._writer is None or not self._writer.is_alive():
+    def _writer_sync(self, timeout: float = float("inf")) -> bool:
+        """Block until every store batch queued so far has committed;
+        False if the *timeout* runs out or the writer thread is dead (a
+        commit raised, or the router drained) before that is known."""
+        writer = self._writer
+        if writer is None:
             return True
         event = threading.Event()
-        self._writer.queue.put(("sync", event))
-        return event.wait(timeout)
-
-    # -- recovery (driven by repro.serve.recovery) --------------------------
-    def _ingest_recovered_case(
-        self,
-        case: str,
-        store_entries: list[LogEntry],
-        wal_entries: list[LogEntry],
-    ) -> str:
-        """Replay one case's durable history into its owning shard.
-
-        Store entries are already persisted; WAL-delta entries are
-        re-buffered for the store (their old segments are only dropped
-        once the post-recovery flush commits).  The per-case sequence
-        high-water mark is restored so client re-sends keep deduping
-        across the restart.  Returns the owning shard's name.
-        """
-        with self._ingest_lock:
-            name = self._ring.shard_for(case)
-            shard = self._shards[name]
-            self._case_seq[case] = len(store_entries) + len(wal_entries)
-            self._received += len(wal_entries)
-            for entry in store_entries:
-                shard.queue.put(("entry", entry, None, None))
-                self._m_recovered.inc(source="store")
-            for entry in wal_entries:
-                shard.queue.put(("entry", entry, None, None))
-                self._m_recovered.inc(source="wal")
-                if self._writer is not None:
-                    with self._pending_lock:
-                        self._pending.append((entry, name, 0))
-        return name
+        writer.queue.put(("sync", event))
+        deadline = time.monotonic() + timeout
+        # A writer that dies while this waits never fires the event.
+        while not event.wait(self.config.heartbeat_interval_s):
+            if not writer.is_alive() or time.monotonic() >= deadline:
+                return event.is_set()
+        return True
 
     # -- supervision --------------------------------------------------------
     def _restart_shard(self, name: str, reason: str) -> None:
@@ -1093,16 +1172,14 @@ class ShardRouter:
 
         Within the restart budget the shard is rebuilt in place: a new
         monitor replays every entry of every case the shard owns from
-        the store + WAL (the WAL is a start() precondition for
-        supervision, so that union covers all accepted entries).  The
+        the store + WAL (only a router with a WAL supervises, so that
+        union covers all accepted entries).  The
         case in flight when the shard died is the poison suspect — it is
         contained as FAILED/quarantined instead of replayed, so a
         deterministic killer cannot crash-loop the replacement.  Past
         the budget the shard is removed from the consistent-hash ring
         and its cases re-homed to the surviving shards the same way.
         """
-        from repro.serve.recovery import collect_case_histories
-
         with self._ingest_lock:
             old = self._shards.get(name)
             if old is None or old.stopped or not self._accepting:
@@ -1132,16 +1209,14 @@ class ShardRouter:
                 )
                 rebuild.append(("contain", victim, error))
                 self._note_quarantined(victim, OutcomeKind.ERROR, str(error))
-            entry_count = 0
-            for history in histories.values():
-                for entry in history.entries:
-                    rebuild.append(("entry", entry, None, None))
-                    entry_count += 1
+            replay = [
+                item for history in histories.values()
+                for item in _replay_items(history)
+            ]
+            rebuild.extend(replay)
             within_budget = self._restart_budget.record(name)
             if within_budget:
-                replacement = _Shard(
-                    name, self._new_monitor(), self, rebuild=rebuild
-                )
+                replacement = _Shard(name, self._new_monitor(), self, rebuild)
                 self._shards[name] = replacement
                 replacement.start()
                 self._m_restarts.inc(shard=name, reason=reason)
@@ -1151,7 +1226,7 @@ class ShardRouter:
                     reason=reason,
                     victim=victim,
                     cases=len(histories),
-                    entries=entry_count,
+                    entries=len(replay),
                 )
             else:
                 # Beyond repair: hand the shard's cases to the survivors
@@ -1414,7 +1489,8 @@ class ShardRouter:
         whenever anybody looks.
         """
         detail: dict[str, dict] = {}
-        for name, shard in self._shards.items():
+        # Snapshots: the supervisor may reassign a shard meanwhile.
+        for name, shard in list(self._shards.items()):
             depth = shard.queue.qsize()
             inflight = shard.inflight_cases
             self._m_queue_depth.set(depth, shard=name)
@@ -1440,12 +1516,13 @@ class ShardRouter:
         """A live snapshot for the ``status`` op and ``/healthz``."""
         per_state: dict[str, int] = {state.value: 0 for state in CaseState}
         entries = 0
-        for shard in self._shards.values():
+        for shard in list(self._shards.values()):
             stats = shard.monitor.statistics()
             entries += stats.pop("entries", 0)
             for state, count in stats.items():
                 per_state[state] = per_state.get(state, 0) + count
-        wal_stats = {name: wal.stats() for name, wal in self._wals.items()}
+        wals = list(self._wals.items())
+        wal_stats = {name: wal.stats() for name, wal in wals}
         recovery: dict[str, object] = {"recovered": False}
         if self.recovery_report is not None:
             recovery = {"recovered": True, **self.recovery_report.to_dict()}

@@ -1,13 +1,16 @@
 """Crash recovery for the streaming audit service.
 
-The contract :func:`recover` enforces: after a ``kill -9`` (or any
-other unclean death), a restarted ``repro serve --recover`` reaches a
-monitor state **byte-identical** (per-case
+The contract a router with a write-ahead log keeps: after a ``kill -9``
+(or any other unclean death), ``repro serve`` restarted on the same
+store and WAL directory reaches a monitor state **byte-identical** (per-case
 :func:`~repro.testing.differential.canonical_digest`) to a run that was
-never interrupted.  The ingredients:
+never interrupted.  :meth:`~repro.serve.core.ShardRouter.start` resumes
+that record before it accepts anything, and a supervised shard restart
+rebuilds its cases from it.  The ingredients:
 
 * the **audit store** is the hash-chained long-term record — everything
-  a committed batch flush persisted, in acceptance order;
+  a committed batch flush persisted, in acceptance order, which is the
+  order it is read back in (``seq``, never timestamps);
 * the **WAL delta** is everything accepted after the last committed
   flush — each shard's write-ahead segments, minus the records already
   in the store;
@@ -17,22 +20,19 @@ never interrupted.  The ingredients:
   its WAL retirement didn't happen before the crash) and is skipped,
   never double-counted.
 
-Repeated partial recoveries are themselves idempotent: recovery only
+Repeated partial resumes are themselves idempotent: a resume only
 *reads* the store and WAL and re-buffers the delta for a fresh flush,
-so crashing during recovery and recovering again converges on the same
-state (the property suite drives exactly that).
+so crashing during one and resuming again converges on the same state
+(the property suite drives exactly that).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.audit.model import LogEntry
 from repro.audit.store import AuditStore
-from repro.errors import ReproError
-from repro.obs import SERVE_RECOVERED
 from repro.serve.wal import WalCorruptionError, read_wal, wal_records_by_case
 
 
@@ -49,10 +49,6 @@ class CaseHistory:
         """The full history, store prefix first, in acceptance order."""
         return self.store_entries + self.wal_entries
 
-    @property
-    def count(self) -> int:
-        return len(self.store_entries) + len(self.wal_entries)
-
 
 @dataclass(frozen=True)
 class HistoryScan:
@@ -66,7 +62,7 @@ class HistoryScan:
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """What one :func:`recover` run reconstructed."""
+    """What a router's start-up resume reconstructed."""
 
     store_entries: int
     wal_records: int
@@ -98,7 +94,8 @@ def collect_case_histories(
 ) -> tuple[dict[str, CaseHistory], HistoryScan]:
     """Merge the store and the WAL delta into per-case histories.
 
-    The store is the authoritative prefix of every case; WAL records
+    The store is the authoritative prefix of every case, read in
+    acceptance (``seq``) order; WAL records
     whose ``case_seq`` falls at or below the case's store count are
     duplicates of committed entries and skipped.  The surviving delta
     must continue each case contiguously — a *gap* in sealed WAL data
@@ -113,9 +110,8 @@ def collect_case_histories(
     histories: dict[str, CaseHistory] = {}
     store_count = 0
     if store_path is not None:
-        store = AuditStore(store_path)
-        try:
-            for entry in store.query():
+        with AuditStore(store_path) as store:
+            for entry in store.iter_entries():
                 case = entry.case
                 if case in exclude or (include is not None and not include(case)):
                     continue
@@ -123,8 +119,6 @@ def collect_case_histories(
                     entry
                 )
                 store_count += 1
-        finally:
-            store.close()
     wal_count = 0
     duplicates = 0
     torn = False
@@ -160,80 +154,3 @@ def collect_case_histories(
         wal_duplicates=duplicates,
         torn_segments=torn,
     )
-
-
-def recover(router) -> RecoveryReport:
-    """Rebuild a just-started router's state from the store + WAL.
-
-    Call after :meth:`~repro.serve.core.ShardRouter.start` and before
-    accepting client traffic.  Every case's durable history is replayed
-    into its owning shard (the store prefix, then the WAL delta), the
-    delta is re-buffered and flushed so the store catches up, and —
-    once that flush is durable — the old WAL segments are dropped and
-    each shard continues on a fresh log.  The per-case sequence
-    high-water marks are restored, so clients resuming with numbered
-    entries keep deduplicating across the crash.
-    """
-    config = router.config
-    if config.wal_dir is None:
-        raise ReproError(
-            "recovery requires a wal_dir: without a write-ahead log the "
-            "store alone cannot prove which accepted entries were lost"
-        )
-    started = time.perf_counter()
-    store_path = router._durable_store_path()
-    intact: Optional[bool] = None
-    if store_path is not None:
-        store = AuditStore(store_path)
-        try:
-            intact = store.is_intact()
-        finally:
-            store.close()
-        if not intact:
-            raise ReproError(
-                f"audit store {store_path} failed its hash-chain check; "
-                f"refusing to recover on top of a tampered record"
-            )
-    # A torn tail on the crashed run's final segments was already
-    # truncated away when this router's writers adopted them; count
-    # those repairs as torn segments so the report still records that
-    # the crash lost an (unacknowledged) suffix.
-    repaired = sum(w.tears_repaired for w in router._wals.values())
-    histories, scan = collect_case_histories(store_path, config.wal_dir)
-    replayed = 0
-    for case, history in histories.items():
-        router._ingest_recovered_case(
-            case, history.store_entries, history.wal_entries
-        )
-        replayed += history.count
-    # Let every shard chew through its replayed history, then make the
-    # WAL delta durable in the store before touching any WAL file.
-    router.wait_idle()
-    router.flush()
-    router._writer_sync()
-    if store_path is not None:
-        # The store now owns everything: restart each live shard's WAL
-        # fresh, and delete leftover segments from shards that no longer
-        # exist (an old topology's names).
-        for wal in router._wals.values():
-            wal.reset()
-        from repro.serve.wal import segment_paths
-
-        live = {wal.shard for wal in router._wals.values()}
-        for path in segment_paths(config.wal_dir):
-            name = path.name.rsplit("-", 1)[0]
-            if name not in live:
-                path.unlink(missing_ok=True)
-    report = RecoveryReport(
-        store_entries=scan.store_entries,
-        wal_records=scan.wal_records,
-        replayed=replayed,
-        duplicates=scan.wal_duplicates,
-        cases=len(histories),
-        torn_segments=scan.torn_segments or repaired > 0,
-        store_intact=intact,
-        duration_s=time.perf_counter() - started,
-    )
-    router.recovery_report = report
-    router._tel.events.emit(SERVE_RECOVERED, **report.to_dict())
-    return report

@@ -212,13 +212,12 @@ class AuditService:
         )
 
     # -- lifecycle ---------------------------------------------------------
-    async def start(self, recover: bool = False) -> None:
+    async def start(self) -> None:
         """Start the router and listeners.
 
-        ``recover=True`` first rebuilds in-flight monitor state from the
-        audit store + write-ahead log (``repro serve --recover``) —
-        the listeners only open once recovery has replayed everything,
-        so clients never race a half-rebuilt monitor.
+        A router with a write-ahead log first resumes its store + WAL
+        (:meth:`ShardRouter.start`): the listeners only open once that
+        replay is done, so clients never race a half-rebuilt monitor.
         """
         self._loop = asyncio.get_running_loop()
         # The loop's socket reads allocate 256 KiB buffers.  glibc maps
@@ -228,12 +227,6 @@ class AuditService:
         # the threshold past that for the life of the process.
         bytes(1 << 20)
         self.router.start()
-        if recover:
-            from repro.serve.recovery import recover as run_recovery
-
-            await self._loop.run_in_executor(
-                None, run_recovery, self.router
-            )
         self._server = await asyncio.start_server(
             self._on_client, self._host, self._port_requested
         )

@@ -7,9 +7,9 @@ a-posteriori audit exists to close.  The WAL closes it on the serving
 side: every accepted wire entry is appended here **before it is
 acknowledged**, so after a ``kill -9`` the union of the audit store
 (the batched, hash-chained long-term record) and the WAL delta is
-precisely the set of acknowledged entries, and
-:func:`repro.serve.recovery.recover` can rebuild in-flight monitor
-state byte-identically to an uninterrupted run.
+precisely the set of acknowledged entries, and a router restarted on
+them (:meth:`repro.serve.core.ShardRouter.start`) rebuilds in-flight
+monitor state byte-identically to an uninterrupted run.
 
 Design (one WAL per shard, in one directory):
 

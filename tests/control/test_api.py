@@ -11,6 +11,8 @@ import pytest
 from repro.audit.store import AuditStore
 from repro.control import ControlPlane, LocalControlClient, load_config
 from repro.errors import ReproError
+from repro.scenarios import paper_audit_trail
+from repro.serve import ShardRouter
 
 
 @pytest.fixture
@@ -243,3 +245,52 @@ class TestReauditEndpoint:
         bare = ControlPlane(store_path=store_path)
         status, _, _ = bare.handle("GET", "/api/v1/config", {}, None)
         assert status == 404
+
+
+class TestHangTimeoutBudget:
+    """A config may carry ``hang_timeout_s`` for a daemon whose WAL
+    comes from ``--wal-dir``.  Re-audits and offline verdict reads only
+    replay the store, so the budget must not refuse them."""
+
+    BUDGETS = {"hang_timeout_s": 5}
+
+    def test_offline_verdicts_and_reaudit(self, scenario_config):
+        config_path, store_path = scenario_config(
+            "healthcare", budgets=self.BUDGETS
+        )
+        client = LocalControlClient(
+            ControlPlane(
+                config=load_config(str(config_path)), store_path=store_path
+            )
+        )
+        status, payload = client.verdicts(outcome="infringing")
+        assert status == 200
+        assert payload["count"] == 5
+        status, payload = client.reaudit()
+        assert status == 200
+        assert payload["replayed_cases"] == 8
+
+    def test_live_reaudit_on_a_wal_daemon(self, tmp_path, scenario_config):
+        config_path, _ = scenario_config("healthcare", budgets=self.BUDGETS)
+        config = load_config(str(config_path))
+        router = ShardRouter(
+            config.registry(),
+            hierarchy=config.hierarchy,
+            config=config.serve_config(
+                shards=2,
+                store_path=str(tmp_path / "live.db"),
+                wal_dir=str(tmp_path / "wal"),
+            ),
+        )
+        router.start()
+        try:
+            for entry in paper_audit_trail():
+                assert router.submit(entry).accepted
+            assert router.wait_idle(timeout=30)
+            status, payload = LocalControlClient(
+                ControlPlane(router=router, config=config)
+            ).reaudit(full=True)
+        finally:
+            router.drain()
+        assert status == 200
+        assert payload["replayed_cases"] == 8

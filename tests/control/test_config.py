@@ -111,13 +111,14 @@ class TestParsing:
             "busy_watermark",
             "shed_watermark",
             "retry_after_s",
+            "supervise",
         ],
     )
     def test_dropped_serve_fields_are_unknown_budget_keys(self, field):
         # The hash ring, the WAL and fresh automata keep their own
-        # defaults, admission derives its watermark from queue_capacity
-        # and the retry hint is a constant; these are not ServeConfig
-        # fields.
+        # defaults, admission derives its watermark from queue_capacity,
+        # the retry hint is a constant and a WAL implies supervision;
+        # these are not ServeConfig fields.
         with pytest.raises(ConfigError, match="unknown budget keys"):
             parse_config(
                 {"tenants": [{"prefix": "HT"}], "budgets": {field: 1}}

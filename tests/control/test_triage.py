@@ -33,7 +33,6 @@ from repro.serve import (
     ConsistentHashRing,
     ServeConfig,
     ShardRouter,
-    recover,
 )
 from repro.serve.core import RequeueResult
 from repro.testing import (
@@ -385,8 +384,7 @@ class TestDismiss:
         telemetry, log = _telemetry()
         second = _mixed_router(tmp_path, telemetry=telemetry)
         try:
-            recover(second)
-            assert second.wait_idle(timeout=30)
+            assert second.recovery_report.replayed > 0
             # The replay contains the case again, and files it nowhere.
             assert second.case_record("NW-1")["state"] == "undecidable"
             assert _listed(second) == []
@@ -415,7 +413,6 @@ class TestDismiss:
             tmp_path,
             telemetry=telemetry,
             checker_wrapper=ShardKillInjector(suspect),
-            supervise=True,
             heartbeat_interval_s=0.05,
         )
         try:

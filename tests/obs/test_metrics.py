@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs.metrics import (
-    DEFAULT_SIZE_BUCKETS,
     NULL_REGISTRY,
     Counter,
     Gauge,
@@ -131,104 +130,33 @@ class TestRegistry:
         registry.gauge("a")
         assert [i.name for i in registry.collect()] == ["b", "a"]
 
-    def test_merge_adds_counters_and_histograms(self):
-        source = MetricsRegistry()
-        source.counter("c").inc(2, kind="x")
-        h = source.histogram("h", buckets=DEFAULT_SIZE_BUCKETS)
-        h.observe(3)
-        h.observe(700)
-        target = MetricsRegistry()
-        target.counter("c").inc(kind="x")
-        target.merge(source.snapshot())
-        target.merge(source.snapshot())
-        assert target.counter("c").value(kind="x") == 5
-        merged = target.histogram("h", buckets=DEFAULT_SIZE_BUCKETS)
-        assert merged.count() == 4
-        assert merged.summary()["max"] == 700
-
-    def test_merge_gauges_take_last_value(self):
-        source = MetricsRegistry()
-        source.gauge("g").set(7)
-        target = MetricsRegistry()
-        target.gauge("g").set(3)
-        target.merge(source.snapshot())
-        assert target.gauge("g").value() == 7
-
-    def test_labeled_histogram_snapshot_merge_round_trip(self):
-        """Worker hand-back on a multi-series histogram: every labeled
-        series must survive snapshot → pickle → merge with its bucket
-        counts, sum, max, and exemplars intact."""
-        import pickle
-
-        worker = MetricsRegistry()
-        latency = worker.histogram(
+    def test_labeled_histogram_samples_keep_exemplars(self):
+        """Every labeled series of a histogram keeps its own bucket
+        counts, sum, max and exemplars."""
+        registry = MetricsRegistry()
+        latency = registry.histogram(
             "lat_seconds", "per-shard latency", buckets=(0.001, 0.01, 0.1)
         )
-        for value in (0.0005, 0.005, 0.05):
+        for value in (0.0005, 0.005, 0.05, 0.002):
             latency.observe(value, shard="shard-0")
         latency.observe(0.02, shard="shard-1")
         latency.observe_with_exemplar(
             0.09, "ab" * 16, "cd" * 8, shard="shard-1"
         )
 
-        parent = MetricsRegistry()
-        parent.histogram(
-            "lat_seconds", "per-shard latency", buckets=(0.001, 0.01, 0.1)
-        ).observe(0.002, shard="shard-0")
-        parent.merge(pickle.loads(pickle.dumps(worker.snapshot())))
-
-        merged = parent.get("lat_seconds")
-        samples = merged.samples()
+        samples = registry.get("lat_seconds").samples()
         zero = samples[(("shard", "shard-0"),)]
         one = samples[(("shard", "shard-1"),)]
-        assert zero["count"] == 4  # 3 from the worker + 1 local
+        assert zero["count"] == 4
         assert zero["sum"] == pytest.approx(0.0005 + 0.005 + 0.05 + 0.002)
         # buckets are per-bin (cumulated at export): [<=1ms, <=10ms, <=100ms, +Inf]
         assert zero["buckets"] == [1, 2, 1, 0]
+        assert zero["exemplars"] == {}
         assert one["count"] == 2
         assert one["max"] == pytest.approx(0.09)
         exemplar = one["exemplars"][2]  # 0.09 lands in the <=0.1 bin
         assert exemplar["trace_id"] == "ab" * 16
         assert exemplar["span_id"] == "cd" * 8
-
-    def test_merging_into_an_empty_registry_recreates_the_layout(self):
-        worker = MetricsRegistry()
-        worker.histogram(
-            "h", "custom bins", buckets=(1.0, 2.0)
-        ).observe(1.5, kind="a")
-        parent = MetricsRegistry()
-        parent.merge(worker.snapshot())
-        rebuilt = parent.get("h")
-        assert rebuilt.buckets == (1.0, 2.0)
-        assert rebuilt.help == "custom bins"
-        assert rebuilt.summary(kind="a")["count"] == 1
-
-    def test_merge_rejects_mismatched_bucket_layouts(self):
-        worker = MetricsRegistry()
-        worker.histogram("h", buckets=(1.0, 2.0, 3.0)).observe(1.5)
-        parent = MetricsRegistry()
-        parent.histogram("h", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError, match="bucket layout mismatch"):
-            parent.merge(worker.snapshot())
-
-    def test_repeated_merges_keep_the_latest_exemplar(self):
-        def snapshot_with_exemplar(trace_id, ts_offset):
-            registry = MetricsRegistry()
-            histogram = registry.histogram("h", buckets=(1.0,))
-            histogram.observe_with_exemplar(0.5, trace_id, "cd" * 8)
-            dump = registry.snapshot()
-            for data in dump["h"]["samples"].values():
-                for exemplar in data["exemplars"].values():
-                    exemplar["ts"] += ts_offset
-            return dump
-
-        parent = MetricsRegistry()
-        parent.merge(snapshot_with_exemplar("aa" * 16, ts_offset=100.0))
-        parent.merge(snapshot_with_exemplar("bb" * 16, ts_offset=0.0))
-        samples = parent.get("h").samples()
-        exemplar = samples[()]["exemplars"][0]
-        assert exemplar["trace_id"] == "aa" * 16  # newer ts wins
-        assert samples[()]["count"] == 2  # counts still add
 
     def test_default_registry_swap(self):
         fresh = MetricsRegistry()
@@ -257,7 +185,6 @@ class TestNullRegistry:
             pass
         assert histogram.count() == 0
         assert registry.collect() == []
-        assert registry.snapshot() == {}
         assert not registry.enabled
 
     def test_timed_on_null_histogram_never_reads_clock(self, monkeypatch):

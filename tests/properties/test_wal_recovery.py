@@ -13,6 +13,9 @@ committed before each "power loss".  However the stream is cut up:
 * **repeated partial recovery is idempotent** — recovering, crashing
   without ever resetting the WAL, and recovering again converges on the
   same state.
+
+Every router here is started on the files the previous leg left, and
+``start()`` is the whole recovery.
 """
 
 import tempfile
@@ -23,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.audit.store import AuditStore
 from repro.core.monitor import OnlineMonitor
 from repro.scenarios import hospital_day, process_registry, role_hierarchy
-from repro.serve import ServeConfig, ShardRouter, recover
+from repro.serve import ServeConfig, ShardRouter
 from repro.testing import canonical_digest
 
 _WORKLOAD = hospital_day(
@@ -118,8 +121,6 @@ class TestCrashRecoveryProperties:
             legs = [*crashes, len(stream)]
             for leg, cut in enumerate(legs):
                 router = _router(root, shards)
-                if leg > 0:
-                    recover(router)
                 for entry in stream[position:cut]:
                     assert router.submit(entry).accepted
                 assert router.wait_idle(timeout=60)
@@ -179,8 +180,6 @@ class TestCrashRecoveryProperties:
             seen = []
             for _ in range(rounds):
                 router = _router(root, shards)
-                recover(router)
-                assert router.wait_idle(timeout=60)
                 seen.append(
                     {
                         case: info["digest"]
@@ -191,8 +190,6 @@ class TestCrashRecoveryProperties:
             assert all(snapshot == seen[0] for snapshot in seen)
 
             final = _router(root, shards)
-            recover(final)
-            assert final.wait_idle(timeout=60)
             final.drain()
             with AuditStore(str(root / "audit.db")) as store:
                 assert len(store) == len(stream)

@@ -218,6 +218,20 @@ class TestAdmissionControl:
         with pytest.raises(ValueError, match=f"^{field} must be "):
             ServeConfig(**{field: value})
 
+    def test_hang_timeout_needs_a_wal(self, tmp_path):
+        # Only a router with a WAL supervises: without one nothing
+        # would police the timeout.  The config alone is valid — a
+        # WAL may come from elsewhere (a flag next to a config file).
+        config = ServeConfig(hang_timeout_s=1.0)
+        with pytest.raises(ValueError, match="^hang_timeout_s needs wal_dir"):
+            ShardRouter(process_registry(), config=config)
+        router = ShardRouter(
+            process_registry(),
+            config=ServeConfig(hang_timeout_s=1.0, wal_dir=str(tmp_path)),
+        )
+        router.start()
+        router.drain()
+
 
 class TestOverloadOverTheWire:
     def test_burst_converges_through_busy_retries(self, serve_factory):

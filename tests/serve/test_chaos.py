@@ -1,12 +1,12 @@
-"""Chaos: ``kill -9`` the real daemon mid-stream, recover, compare.
+"""Chaos: ``kill -9`` the real daemon mid-stream, restart, compare.
 
-The ISSUE 7 acceptance scenario, end to end over real sockets and a
-real process: boot ``repro serve --wal-dir``, stream part of the
-paper's trail with sequence numbers, SIGKILL the daemon, restart it
-with ``--recover``, finish the stream through the resilient shipper,
-and assert the per-case verdict digests are byte-identical to an
-uninterrupted batch replay — for 1/3/5 shards, interpreted and
-compiled.
+End to end over real sockets and a real process: boot
+``repro serve --wal-dir``, stream part of the paper's trail with
+sequence numbers, SIGKILL the daemon, restart it on the same files
+(the restart resumes them on its own), finish the stream through the
+resilient shipper, and assert the per-case verdict digests are
+byte-identical to an uninterrupted batch replay — for 1/3/5 shards,
+interpreted and compiled.
 """
 
 import json
@@ -40,8 +40,9 @@ def _batch_digests():
     }
 
 
-def _spawn(tmp_path, shards: int, compiled: bool, recover: bool = False):
-    """Boot ``repro serve`` as an operator would; returns (proc, ports)."""
+def _spawn(tmp_path, shards: int, compiled: bool, resumes: bool = False):
+    """Boot ``repro serve`` as an operator would; returns (proc, ports,
+    the ``recovered`` report a restart on a non-empty record prints)."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src)
@@ -56,8 +57,6 @@ def _spawn(tmp_path, shards: int, compiled: bool, recover: bool = False):
     ]
     if compiled:
         argv.append("--compiled")
-    if recover:
-        argv.append("--recover")
     process = subprocess.Popen(
         argv,
         stdout=subprocess.PIPE,
@@ -69,7 +68,7 @@ def _spawn(tmp_path, shards: int, compiled: bool, recover: bool = False):
     line = process.stdout.readline()
     assert line, process.stderr.read()
     report = json.loads(line)
-    if recover:
+    if resumes:
         recovered = report["recovered"]
         line = process.stdout.readline()
         assert line, process.stderr.read()
@@ -103,7 +102,7 @@ class TestKillNineRecover:
                 first.wait(timeout=10)
 
         second, listening, recovered = _spawn(
-            tmp_path, shards, compiled, recover=True
+            tmp_path, shards, compiled, resumes=True
         )
         try:
             # The daemon reported its reconstruction before listening.

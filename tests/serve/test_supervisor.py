@@ -5,7 +5,8 @@ except the poison suspect it was processing — every other case replays
 from the store + WAL into the replacement shard and finishes with a
 verdict byte-identical to an undisturbed run.  Past the restart budget
 the shard is excised from the consistent-hash ring instead of
-crash-looping.
+crash-looping.  Every router with a write-ahead log is supervised; no
+other setting turns it on.
 
 The kill/stall seams live in the checker session layer, which the
 interpreted and the compiled daemon both route through (the engine
@@ -31,6 +32,7 @@ from repro.scenarios import (
 )
 from repro.serve import ServeConfig, ShardRouter
 from repro.testing import ShardKillInjector, canonical_digest
+from tests.serve.test_recovery import _swapped_trail
 
 
 def _telemetry():
@@ -73,7 +75,6 @@ def _router(tmp_path, checker_wrapper, telemetry=None, **overrides):
         shards=2,
         store_path=str(tmp_path / "audit.db"),
         wal_dir=str(tmp_path / "wal"),
-        supervise=True,
         heartbeat_interval_s=0.05,
     )
     config.update(overrides)
@@ -184,6 +185,52 @@ class TestCrashRestart:
         assert restarted[0]["reason"] == "crashed"
         drained = router.drain()
         assert drained.store_intact is True
+
+    def test_a_wal_alone_restarts_a_killed_shard(self, tmp_path):
+        router = ShardRouter(
+            process_registry(),
+            hierarchy=role_hierarchy(),
+            config=ServeConfig(
+                shards=2,
+                store_path=str(tmp_path / "audit.db"),
+                wal_dir=str(tmp_path / "wal"),
+                compiled=self.compiled,
+            ),
+            checker_wrapper=ShardKillInjector("HT-1"),
+        )
+        router.start()
+        try:
+            for entry in paper_audit_trail():
+                assert router.submit(entry).accepted
+            # Without a supervisor the dead shard never reaches the
+            # barrier, and every later sync would wait forever.
+            assert router.wait_idle(timeout=15)
+            restarts = router.statistics()["supervisor"]["restarts"]
+            assert sum(restarts.values()) == 1
+        finally:
+            router.drain()
+
+    def test_a_restart_replays_in_acceptance_order(self, tmp_path):
+        head = [e for e in _swapped_trail() if e.case == "HT-1"]
+        killer = next(e for e in paper_audit_trail() if e.case == "HT-2")
+        router = _router(
+            tmp_path,
+            ShardKillInjector("HT-2"),
+            shards=1,
+            compiled=self.compiled,
+        )
+        try:
+            for entry in head:
+                assert router.submit(entry).accepted
+            assert router.wait_idle(timeout=30)
+            live = router.case_record("HT-1")
+            assert live["state"] == "completed"
+            assert router.submit(killer).accepted
+            _await_supervision(router)
+            assert router.wait_idle(timeout=30)
+            assert router.case_record("HT-1")["digest"] == live["digest"]
+        finally:
+            router.drain()
 
     def test_exhausted_budget_reassigns_through_the_ring(self, tmp_path):
         victim = _victim_case()

@@ -659,6 +659,27 @@ class TestServeNumbers:
         assert captured.out == ""
 
 
+class TestServeCrashSafety:
+    def test_hang_timeout_without_a_wal_is_bad_input(self, capsys):
+        # The router refuses it as it is built, before any thread or
+        # listener starts.
+        code = main(["serve", "--scenario", "paper", "--hang-timeout", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT
+        assert captured.err.startswith("error: hang_timeout_s needs wal_dir")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--recover", "--supervise"])
+    def test_crash_safety_is_the_wal_dir_alone(self, capsys, tmp_path, flag):
+        # --wal-dir resumes and supervises on its own; the old switches
+        # are unrecognized arguments.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--scenario", "paper", "--wal-dir",
+                  str(tmp_path), flag])
+        assert exit_info.value.code == EXIT_BAD_INPUT
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestLint:
     def test_clean_process_exits_ok(self, ht_json, capsys):
         assert main(["lint", ht_json]) == EXIT_OK
