@@ -659,6 +659,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     """Live per-shard view of a running service (Ctrl-C exits)."""
     import json as _json
     import time as _time
+    import urllib.error
     import urllib.request
 
     from repro.obs.console import TopSampler
@@ -668,7 +669,15 @@ def _cmd_top(args: argparse.Namespace) -> int:
         base = "http://" + base
 
     def fetch(path: str) -> dict:
-        with urllib.request.urlopen(base + path, timeout=10) as response:
+        try:
+            response = urllib.request.urlopen(base + path, timeout=10)
+        except urllib.error.HTTPError as error:
+            # /healthz answers 503, with its full snapshot, while the
+            # daemon refuses entries (a failed store).
+            if error.code != 503:
+                raise
+            response = error
+        with response:
             return _json.loads(response.read().decode("utf-8"))
 
     sampler = TopSampler(fetch)

@@ -112,13 +112,10 @@ def _normalize(term: Term) -> Term:
     raise TypeError(f"not a COWS term: {type(term).__name__}")
 
 
-_KEY_CACHE: dict[Term, str] = {}
-
-
 def canonical_key(term: Term) -> str:
-    """A deterministic total-order key for sorting sibling terms (memoized)."""
-    key = _KEY_CACHE.get(term)
-    if key is None:
-        key = str(term)
-        _KEY_CACHE[term] = key
-    return key
+    """A deterministic total-order key for sorting sibling terms.
+
+    The term's text, which each node renders once and caches
+    (:mod:`repro.cows.terms`).
+    """
+    return str(term)

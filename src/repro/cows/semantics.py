@@ -47,7 +47,7 @@ from repro.cows.labels import (
     is_kill_label,
     match,
 )
-from repro.cows.names import KillerLabel, Name, Variable
+from repro.cows.names import Endpoint, KillerLabel, Name, Variable
 from repro.cows.terms import (
     Choice,
     Invoke,
@@ -173,33 +173,70 @@ def _parallel_transitions(term: Parallel) -> tuple[Transition, ...]:
     ]
     result: list[Transition] = []
 
+    # The components as parallel() flattens them; the bystanders of
+    # component i are flat[:starts[i]] and flat[starts[i + 1]:].
+    flat: list[Term] = []
+    starts: list[int] = []
+    for component in components:
+        starts.append(len(flat))
+        flat.extend(_flattened(component))
+    starts.append(len(flat))
+    flat_components = tuple(flat)
+
     # Interleaving: one component moves, the others stand still — unless
     # the label is an ongoing kill signal, which halts the bystanders.
     for index, component_transitions in enumerate(per_component):
+        if not component_transitions:
+            continue
+        before = flat_components[: starts[index]]
+        after = flat_components[starts[index + 1] :]
         for label, target in component_transitions:
             if isinstance(label, KillSignal):
                 rest = [
                     halt(other) if j != index else target
                     for j, other in enumerate(components)
                 ]
-                rest[index] = target
                 result.append((label, parallel(*rest)))
             else:
-                rest = list(components)
-                rest[index] = target
-                result.append((label, parallel(*rest)))
+                # Exactly parallel(*rest), without re-flattening the
+                # components that did not move.
+                moved = before + _flattened(target) + after
+                if len(moved) > 1:
+                    result.append((label, Parallel(moved)))
+                else:
+                    result.append((label, moved[0] if moved else _NIL))
 
     # Synchronization: an invoke of one component meets a matching request
-    # of another.
+    # of another.  Only a pair where j requests an endpoint that i invokes
+    # can communicate, so only those pairs are tried, in the same (i, j)
+    # order as trying them all: the emitted sequence is the same.
+    requesters: dict[Endpoint, list[int]] = {}
+    for j, transitions_j in enumerate(per_component):
+        for label, _ in transitions_j:
+            if isinstance(label, RequestLabel):
+                requesters.setdefault(label.endpoint, []).append(j)
     for i, transitions_i in enumerate(per_component):
-        for j, transitions_j in enumerate(per_component):
-            if i == j:
-                continue
-            for comm in _communications(
-                transitions_i, transitions_j, components, i, j
-            ):
-                result.append(comm)
+        partners: set[int] = set()
+        for label, _ in transitions_i:
+            if isinstance(label, InvokeLabel):
+                partners.update(requesters.get(label.endpoint, ()))
+        partners.discard(i)
+        for j in sorted(partners):
+            result.extend(
+                _communications(
+                    transitions_i, per_component[j], components, i, j
+                )
+            )
     return tuple(result)
+
+
+def _flattened(term: Term) -> tuple[Term, ...]:
+    """What :func:`~repro.cows.terms.parallel` makes of one component."""
+    if isinstance(term, Parallel):
+        return term.components
+    if isinstance(term, Nil):
+        return ()
+    return (term,)
 
 
 def _communications(

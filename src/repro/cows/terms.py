@@ -383,6 +383,27 @@ def _cached_hash(field_names: tuple[str, ...]):
     return __hash__
 
 
+def _cached_str(render):
+    """A ``__str__`` that renders once and caches the text on the node.
+
+    A term's text embeds the text of its subterms, and successor states
+    share most of their subterms with the state they came from.  With
+    the text cached beside the hash, rendering a new state formats only
+    its new nodes; the compiler digests every state by its text
+    (:func:`repro.compile.fingerprint.term_digest`) and the normal form
+    sorts siblings by it (:func:`repro.cows.congruence.canonical_key`).
+    """
+
+    def __str__(self):  # noqa: N807 - installed as a dunder
+        cached = self.__dict__.get("_text")
+        if cached is None:
+            cached = render(self)
+            object.__setattr__(self, "_text", cached)
+        return cached
+
+    return __str__
+
+
 for _cls, _fields in (
     (Nil, ()),
     (Invoke, ("endpoint", "params")),
@@ -396,3 +417,8 @@ for _cls, _fields in (
     (TaskMarker, ("role", "task", "body")),
 ):
     _cls.__hash__ = _cached_hash(_fields)  # type: ignore[method-assign]
+    # A composition's text is a cheap join of its components' cached
+    # text, and a state is a composition: caching it too would keep a
+    # copy of every state's whole text for as long as the state lives.
+    if _cls is not Parallel:
+        _cls.__str__ = _cached_str(_cls.__str__)  # type: ignore[method-assign]

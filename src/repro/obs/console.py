@@ -212,6 +212,7 @@ class TopSampler:
             "entries_received": health.get("entries_received", 0),
             "quarantined": health.get("quarantined_cases", 0),
             "draining": health.get("draining", False),
+            "status": health.get("status", "ok"),
             "shards": health.get("shard_detail", {}),
             "tenants": tenants,
             "p50_s": latency.get("p50", 0.0),
@@ -236,7 +237,12 @@ class TopSampler:
             if previous
             else "-"
         )
-        state = "draining" if current["draining"] else "serving"
+        if current["draining"]:
+            state = "draining"
+        elif current["status"] != "ok":
+            state = current["status"]  # e.g. store-failed: entries refused
+        else:
+            state = "serving"
         lines = [
             f"repro top — {state} · entries {current['entries_received']} "
             f"({total_rate}) · quarantined {current['quarantined']} · "

@@ -236,7 +236,8 @@ class DrainReport:
     entries_written: int
     cases: int
     quarantined_cases: int
-    store_intact: Optional[bool]  # None when no store is configured
+    #: None when no store is configured; False when its writer died.
+    store_intact: Optional[bool]
     final_states: dict[str, str] = field(default_factory=dict)
 
 
@@ -493,6 +494,10 @@ class _StoreWriter(threading.Thread):
     retired (``_on_batch_durable``) — the long-term record owns those
     entries now.  A ``("sync", event)`` item is a durability barrier:
     the event fires only after every batch queued before it committed.
+
+    Any other error (a full disk, a locked or unreadable file) ends the
+    thread: it marks the store not intact and records the error on the
+    router, which refuses new entries from then on.
     """
 
     def __init__(self, path: str, router: "ShardRouter"):
@@ -506,6 +511,14 @@ class _StoreWriter(threading.Thread):
         self.intact: Optional[bool] = None
 
     def run(self) -> None:
+        try:
+            self._run()
+        except BaseException as error:
+            self.intact = False
+            self._router._store_error = f"{type(error).__name__}: {error}"
+            raise
+
+    def _run(self) -> None:
         store = AuditStore(self._path)
         tracer = self._router._tel.tracer
         try:
@@ -597,6 +610,9 @@ class ShardRouter:
         self._ring = ConsistentHashRing(names)
         self._shards: dict[str, _Shard] = {}
         self._writer: Optional[_StoreWriter] = None
+        #: Why the store writer died (None while it lives): from then
+        #: on no thread can make an entry durable, so none is accepted.
+        self._store_error: Optional[str] = None
         self._wals: dict[str, WalWriter] = {}
         #: ``(entry, shard name, wal seq)`` awaiting the next store flush.
         self._pending: list[tuple[LogEntry, str, int]] = []
@@ -943,6 +959,16 @@ class ShardRouter:
         with self._ingest_lock:
             count = self._case_seq.get(case, 0)
             name = self._ring.shard_for(case)
+            if self._store_error is not None:
+                self._busy_total += 1
+                self._m_busy.inc()
+                return Admission(
+                    accepted=False,
+                    shard=name,
+                    busy=True,
+                    retry_after_s=RETRY_AFTER_S,
+                    reason=f"audit store unavailable: {self._store_error}",
+                )
             if seq is not None:
                 if seq <= count:
                     # An idempotent re-send (client resumed after a
@@ -1333,6 +1359,11 @@ class ShardRouter:
         return not self._accepting
 
     @property
+    def store_error(self) -> Optional[str]:
+        """Why the store writer died; None while it lives (or no store)."""
+        return self._store_error
+
+    @property
     def shard_names(self) -> tuple[str, ...]:
         return tuple(self._shards)
 
@@ -1560,6 +1591,10 @@ class ShardRouter:
                 "reassigned_shards": list(self._reassigned),
             },
             "recovery": recovery,
+            "store": {
+                "enabled": self._writer is not None,
+                "error": self._store_error,
+            },
         }
 
     # -- internals ---------------------------------------------------------

@@ -419,10 +419,15 @@ class AuditService:
                 for entry in trail:
                     # In order, each admitted as an `entry` op would be;
                     # a refused entry waits out its retry hint here, so a
-                    # full shard queue never blocks the loop.
-                    while not self.router.submit(
-                        entry, conn.post, traceparent=traceparent
+                    # full shard queue never blocks the loop.  A failed
+                    # store refuses for good: the document errors out.
+                    while not (
+                        admission := self.router.submit(
+                            entry, conn.post, traceparent=traceparent
+                        )
                     ).accepted:
+                        if self.router.store_error is not None:
+                            raise ReproError(admission.reason)
                         await asyncio.sleep(RETRY_AFTER_S)
                     conn.cases.add(entry.case)
                     conn.entries_sent += 1
@@ -510,12 +515,16 @@ class AuditService:
     def _http_body(self, path: str) -> tuple[str, str, bytes]:
         """``(status line, content type, body)`` for one GET/HEAD path."""
         if path == "/healthz":
+            stats = self.router.statistics()
+            if stats["store"]["error"] is not None:
+                # Entries are refused while no thread can store them.
+                status_line, status = "503 Service Unavailable", "store-failed"
+            else:
+                status_line, status = "200 OK", "ok"
             return (
-                "200 OK",
+                status_line,
                 self._JSON,
-                json.dumps(
-                    {"status": "ok", **self.router.statistics()}
-                ).encode(),
+                json.dumps({"status": status, **stats}).encode(),
             )
         if path == "/metrics":
             self.router.refresh_shard_gauges()
