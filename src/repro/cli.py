@@ -31,7 +31,7 @@ after the report.  ``--otlp DEST`` (also on ``serve``) exports spans
 and metrics as OTLP/JSON — to a JSON-lines file or an ``http(s)://``
 collector; ``repro trace CASE --from FILE`` renders a case's span tree
 from such a file, and ``repro top URL`` live-samples a running
-service's per-shard throughput, queue depth, and ingest latency.
+service's per-shard throughput, in-flight cases, and ingest latency.
 
 Resilience (``docs/robustness.md``): ``repro audit`` accepts
 ``--workers N`` (parallel, crash-isolated case auditing), ``--on-error
@@ -554,12 +554,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flush_interval_s=args.flush_interval,
         flush_max_batch=args.flush_batch,
         case_timeout_s=args.case_timeout,
-        queue_capacity=args.queue_capacity,
         compiled=True if args.compiled else None,
         automaton_dir=args.automaton_dir,
         wal_dir=args.wal_dir,
-        hang_timeout_s=args.hang_timeout,
-        max_shard_restarts=args.max_shard_restarts,
     )
     try:
         if audit_config is not None:
@@ -748,7 +745,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
     elif action == "quarantine":
         status, payload = client.quarantine()
     elif action == "requeue":
-        status, payload = client.requeue(args.case, wait_s=args.wait)
+        status, payload = client.requeue(args.case)
     elif action == "dismiss":
         status, payload = client.dismiss(
             args.case, actor=args.actor, reason=args.reason
@@ -1023,11 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cumulative per-case processing budget; cases over it are "
         "quarantined (TIMEOUT) without stalling the stream",
     )
-    serve.add_argument(
-        "--queue-capacity", type=int, default=10_000, metavar="N",
-        help="bounded per-shard queue depth; entries are refused busy "
-        "from three quarters of it (default: 10000)",
-    )
     serve_robustness = serve.add_argument_group(
         "crash safety (docs/robustness.md)"
     )
@@ -1035,18 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-dir", metavar="DIR", default=None,
         help="per-shard write-ahead ingest log: every accepted entry "
         "is CRC-framed here before it is acknowledged; a daemon with "
-        "one resumes the store + WAL before listening and restarts "
-        "crashed shards from them",
-    )
-    serve_robustness.add_argument(
-        "--hang-timeout", type=float, default=None, metavar="SECONDS",
-        help="a shard silent this long mid-case is treated as hung and "
-        "replaced (needs --wal-dir; default: hangs are not policed)",
-    )
-    serve_robustness.add_argument(
-        "--max-shard-restarts", type=int, default=2, metavar="N",
-        help="restarts per shard before its cases are re-homed to the "
-        "surviving shards (default: 2)",
+        "one resumes the store + WAL before listening",
     )
     serve_compilation = serve.add_argument_group("compiled replay")
     serve_compilation.add_argument(
@@ -1154,10 +1135,6 @@ def build_parser() -> argparse.ArgumentParser:
         "requeue", help="replay a quarantined case through its shard"
     )
     requeue.add_argument("case")
-    requeue.add_argument(
-        "--wait", type=float, default=None, metavar="SECONDS",
-        help="how long to wait for the replay verdict (default: 5.0)",
-    )
     dismiss = control_actions.add_parser(
         "dismiss",
         help="drop a case from quarantine, recording who and why",

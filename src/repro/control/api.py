@@ -10,9 +10,10 @@ Two mounting modes:
 
 * **live** — constructed with a running
   :class:`~repro.serve.core.ShardRouter`: verdicts come from the
-  shards' monitors (concurrent with ingest), quarantine triage goes
-  through the router (requeue replays on the owning shard thread), and
-  the audit store supplies trails and durable operator records;
+  shards' monitors (each record read under the router's admission lock,
+  between two entries of the stream), quarantine triage goes through
+  the router (a requeue replays the case before it answers), and the
+  audit store supplies trails and durable operator records;
 * **standalone** — constructed over a store file and an
   :class:`~repro.control.config.AuditConfig`: verdicts come from a
   cached replay of the store, and triage is limited to inspection and
@@ -57,9 +58,6 @@ API_VERSION = "v1"
 #: Default/maximum page size for the verdict listing.
 DEFAULT_PAGE = 100
 MAX_PAGE = 1000
-
-#: The longest a requeue may wait for the replay's outcome, in seconds.
-MAX_WAIT_S = 60.0
 
 
 class ControlPlane:
@@ -145,7 +143,7 @@ class ControlPlane:
             and rest[1] == "requeue"
             and method == "POST"
         ):
-            return self._requeue(rest[0], query)
+            return self._requeue(rest[0])
         if (
             resource == "quarantine"
             and len(rest) == 2
@@ -163,20 +161,13 @@ class ControlPlane:
     def _records(self, digests: bool = True) -> dict[str, dict]:
         """Per-case records: live from the shards, or a cached replay.
 
-        The live read races ingest by construction (that is the point
-        of a control plane); the router's shard table may shrink mid-
-        iteration when a dead shard is reassigned, which CPython
-        surfaces as a RuntimeError — retry, the next snapshot is just as
-        good.  ``digests=False`` lets a live read skip the per-case
+        The live read interleaves with ingest by construction (that is
+        the point of a control plane): each record is current when it
+        is read.  ``digests=False`` lets a live read skip the per-case
         replay digest (standalone records carry it regardless: they come
         from one cached replay).
         """
         if self.router is not None:
-            for _ in range(16):
-                try:
-                    return self.router.results(digests=digests)
-                except RuntimeError:
-                    continue
             return self.router.results(digests=digests)
         return self._offline()[0]
 
@@ -400,15 +391,14 @@ class ControlPlane:
         payload["kind"] = kinds[case]
         return status, payload, headers
 
-    def _requeue(self, case: str, query: dict) -> tuple[int, dict, dict]:
+    def _requeue(self, case: str) -> tuple[int, dict, dict]:
         if self.router is None:
             raise _ApiError(
                 409,
                 "requeue needs a live service (this control plane is "
                 "standalone over a store file)",
             )
-        wait_s = _wait_param(query)
-        result = self.router.requeue_case(case, wait_s=wait_s)
+        result = self.router.requeue_case(case)
         self._tel.events.emit(
             CONTROL_REQUEUE,
             case=case,
@@ -424,14 +414,6 @@ class ControlPlane:
             "shard": result.shard or None,
             "reason": result.reason or None,
         }
-        if result.busy:
-            # Retry-After carries the wire protocol's retry_after_s —
-            # the same hint a busy `entry` op gets.
-            return (
-                503,
-                {**payload, "retry_after_s": result.retry_after_s},
-                {"Retry-After": _retry_after(result.retry_after_s)},
-            )
         if not result.accepted:
             return 409, payload, {}
         self._record_control("requeue", case, "operator", result.reason or "")
@@ -601,17 +583,6 @@ def _int_param(query: dict, name: str, default: int) -> int:
         raise _ApiError(400, f"{name} must be an integer") from error
 
 
-def _wait_param(query: dict) -> float:
-    """A requeue's ``wait_s``: finite seconds in 0..MAX_WAIT_S (5 if unset)."""
-    try:
-        wait_s = float(query.get("wait_s", 5.0))
-    except ValueError:
-        wait_s = -1.0
-    if not 0 <= wait_s <= MAX_WAIT_S:  # nan fails too
-        raise _ApiError(400, f"wait_s must be seconds in 0..{MAX_WAIT_S:g}")
-    return wait_s
-
-
 def _ts_param(query: dict, name: str) -> Optional[datetime]:
     raw = query.get(name)
     if raw is None:
@@ -622,10 +593,3 @@ def _ts_param(query: dict, name: str) -> Optional[datetime]:
         raise _ApiError(
             400, f"{name} must be an ISO-8601 timestamp"
         ) from error
-
-
-def _retry_after(seconds: float) -> str:
-    """The Retry-After value: the wire hint's raw decimal seconds."""
-    text = f"{seconds:.3f}".rstrip("0").rstrip(".")
-    return text or "0"
-

@@ -75,9 +75,8 @@ class _ControlSurface:
     def quarantine(self) -> tuple[int, dict]:
         return self._get("quarantine")
 
-    def requeue(self, case: str, wait_s: Optional[float] = None) -> tuple[int, dict]:
-        query = {"wait_s": str(wait_s)} if wait_s is not None else None
-        return self._post(f"quarantine/{case}/requeue", query)
+    def requeue(self, case: str) -> tuple[int, dict]:
+        return self._post(f"quarantine/{case}/requeue")
 
     def dismiss(
         self, case: str, actor: str = "operator", reason: str = ""

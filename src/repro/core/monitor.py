@@ -205,7 +205,9 @@ class OnlineMonitor:
         ``case_timeout_s`` is each case's processing budget: every
         entry's replay time is charged to its case, except the entry
         that opens it (one-off warm-up, not the case's fault), and a
-        case over budget is contained as TIMEOUT.
+        case over budget is contained as TIMEOUT.  A charged entry's
+        WeakNext exploration stops when what is left of the budget runs
+        out, so no single step can hold the stream for longer.
 
         ``checker_wrapper`` is the ``(checker, purpose) -> checker``
         middleware seam shared with the batch auditor — the hook
@@ -441,7 +443,15 @@ class OnlineMonitor:
             raised = self._replay(monitored, entry)
         else:
             started = time.perf_counter()
-            raised = self._replay(monitored, entry)
+            checker = self._checkers.get(monitored.purpose)
+            engine = getattr(checker, "engine", None)
+            if engine is not None:
+                engine.deadline = started + budget - monitored.spent_s
+            try:
+                raised = self._replay(monitored, entry)
+            finally:
+                if engine is not None:
+                    engine.deadline = None
             if monitored.state not in _CONTAINED:
                 monitored.spent_s += time.perf_counter() - started
                 if monitored.spent_s > budget:

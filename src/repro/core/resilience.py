@@ -33,7 +33,7 @@ Semantics are documented in ``docs/robustness.md``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -138,31 +138,6 @@ class RetryPolicy:
             self.backoff_s * self.multiplier ** (failures - 1),
             self.max_backoff_s,
         )
-
-
-@dataclass
-class RestartBudget:
-    """Bounded restarts per supervised component (keyed by name).
-
-    The streaming service's shard supervisor consults this before
-    replacing a crashed or hung shard: within budget the shard is
-    rebuilt in place; past it the component is considered beyond repair
-    and its work is re-homed instead (for shards, through the
-    consistent-hash ring).  A budget stops a deterministic poison input
-    from turning into a crash loop.
-    """
-
-    max_restarts: int = 2
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
-
-    def record(self, key: str) -> bool:
-        """Count one restart of *key*; True while still within budget."""
-        self.counts[key] = self.counts.get(key, 0) + 1
-        return self.counts[key] <= self.max_restarts
 
 
 def replay_with_deadline(

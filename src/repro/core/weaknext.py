@@ -16,7 +16,10 @@ process is finitely observable w.r.t. L.  Well-founded BPMN processes
 guarantee this; as a defense in depth the engine also counts the silent
 states it closes over and raises :class:`NotFinitelyObservableError`
 past a configurable bound, so a hand-written COWS term with a silent
-livelock fails loudly instead of hanging.
+livelock fails loudly instead of hanging.  A case's processing budget
+bounds the exploration in time as well: the case engine arms
+:attr:`WeakNextEngine.deadline` for a budgeted step, and an exploration
+still running then raises :class:`CaseTimeoutError`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.core.observables import Observables, ObservableEvent
 from repro.cows.congruence import normalize
 from repro.cows.lts import LTS
 from repro.cows.terms import Nil, Term, active_tasks
-from repro.errors import NotFinitelyObservableError
+from repro.errors import CaseTimeoutError, NotFinitelyObservableError
 from repro.obs import NULL_TELEMETRY, Telemetry, WEAKNEXT_COMPUTED
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS
 
@@ -61,6 +64,9 @@ class WeakNextEngine:
         self._lts = LTS(initial=Nil(), closed=True)
         self._cache: dict[Term, tuple[NextState, ...]] = {}
         self._silent_states_explored = 0
+        #: A ``time.perf_counter()`` instant, or None: a fresh exploration
+        #: checks it before expanding each state.
+        self.deadline: float | None = None
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._tel = tel
         # Instruments are bound once here so the hot path pays a single
@@ -116,7 +122,14 @@ class WeakNextEngine:
         seen_results: set[tuple[ObservableEvent, Term]] = set()
         visited: set[Term] = {state}
         queue: deque[Term] = deque([state])
+        deadline = self.deadline
         while queue:
+            if deadline is not None and time.perf_counter() > deadline:
+                # Nothing is cached: the state is explored afresh later.
+                raise CaseTimeoutError(
+                    "processing budget ran out inside a WeakNext "
+                    f"exploration ({len(visited)} states explored)"
+                )
             current = queue.popleft()
             for label, target in self._lts.successors(current):
                 event = self._observables.classify(label)

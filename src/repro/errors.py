@@ -103,9 +103,10 @@ class MalformedEntryError(AuditError):
 class CaseTimeoutError(ReproError):
     """A case replay exceeded its wall-clock budget.
 
-    The budget is cooperative: it is checked between replayed entries
-    (the intra-entry guard remains ``max_silent_states``), so a single
-    pathological WeakNext closure is bounded by states, not seconds.
+    The budget is cooperative: it is checked between replayed entries,
+    and — for the streaming case engine's budget — before each state a
+    charged entry's WeakNext exploration expands.  ``max_silent_states``
+    stays the guard that bounds one exploration by states.
     """
 
     def __init__(

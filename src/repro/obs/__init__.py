@@ -72,10 +72,7 @@ from repro.obs.log import (
     SERVE_CLIENT,
     SERVE_DRAINED,
     SERVE_FLUSH,
-    SERVE_OVERLOAD,
     SERVE_RECOVERED,
-    SERVE_SHARD_REASSIGNED,
-    SERVE_SHARD_RESTARTED,
     SERVE_STARTED,
     SERVE_WAL_COMMIT,
     SERVE_WAL_RETIRED,
@@ -187,10 +184,7 @@ __all__ = [
     "SERVE_CLIENT",
     "SERVE_DRAINED",
     "SERVE_FLUSH",
-    "SERVE_OVERLOAD",
     "SERVE_RECOVERED",
-    "SERVE_SHARD_REASSIGNED",
-    "SERVE_SHARD_RESTARTED",
     "SERVE_STARTED",
     "SERVE_WAL_COMMIT",
     "SERVE_WAL_RETIRED",

@@ -11,7 +11,7 @@ test without a terminal or a socket:
 * ``repro top`` — :class:`TopSampler` polls a running service's
   ``/healthz`` + ``/metrics.json`` (the fetcher is injected: the CLI
   passes urllib, tests pass a dict lookup) and renders per-shard
-  throughput, queue depth, in-flight cases, and p50/p99 ingest latency.
+  throughput, in-flight cases, and p50/p99 ingest latency.
 """
 
 from __future__ import annotations
@@ -248,8 +248,7 @@ class TopSampler:
             f"({total_rate}) · quarantined {current['quarantined']} · "
             f"ingest p50 {_format_ms(current['p50_s'])} "
             f"p99 {_format_ms(current['p99_s'])}",
-            f"{'shard':<12}{'queue':>7}{'inflight':>10}"
-            f"{'entries':>10}{'rate':>10}",
+            f"{'shard':<12}{'inflight':>10}{'entries':>10}{'rate':>10}",
         ]
         for name in sorted(current["shards"]):
             shard = current["shards"][name]
@@ -261,8 +260,7 @@ class TopSampler:
                     elapsed,
                 )
             lines.append(
-                f"{name:<12}{shard['queue_depth']:>7}"
-                f"{shard['inflight_cases']:>10}"
+                f"{name:<12}{shard['inflight_cases']:>10}"
                 f"{shard['entries_observed']:>10}{rate:>10}"
             )
         if current.get("tenants"):

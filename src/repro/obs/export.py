@@ -213,7 +213,7 @@ def spans_to_otlp(tracer: "Tracer", service_name: str = "repro") -> dict:
 
     Span times are absolute (wall clock), anchored on the tracer's
     :attr:`~repro.obs.trace.Tracer.epoch_unix_s` — which is what lets a
-    collector line up spans from the service loop, shard threads, and
+    collector line up spans from the service loop, the store writer, and
     worker processes on one timeline.
     """
     epoch = getattr(tracer, "epoch_unix_s", 0.0)

@@ -65,15 +65,6 @@ event               emitted when
                     something to replay (fields: store_entries,
                     wal_records, replayed, duplicates, cases,
                     torn_segments, store_intact, duration_s)
-``serve.shard_restarted``  the supervisor replaced a crashed or hung
-                    shard, replaying its cases from durable history
-                    (fields: shard, reason, victim, cases, entries)
-``serve.shard_reassigned``  a shard exhausted its restart budget and its
-                    cases were re-homed through the consistent-hash ring
-                    (fields: shard, reason, cases)
-``serve.overload``  a shard's admission level changed (ok/busy);
-                    emitted on transitions only (fields: shard, level,
-                    previous, queue_depth)
 ==================  =====================================================
 
 The logger is plain :mod:`logging` under the hood (logger name
@@ -117,9 +108,6 @@ CASE_QUARANTINED = "case.quarantined"
 SERVE_WAL_COMMIT = "serve.wal_commit"
 SERVE_WAL_RETIRED = "serve.wal_retired"
 SERVE_RECOVERED = "serve.recovered"
-SERVE_SHARD_RESTARTED = "serve.shard_restarted"
-SERVE_SHARD_REASSIGNED = "serve.shard_reassigned"
-SERVE_OVERLOAD = "serve.overload"
 CONTROL_CONFIG_LOADED = "control.config_loaded"
 CONTROL_REQUEUE = "control.requeue"
 CONTROL_DISMISS = "control.dismiss"
@@ -150,9 +138,6 @@ EVENT_VOCABULARY = frozenset(
         SERVE_WAL_COMMIT,
         SERVE_WAL_RETIRED,
         SERVE_RECOVERED,
-        SERVE_SHARD_RESTARTED,
-        SERVE_SHARD_REASSIGNED,
-        SERVE_OVERLOAD,
         CONTROL_CONFIG_LOADED,
         CONTROL_REQUEUE,
         CONTROL_DISMISS,

@@ -15,7 +15,7 @@ Beyond process-local trees, spans carry **distributed trace context**:
 * a remote parent is adopted by passing ``parent=TraceContext(...)`` —
   e.g. parsed from an incoming ``traceparent`` header/field with
   :func:`parse_traceparent` — so one streamed case is one trace across
-  client, service loop, shard threads, and the store writer;
+  client, service loop, and the store writer;
 * the tracer records a **wall-clock epoch anchor**
   (:attr:`Tracer.epoch_unix_s`) next to its ``perf_counter`` epoch, so
   spans from different processes land on one absolute timeline;

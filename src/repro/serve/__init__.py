@@ -9,7 +9,7 @@ tamper-evident :class:`~repro.audit.store.AuditStore` in batched
 transactions, and streams per-case verdict transitions back as they
 happen.  See ``docs/serving.md`` for the wire protocol, sharding and
 drain semantics, and the backpressure model; ``docs/robustness.md``
-covers the crash-safety layer (WAL, recovery, supervision).
+covers the crash-safety layer (WAL, recovery, failure containment).
 
 Layers (bottom up):
 
@@ -17,13 +17,11 @@ Layers (bottom up):
 * :mod:`repro.serve.protocol` — the JSON-lines wire vocabulary;
 * :mod:`repro.serve.wal` — the per-shard write-ahead ingest log;
 * :mod:`repro.serve.core` — :class:`ShardRouter`, the socket-free
-  engine (shard threads, store writer, WAL, admission control,
-  quarantine, drain);
+  engine (shard partitions, store writer, WAL, admission, quarantine,
+  drain);
 * :mod:`repro.serve.recovery` — crash recovery: store + WAL delta →
-  per-case histories, which a router with a WAL resumes at start and
-  a restarted shard replays, byte-identically;
-* :mod:`repro.serve.supervisor` — heartbeat-based shard crash/hang
-  detection and bounded restart, on whenever the WAL is;
+  per-case histories, which a router with a WAL resumes at start,
+  byte-identically;
 * :mod:`repro.serve.service` — :class:`AuditService`, the asyncio TCP
   + HTTP front end;
 * :mod:`repro.serve.client` — :class:`AuditStreamClient`, a blocking
@@ -45,7 +43,6 @@ from repro.serve.protocol import (
 from repro.serve.recovery import RecoveryReport, collect_case_histories
 from repro.serve.service import AuditService
 from repro.serve.sharding import ConsistentHashRing
-from repro.serve.supervisor import ShardSupervisor
 from repro.serve.wal import (
     WalCorruptionError,
     WalError,
@@ -67,7 +64,6 @@ __all__ = [
     "ResilientAuditClient",
     "ServeConfig",
     "ShardRouter",
-    "ShardSupervisor",
     "WalCorruptionError",
     "WalError",
     "WalRecord",

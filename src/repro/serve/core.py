@@ -1,14 +1,15 @@
 """The sharded streaming-audit engine behind ``repro serve``.
 
-The :class:`ShardRouter` is the socket-free core of the audit daemon:
-it owns N worker threads, each running its own
-:class:`~repro.core.monitor.OnlineMonitor`, and routes every incoming
-log entry to exactly one shard by consistent-hashing its case id
-(:mod:`repro.serve.sharding`).  Algorithm 1 is stateful *per case* and
-cases are independent (Section 7's scalability argument), so sharding
-by case id parallelizes the stream without any cross-shard
-coordination — each case's entries are processed in arrival order by
-the one thread that owns its frontier.
+The :class:`ShardRouter` is the socket-free core of the audit daemon.
+It partitions the case space into N shards by consistent-hashing each
+case id (:mod:`repro.serve.sharding`); a shard is one
+:class:`~repro.core.monitor.OnlineMonitor` and, with a write-ahead log,
+one log.  Algorithm 1 is stateful *per case* and cases are independent
+(Section 7's scalability argument), so a shard needs no coordination
+with any other, and no thread of its own: :meth:`ShardRouter.submit`
+replays the entry it admits before it returns, on the caller's thread —
+for ``repro serve``, the event loop — so each case's entries are
+replayed in the order they were accepted.
 
 Everything the asyncio service (:mod:`repro.serve.service`) does goes
 through this class, and the test suites drive it directly where a
@@ -35,32 +36,23 @@ Responsibilities:
   an :class:`~repro.audit.store.AuditStore` in batched
   ``append_many`` transactions by a dedicated writer thread (SQLite
   connections are single-threaded);
-* **bounded backpressure** — per-shard queues are bounded
-  (``queue_capacity``) and nothing a client causes ever blocks on one:
-  :meth:`submit` refuses an entry ``busy`` once its shard's queue
-  reaches the watermark (three quarters of the capacity), and the room
-  above it is kept for control items, whose :meth:`barrier` posts to
-  every shard or to none.  Refused entries are *not* WAL-appended and
-  *not* acked — overload never silently drops an accepted entry;
 * **idempotent resume** — clients may number each case's entries
   (``seq``); :meth:`submit` dedupes re-sent entries by per-case
   high-water mark, so a client that reconnects and replays its
   unacknowledged tail never double-counts an entry;
-* **per-case backpressure** — each shard's engine
-  (:class:`~repro.core.monitor.OnlineMonitor`) meters cumulative
-  processing time per case; a case that exceeds ``case_timeout_s`` is
-  contained as ``OutcomeKind.TIMEOUT`` and the shard quarantines it, so
-  a stuck case never stalls its shard's queue for long — the stream
-  stays live;
-* **supervision** — whenever the WAL is on, a
-  :class:`~repro.serve.supervisor.ShardSupervisor` watches heartbeats:
-  a dead or hung shard is replaced and its cases replayed from the
-  store + WAL; the entry being processed at crash time is quarantined
-  as the poison suspect; past ``max_shard_restarts`` the shard is
-  removed from the ring and its cases re-homed to the survivors;
-* **drain** — stop intake, let every shard finish its queue, flush the
-  store, and report final per-case verdicts.  Drain writes no automaton
-  artifact: the next boot recompiles every purpose.
+* **failure containment** — each shard's engine contains every failure
+  to its case, and meters cumulative processing time per case: a case
+  over ``case_timeout_s`` — between entries, or inside one entry's
+  WeakNext exploration — is contained as ``OutcomeKind.TIMEOUT`` and
+  quarantined, so no case holds up the stream for long;
+* **drain** — stop intake, flush the store, and report final per-case
+  verdicts.  Drain writes no automaton artifact: the next boot
+  recompiles every purpose.
+
+One lock, the admission lock, orders everything that touches a monitor:
+admission and replay, requeue, and the readers the control plane calls
+from other threads (each record is read under it, never across a
+``yield``).
 """
 
 from __future__ import annotations
@@ -81,17 +73,14 @@ from repro.core.monitor import (
     CaseState,
     OnlineMonitor,
 )
-from repro.core.resilience import OutcomeKind, Quarantine, RestartBudget
+from repro.core.resilience import OutcomeKind, Quarantine
 from repro.errors import MalformedEntryError, ReproError
 from repro.obs import (
     CASE_QUARANTINED,
     NULL_TELEMETRY,
     SERVE_DRAINED,
     SERVE_FLUSH,
-    SERVE_OVERLOAD,
     SERVE_RECOVERED,
-    SERVE_SHARD_REASSIGNED,
-    SERVE_SHARD_RESTARTED,
     SERVE_WAL_COMMIT,
     SERVE_WAL_RETIRED,
     Telemetry,
@@ -102,7 +91,6 @@ from repro.policy.hierarchy import RoleHierarchy
 from repro.policy.registry import ProcessRegistry
 from repro.serve.protocol import EV_VERDICT
 from repro.serve.recovery import (
-    CaseHistory,
     HistoryScan,
     RecoveryReport,
     collect_case_histories,
@@ -111,15 +99,16 @@ from repro.serve.sharding import ConsistentHashRing
 from repro.serve.wal import WalError, WalWriter, segment_paths
 
 #: A callback receiving protocol-shaped server events for one client.
-#: Called from shard threads — implementations must be thread-safe
-#: (the asyncio service marshals onto the loop; tests append to lists
-#: under the GIL).
+#: Called on the thread that submitted the entry, under the admission
+#: lock (the asyncio service submits on its event loop).
 Subscriber = Callable[[dict], None]
 
 #: Seconds a refused submission waits before it is sent again: the hint
-#: carried by ``busy`` refusals, the requeue ``503`` and the service's
-#: own retries of ``xes`` entries and barriers.
+#: carried by ``busy`` refusals.
 RETRY_AFTER_S = 0.05
+
+#: How often a wait on the store writer checks that it is still alive.
+_WRITER_POLL_S = 0.25
 
 
 @dataclass(frozen=True)
@@ -133,18 +122,15 @@ class ServeConfig:
 
     ``case_timeout_s`` is each case's cumulative processing budget.  The
     case's engine (:class:`~repro.core.monitor.OnlineMonitor`) meters
-    it: every entry but the one that opens the case is charged, a
-    requeue replays under a fresh meter, and a case over budget is
-    contained as ``timeout`` and quarantined.
+    it: every entry but the one that opens the case is charged, the
+    WeakNext exploration of a charged entry stops at what is left of
+    the budget, a requeue replays under a fresh meter, and a case over
+    budget is contained as ``timeout`` and quarantined.
 
-    ``queue_capacity`` bounds each shard's queue: entries are refused
-    ``busy`` from three quarters of it, and the rest is kept for control
-    items (barriers, requeues).  ``wal_dir`` is the one crash-safety
-    switch: a router with it resumes the store + WAL at start and
-    supervises its shards, whose restarts replay from that record (a
-    router refuses ``hang_timeout_s`` without it: nothing would police
-    it).  The hash ring and the WAL segments keep their own defaults
-    (:class:`ConsistentHashRing`, :class:`~repro.serve.wal.WalWriter`).
+    ``wal_dir`` is the one crash-safety switch: a router with it resumes
+    the store + WAL at start.  The hash ring and the WAL segments keep
+    their own defaults (:class:`ConsistentHashRing`,
+    :class:`~repro.serve.wal.WalWriter`).
 
     Construction refuses numbers no daemon can run with (``ValueError``),
     wherever they came from: flags, config budgets or library callers.
@@ -155,26 +141,18 @@ class ServeConfig:
     flush_interval_s: float = 0.5
     flush_max_batch: int = 256
     case_timeout_s: Optional[float] = None  # cumulative per-case budget
-    queue_capacity: int = 10_000  # per-shard; entries refused from 3/4
     compiled: Optional[bool] = None
     automaton_dir: Optional[str] = None
-    # -- crash safety and supervision (docs/robustness.md) --
     wal_dir: Optional[str] = None  # per-shard write-ahead ingest logs
-    heartbeat_interval_s: float = 0.25
-    hang_timeout_s: Optional[float] = None  # None: hangs are not policed
-    max_shard_restarts: int = 2
 
     def __post_init__(self) -> None:
         # Every test is False for NaN, so NaN is refused too.
         for names, wording, valid in (
-            (("shards", "queue_capacity", "flush_max_batch"), "at least 1",
+            (("shards", "flush_max_batch"), "at least 1",
              lambda value: value >= 1),
-            (("flush_interval_s", "heartbeat_interval_s"), "positive",
-             lambda value: value > 0),
-            (("case_timeout_s", "hang_timeout_s"), "positive when set",
+            (("flush_interval_s",), "positive", lambda value: value > 0),
+            (("case_timeout_s",), "positive when set",
              lambda value: value is None or value > 0),
-            (("max_shard_restarts",), "zero or more",
-             lambda value: value >= 0),
         ):
             for name in names:
                 if not valid(getattr(self, name)):
@@ -188,11 +166,10 @@ class Admission:
     """What :meth:`ShardRouter.submit` decided about one entry.
 
     Exactly one of these holds per call: ``accepted`` (the entry is in
-    the WAL — if configured — and routed), ``duplicate`` (an idempotent
-    re-send, already accepted earlier), or ``busy`` (the entry was
-    refused — its shard's queue at the watermark, or a sequence gap —
-    and must be re-sent; ``retry_after_s`` is the server's back-off
-    hint).
+    the WAL — if configured — and replayed), ``duplicate`` (an
+    idempotent re-send, already accepted earlier), or ``busy`` (the
+    entry was refused — a sequence gap, or a dead store writer — and
+    must be re-sent; ``retry_after_s`` is the server's back-off hint).
     """
 
     accepted: bool
@@ -209,19 +186,15 @@ class Admission:
 class RequeueResult:
     """What :meth:`ShardRouter.requeue_case` decided about one case.
 
-    ``accepted`` means the owning shard replays the case's full entry
+    ``accepted`` means the owning shard replayed the case's full entry
     history through a fresh session under a fresh budget meter;
-    ``state`` and ``replayed_entries`` describe where the replay landed
-    (empty when the caller stopped waiting first).  ``busy`` mirrors entry admission:
-    the shard's queue was over its busy watermark, retry after
-    ``retry_after_s``.  A refusal (unknown / not-quarantined case, or a
-    draining router) sets ``reason``.
+    ``state`` and ``replayed_entries`` describe where the replay landed.
+    A refusal (unknown / not-quarantined case, or a draining router)
+    sets ``reason``.
     """
 
     case: str
     accepted: bool
-    busy: bool = False
-    retry_after_s: float = 0.0
     reason: str = ""
     shard: str = ""
     state: Optional[str] = None
@@ -241,135 +214,25 @@ class DrainReport:
     final_states: dict[str, str] = field(default_factory=dict)
 
 
-class _Barrier:
-    """A countdown latch posted to every shard queue.
+class _Shard:
+    """One partition of the case space: the engine of the cases the ring
+    routes to it, and the name their verdicts carry.
 
-    Fires *callback* (from the last shard's worker thread) once every
-    shard has drained all work enqueued before it — the ``sync`` op.
-    """
-
-    def __init__(self, parties: int, callback: Callable[[], None]):
-        self._remaining = parties
-        self._lock = threading.Lock()
-        self._callback = callback
-
-    def arrive(self) -> None:
-        with self._lock:
-            self._remaining -= 1
-            fire = self._remaining == 0
-        if fire:
-            self._callback()
-
-
-def _replay_items(history: CaseHistory) -> list[tuple]:
-    """One case's durable history as a shard's ``rebuild`` items."""
-    return [("entry", entry, None, None) for entry in history.entries]
-
-
-class _Shard(threading.Thread):
-    """One worker thread owning one :class:`OnlineMonitor`.
-
-    The thread's own duties are the queue, the heartbeat, trace spans,
-    the ingest histogram, the router's quarantine note and the verdict
-    event; every per-case decision is the engine's.  ``rebuild`` is how
-    durable history (the store + WAL) goes back into a shard, at the
-    router's start-up resume and on a supervised restart alike: the
-    shard processes those items before touching its queue, so a barrier
-    posted after them only fires once the rebuilt state is current.
+    Not a thread: the router replays each entry into it on the thread
+    that admitted the entry, under the admission lock, and the start-up
+    resume replays the durable history through the same :meth:`observe`.
+    Its own duties are trace spans, the ingest histogram, the router's
+    quarantine note and the verdict event; every per-case decision is
+    the engine's.
     """
 
     def __init__(
-        self,
-        name: str,
-        monitor: OnlineMonitor,
-        router: "ShardRouter",
-        rebuild: list[tuple],
+        self, name: str, monitor: OnlineMonitor, router: "ShardRouter"
     ):
-        super().__init__(name=f"repro-serve-{name}", daemon=True)
         self.shard_name = name
         self.monitor = monitor
-        self.queue: "queue.Queue[tuple]" = queue.Queue(
-            maxsize=router.config.queue_capacity
-        )
         self._router = router
-        self._rebuild = rebuild
         self.entries_observed = 0
-        #: Set once the monitor's checkers are warm (artifacts loaded);
-        #: the router's ``start`` blocks on it so the first streamed
-        #: entry never pays artifact-parse latency.
-        self.warmed = threading.Event()
-        # -- supervision surface (read cross-thread; GIL-atomic) --
-        self.last_beat = time.monotonic()  # refreshed each item / idle tick
-        self.current_case: Optional[str] = None  # set while processing
-        self.stopped = False  # exited via an intentional ("stop",)
-        self.abandoned = False  # replaced by the supervisor; go inert
-
-    def run(self) -> None:
-        interval = self._router.config.heartbeat_interval_s
-        try:
-            try:
-                self.monitor.prewarm()
-            finally:
-                self.warmed.set()
-            for item in self._rebuild:
-                self._handle(item)
-            self._rebuild = []
-            while True:
-                try:
-                    item = self.queue.get(timeout=interval)
-                except queue.Empty:
-                    self.last_beat = time.monotonic()
-                    continue
-                try:
-                    if not self._handle(item):
-                        return
-                finally:
-                    self.queue.task_done()
-        except BaseException:  # noqa: BLE001 - the crash path
-            # A BaseException escaping the monitor (an injected
-            # ShardKill, a real interpreter-level failure) kills this
-            # shard.  Die quietly: ``current_case`` stays set, so the
-            # supervisor can quarantine the poison suspect and rebuild
-            # everything else from the store + WAL.
-            pass
-
-    def _handle(self, item: tuple) -> bool:
-        """Process one work item; False stops the thread."""
-        kind = item[0]
-        self.last_beat = time.monotonic()
-        try:
-            if kind == "stop":
-                self.stopped = True
-                return False
-            if kind == "entry":
-                self._observe(item[1], item[2], item[3])
-            elif kind == "barrier":
-                item[1].arrive()
-            elif kind == "contain":
-                # The supervisor's poison-case verdict: the entry in
-                # flight when a shard died is charged to its case.
-                if not self.abandoned:
-                    self.monitor.contain(item[1], item[2])
-            elif kind == "requeue":
-                self._requeue(item[1], item[2], item[3])
-        except Exception as error:  # pragma: no cover - last resort
-            # A shard thread must never die to an ordinary exception:
-            # anything the monitor's own containment missed is charged
-            # to the entry's case.
-            self.current_case = None
-            if kind == "entry" and not self.abandoned:
-                self._router._note_quarantined(
-                    item[1].case,
-                    self.monitor.case_failure_kind(item[1].case)
-                    or OutcomeKind.ERROR,
-                    str(error),
-                )
-        return True
-
-    @property
-    def inflight_cases(self) -> int:
-        """Open (non-terminal) cases currently owned by this shard."""
-        return self.monitor.open_count
 
     def record(self, case: str, digest: bool = True) -> dict:
         """The engine's record of *case*, tagged with this shard."""
@@ -377,79 +240,54 @@ class _Shard(threading.Thread):
         record["shard"] = self.shard_name
         return record
 
-    def _requeue(
-        self, case: str, done: threading.Event, holder: dict
-    ) -> None:
-        """Replay a quarantined case from scratch (the triage verb).
-
-        Runs on this shard's thread, so it is serialized with the case's
-        live entries exactly like any other item: the history replayed
-        is everything observed up to this point in the queue, and any
-        entry admitted later lands after the fresh session exists.  The
-        engine replays under a fresh budget meter; a failure that
-        reproduces goes back into quarantine.  ``holder`` carries the
-        outcome back to the waiting control plane; ``done`` always fires
-        (``finally``), so an API call never hangs on a replay that blows
-        up.
-        """
-        try:
-            state, replayed, kind = self.monitor.requeue(case)
-            if kind is not None:
-                self._router._note_quarantined(
-                    case, kind, "failure reproduced on requeue"
-                )
-            holder["state"] = str(state) if state is not None else None
-            holder["replayed"] = replayed
-            self._router._m_requeues.inc(
-                outcome="requarantined" if kind is not None else "replayed"
-            )
-        finally:
-            done.set()
-
-    def _observe(
+    def observe(
         self,
         entry: LogEntry,
-        subscriber: Optional[Subscriber],
+        subscriber: Optional[Subscriber] = None,
         ctx: Optional[TraceContext] = None,
     ) -> None:
-        if self.abandoned:
-            # Replaced mid-flight: the rebuilt shard owns this case's
-            # truth (the entry is in the WAL it replayed from).
-            return
         monitor = self.monitor
+        router = self._router
         case = entry.case
-        self.current_case = case
-        tracer = self._router._tel.tracer
+        tracer = router._tel.tracer
         replay_span_id = ""
         started = time.perf_counter()
-        if ctx is not None and tracer.enabled:
-            # The shard-side half of the case's trace: monitor-internal
-            # "replay"/"weaknext" spans nest under this via the thread's
-            # span stack.
-            with tracer.span(
-                "serve.replay", parent=ctx, case=case, shard=self.shard_name
-            ) as span:
+        try:
+            if ctx is not None and tracer.enabled:
+                # The replay half of the case's trace: monitor-internal
+                # "replay"/"weaknext" spans nest under this via the
+                # thread's span stack.
+                with tracer.span(
+                    "serve.replay",
+                    parent=ctx,
+                    case=case,
+                    shard=self.shard_name,
+                ) as span:
+                    previous, state, raised = monitor.observe(entry)
+                    replay_span_id = span.span_id
+            else:
                 previous, state, raised = monitor.observe(entry)
-                replay_span_id = span.span_id
-        else:
-            previous, state, raised = monitor.observe(entry)
-        elapsed = time.perf_counter() - started
-        if self.abandoned:
-            # Replaced while observing (a hang verdict): drop every
-            # side effect — metrics, verdict events, quarantine notes —
-            # the replacement shard has already re-derived this case.
+        except Exception as error:  # pragma: no cover - last resort
+            # Anything the engine's own containment missed is charged
+            # to the entry's case, never to the stream.
+            router._note_quarantined(
+                case,
+                monitor.case_failure_kind(case) or OutcomeKind.ERROR,
+                str(error),
+            )
             return
+        elapsed = time.perf_counter() - started
         self.entries_observed += 1
         if ctx is not None:
-            self._router._m_ingest.observe_with_exemplar(
+            router._m_ingest.observe_with_exemplar(
                 elapsed, ctx.trace_id, replay_span_id
             )
         else:
-            self._router._m_ingest_fast.observe(elapsed)
+            router._m_ingest_fast.observe(elapsed)
 
         if raised and raised[-1].kind in FAILURE_KINDS:
             # The engine contained the case: take it out of rotation.
-            self._router._note_quarantined(
+            router._note_quarantined(
                 case, monitor.case_failure_kind(case), raised[-1].detail
             )
         if (
@@ -480,7 +318,6 @@ class _Shard(threading.Thread):
             if ctx is not None:
                 event["trace"] = ctx.trace_id
             subscriber(event)
-        self.current_case = None
 
 
 class _StoreWriter(threading.Thread):
@@ -578,7 +415,7 @@ class _StoreWriter(threading.Thread):
 
 
 class ShardRouter:
-    """Consistent-hash fan-out of an entry stream over monitor shards."""
+    """Consistent-hash partitioning of an entry stream over monitor shards."""
 
     def __init__(
         self,
@@ -590,14 +427,6 @@ class ShardRouter:
         wal_fault_hook: Optional[Callable[[str], None]] = None,
     ):
         self.config = config or ServeConfig()
-        if self.config.hang_timeout_s and self.config.wal_dir is None:
-            raise ValueError(
-                "hang_timeout_s needs wal_dir: only a router with a "
-                "write-ahead log supervises its shards"
-            )
-        # Entries are admitted below this depth; the room above it up to
-        # queue_capacity is kept for barriers and requeues.
-        self._busy_wm = max(1, (self.config.queue_capacity * 3) // 4)
         self._registry = registry
         self._hierarchy = hierarchy
         self._checker_wrapper = checker_wrapper
@@ -617,25 +446,20 @@ class ShardRouter:
         #: ``(entry, shard name, wal seq)`` awaiting the next store flush.
         self._pending: list[tuple[LogEntry, str, int]] = []
         self._pending_lock = threading.Lock()
-        # The admission lock: per-case sequence bookkeeping, watermark
-        # checks, WAL appends, and shard handoff happen as one atomic
-        # step, and supervised restarts exclude admissions entirely.
+        # The admission lock: per-case sequence bookkeeping, the WAL
+        # append and the replay happen as one atomic step, and every
+        # other read or write of a monitor or of the quarantine takes it.
         self._ingest_lock = threading.Lock()
         self._case_seq: dict[str, int] = {}  # case -> accepted entries
         self._quarantined: dict[str, OutcomeKind] = {}
         #: Cases an operator dismissed; never filed again (start() seeds
         #: it from the durable store's control log).
         self._dismissed: set[str] = set()
-        self._quarantined_lock = threading.Lock()
         self._accepting = False
         self._drained = False
         self._received = 0
         self._busy_total = 0
         self._duplicate_total = 0
-        self._overload: dict[str, str] = {}  # shard -> ok | busy
-        self._restart_budget = RestartBudget(self.config.max_shard_restarts)
-        self._reassigned: list[str] = []  # shards removed from the ring
-        self._supervisor = None  # set by start() when the WAL is on
         #: Set by :meth:`start` when it resumed a durable record.
         self.recovery_report = None
         self._tmp_automata: Optional[tempfile.TemporaryDirectory] = None
@@ -665,9 +489,6 @@ class ShardRouter:
             "serve_quarantined_cases_total",
             "cases taken out of rotation by the service, by kind",
         )
-        self._m_queue_depth = tel.registry.gauge(
-            "serve_shard_queue_depth", "items waiting in each shard's queue"
-        )
         self._m_inflight = tel.registry.gauge(
             "serve_shard_inflight_cases",
             "open (non-terminal) cases owned by each shard",
@@ -695,10 +516,6 @@ class ShardRouter:
         self._m_wal_segments = tel.registry.gauge(
             "serve_wal_segments", "live WAL segment files per shard"
         )
-        self._m_restarts = tel.registry.counter(
-            "serve_shard_restarts_total",
-            "supervised shard replacements, by shard and reason",
-        )
         self._m_recovered = tel.registry.counter(
             "serve_recovered_entries_total",
             "entries replayed into monitors during recovery, by source",
@@ -714,15 +531,13 @@ class ShardRouter:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Warm shared state, resume the durable record, start the threads.
+        """Warm shared state and the shards, and resume the durable record.
 
         With a ``wal_dir`` this returns only once everything the store
-        and the write-ahead log hold is replayed: each case's history
-        goes to its shard as the ``rebuild`` list a supervised restart
-        uses, the per-case sequence marks are restored, and the WAL
+        and the write-ahead log hold is replayed into the shards'
+        monitors, the per-case sequence marks are restored, and the WAL
         delta is committed to the store.  A tampered store is refused
-        before any thread starts.  The shard supervisor runs whenever
-        the WAL is on, the replay included.
+        before anything is replayed.
         """
         if self._shards:
             raise ReproError("the router is already started")
@@ -765,7 +580,7 @@ class ShardRouter:
         store_path = self._durable_store_path()
         if store_path is not None and os.path.exists(store_path):
             # A dismissal outlives the process: the containments that
-            # the resume and restarts replay do not file the case again.
+            # the resume replays do not file the case again.
             with AuditStore(store_path) as store:
                 self._dismissed = store.dismissed_cases()
                 if self.config.wal_dir is not None and not store.is_intact():
@@ -774,74 +589,53 @@ class ShardRouter:
                         f"check; refusing to resume on top of a tampered "
                         f"record"
                     )
-        rebuild: dict[str, list] = {name: [] for name in self._ring.shards}
+        for name in self._ring.shards:
+            monitor = self._new_monitor()
+            # The first streamed entry must hit warm state, never an
+            # artifact load.
+            monitor.prewarm()
+            self._shards[name] = _Shard(name, monitor, self)
+        scan = None
         if self.config.wal_dir is not None:
             for name in self._ring.shards:
                 self._wals[name] = WalWriter(
                     self.config.wal_dir, name, fault_hook=self._wal_fault_hook
                 )
-            # Each case's history goes to its shard to rebuild; only the
-            # WAL delta is staged for the store, never the stored prefix.
             histories, scan = collect_case_histories(
                 store_path, self.config.wal_dir
             )
             for case, history in histories.items():
-                name = self._ring.shard_for(case)
-                items = _replay_items(history)
-                rebuild[name].extend(items)
-                self._case_seq[case] = len(items)
-                self._received += len(history.wal_entries)
-                if self.config.store_path is not None:
-                    self._pending.extend(
-                        (entry, name, 0) for entry in history.wal_entries
-                    )
-        for name in self._ring.shards:
-            shard = _Shard(name, self._new_monitor(), self, rebuild[name])
-            self._shards[name] = shard
-            self._overload[name] = "ok"
-            shard.start()
-        for shard in self._shards.values():
-            # Block until every monitor loaded its artifacts: the first
-            # streamed entry must hit warm state, never an artifact load.
-            shard.warmed.wait(timeout=60)
+                shard = self._shards[self._ring.shard_for(case)]
+                for entry in history.entries:
+                    shard.observe(entry)
+                self._case_seq[case] = len(history.entries)
+            # Only the WAL delta is staged for the store, in the log's
+            # own (acceptance) order, never the stored prefix.
+            self._received += len(scan.wal_delta)
+            if self.config.store_path is not None:
+                self._pending.extend(
+                    (entry, self._ring.shard_for(entry.case), 0)
+                    for entry in scan.wal_delta
+                )
         if self.config.store_path is not None:
             self._writer = _StoreWriter(self.config.store_path, self)
             self._writer.start()
-        # Accepting before the replay ends: the supervisor restarts no
-        # shard of a router that is not.
+        if scan is not None:
+            self._finish_resume(len(histories), scan, started)
         self._accepting = True
-        if self.config.wal_dir is not None:
-            from repro.serve.supervisor import ShardSupervisor
-
-            self._supervisor = ShardSupervisor(self)
-            self._supervisor.start()
-            self._finish_resume(histories, scan, started)
 
     def _finish_resume(
-        self, histories: dict, scan: HistoryScan, started: float
+        self, cases: int, scan: HistoryScan, started: float
     ) -> None:
-        """Once the shards have replayed, commit the WAL delta, start
-        each WAL afresh and publish the report — unless nothing was
-        resumed.  If the store writer dies first, the WAL (the only
-        durable copy of the delta) is kept, and the router stops and
-        raises."""
+        """Commit the replayed WAL delta, start each WAL afresh and
+        publish the report — unless nothing was resumed.  If the store
+        writer dies first, the WAL (the only durable copy of the delta)
+        is kept, and the router stops and raises."""
         if not (scan.store_entries or scan.wal_records):
             return
-        self.wait_idle()
         store_path = self._durable_store_path()
-        # Under the admission lock, as a supervised restart reads the
-        # store + WAL: it never sees a WAL half reset.
-        with self._ingest_lock:
-            self.flush()
-            committed = self._writer_sync()
-            if committed and store_path is not None:
-                # The store owns everything now: each live shard's WAL
-                # restarts empty, and an old topology's segments go.
-                for wal in self._wals.values():
-                    wal.reset()
-                for path in segment_paths(self.config.wal_dir):
-                    if path.name.rsplit("-", 1)[0] not in self._wals:
-                        path.unlink(missing_ok=True)
+        self.flush()
+        committed = self._writer_sync()
         if not committed:
             self.drain()
             raise ReproError(
@@ -849,7 +643,15 @@ class ShardRouter:
                 "write-ahead log delta was committed; the log is kept "
                 "for the next start"
             )
-        delta = sum(len(history.wal_entries) for history in histories.values())
+        if store_path is not None:
+            # The store owns everything now: each live shard's WAL
+            # restarts empty, and an old topology's segments go.
+            for wal in self._wals.values():
+                wal.reset()
+            for path in segment_paths(self.config.wal_dir):
+                if path.name.rsplit("-", 1)[0] not in self._wals:
+                    path.unlink(missing_ok=True)
+        delta = len(scan.wal_delta)
         for source, count in (("store", scan.store_entries), ("wal", delta)):
             if count:
                 self._m_recovered.inc(count, source=source)
@@ -858,7 +660,7 @@ class ShardRouter:
             wal_records=scan.wal_records,
             replayed=scan.store_entries + delta,
             duplicates=scan.wal_duplicates,
-            cases=len(histories),
+            cases=cases,
             # A torn tail on the crashed run's final segments was cut
             # when this router's writers adopted them: still a tear.
             torn_segments=scan.torn_segments
@@ -888,31 +690,26 @@ class ShardRouter:
         traceparent: Optional[str] = None,
         seq: Optional[int] = None,
     ) -> Admission:
-        """Admit one entry and route it to its shard; never blocks.
+        """Admit one entry and replay it on its shard before returning.
 
         With a WAL configured, the entry is framed into its shard's log
-        *before* this method reports it accepted — an entry that cannot
-        be logged is rejected (:class:`~repro.serve.wal.WalError`), not
-        half-accepted.  ``seq`` (1-based per case) makes re-sends
+        *before* it is replayed and reported accepted — an entry that
+        cannot be logged is rejected (:class:`~repro.serve.wal.WalError`),
+        not half-accepted.  ``seq`` (1-based per case) makes re-sends
         idempotent: an entry at or below the case's high-water mark is
         acknowledged as a ``duplicate`` without being re-processed; one
         *beyond* the next expected number is refused ``busy`` (the
-        sender must deliver the gap first — it happens naturally when
-        some of a burst's entries were refused).
+        sender must deliver the gap first).  While the store writer is
+        dead every entry is refused ``busy``.
 
-        An entry whose shard's queue is at the watermark (three quarters
-        of ``queue_capacity``) is refused ``busy`` with the
-        :data:`RETRY_AFTER_S` hint, so overload degrades into explicit
-        retry-later responses instead of unbounded queueing; a caller
-        that must deliver every entry re-sends after the hint.
+        *subscriber* receives the entry's verdict event, if the entry
+        moved its case, on this thread and before this returns.
 
         With tracing enabled, ``traceparent`` (a W3C header value, e.g.
         from the wire protocol's optional field) becomes the remote
         parent of the case's trace; the first ingest span of a case is
         its local root.  Disabled, the extra cost is one attribute read.
         """
-        if not self._accepting:
-            raise ReproError("the service is draining; entry rejected")
         if self._tel.tracer.enabled:
             return self._submit_traced(entry, subscriber, traceparent, seq)
         return self._admit(entry, subscriber, None, seq)
@@ -957,17 +754,13 @@ class ShardRouter:
     ) -> Admission:
         case = entry.case
         with self._ingest_lock:
+            if not self._accepting:
+                raise ReproError("the service is draining; entry rejected")
             count = self._case_seq.get(case, 0)
             name = self._ring.shard_for(case)
             if self._store_error is not None:
-                self._busy_total += 1
-                self._m_busy.inc()
-                return Admission(
-                    accepted=False,
-                    shard=name,
-                    busy=True,
-                    retry_after_s=RETRY_AFTER_S,
-                    reason=f"audit store unavailable: {self._store_error}",
+                return self._refuse(
+                    name, seq, f"audit store unavailable: {self._store_error}"
                 )
             if seq is not None:
                 if seq <= count:
@@ -986,36 +779,12 @@ class ShardRouter:
                     # A gap: earlier entries of the case were refused
                     # or lost.  Refuse this one too — the sender must
                     # redeliver in order.
-                    self._busy_total += 1
-                    self._m_busy.inc()
-                    return Admission(
-                        accepted=False,
-                        shard=name,
-                        case_seq=seq,
-                        busy=True,
-                        retry_after_s=RETRY_AFTER_S,
-                        reason=(
-                            f"sequence gap for case {case!r}: expected "
-                            f"{count + 1}, got {seq}"
-                        ),
+                    return self._refuse(
+                        name,
+                        seq,
+                        f"sequence gap for case {case!r}: expected "
+                        f"{count + 1}, got {seq}",
                     )
-            shard = self._shards[name]
-            # Admission control, before the WAL append (the acceptance
-            # point).  Every put happens under this lock, so the depth
-            # can only shrink before the put below: it has room.
-            depth = shard.queue.qsize()
-            if depth >= self._busy_wm:
-                self._busy_total += 1
-                self._m_busy.inc()
-                self._set_overload(name, "busy", depth)
-                return Admission(
-                    accepted=False,
-                    shard=name,
-                    busy=True,
-                    retry_after_s=RETRY_AFTER_S,
-                    reason=f"shard {name} over its busy watermark",
-                )
-            self._set_overload(name, "ok", depth)
             case_seq = count + 1
             wal_seq = 0
             wal = self._wals.get(name)
@@ -1039,25 +808,24 @@ class ShardRouter:
                 with self._pending_lock:
                     self._pending.append((entry, name, wal_seq))
                     full = len(self._pending) >= self.config.flush_max_batch
-            shard.queue.put_nowait(("entry", entry, subscriber, ctx))
+            self._shards[name].observe(entry, subscriber, ctx)
         if full:
             self.flush()
         return Admission(
             accepted=True, shard=name, case_seq=case_seq, wal_seq=wal_seq
         )
 
-    def _set_overload(self, shard: str, level: str, depth: int) -> None:
-        """Track a shard's admission level; emit transitions only."""
-        previous = self._overload.get(shard, "ok")
-        if previous == level:
-            return
-        self._overload[shard] = level
-        self._tel.events.emit(
-            SERVE_OVERLOAD,
-            shard=shard,
-            level=level,
-            previous=previous,
-            queue_depth=depth,
+    def _refuse(self, name: str, seq: Optional[int], reason: str) -> Admission:
+        """A ``busy`` refusal: the entry must be sent again."""
+        self._busy_total += 1
+        self._m_busy.inc()
+        return Admission(
+            accepted=False,
+            shard=name,
+            case_seq=seq or 0,
+            busy=True,
+            retry_after_s=RETRY_AFTER_S,
+            reason=reason,
         )
 
     def case_trace(self, case: str) -> Optional[TraceContext]:
@@ -1065,41 +833,15 @@ class ShardRouter:
         with self._trace_lock:
             return self._case_traces.get(case)
 
-    def barrier(self, callback: Callable[[], None]) -> bool:
-        """Post a latch that invokes *callback* once all work submitted
-        so far is processed; never blocks.
+    def barrier(self, callback: Callable[[], None]) -> None:
+        """Invoke *callback* once all work submitted so far is processed.
 
-        The latch goes to every shard or to none: when some shard's
-        queue is full, nothing is posted and this returns False — the
-        caller retries after :data:`RETRY_AFTER_S`.  Serialized against
-        supervised restarts: a barrier lands either before a restart
-        (its latch is honored while draining the old shard's queue) or
-        after (posted to the replacement, firing only once the rebuilt
-        state is current) — never astride one.
+        :meth:`submit` replays an entry before it returns, so nothing is
+        ever waiting and the callback runs at once, on this thread.  The
+        ``sync`` and ``results`` ops pass through here: it is the one
+        point that orders them after the entries sent before them.
         """
-        with self._ingest_lock:
-            capacity = self.config.queue_capacity
-            if any(
-                shard.queue.qsize() >= capacity
-                for shard in self._shards.values()
-            ):
-                return False
-            latch = _Barrier(len(self._shards), callback)
-            for shard in self._shards.values():
-                shard.queue.put_nowait(("barrier", latch))
-        return True
-
-    def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        """Block until every shard has drained its queue (test helper)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        done = threading.Event()
-        while not self.barrier(done.set):
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(RETRY_AFTER_S)
-        if deadline is None:
-            return done.wait()
-        return done.wait(max(0.0, deadline - time.monotonic()))
+        callback()
 
     def flush(self) -> None:
         """Hand the buffered entries to the store writer (async commit).
@@ -1187,127 +929,21 @@ class ShardRouter:
         writer.queue.put(("sync", event))
         deadline = time.monotonic() + timeout
         # A writer that dies while this waits never fires the event.
-        while not event.wait(self.config.heartbeat_interval_s):
+        while not event.wait(_WRITER_POLL_S):
             if not writer.is_alive() or time.monotonic() >= deadline:
                 return event.is_set()
         return True
 
-    # -- supervision --------------------------------------------------------
-    def _restart_shard(self, name: str, reason: str) -> None:
-        """Replace a crashed or hung shard (the supervisor's repair verb).
-
-        Within the restart budget the shard is rebuilt in place: a new
-        monitor replays every entry of every case the shard owns from
-        the store + WAL (only a router with a WAL supervises, so that
-        union covers all accepted entries).  The
-        case in flight when the shard died is the poison suspect — it is
-        contained as FAILED/quarantined instead of replayed, so a
-        deterministic killer cannot crash-loop the replacement.  Past
-        the budget the shard is removed from the consistent-hash ring
-        and its cases re-homed to the surviving shards the same way.
-        """
-        with self._ingest_lock:
-            old = self._shards.get(name)
-            if old is None or old.stopped or not self._accepting:
-                return
-            old.abandoned = True
-            victim = old.current_case
-            # Make every accepted entry readable before computing the
-            # rebuild history: pending batches into the store (durability
-            # barrier), WAL buffers onto disk.
-            self.flush()
-            self._writer_sync()
-            for wal in self._wals.values():
-                wal.commit()
-            exclude = frozenset() if victim is None else frozenset({victim})
-            histories, _ = collect_case_histories(
-                self._durable_store_path(),
-                self.config.wal_dir,
-                include=lambda case: self._ring.shard_for(case) == name,
-                exclude=exclude,
-            )
-            rebuild: list[tuple] = []
-            if victim is not None:
-                error = ReproError(
-                    f"shard {name} {reason} while processing case "
-                    f"{victim!r}; the case is quarantined as the poison "
-                    f"suspect"
-                )
-                rebuild.append(("contain", victim, error))
-                self._note_quarantined(victim, OutcomeKind.ERROR, str(error))
-            replay = [
-                item for history in histories.values()
-                for item in _replay_items(history)
-            ]
-            rebuild.extend(replay)
-            within_budget = self._restart_budget.record(name)
-            if within_budget:
-                replacement = _Shard(name, self._new_monitor(), self, rebuild)
-                self._shards[name] = replacement
-                replacement.start()
-                self._m_restarts.inc(shard=name, reason=reason)
-                self._tel.events.emit(
-                    SERVE_SHARD_RESTARTED,
-                    shard=name,
-                    reason=reason,
-                    victim=victim,
-                    cases=len(histories),
-                    entries=len(replay),
-                )
-            else:
-                # Beyond repair: hand the shard's cases to the survivors
-                # through the ring.  Its WAL stays on disk (recovery may
-                # still need those records) but is closed cleanly.
-                self._ring.remove_shard(name)
-                del self._shards[name]
-                self._overload.pop(name, None)
-                wal = self._wals.pop(name, None)
-                if wal is not None:
-                    wal.close()
-                for item in rebuild:
-                    case = item[1] if item[0] == "contain" else item[1].case
-                    owner = self._shards[self._ring.shard_for(case)]
-                    owner.queue.put(item)
-                self._reassigned.append(name)
-                self._m_restarts.inc(shard=name, reason="reassign")
-                self._tel.events.emit(
-                    SERVE_SHARD_REASSIGNED,
-                    shard=name,
-                    reason=reason,
-                    cases=len(histories),
-                )
-            # Honor barriers stranded in the abandoned queue and drop its
-            # entries — the rebuild history covers them.
-            while True:
-                try:
-                    stranded = old.queue.get_nowait()
-                except queue.Empty:
-                    break
-                if stranded[0] == "barrier":
-                    stranded[1].arrive()
-            try:
-                # If the old thread was merely hung it will eventually
-                # wake, notice it is abandoned, and exit on this.
-                old.queue.put_nowait(("stop",))
-            except queue.Full:  # pragma: no cover - queue was just drained
-                pass
-
     # -- drain -------------------------------------------------------------
     def drain(self) -> DrainReport:
-        """Stop intake, finish all queued work, flush.
+        """Stop intake, flush, and stop the store writer.
 
-        Idempotent; after it returns the shard threads have exited and
-        monitor state may be read from any thread.
+        Idempotent; an admission in flight finishes first.
         """
         if self._drained:
             return self._drain_report
-        if self._supervisor is not None:
-            self._supervisor.stop()
-        self._accepting = False
-        for shard in self._shards.values():
-            shard.queue.put(("stop",))
-        for shard in self._shards.values():
-            shard.join()
+        with self._ingest_lock:
+            self._accepting = False
         self.flush()
         intact: Optional[bool] = None
         if self._writer is not None:
@@ -1374,7 +1010,7 @@ class ShardRouter:
 
     def quarantined_cases(self) -> dict[str, OutcomeKind]:
         """Cases the service took out of rotation, with their failure kind."""
-        with self._quarantined_lock:
+        with self._ingest_lock:
             return dict(self._quarantined)
 
     @property
@@ -1383,29 +1019,23 @@ class ShardRouter:
         return self._registry
 
     # -- quarantine triage (the control plane's verbs) -----------------------
-    def requeue_case(self, case: str, wait_s: float = 5.0) -> RequeueResult:
+    def requeue_case(self, case: str) -> RequeueResult:
         """Give a quarantined case a fresh from-scratch replay.
 
-        The replay runs on the case's owning shard thread (queued like
-        any other item, so it is ordered against the case's live
-        entries).  Admission mirrors :meth:`submit`: a draining router
-        or an unknown/not-quarantined case is refused with a reason, a
-        shard over its busy watermark answers ``busy`` with the usual
-        ``retry_after_s`` hint.  Blocks up to *wait_s* for the replay's
-        outcome; on timeout the requeue still completes on the shard —
-        only the synchronous answer is partial.  The shard counts
-        ``serve_requeues_total{outcome}`` when the replay finishes.
+        The replay runs now, on this thread, under the admission lock:
+        it covers every entry accepted so far, and the next one lands
+        after the fresh session exists.  The engine replays under a
+        fresh budget meter; a failure that reproduces goes back into
+        quarantine.  A draining router or an unknown/not-quarantined
+        case is refused with a reason.  Counts
+        ``serve_requeues_total{outcome}``.
         """
-        done = threading.Event()
-        holder: dict = {}
         with self._ingest_lock:
             if not self._accepting:
                 return RequeueResult(
                     case, accepted=False, reason="the service is draining"
                 )
-            with self._quarantined_lock:
-                quarantined = case in self._quarantined
-            if not quarantined:
+            if case not in self._quarantined:
                 self._m_requeues.inc(outcome="refused")
                 return RequeueResult(
                     case,
@@ -1413,30 +1043,24 @@ class ShardRouter:
                     reason=f"case {case!r} is not quarantined",
                 )
             name = self._ring.shard_for(case)
-            shard = self._shards[name]
-            if shard.queue.qsize() >= self._busy_wm:
-                self._m_requeues.inc(outcome="busy")
-                return RequeueResult(
-                    case,
-                    accepted=False,
-                    busy=True,
-                    retry_after_s=RETRY_AFTER_S,
-                    reason=f"shard {name} over its busy watermark",
-                    shard=name,
-                )
-            # Popping the note *before* the replay lets the shard re-file
-            # it if the failure reproduces; _note_quarantined is
+            # Popping the note *before* the replay lets it be filed again
+            # if the failure reproduces; _note_quarantined is
             # first-write-wins, so the slot must be free.
-            with self._quarantined_lock:
-                self._quarantined.pop(case, None)
-            shard.queue.put_nowait(("requeue", case, done, holder))
-        done.wait(wait_s)
+            del self._quarantined[case]
+            state, replayed, kind = self._shards[name].monitor.requeue(case)
+            if kind is not None:
+                self._note_quarantined(
+                    case, kind, "failure reproduced on requeue"
+                )
+            self._m_requeues.inc(
+                outcome="requarantined" if kind is not None else "replayed"
+            )
         return RequeueResult(
             case,
             accepted=True,
             shard=name,
-            state=holder.get("state"),
-            replayed_entries=int(holder.get("replayed", 0)),
+            state=str(state) if state is not None else None,
+            replayed_entries=replayed,
         )
 
     def dismiss_quarantined(self, case: str) -> Optional[OutcomeKind]:
@@ -1448,7 +1072,7 @@ class ShardRouter:
         acquittal; the control plane records it durably in the store's
         control log.  A dismissed case is never filed again.
         """
-        with self._quarantined_lock:
+        with self._ingest_lock:
             kind = self._quarantined.pop(case, None)
             if kind is not None:
                 self._dismissed.add(case)
@@ -1466,23 +1090,31 @@ class ShardRouter:
         order, duplicates collapsed, ids no shard holds (non-strings
         included) dropped.  A consumer that writes each record out
         before pulling the next holds one at a time — the streamed
-        ``results`` reply and the drain-time ``final`` events do.
+        ``results`` reply and the drain-time ``final`` events do.  Each
+        record is read under the admission lock, which is never held
+        across a ``yield``.
         """
-        shards = list(self._shards.values())  # a reassignment may shrink it
         if cases is None:
-            for shard in shards:
+            for shard in self._shards.values():
                 for case in shard.monitor.cases():
-                    yield shard.record(case, digest=digests)
+                    with self._ingest_lock:
+                        record = shard.record(case, digest=digests)
+                    yield record
             return
         seen: set[str] = set()
         for case in cases:
             if not isinstance(case, str) or case in seen:
                 continue
             seen.add(case)
-            for shard in shards:
-                if shard.monitor.case_state(case) is not None:
-                    yield shard.record(case, digest=digests)
-                    break
+            shard = self._shards[self._ring.shard_for(case)]
+            with self._ingest_lock:
+                record = (
+                    shard.record(case, digest=digests)
+                    if shard.monitor.case_state(case) is not None
+                    else None
+                )
+            if record is not None:
+                yield record
 
     def results(self, digests: bool = True) -> dict[str, dict]:
         """Per-case final word: state, purpose, digest, failure kind.
@@ -1500,34 +1132,32 @@ class ShardRouter:
     def case_record(self, case: str) -> dict:
         """One case's :meth:`results` record, read now from its shard.
 
-        A case the shard does not hold (never seen, or between a
-        requeue's reset and replay) reads as all-``None`` fields.
+        A case the shard does not hold reads as all-``None`` fields.
         """
-        return self._shards[self._ring.shard_for(case)].record(case)
+        shard = self._shards[self._ring.shard_for(case)]
+        with self._ingest_lock:
+            return shard.record(case)
 
     def case_findings(self, case: str) -> list[dict]:
         """One case's findings since it was (re)opened, read now from its
         owning shard's engine (``[]`` for a case it does not hold)."""
         monitor = self._shards[self._ring.shard_for(case)].monitor
-        return [finding.as_dict() for finding in monitor.case_findings(case)]
+        with self._ingest_lock:
+            findings = monitor.case_findings(case)
+        return [finding.as_dict() for finding in findings]
 
     def refresh_shard_gauges(self) -> dict[str, dict]:
         """Per-shard load detail; also updates the shard gauges.
 
         Called at scrape time (``/healthz``, ``/metrics``, the ``status``
-        op) so the ``serve_shard_queue_depth`` /
-        ``serve_shard_inflight_cases`` (and WAL lag) gauges are current
-        whenever anybody looks.
+        op) so the ``serve_shard_inflight_cases`` (and WAL lag) gauges
+        are current whenever anybody looks.
         """
         detail: dict[str, dict] = {}
-        # Snapshots: the supervisor may reassign a shard meanwhile.
-        for name, shard in list(self._shards.items()):
-            depth = shard.queue.qsize()
-            inflight = shard.inflight_cases
-            self._m_queue_depth.set(depth, shard=name)
+        for name, shard in self._shards.items():
+            inflight = shard.monitor.open_count
             self._m_inflight.set(inflight, shard=name)
             detail[name] = {
-                "queue_depth": depth,
                 "inflight_cases": inflight,
                 "entries_observed": shard.entries_observed,
             }
@@ -1547,13 +1177,14 @@ class ShardRouter:
         """A live snapshot for the ``status`` op and ``/healthz``."""
         per_state: dict[str, int] = {state.value: 0 for state in CaseState}
         entries = 0
-        for shard in list(self._shards.values()):
-            stats = shard.monitor.statistics()
-            entries += stats.pop("entries", 0)
-            for state, count in stats.items():
-                per_state[state] = per_state.get(state, 0) + count
-        wals = list(self._wals.items())
-        wal_stats = {name: wal.stats() for name, wal in wals}
+        with self._ingest_lock:
+            for shard in self._shards.values():
+                stats = shard.monitor.statistics()
+                entries += stats.pop("entries", 0)
+                for state, count in stats.items():
+                    per_state[state] = per_state.get(state, 0) + count
+            quarantined = len(self._quarantined)
+        wal_stats = {name: wal.stats() for name, wal in self._wals.items()}
         recovery: dict[str, object] = {"recovered": False}
         if self.recovery_report is not None:
             recovery = {"recovered": True, **self.recovery_report.to_dict()}
@@ -1563,15 +1194,13 @@ class ShardRouter:
             "entries_observed": entries,
             "entries_written": self.entries_written,
             "cases": per_state,
-            "quarantined_cases": len(self._quarantined),
+            "quarantined_cases": quarantined,
             "dead_letters": len(self.dead_letters),
             "draining": self.draining,
             "shard_detail": self.refresh_shard_gauges(),
             "backpressure": {
                 "busy": self._busy_total,
                 "duplicates": self._duplicate_total,
-                "busy_watermark": self._busy_wm,
-                "levels": dict(self._overload),
             },
             "wal": {
                 "enabled": bool(self._wals),
@@ -1585,11 +1214,6 @@ class ShardRouter:
                 "segments": sum(s["segments"] for s in wal_stats.values()),
                 "shards": wal_stats,
             },
-            "supervisor": {
-                "enabled": self._supervisor is not None,
-                "restarts": dict(self._restart_budget.counts),
-                "reassigned_shards": list(self._reassigned),
-            },
             "recovery": recovery,
             "store": {
                 "enabled": self._writer is not None,
@@ -1602,11 +1226,11 @@ class ShardRouter:
         self, case: str, kind: OutcomeKind, detail: str
     ) -> None:
         """Record (once) that *case* was taken out of rotation, unless an
-        operator dismissed it."""
-        with self._quarantined_lock:
-            if case in self._quarantined or case in self._dismissed:
-                return
-            self._quarantined[case] = kind
+        operator dismissed it.  Callers hold the admission lock (or run
+        the start-up resume, before anything else can)."""
+        if case in self._quarantined or case in self._dismissed:
+            return
+        self._quarantined[case] = kind
         self._m_quarantined.inc(kind=kind.value)
         self._tel.events.emit(
             CASE_QUARANTINED, case=case, kind=kind.value, detail=detail

@@ -5,15 +5,15 @@ The contract a router with a write-ahead log keeps: after a ``kill -9``
 store and WAL directory reaches a monitor state **byte-identical** (per-case
 :func:`~repro.testing.differential.canonical_digest`) to a run that was
 never interrupted.  :meth:`~repro.serve.core.ShardRouter.start` resumes
-that record before it accepts anything, and a supervised shard restart
-rebuilds its cases from it.  The ingredients:
+that record before it accepts anything.  The ingredients:
 
 * the **audit store** is the hash-chained long-term record — everything
   a committed batch flush persisted, in acceptance order, which is the
   order it is read back in (``seq``, never timestamps);
 * the **WAL delta** is everything accepted after the last committed
   flush — each shard's write-ahead segments, minus the records already
-  in the store;
+  in the store — kept in the order the log holds it, so the resume
+  commits it to the store in acceptance order;
 * the per-case **entry sequence numbers** carried by every WAL record
   make the merge idempotent: a record whose ``case_seq`` is at or below
   the case's store count is a duplicate (the store flush committed but
@@ -29,7 +29,7 @@ so crashing during one and resuming again converges on the same state
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.audit.model import LogEntry
 from repro.audit.store import AuditStore
@@ -58,6 +58,9 @@ class HistoryScan:
     wal_records: int
     wal_duplicates: int  # WAL records already covered by the store
     torn_segments: bool
+    #: The WAL delta (every case's ``wal_entries``) in log order: each
+    #: shard's append order, which is the order its entries were accepted.
+    wal_delta: tuple[LogEntry, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -87,10 +90,7 @@ class RecoveryReport:
 
 
 def collect_case_histories(
-    store_path: Optional[str],
-    wal_dir: Optional[str],
-    include: Optional[Callable[[str], bool]] = None,
-    exclude: frozenset[str] = frozenset(),
+    store_path: Optional[str], wal_dir: Optional[str]
 ) -> tuple[dict[str, CaseHistory], HistoryScan]:
     """Merge the store and the WAL delta into per-case histories.
 
@@ -103,32 +103,24 @@ def collect_case_histories(
     which no crash produces (torn tails only lose suffixes), so it
     raises :class:`~repro.serve.wal.WalCorruptionError` rather than
     silently auditing a hole.
-
-    ``include`` filters cases (the shard supervisor passes its ring
-    predicate); ``exclude`` drops specific cases (the poison suspect).
     """
     histories: dict[str, CaseHistory] = {}
     store_count = 0
     if store_path is not None:
         with AuditStore(store_path) as store:
             for entry in store.iter_entries():
-                case = entry.case
-                if case in exclude or (include is not None and not include(case)):
-                    continue
-                histories.setdefault(case, CaseHistory(case)).store_entries.append(
-                    entry
-                )
+                histories.setdefault(
+                    entry.case, CaseHistory(entry.case)
+                ).store_entries.append(entry)
                 store_count += 1
     wal_count = 0
     duplicates = 0
     torn = False
+    delta: list[LogEntry] = []
     if wal_dir is not None:
         result = read_wal(wal_dir)
         torn = result.torn_tail
         for case, records in wal_records_by_case(result.records).items():
-            if case in exclude or (include is not None and not include(case)):
-                wal_count += len(records)
-                continue
             history = histories.setdefault(case, CaseHistory(case))
             stored = len(history.store_entries)
             # A case's records may span a shard-count change (old shard
@@ -148,9 +140,20 @@ def collect_case_histories(
                     )
                 history.wal_entries.append(record.entry)
                 expected += 1
+        # The delta in log order.  Each delta record takes the next of
+        # its case's entries, so a case stays in its own order even where
+        # its records span two shard topologies.
+        remaining = {
+            case: iter(history.wal_entries)
+            for case, history in histories.items()
+        }
+        for record in result.records:
+            if record.case_seq > len(histories[record.case].store_entries):
+                delta.append(next(remaining[record.case]))
     return histories, HistoryScan(
         store_entries=store_count,
         wal_records=wal_count,
         wal_duplicates=duplicates,
         torn_segments=torn,
+        wal_delta=tuple(delta),
     )

@@ -14,17 +14,17 @@ with the network surface:
 * a **flush timer** committing buffered entries to the audit store
   every ``flush_interval_s``;
 * **graceful drain**: on SIGTERM (wired by the CLI) the service stops
-  accepting input, lets every shard finish, flushes and
-  integrity-checks the store, then sends each connected client the
-  ``final`` verdict of every case it touched and a ``bye``.
+  accepting input, flushes and integrity-checks the store, then sends
+  each connected client the ``final`` verdict of every case it touched
+  and a ``bye``.
 
-Thread/loop topology: the event loop owns all sockets; shard threads
-call back via ``loop.call_soon_threadsafe`` into per-connection outbox
-queues, so writers are only ever touched from the loop.  Nothing on the
-loop blocks on a shard queue: a refused entry is answered ``busy``, and
-a refused ``xes`` entry or barrier waits out
-:data:`~repro.serve.core.RETRY_AFTER_S` with ``asyncio.sleep``, so only
-its own connection waits.
+Thread/loop topology: the event loop owns all sockets and replays every
+entry itself — :meth:`ShardRouter.submit` runs the entry's step and
+hands its verdict event to the connection in the same loop step, and a
+connection's next line is read only once that is done, so a client that
+sends faster than the daemon replays is held back by its own socket.
+Only the store writer, the WAL fsyncs of ``sync`` and the flush tick,
+drain, and the control API run off the loop.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.obs import (
     to_json,
     to_prometheus,
 )
-from repro.serve.core import RETRY_AFTER_S, DrainReport, ShardRouter
+from repro.serve.core import DrainReport, ShardRouter
 from repro.serve.protocol import (
     EV_BUSY,
     EV_BYE,
@@ -67,14 +67,15 @@ from repro.serve.protocol import (
 
 
 class _Connection:
-    """One client: an outbox queue pumped to the writer by a loop task.
+    """One client: its writer, and an outbox pumped by a loop task.
 
-    ``post`` is the thread-safe face shard threads see; ``send`` is the
-    loop-side fast path.  After ``close`` both become no-ops — verdicts
-    for a disconnected client are simply dropped (the store and the
-    ``results`` op are the durable record).  ``stream`` queues a reply
-    written chunk by chunk; whatever is queued behind it waits, so no
-    event ever splits its line.
+    ``send`` writes a message straight to the socket when nothing is
+    queued ahead of it; otherwise it queues the message for the pump,
+    so events leave in the order they were sent.  After ``close`` it
+    becomes a no-op — verdicts for a disconnected client are simply
+    dropped (the store and the ``results`` op are the durable record).
+    ``stream`` queues a reply written chunk by chunk; whatever is sent
+    while it streams waits behind it, so no event ever splits its line.
     """
 
     def __init__(
@@ -85,23 +86,21 @@ class _Connection:
         #: messages, ``(chunks, done)`` streamed replies, and the close
         #: sentinel ``None``
         self._outbox: asyncio.Queue = asyncio.Queue()
+        #: True while the pump writes a streamed reply.
+        self._streaming = False
         self._closed = False
         self.entries_sent = 0
         self.cases: set[str] = set()
         self.pump_task: Optional[asyncio.Task] = None
 
     def send(self, message: dict) -> None:
-        if not self._closed:
-            self._outbox.put_nowait(message)
-
-    def post(self, message: dict) -> None:
-        """Thread-safe send (used as the router's subscriber)."""
+        """Send one event (the router's subscriber, on the loop)."""
         if self._closed:
             return
-        try:
-            self._loop.call_soon_threadsafe(self.send, message)
-        except RuntimeError:  # pragma: no cover - loop already closed
-            pass
+        if self._streaming or not self._outbox.empty():
+            self._outbox.put_nowait(message)
+        else:
+            self._writer.write(encode_message(message))
 
     async def stream(self, chunks: Iterator[bytes]) -> None:
         """Queue a reply of *chunks*; return once it is written or the
@@ -127,6 +126,7 @@ class _Connection:
                     await self._writer.drain()
                     continue
                 chunks, reply = item
+                self._streaming = True
                 try:
                     for chunk in chunks:
                         self._writer.write(chunk)
@@ -143,6 +143,8 @@ class _Connection:
                     if not reply.done():
                         reply.set_exception(error)
                     return
+                finally:
+                    self._streaming = False
                 if not reply.done():
                     reply.set_result(None)
         except (ConnectionResetError, BrokenPipeError):
@@ -268,7 +270,8 @@ class AuditService:
                 if server is not None:
                     server.close()
                     await server.wait_closed()
-            # The router joins threads — keep the loop responsive.
+            # The store writer's last commit and integrity check take
+            # time — keep the loop responsive.
             report = await asyncio.get_running_loop().run_in_executor(
                 None, self.router.drain
             )
@@ -384,7 +387,7 @@ class AuditService:
                 seq = entry_seq(message)
                 admission = self.router.submit(
                     entry,
-                    conn.post,
+                    conn.send,
                     traceparent=message.get("traceparent"),
                     seq=seq,
                 )
@@ -417,39 +420,20 @@ class AuditService:
                     raise ProtocolError(f"bad XES document: {error}") from error
                 traceparent = message.get("traceparent")
                 for entry in trail:
-                    # In order, each admitted as an `entry` op would be;
-                    # a refused entry waits out its retry hint here, so a
-                    # full shard queue never blocks the loop.  A failed
-                    # store refuses for good: the document errors out.
-                    while not (
-                        admission := self.router.submit(
-                            entry, conn.post, traceparent=traceparent
-                        )
-                    ).accepted:
-                        if self.router.store_error is not None:
-                            raise ReproError(admission.reason)
-                        await asyncio.sleep(RETRY_AFTER_S)
+                    # In order, each admitted as an `entry` op would be.
+                    # Unnumbered entries are only refused by a failed
+                    # store, which refuses for good: the document errors
+                    # out.
+                    admission = self.router.submit(
+                        entry, conn.send, traceparent=traceparent
+                    )
+                    if not admission.accepted:
+                        raise ReproError(admission.reason)
                     conn.cases.add(entry.case)
                     conn.entries_sent += 1
             elif op == OP_SYNC:
-                token = message.get("id")
-                received = conn.entries_sent
-                conn_post = conn.post
-                router = self.router
-
-                def synced() -> None:
-                    # The durability half of the barrier: entries are
-                    # only *durably* acknowledged once their WAL records
-                    # are fsynced (runs on a shard thread, off the loop).
-                    router.wal_commit()
-                    conn_post(
-                        {"event": EV_SYNCED, "id": token, "received": received}
-                    )
-
-                # A full shard queue refuses the barrier; wait it out
-                # here, off the loop's other connections.
-                while not self.router.barrier(synced):
-                    await asyncio.sleep(RETRY_AFTER_S)
+                token, received = message.get("id"), conn.entries_sent
+                self.router.barrier(lambda: self._sync(conn, token, received))
             elif op == OP_STATUS:
                 conn.send(
                     {"event": EV_STATUS, **self.router.statistics()}
@@ -473,6 +457,28 @@ class AuditService:
             conn.send({"event": EV_ERROR, "detail": str(error)})
         return True
 
+    def _sync(self, conn: _Connection, token, received: int) -> None:
+        """The ``sync`` op once its barrier passed: fsync the WAL off the
+        loop, then send ``synced`` (or the error that stopped it).  The
+        connection keeps streaming meanwhile."""
+        assert self._loop is not None
+        synced = {"event": EV_SYNCED, "id": token, "received": received}
+        if not self.router.wal_enabled:
+            conn.send(synced)
+            return
+
+        def committed(future: asyncio.Future) -> None:
+            error = future.exception()
+            if error is None:
+                conn.send(synced)
+            else:
+                conn.send(
+                    {"event": EV_ERROR, "detail": f"sync failed: {error}"}
+                )
+
+        commit = self._loop.run_in_executor(None, self.router.wal_commit)
+        commit.add_done_callback(committed)
+
     async def _send_results(self, conn: _Connection, message: dict) -> None:
         """The ``results`` op: barrier, then the per-case final word.
 
@@ -483,20 +489,16 @@ class AuditService:
         reply covers every entry sent before ``results`` and none sent
         after.
         """
-        assert self._loop is not None
-        settled: asyncio.Future = self._loop.create_future()
-        while not self.router.barrier(
-            lambda: self._loop.call_soon_threadsafe(
-                lambda: settled.done() or settled.set_result(None)
-            )
-        ):
-            await asyncio.sleep(RETRY_AFTER_S)
-        await settled
         wanted = message.get("cases")
-        records = self.router.iter_results(
-            wanted if isinstance(wanted, list) else None
+        passed: list[Iterator[dict]] = []
+        self.router.barrier(
+            lambda: passed.append(
+                self.router.iter_results(
+                    wanted if isinstance(wanted, list) else None
+                )
+            )
         )
-        await conn.stream(encode_results(records))
+        await conn.stream(encode_results(passed[0]))
 
     # -- the HTTP endpoint ---------------------------------------------------
     #: ``application/json`` always carries its charset and JSON
@@ -551,7 +553,7 @@ class AuditService:
 
         Returns ``(status line, content type, body, extra headers)``.
         The handler runs in an executor — it reads the store and may
-        wait on a shard (requeue), neither of which may stall the loop.
+        replay a case (requeue), neither of which may stall the loop.
         """
         from urllib.parse import parse_qs, urlsplit
 

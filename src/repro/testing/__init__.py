@@ -14,8 +14,6 @@ from repro.testing.faults import (
     FaultyChecker,
     FaultySession,
     InjectedFaultError,
-    ShardKill,
-    ShardKillInjector,
     cases_started,
     corrupt_artifact,
     corrupt_store_row,
@@ -31,8 +29,6 @@ __all__ = [
     "FaultyChecker",
     "FaultySession",
     "InjectedFaultError",
-    "ShardKill",
-    "ShardKillInjector",
     "cases_started",
     "corrupt_artifact",
     "corrupt_store_row",

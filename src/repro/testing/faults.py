@@ -214,80 +214,6 @@ class FaultInjector:
 # serving-side chaos (for the crash-safe-serve suite)
 
 
-class ShardKill(BaseException):
-    """An injected shard death.
-
-    Deliberately **not** an :class:`Exception`: the online monitor's
-    per-case containment (and the shard's own last-resort handler) catch
-    ``Exception``, so raising this from inside a replay kills the shard
-    thread outright — the same observable failure as a segfaulting
-    extension or an OOM kill, but deterministic and in-process.  The
-    shard supervisor must detect the dead thread and repair.
-    """
-
-
-class _KillingSession:
-    """Feeds normally until the fatal entry, then kills the thread."""
-
-    def __init__(self, session: ComplianceSession, case: str, after: int):
-        self._session = session
-        self._case = case
-        self._after = after
-        self._fed = 0
-
-    def feed(self, entry: LogEntry) -> bool:
-        if entry.case == self._case:
-            self._fed += 1
-            if self._fed > self._after:
-                raise ShardKill(
-                    f"injected shard kill on case {entry.case!r} "
-                    f"(entry #{self._fed})"
-                )
-        return self._session.feed(entry)
-
-    def __getattr__(self, name: str):
-        return getattr(self._session, name)
-
-    def result(self) -> ComplianceResult:
-        return self._session.result()
-
-
-class _KillingChecker:
-    """Checker wrapper arming :class:`_KillingSession` on one case."""
-
-    def __init__(self, checker: ComplianceChecker, case: str, after: int):
-        self._checker = checker
-        self._case = case
-        self._after = after
-
-    def __getattr__(self, name: str):
-        return getattr(self._checker, name)
-
-    def session(self) -> _KillingSession:
-        return _KillingSession(self._checker.session(), self._case, self._after)
-
-    def check(self, trail: AuditTrail | Iterable[LogEntry]) -> ComplianceResult:
-        return self._checker.check(trail)
-
-
-@dataclass(frozen=True)
-class ShardKillInjector:
-    """A ``checker_wrapper`` that kills whichever shard replays *case*.
-
-    ``after_entries`` entries of the case feed normally first, so the
-    shard dies with real in-flight state — the interesting recovery
-    scenario.  Pass as ``checker_wrapper=`` to the
-    :class:`~repro.serve.core.ShardRouter`; interpreted and compiled
-    shards alike replay through the wrapped checker's sessions.
-    """
-
-    case: str
-    after_entries: int = 0
-
-    def __call__(self, checker: ComplianceChecker, purpose: str):
-        return _KillingChecker(checker, self.case, self.after_entries)
-
-
 def disk_full_hook(after_ops: int = 0, phases: tuple[str, ...] = ("append",)):
     """A :class:`~repro.serve.wal.WalWriter` ``fault_hook`` simulating ENOSPC.
 

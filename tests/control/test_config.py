@@ -112,13 +112,17 @@ class TestParsing:
             "shed_watermark",
             "retry_after_s",
             "supervise",
+            "queue_capacity",
+            "heartbeat_interval_s",
+            "hang_timeout_s",
+            "max_shard_restarts",
         ],
     )
     def test_dropped_serve_fields_are_unknown_budget_keys(self, field):
         # The hash ring, the WAL and fresh automata keep their own
-        # defaults, admission derives its watermark from queue_capacity,
-        # the retry hint is a constant and a WAL implies supervision;
-        # these are not ServeConfig fields.
+        # defaults, the retry hint is a constant, and shards are
+        # partitions replayed on the event loop, with no queue, thread
+        # or supervisor to tune; these are not ServeConfig fields.
         with pytest.raises(ConfigError, match="unknown budget keys"):
             parse_config(
                 {"tenants": [{"prefix": "HT"}], "budgets": {field: 1}}
@@ -128,14 +132,10 @@ class TestParsing:
         "budget, value",
         [
             ("shards", 0),
-            ("queue_capacity", 0),
             ("flush_max_batch", 0),
             ("flush_interval_s", 0),
             ("flush_interval_s", -1),
-            ("heartbeat_interval_s", 0),
             ("case_timeout_s", -1),
-            ("hang_timeout_s", 0),
-            ("max_shard_restarts", -1),
         ],
     )
     def test_out_of_range_budgets_are_refused_at_load(self, budget, value):
@@ -281,11 +281,11 @@ class TestServeConfigAndPreflight:
                 )
             )
         )
-        serve = config.serve_config(shards=8, queue_capacity=500)
+        serve = config.serve_config(shards=8, flush_max_batch=500)
         assert isinstance(serve, ServeConfig)
         assert serve.shards == 2  # document wins
         assert serve.case_timeout_s == 1.5
-        assert serve.queue_capacity == 500  # flag untouched by the doc
+        assert serve.flush_max_batch == 500  # flag untouched by the doc
 
     def test_preflight_is_clean_for_shipped_scenarios(self, tmp_path):
         config = load_config(

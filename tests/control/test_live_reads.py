@@ -6,15 +6,26 @@ only counts purposes and states, so it must never compute one;
 ``/api/v1/verdicts`` computes them for the page it returns, not for
 every case the daemon holds; a case read computes only that case's, and
 the quarantine list none.  None of them may change what is returned.
+The reads run on other threads than the stream's; the router's
+admission lock keeps each record whole while entries are replayed.
 """
+
+import sys
+import threading
 
 import pytest
 
 import repro.testing.differential
 from repro.control import ControlPlane
-from repro.scenarios import paper_audit_trail, process_registry, role_hierarchy
+from repro.core.auditor import PurposeControlAuditor
+from repro.scenarios import (
+    hospital_day,
+    paper_audit_trail,
+    process_registry,
+    role_hierarchy,
+)
 from repro.serve import ServeConfig, ShardRouter
-from repro.testing import FaultInjector, FaultPlan
+from repro.testing import FaultInjector, FaultPlan, canonical_digest
 
 
 def _stream_paper_trail(checker_wrapper=None, **config):
@@ -27,7 +38,6 @@ def _stream_paper_trail(checker_wrapper=None, **config):
     router.start()
     for entry in paper_audit_trail():
         assert router.submit(entry).accepted
-    assert router.wait_idle(timeout=30)
     return router
 
 
@@ -148,3 +158,71 @@ def test_a_quarantined_case_read_digests_only_that_case(
     assert len(digest_calls) == 1
     assert payload["kind"] == "timeout"
     assert {key: payload[key] for key in record} == record
+
+
+def test_reads_beside_ingest_never_tear_and_change_nothing():
+    """Two threads stream disjoint cases while three read the console's
+    views, with the interpreter switching threads every 10 µs: no read
+    fails, and every case ends with its batch digest."""
+    trail = hospital_day(40, violation_rate=0.3, seed=5).trail
+    cases = trail.cases()
+    streams = [
+        [entry for entry in trail if entry.case in cases[half::2]]
+        for half in (0, 1)
+    ]
+    router = ShardRouter(
+        process_registry(),
+        hierarchy=role_hierarchy(),
+        config=ServeConfig(shards=2),
+    )
+    router.start()
+    plane = ControlPlane(router=router)
+    streaming = threading.Event()
+    streaming.set()
+    errors: list[BaseException] = []
+
+    def submit(entries):
+        try:
+            for entry in entries:
+                assert router.submit(entry).accepted
+        except BaseException as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    def read():
+        try:
+            while streaming.is_set():
+                router.statistics()
+                router.results()
+                plane.handle("GET", "/api/v1/tenants", {}, None)
+                plane.handle("GET", f"/api/v1/cases/{cases[0]}", {}, None)
+        except BaseException as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    writers = [threading.Thread(target=submit, args=(s,)) for s in streams]
+    readers = [threading.Thread(target=read) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in readers + writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=60)
+        streaming.clear()
+        for thread in readers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        streaming.clear()
+    try:
+        assert not any(t.is_alive() for t in writers + readers)
+        assert errors == []
+        served = router.results()
+    finally:
+        router.drain()
+    batch = PurposeControlAuditor(
+        process_registry(), hierarchy=role_hierarchy()
+    ).audit(trail)
+    assert set(served) == set(cases)
+    for case, result in batch.cases.items():
+        if result.replay is not None:
+            assert served[case]["digest"] == canonical_digest(result.replay)

@@ -8,7 +8,6 @@ hash-chained operator record next to the audit trail.
 """
 
 import threading
-import time
 
 import pytest
 
@@ -30,15 +29,12 @@ from repro.scenarios import (
 )
 from repro.serve import (
     AuditStreamClient,
-    ConsistentHashRing,
     ServeConfig,
     ShardRouter,
 )
-from repro.serve.core import RequeueResult
 from repro.testing import (
     FaultInjector,
     FaultPlan,
-    ShardKillInjector,
     canonical_digest,
     reset_fault_counters,
 )
@@ -230,7 +226,6 @@ class TestRequeue:
         try:
             for entry in mixed_trail():
                 assert router.submit(entry).accepted
-            assert router.wait_idle(timeout=30)
             plane = ControlPlane(router=router)
             for _ in range(3):
                 status, payload, _ = plane.handle(
@@ -260,32 +255,7 @@ class TestRequeue:
         assert status == 409
         assert payload["accepted"] is False
 
-    @pytest.mark.parametrize("wait_s", ["1e300", "inf", "nan", "-1", "abc"])
-    def test_out_of_range_wait_is_refused_before_the_case_is_touched(
-        self, serve_factory, tmp_path, wait_s
-    ):
-        telemetry, _ = _telemetry()
-        handle = _crashing_service(serve_factory, tmp_path, telemetry)
-        plane = ControlPlane(router=handle.router, telemetry=telemetry)
-        victim = paper_audit_trail()[0]
-        with AuditStreamClient(handle.host, handle.port) as client:
-            client.recv_until("hello")
-            client.send_entry(victim)
-            client.sync()
-        assert victim.case in handle.router.quarantined_cases()
-        status, payload, _ = plane.handle(
-            "POST",
-            f"/api/v1/quarantine/{victim.case}/requeue",
-            {"wait_s": wait_s},
-            None,
-        )
-        assert status == 400
-        assert "wait_s" in payload["error"]
-        assert victim.case in handle.router.quarantined_cases()
-        with AuditStore(str(tmp_path / "audit.db")) as store:
-            assert store.control_records() == []
-
-    def test_a_wait_in_range_is_answered_and_recorded(
+    def test_a_requeue_is_answered_and_recorded(
         self, serve_factory, tmp_path
     ):
         telemetry, _ = _telemetry()
@@ -299,35 +269,13 @@ class TestRequeue:
         status, payload, _ = plane.handle(
             "POST",
             f"/api/v1/quarantine/{victim.case}/requeue",
-            {"wait_s": "60"},
+            {},
             None,
         )
         assert status == 200 and payload["state"] == "open"
         with AuditStore(str(tmp_path / "audit.db")) as store:
             actions = store.control_records(case=victim.case)
         assert [a["action"] for a in actions] == ["requeue"]
-
-    def test_busy_shard_maps_to_503_with_retry_after(
-        self, serve_factory, tmp_path, monkeypatch
-    ):
-        telemetry, _ = _telemetry()
-        handle = _crashing_service(serve_factory, tmp_path, telemetry)
-        plane = ControlPlane(router=handle.router, telemetry=telemetry)
-        monkeypatch.setattr(
-            handle.router,
-            "requeue_case",
-            lambda case, wait_s=5.0: RequeueResult(
-                case=case, accepted=False, busy=True, retry_after_s=0.05
-            ),
-        )
-        status, payload, headers = plane.handle(
-            "POST", "/api/v1/quarantine/HT-1/requeue", {}, None
-        )
-        assert status == 503
-        assert payload["retry_after_s"] == 0.05
-        # The header carries the same hint the wire protocol's busy
-        # response does, as a raw decimal.
-        assert headers["Retry-After"] == "0.05"
 
 
 class TestDismiss:
@@ -376,7 +324,6 @@ class TestDismiss:
         first = _mixed_router(tmp_path)
         for entry in mixed_trail():
             assert first.submit(entry).accepted
-        assert first.wait_idle(timeout=30)
         assert _listed(first) == ["NW-1"]
         _dismiss(first, "NW-1")
         first.drain()
@@ -397,43 +344,3 @@ class TestDismiss:
             )
         finally:
             second.drain()
-
-    def test_dismissal_survives_a_supervised_restart(self, tmp_path):
-        trail = list(mixed_trail())
-        ring = ConsistentHashRing(["shard-0", "shard-1"])
-        # Kill the shard that owns NW-1, on a case of its own.
-        suspect = next(
-            entry.case
-            for entry in trail
-            if entry.case != "NW-1"
-            and ring.shard_for(entry.case) == ring.shard_for("NW-1")
-        )
-        telemetry, log = _telemetry()
-        router = _mixed_router(
-            tmp_path,
-            telemetry=telemetry,
-            checker_wrapper=ShardKillInjector(suspect),
-            heartbeat_interval_s=0.05,
-        )
-        try:
-            for entry in trail:
-                if entry.case != suspect:
-                    assert router.submit(entry).accepted
-            assert router.wait_idle(timeout=30)
-            _dismiss(router, "NW-1")
-            killer = next(entry for entry in trail if entry.case == suspect)
-            assert router.submit(killer).accepted
-            deadline = time.monotonic() + 15
-            while not router.statistics()["supervisor"]["restarts"]:
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
-            assert router.wait_idle(timeout=30)
-            # The replacement replayed NW-1 and contained it again; only
-            # the poison suspect is filed.
-            assert router.case_record("NW-1")["state"] == "undecidable"
-            assert _listed(router) == [suspect]
-            assert [
-                event["case"] for event in log.named(CASE_QUARANTINED)
-            ] == ["NW-1", suspect]
-        finally:
-            router.drain()

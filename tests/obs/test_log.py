@@ -25,10 +25,7 @@ from repro.obs.log import (
     SERVE_CLIENT,
     SERVE_DRAINED,
     SERVE_FLUSH,
-    SERVE_OVERLOAD,
     SERVE_RECOVERED,
-    SERVE_SHARD_REASSIGNED,
-    SERVE_SHARD_RESTARTED,
     SERVE_STARTED,
     SERVE_WAL_COMMIT,
     SERVE_WAL_RETIRED,
@@ -64,10 +61,7 @@ class TestVocabulary:
             SERVE_CLIENT,
             SERVE_DRAINED,
             SERVE_FLUSH,
-            SERVE_OVERLOAD,
-            SERVE_RECOVERED,
-            SERVE_SHARD_REASSIGNED,
-            SERVE_SHARD_RESTARTED,
+                    SERVE_RECOVERED,
             SERVE_STARTED,
             SERVE_WAL_COMMIT,
             SERVE_WAL_RETIRED,

@@ -238,7 +238,6 @@ class TestTopSampler:
                 "draining": False,
                 "shard_detail": {
                     "shard-0": {
-                        "queue_depth": 2,
                         "inflight_cases": 3,
                         "entries_observed": observed,
                     }
@@ -272,7 +271,7 @@ class TestTopSampler:
         payloads = self._payloads(5, 5)
         sample = TopSampler(lambda path: payloads[path]).sample(now=1.0)
         assert sample["entries_received"] == 5
-        assert sample["shards"]["shard-0"]["queue_depth"] == 2
+        assert sample["shards"]["shard-0"]["inflight_cases"] == 3
         assert sample["p99_s"] == 0.005
 
 
@@ -286,7 +285,6 @@ class TestTopTenantRows:
                 "draining": False,
                 "shard_detail": {
                     "shard-0": {
-                        "queue_depth": 0,
                         "inflight_cases": 1,
                         "entries_observed": 10,
                     }

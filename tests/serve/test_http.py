@@ -55,12 +55,7 @@ class TestHealthz:
         detail = payload["shard_detail"]
         assert set(detail) == {"shard-0", "shard-1"}
         for stats in detail.values():
-            assert set(stats) >= {
-                "queue_depth",
-                "inflight_cases",
-                "entries_observed",
-            }
-            assert stats["queue_depth"] >= 0
+            assert set(stats) >= {"inflight_cases", "entries_observed"}
             assert stats["inflight_cases"] >= 0
         observed = sum(s["entries_observed"] for s in detail.values())
         assert observed == len(paper_audit_trail())
@@ -78,7 +73,6 @@ class TestMetricsJson:
         assert series["p50"] >= 0.0
         assert series["p99"] >= series["p50"]
         # the gauges registered for shard detail are exported too
-        assert "serve_shard_queue_depth" in payload
         assert "serve_shard_inflight_cases" in payload
 
 

@@ -107,7 +107,6 @@ class TestRecoverEndToEnd:
         first = _router(tmp_path)
         for entry in trail:
             assert first.submit(entry).accepted
-        assert first.wait_idle(timeout=30)
         _crash(first)  # nothing was flushed: the store is empty
 
         second = _router(tmp_path)
@@ -133,7 +132,6 @@ class TestRecoverEndToEnd:
         assert first._writer_sync(timeout=30)
         for entry in trail[half:]:
             assert first.submit(entry).accepted
-        assert first.wait_idle(timeout=30)
         _crash(first)
 
         # The store holds the first half; the WAL still holds *all*
@@ -162,7 +160,6 @@ class TestRecoverEndToEnd:
         first = _router(tmp_path)
         for entry in trail:
             assert first.submit(entry).accepted
-        assert first.wait_idle(timeout=30)
         _crash(first)
 
         # Crash *during* a resume, after the replay flushed but before
@@ -190,7 +187,6 @@ class TestRecoverEndToEnd:
         first = _router(tmp_path)  # 3 shards
         for entry in trail:
             assert first.submit(entry).accepted
-        assert first.wait_idle(timeout=30)
         _crash(first)
 
         # The replacement runs a different topology: WAL segments are
@@ -209,7 +205,6 @@ class TestRecoverEndToEnd:
         first = _router(tmp_path, shards=1)
         for entry in trail:
             assert first.submit(entry).accepted
-        assert first.wait_idle(timeout=30)
         _crash(first)
         from repro.serve.wal import segment_paths
 
@@ -241,18 +236,16 @@ class TestRecoverEndToEnd:
         second = _router(tmp_path, shards=1)
         for entry in trail[half:]:
             assert second.submit(entry).accepted
-        assert second.wait_idle(timeout=30)
         assert _digests(second) == _batch_digests()
         assert second.drain().store_intact is True
         with AuditStore(str(tmp_path / "audit.db")) as store:
             stored = list(store.iter_entries())
-        # Every row, each case's in acceptance order (the resume stages
-        # the WAL delta case by case).
+        # Every row, in acceptance order: the resume stages the WAL delta
+        # in the log's own order, so the chain records how the cases
+        # interleaved.
+        for row, (got, sent) in enumerate(zip(stored, trail)):
+            assert got == sent, f"store row {row} is out of acceptance order"
         assert len(stored) == len(trail)
-        for case in {entry.case for entry in trail}:
-            assert [e for e in stored if e.case == case] == [
-                e for e in trail if e.case == case
-            ]
 
     def test_a_fresh_record_is_not_a_resume(self, tmp_path):
         from repro.obs import SERVE_RECOVERED, MemoryEventLog, Telemetry
@@ -275,7 +268,6 @@ class TestRecoverEndToEnd:
         first = _router(tmp_path, shards=1)
         for entry in trail:
             assert first.submit(entry).accepted
-        assert first.wait_idle(timeout=30)
         live = first.results()["HT-1"]
         assert live["state"] == "completed"
         first.drain()
@@ -293,7 +285,6 @@ class TestRecoverGuards:
             assert first.submit(entry).accepted
         first.flush()
         assert first._writer_sync(timeout=30)
-        assert first.wait_idle(timeout=30)
         _crash(first)
 
         store = AuditStore(str(tmp_path / "audit.db"))
@@ -310,7 +301,6 @@ class TestRecoverGuards:
         first = _router(tmp_path, shards=1)
         for entry in trail:
             assert first.submit(entry).accepted
-        assert first.wait_idle(timeout=30)
         _crash(first)
 
         # Drop a middle record by rewriting the (single) segment without
@@ -349,7 +339,6 @@ class TestRecoverGuards:
         first = _router(tmp_path, shards=1)
         for entry in trail:
             assert first.submit(entry).accepted
-        assert first.wait_idle(timeout=30)
         _crash(first)  # every entry acknowledged, none in the store
         segments = segment_paths(tmp_path / "wal")
         assert segments
@@ -378,7 +367,6 @@ class TestRecoverGuards:
         first = _router(tmp_path)
         for seq, entry in enumerate(case_entries, start=1):
             assert first.submit(entry, seq=seq).accepted
-        assert first.wait_idle(timeout=30)
         _crash(first)
 
         second = _router(tmp_path)
@@ -421,7 +409,6 @@ class TestRecoverThroughTableTier:
         first = self._table_router(tmp_path)
         for entry in trail:
             assert first.submit(entry).accepted
-        assert first.wait_idle(timeout=30)
         _crash(first)
 
         registry = MetricsRegistry()
@@ -449,7 +436,6 @@ class TestRecoverThroughTableTier:
         first = self._table_router(tmp_path)
         for entry in trail:
             assert first.submit(entry).accepted
-        assert first.wait_idle(timeout=30)
         _crash(first)
 
         # Corrupt *after* the restarted router's startup precompile

@@ -640,14 +640,11 @@ class TestServeNumbers:
         "flags, field",
         [
             (["--shards", "0"], "shards"),
-            (["--queue-capacity", "0"], "queue_capacity"),
-            (["--max-shard-restarts", "-1"], "max_shard_restarts"),
             (["--flush-interval", "0"], "flush_interval_s"),
             (["--flush-interval", "-1"], "flush_interval_s"),
             (["--flush-interval", "nan"], "flush_interval_s"),
             (["--flush-batch", "0"], "flush_max_batch"),
             (["--case-timeout", "-1"], "case_timeout_s"),
-            (["--hang-timeout", "0"], "hang_timeout_s"),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else value,
     )
@@ -660,24 +657,26 @@ class TestServeNumbers:
 
 
 class TestServeCrashSafety:
-    def test_hang_timeout_without_a_wal_is_bad_input(self, capsys):
-        # The router refuses it as it is built, before any thread or
-        # listener starts.
-        code = main(["serve", "--scenario", "paper", "--hang-timeout", "1"])
-        captured = capsys.readouterr()
-        assert code == EXIT_BAD_INPUT
-        assert captured.err.startswith("error: hang_timeout_s needs wal_dir")
-        assert captured.out == ""
-
     @pytest.mark.parametrize("flag", ["--recover", "--supervise"])
     def test_crash_safety_is_the_wal_dir_alone(self, capsys, tmp_path, flag):
-        # --wal-dir resumes and supervises on its own; the old switches
-        # are unrecognized arguments.
+        # --wal-dir resumes on its own; the old switches are
+        # unrecognized arguments.
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--scenario", "paper", "--wal-dir",
                   str(tmp_path), flag])
         assert exit_info.value.code == EXIT_BAD_INPUT
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", ["--queue-capacity", "--hang-timeout", "--max-shard-restarts"]
+    )
+    def test_shard_thread_flags_are_gone(self, capsys, flag):
+        # Shards are partitions, not threads: no queue to bound, no
+        # thread to police or restart.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--scenario", "paper", flag, "1"])
+        assert exit_info.value.code == EXIT_BAD_INPUT
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestLint:
