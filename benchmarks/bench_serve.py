@@ -2,9 +2,9 @@
 
 Drives the :class:`~repro.serve.core.ShardRouter` directly (no sockets —
 this measures the audit engine, not loopback TCP) with a synthetic
-hospital day, at 1/2/4 shards, and writes ``BENCH_serve.json`` at the
-repo root: entries/s, p99 ingest latency, and the per-shard scaling
-curve.  CI runs this on every push and the blocking perf gate
+hospital day, and writes ``BENCH_serve.json`` at the repo root:
+entries/s and p50/p99 ingest latency, plain and with the write-ahead
+log.  CI runs this on every push and the blocking perf gate
 (``benchmarks/perf_gate.py``) compares the result against the committed
 baseline in ``benchmarks/baselines/``.
 
@@ -32,7 +32,6 @@ from repro.serve import ServeConfig, ShardRouter
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT = REPO_ROOT / "BENCH_serve.json"
 
-SHARD_COUNTS = (1, 2, 4)
 N_CASES = 80
 ROUNDS = 5  # best-of, to shed scheduler noise
 
@@ -52,14 +51,14 @@ def _workload():
     return hospital_day(n_cases=N_CASES, violation_rate=0.1, seed=42)
 
 
-def _measure_round(entries, shards: int, wal_dir: str | None = None) -> dict:
+def _measure_round(entries, wal_dir: str | None = None) -> dict:
     """One timed pass: submit every entry (each is replayed before
     ``submit`` returns, so the loop's end is quiescence)."""
     telemetry = Telemetry.create()
     router = ShardRouter(
         process_registry(),
         hierarchy=role_hierarchy(),
-        config=ServeConfig(shards=shards, compiled=True, wal_dir=wal_dir),
+        config=ServeConfig(compiled=True, wal_dir=wal_dir),
         telemetry=telemetry,
     )
     router.start()  # warm-up (encode + compile) is not measured
@@ -78,18 +77,13 @@ def _measure_round(entries, shards: int, wal_dir: str | None = None) -> dict:
 
 
 def measure(entries) -> dict:
-    """Best-of-``ROUNDS`` serve throughput at every shard count."""
-    per_shards: dict[str, dict] = {}
-    for shards in SHARD_COUNTS:
-        best: dict | None = None
-        for _ in range(ROUNDS):
-            sample = _measure_round(entries, shards)
-            if best is None or sample["entries_per_s"] > best["entries_per_s"]:
-                best = sample
-        per_shards[str(shards)] = {
-            key: round(value, 9) for key, value in best.items()
-        }
-    top = per_shards[str(SHARD_COUNTS[-1])]
+    """Best-of-``ROUNDS`` serve throughput, plain and with the WAL."""
+    best: dict | None = None
+    for _ in range(ROUNDS):
+        sample = _measure_round(entries)
+        if best is None or sample["entries_per_s"] > best["entries_per_s"]:
+            best = sample
+    top = {key: round(value, 9) for key, value in best.items()}
     # The crash-safety tax.  A direct wall-clock A/B (plain round vs
     # WAL round) cannot resolve a ~10% effect here: measured round-to-
     # round noise on a shared box is ±30%, so any ratio of two noisy
@@ -106,7 +100,7 @@ def measure(entries) -> dict:
     wal_round: dict | None = None
     for _ in range(ROUNDS):
         with tempfile.TemporaryDirectory(prefix="bench-serve-wal-") as wal_dir:
-            sample = _measure_round(entries, SHARD_COUNTS[-1], wal_dir=wal_dir)
+            sample = _measure_round(entries, wal_dir=wal_dir)
         if wal_round is None or sample["entries_per_s"] > wal_round["entries_per_s"]:
             wal_round = sample
     return {
@@ -114,8 +108,8 @@ def measure(entries) -> dict:
         "workload": {"cases": N_CASES, "entries": len(entries)},
         "calibration_ops_per_s": round(calibration_ops_per_s(), 3),
         "entries_per_s": top["entries_per_s"],
+        "p50_latency_s": top["p50_latency_s"],
         "p99_latency_s": top["p99_latency_s"],
-        "shards": per_shards,
         "wal": {
             "entries_per_s": round(wal_round["entries_per_s"], 9),
             "p99_latency_s": round(wal_round["p99_latency_s"], 9),
@@ -163,9 +157,6 @@ def test_serve_throughput_report():
     result = measure(list(day.trail))
     assert result["entries_per_s"] > 0
     assert result["p99_latency_s"] >= 0
-    # More shards must not collapse throughput: the scaling curve is
-    # the whole point of publishing per-shard numbers.
-    assert set(result["shards"]) == {str(n) for n in SHARD_COUNTS}
     assert result["wal"]["entries_per_s"] > 0
     write_report(result)
 

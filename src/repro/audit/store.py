@@ -324,7 +324,7 @@ class AuditStore:
         The order the entries were appended in — for the streaming
         service, acceptance order — where :meth:`query`'s trail re-sorts
         by timestamp.  Replays that must see what the service saw live
-        (re-audit, the service's resume and shard restarts) read this.
+        (re-audit and the service's start-up resume) read this.
         """
         cursor = 0
         while True:

@@ -12,7 +12,7 @@ Installed as the ``repro`` console script::
     repro generate  --process HT:treatment.json --cases 50 --out day.xes
     repro stats     --process HT:treatment.json --trail day.xes
     repro serve     --process HT:treatment.json --port 7687 \\
-                    --shards 4 --store audit.db
+                    --store audit.db
     repro demo
 
 Process arguments use ``PREFIX:file.json``: the case prefix (the ``HT``
@@ -31,7 +31,7 @@ after the report.  ``--otlp DEST`` (also on ``serve``) exports spans
 and metrics as OTLP/JSON — to a JSON-lines file or an ``http(s)://``
 collector; ``repro trace CASE --from FILE`` renders a case's span tree
 from such a file, and ``repro top URL`` live-samples a running
-service's per-shard throughput, in-flight cases, and ingest latency.
+service's throughput, open cases, and ingest latency.
 
 Resilience (``docs/robustness.md``): ``repro audit`` accepts
 ``--workers N`` (parallel, crash-isolated case auditing), ``--on-error
@@ -45,11 +45,11 @@ warm artifacts so later runs — and parallel workers — skip re-encoding
 and re-exploration entirely.
 
 Streaming (``docs/serving.md``): ``repro serve`` runs the audit daemon —
-a JSON-lines TCP endpoint fanning entries out over ``--shards`` online
-monitors, persisting the stream to ``--store`` in batched transactions,
-with ``/healthz`` and ``/metrics`` on ``--http-port``.  SIGTERM (or
-SIGINT) drains gracefully: intake stops, shards finish, the store is
-flushed and integrity-checked.
+a JSON-lines TCP endpoint replaying every entry on one online monitor,
+persisting the stream to ``--store`` in batched transactions, with
+``/healthz`` and ``/metrics`` on ``--http-port``.  SIGTERM (or SIGINT)
+drains gracefully: intake stops, the store is flushed and
+integrity-checked.
 
 Static verification (``docs/analysis.md``): ``repro lint`` runs the
 diagnostics engine (structural PC1xx, soundness PC2xx, policy PC3xx,
@@ -549,7 +549,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             preflight=not args.no_preflight,
         )
     flags = dict(
-        shards=args.shards,
         store_path=args.store,
         flush_interval_s=args.flush_interval,
         flush_max_batch=args.flush_batch,
@@ -653,7 +652,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    """Live per-shard view of a running service (Ctrl-C exits)."""
+    """Live view of a running service (Ctrl-C exits)."""
     import json as _json
     import time as _time
     import urllib.error
@@ -998,11 +997,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="port for /healthz and /metrics (0 = ephemeral; "
         "-1 disables HTTP)",
     )
-    serve.add_argument(
-        "--shards", type=int, default=4,
-        help="online-monitor shards; cases are consistent-hashed "
-        "across them (default: 4)",
-    )
+    # Accepted and ignored (every case is replayed on one engine);
+    # scripts such as perfbench/daemonctl.py still pass it.
+    serve.add_argument("--shards", type=int, help=argparse.SUPPRESS)
     serve.add_argument(
         "--store", metavar="PATH", default=None,
         help="persist the stream to this SQLite audit store",
@@ -1025,9 +1022,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_robustness.add_argument(
         "--wal-dir", metavar="DIR", default=None,
-        help="per-shard write-ahead ingest log: every accepted entry "
-        "is CRC-framed here before it is acknowledged; a daemon with "
-        "one resumes the store + WAL before listening",
+        help="write-ahead ingest log: every accepted entry is "
+        "CRC-framed here before it is acknowledged; a daemon with one "
+        "resumes the store + WAL before listening",
     )
     serve_compilation = serve.add_argument_group("compiled replay")
     serve_compilation.add_argument(
@@ -1055,7 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = commands.add_parser(
         "top",
-        help="live per-shard throughput/latency view of a running service",
+        help="live throughput/latency view of a running service",
     )
     top.add_argument(
         "url", help="the service's HTTP endpoint, e.g. 127.0.0.1:8080"
@@ -1132,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "quarantine", help="list quarantined cases and their failure kinds"
     )
     requeue = control_actions.add_parser(
-        "requeue", help="replay a quarantined case through its shard"
+        "requeue", help="replay a quarantined case from its first entry"
     )
     requeue.add_argument("case")
     dismiss = control_actions.add_parser(

@@ -180,7 +180,7 @@ class PurposeAutomaton:
 
     ``cells``, ``pool``, ``symbols`` and ``n_symbols`` are the dense
     table, read directly by compiled replay; only this class writes
-    them.  Growth is single-threaded: every shard or worker owns its
+    them.  Growth is single-threaded: every engine or worker owns its
     automaton.
     """
 

@@ -9,15 +9,15 @@ behind ``repro control --store`` (no daemon at all), and the tests.
 Two mounting modes:
 
 * **live** — constructed with a running
-  :class:`~repro.serve.core.ShardRouter`: verdicts come from the
-  shards' monitors (each record read under the router's admission lock,
-  between two entries of the stream), quarantine triage goes through
+  :class:`~repro.serve.core.ShardRouter`: verdicts come from its
+  monitor (each record read under the router's admission lock, between
+  two entries of the stream), quarantine triage goes through
   the router (a requeue replays the case before it answers), and the
   audit store supplies trails and durable operator records;
 * **standalone** — constructed over a store file and an
   :class:`~repro.control.config.AuditConfig`: verdicts come from a
   cached replay of the store, and triage is limited to inspection and
-  durable dismissal (there is no live shard to requeue into).
+  durable dismissal (there is no live engine to requeue into).
 
 Endpoints (all JSON; see ``docs/control-plane.md``)::
 
@@ -159,7 +159,7 @@ class ControlPlane:
 
     # -- verdict queries -------------------------------------------------
     def _records(self, digests: bool = True) -> dict[str, dict]:
-        """Per-case records: live from the shards, or a cached replay.
+        """Per-case records: live from the engine, or a cached replay.
 
         The live read interleaves with ingest by construction (that is
         the point of a control plane): each record is current when it
@@ -411,7 +411,6 @@ class ControlPlane:
             "accepted": result.accepted,
             "state": result.state,
             "replayed_entries": result.replayed_entries,
-            "shard": result.shard or None,
             "reason": result.reason or None,
         }
         if not result.accepted:
@@ -536,14 +535,10 @@ class ControlPlane:
                     400, f"cannot read ledger {ledger_path!r}: {error}"
                 ) from error
         if self.router is not None and self.config is not None:
-            records = {
-                case: {k: v for k, v in record.items() if k != "shard"}
-                for case, record in self._records().items()
-            }
             return ReauditLedger(
                 config_fingerprint=self.config.fingerprint(),
                 fingerprints=self.config.tenant_fingerprints(),
-                records=records,
+                records=self._records(),
             )
         return None
 

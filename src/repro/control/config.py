@@ -16,7 +16,7 @@ Schema (JSON shown; TOML is isomorphic)::
     {
       "version": "2026-08-07",
       "hierarchy": {"nurse": ["physician"]},
-      "budgets": {"shards": 4, "case_timeout_s": 2.0},
+      "budgets": {"flush_max_batch": 512, "case_timeout_s": 2.0},
       "tenants": [
         {
           "purpose": "healthcare",            // default: process purpose

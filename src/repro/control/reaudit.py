@@ -39,10 +39,9 @@ class ReauditLedger:
     """What one re-audit concluded, keyed for the next incremental run.
 
     ``records`` maps each case id to its final word — the engine's
-    :meth:`~repro.core.monitor.OnlineMonitor.case_record`, which the
-    :meth:`~repro.serve.core.ShardRouter.results` records tag with a
-    ``shard`` key (shard placement is an implementation detail two runs
-    need not share).  ``fingerprints`` are the per-tenant content
+    :meth:`~repro.core.monitor.OnlineMonitor.case_record`, as
+    :meth:`~repro.serve.core.ShardRouter.results` returns it.
+    ``fingerprints`` are the per-tenant content
     hashes the verdicts were computed under; the next incremental run
     diffs against them.
     """

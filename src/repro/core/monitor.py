@@ -15,7 +15,7 @@ entry, and cases are independent (Section 7), so the monitor is also the
 one case engine every mode drives: it resolves a case's purpose, builds
 and caches its checker, replays and meters it, contains its failures,
 keeps its findings, requeues it and writes its record.  The batch
-auditor, the serve daemon's shards, re-audit and the control plane all
+auditor, the serve daemon, re-audit and the control plane all
 call it (``docs/robustness.md``).
 
 Temporal constraints (:mod:`repro.core.temporal`) integrate through
@@ -224,7 +224,6 @@ class OnlineMonitor:
         #: loaded or last saved).
         self._warmed: dict[str, tuple] = {}
         self._cases: dict[str, MonitoredCase] = {}
-        self._open = 0  # cases in the OPEN state
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._tel = tel
         self.automaton_cache = None
@@ -341,22 +340,15 @@ class OnlineMonitor:
         monitored = MonitoredCase(case, purpose, None, state)
         self._cases[case] = monitored
         self._m_cases.inc(state=state.value)
-        if state is CaseState.OPEN:
-            self._open += 1
         return monitored
 
     def _transition(self, monitored: MonitoredCase, state: CaseState) -> None:
-        """Move a case to *state*, keeping the open count and the
-        per-state gauges current."""
+        """Move a case to *state*, keeping the per-state gauges current."""
         previous = monitored.state
         if previous is not state:
             self._m_cases.dec(state=previous.value)
             monitored.state = state
             self._m_cases.inc(state=state.value)
-            if previous is CaseState.OPEN:
-                self._open -= 1
-            elif state is CaseState.OPEN:
-                self._open += 1
 
     def _raise(self, monitored: MonitoredCase, finding: Infringement) -> None:
         monitored.findings += (finding,)
@@ -429,9 +421,8 @@ class OnlineMonitor:
         monitored = self._cases.get(case)
         if monitored is None:
             monitored = self._open_case(case)
-            previous = None
-        else:
-            previous = monitored.state
+        # No entry yet: opened just now, or afresh by a requeue.
+        previous = monitored.state if monitored.entries else None
         self._m_entries.inc()
         monitored.entries.append(entry)
         if previous is None and monitored.session is None:
@@ -509,11 +500,9 @@ class OnlineMonitor:
     def contain(self, case: str, error: BaseException) -> Infringement:
         """Contain *error* to *case* (quarantine the case).
 
-        The case transitions to UNDECIDABLE or FAILED and keeps the
-        finding :meth:`failure_finding` words; the monitor keeps running.
-        The streaming audit service also calls this to take a case out
-        of rotation — the poison suspect of a crashed shard.  Returns
-        the finding that was filed.
+        *case* must be tracked.  It transitions to UNDECIDABLE or FAILED
+        and keeps the finding :meth:`failure_finding` words; the monitor
+        keeps running.  Returns the finding that was filed.
         """
         kind, finding = self.failure_finding(case, error)
         state = (
@@ -521,13 +510,8 @@ class OnlineMonitor:
             if kind is OutcomeKind.UNDECIDABLE
             else CaseState.FAILED
         )
-        monitored = self._cases.get(case)
-        if monitored is None:
-            # An untracked case (a restarted shard's poison suspect)
-            # still belongs to the purpose it claims.
-            monitored = self._track(case, self.resolve(case)[0], state)
-        else:
-            self._transition(monitored, state)
+        monitored = self._cases[case]
+        self._transition(monitored, state)
         monitored.failure_kind = kind
         monitored.findings += (finding,)
         return finding
@@ -544,19 +528,18 @@ class OnlineMonitor:
         one (a process that defeats Algorithm 1, a case that blows its
         budget again) is contained again.  Returns the case's new state,
         the number of entries replayed and its failure kind; an unknown
-        case replays nothing and returns ``(None, 0, None)``.
+        case replays nothing and returns ``(None, 0, None)``.  The case
+        keeps its place in first-seen order.
         """
-        monitored = self._cases.pop(case, None)
+        monitored = self._cases.get(case)
         if monitored is None:
             return None, 0, None
         self._m_cases.dec(state=monitored.state.value)
-        if monitored.state is CaseState.OPEN:
-            self._open -= 1
+        # A fresh record in the case's own slot, which the replay's
+        # first entry finds empty.
+        replayed = self._open_case(case)
         for entry in monitored.entries:
             self.observe(entry)
-        replayed = self._cases.get(case)
-        if replayed is None:
-            return None, 0, None
         return replayed.state, len(monitored.entries), replayed.failure_kind
 
     def save_automata(self) -> None:
@@ -639,7 +622,7 @@ class OnlineMonitor:
 
     # The readers below may run on another thread than the one calling
     # observe() (the service's /healthz and control API read a live
-    # shard).  Each iterates a one-shot snapshot of the case table:
+    # engine).  Each iterates a one-shot snapshot of the case table:
     # iterating the live dict while observe() inserts a new case raises
     # "dictionary changed size during iteration".  list() over keys or
     # values copies without allocating per item, so no other thread runs
@@ -655,12 +638,6 @@ class OnlineMonitor:
             for m in list(self._cases.values())
             if m.state is CaseState.OPEN
         ]
-
-    @property
-    def open_count(self) -> int:
-        """How many cases are OPEN (``len(open_cases())``, kept as cases
-        change state)."""
-        return self._open
 
     def infringing_cases(self) -> list[str]:
         return [

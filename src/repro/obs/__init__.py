@@ -16,7 +16,7 @@ watching:
   OTLP/JSON (spans + metrics, file or HTTP collector), and the
   human-readable ``repro stats`` summary;
 * :mod:`repro.obs.console` — operator rendering: ``repro trace``'s span
-  trees and ``repro top``'s live per-shard service sampler.
+  trees and ``repro top``'s live service sampler.
 
 The handle instrumented classes accept is a :class:`Telemetry` bundle.
 The library default is :meth:`Telemetry.disabled` — a shared bundle of
@@ -74,6 +74,7 @@ from repro.obs.log import (
     SERVE_FLUSH,
     SERVE_RECOVERED,
     SERVE_STARTED,
+    SERVE_TICK_FAILED,
     SERVE_WAL_COMMIT,
     SERVE_WAL_RETIRED,
     WEAKNEXT_COMPUTED,
@@ -186,6 +187,7 @@ __all__ = [
     "SERVE_FLUSH",
     "SERVE_RECOVERED",
     "SERVE_STARTED",
+    "SERVE_TICK_FAILED",
     "SERVE_WAL_COMMIT",
     "SERVE_WAL_RETIRED",
     "WEAKNEXT_COMPUTED",

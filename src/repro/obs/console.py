@@ -10,8 +10,8 @@ test without a terminal or a socket:
   durations;
 * ``repro top`` — :class:`TopSampler` polls a running service's
   ``/healthz`` + ``/metrics.json`` (the fetcher is injected: the CLI
-  passes urllib, tests pass a dict lookup) and renders per-shard
-  throughput, in-flight cases, and p50/p99 ingest latency.
+  passes urllib, tests pass a dict lookup) and renders throughput,
+  open cases, and p50/p99 ingest latency.
 """
 
 from __future__ import annotations
@@ -210,10 +210,10 @@ class TopSampler:
         return {
             "t": time.monotonic() if now is None else now,
             "entries_received": health.get("entries_received", 0),
+            "open": health.get("cases", {}).get("open", 0),
             "quarantined": health.get("quarantined_cases", 0),
             "draining": health.get("draining", False),
             "status": health.get("status", "ok"),
-            "shards": health.get("shard_detail", {}),
             "tenants": tenants,
             "p50_s": latency.get("p50", 0.0),
             "p99_s": latency.get("p99", 0.0),
@@ -245,24 +245,11 @@ class TopSampler:
             state = "serving"
         lines = [
             f"repro top — {state} · entries {current['entries_received']} "
-            f"({total_rate}) · quarantined {current['quarantined']} · "
+            f"({total_rate}) · open {current['open']} · "
+            f"quarantined {current['quarantined']} · "
             f"ingest p50 {_format_ms(current['p50_s'])} "
             f"p99 {_format_ms(current['p99_s'])}",
-            f"{'shard':<12}{'inflight':>10}{'entries':>10}{'rate':>10}",
         ]
-        for name in sorted(current["shards"]):
-            shard = current["shards"][name]
-            rate = "-"
-            if previous and name in previous["shards"]:
-                rate = self._rate(
-                    shard["entries_observed"]
-                    - previous["shards"][name]["entries_observed"],
-                    elapsed,
-                )
-            lines.append(
-                f"{name:<12}{shard['inflight_cases']:>10}"
-                f"{shard['entries_observed']:>10}{rate:>10}"
-            )
         if current.get("tenants"):
             lines.append(
                 f"{'tenant':<16}{'prefix':>7}{'cases':>7}"

@@ -46,12 +46,12 @@ event               emitted when
                     statically unsound and quarantined its cases
                     (fields: purpose, process, codes)
 ``serve.started``   the streaming audit service began accepting entry
-                    streams (fields: host, port, http_port, shards)
+                    streams (fields: host, port, http_port)
 ``serve.client``    a client connected to or disconnected from the
                     streaming service (fields: peer, phase, entries)
 ``serve.flush``     buffered entries were flushed to the audit store in
                     one batch (fields: entries, duration_s)
-``serve.drained``   the service drained: shards idle, store flushed
+``serve.drained``   the service drained: intake stopped, store flushed
                     (fields: entries, cases)
 ``case.quarantined``  the streaming service took one case out of
                     rotation (fields: case, kind, detail)
@@ -59,7 +59,10 @@ event               emitted when
                     durability barrier behind the ``sync`` op (fields:
                     records)
 ``serve.wal_retired``  WAL segments wholly covered by a committed store
-                    flush were deleted (fields: shard, upto, segments)
+                    flush were deleted (fields: upto, segments)
+``serve.tick_failed``  the flush timer's store flush or WAL fsync raised;
+                    the timer keeps running and the next tick retries
+                    (fields: error)
 ``serve.recovered``  a service with a WAL resumed in-flight state from
                     the store + WAL delta at start; only when there was
                     something to replay (fields: store_entries,
@@ -107,6 +110,7 @@ SERVE_CLIENT = "serve.client"
 CASE_QUARANTINED = "case.quarantined"
 SERVE_WAL_COMMIT = "serve.wal_commit"
 SERVE_WAL_RETIRED = "serve.wal_retired"
+SERVE_TICK_FAILED = "serve.tick_failed"
 SERVE_RECOVERED = "serve.recovered"
 CONTROL_CONFIG_LOADED = "control.config_loaded"
 CONTROL_REQUEUE = "control.requeue"
@@ -137,6 +141,7 @@ EVENT_VOCABULARY = frozenset(
         CASE_QUARANTINED,
         SERVE_WAL_COMMIT,
         SERVE_WAL_RETIRED,
+        SERVE_TICK_FAILED,
         SERVE_RECOVERED,
         CONTROL_CONFIG_LOADED,
         CONTROL_REQUEUE,

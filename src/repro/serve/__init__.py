@@ -2,22 +2,20 @@
 
 Turns the library's online monitoring layer into a long-running
 service: log shippers stream Definition-4 entries (or XES fragments)
-over a JSON-lines TCP protocol, the service routes each entry to one
-of N :class:`~repro.core.monitor.OnlineMonitor` shards by
-consistent-hashing its case id, persists the raw stream to the
-tamper-evident :class:`~repro.audit.store.AuditStore` in batched
+over a JSON-lines TCP protocol, the service replays each entry on one
+:class:`~repro.core.monitor.OnlineMonitor`, persists the raw stream to
+the tamper-evident :class:`~repro.audit.store.AuditStore` in batched
 transactions, and streams per-case verdict transitions back as they
-happen.  See ``docs/serving.md`` for the wire protocol, sharding and
+happen.  See ``docs/serving.md`` for the wire protocol, the engine and
 drain semantics, and the backpressure model; ``docs/robustness.md``
 covers the crash-safety layer (WAL, recovery, failure containment).
 
 Layers (bottom up):
 
-* :mod:`repro.serve.sharding` — the consistent-hash ring;
 * :mod:`repro.serve.protocol` — the JSON-lines wire vocabulary;
-* :mod:`repro.serve.wal` — the per-shard write-ahead ingest log;
+* :mod:`repro.serve.wal` — the write-ahead ingest log;
 * :mod:`repro.serve.core` — :class:`ShardRouter`, the socket-free
-  engine (shard partitions, store writer, WAL, admission, quarantine,
+  engine (one monitor, store writer, WAL, admission, quarantine,
   drain);
 * :mod:`repro.serve.recovery` — crash recovery: store + WAL delta →
   per-case histories, which a router with a WAL resumes at start,
@@ -42,7 +40,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.recovery import RecoveryReport, collect_case_histories
 from repro.serve.service import AuditService
-from repro.serve.sharding import ConsistentHashRing
 from repro.serve.wal import (
     WalCorruptionError,
     WalError,
@@ -56,7 +53,6 @@ __all__ = [
     "Admission",
     "AuditService",
     "AuditStreamClient",
-    "ConsistentHashRing",
     "DrainReport",
     "PROTOCOL_VERSION",
     "ProtocolError",

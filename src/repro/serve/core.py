@@ -1,15 +1,13 @@
-"""The sharded streaming-audit engine behind ``repro serve``.
+"""The streaming-audit engine behind ``repro serve``.
 
 The :class:`ShardRouter` is the socket-free core of the audit daemon.
-It partitions the case space into N shards by consistent-hashing each
-case id (:mod:`repro.serve.sharding`); a shard is one
-:class:`~repro.core.monitor.OnlineMonitor` and, with a write-ahead log,
-one log.  Algorithm 1 is stateful *per case* and cases are independent
-(Section 7's scalability argument), so a shard needs no coordination
-with any other, and no thread of its own: :meth:`ShardRouter.submit`
-replays the entry it admits before it returns, on the caller's thread —
-for ``repro serve``, the event loop — so each case's entries are
-replayed in the order they were accepted.
+It owns one :class:`~repro.core.monitor.OnlineMonitor` and, with a
+write-ahead log, one log.  Algorithm 1 is stateful *per case* and cases
+are independent (Section 7's scalability argument), so the engine needs
+no thread of its own: :meth:`ShardRouter.submit` replays the entry it
+admits before it returns, on the caller's thread — for ``repro serve``,
+the event loop — so entries are replayed, logged and stored in the
+order they were accepted.
 
 Everything the asyncio service (:mod:`repro.serve.service`) does goes
 through this class, and the test suites drive it directly where a
@@ -18,16 +16,13 @@ property runs thousands of examples against it).
 
 Responsibilities:
 
-* **encode-once warm-up** — all shards share one
-  :class:`~repro.policy.registry.ProcessRegistry`, whose
-  ``encoded_for`` memoizes the BPMN→COWS encoding, and (when an
-  ``automaton_dir`` is configured) one on-disk
-  :class:`~repro.compile.AutomatonCache`; :meth:`start` pre-encodes
-  every registered purpose so N shards never encode the same process
-  twice;
+* **warm-up** — :meth:`start` encodes every registered purpose on the
+  :class:`~repro.policy.registry.ProcessRegistry` (or, when compiled
+  serving is on, compiles it into an
+  :class:`~repro.compile.AutomatonCache`) before the first entry;
 * **crash-safe ingest** — with a ``wal_dir`` configured, every entry is
-  appended to its shard's write-ahead log (:mod:`repro.serve.wal`)
-  *before* :meth:`submit` accepts it; WAL segments are retired only
+  appended to the write-ahead log (:mod:`repro.serve.wal`) *before*
+  :meth:`submit` accepts it; WAL segments are retired only
   once the batched store flush covering them commits, so after a
   ``kill -9`` the store + WAL delta is exactly the set of accepted
   entries, and :meth:`start` resumes it byte-identically before it
@@ -40,8 +35,8 @@ Responsibilities:
   (``seq``); :meth:`submit` dedupes re-sent entries by per-case
   high-water mark, so a client that reconnects and replays its
   unacknowledged tail never double-counts an entry;
-* **failure containment** — each shard's engine contains every failure
-  to its case, and meters cumulative processing time per case: a case
+* **failure containment** — the engine contains every failure to its
+  case, and meters cumulative processing time per case: a case
   over ``case_timeout_s`` — between entries, or inside one entry's
   WeakNext exploration — is contained as ``OutcomeKind.TIMEOUT`` and
   quarantined, so no case holds up the stream for long;
@@ -49,7 +44,7 @@ Responsibilities:
   verdicts.  Drain writes no automaton artifact: the next boot
   recompiles every purpose.
 
-One lock, the admission lock, orders everything that touches a monitor:
+One lock, the admission lock, orders everything that touches the monitor:
 admission and replay, requeue, and the readers the control plane calls
 from other threads (each record is read under it, never across a
 ``yield``).
@@ -67,12 +62,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from repro.audit.model import LogEntry
 from repro.audit.store import AuditStore
-from repro.core.monitor import (
-    FAILURE_KINDS,
-    TERMINAL_STATES,
-    CaseState,
-    OnlineMonitor,
-)
+from repro.core.monitor import FAILURE_KINDS, TERMINAL_STATES, OnlineMonitor
 from repro.core.resilience import OutcomeKind, Quarantine
 from repro.errors import MalformedEntryError, ReproError
 from repro.obs import (
@@ -95,7 +85,6 @@ from repro.serve.recovery import (
     RecoveryReport,
     collect_case_histories,
 )
-from repro.serve.sharding import ConsistentHashRing
 from repro.serve.wal import WalError, WalWriter, segment_paths
 
 #: A callback receiving protocol-shaped server events for one client.
@@ -128,27 +117,25 @@ class ServeConfig:
     budget is contained as ``timeout`` and quarantined.
 
     ``wal_dir`` is the one crash-safety switch: a router with it resumes
-    the store + WAL at start.  The hash ring and the WAL segments keep
-    their own defaults (:class:`ConsistentHashRing`,
-    :class:`~repro.serve.wal.WalWriter`).
+    the store + WAL at start.  The WAL segments keep their own defaults
+    (:class:`~repro.serve.wal.WalWriter`).
 
     Construction refuses numbers no daemon can run with (``ValueError``),
     wherever they came from: flags, config budgets or library callers.
     """
 
-    shards: int = 4
     store_path: Optional[str] = None
     flush_interval_s: float = 0.5
     flush_max_batch: int = 256
     case_timeout_s: Optional[float] = None  # cumulative per-case budget
     compiled: Optional[bool] = None
     automaton_dir: Optional[str] = None
-    wal_dir: Optional[str] = None  # per-shard write-ahead ingest logs
+    wal_dir: Optional[str] = None  # the write-ahead ingest log
 
     def __post_init__(self) -> None:
         # Every test is False for NaN, so NaN is refused too.
         for names, wording, valid in (
-            (("shards", "flush_max_batch"), "at least 1",
+            (("flush_max_batch",), "at least 1",
              lambda value: value >= 1),
             (("flush_interval_s",), "positive", lambda value: value > 0),
             (("case_timeout_s",), "positive when set",
@@ -173,7 +160,6 @@ class Admission:
     """
 
     accepted: bool
-    shard: str
     case_seq: int = 0  # 1-based position of the entry within its case
     wal_seq: int = 0  # 0 when the WAL is disabled
     duplicate: bool = False
@@ -186,7 +172,7 @@ class Admission:
 class RequeueResult:
     """What :meth:`ShardRouter.requeue_case` decided about one case.
 
-    ``accepted`` means the owning shard replayed the case's full entry
+    ``accepted`` means the engine replayed the case's full entry
     history through a fresh session under a fresh budget meter;
     ``state`` and ``replayed_entries`` describe where the replay landed.
     A refusal (unknown / not-quarantined case, or a draining router)
@@ -196,7 +182,6 @@ class RequeueResult:
     case: str
     accepted: bool
     reason: str = ""
-    shard: str = ""
     state: Optional[str] = None
     replayed_entries: int = 0
 
@@ -212,112 +197,6 @@ class DrainReport:
     #: None when no store is configured; False when its writer died.
     store_intact: Optional[bool]
     final_states: dict[str, str] = field(default_factory=dict)
-
-
-class _Shard:
-    """One partition of the case space: the engine of the cases the ring
-    routes to it, and the name their verdicts carry.
-
-    Not a thread: the router replays each entry into it on the thread
-    that admitted the entry, under the admission lock, and the start-up
-    resume replays the durable history through the same :meth:`observe`.
-    Its own duties are trace spans, the ingest histogram, the router's
-    quarantine note and the verdict event; every per-case decision is
-    the engine's.
-    """
-
-    def __init__(
-        self, name: str, monitor: OnlineMonitor, router: "ShardRouter"
-    ):
-        self.shard_name = name
-        self.monitor = monitor
-        self._router = router
-        self.entries_observed = 0
-
-    def record(self, case: str, digest: bool = True) -> dict:
-        """The engine's record of *case*, tagged with this shard."""
-        record = self.monitor.case_record(case, digest=digest)
-        record["shard"] = self.shard_name
-        return record
-
-    def observe(
-        self,
-        entry: LogEntry,
-        subscriber: Optional[Subscriber] = None,
-        ctx: Optional[TraceContext] = None,
-    ) -> None:
-        monitor = self.monitor
-        router = self._router
-        case = entry.case
-        tracer = router._tel.tracer
-        replay_span_id = ""
-        started = time.perf_counter()
-        try:
-            if ctx is not None and tracer.enabled:
-                # The replay half of the case's trace: monitor-internal
-                # "replay"/"weaknext" spans nest under this via the
-                # thread's span stack.
-                with tracer.span(
-                    "serve.replay",
-                    parent=ctx,
-                    case=case,
-                    shard=self.shard_name,
-                ) as span:
-                    previous, state, raised = monitor.observe(entry)
-                    replay_span_id = span.span_id
-            else:
-                previous, state, raised = monitor.observe(entry)
-        except Exception as error:  # pragma: no cover - last resort
-            # Anything the engine's own containment missed is charged
-            # to the entry's case, never to the stream.
-            router._note_quarantined(
-                case,
-                monitor.case_failure_kind(case) or OutcomeKind.ERROR,
-                str(error),
-            )
-            return
-        elapsed = time.perf_counter() - started
-        self.entries_observed += 1
-        if ctx is not None:
-            router._m_ingest.observe_with_exemplar(
-                elapsed, ctx.trace_id, replay_span_id
-            )
-        else:
-            router._m_ingest_fast.observe(elapsed)
-
-        if raised and raised[-1].kind in FAILURE_KINDS:
-            # The engine contained the case: take it out of rotation.
-            router._note_quarantined(
-                case, monitor.case_failure_kind(case), raised[-1].detail
-            )
-        if (
-            ctx is not None
-            and state in TERMINAL_STATES
-            and previous not in TERMINAL_STATES
-        ):
-            # The case settled: close its trace with an instant span.
-            tracer.record_span(
-                "serve.verdict",
-                time.time(),
-                0.0,
-                parent=ctx,
-                case=case,
-                state=str(state),
-                shard=self.shard_name,
-            )
-        if subscriber is not None and (previous is not state or raised):
-            event = {
-                "event": EV_VERDICT,
-                "case": case,
-                "state": str(state),
-                "previous": str(previous) if previous is not None else None,
-                "purpose": monitor.case_purpose(case),
-                "shard": self.shard_name,
-                "infringements": [finding.as_dict() for finding in raised],
-            }
-            if ctx is not None:
-                event["trace"] = ctx.trace_id
-            subscriber(event)
 
 
 class _StoreWriter(threading.Thread):
@@ -341,7 +220,7 @@ class _StoreWriter(threading.Thread):
         super().__init__(name="repro-serve-store", daemon=True)
         self._path = path
         self._router = router
-        #: ``("batch", entries, contexts, wal floors)`` /
+        #: ``("batch", entries, contexts, wal floor)`` /
         #: ``("sync", threading.Event)`` items; ``None`` stops.
         self.queue: "queue.Queue[Optional[tuple]]" = queue.Queue()
         self.written = 0
@@ -367,7 +246,7 @@ class _StoreWriter(threading.Thread):
                 if item[0] == "sync":
                     item[1].set()
                     continue
-                _, batch, contexts, floors = item
+                _, batch, contexts, floor = item
                 started = time.perf_counter()
                 if tracer.enabled and contexts:
                     # A single-case batch joins that case's trace; a
@@ -384,7 +263,7 @@ class _StoreWriter(threading.Thread):
                         self._commit(store, batch)
                 else:
                     self._commit(store, batch)
-                self._router._on_batch_durable(floors)
+                self._router._on_batch_durable(floor)
                 duration = time.perf_counter() - started
                 self._router._m_flushes.inc()
                 self._router._m_flush_seconds.observe(duration)
@@ -415,7 +294,8 @@ class _StoreWriter(threading.Thread):
 
 
 class ShardRouter:
-    """Consistent-hash partitioning of an entry stream over monitor shards."""
+    """The audit engine of one entry stream: admission, replay on one
+    monitor, the write-ahead log and the store writer."""
 
     def __init__(
         self,
@@ -435,16 +315,17 @@ class ShardRouter:
         self._tel = tel
         self.dead_letters = Quarantine(telemetry=tel)
 
-        names = [f"shard-{i}" for i in range(self.config.shards)]
-        self._ring = ConsistentHashRing(names)
-        self._shards: dict[str, _Shard] = {}
+        self._monitor: Optional[OnlineMonitor] = None
         self._writer: Optional[_StoreWriter] = None
         #: Why the store writer died (None while it lives): from then
         #: on no thread can make an entry durable, so none is accepted.
         self._store_error: Optional[str] = None
-        self._wals: dict[str, WalWriter] = {}
-        #: ``(entry, shard name, wal seq)`` awaiting the next store flush.
-        self._pending: list[tuple[LogEntry, str, int]] = []
+        self._wal: Optional[WalWriter] = None
+        #: Entries awaiting the next store flush, in acceptance order.
+        self._pending: list[LogEntry] = []
+        #: The WAL seq of the last entry pending: once the batch that
+        #: carries it commits, every record at or below it is stored.
+        self._pending_wal_seq = 0
         self._pending_lock = threading.Lock()
         # The admission lock: per-case sequence bookkeeping, the WAL
         # append and the replay happen as one atomic step, and every
@@ -463,7 +344,6 @@ class ShardRouter:
         #: Set by :meth:`start` when it resumed a durable record.
         self.recovery_report = None
         self._tmp_automata: Optional[tempfile.TemporaryDirectory] = None
-        self._automaton_dir_resolved: Optional[str] = None
         # case id -> the root TraceContext of its (one) trace.  The
         # first traced ingest of a case mints it; every later span of
         # the case — ingest, replay, verdict, store flush — joins it.
@@ -476,7 +356,7 @@ class ShardRouter:
             "serve_entries_total", "log entries accepted by the service"
         ).series()
         self._m_ingest = tel.registry.histogram(
-            "serve_ingest_seconds", "shard processing time per entry"
+            "serve_ingest_seconds", "replay time per entry"
         )
         self._m_ingest_fast = self._m_ingest.series()
         self._m_flushes = tel.registry.counter(
@@ -488,10 +368,6 @@ class ShardRouter:
         self._m_quarantined = tel.registry.counter(
             "serve_quarantined_cases_total",
             "cases taken out of rotation by the service, by kind",
-        )
-        self._m_inflight = tel.registry.gauge(
-            "serve_shard_inflight_cases",
-            "open (non-terminal) cases owned by each shard",
         )
         self._m_busy = tel.registry.counter(
             "serve_busy_total",
@@ -507,14 +383,14 @@ class ShardRouter:
         ).series()
         self._m_wal_unflushed_records = tel.registry.gauge(
             "serve_wal_unflushed_records",
-            "WAL records buffered but not yet fsynced, per shard",
+            "WAL records buffered but not yet fsynced",
         )
         self._m_wal_unflushed_bytes = tel.registry.gauge(
             "serve_wal_unflushed_bytes",
-            "WAL bytes buffered but not yet fsynced, per shard",
+            "WAL bytes buffered but not yet fsynced",
         )
         self._m_wal_segments = tel.registry.gauge(
-            "serve_wal_segments", "live WAL segment files per shard"
+            "serve_wal_segments", "live WAL segment files"
         )
         self._m_recovered = tel.registry.counter(
             "serve_recovered_entries_total",
@@ -531,22 +407,22 @@ class ShardRouter:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Warm shared state and the shards, and resume the durable record.
+        """Warm the engine and resume the durable record.
 
         With a ``wal_dir`` this returns only once everything the store
-        and the write-ahead log hold is replayed into the shards'
-        monitors, the per-case sequence marks are restored, and the WAL
-        delta is committed to the store.  A tampered store is refused
-        before anything is replayed.
+        and the write-ahead log hold is replayed into the monitor, the
+        per-case sequence marks are restored, and the WAL delta is
+        committed to the store.  A tampered store is refused before
+        anything is replayed.
         """
-        if self._shards:
+        if self._monitor is not None:
             raise ReproError("the router is already started")
         automaton_dir = self.config.automaton_dir
         if self.config.compiled or automaton_dir is not None:
             from repro.compile import AutomatonCache, precompile
 
             if automaton_dir is None:
-                # Compiled serving always warms shards through an
+                # Compiled serving always warms the engine through an
                 # AutomatonCache; without a configured directory the
                 # artifacts live (and die) with the router.
                 self._tmp_automata = tempfile.TemporaryDirectory(
@@ -554,10 +430,10 @@ class ShardRouter:
                 )
                 automaton_dir = self._tmp_automata.name
             # A daemon serves its stream from warm state: every purpose is
-            # encoded and compiled once, here, on the shared registry, so
-            # the N shards load the same fully explored table instead of
-            # racing the live stream through WeakNext.  A purpose that
-            # defeats compilation is contained per case at observe time.
+            # encoded and compiled once, here, so the monitor loads a
+            # fully explored table instead of racing the live stream
+            # through WeakNext.  A purpose that defeats compilation is
+            # contained per case at observe time.
             precompile(
                 self._registry,
                 AutomatonCache(automaton_dir, telemetry=self._tel),
@@ -566,16 +442,15 @@ class ShardRouter:
                 telemetry=self._tel,
             )
         else:
-            # Encode every registered purpose once, up front, so the N
-            # monitors hit the memoized encoding instead of each
-            # re-encoding the BPMN.  A purpose whose encoding fails is
-            # contained per case at observe time, like in batch audits.
+            # Encode every registered purpose once, up front, so the
+            # first entry of a case hits the memoized encoding.  A
+            # purpose whose encoding fails is contained per case at
+            # observe time, like in batch audits.
             for purpose in self._registry.purposes():
                 try:
                     self._registry.encoded_for(purpose)
                 except Exception:
                     continue
-        self._automaton_dir_resolved = automaton_dir
         started = time.perf_counter()
         store_path = self._durable_store_path()
         if store_path is not None and os.path.exists(store_path):
@@ -589,34 +464,37 @@ class ShardRouter:
                         f"check; refusing to resume on top of a tampered "
                         f"record"
                     )
-        for name in self._ring.shards:
-            monitor = self._new_monitor()
-            # The first streamed entry must hit warm state, never an
-            # artifact load.
-            monitor.prewarm()
-            self._shards[name] = _Shard(name, monitor, self)
+        self._monitor = OnlineMonitor(
+            self._registry,
+            hierarchy=self._hierarchy,
+            telemetry=self._tel,
+            compiled=self.config.compiled,
+            automaton_dir=automaton_dir,
+            checker_wrapper=self._checker_wrapper,
+            case_timeout_s=self.config.case_timeout_s,
+        )
+        # The first streamed entry must hit warm state, never an
+        # artifact load.
+        self._monitor.prewarm()
         scan = None
         if self.config.wal_dir is not None:
-            for name in self._ring.shards:
-                self._wals[name] = WalWriter(
-                    self.config.wal_dir, name, fault_hook=self._wal_fault_hook
-                )
+            self._wal = WalWriter(
+                self.config.wal_dir, fault_hook=self._wal_fault_hook
+            )
             histories, scan = collect_case_histories(
                 store_path, self.config.wal_dir
             )
+            # Cases in first-seen order, each in its own order: the
+            # store is a prefix of the stream and the log continues it.
             for case, history in histories.items():
-                shard = self._shards[self._ring.shard_for(case)]
                 for entry in history.entries:
-                    shard.observe(entry)
+                    self._replay(entry)
                 self._case_seq[case] = len(history.entries)
             # Only the WAL delta is staged for the store, in the log's
             # own (acceptance) order, never the stored prefix.
             self._received += len(scan.wal_delta)
             if self.config.store_path is not None:
-                self._pending.extend(
-                    (entry, self._ring.shard_for(entry.case), 0)
-                    for entry in scan.wal_delta
-                )
+                self._pending.extend(scan.wal_delta)
         if self.config.store_path is not None:
             self._writer = _StoreWriter(self.config.store_path, self)
             self._writer.start()
@@ -627,7 +505,7 @@ class ShardRouter:
     def _finish_resume(
         self, cases: int, scan: HistoryScan, started: float
     ) -> None:
-        """Commit the replayed WAL delta, start each WAL afresh and
+        """Commit the replayed WAL delta, start the WAL afresh and
         publish the report — unless nothing was resumed.  If the store
         writer dies first, the WAL (the only durable copy of the delta)
         is kept, and the router stops and raises."""
@@ -644,12 +522,12 @@ class ShardRouter:
                 "for the next start"
             )
         if store_path is not None:
-            # The store owns everything now: each live shard's WAL
-            # restarts empty, and an old topology's segments go.
-            for wal in self._wals.values():
-                wal.reset()
+            # The store owns everything now: the log restarts empty, and
+            # segments an older daemon left under other names go too.
+            self._wal.reset()
+            own = segment_paths(self.config.wal_dir, self._wal.name)
             for path in segment_paths(self.config.wal_dir):
-                if path.name.rsplit("-", 1)[0] not in self._wals:
+                if path not in own:
                     path.unlink(missing_ok=True)
         delta = len(scan.wal_delta)
         for source, count in (("store", scan.store_entries), ("wal", delta)):
@@ -661,26 +539,14 @@ class ShardRouter:
             replayed=scan.store_entries + delta,
             duplicates=scan.wal_duplicates,
             cases=cases,
-            # A torn tail on the crashed run's final segments was cut
-            # when this router's writers adopted them: still a tear.
-            torn_segments=scan.torn_segments
-            or any(wal.tears_repaired for wal in self._wals.values()),
+            # A torn tail on the crashed run's final segment was cut
+            # when this router's writer adopted it: still a tear.
+            torn_segments=scan.torn_segments or bool(self._wal.tears_repaired),
             store_intact=True if store_path is not None else None,
             duration_s=time.perf_counter() - started,
         )
         self.recovery_report = report
         self._tel.events.emit(SERVE_RECOVERED, **report.to_dict())
-
-    def _new_monitor(self) -> OnlineMonitor:
-        return OnlineMonitor(
-            self._registry,
-            hierarchy=self._hierarchy,
-            telemetry=self._tel,
-            compiled=self.config.compiled,
-            automaton_dir=self._automaton_dir_resolved,
-            checker_wrapper=self._checker_wrapper,
-            case_timeout_s=self.config.case_timeout_s,
-        )
 
     # -- ingest ------------------------------------------------------------
     def submit(
@@ -690,10 +556,10 @@ class ShardRouter:
         traceparent: Optional[str] = None,
         seq: Optional[int] = None,
     ) -> Admission:
-        """Admit one entry and replay it on its shard before returning.
+        """Admit one entry and replay it before returning.
 
-        With a WAL configured, the entry is framed into its shard's log
-        *before* it is replayed and reported accepted — an entry that
+        With a WAL configured, the entry is framed into the log *before*
+        it is replayed and reported accepted — an entry that
         cannot be logged is rejected (:class:`~repro.serve.wal.WalError`),
         not half-accepted.  ``seq`` (1-based per case) makes re-sends
         idempotent: an entry at or below the case's high-water mark is
@@ -737,7 +603,6 @@ class ShardRouter:
                 with self._trace_lock:
                     root = self._case_traces.setdefault(case, span.context)
             admission = self._admit(entry, subscriber, root, seq)
-            span.attrs["shard"] = admission.shard
             if not admission.accepted:
                 span.attrs["admitted"] = False
                 span.attrs["reason"] = admission.reason or (
@@ -757,10 +622,9 @@ class ShardRouter:
             if not self._accepting:
                 raise ReproError("the service is draining; entry rejected")
             count = self._case_seq.get(case, 0)
-            name = self._ring.shard_for(case)
             if self._store_error is not None:
                 return self._refuse(
-                    name, seq, f"audit store unavailable: {self._store_error}"
+                    seq, f"audit store unavailable: {self._store_error}"
                 )
             if seq is not None:
                 if seq <= count:
@@ -770,7 +634,6 @@ class ShardRouter:
                     self._m_duplicates.inc()
                     return Admission(
                         accepted=False,
-                        shard=name,
                         case_seq=seq,
                         duplicate=True,
                         reason="already accepted",
@@ -780,18 +643,16 @@ class ShardRouter:
                     # or lost.  Refuse this one too — the sender must
                     # redeliver in order.
                     return self._refuse(
-                        name,
                         seq,
                         f"sequence gap for case {case!r}: expected "
                         f"{count + 1}, got {seq}",
                     )
             case_seq = count + 1
             wal_seq = 0
-            wal = self._wals.get(name)
-            if wal is not None:
+            if self._wal is not None:
                 # The acceptance point: not in the WAL => never acked.
                 try:
-                    wal_seq = wal.append(entry, case_seq)
+                    wal_seq = self._wal.append(entry, case_seq)
                 except WalError:
                     raise
                 except Exception as error:
@@ -806,27 +667,100 @@ class ShardRouter:
             full = False
             if self._writer is not None:
                 with self._pending_lock:
-                    self._pending.append((entry, name, wal_seq))
+                    self._pending.append(entry)
+                    if wal_seq:
+                        self._pending_wal_seq = wal_seq
                     full = len(self._pending) >= self.config.flush_max_batch
-            self._shards[name].observe(entry, subscriber, ctx)
+            self._replay(entry, subscriber, ctx)
         if full:
             self.flush()
-        return Admission(
-            accepted=True, shard=name, case_seq=case_seq, wal_seq=wal_seq
-        )
+        return Admission(accepted=True, case_seq=case_seq, wal_seq=wal_seq)
 
-    def _refuse(self, name: str, seq: Optional[int], reason: str) -> Admission:
+    def _refuse(self, seq: Optional[int], reason: str) -> Admission:
         """A ``busy`` refusal: the entry must be sent again."""
         self._busy_total += 1
         self._m_busy.inc()
         return Admission(
             accepted=False,
-            shard=name,
             case_seq=seq or 0,
             busy=True,
             retry_after_s=RETRY_AFTER_S,
             reason=reason,
         )
+
+    def _replay(
+        self,
+        entry: LogEntry,
+        subscriber: Optional[Subscriber] = None,
+        ctx: Optional[TraceContext] = None,
+    ) -> None:
+        """One entry's replay step: trace spans, the ingest histogram,
+        the quarantine note and the verdict event around the engine's
+        ``observe``.  Callers hold the admission lock (or run the
+        start-up resume, before anything else can)."""
+        monitor = self._monitor
+        case = entry.case
+        tracer = self._tel.tracer
+        replay_span_id = ""
+        started = time.perf_counter()
+        try:
+            if ctx is not None and tracer.enabled:
+                # The replay half of the case's trace: monitor-internal
+                # "replay"/"weaknext" spans nest under this via the
+                # thread's span stack.
+                with tracer.span("serve.replay", parent=ctx, case=case) as span:
+                    previous, state, raised = monitor.observe(entry)
+                    replay_span_id = span.span_id
+            else:
+                previous, state, raised = monitor.observe(entry)
+        except Exception as error:  # pragma: no cover - last resort
+            # Anything the engine's own containment missed is charged
+            # to the entry's case, never to the stream.
+            self._note_quarantined(
+                case,
+                monitor.case_failure_kind(case) or OutcomeKind.ERROR,
+                str(error),
+            )
+            return
+        elapsed = time.perf_counter() - started
+        if ctx is not None:
+            self._m_ingest.observe_with_exemplar(
+                elapsed, ctx.trace_id, replay_span_id
+            )
+        else:
+            self._m_ingest_fast.observe(elapsed)
+
+        if raised and raised[-1].kind in FAILURE_KINDS:
+            # The engine contained the case: take it out of rotation.
+            self._note_quarantined(
+                case, monitor.case_failure_kind(case), raised[-1].detail
+            )
+        if (
+            ctx is not None
+            and state in TERMINAL_STATES
+            and previous not in TERMINAL_STATES
+        ):
+            # The case settled: close its trace with an instant span.
+            tracer.record_span(
+                "serve.verdict",
+                time.time(),
+                0.0,
+                parent=ctx,
+                case=case,
+                state=str(state),
+            )
+        if subscriber is not None and (previous is not state or raised):
+            event = {
+                "event": EV_VERDICT,
+                "case": case,
+                "state": str(state),
+                "previous": str(previous) if previous is not None else None,
+                "purpose": monitor.case_purpose(case),
+                "infringements": [finding.as_dict() for finding in raised],
+            }
+            if ctx is not None:
+                event["trace"] = ctx.trace_id
+            subscriber(event)
 
     def case_trace(self, case: str) -> Optional[TraceContext]:
         """The case's root trace context (None untraced/unseen)."""
@@ -852,16 +786,10 @@ class ShardRouter:
         if self._writer is None:
             return
         with self._pending_lock:
-            pending, self._pending = self._pending, []
-            if not pending:
+            batch, self._pending = self._pending, []
+            if not batch:
                 return
-            batch = [entry for entry, _, _ in pending]
-            # Per-shard WAL retirement floors: once this batch commits,
-            # every WAL record at or below its shard's floor is stored.
-            floors: dict[str, int] = {}
-            for _, name, wal_seq in pending:
-                if wal_seq:
-                    floors[name] = max(floors.get(name, 0), wal_seq)
+            floor = self._pending_wal_seq
             contexts: tuple[TraceContext, ...] = ()
             if self._tel.tracer.enabled:
                 # The distinct case traces this flush persists entries
@@ -873,24 +801,24 @@ class ShardRouter:
                         if ctx is not None:
                             seen.setdefault(ctx.trace_id, ctx)
                 contexts = tuple(seen.values())
-            self._writer.queue.put(("batch", batch, contexts, floors))
+            self._writer.queue.put(("batch", batch, contexts, floor))
 
     def wal_commit(self) -> int:
-        """Fsync every shard's WAL buffer (the ``sync`` durability ack).
+        """Fsync the WAL buffer (the ``sync`` durability ack).
 
         Returns the number of records made durable.  Safe (a no-op)
         without a WAL.
         """
-        flushed = 0
-        for wal in self._wals.values():
-            flushed += wal.commit()
+        if self._wal is None:
+            return 0
+        flushed = self._wal.commit()
         if flushed:
             self._tel.events.emit(SERVE_WAL_COMMIT, records=flushed)
         return flushed
 
     @property
     def wal_enabled(self) -> bool:
-        return bool(self._wals)
+        return self._wal is not None
 
     def _durable_store_path(self) -> Optional[str]:
         """The store path when it survives this process (None otherwise)."""
@@ -899,24 +827,20 @@ class ShardRouter:
             return None
         return path
 
-    def _on_batch_durable(self, floors: dict[str, int]) -> None:
+    def _on_batch_durable(self, floor: int) -> None:
         """Store-writer callback: a batch committed; retire covered WAL.
 
         Only a *durable* store commit justifies deleting WAL segments —
         an in-memory store dies with the process, so its WAL is kept
         whole for recovery.
         """
-        if self._durable_store_path() is None:
+        if self._wal is None or not floor or self._durable_store_path() is None:
             return
-        for name, seq in floors.items():
-            wal = self._wals.get(name)
-            if wal is None:
-                continue
-            removed = wal.retire(seq)
-            if removed:
-                self._tel.events.emit(
-                    SERVE_WAL_RETIRED, shard=name, upto=seq, segments=removed
-                )
+        removed = self._wal.retire(floor)
+        if removed:
+            self._tel.events.emit(
+                SERVE_WAL_RETIRED, upto=floor, segments=removed
+            )
 
     def _writer_sync(self, timeout: float = float("inf")) -> bool:
         """Block until every store batch queued so far has committed;
@@ -950,12 +874,12 @@ class ShardRouter:
             self._writer.queue.put(None)
             self._writer.join()
             intact = self._writer.intact
-        for wal in self._wals.values():
+        if self._wal is not None:
             if intact:
                 # A clean drain with an intact store owns every record;
                 # the WAL has nothing left to recover.
-                wal.reset()
-            wal.close()
+                self._wal.reset()
+            self._wal.close()
         if self._tmp_automata is not None:
             self._tmp_automata.cleanup()
             self._tmp_automata = None
@@ -999,10 +923,6 @@ class ShardRouter:
         """Why the store writer died; None while it lives (or no store)."""
         return self._store_error
 
-    @property
-    def shard_names(self) -> tuple[str, ...]:
-        return tuple(self._shards)
-
     def case_sequence(self, case: str) -> int:
         """Accepted entries of *case* so far (the dedup high-water mark)."""
         with self._ingest_lock:
@@ -1042,12 +962,11 @@ class ShardRouter:
                     accepted=False,
                     reason=f"case {case!r} is not quarantined",
                 )
-            name = self._ring.shard_for(case)
             # Popping the note *before* the replay lets it be filed again
             # if the failure reproduces; _note_quarantined is
             # first-write-wins, so the slot must be free.
             del self._quarantined[case]
-            state, replayed, kind = self._shards[name].monitor.requeue(case)
+            state, replayed, kind = self._monitor.requeue(case)
             if kind is not None:
                 self._note_quarantined(
                     case, kind, "failure reproduced on requeue"
@@ -1058,7 +977,6 @@ class ShardRouter:
         return RequeueResult(
             case,
             accepted=True,
-            shard=name,
             state=str(state) if state is not None else None,
             replayed_entries=replayed,
         )
@@ -1083,34 +1001,33 @@ class ShardRouter:
     def iter_results(
         self, cases: Optional[Iterable] = None, digests: bool = True
     ) -> Iterator[dict]:
-        """Per-case records, each read from its shard as it is yielded.
+        """Per-case records, each read from the engine as it is yielded.
 
-        Without *cases*: every observed case, shard by shard in
-        first-seen order.  With *cases*: the requested ids in request
-        order, duplicates collapsed, ids no shard holds (non-strings
-        included) dropped.  A consumer that writes each record out
+        Without *cases*: every observed case, in first-seen order.  With
+        *cases*: the requested ids in request order, duplicates
+        collapsed, ids the engine does not hold (non-strings included)
+        dropped.  A consumer that writes each record out
         before pulling the next holds one at a time — the streamed
         ``results`` reply and the drain-time ``final`` events do.  Each
         record is read under the admission lock, which is never held
         across a ``yield``.
         """
+        monitor = self._monitor
         if cases is None:
-            for shard in self._shards.values():
-                for case in shard.monitor.cases():
-                    with self._ingest_lock:
-                        record = shard.record(case, digest=digests)
-                    yield record
+            for case in monitor.cases():
+                with self._ingest_lock:
+                    record = monitor.case_record(case, digest=digests)
+                yield record
             return
         seen: set[str] = set()
         for case in cases:
             if not isinstance(case, str) or case in seen:
                 continue
             seen.add(case)
-            shard = self._shards[self._ring.shard_for(case)]
             with self._ingest_lock:
                 record = (
-                    shard.record(case, digest=digests)
-                    if shard.monitor.case_state(case) is not None
+                    monitor.case_record(case, digest=digests)
+                    if monitor.case_state(case) is not None
                     else None
                 )
             if record is not None:
@@ -1130,66 +1047,46 @@ class ShardRouter:
         }
 
     def case_record(self, case: str) -> dict:
-        """One case's :meth:`results` record, read now from its shard.
+        """One case's :meth:`results` record, read now from the engine.
 
-        A case the shard does not hold reads as all-``None`` fields.
+        A case the engine does not hold reads as all-``None`` fields.
         """
-        shard = self._shards[self._ring.shard_for(case)]
         with self._ingest_lock:
-            return shard.record(case)
+            return self._monitor.case_record(case)
 
     def case_findings(self, case: str) -> list[dict]:
-        """One case's findings since it was (re)opened, read now from its
-        owning shard's engine (``[]`` for a case it does not hold)."""
-        monitor = self._shards[self._ring.shard_for(case)].monitor
+        """One case's findings since it was (re)opened, read now from the
+        engine (``[]`` for a case it does not hold)."""
         with self._ingest_lock:
-            findings = monitor.case_findings(case)
+            findings = self._monitor.case_findings(case)
         return [finding.as_dict() for finding in findings]
 
-    def refresh_shard_gauges(self) -> dict[str, dict]:
-        """Per-shard load detail; also updates the shard gauges.
+    def refresh_gauges(self) -> Optional[dict[str, int]]:
+        """The WAL's statistics (None without one); also updates the
+        ``serve_wal_*`` gauges.
 
         Called at scrape time (``/healthz``, ``/metrics``, the ``status``
-        op) so the ``serve_shard_inflight_cases`` (and WAL lag) gauges
-        are current whenever anybody looks.
+        op) so the WAL lag gauges are current whenever anybody looks.
         """
-        detail: dict[str, dict] = {}
-        for name, shard in self._shards.items():
-            inflight = shard.monitor.open_count
-            self._m_inflight.set(inflight, shard=name)
-            detail[name] = {
-                "inflight_cases": inflight,
-                "entries_observed": shard.entries_observed,
-            }
-            wal = self._wals.get(name)
-            if wal is not None:
-                stats = wal.stats()
-                self._m_wal_unflushed_records.set(
-                    stats["unflushed_records"], shard=name
-                )
-                self._m_wal_unflushed_bytes.set(
-                    stats["unflushed_bytes"], shard=name
-                )
-                self._m_wal_segments.set(stats["segments"], shard=name)
-        return detail
+        if self._wal is None:
+            return None
+        stats = self._wal.stats()
+        self._m_wal_unflushed_records.set(stats["unflushed_records"])
+        self._m_wal_unflushed_bytes.set(stats["unflushed_bytes"])
+        self._m_wal_segments.set(stats["segments"])
+        return stats
 
     def statistics(self) -> dict[str, object]:
         """A live snapshot for the ``status`` op and ``/healthz``."""
-        per_state: dict[str, int] = {state.value: 0 for state in CaseState}
-        entries = 0
         with self._ingest_lock:
-            for shard in self._shards.values():
-                stats = shard.monitor.statistics()
-                entries += stats.pop("entries", 0)
-                for state, count in stats.items():
-                    per_state[state] = per_state.get(state, 0) + count
+            per_state = self._monitor.statistics()
+            entries = per_state.pop("entries")
             quarantined = len(self._quarantined)
-        wal_stats = {name: wal.stats() for name, wal in self._wals.items()}
+        wal = self.refresh_gauges() or {}
         recovery: dict[str, object] = {"recovered": False}
         if self.recovery_report is not None:
             recovery = {"recovered": True, **self.recovery_report.to_dict()}
         return {
-            "shards": len(self._shards),
             "entries_received": self._received,
             "entries_observed": entries,
             "entries_written": self.entries_written,
@@ -1197,22 +1094,16 @@ class ShardRouter:
             "quarantined_cases": quarantined,
             "dead_letters": len(self.dead_letters),
             "draining": self.draining,
-            "shard_detail": self.refresh_shard_gauges(),
             "backpressure": {
                 "busy": self._busy_total,
                 "duplicates": self._duplicate_total,
             },
             "wal": {
-                "enabled": bool(self._wals),
-                "records": sum(s["records"] for s in wal_stats.values()),
-                "unflushed_records": sum(
-                    s["unflushed_records"] for s in wal_stats.values()
-                ),
-                "unflushed_bytes": sum(
-                    s["unflushed_bytes"] for s in wal_stats.values()
-                ),
-                "segments": sum(s["segments"] for s in wal_stats.values()),
-                "shards": wal_stats,
+                "enabled": self._wal is not None,
+                "records": wal.get("records", 0),
+                "unflushed_records": wal.get("unflushed_records", 0),
+                "unflushed_bytes": wal.get("unflushed_bytes", 0),
+                "segments": wal.get("segments", 0),
             },
             "recovery": recovery,
             "store": {

@@ -12,7 +12,8 @@ Client → server operations:
 * ``{"op": "xes", "document": "<log .../>"}`` — an XES fragment whose
   events are ingested as if sent individually;
 * ``{"op": "sync", "id": ...}`` — barrier: answered with ``synced``
-  once every entry sent before it has been processed by its shard;
+  once every entry sent before it has been replayed and, with a
+  write-ahead log, fsynced;
 * ``{"op": "status"}`` — a service statistics snapshot;
 * ``{"op": "results"}`` — per-case final states and canonical verdict
   digests (implies a barrier);

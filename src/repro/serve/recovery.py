@@ -11,9 +11,9 @@ that record before it accepts anything.  The ingredients:
   a committed batch flush persisted, in acceptance order, which is the
   order it is read back in (``seq``, never timestamps);
 * the **WAL delta** is everything accepted after the last committed
-  flush — each shard's write-ahead segments, minus the records already
-  in the store — kept in the order the log holds it, so the resume
-  commits it to the store in acceptance order;
+  flush — the write-ahead log's records, minus those already in the
+  store — kept in the order the log holds it, so the resume commits it
+  to the store in acceptance order;
 * the per-case **entry sequence numbers** carried by every WAL record
   make the merge idempotent: a record whose ``case_seq`` is at or below
   the case's store count is a duplicate (the store flush committed but
@@ -58,8 +58,8 @@ class HistoryScan:
     wal_records: int
     wal_duplicates: int  # WAL records already covered by the store
     torn_segments: bool
-    #: The WAL delta (every case's ``wal_entries``) in log order: each
-    #: shard's append order, which is the order its entries were accepted.
+    #: The WAL delta (every case's ``wal_entries``) in log order, which
+    #: is the order its entries were accepted.
     wal_delta: tuple[LogEntry, ...] = ()
 
 
@@ -123,9 +123,9 @@ def collect_case_histories(
         for case, records in wal_records_by_case(result.records).items():
             history = histories.setdefault(case, CaseHistory(case))
             stored = len(history.store_entries)
-            # A case's records may span a shard-count change (old shard
-            # names on disk), so sort by the per-case sequence — the one
-            # ordering that is crash- and topology-invariant.
+            # A case's records may span the logs of an older directory
+            # (several names on disk), so sort by the per-case sequence —
+            # the one ordering every log agrees on.
             expected = stored + 1
             for record in sorted(records, key=lambda r: r.case_seq):
                 wal_count += 1
@@ -142,7 +142,7 @@ def collect_case_histories(
                 expected += 1
         # The delta in log order.  Each delta record takes the next of
         # its case's entries, so a case stays in its own order even where
-        # its records span two shard topologies.
+        # its records span several logs.
         remaining = {
             case: iter(history.wal_entries)
             for case, history in histories.items()

@@ -7,12 +7,13 @@ with the network surface:
   clients stream ``entry``/``xes`` operations and receive per-case
   ``verdict`` events as transitions happen;
 * a minimal **HTTP endpoint** (GET/HEAD; anything else is a clean 405)
-  with ``/healthz`` (liveness + a statistics snapshot including
-  per-shard queue depth and in-flight cases), ``/metrics`` (Prometheus
+  with ``/healthz`` (liveness + a statistics snapshot: entries, cases
+  by state, WAL lag, recovery), ``/metrics`` (Prometheus
   text format from the telemetry registry), and ``/metrics.json`` (the
   JSON snapshot ``repro top`` samples);
 * a **flush timer** committing buffered entries to the audit store
-  every ``flush_interval_s``;
+  and fsyncing the WAL every ``flush_interval_s``; a tick that fails
+  is logged (``serve.tick_failed``) and the next tick retries;
 * **graceful drain**: on SIGTERM (wired by the CLI) the service stops
   accepting input, flushes and integrity-checks the store, then sends
   each connected client the ``final`` verdict of every case it touched
@@ -38,6 +39,7 @@ from repro.errors import ReproError
 from repro.obs import (
     SERVE_CLIENT,
     SERVE_STARTED,
+    SERVE_TICK_FAILED,
     to_json,
     to_prometheus,
 )
@@ -167,7 +169,7 @@ class _Connection:
 
 
 class AuditService:
-    """The audit daemon: TCP + HTTP front end over a shard router."""
+    """The audit daemon: TCP + HTTP front end over a :class:`ShardRouter`."""
 
     def __init__(
         self,
@@ -244,19 +246,25 @@ class AuditService:
             host=self._host,
             port=self.port,
             http_port=self.http_port,
-            shards=len(self.router.shard_names),
         )
 
     async def _tick(self) -> None:
         interval = self.router.config.flush_interval_s
         while True:
             await asyncio.sleep(interval)
-            self.router.flush()
-            if self.router.wal_enabled:
-                # Bound WAL lag: records buffered since the last batch
-                # fsync become durable at least once per tick.
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self.router.wal_commit
+            try:
+                self.router.flush()
+                if self.router.wal_enabled:
+                    # Bound WAL lag: records buffered since the last
+                    # batch fsync become durable at least once per tick.
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, self.router.wal_commit
+                    )
+            except Exception as error:
+                # A full disk may clear; the timer must outlive it, and
+                # the next tick retries whatever this one left buffered.
+                self._tel.events.emit(
+                    SERVE_TICK_FAILED, error=f"{type(error).__name__}: {error}"
                 )
 
     async def drain(self) -> DrainReport:
@@ -307,13 +315,7 @@ class AuditService:
         self._connections.add(conn)
         self._m_connections.inc()
         self._tel.events.emit(SERVE_CLIENT, phase="connect")
-        conn.send(
-            {
-                "event": EV_HELLO,
-                "version": PROTOCOL_VERSION,
-                "shards": len(self.router.shard_names),
-            }
-        )
+        conn.send({"event": EV_HELLO, "version": PROTOCOL_VERSION})
         conn.pump_task = asyncio.create_task(conn.pump())
         try:
             while True:
@@ -529,7 +531,7 @@ class AuditService:
                 json.dumps({"status": status, **stats}).encode(),
             )
         if path == "/metrics":
-            self.router.refresh_shard_gauges()
+            self.router.refresh_gauges()
             return (
                 "200 OK",
                 "text/plain; version=0.0.4",
@@ -538,7 +540,7 @@ class AuditService:
         if path == "/metrics.json":
             # The machine-readable snapshot `repro top` samples: same
             # shape as `--metrics` (documented in docs/observability.md).
-            self.router.refresh_shard_gauges()
+            self.router.refresh_gauges()
             return (
                 "200 OK",
                 self._JSON,

@@ -1,4 +1,4 @@
-"""The per-shard write-ahead ingest log of the streaming audit service.
+"""The write-ahead ingest log of the streaming audit service.
 
 The audit is only as trustworthy as the trail it replays: an entry the
 daemon *accepted* and then lost to a crash is a silent hole in the
@@ -11,7 +11,7 @@ precisely the set of acknowledged entries, and a router restarted on
 them (:meth:`repro.serve.core.ShardRouter.start`) rebuilds in-flight
 monitor state byte-identically to an uninterrupted run.
 
-Design (one WAL per shard, in one directory):
+Design (one log per directory; its segments are named ``ingest-N.wal``):
 
 * **CRC-framed records** — each record is ``<u32 payload length>
   <u32 crc32(payload)> <payload>``; the payload is one compact JSON
@@ -38,6 +38,9 @@ Design (one WAL per shard, in one directory):
   frame of the *last* segment instead of raising.  A bad frame in any
   earlier segment is real corruption and raises
   :class:`WalCorruptionError` — those bytes were fsynced and sealed.
+* **Older directories** — a daemon that split its cases over several
+  logs left segments under other names (``shard-0-N.wal`` …);
+  :func:`read_wal` reads every name it finds, each as its own log.
 
 Format and recovery protocol are documented in ``docs/serving.md``
 (operator view) and ``docs/robustness.md`` (failure model).
@@ -110,7 +113,10 @@ def _entry_json(entry: LogEntry) -> bytes:
         )
     )
 
-_SEGMENT_RE = re.compile(r"^(?P<shard>.+)-(?P<index>\d{8})\.wal$")
+_SEGMENT_RE = re.compile(r"^(?P<name>.+)-(?P<index>\d{8})\.wal$")
+
+#: The segment name of the service's one log.
+LOG_NAME = "ingest"
 
 
 class WalError(ReproError):
@@ -125,38 +131,36 @@ class WalCorruptionError(WalError):
 class WalRecord:
     """One accepted entry as the WAL remembers it."""
 
-    wal_seq: int  # monotone per shard, assigned at append
+    wal_seq: int  # monotone per log, assigned at append
     case: str
     case_seq: int  # 1-based position of this entry within its case
     entry: LogEntry
-    shard: str = ""
 
 
 @dataclass(frozen=True)
 class WalReadResult:
-    """Everything a replay could salvage from one shard's segments."""
+    """Everything a replay could salvage from a directory's segments."""
 
     records: tuple[WalRecord, ...]
     segments: int
     torn_tail: bool  # the final segment ended in a torn record
 
 
-def _decode_payload(payload: bytes, shard: str) -> WalRecord:
+def _decode_payload(payload: bytes) -> WalRecord:
     message = json.loads(payload)
     return WalRecord(
         wal_seq=int(message["q"]),
         case=str(message["c"]),
         case_seq=int(message["n"]),
         entry=entry_from_message(message["e"]),
-        shard=shard,
     )
 
 
-def segment_paths(directory: "str | Path", shard: Optional[str] = None) -> list[Path]:
-    """Segment files in *directory*, ordered ``(shard, index)``.
+def segment_paths(directory: "str | Path", name: Optional[str] = None) -> list[Path]:
+    """Segment files in *directory*, ordered ``(name, index)``.
 
-    ``shard=None`` returns every shard's segments — recovery reads them
-    all, whatever shard count the previous run used.
+    ``name=None`` returns every log's segments — recovery reads them
+    all, whatever names the daemon that wrote them used.
     """
     base = Path(directory)
     if not base.is_dir():
@@ -166,25 +170,15 @@ def segment_paths(directory: "str | Path", shard: Optional[str] = None) -> list[
         match = _SEGMENT_RE.match(path.name)
         if match is None:
             continue
-        if shard is not None and match.group("shard") != shard:
+        if name is not None and match.group("name") != name:
             continue
-        found.append((match.group("shard"), int(match.group("index")), path))
+        found.append((match.group("name"), int(match.group("index")), path))
     found.sort()
     return [path for _, _, path in found]
 
 
-def shard_names_on_disk(directory: "str | Path") -> list[str]:
-    """Every shard that left segments in *directory* (sorted)."""
-    names = set()
-    for path in segment_paths(directory):
-        match = _SEGMENT_RE.match(path.name)
-        if match is not None:
-            names.add(match.group("shard"))
-    return sorted(names)
-
-
 def read_segment(
-    path: "str | Path", shard: str, tolerant: bool = True
+    path: "str | Path", tolerant: bool = True
 ) -> tuple[list[WalRecord], bool]:
     """``(records, torn)`` for one segment file.
 
@@ -202,7 +196,7 @@ def read_segment(
         raise WalCorruptionError(
             f"{path}: not a WAL segment (bad magic {data[:8]!r})"
         )
-    records, torn, offset = _scan_frames(data, shard, path)
+    records, torn, offset = _scan_frames(data, path)
     if torn and not tolerant:
         raise WalCorruptionError(
             f"{path}: torn record at byte {offset} "
@@ -212,7 +206,7 @@ def read_segment(
 
 
 def _scan_frames(
-    data: bytes, shard: str, path: "str | Path"
+    data: bytes, path: "str | Path"
 ) -> tuple[list[WalRecord], bool, int]:
     """``(records, torn, clean_offset)`` — the decodable frame prefix.
 
@@ -236,7 +230,7 @@ def _scan_frames(
             torn = True
             break
         try:
-            records.append(_decode_payload(payload, shard))
+            records.append(_decode_payload(payload))
         except Exception as error:
             # A frame whose CRC matched but whose JSON does not decode:
             # the record was written corrupt, not torn off.
@@ -249,27 +243,26 @@ def _scan_frames(
 
 
 def read_wal(
-    directory: "str | Path", shard: Optional[str] = None
+    directory: "str | Path", name: Optional[str] = None
 ) -> WalReadResult:
-    """Replay one shard's (or every shard's) segments, oldest first.
+    """Replay one log's (or every log's) segments, oldest first.
 
-    Per shard, only the *final* segment may end torn — earlier segments
+    Per log, only the *final* segment may end torn — earlier segments
     were sealed after an fsync, so a bad frame there raises
-    :class:`WalCorruptionError`.  Records keep per-shard append order,
-    which is all recovery needs: a case's entries all live in one
-    shard's WAL, so per-case order is preserved.
+    :class:`WalCorruptionError`.  Records keep each log's append order,
+    which is the order its entries were accepted in.
     """
+    paths = segment_paths(directory, name)
+    logs: dict[str, list[Path]] = {}
+    for path in paths:
+        log = _SEGMENT_RE.match(path.name).group("name")
+        logs.setdefault(log, []).append(path)
     records: list[WalRecord] = []
     torn = False
-    paths = segment_paths(directory, shard)
-    shards = (
-        [shard] if shard is not None else shard_names_on_disk(directory)
-    )
-    for name in shards:
-        shard_paths = segment_paths(directory, name)
-        for position, path in enumerate(shard_paths):
-            last = position == len(shard_paths) - 1
-            found, was_torn = read_segment(path, name, tolerant=last)
+    for log_paths in logs.values():
+        for position, path in enumerate(log_paths):
+            last = position == len(log_paths) - 1
+            found, was_torn = read_segment(path, tolerant=last)
             records.extend(found)
             torn = torn or was_torn
     return WalReadResult(
@@ -278,7 +271,7 @@ def read_wal(
 
 
 class WalWriter:
-    """One shard's append-only ingest log (thread-safe).
+    """One append-only ingest log (thread-safe).
 
     ``fault_hook`` is the deterministic failure seam used by the chaos
     suite (:mod:`repro.testing.faults`): it is invoked with ``"append"``
@@ -290,7 +283,7 @@ class WalWriter:
     def __init__(
         self,
         directory: "str | Path",
-        shard: str,
+        name: str = LOG_NAME,
         segment_max_bytes: int = 4 << 20,
         fsync_batch: int = 256,
         fault_hook: Optional[Callable[[str], None]] = None,
@@ -301,7 +294,7 @@ class WalWriter:
             raise ValueError("fsync_batch must be at least 1")
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
-        self.shard = shard
+        self.name = name
         self._segment_max = segment_max_bytes
         self._fsync_batch = fsync_batch
         self._fault_hook = fault_hook
@@ -342,7 +335,7 @@ class WalWriter:
         The dropped suffix was never acknowledged, so cutting it loses
         nothing the protocol promised to keep.
         """
-        for path in segment_paths(self._dir, self.shard):
+        for path in segment_paths(self._dir, self.name):
             match = _SEGMENT_RE.match(path.name)
             assert match is not None
             self._next_index = max(self._next_index, int(match.group("index")) + 1)
@@ -355,7 +348,7 @@ class WalWriter:
                 raise WalCorruptionError(
                     f"{path}: not a WAL segment (bad magic {data[:8]!r})"
                 )
-            records, torn, clean = _scan_frames(data, self.shard, path)
+            records, torn, clean = _scan_frames(data, path)
             if torn:
                 with open(path, "r+b") as repair:
                     repair.truncate(clean)
@@ -372,14 +365,14 @@ class WalWriter:
                 path.unlink(missing_ok=True)
 
     def _open_segment(self) -> None:
-        path = self._dir / f"{self.shard}-{self._next_index:08d}.wal"
+        path = self._dir / f"{self.name}-{self._next_index:08d}.wal"
         self._next_index += 1
         # Unbuffered on purpose: frames accumulate in ``self._buffer``
         # (a plain bytearray — no syscall, no GIL release) and hit the
         # file in one raw write per batch.  A per-record
         # ``BufferedWriter.write`` releases the GIL each call, and under
-        # the router's ingest lock that turns into a convoy with the
-        # shard workers — measured at ~10x the cost of the write itself.
+        # the router's ingest lock that let other threads (the store
+        # writer, the control API) in on every record.
         self._file = open(path, "wb", buffering=0)
         self._file.write(MAGIC)  # raw write: the header is out now
         self._file_path = path
@@ -397,7 +390,7 @@ class WalWriter:
         """
         with self._lock:
             if self._file is None:
-                raise WalError(f"WAL for {self.shard} is closed")
+                raise WalError(f"WAL {self.name} is closed")
             seq = self.last_seq + 1
             # Composed by hand rather than through a nested json.dumps:
             # this runs under the router's ingest lock, so every µs here

@@ -190,7 +190,7 @@ class TestWhoSaves:
         router = ShardRouter(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(shards=2, automaton_dir=str(tmp_path)),
+            config=ServeConfig(automaton_dir=str(tmp_path)),
         )
         router.start()
         booted = snapshot(tmp_path)

@@ -83,7 +83,7 @@ def test_warm_table_tier_serving_never_grows_the_memo(tmp_path):
     router = ShardRouter(
         process_registry(),
         hierarchy=role_hierarchy(),
-        config=ServeConfig(shards=2, automaton_dir=str(tmp_path / "automata")),
+        config=ServeConfig(automaton_dir=str(tmp_path / "automata")),
         telemetry=Telemetry.create(registry=metrics),
     )
     trail = hospital_day(60, violation_rate=0.3, seed=5).trail

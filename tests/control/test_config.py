@@ -45,7 +45,7 @@ class TestParsing:
             'Cardiologist = ["Physician"]\n'
             "\n"
             "[budgets]\n"
-            "shards = 2\n"
+            "flush_max_batch = 64\n"
             "\n"
             "[[tenants]]\n"
             'prefix = "HT"\n'
@@ -60,8 +60,8 @@ class TestParsing:
             "treatment",
             "clinicaltrial",
         }
-        assert config.budgets == {"shards": 2}
-        assert config.serve_config().shards == 2
+        assert config.budgets == {"flush_max_batch": 64}
+        assert config.serve_config().flush_max_batch == 64
 
     def test_single_tenant_object_is_promoted_to_a_list(self, tmp_path):
         write_scenario_config(tmp_path, "healthcare")
@@ -116,13 +116,14 @@ class TestParsing:
             "heartbeat_interval_s",
             "hang_timeout_s",
             "max_shard_restarts",
+            "shards",
         ],
     )
     def test_dropped_serve_fields_are_unknown_budget_keys(self, field):
-        # The hash ring, the WAL and fresh automata keep their own
-        # defaults, the retry hint is a constant, and shards are
-        # partitions replayed on the event loop, with no queue, thread
-        # or supervisor to tune; these are not ServeConfig fields.
+        # The WAL and fresh automata keep their own defaults, the retry
+        # hint is a constant, and every case is replayed on one engine
+        # on the event loop, with no partition, queue, thread or
+        # supervisor to tune; these are not ServeConfig fields.
         with pytest.raises(ConfigError, match="unknown budget keys"):
             parse_config(
                 {"tenants": [{"prefix": "HT"}], "budgets": {field: 1}}
@@ -131,7 +132,6 @@ class TestParsing:
     @pytest.mark.parametrize(
         "budget, value",
         [
-            ("shards", 0),
             ("flush_max_batch", 0),
             ("flush_interval_s", 0),
             ("flush_interval_s", -1),
@@ -233,7 +233,7 @@ class TestFingerprints:
         budgeted = load_config(
             str(
                 write_scenario_config(
-                    tmp_path, "healthcare", budgets={"shards": 7}
+                    tmp_path, "healthcare", budgets={"flush_max_batch": 7}
                 )
             )
         )
@@ -277,15 +277,15 @@ class TestServeConfigAndPreflight:
                 write_scenario_config(
                     tmp_path,
                     "healthcare",
-                    budgets={"shards": 2, "case_timeout_s": 1.5},
+                    budgets={"flush_max_batch": 64, "case_timeout_s": 1.5},
                 )
             )
         )
-        serve = config.serve_config(shards=8, flush_max_batch=500)
+        serve = config.serve_config(flush_max_batch=500, flush_interval_s=2.0)
         assert isinstance(serve, ServeConfig)
-        assert serve.shards == 2  # document wins
+        assert serve.flush_max_batch == 64  # document wins
         assert serve.case_timeout_s == 1.5
-        assert serve.flush_max_batch == 500  # flag untouched by the doc
+        assert serve.flush_interval_s == 2.0  # flag untouched by the doc
 
     def test_preflight_is_clean_for_shipped_scenarios(self, tmp_path):
         config = load_config(

@@ -32,7 +32,7 @@ def _stream_paper_trail(checker_wrapper=None, **config):
     router = ShardRouter(
         process_registry(),
         hierarchy=role_hierarchy(),
-        config=ServeConfig(shards=2, **config),
+        config=ServeConfig(**config),
         checker_wrapper=checker_wrapper,
     )
     router.start()
@@ -173,7 +173,7 @@ def test_reads_beside_ingest_never_tear_and_change_nothing():
     router = ShardRouter(
         process_registry(),
         hierarchy=role_hierarchy(),
-        config=ServeConfig(shards=2),
+        config=ServeConfig(),
     )
     router.start()
     plane = ControlPlane(router=router)

@@ -1,8 +1,8 @@
 """Quarantine triage against a live service.
 
 The operator-facing loop: a case crashes its checker and lands in
-quarantine; the control plane requeues it — the replay runs *on the
-case's own shard thread*, serialized with live ingest that keeps
+quarantine; the control plane requeues it — the replay runs under the
+router's admission lock, serialized with live ingest that keeps
 flowing the whole time — or dismisses it, leaving a durable,
 hash-chained operator record next to the audit trail.
 """
@@ -54,7 +54,7 @@ def _telemetry():
 
 
 def _mixed_router(tmp_path, telemetry=None, checker_wrapper=None, **config):
-    """Two shards over a store and a WAL, serving a sequential ``OK``
+    """A router over a store and a WAL, serving a sequential ``OK``
     purpose and the non-well-founded ``NW`` purpose, whose case ``NW-1``
     is contained as undecidable."""
     registry = ProcessRegistry()
@@ -63,7 +63,6 @@ def _mixed_router(tmp_path, telemetry=None, checker_wrapper=None, **config):
     router = ShardRouter(
         registry,
         config=ServeConfig(
-            shards=2,
             store_path=str(tmp_path / "audit.db"),
             wal_dir=str(tmp_path / "wal"),
             **config,
@@ -100,7 +99,7 @@ def _crashing_service(serve_factory, tmp_path, telemetry):
         process_registry(),
         hierarchy=role_hierarchy(),
         config=ServeConfig(
-            shards=3, store_path=str(tmp_path / "audit.db")
+            store_path=str(tmp_path / "audit.db")
         ),
         telemetry=telemetry,
         checker_wrapper=injector,
@@ -221,7 +220,7 @@ class TestRequeue:
         registry = ProcessRegistry()
         registry.register(sequential_process(2), "OK")
         registry.register(non_well_founded_process(), "NW")
-        router = ShardRouter(registry, config=ServeConfig(shards=2))
+        router = ShardRouter(registry, config=ServeConfig())
         router.start()
         try:
             for entry in mixed_trail():

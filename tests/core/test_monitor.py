@@ -377,8 +377,8 @@ class TestServeFacingSurface:
 
 class TestReadersRaceObserve:
     """The service reads a live monitor (``/healthz``, the ``status`` op,
-    the control API) from other threads while its shard thread keeps
-    observing new cases; no reader may trip over the growing case table.
+    the control API) from other threads while the engine keeps observing
+    new cases; no reader may trip over the growing case table.
     """
 
     def test_readers_survive_thousands_of_new_cases(self, monitor):

@@ -27,6 +27,7 @@ from repro.obs.log import (
     SERVE_FLUSH,
     SERVE_RECOVERED,
     SERVE_STARTED,
+    SERVE_TICK_FAILED,
     SERVE_WAL_COMMIT,
     SERVE_WAL_RETIRED,
     WEAKNEXT_COMPUTED,
@@ -63,6 +64,7 @@ class TestVocabulary:
             SERVE_FLUSH,
                     SERVE_RECOVERED,
             SERVE_STARTED,
+            SERVE_TICK_FAILED,
             SERVE_WAL_COMMIT,
             SERVE_WAL_RETIRED,
             WORKER_INIT,

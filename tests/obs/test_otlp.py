@@ -229,19 +229,14 @@ class TestConsoleRendering:
 
 
 class TestTopSampler:
-    def _payloads(self, entries, observed):
+    def _payloads(self, entries, open_cases):
         return {
             "/healthz": {
                 "status": "ok",
                 "entries_received": entries,
                 "quarantined_cases": 1,
                 "draining": False,
-                "shard_detail": {
-                    "shard-0": {
-                        "inflight_cases": 3,
-                        "entries_observed": observed,
-                    }
-                },
+                "cases": {"open": open_cases, "completed": 2},
             },
             "/metrics.json": {
                 "serve_ingest_seconds": {
@@ -254,16 +249,17 @@ class TestTopSampler:
         }
 
     def test_rates_come_from_consecutive_samples(self):
-        payloads = self._payloads(100, 40)
+        payloads = self._payloads(100, 3)
         sampler = TopSampler(lambda path: payloads[path])
         first = sampler.render(now=10.0)
         assert "entries 100" in first
         assert "(-)" in first  # no rate on the first sample
-        payloads.update(self._payloads(150, 60))
+        assert "open 3" in first
+        payloads.update(self._payloads(150, 4))
         second = sampler.render(now=20.0)
         assert "entries 150" in second
         assert "(5.0/s)" in second  # (150-100)/10s
-        assert "2.0/s" in second  # per-shard (60-40)/10s
+        assert "open 4" in second  # /healthz cases.open, as sampled
         assert "p50 1.00ms" in second
         assert "p99 5.00ms" in second
 
@@ -271,7 +267,7 @@ class TestTopSampler:
         payloads = self._payloads(5, 5)
         sample = TopSampler(lambda path: payloads[path]).sample(now=1.0)
         assert sample["entries_received"] == 5
-        assert sample["shards"]["shard-0"]["inflight_cases"] == 3
+        assert sample["open"] == 5
         assert sample["p99_s"] == 0.005
 
 
@@ -283,12 +279,7 @@ class TestTopTenantRows:
                 "entries_received": 10,
                 "quarantined_cases": 1,
                 "draining": False,
-                "shard_detail": {
-                    "shard-0": {
-                        "inflight_cases": 1,
-                        "entries_observed": 10,
-                    }
-                },
+                "cases": {"open": 1},
             },
             "/metrics.json": {"serve_ingest_seconds": {"series": []}},
         }
@@ -332,4 +323,4 @@ class TestTopTenantRows:
         assert sample["tenants"] is None
         text = sampler.render(now=2.0)
         assert "tenant" not in text
-        assert "shard-0" in text  # the per-shard view is untouched
+        assert "open 1" in text  # the service header is untouched

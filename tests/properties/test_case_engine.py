@@ -8,8 +8,8 @@ mixed with entries under an unknown prefix and entries of a
 non-well-founded purpose, and requeues cases — contained ones above
 all — along the way.
 After every step, each case must read exactly as it does on a fresh
-engine fed that case's accepted entries, and the engine's open-case
-count must match its open cases.
+engine fed that case's accepted entries, and the engine must list its
+cases in the order they were first seen, requeued ones included.
 """
 
 from dataclasses import replace
@@ -92,7 +92,7 @@ class CaseEngineMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.accepted)
     @rule(data=st.data())
     def requeue_any_case(self, data):
-        """Quarantine usually holds contained cases, but a shard's
+        """Quarantine usually holds contained cases, but the router's
         last-resort handler can quarantine a case in any state."""
         self._requeue(data.draw(st.sampled_from(sorted(self.accepted))))
 
@@ -102,18 +102,13 @@ class CaseEngineMachine(RuleBasedStateMachine):
         for items in self.accepted.values():
             for item in items:
                 fresh.observe(item)
-        # (A requeued case is re-opened, so it moves to the end of the
-        # first-seen order.)
-        assert set(self.engine.cases()) == set(fresh.cases())
+        # (A requeued case keeps its place in first-seen order.)
+        assert self.engine.cases() == fresh.cases()
         for case in self.accepted:
             assert self.engine.case_record(case) == fresh.case_record(case)
             assert self.engine.case_findings(case) == fresh.case_findings(
                 case
             )
-
-    @invariant()
-    def open_count_matches_open_cases(self):
-        assert self.engine.open_count == len(self.engine.open_cases())
 
 
 CaseEngineMachine.TestCase.settings = settings(

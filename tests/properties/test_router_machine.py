@@ -1,8 +1,8 @@
-"""State machine: the shard router under traffic, triage and restarts.
+"""State machine: the router under traffic, triage and restarts.
 
-Hypothesis drives one :class:`~repro.serve.core.ShardRouter` — 1 to 3
-shards, an audit store and a write-ahead log in a temporary directory,
-the paper registry — with numbered entries from a fixed hospital day,
+Hypothesis drives one :class:`~repro.serve.core.ShardRouter` — an audit
+store and a write-ahead log in a temporary directory, the paper
+registry — with numbered entries from a fixed hospital day,
 duplicate re-sends, requeues and dismissals of quarantined cases, and
 restarts on the same files, after a drain or after a crash.  A
 test-local checker wrapper fails chosen cases on their first replay
@@ -11,15 +11,15 @@ only, so the quarantine has work.
 The reference is a fresh :class:`~repro.core.monitor.OnlineMonitor`
 replay of each case's accepted entries.  After every step each case
 must read as it does there (or as the injected failure left it), the
-quarantine must be what the triage made it, and after every restart the
-store must pass its hash-chain check and hold exactly the accepted
-entries, each shard's in the order they were accepted (with one shard,
-the whole store in acceptance order).
+quarantine must be what the triage made it, the results must list the
+cases in the order they were first accepted, and the store's control
+log must list exactly the requeues and dismissals issued, in order.
+After every restart the store must pass its hash-chain checks and hold
+exactly the accepted entries, in the order they were accepted.
 """
 
 import shutil
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 from hypothesis import settings, strategies as st
@@ -120,13 +120,14 @@ class RouterMachine(RuleBasedStateMachine):
         self.accepted_since_restart = 0
         self.quarantined: set[str] = set()
         self.dismissed: set[str] = set()
+        #: ``(action, case, actor, reason)`` of every triage issued.
+        self.control_log: list[tuple] = []
         #: Cases whose live record is the injected failure.
         self.failed: set[str] = set()
         self.router = None
 
-    @initialize(shards=st.integers(min_value=1, max_value=3))
-    def boot(self, shards):
-        self.shards = shards
+    @initialize()
+    def boot(self):
         self._start()
 
     def _start(self) -> None:
@@ -134,7 +135,6 @@ class RouterMachine(RuleBasedStateMachine):
             REGISTRY,
             hierarchy=HIERARCHY,
             config=ServeConfig(
-                shards=self.shards,
                 store_path=self.store_path,
                 wal_dir=str(self.directory / "wal"),
                 flush_max_batch=8,
@@ -201,6 +201,7 @@ class RouterMachine(RuleBasedStateMachine):
         )
         assert status == 200, payload
         assert payload["replayed_entries"] == len(self.accepted[case])
+        self.control_log.append(("requeue", case, "operator", ""))
         self.quarantined.discard(case)
         self.failed.discard(case)
 
@@ -212,6 +213,7 @@ class RouterMachine(RuleBasedStateMachine):
             "POST", f"/api/v1/quarantine/{case}/dismiss", {}, {"actor": "t"}
         )
         assert status == 200 and payload["recorded"], payload
+        self.control_log.append(("dismiss", case, "t", ""))
         self.quarantined.discard(case)
         self.dismissed.add(case)
 
@@ -232,9 +234,8 @@ class RouterMachine(RuleBasedStateMachine):
         every acknowledged entry."""
         router = self.router
         router._accepting = False
-        for wal in router._wals.values():
-            wal.commit()
-            wal.close()
+        router._wal.commit()
+        router._wal.close()
         router._writer.queue.put(None)  # stops after the queued batches
         router._writer.join()
         self._restart()
@@ -250,14 +251,8 @@ class RouterMachine(RuleBasedStateMachine):
         with AuditStore(self.store_path) as store:
             store.verify_integrity()  # raises on a broken chain
             stored = list(store.iter_entries())
-        assert Counter(stored) == Counter(self.order)
-        # Each shard's rows in the order its entries were accepted (with
-        # one shard, the whole store in acceptance order).
-        shard_of = self.router._ring.shard_for
-        for shard in self.router.shard_names:
-            assert [e for e in stored if shard_of(e.case) == shard] == [
-                e for e in self.order if shard_of(e.case) == shard
-            ], shard
+        # Every accepted entry once, the whole store in acceptance order.
+        assert stored == self.order
 
     # -- invariants ------------------------------------------------------
     @invariant()
@@ -265,9 +260,10 @@ class RouterMachine(RuleBasedStateMachine):
         if self.router is None:
             return
         results = self.router.results()
-        assert set(results) == set(self.accepted)
+        # First-seen order, through every restart.
+        assert list(results) == list(self.accepted)
         for case, entries in self.accepted.items():
-            record = {k: v for k, v in results[case].items() if k != "shard"}
+            record = results[case]
             if case in self.failed:
                 assert record["state"] == "failed", case
                 assert record["failure_kind"] == "error", case
@@ -283,6 +279,14 @@ class RouterMachine(RuleBasedStateMachine):
         assert not quarantined & self.dismissed
         for case in self.accepted:
             assert self.router.case_sequence(case) == len(self.accepted[case])
+
+    @invariant()
+    def control_log_lists_the_triage(self):
+        with AuditStore(self.store_path) as store:
+            records = store.control_records()
+        assert [
+            (r["action"], r["case"], r["actor"], r["reason"]) for r in records
+        ] == self.control_log
 
 
 RouterMachine.TestCase.settings = settings(

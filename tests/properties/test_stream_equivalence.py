@@ -1,12 +1,12 @@
-"""Property: sharded streaming is equivalent to per-case sequential replay.
+"""Property: streaming is equivalent to per-case sequential replay.
 
 Hypothesis generates arbitrary interleavings of multi-case entry
-streams and arbitrary shard counts (1–8) and drives them through the
-service's :class:`~repro.serve.core.ShardRouter` — the real shard
-threads, ring and quarantine plumbing, minus the socket.  Whatever the
-interleaving and whoever owns each case, every case must end in exactly
-the state (and with exactly the canonical digest) that a sequential
-per-case replay of its own entries produces.
+streams and drives them through the service's
+:class:`~repro.serve.core.ShardRouter` — the real admission, engine and
+quarantine plumbing, minus the socket.  Whatever the interleaving,
+every case must end in exactly the state (and with exactly the
+canonical digest) that a sequential per-case replay of its own entries
+produces, and the results list the cases in first-seen order.
 
 Assertion messages name the offending case id, so a shrunk
 counterexample points straight at the diverging case.
@@ -38,7 +38,7 @@ _PER_CASE = {
 
 @st.composite
 def interleaved_streams(draw):
-    """A subset of cases, an interleaving of their entries, a shard count."""
+    """A subset of cases and an interleaving of their entries."""
     chosen = draw(
         st.lists(
             st.sampled_from(_CASES), min_size=1, max_size=6, unique=True
@@ -50,22 +50,21 @@ def interleaved_streams(draw):
         order.extend([case] * len(remaining[case]))
     order = draw(st.permutations(order))
     stream = [remaining[case].pop(0) for case in order]
-    shards = draw(st.integers(min_value=1, max_value=8))
-    return chosen, stream, shards
+    return chosen, stream
 
 
 class TestStreamEquivalence:
     @given(interleaved_streams())
     @settings(max_examples=30, deadline=None)
     def test_sharded_stream_matches_sequential_replay(self, example):
-        chosen, stream, shards = example
+        chosen, stream = example
         registry = process_registry()
         hierarchy = role_hierarchy()
 
         router = ShardRouter(
             registry,
             hierarchy=hierarchy,
-            config=ServeConfig(shards=shards),
+            config=ServeConfig(),
         )
         router.start()
         try:
@@ -74,6 +73,7 @@ class TestStreamEquivalence:
             streamed = router.results()
         finally:
             router.drain()
+        assert list(streamed) == list(dict.fromkeys(e.case for e in stream))
 
         for case in chosen:
             reference = OnlineMonitor(registry, hierarchy=hierarchy)
@@ -82,9 +82,9 @@ class TestStreamEquivalence:
             want_state = str(reference.case_state(case))
             got = streamed[case]
             assert got["state"] == want_state, (
-                f"case {case} diverged: sharded stream ended {got['state']},"
+                f"case {case} diverged: the stream ended {got['state']},"
                 f" sequential replay ended {want_state}"
-                f" ({shards} shards, {len(stream)} entries interleaved)"
+                f" ({len(stream)} entries interleaved)"
             )
             want_result = reference.case_result(case)
             want_digest = (
@@ -93,46 +93,5 @@ class TestStreamEquivalence:
                 else None
             )
             assert got["digest"] == want_digest, (
-                f"case {case} diverged: sharded digest != sequential digest"
-                f" ({shards} shards)"
-            )
-
-    @given(
-        st.integers(min_value=1, max_value=8),
-        st.integers(min_value=1, max_value=8),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_shard_count_never_changes_case_ownership_semantics(
-        self, shards_a, shards_b
-    ):
-        """The same stream through different shard counts agrees case by
-        case (final states are a pure function of per-case entries)."""
-        registry = process_registry()
-        hierarchy = role_hierarchy()
-        stream = list(_WORKLOAD.trail)
-
-        outcomes = []
-        for shards in (shards_a, shards_b):
-            router = ShardRouter(
-                registry,
-                hierarchy=hierarchy,
-                config=ServeConfig(shards=shards),
-            )
-            router.start()
-            try:
-                for entry in stream:
-                    assert router.submit(entry).accepted
-                outcomes.append(
-                    {
-                        case: (info["state"], info["digest"])
-                        for case, info in router.results().items()
-                    }
-                )
-            finally:
-                router.drain()
-        first, second = outcomes
-        for case in first:
-            assert first[case] == second[case], (
-                f"case {case} diverged between {shards_a} and "
-                f"{shards_b} shards"
+                f"case {case} diverged: streamed digest != sequential digest"
             )

@@ -77,7 +77,7 @@ def serve_factory():
         router = ShardRouter(
             registry,
             hierarchy=hierarchy,
-            config=config or ServeConfig(shards=3),
+            config=config or ServeConfig(),
             telemetry=telemetry,
             checker_wrapper=checker_wrapper,
         )

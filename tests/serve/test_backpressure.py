@@ -59,7 +59,7 @@ def _router() -> ShardRouter:
     router = ShardRouter(
         process_registry(),
         hierarchy=role_hierarchy(),
-        config=ServeConfig(shards=1),
+        config=ServeConfig(),
         checker_wrapper=_slow(0.02),
     )
     router.start()
@@ -86,7 +86,6 @@ class TestAdmissionControl:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("shards", 0),
             ("flush_max_batch", 0),
             ("flush_interval_s", float("nan")),
             ("case_timeout_s", 0.0),
@@ -105,7 +104,7 @@ class TestOverloadOverTheWire:
         handle = serve_factory(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(shards=1),
+            config=ServeConfig(),
             checker_wrapper=_slow(0.02),
         )
         shipper = ResilientAuditClient(
@@ -135,7 +134,7 @@ class TestOverloadOverTheWire:
         handle = serve_factory(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(shards=1),
+            config=ServeConfig(),
         )
         with AuditStreamClient(handle.host, handle.port) as shipper:
             shipper.recv_until("hello")
@@ -156,7 +155,7 @@ class TestOverloadOverTheWire:
         handle = serve_factory(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(shards=2),
+            config=ServeConfig(),
         )
         shipper = ResilientAuditClient(
             handle.host, handle.port, rng=random.Random(3)

@@ -5,8 +5,8 @@ End to end over real sockets and a real process: boot
 sequence numbers, SIGKILL the daemon, restart it on the same files
 (the restart resumes them on its own), finish the stream through the
 resilient shipper, and assert the per-case verdict digests are
-byte-identical to an uninterrupted batch replay — for 1/3/5 shards,
-interpreted and compiled.
+byte-identical to an uninterrupted batch replay — interpreted and
+compiled.
 """
 
 import json
@@ -40,7 +40,7 @@ def _batch_digests():
     }
 
 
-def _spawn(tmp_path, shards: int, compiled: bool, resumes: bool = False):
+def _spawn(tmp_path, compiled: bool, resumes: bool = False):
     """Boot ``repro serve`` as an operator would; returns (proc, ports,
     the ``recovered`` report a restart on a non-empty record prints)."""
     env = dict(os.environ)
@@ -49,7 +49,6 @@ def _spawn(tmp_path, shards: int, compiled: bool, resumes: bool = False):
     argv = [
         sys.executable, "-m", "repro.cli", "serve",
         "--scenario", "paper",
-        "--shards", str(shards),
         "--store", str(tmp_path / "audit.db"),
         "--wal-dir", str(tmp_path / "wal"),
         "--flush-interval", "0.05",
@@ -77,14 +76,13 @@ def _spawn(tmp_path, shards: int, compiled: bool, resumes: bool = False):
 
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["interp", "compiled"])
-@pytest.mark.parametrize("shards", [1, 3, 5])
 class TestKillNineRecover:
     def test_sigkill_midstream_then_recover_matches_batch(
-        self, tmp_path, shards, compiled
+        self, tmp_path, compiled
     ):
         trail = list(paper_audit_trail())
         cut = len(trail) // 2
-        first, listening, _ = _spawn(tmp_path, shards, compiled)
+        first, listening, _ = _spawn(tmp_path, compiled)
         try:
             shipper = ResilientAuditClient(
                 listening["host"], listening["port"], rng=random.Random(11)
@@ -101,9 +99,7 @@ class TestKillNineRecover:
                 first.kill()
                 first.wait(timeout=10)
 
-        second, listening, recovered = _spawn(
-            tmp_path, shards, compiled, resumes=True
-        )
+        second, listening, recovered = _spawn(tmp_path, compiled, resumes=True)
         try:
             # The daemon reported its reconstruction before listening.
             assert recovered["store_intact"] in (True, None)

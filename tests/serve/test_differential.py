@@ -5,8 +5,8 @@ entries arrive exactly as a log shipper would send them — and assert
 that the canonical verdict digest the service reports for each case is
 **byte-identical** to a batch :class:`PurposeControlAuditor` replay of
 the same trail.  Both the interpreted and the compiled service paths
-are exercised, across several shard counts, so neither sharding, the
-wire protocol, nor automaton replay may perturb a verdict.
+are exercised, so neither the wire protocol nor automaton replay may
+perturb a verdict.
 """
 
 import pytest
@@ -31,8 +31,6 @@ from repro.scenarios import (
 )
 from repro.serve import AuditStreamClient, ServeConfig
 from repro.testing import canonical_digest
-
-SHARD_COUNTS = (1, 3, 5)
 
 
 def _appendix_scenario():
@@ -116,11 +114,10 @@ TIERS = {
 }
 
 
-def _stream_and_collect(serve_factory, name, shards, tier, tmp_path):
+def _stream_and_collect(serve_factory, name, tier, tmp_path):
     registry, hierarchy, trail = SCENARIOS[name]()
     options = TIERS[tier]
     config = ServeConfig(
-        shards=shards,
         automaton_dir=(
             str(tmp_path / "automata") if options["compiled"] else None
         ),
@@ -135,25 +132,22 @@ def _stream_and_collect(serve_factory, name, shards, tier, tmp_path):
 
 
 @pytest.mark.parametrize("tier", sorted(TIERS))
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 class TestServiceTierMatrix:
-    """tier x shard-count x scenario: every rung of the replay ladder,
-    behind real sockets and real sharding, byte-identical to the batch
-    auditor's interpreted ground truth."""
+    """tier x scenario: every rung of the replay ladder, behind real
+    sockets, byte-identical to the batch auditor's interpreted ground
+    truth."""
 
     def test_verdict_digests_match_batch_replay(
-        self, serve_factory, batch_digests, scenario, shards, tier, tmp_path
+        self, serve_factory, batch_digests, scenario, tier, tmp_path
     ):
-        served = _stream_and_collect(
-            serve_factory, scenario, shards, tier, tmp_path
-        )
+        served = _stream_and_collect(serve_factory, scenario, tier, tmp_path)
         expected = batch_digests(scenario)
         assert set(served) >= set(expected)
         for case, digest in expected.items():
             assert served[case]["digest"] == digest, (
                 f"{scenario}: case {case} diverged from batch replay "
-                f"({shards} shards, {tier})"
+                f"({tier})"
             )
 
 
@@ -163,7 +157,7 @@ class TestXesIngestion:
     ):
         registry, hierarchy, trail = SCENARIOS["healthcare"]()
         handle = serve_factory(
-            registry, hierarchy=hierarchy, config=ServeConfig(shards=3)
+            registry, hierarchy=hierarchy, config=ServeConfig()
         )
         with AuditStreamClient(handle.host, handle.port) as client:
             client.recv_until("hello")
@@ -176,7 +170,7 @@ class TestXesIngestion:
     def test_final_states_survive_drain(self, serve_factory):
         registry, hierarchy, trail = SCENARIOS["healthcare"]()
         handle = serve_factory(
-            registry, hierarchy=hierarchy, config=ServeConfig(shards=2)
+            registry, hierarchy=hierarchy, config=ServeConfig()
         )
         with AuditStreamClient(handle.host, handle.port) as client:
             client.recv_until("hello")
@@ -203,7 +197,7 @@ class TestAutomatonDirImpliesTableTier:
             registry,
             hierarchy=hierarchy,
             config=ServeConfig(
-                shards=2, automaton_dir=str(tmp_path / "automata")
+                automaton_dir=str(tmp_path / "automata")
             ),
             telemetry=Telemetry.create(registry=metrics),
         )

@@ -3,8 +3,8 @@
 Operators point probes, scrapers, and the ``repro top`` console at this
 endpoint, so it must answer HEAD without a body, reject unknown methods
 with a clean 405 + ``Allow``, survive a malformed request line, and
-publish per-shard detail (queue depth, in-flight cases) in ``/healthz``
-plus machine-readable quantiles in ``/metrics.json``.
+publish entries and cases by state in ``/healthz`` plus
+machine-readable quantiles in ``/metrics.json``.
 """
 
 import json
@@ -23,7 +23,7 @@ def http_service(serve_factory):
     handle = serve_factory(
         process_registry(),
         hierarchy=role_hierarchy(),
-        config=ServeConfig(shards=2),
+        config=ServeConfig(),
         telemetry=Telemetry.create(registry=MetricsRegistry()),
         http=True,
     )
@@ -48,17 +48,17 @@ def _raw_request(handle, payload: bytes) -> bytes:
 
 
 class TestHealthz:
-    def test_reports_per_shard_detail(self, http_service):
+    def test_reports_entries_and_open_cases(self, http_service):
         url = f"http://{http_service.host}:{http_service.http_port}/healthz"
         with urllib.request.urlopen(url, timeout=10) as response:
             payload = json.loads(response.read())
-        detail = payload["shard_detail"]
-        assert set(detail) == {"shard-0", "shard-1"}
-        for stats in detail.values():
-            assert set(stats) >= {"inflight_cases", "entries_observed"}
-            assert stats["inflight_cases"] >= 0
-        observed = sum(s["entries_observed"] for s in detail.values())
-        assert observed == len(paper_audit_trail())
+        assert payload["entries_observed"] == len(paper_audit_trail())
+        states = [
+            record["state"]
+            for record in http_service.router.results(digests=False).values()
+        ]
+        assert payload["cases"]["open"] == states.count("open") > 0
+        assert sum(payload["cases"].values()) == len(states)
 
 
 class TestMetricsJson:
@@ -72,8 +72,8 @@ class TestMetricsJson:
         series = ingest["series"][0]
         assert series["p50"] >= 0.0
         assert series["p99"] >= series["p50"]
-        # the gauges registered for shard detail are exported too
-        assert "serve_shard_inflight_cases" in payload
+        # the engine's per-state case gauge is exported too
+        assert payload["monitor_cases"]["type"] == "gauge"
 
 
 class TestMethodHygiene:
@@ -148,7 +148,7 @@ class TestApiMount:
         handle = serve_factory(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(shards=2),
+            config=ServeConfig(),
             http=True,
             control="mount",
         )

@@ -30,7 +30,7 @@ def service(serve_factory, caplog):
     handle = serve_factory(
         process_registry(),
         hierarchy=role_hierarchy(),
-        config=ServeConfig(shards=1),
+        config=ServeConfig(),
         telemetry=Telemetry.create(registry=registry),
         http=True,
     )

@@ -1,6 +1,5 @@
-"""Unit tests for the serve layer's ring and wire protocol."""
+"""Unit tests for the serve layer's wire protocol."""
 
-from collections import Counter
 from datetime import datetime
 
 import pytest
@@ -8,61 +7,12 @@ import pytest
 from repro.audit.model import LogEntry, Status
 from repro.policy.model import ObjectRef
 from repro.serve import (
-    ConsistentHashRing,
     ProtocolError,
     decode_message,
     encode_message,
     entry_from_message,
     entry_to_message,
 )
-
-
-class TestConsistentHashRing:
-    def test_deterministic_across_instances(self):
-        a = ConsistentHashRing(["s0", "s1", "s2"])
-        b = ConsistentHashRing(["s0", "s1", "s2"])
-        for i in range(200):
-            key = f"HT-{i}"
-            assert a.shard_for(key) == b.shard_for(key)
-
-    def test_shard_order_is_irrelevant(self):
-        a = ConsistentHashRing(["s0", "s1", "s2"])
-        b = ConsistentHashRing(["s2", "s0", "s1"])
-        assert all(
-            a.shard_for(f"case-{i}") == b.shard_for(f"case-{i}")
-            for i in range(100)
-        )
-
-    def test_every_shard_gets_work(self):
-        ring = ConsistentHashRing([f"s{i}" for i in range(4)])
-        owners = Counter(ring.shard_for(f"HT-{i}") for i in range(1000))
-        assert set(owners) == {"s0", "s1", "s2", "s3"}
-        # 64 virtual nodes keep the imbalance moderate.
-        assert max(owners.values()) < 3 * min(owners.values())
-
-    def test_removal_moves_only_the_lost_shards_keys(self):
-        ring = ConsistentHashRing(["s0", "s1", "s2", "s3"])
-        before = {f"c{i}": ring.shard_for(f"c{i}") for i in range(500)}
-        ring.remove_shard("s3")
-        for key, owner in before.items():
-            if owner != "s3":
-                assert ring.shard_for(key) == owner, key
-
-    def test_single_shard_owns_everything(self):
-        ring = ConsistentHashRing(["only"])
-        assert ring.shard_for("anything") == "only"
-        assert len(ring) == 1
-
-    def test_rejects_bad_configurations(self):
-        with pytest.raises(ValueError):
-            ConsistentHashRing([])
-        with pytest.raises(ValueError):
-            ConsistentHashRing(["a"], replicas=0)
-        ring = ConsistentHashRing(["a"])
-        with pytest.raises(ValueError):
-            ring.add_shard("a")
-        with pytest.raises(ValueError):
-            ring.remove_shard("ghost")
 
 
 def _entry(**overrides) -> LogEntry:

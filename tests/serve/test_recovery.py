@@ -12,6 +12,7 @@ live in ``test_chaos.py`` and ``test_serve_restart.py``.
 import dataclasses
 import sqlite3
 import threading
+from collections import Counter
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.scenarios import (
 from repro.serve import ServeConfig, ShardRouter
 from repro.serve.recovery import collect_case_histories
 from repro.serve.wal import (
+    LOG_NAME,
     WalCorruptionError,
     WalWriter,
     read_wal,
@@ -48,7 +50,6 @@ def _batch_digests():
 
 def _config(tmp_path, **overrides) -> ServeConfig:
     defaults = dict(
-        shards=3,
         store_path=str(tmp_path / "audit.db"),
         wal_dir=str(tmp_path / "wal"),
         flush_max_batch=10_000,  # flushes only when the test says so
@@ -74,10 +75,9 @@ def _crash(router: ShardRouter) -> None:
     fsync-lost tail; here every *acknowledged* (synced) entry is on
     disk, which is the durability level the protocol promises.
     """
-    for wal in router._wals.values():
-        wal.commit()
-        wal.close()
-    router._accepting = False  # the old threads idle harmlessly
+    router._wal.commit()
+    router._wal.close()
+    router._accepting = False  # the old store writer idles harmlessly
 
 
 def _swapped_trail() -> list:
@@ -135,8 +135,8 @@ class TestRecoverEndToEnd:
         _crash(first)
 
         # The store holds the first half; the WAL still holds *all*
-        # accepted records for some shards (retirement only drops whole
-        # sealed segments).  The resume must dedupe by case_seq.
+        # accepted records (retirement only drops whole sealed
+        # segments).  The resume must dedupe by case_seq.
         second = _router(tmp_path)
         report = second.recovery_report
         assert report.store_entries == half
@@ -181,37 +181,77 @@ class TestRecoverEndToEnd:
         assert len(store.query()) == len(trail)
         store.close()
 
-    @pytest.mark.parametrize("shards", [1, 5])
-    def test_recovery_across_a_shard_count_change(self, tmp_path, shards):
-        trail = list(paper_audit_trail())
-        first = _router(tmp_path)  # 3 shards
-        for entry in trail:
-            assert first.submit(entry).accepted
-        _crash(first)
+    @staticmethod
+    def _sharded_directory(wal_dir, trail, logged_from: int) -> list:
+        """The segments a daemon that split its cases over three logs
+        (``shard-0`` … ``shard-2``) leaves behind when it dies after a
+        ``sync``: every entry from *logged_from* on, each in its case's
+        log, numbered by its position within its case."""
+        cases = list(dict.fromkeys(entry.case for entry in trail))
+        writers = [WalWriter(wal_dir, f"shard-{i}") for i in range(3)]
+        counts: Counter = Counter()
+        for index, entry in enumerate(trail):
+            counts[entry.case] += 1
+            if index >= logged_from:
+                writer = writers[cases.index(entry.case) % len(writers)]
+                writer.append(entry, counts[entry.case])
+        for writer in writers:
+            writer.close()
+        return segment_paths(wal_dir)
 
-        # The replacement runs a different topology: WAL segments are
-        # keyed by *old* shard names, cases re-home through the new
-        # ring, and the verdicts must not care.
-        second = _router(tmp_path, shards=shards)
-        assert _digests(second) == _batch_digests()
-        # Stale-topology segments were cleaned up once the store owned
-        # everything.
-        leftover = {r.shard for r in read_wal(tmp_path / "wal").records}
-        assert leftover <= {f"shard-{i}" for i in range(shards)}
-        second.drain()
+    def test_resume_of_a_directory_a_sharded_daemon_left(self, tmp_path):
+        trail = list(paper_audit_trail())
+        half = len(trail) // 2
+        with AuditStore(str(tmp_path / "audit.db")) as store:
+            store.append_many(trail[:half])
+        # The logs overlap the stored prefix: their oldest records were
+        # committed but not yet retired when the daemon died.
+        old = self._sharded_directory(tmp_path / "wal", trail, half // 2)
+
+        router = _router(tmp_path)
+        report = router.recovery_report
+        assert report.store_entries == half
+        assert report.replayed == len(trail)
+        assert report.duplicates == half - half // 2
+        assert _digests(router) == _batch_digests()
+        for case, count in Counter(entry.case for entry in trail).items():
+            assert router.case_sequence(case) == count
+        # The store owns the delta now: the old logs are gone, only the
+        # one log's fresh segment is left.
+        assert not any(path.exists() for path in old)
+        wal_dir = tmp_path / "wal"
+        assert segment_paths(wal_dir) == segment_paths(wal_dir, LOG_NAME)
+        assert router.drain().store_intact is True
+        with AuditStore(str(tmp_path / "audit.db")) as store:
+            stored = list(store.iter_entries())
+        assert len(stored) == len(trail)
+        assert stored[:half] == trail[:half]
+        for case in {entry.case for entry in trail}:
+            assert [e for e in stored if e.case == case] == [
+                e for e in trail if e.case == case
+            ], f"case {case} is out of order in the store"
+
+    def test_without_a_durable_store_old_segments_are_kept(self, tmp_path):
+        trail = list(paper_audit_trail())
+        old = self._sharded_directory(tmp_path / "wal", trail, 0)
+
+        router = _router(tmp_path, store_path=None)
+        assert router.recovery_report.replayed == len(trail)
+        assert _digests(router) == _batch_digests()
+        # Nothing durable owns the entries: the logs are their only copy.
+        assert all(path.exists() for path in old)
+        router.drain()
 
     def test_torn_wal_tail_recovers_the_acknowledged_prefix(self, tmp_path):
         trail = list(paper_audit_trail())
-        first = _router(tmp_path, shards=1)
+        first = _router(tmp_path)
         for entry in trail:
             assert first.submit(entry).accepted
         _crash(first)
-        from repro.serve.wal import segment_paths
-
-        last = segment_paths(tmp_path / "wal", "shard-0")[-1]
+        last = segment_paths(tmp_path / "wal")[-1]
         corrupt_wal_tail(last, mode="truncate")
 
-        second = _router(tmp_path, shards=1)
+        second = _router(tmp_path)
         report = second.recovery_report
         assert report.torn_segments
         # The torn record was never durably acknowledged; everything
@@ -224,7 +264,7 @@ class TestRecoverEndToEnd:
     ):
         trail = list(paper_audit_trail())
         half = len(trail) // 2
-        first = _router(tmp_path, shards=1)
+        first = _router(tmp_path)
         for entry in trail[:half]:
             assert first.submit(entry).accepted
         first.wal_commit()  # what `sync` does: the first half is acked
@@ -233,7 +273,7 @@ class TestRecoverEndToEnd:
         # A restart that did not resume would accept the rest, and its
         # first store commit would retire the segment holding the
         # acknowledged first half.
-        second = _router(tmp_path, shards=1)
+        second = _router(tmp_path)
         for entry in trail[half:]:
             assert second.submit(entry).accepted
         assert _digests(second) == _batch_digests()
@@ -265,14 +305,14 @@ class TestRecoverEndToEnd:
 
     def test_resume_replays_in_acceptance_order(self, tmp_path):
         trail = _swapped_trail()
-        first = _router(tmp_path, shards=1)
+        first = _router(tmp_path)
         for entry in trail:
             assert first.submit(entry).accepted
         live = first.results()["HT-1"]
         assert live["state"] == "completed"
         first.drain()
 
-        second = _router(tmp_path, shards=1)
+        second = _router(tmp_path)
         assert second.results()["HT-1"]["digest"] == live["digest"]
         second.drain()
 
@@ -298,7 +338,7 @@ class TestRecoverGuards:
 
     def test_gap_in_sealed_wal_data_raises(self, tmp_path):
         trail = list(paper_audit_trail())
-        first = _router(tmp_path, shards=1)
+        first = _router(tmp_path)
         for entry in trail:
             assert first.submit(entry).accepted
         _crash(first)
@@ -306,7 +346,7 @@ class TestRecoverGuards:
         # Drop a middle record by rewriting the (single) segment without
         # it — a hole in fsynced data, which no crash produces.
         wal_dir = tmp_path / "wal"
-        result = read_wal(wal_dir, "shard-0")
+        result = read_wal(wal_dir)
         by_case: dict = {}
         victim = None
         for record in result.records:
@@ -318,7 +358,7 @@ class TestRecoverGuards:
         assert victim is not None
         for path in segment_paths(wal_dir):
             path.unlink()
-        writer = WalWriter(wal_dir, "shard-0")
+        writer = WalWriter(wal_dir)
         for record in result.records:
             if record is victim:
                 continue
@@ -336,7 +376,7 @@ class TestRecoverGuards:
         self, tmp_path, monkeypatch
     ):
         trail = list(paper_audit_trail())
-        first = _router(tmp_path, shards=1)
+        first = _router(tmp_path)
         for entry in trail:
             assert first.submit(entry).accepted
         _crash(first)  # every entry acknowledged, none in the store
@@ -349,11 +389,11 @@ class TestRecoverGuards:
         with monkeypatch.context() as patch:
             patch.setattr(AuditStore, "append_many", disk_full)
             with pytest.raises(ReproError, match="log is kept"):
-                _router(tmp_path, shards=1)
+                _router(tmp_path)
         # The WAL was the only durable copy of the delta: it is still
         # on disk, and the next start resumes every entry from it.
         assert all(path.exists() for path in segments)
-        third = _router(tmp_path, shards=1)
+        third = _router(tmp_path)
         assert third.recovery_report.replayed == len(trail)
         assert _digests(third) == _batch_digests()
         assert third.drain().store_intact is True
@@ -461,7 +501,7 @@ class TestRecoverThroughTableTier:
 class TestStoreOrder:
     def test_concurrent_flushes_commit_in_acceptance_order(self, tmp_path):
         trail = list(paper_audit_trail())
-        router = _router(tmp_path, shards=1)
+        router = _router(tmp_path)
         writer_queue = router._writer.queue
         put = writer_queue.put
         held, release = threading.Event(), threading.Event()

@@ -31,7 +31,6 @@ def daemon(tmp_path):
         [
             sys.executable, "-m", "repro.cli", "serve",
             "--scenario", "paper",
-            "--shards", "3",
             "--store", store_path,
             "--flush-interval", "0.1",
         ],
@@ -85,7 +84,8 @@ class TestSigtermDrain:
         with urllib.request.urlopen(f"{base}/healthz", timeout=10) as response:
             health = json.loads(response.read())
         assert health["status"] == "ok"
-        assert health["shards"] == 3
+        assert health["entries_received"] == 0
+        assert health["draining"] is False
         with urllib.request.urlopen(f"{base}/metrics", timeout=10) as response:
             metrics = response.read().decode()
         assert "serve_entries_total" in metrics

@@ -4,7 +4,7 @@ The trio the service must survive without losing unrelated cases:
 
 * a client that disconnects mid-stream (the TCP session dies, the
   per-case monitor state must not);
-* a checker crash inside a shard (:class:`FaultPlan.raise_on_case` —
+* a checker crash inside the engine (:class:`FaultPlan.raise_on_case` —
   contained to the case, classified ``error``, counted under
   ``audit_errors_total``);
 * a slow/stuck case (``FaultPlan.slow_s`` + the service's per-case
@@ -71,7 +71,7 @@ class TestClientDisconnect:
         handle = serve_factory(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(shards=3),
+            config=ServeConfig(),
         )
 
         first = AuditStreamClient(handle.host, handle.port)
@@ -98,7 +98,7 @@ class TestClientDisconnect:
         handle = serve_factory(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(shards=2),
+            config=ServeConfig(),
             telemetry=telemetry,
         )
         trail = list(paper_audit_trail())
@@ -132,7 +132,7 @@ class TestCheckerCrashInShard:
         handle = serve_factory(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(shards=3),
+            config=ServeConfig(),
             telemetry=telemetry,
             checker_wrapper=injector,
         )
@@ -171,8 +171,8 @@ class TestSlowStuckCase:
     def test_slow_case_is_quarantined_not_the_stream(self, serve_factory):
         telemetry, log = _telemetry()
         # Every clinical-trial entry sleeps; the per-case budget trips
-        # after the first one.  Treatment cases share shards with the
-        # stuck case and must be untouched.
+        # after the first one.  Treatment cases share the engine with
+        # the stuck case and must be untouched.
         # One injected sleep dwarfs the budget, while the budget stays
         # well above what an honest case costs even on a cold engine
         # (the first case pays the closure warm-up) and even when the
@@ -185,7 +185,7 @@ class TestSlowStuckCase:
         handle = serve_factory(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(shards=2, case_timeout_s=1.2),
+            config=ServeConfig(case_timeout_s=1.2),
             telemetry=telemetry,
             checker_wrapper=injector,
         )
@@ -227,7 +227,7 @@ class TestSlowStuckCase:
         handle = serve_factory(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(shards=1, case_timeout_s=1.2),
+            config=ServeConfig(case_timeout_s=1.2),
             telemetry=telemetry,
             checker_wrapper=injector,
         )
@@ -251,7 +251,7 @@ class TestSlowStuckCase:
 
     @staticmethod
     def _slow_trial_router(telemetry):
-        """One shard, a 0.5 s budget, 0.4 s per clinical-trial entry:
+        """A 0.5 s budget, 0.4 s per clinical-trial entry:
         CT-1 (6 entries) is contained after its third entry (the
         opening entry is not charged)."""
         injector = FaultInjector(
@@ -261,7 +261,7 @@ class TestSlowStuckCase:
         router = ShardRouter(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(shards=1, case_timeout_s=0.5),
+            config=ServeConfig(case_timeout_s=0.5),
             telemetry=telemetry,
             checker_wrapper=injector,
         )
@@ -335,7 +335,7 @@ class TestStepDeadline:
         router = ShardRouter(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(shards=1, case_timeout_s=0.5),
+            config=ServeConfig(case_timeout_s=0.5),
         )
         router.start()
         successors = LTS.successors
@@ -378,7 +378,7 @@ class TestSyncFailure:
             hierarchy=role_hierarchy(),
             # No flush tick during the test: only the sync fsyncs.
             config=ServeConfig(
-                shards=1, wal_dir=str(tmp_path / "wal"), flush_interval_s=60
+                wal_dir=str(tmp_path / "wal"), flush_interval_s=60
             ),
         )
 
@@ -417,7 +417,7 @@ class TestNonWellFoundedPurpose:
         registry.register(non_well_founded_process(), "NW")
         trail = mixed_trail()
         router = ShardRouter(
-            registry, config=ServeConfig(shards=2, compiled=compiled)
+            registry, config=ServeConfig(compiled=compiled)
         )
         router.start()
         try:

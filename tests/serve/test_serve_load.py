@@ -5,8 +5,8 @@ through one TCP connection as fast as the socket allows, then asserts
 the service-level objectives the CI job enforces:
 
 * **throughput** — the stream sustains at least 1 000 entries/s end to
-  end (send → shard-processed), measured over the whole workload;
-* **latency** — p95 per-entry shard processing time stays in
+  end (send → replayed), measured over the whole workload;
+* **latency** — p95 per-entry replay time stays in
   single-digit milliseconds (from the ``serve_ingest_seconds``
   histogram);
 * **zero dropped entries** — every entry sent is accounted for: router
@@ -36,12 +36,11 @@ class TestServeSmoke:
             process_registry(),
             hierarchy=role_hierarchy(),
             config=ServeConfig(
-                shards=4,
                 store_path=store_path,
                 flush_max_batch=128,
                 # The SLO is a compiled-path promise: the daemon
                 # pre-compiles every purpose automaton at startup and
-                # each shard replays by transition-table lookup.
+                # the engine replays by transition-table lookup.
                 compiled=True,
             ),
             telemetry=telemetry,
@@ -80,7 +79,7 @@ class TestServeSmoke:
             }
             assert infringing == expected
 
-        # p95 ingest latency from the shard-side histogram.
+        # p95 ingest latency from the engine's histogram.
         ingest = telemetry.registry.get("serve_ingest_seconds")
         p95 = ingest.quantile(0.95)
         assert p95 < 0.05, f"p95 ingest latency {p95 * 1000:.1f} ms"
@@ -105,7 +104,6 @@ class TestServeSmoke:
             process_registry(),
             hierarchy=role_hierarchy(),
             config=ServeConfig(
-                shards=2,
                 store_path=str(tmp_path / "batched.db"),
                 flush_max_batch=64,
             ),

@@ -2,10 +2,10 @@
 
 One streamed case must become **one trace**: the client mints a W3C
 traceparent, the service adopts it as the remote parent of the case's
-ingest root, shard-side replay and the store flush join the same trace,
-and the whole thing exports as OTLP/JSON that ``repro trace <case-id>``
+ingest root, the replay and the store flush join the same trace, and
+the whole thing exports as OTLP/JSON that ``repro trace <case-id>``
 can render.  This is the acceptance path for the trace-context layer —
-a real socket, real shard threads, a real SQLite store.
+a real socket, the real engine, a real SQLite store.
 """
 
 import json
@@ -32,7 +32,7 @@ def traced_service(serve_factory, tmp_path):
         process_registry(),
         hierarchy=role_hierarchy(),
         config=ServeConfig(
-            shards=3, store_path=str(tmp_path / "traced.db")
+            store_path=str(tmp_path / "traced.db")
         ),
         telemetry=telemetry,
     )
@@ -87,7 +87,7 @@ class TestSingleCaseSingleTrace:
         for span in by_name["serve.replay"]:
             assert span["trace_id"] == remote.trace_id
             assert span["attrs"]["case"] == "HT-1"
-            assert span["attrs"]["shard"].startswith("shard-")
+            assert span["parent_id"] == root["span_id"]
         # A single-case batch parents the flush under the case root.
         flushes = [
             s

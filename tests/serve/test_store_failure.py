@@ -42,7 +42,6 @@ def _router(tmp_path, wal: bool) -> ShardRouter:
         process_registry(),
         hierarchy=role_hierarchy(),
         config=ServeConfig(
-            shards=2,
             store_path=str(tmp_path / "audit.db"),
             wal_dir=str(tmp_path / "wal") if wal else None,
             flush_max_batch=10_000,  # flushes only when the test says so
@@ -102,7 +101,7 @@ def test_healthz_answers_503_and_the_stream_gets_busy(
     handle = serve_factory(
         process_registry(),
         hierarchy=role_hierarchy(),
-        config=ServeConfig(shards=2, store_path=str(tmp_path / "audit.db")),
+        config=ServeConfig(store_path=str(tmp_path / "audit.db")),
         telemetry=Telemetry.create(registry=MetricsRegistry()),
         http=True,
     )

@@ -37,11 +37,11 @@ from repro.serve.protocol import (
 from repro.testing import canonical_digest
 
 
-def _boot(serve_factory, shards: int = 3):
+def _boot(serve_factory):
     return serve_factory(
         process_registry(),
         hierarchy=role_hierarchy(),
-        config=ServeConfig(shards=shards, compiled=True),
+        config=ServeConfig(compiled=True),
     )
 
 
@@ -250,7 +250,7 @@ class TestBoundedMemory:
         """A 2,000-case reply to a reader that hashes and discards what
         it receives: the traced peak while the daemon builds and writes
         the reply stays below the reply's own size."""
-        running = _boot(serve_factory, shards=2)
+        running = _boot(serve_factory)
         _ingest(running, hospital_day(n_cases=2000, seed=5).trail)
         client = _RawClient(running)
         received = hashlib.sha256()

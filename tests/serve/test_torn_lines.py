@@ -100,7 +100,7 @@ class TestServiceTornTail:
         handle = serve_factory(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=ServeConfig(shards=2),
+            config=ServeConfig(),
         )
         client = AuditStreamClient(handle.host, handle.port)
         client.recv_until("hello")

@@ -1,4 +1,4 @@
-"""Unit tests for the per-shard write-ahead ingest log.
+"""Unit tests for the write-ahead ingest log.
 
 The WAL's contract (docs/robustness.md): every accepted entry is
 CRC-framed before it is acknowledged, segments rotate and retire whole,
@@ -20,7 +20,6 @@ from repro.serve.wal import (
     read_segment,
     read_wal,
     segment_paths,
-    shard_names_on_disk,
     wal_records_by_case,
 )
 from repro.testing import corrupt_wal_tail, disk_full_hook
@@ -42,23 +41,22 @@ def _fill(writer: WalWriter, entries, start_case_seq: int = 1) -> list[int]:
 
 class TestRoundTrip:
     def test_append_commit_read_roundtrip(self, tmp_path, entries):
-        writer = WalWriter(tmp_path, "shard-0")
+        writer = WalWriter(tmp_path)
         seqs = _fill(writer, entries)
         assert seqs == list(range(1, len(entries) + 1))
         writer.commit()
         writer.close()
 
-        result = read_wal(tmp_path, "shard-0")
+        result = read_wal(tmp_path)
         assert not result.torn_tail
         assert len(result.records) == len(entries)
         for record, entry, seq in zip(result.records, entries, seqs):
             assert record.wal_seq == seq
             assert record.entry == entry
             assert record.case == entry.case
-            assert record.shard == "shard-0"
 
     def test_per_case_grouping_preserves_order(self, tmp_path, entries):
-        writer = WalWriter(tmp_path, "shard-0")
+        writer = WalWriter(tmp_path)
         _fill(writer, entries)
         writer.close()
         grouped = wal_records_by_case(read_wal(tmp_path).records)
@@ -68,7 +66,7 @@ class TestRoundTrip:
             )
 
     def test_stats_track_unflushed_lag(self, tmp_path, entries):
-        writer = WalWriter(tmp_path, "shard-0", fsync_batch=10_000)
+        writer = WalWriter(tmp_path, fsync_batch=10_000)
         _fill(writer, entries[:5])
         stats = writer.stats()
         assert stats["unflushed_records"] == 5
@@ -82,7 +80,7 @@ class TestRoundTrip:
         writer.close()
 
     def test_fsync_batch_flushes_to_os_without_fsync(self, tmp_path, entries):
-        writer = WalWriter(tmp_path, "shard-0", fsync_batch=3)
+        writer = WalWriter(tmp_path, fsync_batch=3)
         _fill(writer, entries[:7])
         # The batch threshold pushes to the OS (process-crash bound) but
         # never fsyncs in the append path — durability is the sync
@@ -92,20 +90,20 @@ class TestRoundTrip:
         assert writer.unflushed_records == 7
         # The flushed records are readable even though never fsynced:
         # they sit in the OS page cache, which survives a process crash.
-        assert len(read_wal(tmp_path, "shard-0").records) == 6
+        assert len(read_wal(tmp_path).records) == 6
         writer.close()
 
 
 class TestRotationAndRetirement:
     def test_segments_rotate_at_size_cap(self, tmp_path, entries):
-        writer = WalWriter(tmp_path, "shard-0", segment_max_bytes=512)
+        writer = WalWriter(tmp_path, segment_max_bytes=512)
         _fill(writer, entries)
         assert writer.segment_count > 1
-        assert len(segment_paths(tmp_path, "shard-0")) == writer.segment_count
+        assert len(segment_paths(tmp_path)) == writer.segment_count
         # Rotation must not lose or reorder anything (commit first: the
         # open segment's tail is buffered until an fsync).
         writer.commit()
-        result = read_wal(tmp_path, "shard-0")
+        result = read_wal(tmp_path)
         assert [r.wal_seq for r in result.records] == list(
             range(1, len(entries) + 1)
         )
@@ -114,7 +112,7 @@ class TestRotationAndRetirement:
     def test_retire_removes_only_wholly_covered_sealed_segments(
         self, tmp_path, entries
     ):
-        writer = WalWriter(tmp_path, "shard-0", segment_max_bytes=512)
+        writer = WalWriter(tmp_path, segment_max_bytes=512)
         _fill(writer, entries)
         before = writer.segment_count
         assert writer.retire(0) == 0  # nothing covered
@@ -123,16 +121,16 @@ class TestRotationAndRetirement:
         removed = writer.retire(writer.last_seq)
         assert removed == before - 1
         assert writer.segment_count == 1
-        survivors = read_wal(tmp_path, "shard-0")
+        survivors = read_wal(tmp_path)
         # Whole-file deletion only: records in the open segment survive.
         assert all(r.wal_seq > 0 for r in survivors.records)
         writer.close()
 
     def test_reset_drops_everything(self, tmp_path, entries):
-        writer = WalWriter(tmp_path, "shard-0", segment_max_bytes=512)
+        writer = WalWriter(tmp_path, segment_max_bytes=512)
         _fill(writer, entries)
         writer.reset()
-        assert read_wal(tmp_path, "shard-0").records == ()
+        assert read_wal(tmp_path).records == ()
         assert writer.segment_count == 1
         writer.close()
 
@@ -140,13 +138,13 @@ class TestRotationAndRetirement:
 class TestTornTails:
     @pytest.mark.parametrize("mode", ["truncate", "garbage", "flip"])
     def test_torn_final_segment_is_tolerated(self, tmp_path, entries, mode):
-        writer = WalWriter(tmp_path, "shard-0")
+        writer = WalWriter(tmp_path)
         _fill(writer, entries)
         writer.close()
-        path = segment_paths(tmp_path, "shard-0")[-1]
+        path = segment_paths(tmp_path)[-1]
         corrupt_wal_tail(path, mode=mode)
 
-        result = read_wal(tmp_path, "shard-0")
+        result = read_wal(tmp_path)
         assert result.torn_tail
         # Everything before the tear is salvaged, in order, no gaps.
         assert [r.wal_seq for r in result.records] == list(
@@ -155,54 +153,54 @@ class TestTornTails:
         assert len(result.records) >= len(entries) - 1
 
     def test_torn_tail_raises_when_read_strictly(self, tmp_path, entries):
-        writer = WalWriter(tmp_path, "shard-0")
+        writer = WalWriter(tmp_path)
         _fill(writer, entries)
         writer.close()
-        path = segment_paths(tmp_path, "shard-0")[-1]
+        path = segment_paths(tmp_path)[-1]
         corrupt_wal_tail(path, mode="truncate")
         with pytest.raises(WalCorruptionError):
-            read_segment(path, "shard-0", tolerant=False)
+            read_segment(path, tolerant=False)
 
     def test_corruption_in_a_sealed_segment_raises(self, tmp_path, entries):
-        writer = WalWriter(tmp_path, "shard-0", segment_max_bytes=512)
+        writer = WalWriter(tmp_path, segment_max_bytes=512)
         _fill(writer, entries)
         writer.close()
-        paths = segment_paths(tmp_path, "shard-0")
+        paths = segment_paths(tmp_path)
         assert len(paths) > 2
         corrupt_wal_tail(paths[0], mode="flip")  # sealed, fsynced region
         with pytest.raises(WalCorruptionError):
-            read_wal(tmp_path, "shard-0")
+            read_wal(tmp_path)
 
     def test_non_segment_file_raises_on_bad_magic(self, tmp_path):
-        bogus = tmp_path / "shard-0-00000001.wal"
+        bogus = tmp_path / "ingest-00000001.wal"
         bogus.write_bytes(b"not a wal segment at all")
         with pytest.raises(WalCorruptionError):
-            read_segment(bogus, "shard-0")
+            read_segment(bogus)
 
 
 class TestRestartAdoption:
     def test_new_writer_continues_sequence_past_old_segments(
         self, tmp_path, entries
     ):
-        first = WalWriter(tmp_path, "shard-0")
+        first = WalWriter(tmp_path)
         _fill(first, entries[:10])
         first.close()
 
-        second = WalWriter(tmp_path, "shard-0")
+        second = WalWriter(tmp_path)
         assert second.last_seq == 10
         seq = second.append(entries[10], 1)
         assert seq == 11
         second.close()
-        result = read_wal(tmp_path, "shard-0")
+        result = read_wal(tmp_path)
         assert [r.wal_seq for r in result.records] == list(range(1, 12))
 
     def test_adopted_segments_are_sealed_and_retirable(
         self, tmp_path, entries
     ):
-        first = WalWriter(tmp_path, "shard-0")
+        first = WalWriter(tmp_path)
         _fill(first, entries[:10])
         first.close()
-        second = WalWriter(tmp_path, "shard-0")
+        second = WalWriter(tmp_path)
         # The adopted file is sealed history: retiring past its last seq
         # deletes it even though this writer never wrote to it.
         assert second.retire(10) == 1
@@ -215,7 +213,13 @@ class TestRestartAdoption:
         _fill(b, entries[4:7])
         a.close()
         b.close()
-        assert shard_names_on_disk(tmp_path) == ["shard-0", "shard-1"]
+        # Two logs in one directory, as a daemon that split its cases
+        # over several logs left them: each is read as its own log.
+        assert [path.name for path in segment_paths(tmp_path)] == [
+            "shard-0-00000001.wal",
+            "shard-1-00000001.wal",
+        ]
+        assert len(read_wal(tmp_path).records) == 7
         assert len(read_wal(tmp_path, "shard-0").records) == 4
         assert len(read_wal(tmp_path, "shard-1").records) == 3
 
@@ -266,7 +270,7 @@ class TestEntryEncoder:
 class TestFaultHook:
     def test_disk_full_rejects_the_append(self, tmp_path, entries):
         writer = WalWriter(
-            tmp_path, "shard-0", fault_hook=disk_full_hook(after_ops=2)
+            tmp_path, fault_hook=disk_full_hook(after_ops=2)
         )
         _fill(writer, entries[:2])
         with pytest.raises(OSError):
@@ -275,4 +279,4 @@ class TestFaultHook:
         assert writer.last_seq == 2
         writer.commit()
         writer.close()
-        assert len(read_wal(tmp_path, "shard-0").records) == 2
+        assert len(read_wal(tmp_path).records) == 2

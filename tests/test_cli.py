@@ -639,7 +639,6 @@ class TestServeNumbers:
     @pytest.mark.parametrize(
         "flags, field",
         [
-            (["--shards", "0"], "shards"),
             (["--flush-interval", "0"], "flush_interval_s"),
             (["--flush-interval", "-1"], "flush_interval_s"),
             (["--flush-interval", "nan"], "flush_interval_s"),
@@ -667,12 +666,46 @@ class TestServeCrashSafety:
         assert exit_info.value.code == EXIT_BAD_INPUT
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    def test_shards_is_accepted_and_hidden(self, tmp_path, capsys):
+        import json
+        import signal
+
+        # Every case is replayed on one engine; the flag stays only so
+        # scripts that pass it (perfbench/daemonctl.py) keep starting.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--help"])
+        assert exit_info.value.code == EXIT_OK
+        assert "--shards" not in capsys.readouterr().out
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+        )
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--scenario",
+             "paper", "--shards", "2", "--port", "0", "--http-port", "-1",
+             "--store", str(tmp_path / "audit.db")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            line = daemon.stdout.readline()
+            assert line, daemon.stderr.read()
+            assert json.loads(line)["listening"]["port"] > 0
+            daemon.send_signal(signal.SIGTERM)
+            stdout, stderr = daemon.communicate(timeout=60)
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait(timeout=10)
+        assert daemon.returncode == EXIT_OK, stderr
+        assert json.loads(stdout.splitlines()[-1])["drained"]["store_intact"]
+
     @pytest.mark.parametrize(
         "flag", ["--queue-capacity", "--hang-timeout", "--max-shard-restarts"]
     )
     def test_shard_thread_flags_are_gone(self, capsys, flag):
-        # Shards are partitions, not threads: no queue to bound, no
-        # thread to police or restart.
+        # One engine on the event loop: no queue to bound, no thread to
+        # police or restart.
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--scenario", "paper", flag, "1"])
         assert exit_info.value.code == EXIT_BAD_INPUT

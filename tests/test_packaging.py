@@ -43,7 +43,7 @@ with tempfile.TemporaryDirectory() as directory:
     router = ShardRouter(
         registry,
         hierarchy=hierarchy,
-        config=ServeConfig(shards=2, automaton_dir=directory),
+        config=ServeConfig(automaton_dir=directory),
     )
     router.start()
     for entry in paper_audit_trail():

@@ -35,7 +35,6 @@ def report():
         "calibration_ops_per_s": 10_000_000.0,
         "entries_per_s": 12_000.0,
         "p99_latency_s": 0.0002,
-        "shards": {"4": {"entries_per_s": 12_000.0}},
     }
 
 
