@@ -126,9 +126,13 @@ def _wal_append_us(entries, rounds: int = 3, per_round: int = 4000) -> float:
     Cycles the workload through a lone writer — framing, CRC, buffering,
     batch drains to the OS, and one closing fsync all land in the timed
     region, exactly the work one accepted entry adds to the ingest path.
+    Each entry is handed its ``entry`` line, as the daemon hands the
+    line it read from the socket; encoding the lines is not timed.
     """
+    from repro.serve.protocol import encode_message, entry_to_message
     from repro.serve.wal import WalWriter
 
+    lines = [encode_message(entry_to_message(entry)).strip() for entry in entries]
     best = float("inf")
     with tempfile.TemporaryDirectory(prefix="bench-serve-walus-") as wal_dir:
         for round_index in range(rounds):
@@ -138,7 +142,7 @@ def _wal_append_us(entries, rounds: int = 3, per_round: int = 4000) -> float:
             for i in range(per_round):
                 entry = entries[i % len(entries)]
                 counts[entry.case] = counts.get(entry.case, 0) + 1
-                writer.append(entry, counts[entry.case])
+                writer.append(entry, counts[entry.case], lines[i % len(entries)])
             writer.commit()
             elapsed = time.perf_counter() - started
             writer.close()

@@ -6,11 +6,15 @@ breaches, citing secure-logging schemes [18, 19].  This store provides
 both halves:
 
 * a single SQLite table holding Definition-4 entries, queryable by case,
-  user, object subtree and time range;
+  user, object subtree and time range; the case id and the timestamp
+  are indexed, the two columns the program reads by (a store made by
+  an older version also keeps an index on ``user``);
 * a SHA-256 **hash chain**: every row stores
   ``hash = sha256(prev_hash || canonical-serialization)``, so any
   after-the-fact modification, deletion or reordering is detected by
-  :meth:`AuditStore.verify_integrity`.
+  :meth:`AuditStore.verify_integrity`.  One function,
+  :func:`_entry_row`, builds a row and its hash, for appends and for
+  the verification alike.
 
 The store is a context manager and safe to use on ``":memory:"`` for
 tests or on a file path for persistence.
@@ -47,7 +51,6 @@ CREATE TABLE IF NOT EXISTS audit_log (
     hash       TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_audit_case ON audit_log (case_id);
-CREATE INDEX IF NOT EXISTS idx_audit_user ON audit_log (user);
 CREATE INDEX IF NOT EXISTS idx_audit_ts   ON audit_log (ts);
 CREATE TABLE IF NOT EXISTS audit_anchor (
     id          INTEGER PRIMARY KEY CHECK (id = 1),
@@ -69,6 +72,12 @@ CREATE TABLE IF NOT EXISTS control_log (
 
 #: The chain anchor for the first entry.
 GENESIS = "0" * 64
+
+_INSERT = (
+    "INSERT INTO audit_log "
+    "(user, role, action, obj, task, case_id, ts, status, prev_hash, hash) "
+    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+)
 
 
 class AuditStore:
@@ -121,65 +130,26 @@ class AuditStore:
     def append(self, entry: LogEntry) -> int:
         """Append one entry; returns its sequence number."""
         with self._write_transaction():  # one transaction per append
-            prev_hash = self._last_hash()
-            cursor, _ = self._insert_entry(entry, prev_hash, position=0)
+            row = _entry_row(entry, self._last_hash())
+            cursor = self._connection.execute(_INSERT, row)
         return int(cursor.lastrowid or 0)
 
     def append_many(self, entries: Iterable[LogEntry]) -> int:
         """Append entries in order, atomically; returns how many were written.
 
-        The whole batch is **one transaction**: if any entry fails
-        validation (raising :class:`repro.errors.MalformedEntryError`
-        with its batch offset), nothing is written — no partial prefix
-        is left behind to anchor a hash chain against garbage.
+        The whole batch is **one transaction** and one ``executemany``,
+        which builds each row as it inserts it (SQLite releases the GIL
+        between rows, so other threads run meanwhile).  If any entry
+        fails validation (raising
+        :class:`repro.errors.MalformedEntryError` with its batch offset),
+        the transaction rolls back and nothing is written — no partial
+        prefix is left behind to anchor a hash chain against garbage.
         """
-        count = 0
         with self._write_transaction():  # one transaction for the whole batch
-            prev_hash = self._last_hash()
-            for position, entry in enumerate(entries):
-                _, prev_hash = self._insert_entry(entry, prev_hash, position)
-                count += 1
-        return count
-
-    def _insert_entry(
-        self, entry: LogEntry, prev_hash: str, position: int
-    ) -> tuple[sqlite3.Cursor, str]:
-        """Insert one row inside the caller's transaction.
-
-        Returns ``(cursor, hash)`` so batch appends can chain without
-        re-reading the table.  Serialization failures are wrapped as
-        :class:`MalformedEntryError` — inside a ``with connection:``
-        block the raise rolls the whole transaction back.
-        """
-        try:
-            entry = _normalize_entry(entry)
-            digest = _entry_hash(prev_hash, entry)
-            row = (
-                entry.user,
-                entry.role,
-                entry.action,
-                str(entry.obj) if entry.obj is not None else None,
-                entry.task,
-                entry.case,
-                entry.timestamp.isoformat(),
-                entry.status.value,
-                prev_hash,
-                digest,
+            cursor = self._connection.executemany(
+                _INSERT, _chain_rows(entries, self._last_hash())
             )
-        except MalformedEntryError:
-            raise
-        except Exception as error:
-            raise MalformedEntryError(
-                f"entry at batch offset {position} cannot be serialized: {error}",
-                position=position,
-            ) from error
-        cursor = self._connection.execute(
-            "INSERT INTO audit_log "
-            "(user, role, action, obj, task, case_id, ts, status, prev_hash, hash) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            row,
-        )
-        return cursor, digest
+        return cursor.rowcount
 
     def _anchor(self) -> tuple[str, Optional[str], int]:
         """(anchor hash, purged-up-to timestamp, purged count)."""
@@ -450,8 +420,10 @@ class AuditStore:
         expected_prev = self._anchor()[0]
         for row in rows:
             seq = int(row[0])
+            stored_prev, stored_hash = row[9], row[10]
             try:
                 entry = _entry_from_row(row[1:9], position=seq)
+                recomputed = _entry_row(entry, stored_prev, seq)[-1]
             except MalformedEntryError as error:
                 # A row that no longer decodes cannot hash to what was
                 # logged — it was modified after the fact.
@@ -460,15 +432,15 @@ class AuditStore:
                     f"(no longer decodes: {error})",
                     first_bad_seq=seq,
                 ) from error
-            stored_prev, stored_hash = row[9], row[10]
             if stored_prev != expected_prev:
                 raise IntegrityError(
                     f"hash chain broken before entry {seq} "
                     "(an entry was removed or reordered)",
                     first_bad_seq=seq,
                 )
-            recomputed = _entry_hash(stored_prev, entry)
-            if recomputed != stored_hash:
+            # The store writes naive UTC only: a zoned ``ts`` was
+            # rewritten, whatever instant it names.
+            if recomputed != stored_hash or entry.timestamp.tzinfo is not None:
                 raise IntegrityError(
                     f"entry {seq} was modified after being logged",
                     first_bad_seq=seq,
@@ -596,34 +568,84 @@ def _normalize_ts(when: datetime) -> datetime:
     return when.astimezone(timezone.utc).replace(tzinfo=None)
 
 
-def _normalize_entry(entry: LogEntry) -> LogEntry:
-    if entry.timestamp.tzinfo is None:
-        return entry
-    from dataclasses import replace
-
-    return replace(entry, timestamp=_normalize_ts(entry.timestamp))
-
-
 def _control_hash(prev_hash: str, payload: dict[str, object]) -> str:
     canonical = json.dumps(payload, sort_keys=True)
     return hashlib.sha256((prev_hash + canonical).encode("utf-8")).hexdigest()
 
 
-def _entry_hash(prev_hash: str, entry: LogEntry) -> str:
-    payload = json.dumps(
-        {
-            "user": entry.user,
-            "role": entry.role,
-            "action": entry.action,
-            "obj": str(entry.obj) if entry.obj is not None else None,
-            "task": entry.task,
-            "case": entry.case,
-            "ts": entry.timestamp.isoformat(),
-            "status": entry.status.value,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256((prev_hash + payload).encode("utf-8")).hexdigest()
+#: ``json.dumps``'s own string encoder: quoted, ASCII-only output.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _entry_row(entry: LogEntry, prev_hash: str, position: int = 0) -> tuple:
+    """The ``audit_log`` row of *entry* chained after *prev_hash*.
+
+    Returns ``(user, role, action, obj, task, case_id, ts, status,
+    prev_hash, hash)``: the entry's text with its timestamp in naive
+    UTC, and ``hash = sha256(prev_hash || canonical)``, where the
+    canonical form is ``json.dumps`` of the eight fields with
+    ``sort_keys=True``, composed here directly, byte for byte.  Each
+    field is rendered once, for the row and the hash alike.
+
+    An entry that cannot be rendered, or whose text UTF-8 cannot encode
+    (a lone surrogate), raises :class:`MalformedEntryError` with
+    *position*: inside a write transaction the raise rolls everything
+    back.
+    """
+    try:
+        obj = entry.obj
+        obj_text = str(obj) if obj is not None else None
+        when = entry.timestamp
+        if when.tzinfo is not None:
+            when = _normalize_ts(when)
+        row_text = (
+            entry.user,
+            entry.role,
+            entry.action,
+            obj_text,
+            entry.task,
+            entry.case,
+            when.isoformat(),
+            entry.status.value,
+        )
+        user, role, action, _, task, case, ts, status = row_text
+        canonical = (
+            '{"action": %s, "case": %s, "obj": %s, "role": %s, '
+            '"status": %s, "task": %s, "ts": %s, "user": %s}'
+            % (
+                _quote(action),
+                _quote(case),
+                "null" if obj_text is None else _quote(obj_text),
+                _quote(role),
+                _quote(status),
+                _quote(task),
+                _quote(ts),
+                _quote(user),
+            )
+        )
+        if "\\u" in canonical:
+            # Only text beyond ASCII is escaped as \uXXXX, and only such
+            # text can hold what SQLite's UTF-8 cannot store.
+            for text in row_text:
+                if text is not None:
+                    text.encode("utf-8")
+        digest = hashlib.sha256(
+            (prev_hash + canonical).encode("utf-8")
+        ).hexdigest()
+    except Exception as error:
+        raise MalformedEntryError(
+            f"entry at batch offset {position} cannot be serialized: {error}",
+            position=position,
+        ) from error
+    return (*row_text, prev_hash, digest)
+
+
+def _chain_rows(entries: Iterable[LogEntry], prev_hash: str) -> Iterator[tuple]:
+    """The rows of *entries*, each chained after the one before it."""
+    for position, entry in enumerate(entries):
+        row = _entry_row(entry, prev_hash, position)
+        prev_hash = row[-1]
+        yield row
 
 
 def _entry_from_row(row: tuple, position: Optional[int] = None) -> LogEntry:

@@ -555,13 +555,19 @@ class ShardRouter:
         subscriber: Optional[Subscriber] = None,
         traceparent: Optional[str] = None,
         seq: Optional[int] = None,
+        line: Optional[bytes] = None,
     ) -> Admission:
         """Admit one entry and replay it before returning.
 
         With a WAL configured, the entry is framed into the log *before*
         it is replayed and reported accepted — an entry that
         cannot be logged is rejected (:class:`~repro.serve.wal.WalError`),
-        not half-accepted.  ``seq`` (1-based per case) makes re-sends
+        not half-accepted.  *line* is the ``entry`` op the entry was
+        decoded from, as the client sent it, stripped: the log frames it
+        as it is (:meth:`~repro.serve.wal.WalWriter.append`).  An entry
+        without one whose text the store could not hold (a lone
+        surrogate) is refused there, with
+        :class:`~repro.errors.MalformedEntryError`.  ``seq`` (1-based per case) makes re-sends
         idempotent: an entry at or below the case's high-water mark is
         acknowledged as a ``duplicate`` without being re-processed; one
         *beyond* the next expected number is refused ``busy`` (the
@@ -577,8 +583,8 @@ class ShardRouter:
         its local root.  Disabled, the extra cost is one attribute read.
         """
         if self._tel.tracer.enabled:
-            return self._submit_traced(entry, subscriber, traceparent, seq)
-        return self._admit(entry, subscriber, None, seq)
+            return self._submit_traced(entry, subscriber, traceparent, seq, line)
+        return self._admit(entry, subscriber, None, seq, line)
 
     def _submit_traced(
         self,
@@ -586,6 +592,7 @@ class ShardRouter:
         subscriber: Optional[Subscriber],
         traceparent: Optional[str],
         seq: Optional[int],
+        line: Optional[bytes],
     ) -> Admission:
         """The traced ingest path: same admission, wrapped in a span."""
         tracer = self._tel.tracer
@@ -602,7 +609,7 @@ class ShardRouter:
             if root is None:
                 with self._trace_lock:
                     root = self._case_traces.setdefault(case, span.context)
-            admission = self._admit(entry, subscriber, root, seq)
+            admission = self._admit(entry, subscriber, root, seq, line)
             if not admission.accepted:
                 span.attrs["admitted"] = False
                 span.attrs["reason"] = admission.reason or (
@@ -616,6 +623,7 @@ class ShardRouter:
         subscriber: Optional[Subscriber],
         ctx: Optional[TraceContext],
         seq: Optional[int],
+        line: Optional[bytes],
     ) -> Admission:
         case = entry.case
         with self._ingest_lock:
@@ -652,8 +660,8 @@ class ShardRouter:
             if self._wal is not None:
                 # The acceptance point: not in the WAL => never acked.
                 try:
-                    wal_seq = self._wal.append(entry, case_seq)
-                except WalError:
+                    wal_seq = self._wal.append(entry, case_seq, line)
+                except (WalError, MalformedEntryError):
                     raise
                 except Exception as error:
                     raise WalError(

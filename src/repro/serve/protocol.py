@@ -89,6 +89,17 @@ class ProtocolError(ReproError):
 #: The one JSON encoder of server messages (compact, like the wire).
 _ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
 
+#: Renders a decoded request without ``\u`` escapes, so that encoding
+#: the text as UTF-8 meets any lone surrogate it holds.
+_UNESCAPED = json.JSONEncoder(ensure_ascii=False).encode
+
+#: How many containers deep a request may nest.  The protocol's own
+#: messages nest two (``results`` and its ``cases`` list); the bound
+#: keeps a hostile line far from the interpreter's recursion limit, in
+#: the wire decoder and in the write-ahead log, which frames an
+#: ``entry`` line as it was received.
+MAX_NESTING = 32
+
 #: ``"case":record`` pairs per chunk of a streamed ``results`` reply.
 RESULTS_CHUNK = 64
 
@@ -122,21 +133,69 @@ def encode_results(records: Iterable[dict]) -> Iterator[bytes]:
 
 
 def decode_message(line: "bytes | str") -> dict:
-    """Decode one line into a message dict (:class:`ProtocolError` on junk)."""
+    """Decode one line into a message dict (:class:`ProtocolError` on junk).
+
+    Beyond well-formed JSON, a request must nest at most
+    :data:`MAX_NESTING` containers deep and its text must be Unicode
+    that UTF-8 can encode: a lone UTF-16 surrogate escape (``"\\ud800"``)
+    decodes, but no store row or reply could hold it.
+    """
     if isinstance(line, bytes):
         try:
-            line = line.decode("utf-8")
+            text = line.decode("utf-8")
         except UnicodeDecodeError as error:
             raise ProtocolError(f"request is not UTF-8: {error}") from error
+        # Strict UTF-8 carries no surrogate: only an escape can.
+        suspect = "\\" in text
+    else:
+        text = line
+        suspect = "\\" in text or not text.isascii()
     try:
-        message = json.loads(line)
-    except json.JSONDecodeError as error:
+        message = json.loads(text)
+    except RecursionError:
+        raise ProtocolError(
+            f"request nests deeper than {MAX_NESTING} levels"
+        ) from None
+    except ValueError as error:  # also an integer past the digit limit
         raise ProtocolError(f"request is not valid JSON: {error}") from error
     if not isinstance(message, dict):
         raise ProtocolError(
             f"request must be a JSON object, got {type(message).__name__}"
         )
+    # Each level opens a bracket, so few brackets bound the depth.
+    if (
+        text.count("[") + text.count("{") > MAX_NESTING
+        and _nesting(message) > MAX_NESTING
+    ):
+        raise ProtocolError(f"request nests deeper than {MAX_NESTING} levels")
+    if suspect:
+        try:
+            _UNESCAPED(message).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ProtocolError(
+                "request text holds a lone UTF-16 surrogate"
+            ) from None
     return message
+
+
+def _nesting(value: object) -> int:
+    """How many containers deep *value* nests, level by level (no
+    recursion for a hostile document to exhaust)."""
+    depth = 0
+    level = [value]
+    while level:
+        containers = [item for item in level if isinstance(item, (dict, list))]
+        if not containers:
+            break
+        depth += 1
+        level = [
+            child
+            for container in containers
+            for child in (
+                container.values() if isinstance(container, dict) else container
+            )
+        ]
+    return depth
 
 
 def decode_jsonl(

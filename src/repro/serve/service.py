@@ -68,6 +68,12 @@ from repro.serve.protocol import (
 )
 
 
+#: The largest request body the HTTP endpoint reads.  Control-plane
+#: bodies are a few hundred bytes of JSON; a longer one is refused with
+#: 413 before a byte of it is read.
+MAX_HTTP_BODY = 1 << 16
+
+
 class _Connection:
     """One client: its writer, and an outbox pumped by a loop task.
 
@@ -392,6 +398,7 @@ class AuditService:
                     conn.send,
                     traceparent=message.get("traceparent"),
                     seq=seq,
+                    line=line.strip(),
                 )
                 if admission.accepted:
                     conn.cases.add(entry.case)
@@ -574,7 +581,8 @@ class AuditService:
         if raw_body:
             try:
                 body = json.loads(raw_body)
-            except ValueError:
+            except (ValueError, RecursionError):
+                self._m_protocol_errors.inc()
                 return (
                     "400 Bad Request",
                     self._JSON,
@@ -619,6 +627,16 @@ class AuditService:
                 status, ctype = "400 Bad Request", self._JSON
                 body = b'{"error": "request line or header too long"}\n'
                 method = "GET"
+            elif not 0 <= content_length <= MAX_HTTP_BODY:
+                # Refused unread: the connection closes after the reply.
+                self._m_protocol_errors.inc()
+                if content_length < 0:
+                    status = "400 Bad Request"
+                    body = b'{"error": "negative Content-Length"}\n'
+                else:
+                    status = "413 Content Too Large"
+                    body = b'{"error": "request body too large"}\n'
+                ctype, method = self._JSON, "GET"
             elif len(parts) < 2:
                 status, ctype = "400 Bad Request", self._JSON
                 body = b'{"error": "malformed request line"}\n'

@@ -16,7 +16,11 @@ Design (one log per directory; its segments are named ``ingest-N.wal``):
 * **CRC-framed records** — each record is ``<u32 payload length>
   <u32 crc32(payload)> <payload>``; the payload is one compact JSON
   object carrying the WAL sequence number, the case id, the per-case
-  entry sequence number, and the wire form of the entry itself.
+  entry sequence number, and, under ``"e"``, the entry op itself: the
+  line the client sent, or the entry encoded by :func:`_entry_json`
+  when it came without one (an ``xes`` document, an in-process submit).
+  A reader decodes ``"e"`` with the wire decoder, which ignores the
+  line's other keys (``seq``, ``traceparent``).
 * **Batched fsync** — appends land in a process-local buffer (a plain
   ``bytearray``: no syscall, no GIL release, so the router's ingest
   lock is never held across I/O); every ``fsync_batch`` records the
@@ -59,7 +63,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from repro.audit.model import LogEntry
-from repro.errors import ReproError
+from repro.errors import MalformedEntryError, ReproError
 from repro.serve.protocol import entry_from_message, entry_to_message
 
 #: First bytes of every segment file (8 bytes: name + format version).
@@ -82,11 +86,17 @@ _NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f]').search
 
 
 def _json_str(value: Optional[str]) -> bytes:
-    """``value`` as JSON bytes — fast path for plain ASCII strings."""
+    """``value`` as JSON bytes — fast path for plain ASCII strings.
+
+    Text UTF-8 cannot encode (a lone surrogate) raises
+    ``UnicodeEncodeError``: escaped, it would frame, but the store
+    could never hold it.
+    """
     if value is None:
         return b"null"
     if value.isascii() and _NEEDS_ESCAPE(value) is None:
         return b'"%s"' % value.encode("ascii")
+    value.encode("utf-8")
     return _ENCODE(value).encode("utf-8")
 
 
@@ -94,8 +104,8 @@ def _entry_json(entry: LogEntry) -> bytes:
     """The ``entry_to_message`` wire dict, composed straight to bytes.
 
     Byte-identical to ``_ENCODE(entry_to_message(entry))`` (a unit test
-    holds the two in lock-step) but ~25% cheaper — this runs on the
-    append hot path, under the router's ingest lock.
+    holds the two in lock-step) but ~25% cheaper.  The append frames
+    this for entries that arrived without a wire line.
     """
     obj = entry.obj
     return (
@@ -381,13 +391,29 @@ class WalWriter:
         self._segment_first_seq = self.last_seq + 1
 
     # -- the write path ----------------------------------------------------
-    def append(self, entry: LogEntry, case_seq: int) -> int:
+    def append(
+        self, entry: LogEntry, case_seq: int, line: Optional[bytes] = None
+    ) -> int:
         """Frame and buffer one accepted entry; returns its WAL seq.
+
+        *line* is the entry op as the client sent it, stripped — JSON
+        that :func:`~repro.serve.protocol.entry_from_message` decodes to
+        *entry* — and is framed as it is, so the entry is not encoded a
+        second time.  Without one (an entry from an ``xes`` document or
+        an in-process submit) the entry is encoded here, once, and text
+        the store could not hold raises :class:`MalformedEntryError`.
 
         Raises whatever the OS (or the fault hook) raises — the caller
         must then *reject* the entry, because an entry that is not in
         the WAL was never accepted.
         """
+        if line is None:
+            try:
+                line = _entry_json(entry)
+            except UnicodeEncodeError as error:
+                raise MalformedEntryError(
+                    f"entry text cannot be stored as UTF-8: {error}"
+                ) from error
         with self._lock:
             if self._file is None:
                 raise WalError(f"WAL {self.name} is closed")
@@ -404,7 +430,7 @@ class WalWriter:
                 seq,
                 case_json,
                 case_seq,
-                _entry_json(entry),
+                line,
             )
             frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
             if self._fault_hook is not None:

@@ -1,5 +1,6 @@
 """Unit tests for the serve layer's wire protocol."""
 
+import sys
 from datetime import datetime
 
 import pytest
@@ -13,6 +14,7 @@ from repro.serve import (
     entry_from_message,
     entry_to_message,
 )
+from repro.serve.protocol import MAX_NESTING
 
 
 def _entry(**overrides) -> LogEntry:
@@ -77,3 +79,51 @@ class TestWireProtocol:
         message["status"] = "maybe"
         with pytest.raises(ProtocolError, match="maybe"):
             entry_from_message(message)
+
+
+class TestRequestBounds:
+    """What a line must be beyond JSON: shallow, and Unicode UTF-8 holds."""
+
+    @staticmethod
+    def _nested(depth: int) -> bytes:
+        """An entry op whose unknown key nests it *depth* levels deep."""
+        line = encode_message(entry_to_message(_entry())).rstrip(b"}\n")
+        inner = b"[" * (depth - 1) + b"]" * (depth - 1)
+        return line + b',"pad":' + inner + b"}"
+
+    def test_nesting_up_to_the_bound_decodes(self):
+        message = decode_message(self._nested(MAX_NESTING))
+        assert entry_from_message(message) == _entry()
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 900, 50_000])
+    def test_deeper_nesting_is_a_protocol_error(self, depth):
+        with pytest.raises(ProtocolError, match="nests deeper"):
+            decode_message(self._nested(depth))
+
+    def test_brackets_inside_text_do_not_count(self):
+        line = encode_message({"op": "status", "pad": "[{" * MAX_NESTING})
+        assert decode_message(line)["op"] == "status"
+
+    @pytest.mark.parametrize(
+        "escape", [b"\\ud800", b"\\uDFFF", b"x\\ud83dy", b"\\ude00\\ud83d"]
+    )
+    def test_a_lone_surrogate_escape_is_a_protocol_error(self, escape):
+        line = b'{"op": "entry", "user": "' + escape + b'"}'
+        with pytest.raises(ProtocolError, match="surrogate"):
+            decode_message(line)
+        with pytest.raises(ProtocolError, match="surrogate"):
+            decode_message(line.decode("ascii"))
+
+    def test_a_surrogate_pair_is_one_character(self):
+        message = decode_message(b'{"op": "entry", "user": "\\ud83d\\ude00"}')
+        assert message["user"] == "\U0001F600"
+
+    def test_an_integer_past_the_digit_limit_is_a_protocol_error(self):
+        # The refusal is a ValueError that is no JSONDecodeError.
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not digits:
+            pytest.skip("this interpreter has no integer digit limit")
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            decode_message(
+                b'{"op": "entry", "seq": ' + b"9" * (digits + 1) + b"}"
+            )

@@ -6,13 +6,19 @@ and after any crash the readable prefix is exactly the accepted stream
 minus (at most) an un-fsynced suffix — never a hole, never a phantom.
 """
 
+import struct
+import zlib
+from dataclasses import replace
+
 import pytest
 
 from repro.audit.model import LogEntry, Status
+from repro.errors import MalformedEntryError
 from repro.scenarios import paper_audit_trail
 from repro.scenarios.workloads import hospital_day
-from repro.serve.protocol import entry_to_message
+from repro.serve.protocol import decode_message, entry_from_message, entry_to_message
 from repro.serve.wal import (
+    MAGIC,
     WalCorruptionError,
     WalWriter,
     _ENCODE,
@@ -280,3 +286,79 @@ class TestFaultHook:
         writer.commit()
         writer.close()
         assert len(read_wal(tmp_path).records) == 2
+
+
+class TestWireLines:
+    """An ``entry`` line is framed as received and reads back as the
+    entry the live decode produced; the re-encoded form still reads."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"op":"entry","user":"Mary","role":"GP","action":"read",'
+            b'"obj":"[Jane]EPR/Clinical","task":"T01","case":"HT-1",'
+            b'"ts":"201003011005","seq":1}',
+            b'{"op": "entry", "user": "Mary", "role": "GP", "action": "read",'
+            b' "obj": null, "task": "T01", "case": "HT-1",'
+            b' "ts": "2010-03-01T10:05:00", "status": "failure",'
+            b' "traceparent": "00-0af7651916cd43dd8448eb211c80319c-'
+            b'b7ad6b7169203331-01"}',
+            b'{"op":"entry","user":"Mary","role":"GP","action":"read",'
+            b'"task":"T01","case":"HT-1","ts":"201003011005",'
+            b'"extra":{"unknown":["key",1,2.5,null,true]}}',
+            b' \t{"op":"entry","user":"Mary","role":"GP","action":"read",'
+            b'"task":"T01","case":"HT-1","ts":"201003011005"}  \r\n',
+            '{"op":"entry","user":"Émile Zoë 张伟 \U0001F600","role":"GP",'
+            '"action":"read","obj":"[Zoë]EPR","task":"T01","case":"HT-ü",'
+            '"ts":"201003011005"}\n'.encode("utf-8"),
+            b'{"op":"entry","user":"\\u00c9mile \\"q\\" \\\\ \\ud83d\\ude00",'
+            b'"role":"GP\\u0000\\n","action":"read","task":"T\\u00e91",'
+            b'"case":"HT-1","ts":"201003011005"}',
+        ],
+        ids=["seq", "traceparent", "unknown-key", "whitespace", "non-ascii",
+             "escapes"],
+    )
+    def test_a_framed_line_reads_back_as_the_live_decode(self, tmp_path, line):
+        live = entry_from_message(decode_message(line))
+        writer = WalWriter(tmp_path)
+        writer.append(live, 1, line.strip())
+        writer.close()
+        [path] = segment_paths(tmp_path)
+        records, torn = read_segment(path, tolerant=False)
+        assert not torn
+        assert [(r.wal_seq, r.case, r.case_seq, r.entry) for r in records] == [
+            (1, live.case, 1, live)
+        ]
+
+    def test_the_re_encoded_form_still_reads(self, tmp_path, entries):
+        """A record as a daemon that re-encoded every entry framed it."""
+        entry = entries[0]
+        payload = b'{"q":7,"c":%s,"n":3,"e":%s}' % (
+            _ENCODE(entry.case).encode(),
+            _ENCODE(entry_to_message(entry)).encode(),
+        )
+        path = tmp_path / "ingest-00000001.wal"
+        path.write_bytes(
+            MAGIC + struct.pack("<II", len(payload), zlib.crc32(payload))
+            + payload
+        )
+        records, torn = read_segment(path, tolerant=False)
+        assert not torn
+        assert [(r.wal_seq, r.case_seq, r.entry) for r in records] == [
+            (7, 3, entry)
+        ]
+
+    def test_entries_without_a_line_are_encoded_once(self, tmp_path, entries):
+        writer = WalWriter(tmp_path)
+        _fill(writer, entries)
+        writer.close()
+        data = segment_paths(tmp_path)[0].read_bytes()
+        for entry in entries:
+            assert _entry_json(entry) in data
+
+    def test_text_the_store_cannot_hold_is_refused(self, tmp_path, entries):
+        writer = WalWriter(tmp_path)
+        with pytest.raises(MalformedEntryError, match="UTF-8"):
+            writer.append(replace(entries[0], user="lone\ud800"), 1)
+        assert writer.last_seq == 0
+        writer.close()
