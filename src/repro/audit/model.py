@@ -13,7 +13,7 @@ ways.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional
@@ -42,6 +42,21 @@ def parse_timestamp(text: str) -> datetime:
 def format_timestamp(when: datetime) -> str:
     """Render a timestamp in the paper's ``YYYYMMDDHHMM`` format."""
     return when.strftime(_PAPER_FORMAT)
+
+
+def naive_utc(when: datetime) -> datetime:
+    """*when* in naive UTC: the one timestamp form every reader keeps.
+
+    An aware timestamp is converted to UTC and its zone dropped; a naive
+    one is taken at face value (the paper's ``YYYYMMDDHHMM`` timestamps
+    carry no zone).  The audit store, the wire decoder and the XES
+    importer all read timestamps through here, so an entry prints, and
+    its case digests, the same live, stored and imported; and the
+    store's lexicographic ISO comparisons never mix the two forms.
+    """
+    if when.tzinfo is None:
+        return when
+    return when.astimezone(timezone.utc).replace(tzinfo=None)
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from repro.audit.model import AuditTrail, LogEntry, Status
+from repro.audit.model import AuditTrail, LogEntry, Status, naive_utc
 from repro.errors import AuditError, IntegrityError, MalformedEntryError
 from repro.policy.model import ObjectRef
 
@@ -190,10 +190,10 @@ class AuditStore:
             params.append(user)
         if since is not None:
             clauses.append("ts >= ?")
-            params.append(_normalize_ts(since).isoformat())
+            params.append(naive_utc(since).isoformat())
         if until is not None:
             clauses.append("ts <= ?")
-            params.append(_normalize_ts(until).isoformat())
+            params.append(naive_utc(until).isoformat())
         if after_seq is not None:
             clauses.append("seq > ?")
             params.append(int(after_seq))
@@ -352,7 +352,7 @@ class AuditStore:
         """
         if not action:
             raise AuditError("control action must be non-empty")
-        when = _normalize_ts(timestamp or datetime.now(timezone.utc))
+        when = naive_utc(timestamp or datetime.now(timezone.utc))
         with self._write_transaction():
             prev_hash = self._last_control_hash()
             payload = {
@@ -498,7 +498,7 @@ class AuditStore:
 
         Returns the number of entries erased.
         """
-        cutoff = _normalize_ts(cutoff)
+        cutoff = naive_utc(cutoff)
         rows = self._connection.execute(
             "SELECT seq, ts, hash FROM audit_log ORDER BY seq"
         ).fetchall()
@@ -554,20 +554,6 @@ class AuditStore:
             )
 
 
-def _normalize_ts(when: datetime) -> datetime:
-    """Naive-UTC canonical form: the store's single timestamp dialect.
-
-    Entries, query bounds and purge cutoffs may arrive timezone-aware or
-    naive; mixing the two makes lexicographic ISO comparison (what the
-    SQL filters do) meaningless, so everything is normalized on the way
-    in.  Naive inputs are taken at face value (the paper's ``YYYYMMDDHHMM``
-    timestamps carry no zone).
-    """
-    if when.tzinfo is None:
-        return when
-    return when.astimezone(timezone.utc).replace(tzinfo=None)
-
-
 def _control_hash(prev_hash: str, payload: dict[str, object]) -> str:
     canonical = json.dumps(payload, sort_keys=True)
     return hashlib.sha256((prev_hash + canonical).encode("utf-8")).hexdigest()
@@ -587,17 +573,25 @@ def _entry_row(entry: LogEntry, prev_hash: str, position: int = 0) -> tuple:
     ``sort_keys=True``, composed here directly, byte for byte.  Each
     field is rendered once, for the row and the hash alike.
 
-    An entry that cannot be rendered, or whose text UTF-8 cannot encode
-    (a lone surrogate), raises :class:`MalformedEntryError` with
-    *position*: inside a write transaction the raise rolls everything
-    back.
+    An entry that cannot be rendered, whose text UTF-8 cannot encode
+    (a lone surrogate), or whose object text does not read back as its
+    object (``verify_integrity`` re-parses it), raises
+    :class:`MalformedEntryError` with *position*: inside a write
+    transaction the raise rolls everything back.
     """
     try:
         obj = entry.obj
-        obj_text = str(obj) if obj is not None else None
+        obj_text = None
+        if obj is not None:
+            obj_text = str(obj)
+            back = ObjectRef.parse(obj_text)
+            if back is not obj and back != obj:
+                raise ValueError(
+                    f"{obj!r} does not read back from its text {obj_text!r}"
+                )
         when = entry.timestamp
         if when.tzinfo is not None:
-            when = _normalize_ts(when)
+            when = naive_utc(when)
         row_text = (
             entry.user,
             entry.role,

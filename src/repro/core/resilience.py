@@ -178,6 +178,19 @@ def replay_with_deadline(
 # ---------------------------------------------------------------------------
 # the dead-letter collection
 
+#: The most characters of a record's ``raw`` text and of its ``reason``
+#: that a dead letter keeps; the cut is marked.  A quarantine lives as
+#: long as the process, so a long hostile record must cost no more than
+#: a short one.
+MAX_DEAD_LETTER_TEXT = 256
+
+
+def _clip(text: str) -> str:
+    cut = len(text) - MAX_DEAD_LETTER_TEXT
+    if cut <= 0:
+        return text
+    return f"{text[:MAX_DEAD_LETTER_TEXT]}... [{cut} more characters]"
+
 
 @dataclass(frozen=True)
 class QuarantinedEntry:
@@ -186,7 +199,8 @@ class QuarantinedEntry:
     ``source`` names the ingestion boundary (``"store"``, ``"xes"``,
     ``"append"``); ``position`` locates the record there (sequence
     number, event index, batch offset); ``raw`` is a best-effort textual
-    rendering for forensics.
+    rendering for forensics, cut after :data:`MAX_DEAD_LETTER_TEXT`
+    characters, as ``reason`` is.
     """
 
     source: str
@@ -224,8 +238,9 @@ class Quarantine:
         position: Optional[int] = None,
         raw: str = "",
     ) -> QuarantinedEntry:
+        reason = _clip(reason)
         entry = QuarantinedEntry(
-            source=source, position=position, reason=reason, raw=raw
+            source=source, position=position, reason=reason, raw=_clip(raw)
         )
         self.entries.append(entry)
         self._m_quarantined.inc(source=source)

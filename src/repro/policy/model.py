@@ -90,7 +90,24 @@ class ObjectRef:
 
 
 def _parse_object(text: str) -> ObjectRef:
-    """:meth:`ObjectRef.parse` without the memo."""
+    """:meth:`ObjectRef.parse` without the memo.
+
+    A text whose reference would print as a text that reads back as
+    another reference (``"/ EPR"`` prints as ``" EPR"``, which reads
+    back as ``EPR``) is refused: a stored object must re-parse as
+    itself, or the hash chain over its text breaks.
+    """
+    ref = _read_object(text)
+    printed = str(ref)
+    if printed != text and _read_object(printed) != ref:
+        raise PolicyError(
+            f"object reference {text!r} does not read back as itself "
+            f"(it prints as {printed!r})"
+        )
+    return ref
+
+
+def _read_object(text: str) -> ObjectRef:
     subject: Optional[str] = None
     rest = text.strip()
     if rest.startswith("["):

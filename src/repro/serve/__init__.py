@@ -3,9 +3,10 @@
 Turns the library's online monitoring layer into a long-running
 service: log shippers stream Definition-4 entries (or XES fragments)
 over a JSON-lines TCP protocol, the service replays each entry on one
-:class:`~repro.core.monitor.OnlineMonitor`, persists the raw stream to
-the tamper-evident :class:`~repro.audit.store.AuditStore` in batched
-transactions, and streams per-case verdict transitions back as they
+:class:`~repro.core.monitor.OnlineMonitor`, on the event loop, as its
+line is read, persists the raw stream to the tamper-evident
+:class:`~repro.audit.store.AuditStore` in batched transactions (one
+writer thread), and streams per-case verdict transitions back as they
 happen.  See ``docs/serving.md`` for the wire protocol, the engine and
 drain semantics, and the backpressure model; ``docs/robustness.md``
 covers the crash-safety layer (WAL, recovery, failure containment).
@@ -21,7 +22,8 @@ Layers (bottom up):
   per-case histories, which a router with a WAL resumes at start,
   byte-identically;
 * :mod:`repro.serve.service` — :class:`AuditService`, the asyncio TCP
-  + HTTP front end;
+  + HTTP front end: one :class:`asyncio.Protocol` per TCP client, whose
+  reads pause while its replies are not read;
 * :mod:`repro.serve.client` — :class:`AuditStreamClient`, a blocking
   reference client, and :class:`ResilientAuditClient`, the
   reconnecting/idempotent shipper.
@@ -32,7 +34,6 @@ from repro.serve.core import Admission, DrainReport, ServeConfig, ShardRouter
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
-    decode_jsonl,
     decode_message,
     encode_message,
     entry_from_message,
@@ -65,7 +66,6 @@ __all__ = [
     "WalRecord",
     "WalWriter",
     "collect_case_histories",
-    "decode_jsonl",
     "decode_message",
     "encode_message",
     "entry_from_message",

@@ -21,9 +21,9 @@ Client → server operations:
 
 Entry fields mirror :class:`repro.audit.model.LogEntry`: ``user``,
 ``role``, ``action``, ``obj`` (string or null), ``task``, ``case``,
-``ts`` (the paper's ``YYYYMMDDHHMM`` or ISO-8601), ``status``
-(``success``/``failure``, default success).  An optional ``"seq"``
-(1-based per case) numbers the entry within its case: a numbered
+``ts`` (the paper's ``YYYYMMDDHHMM`` or ISO-8601, read in naive UTC),
+``status`` (``success``/``failure``, default success).  An optional
+``"seq"`` (1-based per case) numbers the entry within its case: a numbered
 re-send is deduplicated server-side, which is what makes a client's
 resume after a reconnect idempotent (``docs/robustness.md``).
 
@@ -51,7 +51,7 @@ from datetime import datetime
 from sys import intern
 from typing import Iterable, Iterator, Optional
 
-from repro.audit.model import LogEntry, Status, parse_timestamp
+from repro.audit.model import LogEntry, Status, naive_utc, parse_timestamp
 from repro.errors import ReproError
 from repro.policy.model import ObjectRef
 
@@ -62,10 +62,6 @@ OP_SYNC = "sync"
 OP_STATUS = "status"
 OP_RESULTS = "results"
 OP_BYE = "bye"
-
-OPERATIONS = frozenset(
-    {OP_ENTRY, OP_XES, OP_SYNC, OP_STATUS, OP_RESULTS, OP_BYE}
-)
 
 # -- events (server -> client) ----------------------------------------------
 EV_HELLO = "hello"
@@ -198,60 +194,13 @@ def _nesting(value: object) -> int:
     return depth
 
 
-def decode_jsonl(
-    data: "bytes | str", tolerant: bool = True
-) -> tuple[list[dict], bool]:
-    """Decode a JSON-lines buffer, tolerating a torn trailing line.
-
-    A crash (the sender's or ours) mid-write leaves the final line
-    truncated; a reader that raises on it loses every *complete* line
-    before it.  This decoder returns ``(messages, torn)``: all lines
-    that decode to JSON objects, and whether the buffer ended in an
-    undecodable partial line.  ``tolerant=False`` restores strictness —
-    the torn tail raises :class:`ProtocolError`.  Only the *final*
-    non-empty line may be torn: junk in the middle of the buffer is
-    corruption, not truncation, and always raises.
-    """
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            # The torn byte sequence may split a UTF-8 code point; keep
-            # everything decodable and treat the remainder as the tail.
-            text = data.decode("utf-8", errors="replace")
-    else:
-        text = data
-    lines = [line for line in text.split("\n") if line.strip()]
-    ends_clean = text.endswith("\n")
-    messages: list[dict] = []
-    torn = False
-    for index, line in enumerate(lines):
-        last = index == len(lines) - 1
-        try:
-            message = json.loads(line)
-            if not isinstance(message, dict):
-                raise ValueError("not a JSON object")
-        except ValueError as error:
-            if last and not ends_clean:
-                torn = True
-                break
-            raise ProtocolError(
-                f"line {index + 1} is not a JSON object: {error}"
-            ) from None
-        messages.append(message)
-    if torn and not tolerant:
-        raise ProtocolError(
-            f"buffer ends in a torn line ({lines[-1][:40]!r}...)"
-        )
-    return messages, torn
-
-
 def _parse_ts(text: str) -> datetime:
-    """Accept the paper's ``YYYYMMDDHHMM`` or any ISO-8601 timestamp."""
+    """Accept the paper's ``YYYYMMDDHHMM`` or any ISO-8601 timestamp,
+    kept in naive UTC as the store keeps it."""
     if len(text) == 12 and text.isdigit():
         return parse_timestamp(text)
     try:
-        return datetime.fromisoformat(text)
+        return naive_utc(datetime.fromisoformat(text))
     except ValueError as error:
         raise ProtocolError(
             f"timestamp {text!r} is neither YYYYMMDDHHMM nor ISO-8601"

@@ -20,12 +20,14 @@ with the network surface:
   and a ``bye``.
 
 Thread/loop topology: the event loop owns all sockets and replays every
-entry itself — :meth:`ShardRouter.submit` runs the entry's step and
-hands its verdict event to the connection in the same loop step, and a
-connection's next line is read only once that is done, so a client that
-sends faster than the daemon replays is held back by its own socket.
-Only the store writer, the WAL fsyncs of ``sync`` and the flush tick,
-drain, and the control API run off the loop.
+entry itself.  Each TCP client is one :class:`asyncio.Protocol` whose
+lines are decoded one by one; :meth:`ShardRouter.submit` runs each
+entry's step and writes its verdict event before the next line is
+looked at.  So a client that sends faster than the daemon replays is
+held back by its own socket, and one that does not read is not read
+either once its write buffer is full.  Only the store writer, the WAL
+fsyncs of ``sync`` and the flush tick, drain, and the control API run
+off the loop.
 """
 
 from __future__ import annotations
@@ -73,105 +75,174 @@ from repro.serve.protocol import (
 #: 413 before a byte of it is read.
 MAX_HTTP_BODY = 1 << 16
 
+#: The longest request line the JSON-lines endpoint takes, newline
+#: excluded (the limit of asyncio's ``StreamReader``).  A longer line is
+#: answered ``request line too long``, counted, and ends the connection.
+MAX_LINE = 1 << 16
 
-class _Connection:
-    """One client: its writer, and an outbox pumped by a loop task.
+#: How long drain lets clients take their ``final`` events and ``bye``
+#: before it aborts the connections still open.
+DRAIN_CLOSE_S = 5.0
 
-    ``send`` writes a message straight to the socket when nothing is
-    queued ahead of it; otherwise it queues the message for the pump,
-    so events leave in the order they were sent.  After ``close`` it
-    becomes a no-op — verdicts for a disconnected client are simply
-    dropped (the store and the ``results`` op are the durable record).
-    ``stream`` queues a reply written chunk by chunk; whatever is sent
-    while it streams waits behind it, so no event ever splits its line.
+
+class _Client(asyncio.Protocol):
+    """One TCP client: its line framing and its replies, in order.
+
+    Each complete line goes to :meth:`AuditService._dispatch`, which
+    replays an entry and writes its verdict before the next line is
+    looked at.  While the transport's write buffer is full, or a
+    ``results`` reply streams, the socket is not read and buffered lines
+    wait.  A reply goes out one chunk per loop turn; events sent
+    meanwhile are held behind it, so none splits its line.  After
+    :meth:`close`, sends are dropped (the store and ``results`` are the
+    record, not a departed client's events).
     """
 
-    def __init__(
-        self, loop: asyncio.AbstractEventLoop, writer: asyncio.StreamWriter
-    ):
-        self._loop = loop
-        self._writer = writer
-        #: messages, ``(chunks, done)`` streamed replies, and the close
-        #: sentinel ``None``
-        self._outbox: asyncio.Queue = asyncio.Queue()
-        #: True while the pump writes a streamed reply.
-        self._streaming = False
-        self._closed = False
+    def __init__(self, service: "AuditService"):
+        assert service._loop is not None
+        self._service = service
+        self._loop = service._loop
+        self._transport: Optional[asyncio.Transport] = None
+        self._buffer = b""  # received, not yet taken as lines
+        self._paused = False  # the transport's write buffer is full
+        self._reply: Optional[Iterator[bytes]] = None  # chunks to write
+        self._held: list[bytes] = []  # events sent while it streams
+        self._eof = False
+        self._closing = False  # no more lines taken, nor events sent
+        #: done once the connection is gone
+        self.closed: asyncio.Future = self._loop.create_future()
         self.entries_sent = 0
         self.cases: set[str] = set()
-        self.pump_task: Optional[asyncio.Task] = None
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        service = self._service
+        service._connections.add(self)
+        service._m_connections.inc()
+        service._tel.events.emit(SERVE_CLIENT, phase="connect")
+        self.send({"event": EV_HELLO, "version": PROTOCOL_VERSION})
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer = self._buffer + data if self._buffer else data
+        self._take_lines()
+
+    def eof_received(self) -> bool:
+        # Stay open: the lines already received are answered first.
+        self._eof = True
+        self._take_lines()
+        return True
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        # Not from inside the transport's write callback.
+        self._loop.call_soon(self._resume)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._closing = True
+        self._reply = None
+        service = self._service
+        service._connections.discard(self)
+        service._tel.events.emit(
+            SERVE_CLIENT, phase="disconnect", entries=self.entries_sent
+        )
+        if not self.closed.done():
+            self.closed.set_result(None)
 
     def send(self, message: dict) -> None:
         """Send one event (the router's subscriber, on the loop)."""
-        if self._closed:
+        if self._closing:
             return
-        if self._streaming or not self._outbox.empty():
-            self._outbox.put_nowait(message)
+        data = encode_message(message)
+        if self._reply is not None:
+            self._held.append(data)
         else:
-            self._writer.write(encode_message(message))
+            self._transport.write(data)
 
-    async def stream(self, chunks: Iterator[bytes]) -> None:
-        """Queue a reply of *chunks*; return once it is written or the
-        connection is gone (raises if producing a chunk failed)."""
-        if self._closed:
-            return
-        done = self._loop.create_future()
-        self._outbox.put_nowait((chunks, done))
-        await done
-
-    async def pump(self) -> None:
-        reply: Optional[asyncio.Future] = None
-        try:
-            while True:
-                item = await self._outbox.get()
-                if item is None:
-                    # The close sentinel — everything queued before it has
-                    # been written, so a `bye` response is never dropped by
-                    # the close racing the pump.
-                    return
-                if not isinstance(item, tuple):
-                    self._writer.write(encode_message(item))
-                    await self._writer.drain()
-                    continue
-                chunks, reply = item
-                self._streaming = True
-                try:
-                    for chunk in chunks:
-                        self._writer.write(chunk)
-                        await self._writer.drain()
-                        # drain() returns at once below the high-water
-                        # mark: yield anyway, one chunk per loop turn.
-                        await asyncio.sleep(0)
-                except (ConnectionResetError, BrokenPipeError):
-                    raise
-                except Exception as error:
-                    # The reply's line is torn: the reader re-raises the
-                    # error and its handler closes the connection.
-                    self._closed = True
-                    if not reply.done():
-                        reply.set_exception(error)
-                    return
-                finally:
-                    self._streaming = False
-                if not reply.done():
-                    reply.set_result(None)
-        except (ConnectionResetError, BrokenPipeError):
-            self._closed = True
-        finally:
-            # Release every reader still waiting on a reply that will
-            # not be written now.
-            pending = [reply]
-            while not self._outbox.empty():
-                item = self._outbox.get_nowait()
-                if isinstance(item, tuple):
-                    pending.append(item[1])
-            for done in pending:
-                if done is not None and not done.done():
-                    done.set_result(None)
+    def stream(self, chunks: Iterator[bytes]) -> None:
+        """Write a reply of *chunks*; lines and events wait behind it."""
+        self._reply = chunks
+        self._transport.pause_reading()
+        self._write_reply()
 
     def close(self) -> None:
-        self._closed = True
-        self._outbox.put_nowait(None)
+        """Take no more lines; close once everything sent is written."""
+        self._closing = True
+        if self._reply is None:
+            self._transport.close()
+
+    def abort(self) -> None:
+        """Drop the connection and whatever it has not written."""
+        self._transport.abort()
+
+    def _take_lines(self) -> None:
+        """Dispatch the complete lines received, while nothing holds them."""
+        buffer, start = self._buffer, 0
+        while not (self._paused or self._closing or self._reply is not None):
+            end = buffer.find(b"\n", start)
+            if end < 0:
+                if len(buffer) - start > MAX_LINE:
+                    self._refuse_long_line()
+                elif self._eof:
+                    # An unterminated line at EOF: the peer died (or was
+                    # killed) mid-write.  A torn trailing line is
+                    # truncation, not a protocol error: drop it
+                    # silently; the sender never saw an ack for it and
+                    # will re-send after reconnecting.
+                    self.close()
+                break
+            line_start, start = start, end + 1
+            if end - line_start > MAX_LINE:
+                self._refuse_long_line()
+                break
+            line = buffer[line_start:end].strip()
+            if line:
+                self._service._dispatch(line, self)
+        self._buffer = b"" if self._closing else buffer[start:]
+
+    def _refuse_long_line(self) -> None:
+        # What follows it cannot be framed: answer, count, close.
+        self._service._m_protocol_errors.inc()
+        self.send({"event": EV_ERROR, "detail": "request line too long"})
+        self.close()
+
+    def _resume(self) -> None:
+        """Carry on where a pause left off: the reply, then the lines."""
+        if self._paused:
+            return
+        if self._reply is not None:
+            self._write_reply()
+        elif not self._closing:
+            if not self._eof:
+                self._transport.resume_reading()
+            self._take_lines()
+
+    def _write_reply(self) -> None:
+        """Write the reply's next chunk; after the last, what it held."""
+        try:
+            chunk = next(self._reply, None)
+        except Exception:
+            # The reply's line is torn, and no line after it could be
+            # framed: close the connection and report the error.
+            self._reply = None
+            self.close()
+            raise
+        if chunk is not None:
+            self._transport.write(chunk)
+            # One chunk per loop turn: other clients are served between.
+            self._loop.call_soon(self._resume)
+            return
+        self._reply = None
+        held, self._held = self._held, []
+        if held:
+            self._transport.write(b"".join(held))
+        if self._closing:
+            self._transport.close()
+        else:
+            self._resume()
 
 
 class AuditService:
@@ -205,11 +276,7 @@ class AuditService:
         self._http_server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._ticker: Optional[asyncio.Task] = None
-        self._connections: set[_Connection] = set()
-        #: live ``_on_client`` tasks — drain reaps them so none outlive
-        #: the loop (a destroyed-pending handler corrupts interpreter
-        #: state for whatever runs next in this process)
-        self._client_tasks: set[asyncio.Task] = set()
+        self._connections: set[_Client] = set()
         self._drained: Optional[DrainReport] = None
         self._drain_lock = asyncio.Lock()
         tel = router._tel
@@ -237,8 +304,8 @@ class AuditService:
         # the threshold past that for the life of the process.
         bytes(1 << 20)
         self.router.start()
-        self._server = await asyncio.start_server(
-            self._on_client, self._host, self._port_requested
+        self._server = await self._loop.create_server(
+            lambda: _Client(self), self._host, self._port_requested
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self._http_port_requested is not None:
@@ -274,7 +341,8 @@ class AuditService:
                 )
 
     async def drain(self) -> DrainReport:
-        """Graceful shutdown; safe to call more than once."""
+        """Graceful shutdown; safe to call more than once.  A client that
+        has not taken its finals :data:`DRAIN_CLOSE_S` later is aborted."""
         async with self._drain_lock:
             if self._drained is not None:
                 return self._drained
@@ -282,111 +350,40 @@ class AuditService:
                 self._ticker.cancel()
             for server in (self._server, self._http_server):
                 if server is not None:
+                    # Not ``wait_closed()``: since Python 3.12.1 it waits
+                    # for every client to disconnect, while each client
+                    # is waiting for its finals.
                     server.close()
-                    await server.wait_closed()
             # The store writer's last commit and integrity check take
             # time — keep the loop responsive.
             report = await asyncio.get_running_loop().run_in_executor(
                 None, self.router.drain
             )
-            for conn in list(self._connections):
+            clients = list(self._connections)
+            for client in clients:
                 # Only the cases this client touched, one record at a
                 # time; with nobody connected no record is built at all.
-                for final in self.router.iter_results(sorted(conn.cases)):
-                    conn.send({"event": EV_FINAL, **final})
-                conn.send({"event": EV_BYE, "reason": "drained"})
-                conn.close()
-            # Reap every client handler before the loop can go away: a
-            # pending task destroyed with its loop raises into whatever
-            # the interpreter is doing next (ast.parse has been seen to
-            # fail with SystemError mid-import).
-            tasks = [t for t in self._client_tasks if not t.done()]
-            for t in tasks:
-                t.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
+                for final in self.router.iter_results(sorted(client.cases)):
+                    client.send({"event": EV_FINAL, **final})
+                client.send({"event": EV_BYE, "reason": "drained"})
+                client.close()
+            if clients:
+                _, late = await asyncio.wait(
+                    [client.closed for client in clients],
+                    timeout=DRAIN_CLOSE_S,
+                )
+                if late:
+                    # Their write buffers never emptied: they do not read.
+                    for client in clients:
+                        if not client.closed.done():
+                            client.abort()
+                    await asyncio.wait(late)
             self._drained = report
             return report
 
     # -- the JSON-lines endpoint -------------------------------------------
-    async def _on_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        assert self._loop is not None
-        task = asyncio.current_task()
-        if task is not None:
-            self._client_tasks.add(task)
-            task.add_done_callback(self._client_tasks.discard)
-        conn = _Connection(self._loop, writer)
-        self._connections.add(conn)
-        self._m_connections.inc()
-        self._tel.events.emit(SERVE_CLIENT, phase="connect")
-        conn.send({"event": EV_HELLO, "version": PROTOCOL_VERSION})
-        conn.pump_task = asyncio.create_task(conn.pump())
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Longer than the StreamReader limit.  The reader
-                    # dropped what it buffered, so the stream cannot be
-                    # resynchronised: answer, count, close.
-                    self._m_protocol_errors.inc()
-                    conn.send(
-                        {"event": EV_ERROR, "detail": "request line too long"}
-                    )
-                    break
-                if not line:
-                    break
-                if not line.endswith(b"\n"):
-                    # readline only returns an unterminated line at EOF:
-                    # the peer died (or was killed) mid-write.  A torn
-                    # trailing line is truncation, not a protocol error —
-                    # drop it silently; the sender never saw an ack for
-                    # it and will re-send after reconnecting.
-                    break
-                if not line.strip():
-                    continue
-                if not await self._dispatch(line, conn):
-                    break
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass  # mid-stream disconnect: the stream state survives
-        finally:
-            self._connections.discard(conn)
-            self._tel.events.emit(
-                SERVE_CLIENT, phase="disconnect", entries=conn.entries_sent
-            )
-            conn.close()
-            if conn.pump_task is not None:
-                try:
-                    await asyncio.wait_for(conn.pump_task, timeout=1.0)
-                except (asyncio.TimeoutError, asyncio.CancelledError):
-                    conn.pump_task.cancel()
-                except RuntimeError:
-                    # This coroutine is being closed (GeneratorExit) or
-                    # the loop is already gone — awaiting is impossible;
-                    # cancel and let the loop's own teardown reap it.
-                    try:
-                        conn.pump_task.cancel()
-                    except RuntimeError:
-                        pass  # loop closed: nothing left to schedule on
-            writer.close()
-            try:
-                # wait_closed can hang on abruptly-reset peers (fixed in
-                # 3.12); bound it, and absorb the cancellation a shutting
-                # down loop delivers here — this is already cleanup.
-                await asyncio.wait_for(writer.wait_closed(), timeout=1.0)
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-                asyncio.TimeoutError,
-                asyncio.CancelledError,
-                RuntimeError,
-            ):
-                pass
-
-    async def _dispatch(self, line: bytes, conn: _Connection) -> bool:
-        """Handle one request line; False ends the connection politely."""
+    def _dispatch(self, line: bytes, conn: _Client) -> None:
+        """Handle one request line, stripped of surrounding whitespace."""
         try:
             message = decode_message(line)
             op = message.get("op")
@@ -398,7 +395,7 @@ class AuditService:
                     conn.send,
                     traceparent=message.get("traceparent"),
                     seq=seq,
-                    line=line.strip(),
+                    line=line,
                 )
                 if admission.accepted:
                     conn.cases.add(entry.case)
@@ -448,10 +445,10 @@ class AuditService:
                     {"event": EV_STATUS, **self.router.statistics()}
                 )
             elif op == OP_RESULTS:
-                await self._send_results(conn, message)
+                self._send_results(conn, message)
             elif op == OP_BYE:
                 conn.send({"event": EV_BYE, "reason": "requested"})
-                return False
+                conn.close()
             else:
                 raise ProtocolError(f"unknown op {op!r}")
         except (ProtocolError, ReproError) as error:
@@ -461,12 +458,11 @@ class AuditService:
             self.router.dead_letters.add(
                 source="serve",
                 reason=str(error),
-                raw=line.decode("utf-8", "replace").strip(),
+                raw=line.decode("utf-8", "replace"),
             )
             conn.send({"event": EV_ERROR, "detail": str(error)})
-        return True
 
-    def _sync(self, conn: _Connection, token, received: int) -> None:
+    def _sync(self, conn: _Client, token, received: int) -> None:
         """The ``sync`` op once its barrier passed: fsync the WAL off the
         loop, then send ``synced`` (or the error that stopped it).  The
         connection keeps streaming meanwhile."""
@@ -488,15 +484,14 @@ class AuditService:
         commit = self._loop.run_in_executor(None, self.router.wal_commit)
         commit.add_done_callback(committed)
 
-    async def _send_results(self, conn: _Connection, message: dict) -> None:
+    def _send_results(self, conn: _Client, message: dict) -> None:
         """The ``results`` op: barrier, then the per-case final word.
 
         The reply streams: records are built chunk by chunk as the
-        connection's pump writes them, so memory holds one chunk, not
-        the whole reply.  This returns when the reply is written, and
-        the reader only then takes this connection's next line: the
-        reply covers every entry sent before ``results`` and none sent
-        after.
+        connection writes them, so memory holds one chunk, not the whole
+        reply.  The connection takes its next line only once the reply
+        is written: the reply covers every entry sent before ``results``
+        and none sent after.
         """
         wanted = message.get("cases")
         passed: list[Iterator[dict]] = []
@@ -507,7 +502,7 @@ class AuditService:
                 )
             )
         )
-        await conn.stream(encode_results(passed[0]))
+        conn.stream(encode_results(passed[0]))
 
     # -- the HTTP endpoint ---------------------------------------------------
     #: ``application/json`` always carries its charset and JSON

@@ -225,6 +225,18 @@ class TestQuarantine:
         with pytest.raises(XesError):
             import_xes(document)
 
+    def test_object_that_does_not_read_back_is_quarantined(self):
+        document = self.BAD_TS.replace(
+            '<date key="time:timestamp" value="yesterday"/>',
+            '<date key="time:timestamp" value="2010-01-01T00:01:00"/>\n'
+            '          <string key="purpose:object" value="/ EPR"/>',
+        )
+        quarantine = Quarantine()
+        trail = import_xes(document, quarantine=quarantine)
+        assert [e.task for e in trail] == ["T01", "T03"]
+        assert [record.position for record in quarantine] == [1]
+        assert "does not read back" in quarantine.entries[0].reason
+
     def test_broken_xml_after_a_bad_event_quarantines_nothing(self):
         quarantine = Quarantine()
         with pytest.raises(XesError, match="invalid XML"):

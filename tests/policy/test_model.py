@@ -44,6 +44,23 @@ class TestObjectRefParsing:
         with pytest.raises(PolicyError):
             ObjectRef.parse("[Jane]")
 
+    @pytest.mark.parametrize("text", ["/ EPR", "EPR /", "/[Jane]EPR"])
+    def test_text_that_does_not_read_back_rejected(self, text):
+        # Each would print as a text that parses to another reference:
+        # " EPR" reads back as "EPR", "[Jane]EPR" with subject Jane.
+        with pytest.raises(PolicyError, match="does not read back"):
+            ObjectRef.parse(text)
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [(" EPR", "EPR"), ("[ Jane ]EPR", "[Jane]EPR"), ("A//B", "A/B"),
+         ("[]EPR", "[.]EPR"), ("A / B", "A / B")],
+    )
+    def test_text_whose_reference_reads_back_accepted(self, text, printed):
+        ref = ObjectRef.parse(text)
+        assert str(ref) == printed
+        assert ObjectRef.parse(printed) == ref
+
 
 class TestObjectOrder:
     """The partial order >=O of Section 3.1."""

@@ -32,6 +32,7 @@ from repro.audit.model import LogEntry
 from repro.audit.store import AuditStore
 from repro.errors import MalformedEntryError
 from repro.obs import MetricsRegistry, Telemetry
+from repro.policy.model import ObjectRef
 from repro.scenarios import paper_audit_trail, process_registry, role_hierarchy
 from repro.serve import AuditStreamClient, ServeConfig, ShardRouter
 from repro.serve.protocol import encode_message, entry_to_message
@@ -165,6 +166,84 @@ class TestLoneSurrogate:
         assert again.recovery_report.replayed == len(trail)
         assert again.drain().store_intact is True
         assert _stored(tmp_path / "audit.db") == trail
+
+
+class TestObjectText:
+    """An object text whose reference would be stored as a text that
+    reads back as another reference (``"/ EPR"`` is stored as ``" EPR"``,
+    which reads back as ``EPR``) used to break the hash chain: drain
+    reported ``store_intact: false`` and a ``--wal-dir`` daemon refused
+    to restart."""
+
+    TEXTS = ("/ EPR", "EPR /", "/[Jane]EPR")
+
+    def test_over_the_wire_each_costs_its_line(self, durable_service, tmp_path):
+        handle, registry = durable_service
+        trail = list(paper_audit_trail())
+        with AuditStreamClient(handle.host, handle.port) as client:
+            client.send_trail(trail[:3])
+            for number, text in enumerate(self.TEXTS):
+                message = entry_to_message(replace(trail[0], case=f"HT-9{number}"))
+                client.send({**message, "obj": text})
+                error = client.recv_until("error")
+                assert "does not read back" in error["detail"]
+            client.send_trail(trail[3:])
+            client.sync()
+        assert _errors(registry) == len(self.TEXTS)
+        assert len(handle.router.dead_letters) == len(self.TEXTS)
+        report = handle.drain()
+        assert report.store_intact is True
+        assert _stored(tmp_path / "audit.db") == trail
+        again = _router(tmp_path, wal=True)
+        assert again.recovery_report.replayed == len(trail)
+        assert again.drain().store_intact is True
+
+    def test_in_process_the_row_is_dead_lettered(self, tmp_path):
+        """A reference built in-process skips the parser: the store
+        refuses its row, the writer's per-entry fallback dead-letters it
+        and the chain stays whole."""
+        trail = list(paper_audit_trail())
+        router = _router(tmp_path, wal=False)
+        odd = replace(trail[0], obj=ObjectRef(None, (" EPR",)))
+        for entry in [*trail[:2], odd, *trail[2:]]:
+            assert router.submit(entry).accepted
+        router.flush()
+        assert router._writer_sync(timeout=10)
+        [letter] = router.dead_letters
+        assert "does not read back" in letter.reason
+        report = router.drain()
+        assert report.store_intact is True
+        assert _stored(tmp_path / "audit.db") == trail
+
+
+class TestDeadLetterBound:
+    def test_long_junk_lines_leave_short_dead_letters(self, serve_factory):
+        """500 junk lines of 60 KB used to leave 500 dead letters holding
+        28.6 MB of text; each now keeps its first characters, and every
+        count stays exact."""
+        registry = MetricsRegistry()
+        handle = serve_factory(
+            process_registry(),
+            hierarchy=role_hierarchy(),
+            config=ServeConfig(),
+            telemetry=Telemetry.create(registry=registry),
+        )
+        junk = b"j" * 60_000
+        with AuditStreamClient(handle.host, handle.port) as client:
+            client.recv_until("hello")
+            for _ in range(500):
+                client.send_raw(junk)
+                assert "not valid JSON" in client.recv_until("error")["detail"]
+            assert client.status()["dead_letters"] == 500
+        letters = list(handle.router.dead_letters)
+        assert len(letters) == 500
+        assert sum(len(l.raw) + len(l.reason) for l in letters) < 1 << 20
+        assert letters[0].raw.startswith("j" * 256)
+        assert letters[0].raw.endswith("[59744 more characters]")
+        assert _errors(registry) == 500
+        assert registry.counter("quarantined_entries_total").value(
+            source="serve"
+        ) == 500
 
 
 class TestDeepNesting:

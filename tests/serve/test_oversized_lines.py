@@ -54,7 +54,7 @@ def _handlers_settled(handle) -> None:
     """Wait until every connection handler returned, so an exception
     escaping one would already have been reported."""
     deadline = time.monotonic() + 10
-    while handle.service._client_tasks and time.monotonic() < deadline:
+    while handle.service._connections and time.monotonic() < deadline:
         time.sleep(0.01)
     gc.collect()
 

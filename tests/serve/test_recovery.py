@@ -13,10 +13,13 @@ import dataclasses
 import sqlite3
 import threading
 from collections import Counter
+from datetime import timedelta, timezone
 
 import pytest
 
+from repro.audit.model import AuditTrail
 from repro.audit.store import AuditStore
+from repro.audit.xes import export_xes, import_xes
 from repro.core.auditor import PurposeControlAuditor
 from repro.errors import ReproError
 from repro.scenarios import (
@@ -24,7 +27,7 @@ from repro.scenarios import (
     process_registry,
     role_hierarchy,
 )
-from repro.serve import ServeConfig, ShardRouter
+from repro.serve import AuditStreamClient, ServeConfig, ShardRouter
 from repro.serve.recovery import collect_case_histories
 from repro.serve.wal import (
     LOG_NAME,
@@ -315,6 +318,51 @@ class TestRecoverEndToEnd:
         second = _router(tmp_path)
         assert second.results()["HT-1"]["digest"] == live["digest"]
         second.drain()
+
+
+class TestZonedTimestamps:
+    def test_digests_survive_a_restart_and_match_a_batch_audit(
+        self, serve_factory, tmp_path
+    ):
+        """The wire, the store and XES import read ``+02:00`` alike, as
+        naive UTC, so a resumed case digests as it did live."""
+        plus_two = timezone(timedelta(hours=2))
+        trail = [
+            dataclasses.replace(
+                entry, timestamp=entry.timestamp.replace(tzinfo=plus_two)
+            )
+            for entry in paper_audit_trail()
+        ]
+        config = _config(tmp_path, flush_max_batch=256)
+        handle = serve_factory(
+            process_registry(), hierarchy=role_hierarchy(), config=config
+        )
+        with AuditStreamClient(handle.host, handle.port) as client:
+            client.recv_until("hello")
+            client.send_trail(trail)
+            live = client.results()
+        assert handle.drain().store_intact is True
+
+        again = ShardRouter(
+            process_registry(), hierarchy=role_hierarchy(), config=config
+        )
+        again.start()
+        resumed = again.results()
+        again.drain()
+        digests = {case: record["digest"] for case, record in live.items()}
+        assert len(digests) == 8
+        assert {
+            case: record["digest"] for case, record in resumed.items()
+        } == digests
+
+        imported = import_xes(export_xes(AuditTrail(trail)))
+        report = PurposeControlAuditor(
+            process_registry(), hierarchy=role_hierarchy()
+        ).audit(imported)
+        assert {
+            case: canonical_digest(result.replay)
+            for case, result in report.cases.items()
+        } == digests
 
 
 class TestRecoverGuards:

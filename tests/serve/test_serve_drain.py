@@ -76,6 +76,30 @@ class TestSigtermDrain:
             assert len(store) == len(trail)
             store.verify_integrity()
 
+    def test_sigterm_with_a_client_connected(self, daemon):
+        """The connected client reads its cases' ``final`` events and a
+        ``bye``, and the daemon exits 0 within a bound."""
+        process, listening, _ = daemon
+        trail = list(paper_audit_trail())
+        with AuditStreamClient(
+            listening["host"], listening["port"], timeout=15
+        ) as client:
+            client.recv_until("hello")
+            client.send_trail(trail)
+            client.sync()
+            process.send_signal(signal.SIGTERM)
+            finals = []
+            while (event := client.recv_event())["event"] != "bye":
+                if event["event"] == "final":
+                    finals.append(event["case"])
+            assert event["reason"] == "drained"
+            stdout, stderr = process.communicate(timeout=15)
+        assert process.returncode == 0, stderr
+        assert finals == sorted({entry.case for entry in trail})
+        drained = json.loads(stdout.splitlines()[-1])["drained"]
+        assert drained["entries_received"] == len(trail)
+        assert drained["store_intact"] is True
+
     def test_healthz_and_metrics_respond_while_serving(self, daemon):
         import urllib.request
 

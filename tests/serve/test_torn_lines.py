@@ -1,11 +1,13 @@
 """Torn/truncated JSON-lines tolerance and the idempotence ``seq`` field.
 
 A crash mid-write (the shipper's or the daemon's) leaves a partial
-trailing line.  The protocol layer must salvage every complete line
-before it (``decode_jsonl``), the service must drop a torn trailing
-request line silently instead of dead-lettering it, and numbered
-entries must round-trip so re-sends dedupe.
+trailing line.  The service must answer every complete line before it,
+drop a torn trailing request line silently instead of dead-lettering
+it, and numbered entries must round-trip so re-sends dedupe.
 """
+
+import json
+import socket
 
 import pytest
 
@@ -13,63 +15,11 @@ from repro.scenarios import paper_audit_trail
 from repro.serve import AuditStreamClient, ServeConfig
 from repro.serve.protocol import (
     ProtocolError,
-    decode_jsonl,
     encode_message,
     entry_from_message,
     entry_seq,
     entry_to_message,
 )
-
-
-class TestDecodeJsonl:
-    def test_clean_buffer_decodes_fully(self):
-        data = b'{"a":1}\n{"b":2}\n'
-        messages, torn = decode_jsonl(data)
-        assert messages == [{"a": 1}, {"b": 2}]
-        assert not torn
-
-    def test_torn_trailing_line_is_tolerated(self):
-        data = b'{"a":1}\n{"b":2}\n{"c":'  # cut mid-write
-        messages, torn = decode_jsonl(data)
-        assert messages == [{"a": 1}, {"b": 2}]
-        assert torn
-
-    def test_torn_trailing_line_raises_when_strict(self):
-        with pytest.raises(ProtocolError):
-            decode_jsonl(b'{"a":1}\n{"b":', tolerant=False)
-
-    def test_junk_mid_buffer_is_corruption_not_truncation(self):
-        # The bad line is *followed* by a good one: that is not a torn
-        # tail, and silently skipping it would hide real corruption.
-        with pytest.raises(ProtocolError):
-            decode_jsonl(b'{"a":1}\nnot json\n{"b":2}\n')
-
-    def test_complete_final_line_of_non_object_raises(self):
-        # A newline-terminated array is a protocol violation, not a tear.
-        with pytest.raises(ProtocolError):
-            decode_jsonl(b'{"a":1}\n[1,2]\n')
-
-    def test_torn_multibyte_utf8_tail(self):
-        clean = encode_message({"case": "ACME-1", "note": "café"})
-        torn = clean + encode_message({"note": "naïve"})[:-4]
-        messages, was_torn = decode_jsonl(torn)
-        assert messages[0]["note"] == "café"
-        assert was_torn
-
-    def test_empty_and_blank_buffers(self):
-        assert decode_jsonl(b"") == ([], False)
-        assert decode_jsonl(b"\n\n  \n") == ([], False)
-
-    def test_wal_style_roundtrip_through_entries(self):
-        entries = list(paper_audit_trail())[:5]
-        buffer = b"".join(
-            encode_message(entry_to_message(e)) for e in entries
-        )
-        # Tear the final record mid-line.
-        torn = buffer[:-9]
-        messages, was_torn = decode_jsonl(torn)
-        assert was_torn
-        assert [entry_from_message(m) for m in messages] == entries[:4]
 
 
 class TestEntrySeq:
@@ -122,3 +72,32 @@ class TestServiceTornTail:
         assert status["dead_letters"] == 0
         second.bye()
         handle.drain()
+
+    def test_a_half_close_answers_every_line_and_drops_the_torn_tail(
+        self, serve_factory
+    ):
+        """The peer shuts its sending side after a torn line: every
+        complete line before it is answered, then the daemon closes."""
+        from repro.scenarios import process_registry, role_hierarchy
+
+        trail = list(paper_audit_trail())
+        handle = serve_factory(
+            process_registry(), hierarchy=role_hierarchy(), config=ServeConfig()
+        )
+        sock = socket.create_connection((handle.host, handle.port), timeout=30)
+        sock.sendall(
+            b"".join(encode_message(entry_to_message(e)) for e in trail[:3])
+            + b'{"op":"sync","id":1}\n'
+            + encode_message(entry_to_message(trail[3]))[:-10]
+        )
+        sock.shutdown(socket.SHUT_WR)
+        received = b""
+        while chunk := sock.recv(1 << 16):
+            received += chunk
+        sock.close()
+        events = [json.loads(line) for line in received.splitlines()]
+        assert events[0]["event"] == "hello"
+        assert events[-1] == {"event": "synced", "id": 1, "received": 3}
+        status = handle.router.statistics()
+        assert status["entries_received"] == 3
+        assert status["dead_letters"] == 0
