@@ -49,10 +49,9 @@ def naive_utc(when: datetime) -> datetime:
 
     An aware timestamp is converted to UTC and its zone dropped; a naive
     one is taken at face value (the paper's ``YYYYMMDDHHMM`` timestamps
-    carry no zone).  The audit store, the wire decoder and the XES
-    importer all read timestamps through here, so an entry prints, and
-    its case digests, the same live, stored and imported; and the
-    store's lexicographic ISO comparisons never mix the two forms.
+    carry no zone).  Every :class:`LogEntry` keeps its timestamp in this
+    form, and the audit store reads its query bounds through here, so
+    the store's lexicographic ISO comparisons never mix the two forms.
     """
     if when.tzinfo is None:
         return when
@@ -64,7 +63,10 @@ class LogEntry:
     """One audited event: ``(u, r, a, o, q, c, t, s)`` (Definition 4).
 
     ``obj`` may be ``None`` for object-less actions (the paper's Fig. 4
-    records the failing ``cancel`` with object N/A).
+    records the failing ``cancel`` with object N/A).  An aware
+    ``timestamp`` is kept in naive UTC (:func:`naive_utc`), however the
+    entry was built: live, stored and imported, an entry prints, and
+    its case digests, the same.
     """
 
     user: str
@@ -75,6 +77,10 @@ class LogEntry:
     case: str
     timestamp: datetime
     status: Status = Status.SUCCESS
+
+    def __post_init__(self) -> None:
+        if self.timestamp.tzinfo is not None:
+            object.__setattr__(self, "timestamp", naive_utc(self.timestamp))
 
     @classmethod
     def at(

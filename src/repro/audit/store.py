@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.audit.model import AuditTrail, LogEntry, Status, naive_utc
 from repro.errors import AuditError, IntegrityError, MalformedEntryError
-from repro.policy.model import ObjectRef
+from repro.policy.model import ObjectRef, object_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.resilience import Quarantine
@@ -423,7 +423,7 @@ class AuditStore:
             stored_prev, stored_hash = row[9], row[10]
             try:
                 entry = _entry_from_row(row[1:9], position=seq)
-                recomputed = _entry_row(entry, stored_prev, seq)[-1]
+                rendered = _entry_row(entry, stored_prev, seq)
             except MalformedEntryError as error:
                 # A row that no longer decodes cannot hash to what was
                 # logged — it was modified after the fact.
@@ -438,9 +438,11 @@ class AuditStore:
                     "(an entry was removed or reordered)",
                     first_bad_seq=seq,
                 )
-            # The store writes naive UTC only: a zoned ``ts`` was
+            # The row must be the text the parsed entry renders: a
+            # parsed entry keeps naive UTC only, so a zoned ``ts`` (or
+            # any other column rewritten to an equivalent form) was
             # rewritten, whatever instant it names.
-            if recomputed != stored_hash or entry.timestamp.tzinfo is not None:
+            if rendered[-1] != stored_hash or rendered[:8] != row[1:9]:
                 raise IntegrityError(
                     f"entry {seq} was modified after being logged",
                     first_bad_seq=seq,
@@ -581,28 +583,17 @@ def _entry_row(entry: LogEntry, prev_hash: str, position: int = 0) -> tuple:
     """
     try:
         obj = entry.obj
-        obj_text = None
-        if obj is not None:
-            obj_text = str(obj)
-            back = ObjectRef.parse(obj_text)
-            if back is not obj and back != obj:
-                raise ValueError(
-                    f"{obj!r} does not read back from its text {obj_text!r}"
-                )
-        when = entry.timestamp
-        if when.tzinfo is not None:
-            when = naive_utc(when)
         row_text = (
             entry.user,
             entry.role,
             entry.action,
-            obj_text,
+            object_text(obj) if obj is not None else None,
             entry.task,
             entry.case,
-            when.isoformat(),
+            entry.timestamp.isoformat(),
             entry.status.value,
         )
-        user, role, action, _, task, case, ts, status = row_text
+        user, role, action, obj_text, task, case, ts, status = row_text
         canonical = (
             '{"action": %s, "case": %s, "obj": %s, "role": %s, '
             '"status": %s, "task": %s, "ts": %s, "user": %s}'

@@ -37,7 +37,7 @@ from datetime import datetime
 from sys import intern
 from typing import IO, TYPE_CHECKING, Iterator
 
-from repro.audit.model import AuditTrail, LogEntry, Status, naive_utc
+from repro.audit.model import AuditTrail, LogEntry, Status
 from repro.errors import AuditError, PolicyError
 from repro.policy.model import ObjectRef
 
@@ -117,7 +117,6 @@ def _event_entry(case: str, attributes: dict[str, str]) -> LogEntry:
         raise XesError(
             f"bad timestamp {raw_timestamp!r} in trace {case!r}"
         ) from error
-    timestamp = naive_utc(timestamp)
     raw_object = attributes.get("purpose:object")
     try:
         obj = ObjectRef.parse(raw_object) if raw_object else None

@@ -591,9 +591,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             loop.add_signal_handler(signum, stop.set)
         await service.start()
         if router.recovery_report is not None:
-            # What the WAL router resumed, parseable, before "listening"
-            # — a wrapper that waits for the port only proceeds once the
-            # rebuilt state is known good.
+            # What the start resumed from the store (and WAL),
+            # parseable, before "listening" — a wrapper that waits for
+            # the port only proceeds once the rebuilt state is known
+            # good.
             print(
                 _json.dumps(
                     {"recovered": router.recovery_report.to_dict()}
@@ -1002,7 +1003,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, help=argparse.SUPPRESS)
     serve.add_argument(
         "--store", metavar="PATH", default=None,
-        help="persist the stream to this SQLite audit store",
+        help="persist the stream to this SQLite audit store; a start "
+        "on a store file resumes it before listening",
     )
     serve.add_argument(
         "--flush-interval", type=float, default=0.5, metavar="SECONDS",
@@ -1022,9 +1024,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_robustness.add_argument(
         "--wal-dir", metavar="DIR", default=None,
-        help="write-ahead ingest log: every accepted entry is "
-        "CRC-framed here before it is acknowledged; a daemon with one "
-        "resumes the store + WAL before listening",
+        help="write-ahead ingest log in front of a --store file: every "
+        "accepted entry is CRC-framed here before it is acknowledged, "
+        "and a start commits what the store lacks before listening",
     )
     serve_compilation = serve.add_argument_group("compiled replay")
     serve_compilation.add_argument(

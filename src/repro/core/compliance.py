@@ -26,6 +26,7 @@ mentions.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -102,6 +103,54 @@ class ComplianceResult:
     def active_task_sets(self) -> frozenset[frozenset[tuple[str, str]]]:
         """The distinct active-task sets of the final frontier (Fig. 6 view)."""
         return frozenset(conf.active for conf in self.final_configurations)
+
+
+def verdict_digest(result: ComplianceResult) -> dict:
+    """Project *result* onto the fields every replay tier must reproduce.
+
+    Left out: ``final_configurations`` and ``configurations_created`` —
+    the compiled path materializes no COWS terms per case (that is the
+    point), and ``may_continue`` and ``active_task_sets()``, which are
+    compared, carry the same information — and wall-clock or telemetry
+    artifacts, which differ by construction.
+    """
+    return {
+        "compliant": result.compliant,
+        "trail_length": result.trail_length,
+        "failed_index": result.failed_index,
+        "failed_entry": (
+            str(result.failed_entry)
+            if result.failed_entry is not None
+            else None
+        ),
+        "may_continue": result.may_continue,
+        "active_task_sets": sorted(
+            sorted(active) for active in result.active_task_sets()
+        ),
+        "steps": [
+            (
+                step.index,
+                str(step.entry),
+                step.outcome,
+                step.frontier_size,
+                step.events,
+            )
+            for step in result.steps
+        ],
+    }
+
+
+def canonical_digest(result: ComplianceResult) -> str:
+    """The digest as one canonical JSON line (sorted keys, no spaces).
+
+    Two replays are *byte-identical* in the sense the streaming audit
+    service promises (``docs/serving.md``) exactly when their canonical
+    digests are equal strings — this is what the service returns over
+    the wire and what the differential suites compare.
+    """
+    return json.dumps(
+        verdict_digest(result), sort_keys=True, separators=(",", ":")
+    )
 
 
 class ComplianceSession:

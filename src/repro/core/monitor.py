@@ -38,6 +38,7 @@ from repro.core.compliance import (
     ComplianceChecker,
     ComplianceResult,
     ComplianceSession,
+    canonical_digest,
 )
 from repro.core.resilience import OutcomeKind, classify_failure
 from repro.core.temporal import TemporalConstraints, TemporalViolation
@@ -584,7 +585,7 @@ class OnlineMonitor:
     def case_result(self, case: str) -> Optional[ComplianceResult]:
         """The case's incremental replay result so far.
 
-        Byte-identical (:func:`repro.testing.differential.verdict_digest`)
+        Byte-identical (:func:`repro.core.compliance.verdict_digest`)
         to a batch replay of the same entries; ``None`` for cases with no
         live session (unknown purpose, contained failures).
         """
@@ -610,8 +611,6 @@ class OnlineMonitor:
             "purpose": monitored.purpose if monitored else None,
         }
         if digest:
-            from repro.testing.differential import canonical_digest
-
             result = self.case_result(case)
             record["digest"] = (
                 canonical_digest(result) if result is not None else None

@@ -127,6 +127,21 @@ def _read_object(text: str) -> ObjectRef:
 _parse_memo = lru_cache(maxsize=PARSE_MEMO_SIZE)(_parse_object)
 
 
+def object_text(obj: ObjectRef) -> str:
+    """*obj*'s printed text, the form the store and the wire carry.
+
+    A reference built without the parser may print as a text that
+    reads back as another reference (``ObjectRef(None, (" EPR",))``
+    prints as ``" EPR"``, which reads back as ``EPR``); that raises
+    :class:`PolicyError`, as :meth:`ObjectRef.parse` refuses such text.
+    """
+    text = str(obj)
+    back = _parse_memo(text)
+    if back is not obj and back != obj:
+        raise PolicyError(f"{obj!r} does not read back from its text {text!r}")
+    return text
+
+
 @dataclass(frozen=True, slots=True)
 class Statement:
     """A data protection statement ``(s, a, o, p)`` (Definition 1).

@@ -9,7 +9,8 @@ line is read, persists the raw stream to the tamper-evident
 writer thread), and streams per-case verdict transitions back as they
 happen.  See ``docs/serving.md`` for the wire protocol, the engine and
 drain semantics, and the backpressure model; ``docs/robustness.md``
-covers the crash-safety layer (WAL, recovery, failure containment).
+covers the crash-safety layer (the durable store every start resumes,
+the WAL in front of it, failure containment).
 
 Layers (bottom up):
 
@@ -18,9 +19,9 @@ Layers (bottom up):
 * :mod:`repro.serve.core` — :class:`ShardRouter`, the socket-free
   engine (one monitor, store writer, WAL, admission, quarantine,
   drain);
-* :mod:`repro.serve.recovery` — crash recovery: store + WAL delta →
-  per-case histories, which a router with a WAL resumes at start,
-  byte-identically;
+* :mod:`repro.serve.recovery` — crash recovery: the WAL's tail past
+  the store, and the report of what a start on a durable store
+  resumed, byte-identically;
 * :mod:`repro.serve.service` — :class:`AuditService`, the asyncio TCP
   + HTTP front end: one :class:`asyncio.Protocol` per TCP client, whose
   reads pause while its replies are not read;
@@ -39,7 +40,7 @@ from repro.serve.protocol import (
     entry_from_message,
     entry_to_message,
 )
-from repro.serve.recovery import RecoveryReport, collect_case_histories
+from repro.serve.recovery import RecoveryReport, wal_delta
 from repro.serve.service import AuditService
 from repro.serve.wal import (
     WalCorruptionError,
@@ -47,6 +48,7 @@ from repro.serve.wal import (
     WalRecord,
     WalWriter,
     read_wal,
+    remove_segments,
     segment_paths,
 )
 
@@ -65,11 +67,12 @@ __all__ = [
     "WalError",
     "WalRecord",
     "WalWriter",
-    "collect_case_histories",
     "decode_message",
     "encode_message",
     "entry_from_message",
     "entry_to_message",
     "read_wal",
+    "remove_segments",
     "segment_paths",
+    "wal_delta",
 ]

@@ -20,17 +20,17 @@ Responsibilities:
   :class:`~repro.policy.registry.ProcessRegistry` (or, when compiled
   serving is on, compiles it into an
   :class:`~repro.compile.AutomatonCache`) before the first entry;
-* **crash-safe ingest** — with a ``wal_dir`` configured, every entry is
-  appended to the write-ahead log (:mod:`repro.serve.wal`) *before*
-  :meth:`submit` accepts it; WAL segments are retired only
-  once the batched store flush covering them commits, so after a
-  ``kill -9`` the store + WAL delta is exactly the set of accepted
-  entries, and :meth:`start` resumes it byte-identically before it
-  accepts anything;
 * **durable ingest** — every accepted entry is buffered and flushed to
   an :class:`~repro.audit.store.AuditStore` in batched
   ``append_many`` transactions by a dedicated writer thread (SQLite
-  connections are single-threaded);
+  connections are single-threaded); a start on a durable store
+  resumes it byte-identically before it accepts anything;
+* **crash-safe ingest** — with a ``wal_dir`` configured (it needs a
+  durable store), every entry is appended to the write-ahead log
+  (:mod:`repro.serve.wal`) *before* :meth:`submit` accepts it; WAL
+  segments are retired only once the batched store flush covering them
+  commits, so after a ``kill -9`` the store + WAL tail is exactly the
+  set of accepted entries;
 * **idempotent resume** — clients may number each case's entries
   (``seq``); :meth:`submit` dedupes re-sent entries by per-case
   high-water mark, so a client that reconnects and replays its
@@ -57,6 +57,7 @@ import queue
 import tempfile
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -64,7 +65,7 @@ from repro.audit.model import LogEntry
 from repro.audit.store import AuditStore
 from repro.core.monitor import FAILURE_KINDS, TERMINAL_STATES, OnlineMonitor
 from repro.core.resilience import OutcomeKind, Quarantine
-from repro.errors import MalformedEntryError, ReproError
+from repro.errors import MalformedEntryError, PolicyError, ReproError
 from repro.obs import (
     CASE_QUARANTINED,
     NULL_TELEMETRY,
@@ -78,14 +79,11 @@ from repro.obs import (
     parse_traceparent,
 )
 from repro.policy.hierarchy import RoleHierarchy
+from repro.policy.model import object_text
 from repro.policy.registry import ProcessRegistry
 from repro.serve.protocol import EV_VERDICT
-from repro.serve.recovery import (
-    HistoryScan,
-    RecoveryReport,
-    collect_case_histories,
-)
-from repro.serve.wal import WalError, WalWriter, segment_paths
+from repro.serve.recovery import RecoveryReport, WalDelta, wal_delta
+from repro.serve.wal import WalError, WalWriter, remove_segments
 
 #: A callback receiving protocol-shaped server events for one client.
 #: Called on the thread that submitted the entry, under the admission
@@ -116,8 +114,11 @@ class ServeConfig:
     the budget, a requeue replays under a fresh meter, and a case over
     budget is contained as ``timeout`` and quarantined.
 
-    ``wal_dir`` is the one crash-safety switch: a router with it resumes
-    the store + WAL at start.  The WAL segments keep their own defaults
+    A durable ``store_path`` (a file, not ``":memory:"``) is what every
+    start resumes.  ``wal_dir`` puts a write-ahead log in front of it,
+    so an entry is durable from its ``sync`` on rather than from its
+    store flush; the router refuses one without a durable store.  The
+    WAL segments keep their own defaults
     (:class:`~repro.serve.wal.WalWriter`).
 
     Construction refuses numbers no daemon can run with (``ValueError``),
@@ -161,7 +162,6 @@ class Admission:
 
     accepted: bool
     case_seq: int = 0  # 1-based position of the entry within its case
-    wal_seq: int = 0  # 0 when the WAL is disabled
     duplicate: bool = False
     busy: bool = False
     retry_after_s: float = 0.0
@@ -307,6 +307,11 @@ class ShardRouter:
         wal_fault_hook: Optional[Callable[[str], None]] = None,
     ):
         self.config = config or ServeConfig()
+        if self.config.wal_dir is not None and self._durable_store_path() is None:
+            raise ValueError(
+                "wal_dir needs a durable store_path: the write-ahead log "
+                "only holds what the store has not committed yet"
+            )
         self._registry = registry
         self._hierarchy = hierarchy
         self._checker_wrapper = checker_wrapper
@@ -331,7 +336,7 @@ class ShardRouter:
         # append and the replay happen as one atomic step, and every
         # other read or write of a monitor or of the quarantine takes it.
         self._ingest_lock = threading.Lock()
-        self._case_seq: dict[str, int] = {}  # case -> accepted entries
+        self._case_seq: Counter[str] = Counter()  # case -> accepted entries
         self._quarantined: dict[str, OutcomeKind] = {}
         #: Cases an operator dismissed; never filed again (start() seeds
         #: it from the durable store's control log).
@@ -409,11 +414,13 @@ class ShardRouter:
     def start(self) -> None:
         """Warm the engine and resume the durable record.
 
-        With a ``wal_dir`` this returns only once everything the store
-        and the write-ahead log hold is replayed into the monitor, the
-        per-case sequence marks are restored, and the WAL delta is
-        committed to the store.  A tampered store is refused before
-        anything is replayed.
+        On a durable store this returns only once every stored row,
+        and everything the write-ahead log holds beyond them, is
+        replayed into the monitor in acceptance order, the per-case
+        sequence marks are restored, and the log's tail is committed to
+        the store.  Then the old log's segments are removed and a fresh
+        log opens.  A tampered store is refused before anything is
+        replayed.
         """
         if self._monitor is not None:
             raise ReproError("the router is already started")
@@ -452,18 +459,6 @@ class ShardRouter:
                 except Exception:
                     continue
         started = time.perf_counter()
-        store_path = self._durable_store_path()
-        if store_path is not None and os.path.exists(store_path):
-            # A dismissal outlives the process: the containments that
-            # the resume replays do not file the case again.
-            with AuditStore(store_path) as store:
-                self._dismissed = store.dismissed_cases()
-                if self.config.wal_dir is not None and not store.is_intact():
-                    raise ReproError(
-                        f"audit store {store_path} failed its hash-chain "
-                        f"check; refusing to resume on top of a tampered "
-                        f"record"
-                    )
         self._monitor = OnlineMonitor(
             self._registry,
             hierarchy=self._hierarchy,
@@ -476,73 +471,71 @@ class ShardRouter:
         # The first streamed entry must hit warm state, never an
         # artifact load.
         self._monitor.prewarm()
-        scan = None
-        if self.config.wal_dir is not None:
-            self._wal = WalWriter(
-                self.config.wal_dir, fault_hook=self._wal_fault_hook
-            )
-            histories, scan = collect_case_histories(
-                store_path, self.config.wal_dir
-            )
-            # Cases in first-seen order, each in its own order: the
-            # store is a prefix of the stream and the log continues it.
-            for case, history in histories.items():
-                for entry in history.entries:
+        store_path = self._durable_store_path()
+        stored = 0
+        if store_path is not None and os.path.exists(store_path):
+            with AuditStore(store_path) as store:
+                if not store.is_intact():
+                    raise ReproError(
+                        f"audit store {store_path} failed its hash-chain "
+                        f"check; refusing to resume on top of a tampered "
+                        f"record"
+                    )
+                # A dismissal outlives the process: the containments
+                # that the resume replays do not file the case again.
+                self._dismissed = store.dismissed_cases()
+                for entry in store.iter_entries():
                     self._replay(entry)
-                self._case_seq[case] = len(history.entries)
-            # Only the WAL delta is staged for the store, in the log's
-            # own (acceptance) order, never the stored prefix.
-            self._received += len(scan.wal_delta)
-            if self.config.store_path is not None:
-                self._pending.extend(scan.wal_delta)
+                    self._case_seq[entry.case] += 1
+                    stored += 1
+        delta = WalDelta()
+        wal_dir = self.config.wal_dir
+        if wal_dir is not None:
+            delta = wal_delta(wal_dir, self._case_seq)
+            # The log continues the stored prefix; only its tail is
+            # staged for the store, in the log's own (acceptance) order.
+            for entry in delta.entries:
+                self._replay(entry)
+                self._case_seq[entry.case] += 1
+            self._received += len(delta.entries)
+            self._pending.extend(delta.entries)
         if self.config.store_path is not None:
             self._writer = _StoreWriter(self.config.store_path, self)
             self._writer.start()
-        if scan is not None:
-            self._finish_resume(len(histories), scan, started)
+        if wal_dir is not None:
+            if delta.entries:
+                self.flush()
+                if not self._writer_sync():
+                    self.drain()
+                    raise ReproError(
+                        "the audit store writer died before the resumed "
+                        "write-ahead log delta was committed; the log is "
+                        "kept for the next start"
+                    )
+            # The store owns every record now: the old log goes, older
+            # daemons' segment names included, and a fresh one opens.
+            remove_segments(wal_dir)
+            self._wal = WalWriter(wal_dir, fault_hook=self._wal_fault_hook)
+        if stored or delta.records:
+            self._report_resume(stored, delta, started)
         self._accepting = True
 
-    def _finish_resume(
-        self, cases: int, scan: HistoryScan, started: float
+    def _report_resume(
+        self, stored: int, delta: WalDelta, started: float
     ) -> None:
-        """Commit the replayed WAL delta, start the WAL afresh and
-        publish the report — unless nothing was resumed.  If the store
-        writer dies first, the WAL (the only durable copy of the delta)
-        is kept, and the router stops and raises."""
-        if not (scan.store_entries or scan.wal_records):
-            return
-        store_path = self._durable_store_path()
-        self.flush()
-        committed = self._writer_sync()
-        if not committed:
-            self.drain()
-            raise ReproError(
-                "the audit store writer died before the resumed "
-                "write-ahead log delta was committed; the log is kept "
-                "for the next start"
-            )
-        if store_path is not None:
-            # The store owns everything now: the log restarts empty, and
-            # segments an older daemon left under other names go too.
-            self._wal.reset()
-            own = segment_paths(self.config.wal_dir, self._wal.name)
-            for path in segment_paths(self.config.wal_dir):
-                if path not in own:
-                    path.unlink(missing_ok=True)
-        delta = len(scan.wal_delta)
-        for source, count in (("store", scan.store_entries), ("wal", delta)):
+        """Publish what the start resumed: the ``recovered`` report."""
+        tail = len(delta.entries)
+        for source, count in (("store", stored), ("wal", tail)):
             if count:
                 self._m_recovered.inc(count, source=source)
         report = RecoveryReport(
-            store_entries=scan.store_entries,
-            wal_records=scan.wal_records,
-            replayed=scan.store_entries + delta,
-            duplicates=scan.wal_duplicates,
-            cases=cases,
-            # A torn tail on the crashed run's final segment was cut
-            # when this router's writer adopted it: still a tear.
-            torn_segments=scan.torn_segments or bool(self._wal.tears_repaired),
-            store_intact=True if store_path is not None else None,
+            store_entries=stored,
+            wal_records=delta.records,
+            replayed=stored + tail,
+            duplicates=delta.duplicates,
+            cases=len(self._case_seq),
+            torn_segments=delta.torn,
+            store_intact=True,
             duration_s=time.perf_counter() - started,
         )
         self.recovery_report = report
@@ -565,9 +558,12 @@ class ShardRouter:
         not half-accepted.  *line* is the ``entry`` op the entry was
         decoded from, as the client sent it, stripped: the log frames it
         as it is (:meth:`~repro.serve.wal.WalWriter.append`).  An entry
-        without one whose text the store could not hold (a lone
-        surrogate) is refused there, with
-        :class:`~repro.errors.MalformedEntryError`.  ``seq`` (1-based per case) makes re-sends
+        without one follows the parser's rules all the same: one whose
+        object does not read back from its text is refused with
+        :class:`~repro.errors.MalformedEntryError` before anything is
+        logged, replayed or stored, and so is one whose text the store
+        could not hold (a lone surrogate) by the WAL's append.  ``seq``
+        (1-based per case) makes re-sends
         idempotent: an entry at or below the case's high-water mark is
         acknowledged as a ``duplicate`` without being re-processed; one
         *beyond* the next expected number is refused ``busy`` (the
@@ -626,6 +622,14 @@ class ShardRouter:
         line: Optional[bytes],
     ) -> Admission:
         case = entry.case
+        if line is None and entry.obj is not None:
+            # The wire decoder parsed the object of an entry that came
+            # with a line; one built in-process must read back alike, or
+            # the store and a resume would see another entry.
+            try:
+                object_text(entry.obj)
+            except PolicyError as error:
+                raise MalformedEntryError(str(error)) from error
         with self._ingest_lock:
             if not self._accepting:
                 raise ReproError("the service is draining; entry rejected")
@@ -682,7 +686,7 @@ class ShardRouter:
             self._replay(entry, subscriber, ctx)
         if full:
             self.flush()
-        return Admission(accepted=True, case_seq=case_seq, wal_seq=wal_seq)
+        return Admission(accepted=True, case_seq=case_seq)
 
     def _refuse(self, seq: Optional[int], reason: str) -> Admission:
         """A ``busy`` refusal: the entry must be sent again."""
@@ -836,13 +840,8 @@ class ShardRouter:
         return path
 
     def _on_batch_durable(self, floor: int) -> None:
-        """Store-writer callback: a batch committed; retire covered WAL.
-
-        Only a *durable* store commit justifies deleting WAL segments —
-        an in-memory store dies with the process, so its WAL is kept
-        whole for recovery.
-        """
-        if self._wal is None or not floor or self._durable_store_path() is None:
+        """Store-writer callback: a batch committed; retire covered WAL."""
+        if self._wal is None or not floor:
             return
         removed = self._wal.retire(floor)
         if removed:
@@ -883,11 +882,11 @@ class ShardRouter:
             self._writer.join()
             intact = self._writer.intact
         if self._wal is not None:
+            self._wal.close()
             if intact:
                 # A clean drain with an intact store owns every record;
                 # the WAL has nothing left to recover.
-                self._wal.reset()
-            self._wal.close()
+                remove_segments(self.config.wal_dir)
         if self._tmp_automata is not None:
             self._tmp_automata.cleanup()
             self._tmp_automata = None

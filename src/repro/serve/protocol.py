@@ -51,7 +51,7 @@ from datetime import datetime
 from sys import intern
 from typing import Iterable, Iterator, Optional
 
-from repro.audit.model import LogEntry, Status, naive_utc, parse_timestamp
+from repro.audit.model import LogEntry, Status, parse_timestamp
 from repro.errors import ReproError
 from repro.policy.model import ObjectRef
 
@@ -195,12 +195,12 @@ def _nesting(value: object) -> int:
 
 
 def _parse_ts(text: str) -> datetime:
-    """Accept the paper's ``YYYYMMDDHHMM`` or any ISO-8601 timestamp,
-    kept in naive UTC as the store keeps it."""
+    """Accept the paper's ``YYYYMMDDHHMM`` or any ISO-8601 timestamp
+    (the entry keeps it in naive UTC, as the store does)."""
     if len(text) == 12 and text.isdigit():
         return parse_timestamp(text)
     try:
-        return naive_utc(datetime.fromisoformat(text))
+        return datetime.fromisoformat(text)
     except ValueError as error:
         raise ProtocolError(
             f"timestamp {text!r} is neither YYYYMMDDHHMM nor ISO-8601"

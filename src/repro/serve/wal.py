@@ -3,10 +3,11 @@
 The audit is only as trustworthy as the trail it replays: an entry the
 daemon *accepted* and then lost to a crash is a silent hole in the
 record of processing — exactly the accountability gap the paper's
-a-posteriori audit exists to close.  The WAL closes it on the serving
-side: every accepted wire entry is appended here **before it is
+a-posteriori audit exists to close.  The durable audit store is the
+record every start resumes; the WAL only closes the gap in front of it.
+Every accepted wire entry is appended here **before it is
 acknowledged**, so after a ``kill -9`` the union of the audit store
-(the batched, hash-chained long-term record) and the WAL delta is
+(the batched, hash-chained long-term record) and the WAL's tail is
 precisely the set of acknowledged entries, and a router restarted on
 them (:meth:`repro.serve.core.ShardRouter.start`) rebuilds in-flight
 monitor state byte-identically to an uninterrupted run.
@@ -37,6 +38,11 @@ Design (one log per directory; its segments are named ``ingest-N.wal``):
   store flush just committed; only sealed segments entirely at or
   below that floor are deleted.  A record is therefore always in the
   WAL, in the store, or both — never in neither.
+* **One life per log** — a writer starts in a directory that holds no
+  segment, at seq 1; it never continues an older log.  A start reads
+  the old log once (:func:`read_wal`), commits what the store lacks,
+  and only then removes every segment (:func:`remove_segments`); so
+  does a clean drain.
 * **Truncated-tail tolerance** — a crash (or disk-full) mid-append
   leaves a torn final record; readers stop cleanly at the first bad
   frame of the *last* segment instead of raising.  A bad frame in any
@@ -152,7 +158,6 @@ class WalReadResult:
     """Everything a replay could salvage from a directory's segments."""
 
     records: tuple[WalRecord, ...]
-    segments: int
     torn_tail: bool  # the final segment ended in a torn record
 
 
@@ -166,11 +171,11 @@ def _decode_payload(payload: bytes) -> WalRecord:
     )
 
 
-def segment_paths(directory: "str | Path", name: Optional[str] = None) -> list[Path]:
-    """Segment files in *directory*, ordered ``(name, index)``.
+def segment_paths(directory: "str | Path") -> list[Path]:
+    """Every segment file in *directory*, ordered ``(name, index)``.
 
-    ``name=None`` returns every log's segments — recovery reads them
-    all, whatever names the daemon that wrote them used.
+    Every log's segments, whatever names the daemon that wrote them
+    used: recovery reads them all.
     """
     base = Path(directory)
     if not base.is_dir():
@@ -178,13 +183,23 @@ def segment_paths(directory: "str | Path", name: Optional[str] = None) -> list[P
     found: list[tuple[str, int, Path]] = []
     for path in base.iterdir():
         match = _SEGMENT_RE.match(path.name)
-        if match is None:
-            continue
-        if name is not None and match.group("name") != name:
-            continue
-        found.append((match.group("name"), int(match.group("index")), path))
+        if match is not None:
+            found.append((match.group("name"), int(match.group("index")), path))
     found.sort()
     return [path for _, _, path in found]
+
+
+def remove_segments(directory: "str | Path") -> int:
+    """Delete every segment in *directory*; returns how many.
+
+    Only safe once the durable store holds every record they carry:
+    a start calls it after it committed the log's tail, and a drain
+    after its store writer verified the chain.
+    """
+    paths = segment_paths(directory)
+    for path in paths:
+        path.unlink(missing_ok=True)
+    return len(paths)
 
 
 def read_segment(
@@ -206,38 +221,12 @@ def read_segment(
         raise WalCorruptionError(
             f"{path}: not a WAL segment (bad magic {data[:8]!r})"
         )
-    records, torn, offset = _scan_frames(data, path)
-    if torn and not tolerant:
-        raise WalCorruptionError(
-            f"{path}: torn record at byte {offset} "
-            f"({len(data) - offset} trailing byte(s))"
-        )
-    return records, torn
-
-
-def _scan_frames(
-    data: bytes, path: "str | Path"
-) -> tuple[list[WalRecord], bool, int]:
-    """``(records, torn, clean_offset)`` — the decodable frame prefix.
-
-    ``clean_offset`` is the byte position just past the last good frame;
-    everything after it (if ``torn``) failed framing or CRC.
-    """
     records: list[WalRecord] = []
     offset = len(MAGIC)
-    torn = False
-    while offset < len(data):
-        frame = data[offset:offset + _FRAME.size]
-        if len(frame) < _FRAME.size:
-            torn = True
-            break
-        length, crc = _FRAME.unpack(frame)
-        if length > _MAX_PAYLOAD:
-            torn = True
-            break
+    while offset + _FRAME.size <= len(data):
+        length, crc = _FRAME.unpack_from(data, offset)
         payload = data[offset + _FRAME.size:offset + _FRAME.size + length]
-        if len(payload) < length or zlib.crc32(payload) != crc:
-            torn = True
+        if length > _MAX_PAYLOAD or len(payload) < length or zlib.crc32(payload) != crc:
             break
         try:
             records.append(_decode_payload(payload))
@@ -249,20 +238,25 @@ def _scan_frames(
                 f"not decode: {error}"
             ) from error
         offset += _FRAME.size + length
-    return records, torn, offset
+    # Stopped short of the end: a short or CRC-failing frame.
+    torn = offset < len(data)
+    if torn and not tolerant:
+        raise WalCorruptionError(
+            f"{path}: torn record at byte {offset} "
+            f"({len(data) - offset} trailing byte(s))"
+        )
+    return records, torn
 
 
-def read_wal(
-    directory: "str | Path", name: Optional[str] = None
-) -> WalReadResult:
-    """Replay one log's (or every log's) segments, oldest first.
+def read_wal(directory: "str | Path") -> WalReadResult:
+    """Replay every log's segments in *directory*, oldest first.
 
     Per log, only the *final* segment may end torn — earlier segments
     were sealed after an fsync, so a bad frame there raises
     :class:`WalCorruptionError`.  Records keep each log's append order,
     which is the order its entries were accepted in.
     """
-    paths = segment_paths(directory, name)
+    paths = segment_paths(directory)
     logs: dict[str, list[Path]] = {}
     for path in paths:
         log = _SEGMENT_RE.match(path.name).group("name")
@@ -275,13 +269,16 @@ def read_wal(
             found, was_torn = read_segment(path, tolerant=last)
             records.extend(found)
             torn = torn or was_torn
-    return WalReadResult(
-        records=tuple(records), segments=len(paths), torn_tail=torn
-    )
+    return WalReadResult(records=tuple(records), torn_tail=torn)
 
 
 class WalWriter:
     """One append-only ingest log (thread-safe).
+
+    The writer starts a fresh log at seq 1 in a directory that holds no
+    segment; one that still holds some raises :class:`WalError` — what
+    they carry is the store's to take first (:func:`read_wal`, then
+    :func:`remove_segments`).
 
     ``fault_hook`` is the deterministic failure seam used by the chaos
     suite (:mod:`repro.testing.faults`): it is invoked with ``"append"``
@@ -293,7 +290,6 @@ class WalWriter:
     def __init__(
         self,
         directory: "str | Path",
-        name: str = LOG_NAME,
         segment_max_bytes: int = 4 << 20,
         fsync_batch: int = 256,
         fault_hook: Optional[Callable[[str], None]] = None,
@@ -304,7 +300,12 @@ class WalWriter:
             raise ValueError("fsync_batch must be at least 1")
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
-        self.name = name
+        left = segment_paths(self._dir)
+        if left:
+            raise WalError(
+                f"{self._dir} still holds {len(left)} WAL segment(s), "
+                f"{left[0].name} first; a log starts in an empty directory"
+            )
         self._segment_max = segment_max_bytes
         self._fsync_batch = fsync_batch
         self._fault_hook = fault_hook
@@ -323,59 +324,14 @@ class WalWriter:
         self._os_buffered = 0  # unflushed_records already pushed to the OS
         self.last_seq = 0
         self._next_index = 1
-        #: torn tails truncated off adopted segments at startup
-        self.tears_repaired = 0
         #: per-case JSON key bytes, built once per case (append hot path)
         self._case_json: dict[str, bytes] = {}
         #: frames not yet handed to the OS (drained in one write/batch)
         self._buffer = bytearray()
-        self._adopt_existing()
         self._open_segment()
 
-    # -- startup -----------------------------------------------------------
-    def _adopt_existing(self) -> None:
-        """Continue sequence numbers past whatever is already on disk.
-
-        Existing segments are *never appended to*; they are adopted as
-        sealed history so retirement and recovery keep working across
-        restarts.  A torn tail on the crashed writer's final segment is
-        **repaired here** — truncated to the last good frame — because
-        once this writer opens a fresh segment, the adopted one is no
-        longer "last" and every later read of it is rightly strict.
-        The dropped suffix was never acknowledged, so cutting it loses
-        nothing the protocol promised to keep.
-        """
-        for path in segment_paths(self._dir, self.name):
-            match = _SEGMENT_RE.match(path.name)
-            assert match is not None
-            self._next_index = max(self._next_index, int(match.group("index")) + 1)
-            data = path.read_bytes()
-            if not data.startswith(MAGIC):
-                if MAGIC.startswith(data):
-                    # Died before its header finished: carries nothing.
-                    path.unlink(missing_ok=True)
-                    continue
-                raise WalCorruptionError(
-                    f"{path}: not a WAL segment (bad magic {data[:8]!r})"
-                )
-            records, torn, clean = _scan_frames(data, path)
-            if torn:
-                with open(path, "r+b") as repair:
-                    repair.truncate(clean)
-                    repair.flush()
-                    os.fsync(repair.fileno())
-                self.tears_repaired += 1
-            if records:
-                first, last = records[0].wal_seq, records[-1].wal_seq
-                self.last_seq = max(self.last_seq, last)
-                self._sealed.append((path, first, last))
-            else:
-                # An empty or fully-torn segment carries nothing worth
-                # retiring against; drop it now.
-                path.unlink(missing_ok=True)
-
     def _open_segment(self) -> None:
-        path = self._dir / f"{self.name}-{self._next_index:08d}.wal"
+        path = self._dir / f"{LOG_NAME}-{self._next_index:08d}.wal"
         self._next_index += 1
         # Unbuffered on purpose: frames accumulate in ``self._buffer``
         # (a plain bytearray — no syscall, no GIL release) and hit the
@@ -416,7 +372,7 @@ class WalWriter:
                 ) from error
         with self._lock:
             if self._file is None:
-                raise WalError(f"WAL {self.name} is closed")
+                raise WalError(f"WAL {self._dir} is closed")
             seq = self.last_seq + 1
             # Composed by hand rather than through a nested json.dumps:
             # this runs under the router's ingest lock, so every µs here
@@ -510,24 +466,6 @@ class WalWriter:
             self._sealed = keep
         return removed
 
-    def reset(self) -> None:
-        """Drop *all* segments and start a fresh one.
-
-        Only safe once every record has been committed to the store —
-        recovery calls this after its post-replay flush is durable.
-        """
-        with self._lock:
-            for path, _, _ in self._sealed:
-                path.unlink(missing_ok=True)
-            self._sealed = []
-            if self._file is not None:
-                self._file.close()
-                assert self._file_path is not None
-                self._file_path.unlink(missing_ok=True)
-            self.unflushed_records = 0
-            self.unflushed_bytes = 0
-            self._open_segment()
-
     def close(self) -> None:
         with self._lock:
             if self._file is None:
@@ -552,7 +490,6 @@ class WalWriter:
                 "segments": self.segment_count,
                 "fsyncs": self.fsyncs,
                 "flushes": self.flushes,
-                "tears_repaired": self.tears_repaired,
             }
 
 

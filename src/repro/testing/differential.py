@@ -4,66 +4,22 @@ The purpose-automaton compiler (:mod:`repro.compile`) promises that a
 compiled replay is *observationally identical* to the interpreted
 Algorithm 1: same verdict, same failure point, same per-step outcome
 records, same resumability classification.  This module pins down what
-"identical" means — :func:`verdict_digest` projects a
-:class:`~repro.core.compliance.ComplianceResult` onto exactly the fields
-both engines must agree on, and :func:`assert_equivalent_verdicts`
-diff-reports the first divergence.
-
-Deliberately *excluded* from the digest:
-
-* ``final_configurations`` / ``configurations_created`` — the compiled
-  path does not materialize COWS terms per case (that is the point);
-  the result surface exposes the same *information* through
-  ``may_continue`` and ``active_task_sets()``, which are compared;
-* wall-clock / telemetry artifacts, which differ by construction.
+"identical" means — :func:`~repro.core.compliance.verdict_digest`
+projects a :class:`~repro.core.compliance.ComplianceResult` onto exactly
+the fields both engines must agree on (it lives beside the result, since
+the serving path digests too, and is re-exported here), and
+:func:`assert_equivalent_verdicts` diff-reports the first divergence.
 """
 
 from __future__ import annotations
 
-import json
+from repro.core.compliance import (
+    ComplianceResult,
+    canonical_digest,
+    verdict_digest,
+)
 
-from repro.core.compliance import ComplianceResult
-
-
-def verdict_digest(result: ComplianceResult) -> dict:
-    """Project *result* onto the fields compiled replay must reproduce."""
-    return {
-        "compliant": result.compliant,
-        "trail_length": result.trail_length,
-        "failed_index": result.failed_index,
-        "failed_entry": (
-            str(result.failed_entry)
-            if result.failed_entry is not None
-            else None
-        ),
-        "may_continue": result.may_continue,
-        "active_task_sets": sorted(
-            sorted(active) for active in result.active_task_sets()
-        ),
-        "steps": [
-            (
-                step.index,
-                str(step.entry),
-                step.outcome,
-                step.frontier_size,
-                step.events,
-            )
-            for step in result.steps
-        ],
-    }
-
-
-def canonical_digest(result: ComplianceResult) -> str:
-    """The digest as one canonical JSON line (sorted keys, no spaces).
-
-    Two replays are *byte-identical* in the sense the streaming audit
-    service promises (``docs/serving.md``) exactly when their canonical
-    digests are equal strings — this is what the service returns over
-    the wire and what the differential suites compare.
-    """
-    return json.dumps(
-        verdict_digest(result), sort_keys=True, separators=(",", ":")
-    )
+__all__ = ["assert_equivalent_verdicts", "canonical_digest", "verdict_digest"]
 
 
 def assert_equivalent_verdicts(

@@ -1,6 +1,7 @@
 """Tests for log entries and audit trails (Definitions 4-5)."""
 
-from datetime import datetime, timedelta
+from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -62,6 +63,16 @@ class TestLogEntry:
         moved = entry().shifted(timedelta(hours=2))
         assert moved.timestamp == entry().timestamp + timedelta(hours=2)
         assert moved.task == entry().task
+
+    def test_an_aware_timestamp_is_kept_in_naive_utc(self):
+        plus_two = timezone(timedelta(hours=2))
+        built = replace(
+            entry(), timestamp=datetime(2010, 3, 12, 14, 10, tzinfo=plus_two)
+        )
+        assert built.timestamp == datetime(2010, 3, 12, 12, 10)
+        assert built.timestamp.tzinfo is None
+        assert built == entry()
+        assert str(built) == str(entry())
 
     def test_str_matches_figure_layout(self):
         text = str(entry())

@@ -288,6 +288,27 @@ class TestIntegrity:
             loaded.verify_integrity()
         assert excinfo.value.first_bad_seq == 5
 
+    @pytest.mark.parametrize("hours", [0, 2])
+    def test_a_zoned_ts_is_detected(self, loaded, hours):
+        """The store writes naive UTC only, and a parsed entry keeps
+        naive UTC: a ``ts`` rewritten with a zone is a modification,
+        even where it names the same instant (``+00:00``)."""
+        [stored] = loaded._connection.execute(
+            "SELECT ts FROM audit_log WHERE seq = 5"
+        ).fetchone()
+        zoned = (
+            datetime.fromisoformat(stored)
+            .replace(tzinfo=timezone.utc)
+            .astimezone(timezone(timedelta(hours=hours)))
+            .isoformat()
+        )
+        loaded._connection.execute(
+            "UPDATE audit_log SET ts = ? WHERE seq = 5", (zoned,)
+        )
+        with pytest.raises(IntegrityError) as excinfo:
+            loaded.verify_integrity()
+        assert excinfo.value.first_bad_seq == 5
+
     def test_undecodable_row_is_an_integrity_breach(self, loaded):
         # garbage that no longer parses as a Status: verify_integrity
         # reports it as tampering, not as a crash

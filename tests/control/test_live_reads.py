@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-import repro.testing.differential
+import repro.core.monitor
 from repro.control import ControlPlane
 from repro.core.auditor import PurposeControlAuditor
 from repro.scenarios import (
@@ -64,15 +64,15 @@ def quarantining_router():
 @pytest.fixture
 def digest_calls(monkeypatch):
     """Count every canonical-digest computation from here on (the
-    engine's record builder imports the function when it needs it)."""
+    engine's record builder calls the name its module imported)."""
     calls = []
-    real = repro.testing.differential.canonical_digest
+    real = repro.core.monitor.canonical_digest
 
     def counting(result):
         calls.append(result)
         return real(result)
 
-    monkeypatch.setattr(repro.testing.differential, "canonical_digest", counting)
+    monkeypatch.setattr(repro.core.monitor, "canonical_digest", counting)
     return calls
 
 

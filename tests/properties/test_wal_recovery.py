@@ -12,8 +12,8 @@ committed before each "power loss".  However the stream is cut up:
   entry exactly once, in the order it was accepted, and passes its
   integrity check;
 * **repeated partial recovery is idempotent** — recovering, crashing
-  without ever resetting the WAL, and recovering again converges on the
-  same state.
+  before any new traffic, and recovering again converges on the same
+  state.
 
 Every router here is started on the files the previous leg left, and
 ``start()`` is the whole recovery.

@@ -198,22 +198,33 @@ class TestObjectText:
         assert again.recovery_report.replayed == len(trail)
         assert again.drain().store_intact is True
 
-    def test_in_process_the_row_is_dead_lettered(self, tmp_path):
-        """A reference built in-process skips the parser: the store
-        refuses its row, the writer's per-entry fallback dead-letters it
-        and the chain stays whole."""
+    @pytest.mark.parametrize("wal", [False, True], ids=["store", "store+wal"])
+    def test_in_process_the_entry_is_refused(self, tmp_path, wal):
+        """A reference built in-process skips the parser, so the router
+        applies its rule: such an entry is refused before anything is
+        logged, replayed or stored, and a restart resumes what was live."""
         trail = list(paper_audit_trail())
-        router = _router(tmp_path, wal=False)
-        odd = replace(trail[0], obj=ObjectRef(None, (" EPR",)))
-        for entry in [*trail[:2], odd, *trail[2:]]:
+        router = _router(tmp_path, wal=wal)
+        for entry in trail[:2]:
             assert router.submit(entry).accepted
-        router.flush()
-        assert router._writer_sync(timeout=10)
-        [letter] = router.dead_letters
-        assert "does not read back" in letter.reason
-        report = router.drain()
-        assert report.store_intact is True
+        for number, obj in enumerate(
+            (ObjectRef(None, (" EPR",)), ObjectRef(None, ("A/B",)))
+        ):
+            odd = replace(trail[0], case=f"HT-9{number}", obj=obj)
+            with pytest.raises(MalformedEntryError, match="does not read back"):
+                router.submit(odd)
+            assert router.case_sequence(odd.case) == 0
+        for entry in trail[2:]:
+            assert router.submit(entry).accepted
+        live = router.results()
+        assert not {"HT-90", "HT-91"} & set(live)
+        assert router.entries_received == len(trail)
+        assert router.drain().store_intact is True
+        assert len(router.dead_letters) == 0
         assert _stored(tmp_path / "audit.db") == trail
+        again = _router(tmp_path, wal=wal)
+        assert again.results() == live
+        again.drain()
 
 
 class TestDeadLetterBound:

@@ -1,12 +1,13 @@
-"""Crash recovery: store + WAL delta → byte-identical in-flight state.
+"""Crash recovery: store + WAL tail → byte-identical in-flight state.
 
 These tests crash the router the cheap way — abandon it without a
 drain, exactly what ``kill -9`` leaves on disk (a store missing its
-unflushed tail, a WAL holding every accepted record) — and assert that
-a fresh router on the same files, which resumes them in ``start()``,
-produces per-case canonical digests identical to an uninterrupted run.
-The subprocess versions (real SIGKILL or SIGTERM over a real socket)
-live in ``test_chaos.py`` and ``test_serve_restart.py``.
+unflushed tail, a WAL holding every accepted record) — or drain it,
+and assert that a fresh router on the same files, which resumes them in
+``start()``, produces per-case canonical digests identical to an
+uninterrupted run.  A durable store alone is resumed too.  The
+subprocess versions (real SIGKILL or SIGTERM over a real socket) live
+in ``test_chaos.py`` and ``test_serve_restart.py``.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ from datetime import timedelta, timezone
 
 import pytest
 
+import repro.serve.core
 from repro.audit.model import AuditTrail
 from repro.audit.store import AuditStore
 from repro.audit.xes import export_xes, import_xes
@@ -28,7 +30,8 @@ from repro.scenarios import (
     role_hierarchy,
 )
 from repro.serve import AuditStreamClient, ServeConfig, ShardRouter
-from repro.serve.recovery import collect_case_histories
+from repro.serve.protocol import entry_to_message
+from repro.serve.recovery import wal_delta
 from repro.serve.wal import (
     LOG_NAME,
     WalCorruptionError,
@@ -72,7 +75,7 @@ def _router(tmp_path, **overrides) -> ShardRouter:
 
 
 def _crash(router: ShardRouter) -> None:
-    """Abandon a router the way kill -9 does: no drain, no WAL reset.
+    """Abandon a router the way kill -9 does: no drain, the WAL kept.
 
     The WAL buffers are committed first — the chaos suite covers the
     fsync-lost tail; here every *acknowledged* (synced) entry is on
@@ -102,6 +105,38 @@ def _digests(router: ShardRouter) -> dict:
         for case, info in router.results().items()
         if info["digest"] is not None
     }
+
+
+def _numbered(trail) -> list[tuple]:
+    """``(entry, seq)`` pairs, each entry numbered within its case."""
+    counts: Counter = Counter()
+    numbered = []
+    for entry in trail:
+        counts[entry.case] += 1
+        numbered.append((entry, counts[entry.case]))
+    return numbered
+
+
+def _sharded_directory(wal_dir, trail, logged_from: int) -> list:
+    """The segments a daemon that split its cases over three logs
+    (``shard-0`` … ``shard-2``) leaves behind when it dies after a
+    ``sync``: every entry from *logged_from* on, each in its case's log,
+    numbered by its position within its case.  Each log is written
+    alone and its segment renamed to the old name."""
+    cases = list(dict.fromkeys(entry.case for entry in trail))
+    scratch = wal_dir.parent / "shard-logs"
+    writers = [WalWriter(scratch / str(i)) for i in range(3)]
+    for index, (entry, seq) in enumerate(_numbered(trail)):
+        if index >= logged_from:
+            writers[cases.index(entry.case) % len(writers)].append(entry, seq)
+    wal_dir.mkdir(parents=True, exist_ok=True)
+    for i, writer in enumerate(writers):
+        writer.close()
+        for segment in segment_paths(scratch / str(i)):
+            segment.rename(
+                wal_dir / segment.name.replace(LOG_NAME, f"shard-{i}")
+            )
+    return segment_paths(wal_dir)
 
 
 class TestRecoverEndToEnd:
@@ -165,12 +200,24 @@ class TestRecoverEndToEnd:
             assert first.submit(entry).accepted
         _crash(first)
 
-        # Crash *during* a resume, after the replay flushed but before
-        # the WAL was reset — then resume again on the leftovers.
+        # Crash *during* a resume, after the store committed the log's
+        # tail but before the old log was removed — then resume again on
+        # the leftovers.
+        class Crash(Exception):
+            pass
+
+        def crash(directory):
+            raise Crash(directory)
+
+        second = ShardRouter(
+            process_registry(), hierarchy=role_hierarchy(), config=_config(tmp_path)
+        )
         with monkeypatch.context() as patch:
-            patch.setattr(WalWriter, "reset", lambda wal: None)
-            second = _router(tmp_path)
-        _crash(second)
+            patch.setattr(repro.serve.core, "remove_segments", crash)
+            with pytest.raises(Crash):
+                second.start()
+        second.drain()  # stops its store writer; the old log stays
+        assert read_wal(tmp_path / "wal").records
 
         third = _router(tmp_path)
         report = third.recovery_report
@@ -184,24 +231,6 @@ class TestRecoverEndToEnd:
         assert len(store.query()) == len(trail)
         store.close()
 
-    @staticmethod
-    def _sharded_directory(wal_dir, trail, logged_from: int) -> list:
-        """The segments a daemon that split its cases over three logs
-        (``shard-0`` … ``shard-2``) leaves behind when it dies after a
-        ``sync``: every entry from *logged_from* on, each in its case's
-        log, numbered by its position within its case."""
-        cases = list(dict.fromkeys(entry.case for entry in trail))
-        writers = [WalWriter(wal_dir, f"shard-{i}") for i in range(3)]
-        counts: Counter = Counter()
-        for index, entry in enumerate(trail):
-            counts[entry.case] += 1
-            if index >= logged_from:
-                writer = writers[cases.index(entry.case) % len(writers)]
-                writer.append(entry, counts[entry.case])
-        for writer in writers:
-            writer.close()
-        return segment_paths(wal_dir)
-
     def test_resume_of_a_directory_a_sharded_daemon_left(self, tmp_path):
         trail = list(paper_audit_trail())
         half = len(trail) // 2
@@ -209,7 +238,7 @@ class TestRecoverEndToEnd:
             store.append_many(trail[:half])
         # The logs overlap the stored prefix: their oldest records were
         # committed but not yet retired when the daemon died.
-        old = self._sharded_directory(tmp_path / "wal", trail, half // 2)
+        old = _sharded_directory(tmp_path / "wal", trail, half // 2)
 
         router = _router(tmp_path)
         report = router.recovery_report
@@ -222,8 +251,9 @@ class TestRecoverEndToEnd:
         # The store owns the delta now: the old logs are gone, only the
         # one log's fresh segment is left.
         assert not any(path.exists() for path in old)
-        wal_dir = tmp_path / "wal"
-        assert segment_paths(wal_dir) == segment_paths(wal_dir, LOG_NAME)
+        assert [path.name for path in segment_paths(tmp_path / "wal")] == [
+            f"{LOG_NAME}-00000001.wal"
+        ]
         assert router.drain().store_intact is True
         with AuditStore(str(tmp_path / "audit.db")) as store:
             stored = list(store.iter_entries())
@@ -234,16 +264,38 @@ class TestRecoverEndToEnd:
                 e for e in trail if e.case == case
             ], f"case {case} is out of order in the store"
 
-    def test_without_a_durable_store_old_segments_are_kept(self, tmp_path):
+    @pytest.mark.parametrize("left_by", ["crash", "sharded"])
+    def test_a_resume_leaves_one_fresh_log(self, tmp_path, left_by):
+        """Whatever log a start resumed — a crashed daemon's own, or the
+        ``shard-N`` logs of an older one — it leaves one fresh segment
+        whose first record is seq 1."""
         trail = list(paper_audit_trail())
-        old = self._sharded_directory(tmp_path / "wal", trail, 0)
+        half = len(trail) // 2
+        wal_dir = tmp_path / "wal"
+        if left_by == "crash":
+            first = _router(tmp_path)
+            for entry in trail[:half]:
+                assert first.submit(entry).accepted
+            _crash(first)
+        else:
+            _sharded_directory(wal_dir, trail[:half], 0)
 
-        router = _router(tmp_path, store_path=None)
-        assert router.recovery_report.replayed == len(trail)
+        router = _router(tmp_path)
+        assert router.recovery_report.replayed == half
+        assert [path.name for path in segment_paths(wal_dir)] == [
+            f"{LOG_NAME}-00000001.wal"
+        ]
+        for entry in trail[half:]:
+            assert router.submit(entry).accepted
+        router.wal_commit()
+        records = read_wal(wal_dir).records
+        assert [record.wal_seq for record in records] == list(
+            range(1, len(trail) - half + 1)
+        )
+        assert [record.entry for record in records] == trail[half:]
         assert _digests(router) == _batch_digests()
-        # Nothing durable owns the entries: the logs are their only copy.
-        assert all(path.exists() for path in old)
-        router.drain()
+        assert router.drain().store_intact is True
+        assert segment_paths(wal_dir) == []
 
     def test_torn_wal_tail_recovers_the_acknowledged_prefix(self, tmp_path):
         trail = list(paper_audit_trail())
@@ -320,26 +372,46 @@ class TestRecoverEndToEnd:
         second.drain()
 
 
+def _zoned_trail() -> tuple[list, list[str]]:
+    """The paper trail stamped ``+02:00``: its entries, built in-process
+    (each keeps naive UTC), and the zoned ISO text of each stamp."""
+    plus_two = timezone(timedelta(hours=2))
+    zoned = [
+        entry.timestamp.replace(tzinfo=plus_two)
+        for entry in paper_audit_trail()
+    ]
+    trail = [
+        dataclasses.replace(entry, timestamp=stamp)
+        for entry, stamp in zip(paper_audit_trail(), zoned)
+    ]
+    return trail, [stamp.isoformat() for stamp in zoned]
+
+
+def _batch_audit(trail) -> dict:
+    report = PurposeControlAuditor(
+        process_registry(), hierarchy=role_hierarchy()
+    ).audit(AuditTrail(trail))
+    return {
+        case: canonical_digest(result.replay)
+        for case, result in report.cases.items()
+    }
+
+
 class TestZonedTimestamps:
     def test_digests_survive_a_restart_and_match_a_batch_audit(
         self, serve_factory, tmp_path
     ):
         """The wire, the store and XES import read ``+02:00`` alike, as
         naive UTC, so a resumed case digests as it did live."""
-        plus_two = timezone(timedelta(hours=2))
-        trail = [
-            dataclasses.replace(
-                entry, timestamp=entry.timestamp.replace(tzinfo=plus_two)
-            )
-            for entry in paper_audit_trail()
-        ]
+        trail, stamps = _zoned_trail()
         config = _config(tmp_path, flush_max_batch=256)
         handle = serve_factory(
             process_registry(), hierarchy=role_hierarchy(), config=config
         )
         with AuditStreamClient(handle.host, handle.port) as client:
             client.recv_until("hello")
-            client.send_trail(trail)
+            for entry, stamp in zip(trail, stamps):
+                client.send({**entry_to_message(entry), "ts": stamp})
             live = client.results()
         assert handle.drain().store_intact is True
 
@@ -354,18 +426,75 @@ class TestZonedTimestamps:
         assert {
             case: record["digest"] for case, record in resumed.items()
         } == digests
+        assert _batch_audit(import_xes(export_xes(AuditTrail(trail)))) == digests
 
-        imported = import_xes(export_xes(AuditTrail(trail)))
-        report = PurposeControlAuditor(
-            process_registry(), hierarchy=role_hierarchy()
-        ).audit(imported)
-        assert {
-            case: canonical_digest(result.replay)
-            for case, result in report.cases.items()
-        } == digests
+    def test_in_process_submits_digest_as_they_resume(self, tmp_path):
+        """An entry built in-process with an aware timestamp keeps naive
+        UTC from the start, so the live replay prints what the store and
+        the resume read back."""
+        trail, _ = _zoned_trail()
+        router = _router(tmp_path, flush_max_batch=256)
+        for entry in trail:
+            assert router.submit(entry).accepted
+        live = _digests(router)
+        assert router.drain().store_intact is True
+
+        again = _router(tmp_path)
+        resumed = _digests(again)
+        again.drain()
+        assert len(live) == 8
+        assert resumed == live
+        assert _batch_audit(trail) == live
+
+
+class TestStoreOnlyRestart:
+    """A durable store is what every start resumes, with or without a
+    write-ahead log."""
+
+    def test_a_drained_store_resumes_every_case(self, tmp_path):
+        numbered = _numbered(paper_audit_trail())
+        half = len(numbered) // 2
+        first = _router(tmp_path, wal_dir=None)
+        for entry, seq in numbered[:half]:
+            assert first.submit(entry, seq=seq).accepted
+        assert first.drain().store_intact is True
+
+        second = _router(tmp_path, wal_dir=None)
+        report = second.recovery_report
+        assert (report.store_entries, report.replayed) == (half, half)
+        assert report.wal_records == 0 and report.store_intact is True
+        # The client re-ships its whole numbered stream: the stored half
+        # comes back as duplicates, the rest is accepted in order.
+        admissions = [second.submit(entry, seq=seq) for entry, seq in numbered]
+        assert sum(admission.duplicate for admission in admissions) == half
+        assert sum(admission.accepted for admission in admissions) == (
+            len(numbered) - half
+        )
+        assert not any(admission.busy for admission in admissions)
+        assert _digests(second) == _batch_digests()
+        assert second.drain().store_intact is True
+        with AuditStore(str(tmp_path / "audit.db")) as store:
+            assert list(store.iter_entries()) == [e for e, _ in numbered]
+
+    def test_a_fresh_store_is_not_a_resume(self, tmp_path):
+        router = _router(tmp_path, wal_dir=None)
+        assert router.recovery_report is None
+        router.drain()
+        again = _router(tmp_path, wal_dir=None)
+        assert again.recovery_report is None
+        again.drain()
 
 
 class TestRecoverGuards:
+    @pytest.mark.parametrize("store_path", [None, ":memory:"])
+    def test_a_wal_needs_a_durable_store(self, tmp_path, store_path):
+        with pytest.raises(ValueError, match="durable store_path"):
+            ShardRouter(
+                process_registry(),
+                config=_config(tmp_path, store_path=store_path),
+            )
+        assert not (tmp_path / "wal").exists()
+
     def test_recover_refuses_a_tampered_store(self, tmp_path):
         trail = list(paper_audit_trail())
         first = _router(tmp_path)
@@ -414,7 +543,7 @@ class TestRecoverGuards:
         writer.close()
 
         with pytest.raises(WalCorruptionError, match="missing"):
-            collect_case_histories(None, str(wal_dir))
+            wal_delta(str(wal_dir), {})
 
     # The store writer dies on the failed commit, as on a full disk.
     @pytest.mark.filterwarnings(

@@ -378,7 +378,9 @@ class TestSyncFailure:
             hierarchy=role_hierarchy(),
             # No flush tick during the test: only the sync fsyncs.
             config=ServeConfig(
-                wal_dir=str(tmp_path / "wal"), flush_interval_s=60
+                store_path=str(tmp_path / "audit.db"),
+                wal_dir=str(tmp_path / "wal"),
+                flush_interval_s=60,
             ),
         )
 

@@ -1,11 +1,11 @@
-"""The restart contract: a daemon with a WAL resumes on its own.
+"""The restart contract: a daemon on a store file resumes on its own.
 
-Boots the real ``repro serve --store S --wal-dir W`` twice on the same
-files, with no other flag.  A fresh daemon's first stdout line is
-``listening``; a daemon that finds a non-empty record prints
-``recovered`` before it, and carries on where the first one stopped:
-the per-case numbering continues and the verdicts are the batch
-auditor's.
+Boots the real ``repro serve --store S`` (alone, and with ``--wal-dir
+W``) twice on the same files, with no other flag.  A fresh daemon's
+first stdout line is ``listening``; a daemon that finds a non-empty
+record prints ``recovered`` before it, and carries on where the first
+one stopped: the per-case numbering continues and the verdicts are the
+batch auditor's.
 """
 
 import json
@@ -22,7 +22,7 @@ from repro.serve import AuditStreamClient, entry_to_message
 from repro.testing import canonical_digest
 
 
-def _start(tmp_path) -> tuple[subprocess.Popen, list[dict]]:
+def _start(tmp_path, wal: bool) -> tuple[subprocess.Popen, list[dict]]:
     """Boot the daemon; returns it and its startup lines, ``listening``
     last."""
     env = dict(os.environ)
@@ -33,7 +33,7 @@ def _start(tmp_path) -> tuple[subprocess.Popen, list[dict]]:
             sys.executable, "-m", "repro.cli", "serve",
             "--scenario", "paper",
             "--store", str(tmp_path / "audit.db"),
-            "--wal-dir", str(tmp_path / "wal"),
+            *(["--wal-dir", str(tmp_path / "wal")] if wal else []),
             "--port", "0", "--http-port", "0",
         ],
         stdout=subprocess.PIPE,
@@ -68,10 +68,11 @@ def daemons():
             process.wait(timeout=10)
 
 
-def test_a_restart_on_the_same_files_resumes_the_case(tmp_path, daemons):
+@pytest.mark.parametrize("wal", [False, True], ids=["store", "store+wal"])
+def test_a_restart_on_the_same_files_resumes_the_case(tmp_path, daemons, wal):
     head = [entry for entry in paper_audit_trail() if entry.case == "HT-1"]
 
-    first, lines = _start(tmp_path)
+    first, lines = _start(tmp_path, wal)
     daemons.append(first)
     assert [list(line) for line in lines] == [["listening"]]
     listening = lines[0]["listening"]
@@ -81,7 +82,7 @@ def test_a_restart_on_the_same_files_resumes_the_case(tmp_path, daemons):
         assert client.sync()["received"] == 5
     assert _stop(first)["entries_written"] == 5
 
-    second, lines = _start(tmp_path)
+    second, lines = _start(tmp_path, wal)
     daemons.append(second)
     assert [list(line) for line in lines] == [["recovered"], ["listening"]]
     assert lines[0]["recovered"]["replayed"] == 5

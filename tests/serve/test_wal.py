@@ -4,6 +4,7 @@ The WAL's contract (docs/robustness.md): every accepted entry is
 CRC-framed before it is acknowledged, segments rotate and retire whole,
 and after any crash the readable prefix is exactly the accepted stream
 minus (at most) an un-fsynced suffix — never a hole, never a phantom.
+A log lives once: a writer starts in a directory that holds no segment.
 """
 
 import struct
@@ -18,13 +19,16 @@ from repro.scenarios import paper_audit_trail
 from repro.scenarios.workloads import hospital_day
 from repro.serve.protocol import decode_message, entry_from_message, entry_to_message
 from repro.serve.wal import (
+    LOG_NAME,
     MAGIC,
     WalCorruptionError,
+    WalError,
     WalWriter,
     _ENCODE,
     _entry_json,
     read_segment,
     read_wal,
+    remove_segments,
     segment_paths,
     wal_records_by_case,
 )
@@ -132,14 +136,6 @@ class TestRotationAndRetirement:
         assert all(r.wal_seq > 0 for r in survivors.records)
         writer.close()
 
-    def test_reset_drops_everything(self, tmp_path, entries):
-        writer = WalWriter(tmp_path, segment_max_bytes=512)
-        _fill(writer, entries)
-        writer.reset()
-        assert read_wal(tmp_path).records == ()
-        assert writer.segment_count == 1
-        writer.close()
-
 
 class TestTornTails:
     @pytest.mark.parametrize("mode", ["truncate", "garbage", "flip"])
@@ -184,50 +180,58 @@ class TestTornTails:
             read_segment(bogus)
 
 
-class TestRestartAdoption:
-    def test_new_writer_continues_sequence_past_old_segments(
+class TestOneLifePerLog:
+    def test_a_writer_refuses_a_directory_that_holds_segments(
         self, tmp_path, entries
     ):
         first = WalWriter(tmp_path)
         _fill(first, entries[:10])
         first.close()
+        before = [path.read_bytes() for path in segment_paths(tmp_path)]
+        with pytest.raises(WalError, match="still holds 1 WAL segment"):
+            WalWriter(tmp_path)
+        # Refused without touching the old log.
+        assert [path.read_bytes() for path in segment_paths(tmp_path)] == before
 
-        second = WalWriter(tmp_path)
-        assert second.last_seq == 10
-        seq = second.append(entries[10], 1)
-        assert seq == 11
-        second.close()
-        result = read_wal(tmp_path)
-        assert [r.wal_seq for r in result.records] == list(range(1, 12))
-
-    def test_adopted_segments_are_sealed_and_retirable(
+    def test_a_writer_starts_at_seq_1_once_the_segments_are_removed(
         self, tmp_path, entries
     ):
-        first = WalWriter(tmp_path)
-        _fill(first, entries[:10])
+        first = WalWriter(tmp_path, segment_max_bytes=512)
+        _fill(first, entries)
         first.close()
+        assert remove_segments(tmp_path) > 1
+        assert segment_paths(tmp_path) == []
         second = WalWriter(tmp_path)
-        # The adopted file is sealed history: retiring past its last seq
-        # deletes it even though this writer never wrote to it.
-        assert second.retire(10) == 1
+        assert second.append(entries[0], 1) == 1
         second.close()
-
-    def test_shards_are_isolated_per_directory(self, tmp_path, entries):
-        a = WalWriter(tmp_path, "shard-0")
-        b = WalWriter(tmp_path, "shard-1")
-        _fill(a, entries[:4])
-        _fill(b, entries[4:7])
-        a.close()
-        b.close()
-        # Two logs in one directory, as a daemon that split its cases
-        # over several logs left them: each is read as its own log.
         assert [path.name for path in segment_paths(tmp_path)] == [
+            f"{LOG_NAME}-00000001.wal"
+        ]
+
+
+class TestOldDirectories:
+    def test_each_old_log_is_read_as_its_own_log(self, tmp_path, entries):
+        """Two logs in one directory, as a daemon that split its cases
+        over several logs left them: each log's last segment may end
+        torn, wherever it sorts in the directory."""
+        for name, part in (("shard-0", entries[:4]), ("shard-1", entries[4:7])):
+            writer = WalWriter(tmp_path / name)
+            _fill(writer, part)
+            writer.close()
+            [segment] = segment_paths(tmp_path / name)
+            segment.rename(tmp_path / segment.name.replace(LOG_NAME, name))
+        paths = segment_paths(tmp_path)
+        assert [path.name for path in paths] == [
             "shard-0-00000001.wal",
             "shard-1-00000001.wal",
         ]
-        assert len(read_wal(tmp_path).records) == 7
-        assert len(read_wal(tmp_path, "shard-0").records) == 4
-        assert len(read_wal(tmp_path, "shard-1").records) == 3
+        assert [r.entry for r in read_wal(tmp_path).records] == entries[:7]
+        corrupt_wal_tail(paths[0], mode="truncate")
+        result = read_wal(tmp_path)
+        assert result.torn_tail
+        assert [r.entry for r in result.records] == [
+            *entries[:3], *entries[4:7]
+        ]
 
 
 class TestEntryEncoder:

@@ -666,6 +666,20 @@ class TestServeCrashSafety:
         assert exit_info.value.code == EXIT_BAD_INPUT
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "store", [[], ["--store", ":memory:"]], ids=["no-store", "memory"]
+    )
+    def test_a_wal_dir_needs_a_store_file(self, capsys, tmp_path, store):
+        # The log only holds what the store has not committed yet, so a
+        # daemon with one and nothing durable behind it never listens.
+        code = main(["serve", "--scenario", "paper", "--port", "0",
+                     "--wal-dir", str(tmp_path / "wal"), *store])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_INPUT
+        assert "wal_dir needs a durable store_path" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "wal").exists()
+
     def test_shards_is_accepted_and_hidden(self, tmp_path, capsys):
         import json
         import signal

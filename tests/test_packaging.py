@@ -67,6 +67,33 @@ def test_serve_audit_and_compile_never_import_networkx():
     assert completed.stdout.strip() == "False"
 
 
+def test_serving_leaves_the_testing_package_out():
+    """A verdict record's digest comes from ``repro.core``: a daemon
+    that answers ``results`` never imports ``repro.testing``."""
+    script = (
+        "import sys\n"
+        "from repro.scenarios import paper_audit_trail, process_registry\n"
+        "from repro.serve import ShardRouter\n"
+        "router = ShardRouter(process_registry())\n"
+        "router.start()\n"
+        "for entry in paper_audit_trail():\n"
+        "    router.submit(entry)\n"
+        "assert all(r['digest'] for r in router.results().values())\n"
+        "router.drain()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.testing')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
+
+
 def test_cli_import_leaves_the_process_pool_out():
     """``repro audit --workers N`` imports its pool on first use only."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
