@@ -55,8 +55,10 @@ def _measure_round(entries, durable_dir: str | None = None) -> dict:
     """One timed pass: submit every entry (each is replayed before
     ``submit`` returns, so the loop's end is quiescence).
 
-    With *durable_dir* the router writes a store file and a WAL there,
-    as a crash-safe daemon does (a WAL needs a durable store)."""
+    The router compiles every purpose into a fresh automaton directory
+    at start, so the timed submits replay through complete tables.
+    With *durable_dir* it also writes a store file and a WAL there, as
+    a crash-safe daemon does (a WAL needs a durable store)."""
     telemetry = Telemetry.create()
     durable = {}
     if durable_dir is not None:
@@ -64,19 +66,20 @@ def _measure_round(entries, durable_dir: str | None = None) -> dict:
             store_path=str(Path(durable_dir) / "audit.db"),
             wal_dir=str(Path(durable_dir) / "wal"),
         )
-    router = ShardRouter(
-        process_registry(),
-        hierarchy=role_hierarchy(),
-        config=ServeConfig(compiled=True, **durable),
-        telemetry=telemetry,
-    )
-    router.start()  # warm-up (encode + compile) is not measured
-    started = time.perf_counter()
-    for entry in entries:
-        admission = router.submit(entry)
-        assert admission.accepted, admission.reason
-    elapsed = time.perf_counter() - started
-    router.drain()
+    with tempfile.TemporaryDirectory(prefix="bench-serve-automata-") as automata:
+        router = ShardRouter(
+            process_registry(),
+            hierarchy=role_hierarchy(),
+            config=ServeConfig(automaton_dir=automata, **durable),
+            telemetry=telemetry,
+        )
+        router.start()  # warm-up (encode + compile) is not measured
+        started = time.perf_counter()
+        for entry in entries:
+            admission = router.submit(entry)
+            assert admission.accepted, admission.reason
+        elapsed = time.perf_counter() - started
+        router.drain()
     ingest = telemetry.registry.histogram("serve_ingest_seconds")
     return {
         "entries_per_s": len(entries) / elapsed,

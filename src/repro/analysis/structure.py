@@ -9,7 +9,7 @@ shapes that are *legal* but expensive or fragile:
   non-empty branch subset, so cost is ``2^n - 1`` per split.
 * **PC402** — estimated concurrency high enough to risk subset-
   construction blow-up when compiling the purpose automaton to a DFA
-  (:mod:`repro.core.compiler`): determinization is exponential in the
+  (:mod:`repro.compile`): determinization is exponential in the
   number of simultaneously-live positions.
 * **PC403** — *fragile* well-foundedness: a cycle that is well-founded
   only by a single observable.  Deleting or renaming that one task (or
@@ -149,8 +149,8 @@ def _state_explosion(process: Process) -> list[Diagnostic]:
             process_id=process.process_id,
             purpose=process.purpose,
             elements=splits,
-            hint="reduce parallel fan-out, or rely on the interpreted "
-            "replay path instead of the compiled automaton",
+            hint="reduce parallel fan-out; past its state budget the "
+            "automaton replays a case interpreted instead",
         )
     ]
 

@@ -37,12 +37,12 @@ Resilience (``docs/robustness.md``): ``repro audit`` accepts
 ``--workers N`` (parallel, crash-isolated case auditing), ``--on-error
 {fail,skip,quarantine}``, ``--case-timeout SECONDS`` and ``--retries N``.
 
-Compiled replay (``docs/compilation.md``): ``repro compile`` builds each
-purpose's automaton eagerly and persists it under ``--automaton-dir``;
-``repro audit --compiled`` replays through (in-memory) automata, and
-``repro audit --automaton-dir DIR`` additionally loads/persists the
-warm artifacts so later runs — and parallel workers — skip re-encoding
-and re-exploration entirely.
+Replay (``docs/compilation.md``): every audit and daemon replays through
+purpose automata, dense tables that grow as cases replay.  ``repro
+compile`` builds each purpose's table eagerly and persists it under
+``--automaton-dir``; ``repro audit --automaton-dir DIR`` loads and
+persists the warm artifacts so later runs — and parallel workers — skip
+re-encoding and re-exploration entirely.
 
 Streaming (``docs/serving.md``): ``repro serve`` runs the audit daemon —
 a JSON-lines TCP endpoint replaying every entry on one online monitor,
@@ -396,7 +396,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         telemetry=telemetry,
         on_error=args.on_error,
         case_timeout_s=args.case_timeout,
-        compiled=args.compiled or None,
         automaton_dir=args.automaton_dir,
         workers=args.workers,
         retry_policy=RetryPolicy(max_attempts=args.retries + 1),
@@ -553,7 +552,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flush_interval_s=args.flush_interval,
         flush_max_batch=args.flush_batch,
         case_timeout_s=args.case_timeout,
-        compiled=True if args.compiled else None,
         automaton_dir=args.automaton_dir,
         wal_dir=args.wal_dir,
     )
@@ -888,16 +886,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=2,
         help="re-dispatches per case after worker loss (default: 2)",
     )
-    compilation = audit.add_argument_group("compiled replay")
-    compilation.add_argument(
-        "--compiled", action="store_true",
-        help="replay through in-memory purpose automata "
-        "(docs/compilation.md)",
-    )
-    compilation.add_argument(
+    audit.add_argument(
         "--automaton-dir", metavar="DIR", default=None,
-        help="load/persist compiled automata in DIR (implies --compiled); "
-        "invalid artifacts are recompiled transparently",
+        help="load and persist the purpose automata in DIR, so later "
+        "runs start warm; invalid artifacts are recompiled transparently "
+        "(docs/compilation.md)",
     )
     _add_telemetry_args(audit)
     audit.set_defaults(handler=_cmd_audit)
@@ -1028,16 +1021,15 @@ def build_parser() -> argparse.ArgumentParser:
         "accepted entry is CRC-framed here before it is acknowledged, "
         "and a start commits what the store lacks before listening",
     )
-    serve_compilation = serve.add_argument_group("compiled replay")
-    serve_compilation.add_argument(
-        "--compiled", action="store_true",
-        help="replay through purpose automata (docs/compilation.md)",
-    )
-    serve_compilation.add_argument(
+    serve.add_argument(
         "--automaton-dir", metavar="DIR", default=None,
-        help="compile every purpose into DIR at boot and serve from it "
-        "(implies --compiled)",
+        help="compile every purpose into DIR at boot, so the first "
+        "entry is answered from a complete table; without it the "
+        "tables grow from the stream (docs/compilation.md)",
     )
+    # Accepted and ignored (every case replays through its purpose
+    # automaton); perfbench/daemonctl.py still passes it.
+    serve.add_argument("--compiled", action="store_true", help=argparse.SUPPRESS)
     _add_telemetry_args(serve)
     serve.set_defaults(handler=_cmd_serve)
 

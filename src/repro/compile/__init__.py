@@ -22,12 +22,14 @@ Layers:
 * :mod:`repro.compile.artifact` — the :class:`AutomatonCache` directory
   abstraction, whose ``save`` is the one artifact writer.
 
-Two entry points tie the layers together: :func:`build_checker` makes
-the warmed checkers of the case engine, and :func:`precompile` is the
-one eager compile-into-the-cache step of ``repro compile``, the
-parallel auditor and ``repro serve``.  Besides :func:`precompile`, only
-the end of a batch replay writes an artifact: the engine saves what its
-replays grew (:meth:`repro.core.monitor.OnlineMonitor.save_automata`).
+Two entry points tie the layers together: :func:`warm_checker` gives
+every checker the case engine builds its automaton (loaded from the
+cache, else a fresh table that grows as it replays), and
+:func:`precompile` is the one eager compile-into-the-cache step of
+``repro compile``, the parallel auditor and ``repro serve
+--automaton-dir``.  Besides :func:`precompile`, only the end of a batch
+replay writes an artifact: the engine saves what its replays grew
+(:meth:`repro.core.monitor.OnlineMonitor.save_automata`).
 
 Design, artifact format, and invalidation rules: ``docs/compilation.md``.
 """
@@ -116,31 +118,6 @@ def warm_checker(
     return automaton
 
 
-def build_checker(
-    registry,
-    purpose: str,
-    hierarchy=None,
-    max_silent_states: int = 50_000,
-    compiled: bool = False,
-    cache: Optional[AutomatonCache] = None,
-    telemetry=None,
-) -> ComplianceChecker:
-    """Build the replay checker of one purpose, as the case engine does.
-
-    Encodes through the registry's memo and, when *compiled*, warms the
-    checker with an automaton from *cache* (:func:`warm_checker`).
-    """
-    checker = ComplianceChecker(
-        registry.encoded_for(purpose),
-        hierarchy=hierarchy,
-        max_silent_states=max_silent_states,
-        telemetry=telemetry,
-    )
-    if compiled:
-        warm_checker(checker, cache=cache, telemetry=telemetry)
-    return checker
-
-
 def precompile(
     registry,
     cache: AutomatonCache,
@@ -207,7 +184,6 @@ __all__ = [
     "Transition",
     "UNKNOWN",
     "artifact_key",
-    "build_checker",
     "compile_automaton",
     "decode_table",
     "encode_table",

@@ -64,7 +64,6 @@ class CompiledResult(ComplianceResult):
 
     state_may_continue: bool = False
     state_active_sets: frozenset[frozenset[tuple[str, str]]] = frozenset()
-    compiled: bool = True
 
     @property
     def may_continue(self) -> bool:

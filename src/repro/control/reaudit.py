@@ -137,13 +137,11 @@ def _replay(
     (``tests/serve``' differential suites established that equivalence
     for the monitor itself).
     """
-    serve = config.serve_config()
     monitor = OnlineMonitor(
         config.registry(),
         hierarchy=config.hierarchy,
         telemetry=telemetry,
-        compiled=serve.compiled,
-        automaton_dir=serve.automaton_dir,
+        automaton_dir=config.serve_config().automaton_dir,
     )
     for entry in store.iter_entries():
         if cases is None or entry.case in cases:

@@ -188,6 +188,8 @@ class PurposeControlAuditor:
         on_error: str = "fail",
         case_timeout_s: "float | None" = None,
         checker_wrapper=None,
+        # Accepted and ignored: every case replays through its purpose
+        # automaton.  perfbench/inputs.py still passes compiled=True.
         compiled: "bool | None" = None,
         automaton_dir: "str | None" = None,
         preflight: bool = False,
@@ -218,13 +220,12 @@ class PurposeControlAuditor:
         the model, not the trail.  The lint runs once per purpose and
         is cached for the auditor's lifetime.
 
-        Compiled replay (``docs/compilation.md``): ``compiled=True``
-        attaches a purpose automaton to every checker so cases replay
-        through memoized transitions; ``automaton_dir`` additionally
-        persists automata as artifacts (warm across runs: a serial
-        :meth:`audit` writes back what it grew when it ends) and implies
-        ``compiled`` unless explicitly disabled.  Invalid artifacts are
-        reported and recompiled — they never fail the audit.
+        Replay (``docs/compilation.md``): every case replays through its
+        purpose's automaton, a dense table that grows as cases replay.
+        ``automaton_dir`` persists the tables as artifacts (warm across
+        runs: a serial :meth:`audit` writes back what it grew when it
+        ends).  Invalid artifacts are reported and recompiled — they
+        never fail the audit.
 
         Parallel audit (``docs/robustness.md``): ``workers > 1`` hands
         each case of :meth:`audit` to a process pool whose workers each
@@ -276,7 +277,6 @@ class PurposeControlAuditor:
             registry,
             hierarchy=hierarchy,
             telemetry=tel,
-            compiled=compiled,
             automaton_dir=automaton_dir,
             checker_wrapper=checker_wrapper,
             max_silent_states=max_silent_states,
@@ -461,33 +461,31 @@ class PurposeControlAuditor:
     def _audit_in_pool(self, trail: AuditTrail) -> AuditReport:
         """Audit *trail* across ``workers`` processes.
 
-        Compiled, every purpose is first compiled into the artifact
-        directory (a temporary one without ``automaton_dir``), so each
-        worker warms from the artifacts and — inheriting the registry's
-        encodings — never re-encodes a BPMN.
+        Every purpose is first compiled into the artifact directory (a
+        temporary one without ``automaton_dir``), so each worker warms
+        from the artifacts and — inheriting the registry's encodings —
+        never re-encodes a BPMN.
         """
+        from repro.compile import AutomatonCache, precompile
         from repro.core.parallel import audit_in_pool
 
         options = dict(self._options)
         temporary = None
         try:
-            if self.engine.compiled:
-                from repro.compile import AutomatonCache, precompile
-
-                cache = self.engine.automaton_cache
-                if cache is None:
-                    temporary = tempfile.TemporaryDirectory(
-                        prefix="repro-audit-automata-"
-                    )
-                    cache = AutomatonCache(temporary.name, telemetry=self._tel)
-                    options["automaton_dir"] = temporary.name
-                precompile(
-                    self._registry,
-                    cache,
-                    hierarchy=self._hierarchy,
-                    max_silent_states=self._max_silent_states,
-                    telemetry=self._tel,
+            cache = self.engine.automaton_cache
+            if cache is None:
+                temporary = tempfile.TemporaryDirectory(
+                    prefix="repro-audit-automata-"
                 )
+                cache = AutomatonCache(temporary.name, telemetry=self._tel)
+                options["automaton_dir"] = temporary.name
+            precompile(
+                self._registry,
+                cache,
+                hierarchy=self._hierarchy,
+                max_silent_states=self._max_silent_states,
+                telemetry=self._tel,
+            )
             cases = audit_in_pool(
                 options, trail, self._workers, self._retry_policy, self._tel
             )

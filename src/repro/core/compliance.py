@@ -401,7 +401,7 @@ class ComplianceChecker:
 
     @property
     def automaton(self):
-        """The attached purpose automaton, if compiled replay is enabled."""
+        """The attached purpose automaton; ``None`` replays interpreted."""
         return self._automaton
 
     def attach_automaton(self, automaton) -> "ComplianceChecker":

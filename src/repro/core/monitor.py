@@ -185,7 +185,6 @@ class OnlineMonitor:
         hierarchy: RoleHierarchy | None = None,
         temporal: dict[str, TemporalConstraints] | None = None,
         telemetry: Telemetry | None = None,
-        compiled: "bool | None" = None,
         automaton_dir: "str | None" = None,
         checker_wrapper=None,
         max_silent_states: int = 50_000,
@@ -195,11 +194,12 @@ class OnlineMonitor:
         ``telemetry`` (default: disabled) instruments the monitor and its
         checkers — see :mod:`repro.obs`.
 
-        ``compiled=True`` replays each case over a purpose automaton
-        (``docs/compilation.md``), making the per-event cost of a warm
-        monitor one dense-table cell read; ``automaton_dir`` warms the
-        automata from artifacts there (implies ``compiled``), and
-        :meth:`save_automata` writes back what replays grew.
+        Every case replays through its purpose's automaton
+        (``docs/compilation.md``), so a warm entry costs one dense-table
+        cell read.  With ``automaton_dir`` each checker loads the valid
+        artifact there, and :meth:`save_automata` writes back what
+        replays grew; without one, or on a missing or invalid artifact,
+        the table starts empty and grows as cases replay.
         ``max_silent_states`` bounds one entry's WeakNext exploration
         (Section 5).
 
@@ -216,7 +216,6 @@ class OnlineMonitor:
         self._registry = registry
         self._hierarchy = hierarchy
         self._temporal = dict(temporal or {})
-        self.compiled = compiled if compiled is not None else automaton_dir is not None
         self._max_silent_states = max_silent_states
         self._case_timeout_s = case_timeout_s
         self._checker_wrapper = checker_wrapper
@@ -269,22 +268,22 @@ class OnlineMonitor:
             )
 
     def checker_for(self, purpose: str) -> ComplianceChecker:
-        """The (shared, WeakNext-cached) checker of one purpose's process."""
+        """The shared checker of one purpose's process, replaying
+        through its automaton."""
         checker = self._checkers.get(purpose)
         if checker is None:
-            from repro.compile import build_checker
+            from repro.compile import warm_checker
 
-            checker = build_checker(
-                self._registry,
-                purpose,
+            checker = ComplianceChecker(
+                self._registry.encoded_for(purpose),
                 hierarchy=self._hierarchy,
                 max_silent_states=self._max_silent_states,
-                compiled=self.compiled,
-                cache=self.automaton_cache,
                 telemetry=self._tel,
             )
-            automaton = checker.automaton
-            if automaton is not None and self.automaton_cache is not None:
+            automaton = warm_checker(
+                checker, cache=self.automaton_cache, telemetry=self._tel
+            )
+            if self.automaton_cache is not None:
                 self._warmed[purpose] = (automaton, automaton.revision)
                 self._m_checkpoints = self._tel.registry.counter(
                     "automaton_checkpoints_total",

@@ -16,10 +16,11 @@ property runs thousands of examples against it).
 
 Responsibilities:
 
-* **warm-up** — :meth:`start` encodes every registered purpose on the
-  :class:`~repro.policy.registry.ProcessRegistry` (or, when compiled
-  serving is on, compiles it into an
-  :class:`~repro.compile.AutomatonCache`) before the first entry;
+* **warm-up** — :meth:`start` builds every registered purpose's
+  checker and its purpose automaton before the first entry: compiled
+  into the :class:`~repro.compile.AutomatonCache` of ``automaton_dir``
+  when one is configured, else an empty table that the stream's first
+  entries fill;
 * **durable ingest** — every accepted entry is buffered and flushed to
   an :class:`~repro.audit.store.AuditStore` in batched
   ``append_many`` transactions by a dedicated writer thread (SQLite
@@ -41,8 +42,9 @@ Responsibilities:
   WeakNext exploration — is contained as ``OutcomeKind.TIMEOUT`` and
   quarantined, so no case holds up the stream for long;
 * **drain** — stop intake, flush the store, and report final per-case
-  verdicts.  Drain writes no automaton artifact: the next boot
-  recompiles every purpose.
+  verdicts.  Drain writes no automaton artifact: a start with an
+  ``automaton_dir`` recompiles every purpose, one without starts its
+  tables empty.
 
 One lock, the admission lock, orders everything that touches the monitor:
 admission and replay, requeue, and the readers the control plane calls
@@ -54,7 +56,6 @@ from __future__ import annotations
 
 import os
 import queue
-import tempfile
 import threading
 import time
 from collections import Counter
@@ -121,6 +122,11 @@ class ServeConfig:
     WAL segments keep their own defaults
     (:class:`~repro.serve.wal.WalWriter`).
 
+    Every case replays through its purpose automaton.  ``automaton_dir``
+    compiles each purpose into that directory at start, so the first
+    entry is answered from a complete table; without it the tables
+    start empty and grow from the stream.
+
     Construction refuses numbers no daemon can run with (``ValueError``),
     wherever they came from: flags, config budgets or library callers.
     """
@@ -129,7 +135,6 @@ class ServeConfig:
     flush_interval_s: float = 0.5
     flush_max_batch: int = 256
     case_timeout_s: Optional[float] = None  # cumulative per-case budget
-    compiled: Optional[bool] = None
     automaton_dir: Optional[str] = None
     wal_dir: Optional[str] = None  # the write-ahead ingest log
 
@@ -348,7 +353,6 @@ class ShardRouter:
         self._duplicate_total = 0
         #: Set by :meth:`start` when it resumed a durable record.
         self.recovery_report = None
-        self._tmp_automata: Optional[tempfile.TemporaryDirectory] = None
         # case id -> the root TraceContext of its (one) trace.  The
         # first traced ingest of a case mints it; every later span of
         # the case — ingest, replay, verdict, store flush — joins it.
@@ -425,22 +429,13 @@ class ShardRouter:
         if self._monitor is not None:
             raise ReproError("the router is already started")
         automaton_dir = self.config.automaton_dir
-        if self.config.compiled or automaton_dir is not None:
+        if automaton_dir is not None:
             from repro.compile import AutomatonCache, precompile
 
-            if automaton_dir is None:
-                # Compiled serving always warms the engine through an
-                # AutomatonCache; without a configured directory the
-                # artifacts live (and die) with the router.
-                self._tmp_automata = tempfile.TemporaryDirectory(
-                    prefix="repro-serve-automata-"
-                )
-                automaton_dir = self._tmp_automata.name
-            # A daemon serves its stream from warm state: every purpose is
-            # encoded and compiled once, here, so the monitor loads a
-            # fully explored table instead of racing the live stream
-            # through WeakNext.  A purpose that defeats compilation is
-            # contained per case at observe time.
+            # Every purpose is compiled into the directory once, here,
+            # so the monitor loads a fully explored table instead of
+            # racing the live stream through WeakNext.  A purpose that
+            # defeats compilation is contained per case at observe time.
             precompile(
                 self._registry,
                 AutomatonCache(automaton_dir, telemetry=self._tel),
@@ -448,28 +443,19 @@ class ShardRouter:
                 force=True,
                 telemetry=self._tel,
             )
-        else:
-            # Encode every registered purpose once, up front, so the
-            # first entry of a case hits the memoized encoding.  A
-            # purpose whose encoding fails is contained per case at
-            # observe time, like in batch audits.
-            for purpose in self._registry.purposes():
-                try:
-                    self._registry.encoded_for(purpose)
-                except Exception:
-                    continue
         started = time.perf_counter()
         self._monitor = OnlineMonitor(
             self._registry,
             hierarchy=self._hierarchy,
             telemetry=self._tel,
-            compiled=self.config.compiled,
             automaton_dir=automaton_dir,
             checker_wrapper=self._checker_wrapper,
             case_timeout_s=self.config.case_timeout_s,
         )
-        # The first streamed entry must hit warm state, never an
-        # artifact load.
+        # Every checker is encoded and its table loaded (or started
+        # empty) now, so no streamed entry waits on an encoding or an
+        # artifact load.  Without an automaton_dir the first entries
+        # still derive their table cells.
         self._monitor.prewarm()
         store_path = self._durable_store_path()
         stored = 0
@@ -559,16 +545,15 @@ class ShardRouter:
         decoded from, as the client sent it, stripped: the log frames it
         as it is (:meth:`~repro.serve.wal.WalWriter.append`).  An entry
         without one follows the parser's rules all the same: one whose
-        object does not read back from its text is refused with
+        object does not read back from its text, or whose text the store
+        could not hold (a lone surrogate), is refused with
         :class:`~repro.errors.MalformedEntryError` before anything is
-        logged, replayed or stored, and so is one whose text the store
-        could not hold (a lone surrogate) by the WAL's append.  ``seq``
-        (1-based per case) makes re-sends
-        idempotent: an entry at or below the case's high-water mark is
-        acknowledged as a ``duplicate`` without being re-processed; one
-        *beyond* the next expected number is refused ``busy`` (the
-        sender must deliver the gap first).  While the store writer is
-        dead every entry is refused ``busy``.
+        logged, replayed or stored.  ``seq`` (1-based per case) makes
+        re-sends idempotent: an entry at or below the case's high-water
+        mark is acknowledged as a ``duplicate`` without being
+        re-processed; one *beyond* the next expected number is refused
+        ``busy`` (the sender must deliver the gap first).  While the
+        store writer is dead every entry is refused ``busy``.
 
         *subscriber* receives the entry's verdict event, if the entry
         moved its case, on this thread and before this returns.
@@ -622,14 +607,23 @@ class ShardRouter:
         line: Optional[bytes],
     ) -> Admission:
         case = entry.case
-        if line is None and entry.obj is not None:
-            # The wire decoder parsed the object of an entry that came
-            # with a line; one built in-process must read back alike, or
-            # the store and a resume would see another entry.
+        if line is None:
+            # The wire decoder parsed the object and checked the text of
+            # an entry that came with a line; one built in-process must
+            # read back alike, or the store and a resume would see
+            # another entry (or none).
             try:
-                object_text(entry.obj)
+                obj = object_text(entry.obj) if entry.obj is not None else ""
+                # UTF-8 refuses a lone surrogate, as the store would.
+                "".join(
+                    (entry.user, entry.role, entry.action, entry.task, case, obj)
+                ).encode()
             except PolicyError as error:
                 raise MalformedEntryError(str(error)) from error
+            except UnicodeEncodeError as error:
+                raise MalformedEntryError(
+                    f"entry text cannot be stored as UTF-8: {error}"
+                ) from error
         with self._ingest_lock:
             if not self._accepting:
                 raise ReproError("the service is draining; entry rejected")
@@ -887,9 +881,6 @@ class ShardRouter:
                 # A clean drain with an intact store owns every record;
                 # the WAL has nothing left to recover.
                 remove_segments(self.config.wal_dir)
-        if self._tmp_automata is not None:
-            self._tmp_automata.cleanup()
-            self._tmp_automata = None
         final = {
             record["case"]: record["state"]
             for record in self.iter_results(digests=False)

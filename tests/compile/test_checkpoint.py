@@ -155,10 +155,10 @@ class TestTelemetry:
         assert metrics.get("automaton_checkpoints_total") is not None
 
         metrics = MetricsRegistry()
-        compiled = OnlineMonitor(
-            registry(), compiled=True, telemetry=Telemetry.create(registry=metrics)
+        in_memory = OnlineMonitor(
+            registry(), telemetry=Telemetry.create(registry=metrics)
         )
-        compiled.checker_for("seq-4")
+        assert in_memory.checker_for("seq-4").automaton is not None
         assert metrics.get("automaton_checkpoints_total") is None
 
 

@@ -1,10 +1,10 @@
-"""Tests for compiled replay under ``PurposeControlAuditor(workers=N)``.
+"""Tests for table replay under ``PurposeControlAuditor(workers=N)``.
 
-The guarantee under test: with compiled replay enabled, the BPMN of
-each purpose is encoded **at most once per audit** — in the parent,
-while it precompiles every purpose into the artifact directory.  Forked
-workers inherit the registry's encodings and warm their checkers from
-the artifacts, so they never re-encode.
+The guarantee under test: the BPMN of each purpose is encoded **at most
+once per audit** — in the parent, while it precompiles every purpose
+into the artifact directory.  Forked workers inherit the registry's
+encodings and warm their checkers from the artifacts, so they never
+re-encode.
 """
 
 import importlib
@@ -24,6 +24,7 @@ from repro.scenarios import (
 )
 from repro.testing import canonical_digest
 from tests.core.test_resilience import non_well_founded_process
+from tests.oracle import interpreted_digests
 
 # ``from repro.bpmn.encode import encode`` in the package __init__ shadows
 # the submodule attribute, so resolve the module itself explicitly.
@@ -81,32 +82,22 @@ class TestEncodeAtMostOncePerAudit:
         assert sorted(p for _, p in encode_log()) == sorted(registry.purposes())
 
     def test_warmed_workers_never_reencode(self, encode_log):
-        """A compiled pool audit of the paper's full trail encodes each
-        purpose exactly once, in the parent."""
+        """A pool audit of the paper's full trail encodes each purpose
+        exactly once, in the parent."""
         registry = process_registry()
         report = PurposeControlAuditor(
-            registry, hierarchy=role_hierarchy(), compiled=True, workers=2
+            registry, hierarchy=role_hierarchy(), workers=2
         ).audit(paper_audit_trail())
         assert all(r.error is None for r in report.cases.values())
         encodes = encode_log()
         assert sorted(p for _, p in encodes) == sorted(registry.purposes())
         assert {pid for pid, _ in encodes} == {os.getpid()}
 
-    def test_unwarmed_worker_encodes_on_demand(self, encode_log):
-        """Interpreted, a worker encodes a purpose the first time one of
-        its cases needs it — at most once per worker and purpose."""
-        registry = process_registry()
-        PurposeControlAuditor(
-            registry, hierarchy=role_hierarchy(), workers=2
-        ).audit(paper_audit_trail())
-        encodes = encode_log()
-        assert {p for _, p in encodes} == set(registry.purposes())
-        assert len(encodes) == len(set(encodes))
-        assert os.getpid() not in {pid for pid, _ in encodes}
-
 
 class TestParallelCompiledVerdicts:
     def test_pool_with_compiled_matches_plain(self):
+        """``compiled=True`` is accepted and ignored (perfbench passes
+        it); the pool's digests are interpreted replay's."""
         registry = process_registry()
         hierarchy = role_hierarchy()
         trail = paper_audit_trail()
@@ -117,7 +108,9 @@ class TestParallelCompiledVerdicts:
             registry, hierarchy=hierarchy, compiled=True, workers=2
         ).audit(trail)
         assert plain.summary() == compiled.summary()
-        assert digests(plain) == digests(compiled)
+        assert digests(plain) == digests(compiled) == interpreted_digests(
+            registry, trail, hierarchy
+        )
 
     def test_artifact_dir_round_trip(self, tmp_path):
         """The second pool audit loads the artifacts the first one wrote."""

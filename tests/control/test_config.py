@@ -117,13 +117,15 @@ class TestParsing:
             "hang_timeout_s",
             "max_shard_restarts",
             "shards",
+            "compiled",
         ],
     )
     def test_dropped_serve_fields_are_unknown_budget_keys(self, field):
         # The WAL and fresh automata keep their own defaults, the retry
-        # hint is a constant, and every case is replayed on one engine
-        # on the event loop, with no partition, queue, thread or
-        # supervisor to tune; these are not ServeConfig fields.
+        # hint is a constant, every case is replayed on one engine on
+        # the event loop, with no partition, queue, thread or
+        # supervisor to tune, and always through its purpose automaton;
+        # these are not ServeConfig fields.
         with pytest.raises(ConfigError, match="unknown budget keys"):
             parse_config(
                 {"tenants": [{"prefix": "HT"}], "budgets": {field: 1}}

@@ -198,10 +198,7 @@ class TestReportIdentity:
     def test_compiled_without_a_directory(self, registry):
         trail = paper_audit_trail()
         assert_same_report(
-            audit(
-                registry, trail, hierarchy=role_hierarchy(), compiled=True,
-                workers=2,
-            ),
+            audit(registry, trail, hierarchy=role_hierarchy(), workers=2),
             audit(registry, trail, hierarchy=role_hierarchy()),
         )
 

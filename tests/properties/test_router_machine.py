@@ -8,12 +8,14 @@ restarts on the same files, after a drain or after a crash.  A
 test-local checker wrapper fails chosen cases on their first replay
 only, so the quarantine has work.
 
-The reference is a fresh :class:`~repro.core.monitor.OnlineMonitor`
-replay of each case's accepted entries.  After every step each case
-must read as it does there (or as the injected failure left it), the
-quarantine must be what the triage made it, the results must list the
-cases in the order they were first accepted, and the store's control
-log must list exactly the requeues and dismissals issued, in order.
+The reference is a fresh interpreted
+:class:`~repro.core.monitor.OnlineMonitor` replay of each case's
+accepted entries (its checkers have no automaton attached).  After
+every step each case must read as it does there (or as the injected
+failure left it), the quarantine must be what the triage made it, the
+results must list the cases in the order they were first accepted, and
+the store's control log must list exactly the requeues and dismissals
+issued, in order.
 After every restart the store must pass its hash-chain checks and hold
 exactly the accepted entries, in the order they were accepted.
 """
@@ -37,6 +39,7 @@ from repro.core.monitor import OnlineMonitor
 from repro.scenarios import hospital_day, process_registry, role_hierarchy
 from repro.serve import ServeConfig, ShardRouter
 from repro.testing import InjectedFaultError
+from tests.oracle import interpreted_twin
 
 DAY = hospital_day(
     n_cases=6,
@@ -58,7 +61,9 @@ def _reference() -> dict[str, list[dict]]:
     """case -> its record after 1, 2, ... entries on a fresh engine."""
     reference: dict[str, list[dict]] = {}
     for case, entries in PER_CASE.items():
-        monitor = OnlineMonitor(REGISTRY, hierarchy=HIERARCHY)
+        monitor = OnlineMonitor(
+            REGISTRY, hierarchy=HIERARCHY, checker_wrapper=interpreted_twin
+        )
         reference[case] = []
         for entry in entries:
             monitor.observe(entry)

@@ -5,8 +5,9 @@ streams and drives them through the service's
 :class:`~repro.serve.core.ShardRouter` — the real admission, engine and
 quarantine plumbing, minus the socket.  Whatever the interleaving,
 every case must end in exactly the state (and with exactly the
-canonical digest) that a sequential per-case replay of its own entries
-produces, and the results list the cases in first-seen order.
+canonical digest) that a sequential, interpreted per-case replay of its
+own entries produces, and the results list the cases in first-seen
+order.
 
 Assertion messages name the offending case id, so a shrunk
 counterexample points straight at the diverging case.
@@ -18,6 +19,7 @@ from repro.core.monitor import OnlineMonitor
 from repro.scenarios import hospital_day, process_registry, role_hierarchy
 from repro.serve import ServeConfig, ShardRouter
 from repro.testing import canonical_digest
+from tests.oracle import interpreted_twin
 
 # One fixed pool of per-case streams; examples draw subsets and
 # interleavings from it (regenerating workloads per example would
@@ -76,7 +78,9 @@ class TestStreamEquivalence:
         assert list(streamed) == list(dict.fromkeys(e.case for e in stream))
 
         for case in chosen:
-            reference = OnlineMonitor(registry, hierarchy=hierarchy)
+            reference = OnlineMonitor(
+                registry, hierarchy=hierarchy, checker_wrapper=interpreted_twin
+            )
             for entry in _PER_CASE[case]:
                 reference.observe(entry)
             want_state = str(reference.case_state(case))

@@ -29,6 +29,7 @@ from repro.core.monitor import OnlineMonitor
 from repro.scenarios import hospital_day, process_registry, role_hierarchy
 from repro.serve import ServeConfig, ShardRouter
 from repro.testing import canonical_digest
+from tests.oracle import interpreted_twin
 
 _WORKLOAD = hospital_day(
     n_cases=6,
@@ -78,7 +79,9 @@ def _sequential_digests(stream):
     cases = {entry.case for entry in stream}
     out = {}
     for case in cases:
-        reference = OnlineMonitor(registry, hierarchy=hierarchy)
+        reference = OnlineMonitor(
+            registry, hierarchy=hierarchy, checker_wrapper=interpreted_twin
+        )
         for entry in stream:
             if entry.case == case:
                 reference.observe(entry)

@@ -20,7 +20,6 @@ import time
 
 import pytest
 
-from repro.core.auditor import PurposeControlAuditor
 from repro.scenarios import (
     paper_audit_trail,
     process_registry,
@@ -35,18 +34,14 @@ from repro.serve import (
 import repro.serve.service as serve_service
 from repro.serve.core import RETRY_AFTER_S
 from repro.serve.protocol import entry_to_message
-from repro.testing import FaultInjector, FaultPlan, canonical_digest
+from repro.testing import FaultInjector, FaultPlan
+from tests.oracle import interpreted_digests
 
 
 def _batch_digests():
-    report = PurposeControlAuditor(
-        process_registry(), hierarchy=role_hierarchy()
-    ).audit(paper_audit_trail())
-    return {
-        case: canonical_digest(result.replay)
-        for case, result in report.cases.items()
-        if result.replay is not None
-    }
+    return interpreted_digests(
+        process_registry(), paper_audit_trail(), role_hierarchy()
+    )
 
 
 def _digests(router) -> dict:

@@ -5,8 +5,8 @@ End to end over real sockets and a real process: boot
 sequence numbers, SIGKILL the daemon, restart it on the same files
 (the restart resumes them on its own), finish the stream through the
 resilient shipper, and assert the per-case verdict digests are
-byte-identical to an uninterrupted batch replay — interpreted and
-compiled.
+byte-identical to interpreted replay of the uninterrupted trail — with
+tables grown from the stream, and compiled into ``--automaton-dir``.
 """
 
 import json
@@ -19,25 +19,13 @@ import sys
 import pytest
 
 from repro.audit.store import AuditStore
-from repro.core.auditor import PurposeControlAuditor
 from repro.scenarios import (
     paper_audit_trail,
     process_registry,
     role_hierarchy,
 )
 from repro.serve import ResilientAuditClient
-from repro.testing import canonical_digest
-
-
-def _batch_digests():
-    report = PurposeControlAuditor(
-        process_registry(), hierarchy=role_hierarchy()
-    ).audit(paper_audit_trail())
-    return {
-        case: canonical_digest(result.replay)
-        for case, result in report.cases.items()
-        if result.replay is not None
-    }
+from tests.oracle import interpreted_digests
 
 
 def _spawn(tmp_path, compiled: bool, resumes: bool = False):
@@ -55,7 +43,7 @@ def _spawn(tmp_path, compiled: bool, resumes: bool = False):
         "--http-port", "-1",
     ]
     if compiled:
-        argv.append("--compiled")
+        argv += ["--automaton-dir", str(tmp_path / "automata")]
     process = subprocess.Popen(
         argv,
         stdout=subprocess.PIPE,
@@ -75,7 +63,7 @@ def _spawn(tmp_path, compiled: bool, resumes: bool = False):
     return process, report["listening"], recovered
 
 
-@pytest.mark.parametrize("compiled", [False, True], ids=["interp", "compiled"])
+@pytest.mark.parametrize("compiled", [False, True], ids=["grown", "compiled"])
 class TestKillNineRecover:
     def test_sigkill_midstream_then_recover_matches_batch(
         self, tmp_path, compiled
@@ -122,7 +110,9 @@ class TestKillNineRecover:
                 for case, info in results.items()
                 if info["digest"] is not None
             }
-            assert digests == _batch_digests()
+            assert digests == interpreted_digests(
+                process_registry(), paper_audit_trail(), role_hierarchy()
+            )
 
             resumed.bye()
             second.send_signal(signal.SIGTERM)

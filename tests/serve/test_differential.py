@@ -1,12 +1,12 @@
-"""Differential suite: the streaming service vs. batch replay.
+"""Differential suite: the streaming service vs. interpreted replay.
 
 For every shipped scenario, drive the daemon over a real TCP socket —
 entries arrive exactly as a log shipper would send them — and assert
 that the canonical verdict digest the service reports for each case is
-**byte-identical** to a batch :class:`PurposeControlAuditor` replay of
-the same trail.  Both the interpreted and the compiled service paths
-are exercised, so neither the wire protocol nor automaton replay may
-perturb a verdict.
+**byte-identical** to interpreted Algorithm 1 over the same trail (a
+checker with no automaton attached).  Both boots are exercised — tables
+grown from the stream, and tables compiled into an ``automaton_dir`` —
+so neither the wire protocol nor table replay may perturb a verdict.
 """
 
 import pytest
@@ -14,7 +14,7 @@ import pytest
 from repro.audit.generator import TrailGenerator
 from repro.audit.model import AuditTrail
 from repro.audit.xes import export_xes
-from repro.core.auditor import PurposeControlAuditor
+from repro.obs import MetricsRegistry, Telemetry
 from repro.policy.registry import ProcessRegistry
 from repro.scenarios import (
     fig7_process,
@@ -29,8 +29,8 @@ from repro.scenarios import (
     process_registry,
     role_hierarchy,
 )
-from repro.serve import AuditStreamClient, ServeConfig
-from repro.testing import canonical_digest
+from repro.serve import AuditStreamClient, ServeConfig, ShardRouter
+from tests.oracle import interpreted_digests
 
 
 def _appendix_scenario():
@@ -87,42 +87,31 @@ SCENARIOS = {
 
 @pytest.fixture(scope="module")
 def batch_digests():
-    """Per-scenario ground truth: interpreted batch replay digests."""
+    """Per-scenario ground truth: interpreted replay digests."""
     cache: dict[str, dict[str, str]] = {}
 
     def digests_for(name: str) -> dict[str, str]:
         if name not in cache:
             registry, hierarchy, trail = SCENARIOS[name]()
-            report = PurposeControlAuditor(
-                registry, hierarchy=hierarchy
-            ).audit(trail)
-            cache[name] = {
-                case: canonical_digest(result.replay)
-                for case, result in report.cases.items()
-                if result.replay is not None
-            }
+            cache[name] = interpreted_digests(registry, trail, hierarchy)
         return cache[name]
 
     return digests_for
 
 
-#: The replay ladder as served configurations: ``compiled`` picks the
-#: dense-table path, which falls back to interpreted replay per case.
-TIERS = {
-    "interpreted": dict(compiled=False),
-    "table": dict(compiled=True),
-}
+#: The two boots: tables grown from the stream, or compiled into an
+#: ``automaton_dir`` at start.
+TIERS = ("grown", "compiled")
+
+
+def _config(tier, tmp_path) -> ServeConfig:
+    automata = str(tmp_path / "automata") if tier == "compiled" else None
+    return ServeConfig(automaton_dir=automata)
 
 
 def _stream_and_collect(serve_factory, name, tier, tmp_path):
     registry, hierarchy, trail = SCENARIOS[name]()
-    options = TIERS[tier]
-    config = ServeConfig(
-        automaton_dir=(
-            str(tmp_path / "automata") if options["compiled"] else None
-        ),
-        **options,
-    )
+    config = _config(tier, tmp_path)
     handle = serve_factory(registry, hierarchy=hierarchy, config=config)
     with AuditStreamClient(handle.host, handle.port) as client:
         client.recv_until("hello")
@@ -131,12 +120,11 @@ def _stream_and_collect(serve_factory, name, tier, tmp_path):
         return client.results()
 
 
-@pytest.mark.parametrize("tier", sorted(TIERS))
+@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 class TestServiceTierMatrix:
-    """tier x scenario: every rung of the replay ladder, behind real
-    sockets, byte-identical to the batch auditor's interpreted ground
-    truth."""
+    """boot x scenario, behind real sockets, byte-identical to
+    interpreted ground truth."""
 
     def test_verdict_digests_match_batch_replay(
         self, serve_factory, batch_digests, scenario, tier, tmp_path
@@ -182,23 +170,43 @@ class TestXesIngestion:
         assert report.final_states["HT-10"] == "infringing"
 
 
-class TestAutomatonDirImpliesTableTier:
-    """The CLI passes ``automaton_dir`` without setting ``compiled`` —
-    that alone must serve from the dense table (``repro serve
-    --automaton-dir`` once silently served from a slower tier)."""
+@pytest.mark.parametrize("tier", TIERS)
+class TestEveryBootServesFromTheTable:
+    """Both boots serve the paper trail from the dense table, with
+    interpreted digests.  A router without an ``automaton_dir`` grows
+    its tables in memory: its start reads and writes no artifact and
+    makes no directory.  One with a directory compiles into it at start
+    (``repro serve --automaton-dir`` once silently served from a slower
+    tier)."""
 
-    def test_table_tier_engages_from_automaton_dir_alone(self, tmp_path):
-        from repro.obs import MetricsRegistry, Telemetry
-        from repro.serve import ShardRouter
+    def test_the_paper_trail_replays_through_the_table(
+        self, tmp_path, monkeypatch, tier
+    ):
+        import tempfile
 
+        from repro.compile import AutomatonCache
+
+        calls = []
+
+        def recording(name, real):
+            def record(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return record
+
+        monkeypatch.setattr(
+            tempfile, "mkdtemp", recording("mkdtemp", tempfile.mkdtemp)
+        )
+        for name in ("load", "save"):
+            real = getattr(AutomatonCache, name)
+            monkeypatch.setattr(AutomatonCache, name, recording(name, real))
         registry, hierarchy, trail = SCENARIOS["healthcare"]()
         metrics = MetricsRegistry()
         router = ShardRouter(
             registry,
             hierarchy=hierarchy,
-            config=ServeConfig(
-                automaton_dir=str(tmp_path / "automata")
-            ),
+            config=_config(tier, tmp_path),
             telemetry=Telemetry.create(registry=metrics),
         )
         router.start()
@@ -212,14 +220,14 @@ class TestAutomatonDirImpliesTableTier:
             }
         finally:
             router.drain()
-        report = PurposeControlAuditor(registry, hierarchy=hierarchy).audit(
-            trail
-        )
-        expected = {
-            case: canonical_digest(result.replay)
-            for case, result in report.cases.items()
-            if result.replay is not None
-        }
-        assert served == expected
+        assert served == interpreted_digests(registry, trail, hierarchy)
         assert metrics.counter("automaton_table_hits_total").total > 0
-        assert list((tmp_path / "automata").glob("*.table.bin"))
+        tables = list(tmp_path.rglob("*.table.bin"))
+        purposes = len(registry.purposes())
+        if tier == "grown":
+            assert (calls, tables) == ([], [])
+            assert metrics.counter("automaton_misses_total").total > 0
+        else:
+            assert sorted(calls) == ["load"] * purposes + ["save"] * purposes
+            assert len(tables) == purposes
+            assert metrics.counter("automaton_misses_total").total == 0

@@ -15,10 +15,10 @@ Three requests used to get past the listeners' checks:
 
 Now the surrogate and the nesting are protocol errors (an ``error``
 reply, ``serve_protocol_errors_total``, a dead letter); in-process, the
-WAL refuses such text at the acceptance point, and the store refuses a
-row UTF-8 cannot encode as a malformed entry that its writer
-dead-letters; and the HTTP endpoint answers a deep body 400 and a long
-one 413 before reading it.
+router refuses such text before anything is logged, replayed or stored,
+and the store still refuses a row UTF-8 cannot encode as a malformed
+entry that its writer dead-letters; and the HTTP endpoint answers a
+deep body 400 and a long one 413 before reading it.
 """
 
 import json
@@ -121,29 +121,55 @@ class TestLoneSurrogate:
     def test_an_unencodable_row_is_dead_lettered_and_the_writer_lives(
         self, tmp_path
     ):
-        """In-process submits skip the wire decoder: ``append_many``
-        refuses the batch as malformed, the writer's per-entry fallback
-        dead-letters the one row and stores the rest, before and after."""
+        """A batch the store refuses as malformed (the router admits no
+        such entry, so it is queued on the writer directly): the
+        writer's per-entry fallback dead-letters the one row and stores
+        the rest, before and after."""
         trail = list(paper_audit_trail())
         router = _router(tmp_path, wal=False)
-        for entry in [*trail[:2], replace(trail[0], user=SURROGATE), *trail[2:4]]:
-            assert router.submit(entry).accepted
-        router.flush()
+        batch = [*trail[:2], replace(trail[0], user=SURROGATE), *trail[2:4]]
+        router._writer.queue.put(("batch", batch, (), 0))
         assert router._writer_sync(timeout=10)
         assert router.store_error is None
         [letter] = router.dead_letters
         assert "batch offset 0" in letter.reason and "surrogate" in letter.reason
-        for entry in trail[4:]:
-            assert router.submit(entry).accepted
+        router._writer.queue.put(("batch", trail[4:], (), 0))
         report = router.drain()
         assert report.store_intact is True
         assert _stored(tmp_path / "audit.db") == trail
 
+    def test_in_process_the_entry_is_refused_and_a_restart_resumes(
+        self, tmp_path
+    ):
+        """Without a WAL too, an in-process entry the store could not
+        hold is refused before anything is replayed or stored, so a
+        restart on the store resumes exactly what was live."""
+        trail = list(paper_audit_trail())
+        router = _router(tmp_path, wal=False)
+        for entry in trail[:2]:
+            assert router.submit(entry).accepted
+        hostile = replace(trail[2], user=SURROGATE)
+        with pytest.raises(MalformedEntryError, match="UTF-8"):
+            router.submit(hostile)
+        assert router.case_sequence(hostile.case) == sum(
+            entry.case == hostile.case for entry in trail[:2]
+        )
+        for entry in trail[2:]:
+            assert router.submit(entry).accepted
+        live = router.results()
+        assert router.drain().store_intact is True
+        assert len(router.dead_letters) == 0
+        assert _stored(tmp_path / "audit.db") == trail
+        again = _router(tmp_path, wal=False)
+        assert again.recovery_report.replayed == len(trail)
+        assert again.results() == live
+        again.drain()
+
     def test_with_a_wal_the_entry_is_refused_and_a_restart_resumes(
         self, tmp_path
     ):
-        """The WAL is the acceptance point: an entry the store could not
-        hold is refused there, so no crash can leave it in the log."""
+        """An entry the store could not hold is refused before it is
+        logged, so no crash can leave it in the WAL."""
         trail = list(paper_audit_trail())
         router = _router(tmp_path, wal=True)
         for entry in trail[:3]:

@@ -22,7 +22,6 @@ import repro.serve.core
 from repro.audit.model import AuditTrail
 from repro.audit.store import AuditStore
 from repro.audit.xes import export_xes, import_xes
-from repro.core.auditor import PurposeControlAuditor
 from repro.errors import ReproError
 from repro.scenarios import (
     paper_audit_trail,
@@ -39,19 +38,14 @@ from repro.serve.wal import (
     read_wal,
     segment_paths,
 )
-from repro.testing import canonical_digest, corrupt_wal_tail
+from repro.testing import corrupt_wal_tail
+from tests.oracle import interpreted_digests
 
 
 def _batch_digests():
-    registry, hierarchy = process_registry(), role_hierarchy()
-    report = PurposeControlAuditor(registry, hierarchy=hierarchy).audit(
-        paper_audit_trail()
+    return interpreted_digests(
+        process_registry(), paper_audit_trail(), role_hierarchy()
     )
-    return {
-        case: canonical_digest(result.replay)
-        for case, result in report.cases.items()
-        if result.replay is not None
-    }
 
 
 def _config(tmp_path, **overrides) -> ServeConfig:
@@ -388,13 +382,7 @@ def _zoned_trail() -> tuple[list, list[str]]:
 
 
 def _batch_audit(trail) -> dict:
-    report = PurposeControlAuditor(
-        process_registry(), hierarchy=role_hierarchy()
-    ).audit(AuditTrail(trail))
-    return {
-        case: canonical_digest(result.replay)
-        for case, result in report.cases.items()
-    }
+    return interpreted_digests(process_registry(), trail, role_hierarchy())
 
 
 class TestZonedTimestamps:
@@ -609,11 +597,7 @@ class TestRecoverThroughTableTier:
         router = ShardRouter(
             process_registry(),
             hierarchy=role_hierarchy(),
-            config=_config(
-                tmp_path,
-                compiled=True,
-                automaton_dir=str(tmp_path / "automata"),
-            ),
+            config=_config(tmp_path, automaton_dir=str(tmp_path / "automata")),
             telemetry=telemetry if telemetry is not None else NULL_TELEMETRY,
         )
         router.start()

@@ -20,7 +20,6 @@ import time
 import pytest
 
 from repro.control import ControlPlane
-from repro.core.auditor import PurposeControlAuditor
 from repro.core.resilience import OutcomeKind
 from repro.obs import MemoryEventLog, MetricsRegistry, Telemetry
 from repro.scenarios import (
@@ -29,12 +28,8 @@ from repro.scenarios import (
     role_hierarchy,
 )
 from repro.serve import AuditStreamClient, ServeConfig, ShardRouter
-from repro.testing import (
-    FaultInjector,
-    FaultPlan,
-    canonical_digest,
-    reset_fault_counters,
-)
+from repro.testing import FaultInjector, FaultPlan, reset_fault_counters
+from tests.oracle import interpreted_digests
 
 
 @pytest.fixture(autouse=True)
@@ -53,14 +48,11 @@ def _telemetry() -> "tuple[Telemetry, MemoryEventLog]":
 
 
 def _batch_digests(exclude=()):
-    registry, hierarchy = process_registry(), role_hierarchy()
-    report = PurposeControlAuditor(registry, hierarchy=hierarchy).audit(
-        paper_audit_trail()
+    digests = interpreted_digests(
+        process_registry(), paper_audit_trail(), role_hierarchy()
     )
     return {
-        case: canonical_digest(result.replay)
-        for case, result in report.cases.items()
-        if result.replay is not None and case not in exclude
+        case: digest for case, digest in digests.items() if case not in exclude
     }
 
 
@@ -401,12 +393,11 @@ class TestSyncFailure:
 class TestNonWellFoundedPurpose:
     """A registered purpose outside the decidable fragment (a task-less
     gateway cycle) is contained per case at observe time; it must not
-    keep the router from starting for every other purpose."""
+    keep the router from starting for every other purpose, with tables
+    grown from the stream or compiled into an ``automaton_dir``."""
 
-    @pytest.mark.parametrize(
-        "compiled", [False, True], ids=["interpreted", "compiled"]
-    )
-    def test_router_starts_and_contains_the_case(self, compiled):
+    @pytest.mark.parametrize("compiled", [False, True], ids=["grown", "compiled"])
+    def test_router_starts_and_contains_the_case(self, compiled, tmp_path):
         from repro.policy.registry import ProcessRegistry
         from repro.scenarios import sequential_process
         from tests.core.test_resilience import (
@@ -418,8 +409,9 @@ class TestNonWellFoundedPurpose:
         registry.register(sequential_process(2), "OK")
         registry.register(non_well_founded_process(), "NW")
         trail = mixed_trail()
+        automata = str(tmp_path / "automata") if compiled else None
         router = ShardRouter(
-            registry, config=ServeConfig(compiled=compiled)
+            registry, config=ServeConfig(automaton_dir=automata)
         )
         router.start()
         try:
@@ -428,11 +420,11 @@ class TestNonWellFoundedPurpose:
             served = router.results()
         finally:
             router.drain()
-        report = PurposeControlAuditor(registry).audit(trail)
-        for case, result in report.cases.items():
-            if case.startswith("OK"):
-                assert served[case]["digest"] == canonical_digest(
-                    result.replay
-                ), case
+        expected = interpreted_digests(registry, trail)
+        assert sorted(expected) == sorted(
+            case for case in served if case.startswith("OK")
+        )
+        for case, digest in expected.items():
+            assert served[case]["digest"] == digest, case
         assert served["NW-1"]["failure_kind"] == "undecidable"
         assert served["NW-1"]["state"] == "undecidable"

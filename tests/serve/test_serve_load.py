@@ -38,10 +38,10 @@ class TestServeSmoke:
             config=ServeConfig(
                 store_path=store_path,
                 flush_max_batch=128,
-                # The SLO is a compiled-path promise: the daemon
-                # pre-compiles every purpose automaton at startup and
-                # the engine replays by transition-table lookup.
-                compiled=True,
+                # The SLO holds from the first entry: the daemon
+                # compiles every purpose automaton at startup and the
+                # engine replays by transition-table lookup.
+                automaton_dir=str(tmp_path / "automata"),
             ),
             telemetry=telemetry,
         )

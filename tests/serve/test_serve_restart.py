@@ -4,8 +4,8 @@ Boots the real ``repro serve --store S`` (alone, and with ``--wal-dir
 W``) twice on the same files, with no other flag.  A fresh daemon's
 first stdout line is ``listening``; a daemon that finds a non-empty
 record prints ``recovered`` before it, and carries on where the first
-one stopped: the per-case numbering continues and the verdicts are the
-batch auditor's.
+one stopped: the per-case numbering continues and the verdicts are
+interpreted replay's.
 """
 
 import json
@@ -16,10 +16,9 @@ import sys
 
 import pytest
 
-from repro.core.auditor import PurposeControlAuditor
 from repro.scenarios import paper_audit_trail, process_registry, role_hierarchy
 from repro.serve import AuditStreamClient, entry_to_message
-from repro.testing import canonical_digest
+from tests.oracle import interpreted_digests
 
 
 def _start(tmp_path, wal: bool) -> tuple[subprocess.Popen, list[dict]]:
@@ -95,8 +94,8 @@ def test_a_restart_on_the_same_files_resumes_the_case(tmp_path, daemons, wal):
         assert client.sync()["received"] == len(head) - 5
         assert not [e for e in client.events_seen if e["event"] == "busy"]
         record = client.results(["HT-1"])["HT-1"]
-    report = PurposeControlAuditor(
-        process_registry(), hierarchy=role_hierarchy()
-    ).audit(paper_audit_trail())
-    assert record["digest"] == canonical_digest(report.cases["HT-1"].replay)
+    expected = interpreted_digests(
+        process_registry(), paper_audit_trail(), role_hierarchy()
+    )
+    assert record["digest"] == expected["HT-1"]
     assert _stop(second)["entries_written"] == len(head) - 5

@@ -41,7 +41,7 @@ def _boot(serve_factory):
     return serve_factory(
         process_registry(),
         hierarchy=role_hierarchy(),
-        config=ServeConfig(compiled=True),
+        config=ServeConfig(),
     )
 
 

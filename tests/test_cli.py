@@ -680,23 +680,21 @@ class TestServeCrashSafety:
         assert captured.out == ""
         assert not (tmp_path / "wal").exists()
 
-    def test_shards_is_accepted_and_hidden(self, tmp_path, capsys):
+    def _accepted_and_hidden(self, tmp_path, capsys, *flag):
         import json
         import signal
 
-        # Every case is replayed on one engine; the flag stays only so
-        # scripts that pass it (perfbench/daemonctl.py) keep starting.
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--help"])
         assert exit_info.value.code == EXIT_OK
-        assert "--shards" not in capsys.readouterr().out
+        assert flag[0] not in capsys.readouterr().out
         env = dict(
             os.environ,
             PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
         )
         daemon = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--scenario",
-             "paper", "--shards", "2", "--port", "0", "--http-port", "-1",
+             "paper", *flag, "--port", "0", "--http-port", "-1",
              "--store", str(tmp_path / "audit.db")],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=env,
@@ -713,6 +711,16 @@ class TestServeCrashSafety:
                 daemon.wait(timeout=10)
         assert daemon.returncode == EXIT_OK, stderr
         assert json.loads(stdout.splitlines()[-1])["drained"]["store_intact"]
+
+    def test_shards_is_accepted_and_hidden(self, tmp_path, capsys):
+        # Every case is replayed on one engine; the flag stays only so
+        # scripts that pass it (perfbench/daemonctl.py) keep starting.
+        self._accepted_and_hidden(tmp_path, capsys, "--shards", "2")
+
+    def test_compiled_is_accepted_and_hidden(self, tmp_path, capsys):
+        # Every case replays through its purpose automaton; the flag
+        # stays only so perfbench/daemonctl.py keeps starting.
+        self._accepted_and_hidden(tmp_path, capsys, "--compiled")
 
     @pytest.mark.parametrize(
         "flag", ["--queue-capacity", "--hang-timeout", "--max-shard-restarts"]
@@ -892,14 +900,22 @@ class TestCompiledArtifacts:
             + total(cold_metrics, "automaton_misses_total")
         )
 
-    @pytest.mark.parametrize("mode", ["interpreted", "cold", "warm"])
+    def test_audit_has_no_compiled_flag(self, ht_json, trail_xes, capsys):
+        # One replay mode: every audit replays through the tables.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["audit", "--process", f"HT:{ht_json}", "--trail",
+                  trail_xes, "--compiled"])
+        assert exit_info.value.code == EXIT_BAD_INPUT
+        assert "unrecognized arguments: --compiled" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["no-dir", "cold", "warm"])
     @pytest.mark.parametrize("day", ["paper", "hospital-day"])
     def test_workers_print_the_serial_report(
         self, ht_json, ct_json, tmp_path, capsys, day, mode
     ):
         """``--workers 2`` prints exactly what the serial audit prints:
-        interpreted, and compiled with and without artifacts already in
-        the directory."""
+        without ``--automaton-dir``, and with a directory that is empty
+        or already compiled."""
         from repro.scenarios import hospital_day
 
         trail = (
@@ -925,7 +941,7 @@ class TestCompiledArtifacts:
                 "--automaton-dir", str(automata),
             ]) == EXIT_OK
             capsys.readouterr()
-        compiled = [] if mode == "interpreted" else [
+        compiled = [] if mode == "no-dir" else [
             "--automaton-dir", str(automata)
         ]
         code = main([*audit, *compiled, "--workers", "2"])
