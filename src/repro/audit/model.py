@@ -18,10 +18,13 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from repro.errors import TrailOrderError
+from repro.errors import MalformedEntryError, TrailOrderError
 from repro.policy.model import AccessRequest, ObjectRef
 
 _PAPER_FORMAT = "%Y%m%d%H%M"
+
+#: The :class:`LogEntry` fields that hold free text.
+TEXT_FIELDS = ("user", "role", "action", "task", "case")
 
 
 class Status(Enum):
@@ -67,6 +70,12 @@ class LogEntry:
     ``timestamp`` is kept in naive UTC (:func:`naive_utc`), however the
     entry was built: live, stored and imported, an entry prints, and
     its case digests, the same.
+
+    Construction raises :class:`~repro.errors.MalformedEntryError` when
+    a :data:`TEXT_FIELDS` field holds text UTF-8 cannot encode (a lone
+    surrogate): no store row could hold it.  An empty field is allowed,
+    as a store written by an earlier version may hold one; the daemon
+    refuses it at admission.
     """
 
     user: str
@@ -81,6 +90,17 @@ class LogEntry:
     def __post_init__(self) -> None:
         if self.timestamp.tzinfo is not None:
             object.__setattr__(self, "timestamp", naive_utc(self.timestamp))
+        if not (
+            self.user + self.role + self.action + self.task + self.case
+        ).isascii():
+            for name in TEXT_FIELDS:
+                try:
+                    getattr(self, name).encode("utf-8")
+                except UnicodeEncodeError as error:
+                    raise MalformedEntryError(
+                        f"entry {name} {getattr(self, name)!r} cannot be "
+                        f"stored as UTF-8: {error.reason}"
+                    ) from None
 
     @classmethod
     def at(

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.audit.model import AuditTrail, LogEntry, Status, naive_utc
 from repro.errors import AuditError, IntegrityError, MalformedEntryError
-from repro.policy.model import ObjectRef, object_text
+from repro.policy.model import ObjectRef
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.resilience import Quarantine
@@ -575,11 +575,11 @@ def _entry_row(entry: LogEntry, prev_hash: str, position: int = 0) -> tuple:
     ``sort_keys=True``, composed here directly, byte for byte.  Each
     field is rendered once, for the row and the hash alike.
 
-    An entry that cannot be rendered, whose text UTF-8 cannot encode
-    (a lone surrogate), or whose object text does not read back as its
-    object (``verify_integrity`` re-parses it), raises
-    :class:`MalformedEntryError` with *position*: inside a write
-    transaction the raise rolls everything back.
+    A :class:`LogEntry` and its object already hold text that UTF-8
+    encodes and that reads back as itself, so the row reads back as
+    the entry.  An entry that cannot be rendered (one built around its
+    constructor) raises :class:`MalformedEntryError` with *position*:
+    inside a write transaction the raise rolls everything back.
     """
     try:
         obj = entry.obj
@@ -587,7 +587,7 @@ def _entry_row(entry: LogEntry, prev_hash: str, position: int = 0) -> tuple:
             entry.user,
             entry.role,
             entry.action,
-            object_text(obj) if obj is not None else None,
+            str(obj) if obj is not None else None,
             entry.task,
             entry.case,
             entry.timestamp.isoformat(),
@@ -608,12 +608,6 @@ def _entry_row(entry: LogEntry, prev_hash: str, position: int = 0) -> tuple:
                 _quote(user),
             )
         )
-        if "\\u" in canonical:
-            # Only text beyond ASCII is escaped as \uXXXX, and only such
-            # text can hold what SQLite's UTF-8 cannot store.
-            for text in row_text:
-                if text is not None:
-                    text.encode("utf-8")
         digest = hashlib.sha256(
             (prev_hash + canonical).encode("utf-8")
         ).hexdigest()

@@ -44,6 +44,13 @@ class ObjectRef:
     a plain ``ClinicalTrial/Criteria`` has ``subject=None``.  Statements
     use ``subject=ANY_SUBJECT`` for "any patient" (written ``[.]`` in the
     paper's Fig. 3).
+
+    Every reference reads back as itself: construction raises
+    :class:`PolicyError` when the printed text would parse as another
+    reference (``ObjectRef(None, (" EPR",))`` prints as ``" EPR"``,
+    which parses as ``EPR``) or holds text UTF-8 cannot encode (a lone
+    surrogate).  The store keeps that text, and its chain check and
+    every resume parse it back.
     """
 
     subject: Optional[str]
@@ -54,6 +61,19 @@ class ObjectRef:
             raise PolicyError("an object reference needs a non-empty path")
         if any(not part for part in self.path):
             raise PolicyError("object path components must be non-empty")
+        text = str(self)
+        if _tokenize(text) != (self.subject, self.path):
+            raise PolicyError(
+                f"{self!r} does not read back from its text {text!r}"
+            )
+        if not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as error:
+                raise PolicyError(
+                    f"object reference {text!r} cannot be stored as UTF-8: "
+                    f"{error.reason}"
+                ) from None
 
     @staticmethod
     def parse(text: str) -> "ObjectRef":
@@ -61,7 +81,9 @@ class ObjectRef:
 
         Equal texts share one instance (references are frozen), so the
         wire decoder, the XES importer and store reads keep one copy of
-        each distinct object however many entries carry it.
+        each distinct object however many entries carry it.  A text
+        naming a reference that does not read back as itself
+        (``"/ EPR"`` names path ``(" EPR",)``) raises :class:`PolicyError`.
         """
         return _parse_memo(text)
 
@@ -89,25 +111,8 @@ class ObjectRef:
         return ObjectRef(subject, self.path)
 
 
-def _parse_object(text: str) -> ObjectRef:
-    """:meth:`ObjectRef.parse` without the memo.
-
-    A text whose reference would print as a text that reads back as
-    another reference (``"/ EPR"`` prints as ``" EPR"``, which reads
-    back as ``EPR``) is refused: a stored object must re-parse as
-    itself, or the hash chain over its text breaks.
-    """
-    ref = _read_object(text)
-    printed = str(ref)
-    if printed != text and _read_object(printed) != ref:
-        raise PolicyError(
-            f"object reference {text!r} does not read back as itself "
-            f"(it prints as {printed!r})"
-        )
-    return ref
-
-
-def _read_object(text: str) -> ObjectRef:
+def _tokenize(text: str) -> tuple[Optional[str], tuple[str, ...]]:
+    """The ``(subject, path)`` that *text* names, unchecked."""
     subject: Optional[str] = None
     rest = text.strip()
     if rest.startswith("["):
@@ -119,27 +124,17 @@ def _read_object(text: str) -> ObjectRef:
         rest = rest[end + 1 :]
     if not rest:
         raise PolicyError(f"object reference {text!r} has no path")
-    return ObjectRef(subject, tuple(part for part in rest.split("/") if part))
+    return subject, tuple(part for part in rest.split("/") if part)
+
+
+def _parse_object(text: str) -> ObjectRef:
+    """:meth:`ObjectRef.parse` without the memo."""
+    return ObjectRef(*_tokenize(text))
 
 
 # Bounded: a stream of distinct objects evicts, it never grows the memo.
 # Failed parses raise out of the call and are not remembered.
 _parse_memo = lru_cache(maxsize=PARSE_MEMO_SIZE)(_parse_object)
-
-
-def object_text(obj: ObjectRef) -> str:
-    """*obj*'s printed text, the form the store and the wire carry.
-
-    A reference built without the parser may print as a text that
-    reads back as another reference (``ObjectRef(None, (" EPR",))``
-    prints as ``" EPR"``, which reads back as ``EPR``); that raises
-    :class:`PolicyError`, as :meth:`ObjectRef.parse` refuses such text.
-    """
-    text = str(obj)
-    back = _parse_memo(text)
-    if back is not obj and back != obj:
-        raise PolicyError(f"{obj!r} does not read back from its text {text!r}")
-    return text
 
 
 @dataclass(frozen=True, slots=True)

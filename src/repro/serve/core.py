@@ -66,7 +66,7 @@ from repro.audit.model import LogEntry
 from repro.audit.store import AuditStore
 from repro.core.monitor import FAILURE_KINDS, TERMINAL_STATES, OnlineMonitor
 from repro.core.resilience import OutcomeKind, Quarantine
-from repro.errors import MalformedEntryError, PolicyError, ReproError
+from repro.errors import MalformedEntryError, ReproError
 from repro.obs import (
     CASE_QUARANTINED,
     NULL_TELEMETRY,
@@ -80,9 +80,8 @@ from repro.obs import (
     parse_traceparent,
 )
 from repro.policy.hierarchy import RoleHierarchy
-from repro.policy.model import object_text
 from repro.policy.registry import ProcessRegistry
-from repro.serve.protocol import EV_VERDICT
+from repro.serve.protocol import EV_VERDICT, require_fields
 from repro.serve.recovery import RecoveryReport, WalDelta, wal_delta
 from repro.serve.wal import WalError, WalWriter, remove_segments
 
@@ -544,11 +543,12 @@ class ShardRouter:
         not half-accepted.  *line* is the ``entry`` op the entry was
         decoded from, as the client sent it, stripped: the log frames it
         as it is (:meth:`~repro.serve.wal.WalWriter.append`).  An entry
-        without one follows the parser's rules all the same: one whose
-        object does not read back from its text, or whose text the store
-        could not hold (a lone surrogate), is refused with
-        :class:`~repro.errors.MalformedEntryError` before anything is
-        logged, replayed or stored.  ``seq`` (1-based per case) makes
+        without one (an ``xes`` document, an in-process caller) meets
+        the wire's rule all the same: one with an empty user, role,
+        action, task or case is refused with
+        :class:`~repro.errors.MalformedEntryError`
+        (:func:`~repro.serve.protocol.require_fields`) before anything
+        is logged, replayed or stored.  ``seq`` (1-based per case) makes
         re-sends idempotent: an entry at or below the case's high-water
         mark is acknowledged as a ``duplicate`` without being
         re-processed; one *beyond* the next expected number is refused
@@ -608,22 +608,8 @@ class ShardRouter:
     ) -> Admission:
         case = entry.case
         if line is None:
-            # The wire decoder parsed the object and checked the text of
-            # an entry that came with a line; one built in-process must
-            # read back alike, or the store and a resume would see
-            # another entry (or none).
-            try:
-                obj = object_text(entry.obj) if entry.obj is not None else ""
-                # UTF-8 refuses a lone surrogate, as the store would.
-                "".join(
-                    (entry.user, entry.role, entry.action, entry.task, case, obj)
-                ).encode()
-            except PolicyError as error:
-                raise MalformedEntryError(str(error)) from error
-            except UnicodeEncodeError as error:
-                raise MalformedEntryError(
-                    f"entry text cannot be stored as UTF-8: {error}"
-                ) from error
+            # The wire decoder applied the rule to an entry with a line.
+            require_fields(entry)
         with self._ingest_lock:
             if not self._accepting:
                 raise ReproError("the service is draining; entry rejected")
@@ -659,7 +645,7 @@ class ShardRouter:
                 # The acceptance point: not in the WAL => never acked.
                 try:
                     wal_seq = self._wal.append(entry, case_seq, line)
-                except (WalError, MalformedEntryError):
+                except WalError:
                     raise
                 except Exception as error:
                     raise WalError(
@@ -821,6 +807,36 @@ class ShardRouter:
         if flushed:
             self._tel.events.emit(SERVE_WAL_COMMIT, records=flushed)
         return flushed
+
+    @property
+    def durable(self) -> bool:
+        """Whether accepted entries outlive the process (a durable store)."""
+        return self._durable_store_path() is not None
+
+    def sync(self) -> None:
+        """Block until every entry accepted so far survives a restart:
+        what the ``sync`` op waits for when the router is
+        :attr:`durable`.
+
+        With a WAL, its fsync; on a durable store without one, a flush
+        and the store writer's commit of it; otherwise nothing.  Raises
+        when the entries cannot be made durable: a failed fsync, or a
+        store writer that died.
+        """
+        if self._wal is not None:
+            self.wal_commit()
+        elif self.durable:
+            self.flush()
+            if self._writer_sync():
+                return
+            # A drain stopped the writer before it reached the barrier:
+            # it committed everything queued before its stop, ours too.
+            if self._store_error is None and self._writer.intact:
+                return
+            raise ReproError(
+                "audit store unavailable: "
+                f"{self._store_error or 'the store writer stopped'}"
+            )
 
     @property
     def wal_enabled(self) -> bool:

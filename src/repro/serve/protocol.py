@@ -51,8 +51,8 @@ from datetime import datetime
 from sys import intern
 from typing import Iterable, Iterator, Optional
 
-from repro.audit.model import LogEntry, Status, parse_timestamp
-from repro.errors import ReproError
+from repro.audit.model import TEXT_FIELDS, LogEntry, Status, parse_timestamp
+from repro.errors import MalformedEntryError, ReproError
 from repro.policy.model import ObjectRef
 
 # -- operations (client -> server) ------------------------------------------
@@ -207,17 +207,28 @@ def _parse_ts(text: str) -> datetime:
         ) from error
 
 
-def entry_from_message(message: dict) -> LogEntry:
-    """Decode an ``entry`` operation into a validated :class:`LogEntry`."""
-    missing = [
-        key
-        for key in ("user", "role", "action", "task", "case", "ts")
-        if not message.get(key)
-    ]
-    if missing:
-        raise ProtocolError(
+def require_fields(entry: LogEntry) -> LogEntry:
+    """*entry*, unless its user, role, action, task or case is empty.
+
+    The service admits no entry without them, whatever it came from:
+    an ``entry`` op, an ``xes`` document or an in-process submit.  A
+    refusal raises :class:`~repro.errors.MalformedEntryError` naming
+    every empty field.
+    """
+    if not (entry.user and entry.role and entry.action and entry.task
+            and entry.case):
+        missing = [name for name in TEXT_FIELDS if not getattr(entry, name)]
+        raise MalformedEntryError(
             f"entry is missing required field(s): {', '.join(missing)}"
         )
+    return entry
+
+
+def entry_from_message(message: dict) -> LogEntry:
+    """Decode an ``entry`` operation into a validated :class:`LogEntry`."""
+    ts = message.get("ts")
+    if not isinstance(ts, str):
+        raise ProtocolError(f"ts must be a string timestamp, got {ts!r}")
     obj_text = message.get("obj")
     try:
         obj: Optional[ObjectRef] = (
@@ -232,22 +243,21 @@ def entry_from_message(message: dict) -> LogEntry:
         raise ProtocolError(
             f"status must be success or failure, got {status_text!r}"
         ) from None
-    ts = message["ts"]
-    if not isinstance(ts, str):
-        raise ProtocolError(f"ts must be a string timestamp, got {ts!r}")
     # Intern the canonical vocabulary once at the wire boundary: every
     # downstream hot-path dict keyed by these strings — the table tier's
     # (task, role) symbol interner, the keyer caches, case routing —
     # then compares by pointer and hashes a given string at most once.
-    return LogEntry(
-        user=intern(str(message["user"])),
-        role=intern(str(message["role"])),
-        action=intern(str(message["action"])),
-        obj=obj,
-        task=intern(str(message["task"])),
-        case=intern(str(message["case"])),
-        timestamp=_parse_ts(ts),
-        status=status,
+    return require_fields(
+        LogEntry(
+            user=intern(str(message.get("user") or "")),
+            role=intern(str(message.get("role") or "")),
+            action=intern(str(message.get("action") or "")),
+            obj=obj,
+            task=intern(str(message.get("task") or "")),
+            case=intern(str(message.get("case") or "")),
+            timestamp=_parse_ts(ts),
+            status=status,
+        )
     )
 
 

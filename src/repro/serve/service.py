@@ -463,12 +463,14 @@ class AuditService:
             conn.send({"event": EV_ERROR, "detail": str(error)})
 
     def _sync(self, conn: _Client, token, received: int) -> None:
-        """The ``sync`` op once its barrier passed: fsync the WAL off the
-        loop, then send ``synced`` (or the error that stopped it).  The
-        connection keeps streaming meanwhile."""
+        """The ``sync`` op once its barrier passed: on a durable router,
+        make the entries durable off the loop (:meth:`ShardRouter.sync`),
+        then send ``synced`` (or the error that stopped it); the
+        connection keeps streaming meanwhile.  Otherwise every entry is
+        replayed already, and ``synced`` goes at once."""
         assert self._loop is not None
         synced = {"event": EV_SYNCED, "id": token, "received": received}
-        if not self.router.wal_enabled:
+        if not self.router.durable:
             conn.send(synced)
             return
 
@@ -481,7 +483,7 @@ class AuditService:
                     {"event": EV_ERROR, "detail": f"sync failed: {error}"}
                 )
 
-        commit = self._loop.run_in_executor(None, self.router.wal_commit)
+        commit = self._loop.run_in_executor(None, self.router.sync)
         commit.add_done_callback(committed)
 
     def _send_results(self, conn: _Client, message: dict) -> None:

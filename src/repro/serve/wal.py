@@ -18,8 +18,9 @@ Design (one log per directory; its segments are named ``ingest-N.wal``):
   <u32 crc32(payload)> <payload>``; the payload is one compact JSON
   object carrying the WAL sequence number, the case id, the per-case
   entry sequence number, and, under ``"e"``, the entry op itself: the
-  line the client sent, or the entry encoded by :func:`_entry_json`
-  when it came without one (an ``xes`` document, an in-process submit).
+  line the client sent, or the entry encoded by
+  :func:`~repro.serve.protocol.entry_to_message` when it came without
+  one (an ``xes`` document, an in-process submit).
   A reader decodes ``"e"`` with the wire decoder, which ignores the
   line's other keys (``seq``, ``traceparent``).
 * **Batched fsync** — appends land in a process-local buffer (a plain
@@ -69,7 +70,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from repro.audit.model import LogEntry
-from repro.errors import MalformedEntryError, ReproError
+from repro.errors import ReproError
 from repro.serve.protocol import entry_from_message, entry_to_message
 
 #: First bytes of every segment file (8 bytes: name + format version).
@@ -86,48 +87,6 @@ _MAX_PAYLOAD = 1 << 24
 #: cost on the append hot path.  ``entry_to_message`` emits only JSON
 #: natives, so no ``default`` hook is needed.
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
-
-#: Characters a JSON string must escape; almost no real field has any.
-_NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f]').search
-
-
-def _json_str(value: Optional[str]) -> bytes:
-    """``value`` as JSON bytes — fast path for plain ASCII strings.
-
-    Text UTF-8 cannot encode (a lone surrogate) raises
-    ``UnicodeEncodeError``: escaped, it would frame, but the store
-    could never hold it.
-    """
-    if value is None:
-        return b"null"
-    if value.isascii() and _NEEDS_ESCAPE(value) is None:
-        return b'"%s"' % value.encode("ascii")
-    value.encode("utf-8")
-    return _ENCODE(value).encode("utf-8")
-
-
-def _entry_json(entry: LogEntry) -> bytes:
-    """The ``entry_to_message`` wire dict, composed straight to bytes.
-
-    Byte-identical to ``_ENCODE(entry_to_message(entry))`` (a unit test
-    holds the two in lock-step) but ~25% cheaper.  The append frames
-    this for entries that arrived without a wire line.
-    """
-    obj = entry.obj
-    return (
-        b'{"op":"entry","user":%s,"role":%s,"action":%s,"obj":%s,'
-        b'"task":%s,"case":%s,"ts":%s,"status":%s}'
-        % (
-            _json_str(entry.user),
-            _json_str(entry.role),
-            _json_str(entry.action),
-            _json_str(str(obj) if obj is not None else None),
-            _json_str(entry.task),
-            _json_str(entry.case),
-            _json_str(entry.timestamp.isoformat()),
-            _json_str(entry.status.value),
-        )
-    )
 
 _SEGMENT_RE = re.compile(r"^(?P<name>.+)-(?P<index>\d{8})\.wal$")
 
@@ -356,20 +315,15 @@ class WalWriter:
         that :func:`~repro.serve.protocol.entry_from_message` decodes to
         *entry* — and is framed as it is, so the entry is not encoded a
         second time.  Without one (an entry from an ``xes`` document or
-        an in-process submit) the entry is encoded here, once, and text
-        the store could not hold raises :class:`MalformedEntryError`.
+        an in-process submit) the entry is encoded here, once, as
+        :func:`~repro.serve.protocol.entry_to_message` renders it.
 
         Raises whatever the OS (or the fault hook) raises — the caller
         must then *reject* the entry, because an entry that is not in
         the WAL was never accepted.
         """
         if line is None:
-            try:
-                line = _entry_json(entry)
-            except UnicodeEncodeError as error:
-                raise MalformedEntryError(
-                    f"entry text cannot be stored as UTF-8: {error}"
-                ) from error
+            line = _ENCODE(entry_to_message(entry)).encode("utf-8")
         with self._lock:
             if self._file is None:
                 raise WalError(f"WAL {self._dir} is closed")
@@ -380,7 +334,7 @@ class WalWriter:
             # every entry of a case, so its JSON form is cached.
             case_json = self._case_json.get(entry.case)
             if case_json is None:
-                case_json = _json_str(entry.case)
+                case_json = _ENCODE(entry.case).encode("utf-8")
                 self._case_json[entry.case] = case_json
             payload = b'{"q":%d,"c":%s,"n":%d,"e":%s}' % (
                 seq,

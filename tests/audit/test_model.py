@@ -12,7 +12,8 @@ from repro.audit import (
     format_timestamp,
     parse_timestamp,
 )
-from repro.errors import TrailOrderError
+from repro.audit.model import TEXT_FIELDS
+from repro.errors import MalformedEntryError, TrailOrderError
 from repro.policy import ObjectRef
 
 
@@ -73,6 +74,15 @@ class TestLogEntry:
         assert built.timestamp.tzinfo is None
         assert built == entry()
         assert str(built) == str(entry())
+
+    @pytest.mark.parametrize("field", TEXT_FIELDS)
+    def test_text_utf8_cannot_encode_is_refused_at_construction(self, field):
+        with pytest.raises(MalformedEntryError, match=f"entry {field} .*UTF-8"):
+            replace(entry(), **{field: "Mallory\ud800"})
+        # A surrogate pair is one character, and any text UTF-8 encodes
+        # is kept as it is; so is an empty field.
+        for text in ("\U0001F600 Zoë", ""):
+            assert getattr(replace(entry(), **{field: text}), field) == text
 
     def test_str_matches_figure_layout(self):
         text = str(entry())

@@ -62,6 +62,60 @@ class TestObjectRefParsing:
         assert ObjectRef.parse(printed) == ref
 
 
+class TestObjectRefConstruction:
+    """A reference reads back as itself: construction refuses one whose
+    printed text parses as another reference, or is not UTF-8.  The
+    store keeps that text, and its chain check and every resume parse
+    it back."""
+
+    @pytest.mark.parametrize(
+        "subject, path",
+        [(None, (" EPR",)), (None, ("A/B",)), (".", ("EPR",)),
+         (None, ("\ud800",)), ("Jane]x", ("EPR",)), ("", ("EPR",))],
+    )
+    def test_a_reference_that_does_not_read_back_is_refused(self, subject, path):
+        with pytest.raises(PolicyError):
+            ObjectRef(subject, path)
+
+    @staticmethod
+    def _unchecked(subject, path) -> ObjectRef:
+        ref = object.__new__(ObjectRef)
+        object.__setattr__(ref, "subject", subject)
+        object.__setattr__(ref, "path", path)
+        return ref
+
+    _NAME = st.text(
+        st.one_of(
+            st.sampled_from(" /[].*\t\n\x85\u2028\ud800é"), st.characters()
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+    @given(
+        st.one_of(st.none(), st.just(ANY_SUBJECT), _NAME),
+        st.lists(_NAME, min_size=1, max_size=3).map(tuple),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_construction_refuses_exactly_what_does_not_read_back(
+        self, subject, path
+    ):
+        text = str(self._unchecked(subject, path))
+        try:
+            back = ObjectRef.parse(text)
+        except PolicyError:
+            back = None
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            back = None
+        if back == self._unchecked(subject, path):
+            assert ObjectRef(subject, path) == back
+        else:
+            with pytest.raises(PolicyError):
+                ObjectRef(subject, path)
+
+
 class TestObjectOrder:
     """The partial order >=O of Section 3.1."""
 

@@ -14,13 +14,14 @@ Three requests used to get past the listeners' checks:
   grew the daemon's peak memory by 120 MB.
 
 Now the surrogate and the nesting are protocol errors (an ``error``
-reply, ``serve_protocol_errors_total``, a dead letter); in-process, the
-router refuses such text before anything is logged, replayed or stored,
-and the store still refuses a row UTF-8 cannot encode as a malformed
-entry that its writer dead-letters; and the HTTP endpoint answers a
-deep body 400 and a long one 413 before reading it.
+reply, ``serve_protocol_errors_total``, a dead letter); in-process, no
+``LogEntry`` holding such text can be built, so nothing of it is ever
+logged, replayed or stored, and a row the store cannot render is still
+a malformed entry that its writer dead-letters; and the HTTP endpoint
+answers a deep body 400 and a long one 413 before reading it.
 """
 
+import copy
 import json
 import socket
 import time
@@ -28,9 +29,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.audit.model import LogEntry
+from repro.audit.model import TEXT_FIELDS, LogEntry
 from repro.audit.store import AuditStore
-from repro.errors import MalformedEntryError
+from repro.errors import MalformedEntryError, PolicyError
 from repro.obs import MetricsRegistry, Telemetry
 from repro.policy.model import ObjectRef
 from repro.scenarios import paper_audit_trail, process_registry, role_hierarchy
@@ -62,6 +63,14 @@ def _router(tmp_path, wal: bool) -> ShardRouter:
     )
     router.start()
     return router
+
+
+def _around_the_constructor(entry: LogEntry, **fields) -> LogEntry:
+    """A copy of *entry* with *fields* set past ``LogEntry``'s checks."""
+    odd = copy.copy(entry)
+    for name, value in fields.items():
+        object.__setattr__(odd, name, value)
+    return odd
 
 
 def _exchange(port: int, request: bytes) -> bytes:
@@ -99,7 +108,7 @@ class TestLoneSurrogate:
         handle, registry = durable_service
         trail = list(paper_audit_trail())
         hostile = encode_message(
-            entry_to_message(replace(trail[0], user=SURROGATE, case="HT-99"))
+            {**entry_to_message(trail[0]), "user": SURROGATE, "case": "HT-99"}
         )
         # The encoder escapes the surrogate: the line itself is ASCII.
         assert b"\\ud800" in hostile
@@ -121,18 +130,21 @@ class TestLoneSurrogate:
     def test_an_unencodable_row_is_dead_lettered_and_the_writer_lives(
         self, tmp_path
     ):
-        """A batch the store refuses as malformed (the router admits no
-        such entry, so it is queued on the writer directly): the
-        writer's per-entry fallback dead-letters the one row and stores
-        the rest, before and after."""
+        """A batch the store refuses as malformed: no ``LogEntry`` can
+        hold text the row builder cannot render, so the bad row is
+        built around the constructor and queued on the writer directly.
+        The writer's per-entry fallback dead-letters the one row and
+        stores the rest, before and after."""
         trail = list(paper_audit_trail())
         router = _router(tmp_path, wal=False)
-        batch = [*trail[:2], replace(trail[0], user=SURROGATE), *trail[2:4]]
+        bad = _around_the_constructor(trail[0], user=None)
+        batch = [*trail[:2], bad, *trail[2:4]]
         router._writer.queue.put(("batch", batch, (), 0))
         assert router._writer_sync(timeout=10)
         assert router.store_error is None
         [letter] = router.dead_letters
-        assert "batch offset 0" in letter.reason and "surrogate" in letter.reason
+        assert "batch offset 0" in letter.reason
+        assert "must be a string" in letter.reason
         router._writer.queue.put(("batch", trail[4:], (), 0))
         report = router.drain()
         assert report.store_intact is True
@@ -142,17 +154,17 @@ class TestLoneSurrogate:
         self, tmp_path
     ):
         """Without a WAL too, an in-process entry the store could not
-        hold is refused before anything is replayed or stored, so a
-        restart on the store resumes exactly what was live."""
+        hold is refused where it is built, before anything is replayed
+        or stored, so a restart on the store resumes exactly what was
+        live."""
         trail = list(paper_audit_trail())
         router = _router(tmp_path, wal=False)
         for entry in trail[:2]:
             assert router.submit(entry).accepted
-        hostile = replace(trail[2], user=SURROGATE)
         with pytest.raises(MalformedEntryError, match="UTF-8"):
-            router.submit(hostile)
-        assert router.case_sequence(hostile.case) == sum(
-            entry.case == hostile.case for entry in trail[:2]
+            replace(trail[2], user=SURROGATE)
+        assert router.case_sequence(trail[2].case) == sum(
+            entry.case == trail[2].case for entry in trail[:2]
         )
         for entry in trail[2:]:
             assert router.submit(entry).accepted
@@ -168,14 +180,14 @@ class TestLoneSurrogate:
     def test_with_a_wal_the_entry_is_refused_and_a_restart_resumes(
         self, tmp_path
     ):
-        """An entry the store could not hold is refused before it is
-        logged, so no crash can leave it in the WAL."""
+        """An entry the store could not hold cannot be built, so it is
+        never logged and no crash can leave it in the WAL."""
         trail = list(paper_audit_trail())
         router = _router(tmp_path, wal=True)
         for entry in trail[:3]:
             assert router.submit(entry).accepted
         with pytest.raises(MalformedEntryError, match="UTF-8"):
-            router.submit(replace(trail[3], user=SURROGATE))
+            replace(trail[3], user=SURROGATE)
         assert router.case_sequence(trail[3].case) == sum(
             entry.case == trail[3].case for entry in trail[:3]
         )
@@ -226,24 +238,20 @@ class TestObjectText:
 
     @pytest.mark.parametrize("wal", [False, True], ids=["store", "store+wal"])
     def test_in_process_the_entry_is_refused(self, tmp_path, wal):
-        """A reference built in-process skips the parser, so the router
-        applies its rule: such an entry is refused before anything is
-        logged, replayed or stored, and a restart resumes what was live."""
+        """A reference built in-process skips the parser, but not the
+        constructor's rule: such a reference cannot be built, so no
+        entry carrying it is logged, replayed or stored, and a restart
+        resumes what was live."""
         trail = list(paper_audit_trail())
         router = _router(tmp_path, wal=wal)
         for entry in trail[:2]:
             assert router.submit(entry).accepted
-        for number, obj in enumerate(
-            (ObjectRef(None, (" EPR",)), ObjectRef(None, ("A/B",)))
-        ):
-            odd = replace(trail[0], case=f"HT-9{number}", obj=obj)
-            with pytest.raises(MalformedEntryError, match="does not read back"):
-                router.submit(odd)
-            assert router.case_sequence(odd.case) == 0
+        for path in ((" EPR",), ("A/B",)):
+            with pytest.raises(PolicyError, match="does not read back"):
+                ObjectRef(None, path)
         for entry in trail[2:]:
             assert router.submit(entry).accepted
         live = router.results()
-        assert not {"HT-90", "HT-91"} & set(live)
         assert router.entries_received == len(trail)
         assert router.drain().store_intact is True
         assert len(router.dead_letters) == 0
@@ -251,6 +259,35 @@ class TestObjectText:
         again = _router(tmp_path, wal=wal)
         assert again.results() == live
         again.drain()
+
+
+class TestRequiredFields:
+    def test_in_process_an_empty_field_is_refused_and_a_crash_resumes(
+        self, tmp_path
+    ):
+        """The wire refuses an entry with an empty user, role, action,
+        task or case; one submitted without a line used to be logged,
+        and the next start then failed on it.  Now it is refused before
+        anything is logged, replayed or stored."""
+        trail = list(paper_audit_trail())
+        router = _router(tmp_path, wal=True)
+        for entry in trail[:3]:
+            assert router.submit(entry).accepted
+        for field in TEXT_FIELDS:
+            with pytest.raises(MalformedEntryError, match=f"field\\(s\\): {field}"):
+                router.submit(replace(trail[3], **{field: ""}))
+        assert router.entries_received == 3
+        for entry in trail[3:]:
+            assert router.submit(entry).accepted
+        # Crash as kill -9 would: the WAL holds every entry, the store none.
+        router._wal.commit()
+        router._wal.close()
+        router._accepting = False
+
+        again = _router(tmp_path, wal=True)
+        assert again.recovery_report.wal_records == len(trail)
+        assert again.drain().store_intact is True
+        assert _stored(tmp_path / "audit.db") == trail
 
 
 class TestDeadLetterBound:

@@ -6,6 +6,7 @@ from datetime import datetime
 import pytest
 
 from repro.audit.model import LogEntry, Status
+from repro.errors import MalformedEntryError
 from repro.policy.model import ObjectRef
 from repro.serve import (
     ProtocolError,
@@ -57,7 +58,7 @@ class TestWireProtocol:
         message = entry_to_message(_entry())
         del message["task"]
         message["case"] = ""
-        with pytest.raises(ProtocolError, match="task, case"):
+        with pytest.raises(MalformedEntryError, match="task, case"):
             entry_from_message(message)
 
     @pytest.mark.parametrize(

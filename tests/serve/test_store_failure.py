@@ -8,11 +8,13 @@ reason naming the store, ``statistics()`` and ``/healthz`` name the
 error (``/healthz`` answers 503), and the drain reports the store not
 intact.  With a write-ahead log the refused stream loses nothing: what
 was accepted before the failure is in the log, and the next start
-resumes it.
+resumes it.  A writer that a drain stopped is not a failure: a ``sync``
+that races the drain succeeds.
 """
 
 import json
 import sqlite3
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -22,6 +24,7 @@ import pytest
 from repro.audit.store import AuditStore
 from repro.audit.xes import export_xes
 from repro.cli import main
+from repro.errors import ReproError
 from repro.obs import MetricsRegistry, Telemetry
 from repro.scenarios import paper_audit_trail, process_registry, role_hierarchy
 from repro.serve import AuditStreamClient, ServeConfig, ShardRouter
@@ -112,9 +115,12 @@ def test_healthz_answers_503_and_the_stream_gets_busy(
     monkeypatch.setattr(AuditStore, "append_many", disk_full)
     with AuditStreamClient(handle.host, handle.port) as client:
         client.send_entry(trail[0])
-        client.sync()
-        handle.router.flush()
+        # The sync flushes the entry, and the writer dies committing it:
+        # the entry is not known to be durable, so no `synced`.
+        client.send({"op": "sync", "id": 1})
+        failed = client.recv_until(EV_ERROR)["detail"]
         error = _wait_for_store_error(handle.router)
+        assert failed == f"sync failed: audit store unavailable: {error}"
 
         with pytest.raises(urllib.error.HTTPError) as refused:
             urllib.request.urlopen(url, timeout=10)
@@ -137,3 +143,47 @@ def test_healthz_answers_503_and_the_stream_gets_busy(
     assert main(["top", address, "--count", "1", "--interval", "0"]) == 0
     assert "repro top — store-failed" in capsys.readouterr().out
     assert handle.drain().store_intact is False
+
+
+def test_a_sync_that_races_a_drain_is_not_a_failure(tmp_path, monkeypatch):
+    """A store-only ``sync`` whose barrier reaches the writer after the
+    drain's stop finds the writer gone, but the writer committed every
+    entry queued before its stop: the sync succeeds."""
+    trail = list(paper_audit_trail())
+    router = _router(tmp_path, wal=False)
+    for entry in trail:
+        assert router.submit(entry).accepted
+    scanning, release = threading.Event(), threading.Event()
+    scan = AuditStore.is_intact
+
+    def held_scan(store):
+        # The writer's last act before it exits: hold it there.
+        scanning.set()
+        release.wait(10)
+        return scan(store)
+
+    monkeypatch.setattr(AuditStore, "is_intact", held_scan)
+    drainer = threading.Thread(target=router.drain)
+    drainer.start()
+    assert scanning.wait(10), "the writer never took the drain's stop"
+    failures = []
+
+    def sync():
+        try:
+            router.sync()
+        except ReproError as error:
+            failures.append(error)
+
+    syncer = threading.Thread(target=sync)
+    syncer.start()
+    deadline = time.monotonic() + 10
+    while router._writer.queue.empty():  # the barrier, behind the stop
+        assert time.monotonic() < deadline, "the sync never queued its barrier"
+        time.sleep(0.01)
+    release.set()
+    syncer.join(10)
+    drainer.join(10)
+    assert failures == []
+    assert router.drain().store_intact is True
+    with AuditStore(str(tmp_path / "audit.db")) as store:
+        assert len(store) == len(trail)

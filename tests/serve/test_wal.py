@@ -13,10 +13,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.audit.model import LogEntry, Status
 from repro.errors import MalformedEntryError
 from repro.scenarios import paper_audit_trail
-from repro.scenarios.workloads import hospital_day
 from repro.serve.protocol import decode_message, entry_from_message, entry_to_message
 from repro.serve.wal import (
     LOG_NAME,
@@ -25,7 +23,6 @@ from repro.serve.wal import (
     WalError,
     WalWriter,
     _ENCODE,
-    _entry_json,
     read_segment,
     read_wal,
     remove_segments,
@@ -234,49 +231,6 @@ class TestOldDirectories:
         ]
 
 
-class TestEntryEncoder:
-    """``_entry_json`` must stay byte-identical to the generic encoder.
-
-    The hand-composed fast path exists only for append-latency reasons;
-    this is the lock-step promised in its docstring.  Any drift — a new
-    ``LogEntry`` field, a reordered key in ``entry_to_message``, an
-    escaping case the ASCII fast path mishandles — must fail here, not
-    in a recovery.
-    """
-
-    @staticmethod
-    def _reference(entry: LogEntry) -> bytes:
-        return _ENCODE(entry_to_message(entry)).encode("utf-8")
-
-    def test_lockstep_on_paper_trail(self, entries):
-        for entry in entries:
-            assert _entry_json(entry) == self._reference(entry)
-
-    def test_lockstep_on_hospital_day(self):
-        workload = hospital_day(20, violation_rate=0.3, seed=7)
-        assert len(list(workload.trail)) > 0
-        for entry in workload.trail:
-            assert _entry_json(entry) == self._reference(entry)
-
-    @pytest.mark.parametrize(
-        "user, obj",
-        [
-            ('quote"quote', "MR(x)"),               # escaped quote
-            ("back\\slash", None),                  # escaped backslash, null obj
-            ("tab\there", "MR(é)"),            # control char + non-ASCII
-            ("émile", None),                        # non-ASCII falls to _ENCODE
-            ("line\nbreak\x1f", "MR(y)"),           # control chars
-            ("", "MR(z)"),                          # empty string
-        ],
-    )
-    def test_lockstep_on_escaping_edge_cases(self, user, obj):
-        entry = LogEntry.at(
-            user, "GP", "read", obj, "T01", "HT-1",
-            "201103010900", Status.FAILURE,
-        )
-        assert _entry_json(entry) == self._reference(entry)
-
-
 class TestFaultHook:
     def test_disk_full_rejects_the_append(self, tmp_path, entries):
         writer = WalWriter(
@@ -358,11 +312,9 @@ class TestWireLines:
         writer.close()
         data = segment_paths(tmp_path)[0].read_bytes()
         for entry in entries:
-            assert _entry_json(entry) in data
+            assert _ENCODE(entry_to_message(entry)).encode() in data
 
-    def test_text_the_store_cannot_hold_is_refused(self, tmp_path, entries):
-        writer = WalWriter(tmp_path)
+    def test_text_the_store_cannot_hold_is_refused(self, entries):
+        """No record can frame it: such an entry cannot be built."""
         with pytest.raises(MalformedEntryError, match="UTF-8"):
-            writer.append(replace(entries[0], user="lone\ud800"), 1)
-        assert writer.last_seq == 0
-        writer.close()
+            replace(entries[0], user="lone\ud800")
